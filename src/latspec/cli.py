@@ -161,7 +161,10 @@ def cmd_cond_stage(args) -> int:
 def cmd_pl(args) -> int:
     if args.action == "eval":
         f = parse_pl_term(args.term)
-        x, y = (Fraction(t) for t in args.at.split(","))
+        try:
+            x, y = map(Fraction, args.at.split(","))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"--at wants a point X,Y of two rationals, got {args.at!r}") from None
         v = pl_eval(f, x, y)
         _emit(args, {"value": str(v)}, [str(v)])
         return 0

@@ -11,16 +11,19 @@ never enters a computation.
 Renormalization (dropping deviation entries equal to φ(base)) runs after
 every construction, so equality of elements is plain equality of canonical
 forms.
+
+A finite stage C_J (supports inside a finite index set J) is ≅ A × B^J and
+is built flat, as the downset lattice of P_A ⊔ J·P_B
+(``order.product_lattice``); stage checks run on its integer masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .homs import LatHom
-from .order import LatticeError
+from .homs import LatHom, NotAHomomorphismError
+from .order import DLat, LatticeError, product_lattice
 
 
 class MixedCondensateError(LatticeError):
@@ -143,31 +146,34 @@ class Condensate:
         self._pair(s, t)
         return s.base == t.base and s.dev == t.dev
 
-    def op(self, name: str, s: CondElem, t: CondElem):
-        """Dispatch join|meet|leq|eq by name (the CLI entry point)."""
-        try:
-            fn = {"join": self.join, "meet": self.meet,
-                  "leq": self.leq, "eq": self.eq}[name]
-        except KeyError:
-            raise LatticeError(f"unknown condensate operation {name!r}") from None
-        return fn(s, t)
+    def stage_lattice(self, names: Sequence[str]
+                      ) -> tuple[DLat, Callable[[CondElem], int], Callable[[int], CondElem]]:
+        """The stage C_J as ``(lat, encode, decode)``: the flat lattice
+        A × B^J and the converters between its masks and stage elements.
 
-    def stage(self, names: Sequence[str]) -> list[CondElem]:
-        """All elements with support inside the given finite index set."""
-        names = list(names)
+        Coordinates are the base, then the value at each name in order.
+        """
+        names = tuple(names)
         for n in names:
             if not self.universe.admits(n):
                 raise LatticeError(f"index {n!r} not in {self.universe.describe()}")
         if len(set(names)) != len(names):
             raise LatticeError("stage index names must be distinct")
-        a, b = self.phi.dom, self.phi.cod
-        out = []
-        for base in a.elements:
-            for vals in product(b.elements, repeat=len(names)):
-                out.append(self.element(base, dict(zip(names, vals))))
-        # normalization collapses nothing here: distinct (base, values)
-        # tuples give distinct canonical forms
-        return out
+        lat, to_mask, to_tuple = product_lattice([self.phi.dom] + [self.phi.cod] * len(names))
+
+        def encode(e: CondElem) -> int:
+            return to_mask([e.base] + [e.value_at(n) for n in names])
+
+        def decode(mask: int) -> CondElem:
+            base, *vals = to_tuple(mask)
+            return self.element(base, dict(zip(names, vals)))
+
+        return lat, encode, decode
+
+    def stage(self, names: Sequence[str]) -> list[CondElem]:
+        """All elements with support inside the given finite index set."""
+        lat, _, decode = self.stage_lattice(names)
+        return [decode(m) for m in lat.elements]
 
 
 def cond_make(phi: LatHom, universe: IndexUniverse) -> Condensate:
@@ -196,35 +202,22 @@ class StageIsoReport:
 
 
 def finite_stage_iso(cond: Condensate, names: Sequence[str]) -> StageIsoReport:
-    """Verify C_J ≅ A × B^J as bounded lattices, exhaustively."""
-    a, b = cond.phi.dom, cond.phi.cod
-    names = list(names)
-    prod_elems = [(x, vals) for x in a.elements
-                  for vals in product(b.elements, repeat=len(names))]
+    """Verify C_J ≅ A × B^J as bounded lattices, exhaustively.
 
-    def embed(pair):
-        x, vals = pair
-        return cond.element(x, dict(zip(names, vals)))
-
-    images = [embed(p) for p in prod_elems]
-    bij = len(set(images)) == len(prod_elems)
-    iso = True
-    for p in prod_elems:
-        if not iso:
-            break
-        for q in prod_elems:
-            pj = (p[0] | q[0], tuple(u | v for u, v in zip(p[1], q[1])))
-            pm = (p[0] & q[0], tuple(u & v for u, v in zip(p[1], q[1])))
-            if cond.join(embed(p), embed(q)) != embed(pj):
-                iso = False
-                break
-            if cond.meet(embed(p), embed(q)) != embed(pm):
-                iso = False
-                break
-    bounds = (embed((a.bottom, tuple(b.bottom for _ in names))) == cond.bottom
-              and embed((a.top, tuple(b.top for _ in names)))
-              == cond.element(a.top, {n: b.top for n in names}))
-    return StageIsoReport(len(set(images)), len(prod_elems), bij, iso, bounds)
+    Each element of the flat product is embedded once; ``cond.join`` and
+    ``cond.meet`` must then agree with ``|`` and ``&`` on every pair.
+    """
+    lat, _, decode = cond.stage_lattice(names)
+    els = lat.elements
+    images = [decode(m) for m in els]
+    iso = all(cond.join(images[i], images[j]) == images[lat.pos(x | y)]
+              and cond.meet(images[i], images[j]) == images[lat.pos(x & y)]
+              for i, x in enumerate(els) for j, y in enumerate(els))
+    bounds = (images[lat.pos(lat.bottom)] == cond.bottom
+              and images[lat.pos(lat.top)]
+              == cond.element(cond.phi.dom.top, {n: cond.phi.cod.top for n in names}))
+    stage_size = len(set(images))
+    return StageIsoReport(stage_size, lat.size, stage_size == lat.size, iso, bounds)
 
 
 def stage_inclusion(cond: Condensate, small: Sequence[str], large: Sequence[str]) -> bool:
@@ -254,32 +247,22 @@ class AlmostConstantSurjection:
         return self.target.element(s.base, {n: self.phi(v) for n, v in s.dev})
 
     def verify_stage(self, names: Sequence[str]) -> "SurjectionReport":
-        """Exhaustively check 0,1-homomorphism and surjectivity on a stage."""
-        src = self.source.stage(names)
-        tgt = self.target.stage(names)
-        hom_ok = True
-        for s in src:
-            if not hom_ok:
-                break
-            for t in src:
-                if (self.apply(self.source.join(s, t))
-                        != self.target.join(self.apply(s), self.apply(t))):
-                    hom_ok = False
-                    break
-                if (self.apply(self.source.meet(s, t))
-                        != self.target.meet(self.apply(s), self.apply(t))):
-                    hom_ok = False
-                    break
-        a = self.phi.dom
-        bot_ok = self.apply(self.source.bottom) == self.target.bottom
-        src_top = self.source.element(a.top, {n: a.top for n in names})
-        tgt_top = self.target.element(a.top, {n: self.phi.cod.top for n in names})
-        top_ok = self.apply(src_top) == tgt_top
-        # brute-force preimage search over the source stage
-        images = {self.apply(s) for s in src}
-        missing = [t for t in tgt if t not in images]
-        return SurjectionReport(hom_ok, bot_ok, top_ok, not missing,
-                                len(src), len(tgt))
+        """Exhaustively check 0,1-homomorphism and surjectivity on a stage.
+
+        The map is tabulated once on the flat stages and handed to
+        ``LatHom``, which checks 0, join and meet on all pairs.
+        """
+        src, _, decode = self.source.stage_lattice(names)
+        tgt, encode, _ = self.target.stage_lattice(names)
+        table = [encode(self.apply(decode(m))) for m in src.elements]
+        try:
+            LatHom(src, tgt, table)
+            hom_ok = True
+        except NotAHomomorphismError:
+            hom_ok = False
+        return SurjectionReport(hom_ok, table[src.pos(src.bottom)] == tgt.bottom,
+                                table[src.pos(src.top)] == tgt.top,
+                                len(set(table)) == tgt.size, src.size, tgt.size)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ Hasse diagrams (drawn bottom-up).
 
 from __future__ import annotations
 
-from .order import DLat, Poset
+from .order import DLat
 from .spectra import Spectrum
 
 
@@ -19,12 +19,6 @@ def _digraph(name: str, nodes: list[tuple[str, str]], edges: list[tuple[str, str
         lines.append(f"  {a} -> {b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def poset_dot(p: Poset, name: str = "poset") -> str:
-    nodes = [(f"n{i}", p.labels[i]) for i in range(p.n)]
-    edges = sorted((f"n{i}", f"n{j}") for i, j in p.covers())
-    return _digraph(name, nodes, edges)
 
 
 def lattice_hasse_dot(lat: DLat, name: str = "lattice") -> str:

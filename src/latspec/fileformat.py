@@ -184,9 +184,12 @@ def parse_lattice_text(text: str):
             raise ParseError(f"expected 'x->y', got {tok!r}", no)
         x, _, y = tok.partition("->")
         try:
-            table[dom.resolve(x)] = cod.resolve(y)
+            m, v = dom.resolve(x), cod.resolve(y)
         except ParseError as e:
             raise ParseError(f"{e} (in map entry {tok!r})", no) from e
+        if m in table:
+            raise ParseError(f"map gives element {dom.display(m)} twice", no)
+        table[m] = v
     missing = [m for m in dom.lat.elements if m not in table]
     if missing:
         raise ParseError(f"map does not cover element {dom.display(missing[0])}", no)

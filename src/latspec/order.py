@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 
@@ -289,41 +290,48 @@ def chain_lattice(n: int) -> DLat:
     return DLat(Poset.chain(n - 1))
 
 
-def chain_product(sizes: Sequence[int]) -> tuple[DLat, Callable[[Sequence[int]], int], Callable[[int], tuple[int, ...]]]:
-    """Product of chains as a DLat, with tuple<->mask converters.
+def product_lattice(factors: Sequence[DLat]) -> tuple[DLat, Callable[[Sequence[int]], int], Callable[[int], tuple[int, ...]]]:
+    """Product of DLats as one DLat, with tuple<->mask converters.
 
-    The base poset is the disjoint union of the factors' chain posets; the
-    element (v_1, .., v_k) corresponds to the downset whose slice in factor
-    t is the first v_t base elements of that chain.
+    The base poset is the disjoint union of the factors' bases, so an
+    element (x_1, .., x_k) is the downset whose slice in factor t is the
+    factor element x_t, shifted past the bases of the earlier factors.
     """
-    for s in sizes:
-        if s < 1:
-            raise LatticeError("chain factors must be nonempty")
-    base = Poset.disjoint_union([Poset.chain(s - 1) for s in sizes])
-    lat = DLat(base)
-    offsets = []
-    off = 0
-    for s in sizes:
-        offsets.append(off)
-        off += s - 1
+    lat = DLat(Poset.disjoint_union([f.base for f in factors]))
+    offsets = [0, *accumulate(f.base.n for f in factors)]
 
     def to_mask(vals: Sequence[int]) -> int:
-        if len(vals) != len(sizes):
+        if len(vals) != len(factors):
             raise LatticeError("coordinate tuple has wrong length")
         m = 0
-        for t, v in enumerate(vals):
-            if not 0 <= v < sizes[t]:
-                raise LatticeError(f"coordinate {v} out of range for factor {t}")
-            m |= ((1 << v) - 1) << offsets[t]
+        for f, v, o in zip(factors, vals, offsets):
+            m |= f.check_member(v) << o
         return m
 
     def to_tuple(mask: int) -> tuple[int, ...]:
-        out = []
-        for t, s in enumerate(sizes):
-            out.append(popcount((mask >> offsets[t]) & ((1 << (s - 1)) - 1)))
-        return tuple(out)
+        return tuple((mask >> o) & f.top for f, o in zip(factors, offsets))
 
     return lat, to_mask, to_tuple
+
+
+def chain_product(sizes: Sequence[int]) -> tuple[DLat, Callable[[Sequence[int]], int], Callable[[int], tuple[int, ...]]]:
+    """Product of chains as a DLat, with level-tuple<->mask converters.
+
+    ``product_lattice`` over chain factors: the level v of a chain is its
+    downset of the first v base elements.
+    """
+    lat, to_mask, to_tuple = product_lattice([chain_lattice(s) for s in sizes])
+
+    def levels_to_mask(vals: Sequence[int]) -> int:
+        for t, (v, s) in enumerate(zip(vals, sizes)):
+            if not 0 <= v < s:
+                raise LatticeError(f"coordinate {v} out of range for factor {t}")
+        return to_mask([(1 << v) - 1 for v in vals])
+
+    def mask_to_levels(mask: int) -> tuple[int, ...]:
+        return tuple(map(popcount, to_tuple(mask)))
+
+    return lat, levels_to_mask, mask_to_levels
 
 
 @dataclass(frozen=True)

@@ -226,15 +226,11 @@ def pl_eval(f: PLFun, x, y):
         raise PLError(f"point ({x}, {y}) outside the closed quadrant")
     p = (x, y)
     for k in range(len(f.rays) - 1):
-        if _cross_frac(f.rays[k], p) >= 0 and _cross_frac(p, f.rays[k + 1]) >= 0:
+        if _cross(f.rays[k], p) >= 0 and _cross(p, f.rays[k + 1]) >= 0:
             m, n = f.coeffs[k]
             v = m * x + n * y
             return int(v) if v.denominator == 1 else v
     raise PLError("point not located in any cone")  # pragma: no cover
-
-
-def _cross_frac(a, b):
-    return a[0] * b[1] - a[1] * b[0]
 
 
 def ray_values(f: PLFun) -> tuple[int, ...]:

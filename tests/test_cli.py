@@ -71,6 +71,10 @@ def test_input_error_exits_two(tmp_path, capsys):
     assert main(["pl", "eval", "(frob a)", "--at", "1,1"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    for point in ("1/0,1", "1", "1,2,3"):
+        assert main(["pl", "eval", "(add a b)", "--at", point]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --at wants a point X,Y of two rationals, got {point!r}\n"
 
 
 def test_v0_expand_non_normal_exits_two(vfile, capsys):
@@ -96,6 +100,11 @@ def test_cond_stage_cli(epsfile, capsys):
     assert main(["cond", "stage", epsfile, "--indices", "i,j", "--json"]) == 0
     d = json.loads(capsys.readouterr().out)
     assert d["ok"] and d["stage_size"] == 12
+    # a repeated index is an input error, not a failed isomorphism
+    assert main(["cond", "stage", epsfile, "--indices", "a,a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stage index names must be distinct\n"
 
 
 def test_pl_commands(capsys):

@@ -1,10 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 
 from latspec.condensate import (AlmostConstantSurjection, Condensate,
                                 IndexUniverse, MixedCondensateError,
-                                cond_make, finite_stage_iso, stage_inclusion)
+                                SurjectionReport, cond_make, finite_stage_iso,
+                                stage_inclusion)
 from latspec.homs import LatHom, dual_hom_of_poset_map
 from latspec.order import LatticeError, Poset, chain_lattice
 
@@ -75,7 +77,7 @@ def test_pointwise_ops_frozen_examples():
     assert cond.join(s, cond.bottom) == s
     assert cond.leq(cond.bottom, s)
     assert not cond.leq(s, cond.bottom)
-    assert cond.op("eq", s, s) and cond.op("leq", s, s)
+    assert cond.eq(s, s) and cond.leq(s, s)
 
 
 def test_mixed_condensates_rejected():
@@ -163,3 +165,69 @@ def test_almost_constant_surjection_stages():
         assert rep.ok
         assert rep.source_size == 4 ** (k + 1)
         assert rep.target_size == 4 * 3 ** k
+
+
+def _pairwise_stage(cond, names):
+    """A stage enumerated as base values times index values."""
+    a, b = cond.phi.dom, cond.phi.cod
+    return [cond.element(base, dict(zip(names, vals)))
+            for base in a.elements for vals in product(b.elements, repeat=len(names))]
+
+
+def pairwise_verify_stage(acs, names, apply):
+    """Oracle: the stage check on CondElem pairs, with a preimage search."""
+    src = _pairwise_stage(acs.source, names)
+    tgt = _pairwise_stage(acs.target, names)
+    hom_ok = True
+    for s in src:
+        if not hom_ok:
+            break
+        for t in src:
+            if apply(acs.source.join(s, t)) != acs.target.join(apply(s), apply(t)):
+                hom_ok = False
+                break
+            if apply(acs.source.meet(s, t)) != acs.target.meet(apply(s), apply(t)):
+                hom_ok = False
+                break
+    a = acs.phi.dom
+    bot_ok = apply(acs.source.bottom) == acs.target.bottom
+    src_top = acs.source.element(a.top, {n: a.top for n in names})
+    tgt_top = acs.target.element(a.top, {n: acs.phi.cod.top for n in names})
+    top_ok = apply(src_top) == tgt_top
+    images = {apply(s) for s in src}
+    missing = [t for t in tgt if t not in images]
+    return SurjectionReport(hom_ok, bot_ok, top_ok, not missing, len(src), len(tgt))
+
+
+KERNELS = {"eps": eps_cond().phi, "level": phi_cond().phi}
+
+
+def _mutations(acs):
+    """The true map and two broken ones; both keep 0 fixed."""
+    true_apply = acs.apply
+    top = acs.phi.dom.top
+    return {
+        "apply": true_apply,
+        # a 0,1-homomorphism onto the constant families only
+        "drop_deviations": lambda s: acs.target.element(s.base),
+        # sends the top-based families to 0: x ∨ top-constant breaks join
+        "break_join": lambda s: acs.target.bottom if s.base == top else true_apply(s),
+    }
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_verify_stage_matches_pairwise_oracle(kernel):
+    rng = random.Random(11)
+    for k in range(3):
+        names = [f"i{t}" for t in rng.sample(range(1000), k)]  # unsorted
+        acs = AlmostConstantSurjection(KERNELS[kernel], IndexUniverse.countable())
+        for label, fn in _mutations(acs).items():
+            acs.apply = fn
+            rep = acs.verify_stage(names)
+            assert rep == pairwise_verify_stage(acs, names, fn), (label, k)
+            if label == "apply":
+                assert rep.ok
+            elif label == "drop_deviations":
+                assert rep.hom_ok and rep.surjective == (k == 0)
+            else:
+                assert not rep.hom_ok and not rep.top_ok

@@ -88,6 +88,13 @@ def test_parse_hom_requires_total_map():
     assert "does not cover" in str(ei.value)
 
 
+def test_parse_hom_rejects_duplicate_entries():
+    text = EPS_HOM.replace("map: 0->0 u->1 1->1", "map: 0->0 u->0 u->1 1->1")
+    with pytest.raises(ParseError) as ei:
+        parse_lattice_text(text)
+    assert ei.value.line == 7 and "element u twice" in str(ei.value)
+
+
 def test_parse_hom_rejects_non_hom():
     text = EPS_HOM.replace("map: 0->0 u->1 1->1", "map: 0->1 u->1 1->1")
     with pytest.raises(ParseError):

@@ -2,8 +2,8 @@ import pytest
 
 from latspec.order import (CycleError, DLat, LatticeError, NotALatticeError,
                            NotDistributiveError, Poset, RawLattice,
-                           birkhoff_iso, birkhoff_poset, chain_product,
-                           downset_lattice)
+                           birkhoff_iso, birkhoff_poset, chain_lattice,
+                           chain_product, downset_lattice, product_lattice)
 
 
 def v_poset():
@@ -57,6 +57,23 @@ def test_chain_product_converters():
     assert not DLat.leq(tm((1, 0, 2, 0)), tm((0, 2, 2, 1)))
     with pytest.raises(LatticeError):
         tm((3, 0, 0, 0))
+
+
+def test_product_lattice_converters():
+    v, c3 = downset_lattice(v_poset()), chain_lattice(3)
+    lat, tm, tt = product_lattice([v, c3, v])
+    assert lat.size == 5 * 3 * 5
+    for m in lat.elements:
+        assert tm(tt(m)) == m
+    assert tm((0b011, 0b1, 0b101)) == 0b011 | 0b1 << 3 | 0b101 << 5
+    assert tm((0, 0, 0)) == lat.bottom and tm((v.top, c3.top, v.top)) == lat.top
+    # componentwise order
+    assert DLat.leq(tm((0b001, 0b1, 0)), tm((0b011, 0b11, 0b001)))
+    assert not DLat.leq(tm((0b011, 0, 0)), tm((0b101, 0b11, 0b111)))
+    with pytest.raises(LatticeError):
+        tm((0b010, 0, 0))  # {u} is not a downset of the V
+    with pytest.raises(LatticeError):
+        tm((0, 0))
 
 
 def _raw_chain(n):
