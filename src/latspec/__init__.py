@@ -17,8 +17,8 @@ from .normality import (DiffLattice, RefinementWitness, Splitting, expand_v0,
                         find_splitting, is_completely_normal,
                         refinement_witness)
 from .order import (DLat, LatticeError, Poset, RawLattice, birkhoff_iso,
-                    birkhoff_poset, chain_lattice, chain_product,
-                    downset_lattice, product_lattice)
+                    chain_lattice, chain_product, downset_lattice,
+                    product_lattice)
 from .plfun import (PLFun, pl_combine, pl_eval, pl_generators, pl_ideal_leq,
                     support_connected)
 from .replication import (build_cube, expand_cube_v0, kernel_not_closed,

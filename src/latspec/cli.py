@@ -13,6 +13,7 @@ sample echo their seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -371,9 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: in-process callers run ``main`` per job."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, LatticeError, PLError, LexError, OSError, ValueError) as e:

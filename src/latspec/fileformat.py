@@ -151,7 +151,7 @@ def _parse_poset_lattice(kind: str, fields: dict, prefix: str = "") -> ParsedLat
     pairs = _parse_relation(entry[0], entry[1], names, "<") if entry else []
     try:
         poset = Poset.from_pairs(len(names), pairs, names)  # rejects cycles
-        raw_lat = RawLattice.from_order(len(names), poset.leq, names)
+        raw_lat = RawLattice.from_order(poset)
         _, lat, iso = birkhoff_iso(raw_lat)
     except LatticeError as e:
         raise ParseError(str(e), no) from e

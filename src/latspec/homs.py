@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .order import DLat, LatticeError, Poset, downset_lattice
+from .order import DLat, LatticeError, Poset, canon_key, downset_lattice
 from .spectra import CofinalityError, prime_spectrum
 
 
@@ -215,10 +215,8 @@ def is_convex(f: LatHom) -> ConvexReport:
                 acc |= x
         return acc
 
-    dom_primes = sorted((gen_of(sd, dom, k) for k in range(sd.n_points)),
-                        key=lambda m: (bin(m).count("1"), m))
-    cod_primes = sorted((gen_of(sc, cod, k) for k in range(sc.n_points)),
-                        key=lambda m: (bin(m).count("1"), m))
+    dom_primes = sorted((gen_of(sd, dom, k) for k in range(sd.n_points)), key=canon_key)
+    cod_primes = sorted((gen_of(sc, cod, k) for k in range(sc.n_points)), key=canon_key)
     proper = [j for j in cod.elements if j != cod.top]
     pregen = {q: f.preimage_generator(q) for q in cod.elements}
     for p in dom_primes:

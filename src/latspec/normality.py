@@ -32,6 +32,13 @@ class PinConflictError(LatticeError):
     """A pinned difference entry violates the defining identities."""
 
 
+class SelfCheckError(RuntimeError):
+    """A computed witness fails its defining identities: a bug, not bad input.
+
+    Not a ``LatticeError``, so the CLI does not report it as bad input.
+    """
+
+
 @dataclass(frozen=True)
 class Splitting:
     a: int
@@ -40,10 +47,10 @@ class Splitting:
     y: int
 
     def check(self) -> None:
-        assert self.a | self.b == self.a | self.y == self.x | self.b
-        assert self.x & self.y == 0
-        # consequences of the definition
-        assert self.x | self.a == self.a and self.y | self.b == self.b
+        a, b, x, y = self.a, self.b, self.x, self.y
+        # the last two are consequences of the first two
+        if not (a | b == a | y == x | b and x & y == 0 and x | a == a and y | b == b):
+            raise SelfCheckError(f"({x}, {y}) is not a splitting of ({a}, {b})")
 
 
 def find_splitting(lat: DLat, a: int, b: int) -> Splitting | None:
@@ -98,12 +105,11 @@ class RefinementWitness:
         a, c = self.family, self.matrix
         n = len(a)
         for i in range(n):
-            assert c[i][i] == 0  # forced: a_i = a_i∨c[i][i] and c[i][i]∧c[i][i] = 0
             for j in range(n):
-                assert (a[i] & a[j]) | c[i][j] == a[i]
-                assert c[i][j] & c[j][i] == 0
-                for k in range(n):
-                    assert c[i][k] | c[i][j] | c[j][k] == c[i][j] | c[j][k]
+                # c[i][i] = 0 is forced: a_i = a_i∨c[i][i] and c[i][i]∧c[i][i] = 0
+                if (c[i][i] != 0 or (a[i] & a[j]) | c[i][j] != a[i] or c[i][j] & c[j][i] != 0
+                        or any(c[i][k] | c[i][j] | c[j][k] != c[i][j] | c[j][k] for k in range(n))):
+                    raise SelfCheckError(f"refinement matrix fails its identities at ({i}, {j})")
 
 
 def refinement_witness(lat: DLat, family: Sequence[int]) -> RefinementWitness | None:
@@ -248,7 +254,9 @@ def expand_v0(lat: DLat, pinned: Mapping[tuple[int, int], int] | None = None) ->
                 table[y, x], table[x, y] = py, part
             else:
                 s = find_splitting(lat, x, y)
-                assert s is not None  # lattice is completely normal
+                if s is None:
+                    raise SelfCheckError(f"no splitting of ({lat.fmt(x)}, {lat.fmt(y)}) "
+                                         "in a lattice found completely normal")
                 table[x, y], table[y, x] = s.x, s.y
     return DiffLattice(lat, table)
 

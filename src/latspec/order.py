@@ -70,6 +70,10 @@ def canon_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
 
+#: the most downsets ``Poset.downsets`` enumerates (2^20, an antichain of 20)
+MAX_DOWNSETS = 1 << 20
+
+
 class Poset:
     """An immutable finite partial order on ``0 .. n-1``."""
 
@@ -175,10 +179,22 @@ class Poset:
         return True
 
     def downsets(self) -> tuple[int, ...]:
-        """All downsets, sorted by canonical key."""
-        if self.n > 20:
-            raise LatticeError(f"downset enumeration over {self.n} elements refused")
-        out = [m for m in range(1 << self.n) if self.is_downset(m)]
+        """All downsets, sorted by canonical key; refused past ``MAX_DOWNSETS``.
+
+        Doubling along a linear extension (Habib, Medina, Nourine & Steiner,
+        DAM 110, 2001): each element, by size of its principal downset, is
+        added to every downset so far that holds its strict lower set.
+        """
+        out = [0]
+        for i in sorted(range(self.n), key=lambda i: self.down[i].bit_count()):
+            bit = 1 << i
+            below = self.down[i] & ~bit
+            # count before building, so a refusal costs at most one pass
+            if 2 * len(out) > MAX_DOWNSETS and (
+                    len(out) + sum(m & below == below for m in out) > MAX_DOWNSETS):
+                raise LatticeError(f"downset enumeration refused: the {self.n}-element "
+                                   f"base has more than {MAX_DOWNSETS} downsets")
+            out += [m | bit for m in out if m & below == below]
         out.sort(key=canon_key)
         return tuple(out)
 
@@ -338,9 +354,10 @@ def chain_product(sizes: Sequence[int]) -> tuple[DLat, Callable[[Sequence[int]],
 class RawLattice:
     """A finite bounded lattice given by explicit join/meet tables.
 
-    This is the untrusted input side of canonicalization: ``validate``
-    checks the lattice axioms, ``birkhoff_poset`` extracts the poset of
-    join-irreducibles (rejecting non-distributive input with a witness).
+    This is the untrusted input side of canonicalization: ``birkhoff_iso``
+    recovers the poset of join-irreducibles and the isomorphism onto its
+    downsets, rejecting input that is not a lattice (``validate`` checks
+    the axioms) or not distributive (``check_distributive``) with a witness.
     """
 
     n: int
@@ -358,29 +375,31 @@ class RawLattice:
         return cls(len(els), joins, meets, labels)
 
     @classmethod
-    def from_order(cls, n: int, leq: Callable[[int, int], bool],
-                   labels: Sequence[str] | None = None) -> "RawLattice":
-        """Build tables from an order relation; fails if lubs/glbs are missing."""
+    def from_order(cls, poset: Poset) -> "RawLattice":
+        """Join/meet tables of a poset; fails at the first pair without a lub or glb.
+
+        The lub of ``a`` and ``b`` is the element whose up-set is the set
+        of their common upper bounds, ``up[a] & up[b]``; dually for the glb.
+        """
+        by_up = {u: c for c, u in enumerate(poset.up)}
+        by_down = {d: c for c, d in enumerate(poset.down)}
         joins = []
         meets = []
-        for a in range(n):
+        for a, (ua, da) in enumerate(zip(poset.up, poset.down)):
             jrow = []
             mrow = []
-            for b in range(n):
-                ub = [c for c in range(n) if leq(a, c) and leq(b, c)]
-                least = [c for c in ub if all(leq(c, d) for d in ub)]
-                if len(least) != 1:
+            for b, (ub, db) in enumerate(zip(poset.up, poset.down)):
+                j = by_up.get(ua & ub)
+                if j is None:
                     raise NotALatticeError("no least upper bound", (a, b))
-                jrow.append(least[0])
-                lb = [c for c in range(n) if leq(c, a) and leq(c, b)]
-                greatest = [c for c in lb if all(leq(d, c) for d in lb)]
-                if len(greatest) != 1:
+                m = by_down.get(da & db)
+                if m is None:
                     raise NotALatticeError("no greatest lower bound", (a, b))
-                mrow.append(greatest[0])
+                jrow.append(j)
+                mrow.append(m)
             joins.append(tuple(jrow))
             meets.append(tuple(mrow))
-        return cls(n, tuple(joins), tuple(meets),
-                   tuple(labels) if labels is not None else None)
+        return cls(poset.n, tuple(joins), tuple(meets), poset.labels)
 
     def name(self, a: int) -> str:
         return self.labels[a] if self.labels else str(a)
@@ -388,7 +407,8 @@ class RawLattice:
     def leq(self, a: int, b: int) -> bool:
         return self.joins[a][b] == b
 
-    def validate(self) -> None:
+    def check_shape(self) -> None:
+        """Non-empty n x n tables with entries in ``0 .. n-1``."""
         n = self.n
         if n == 0:
             raise NotALatticeError("empty carrier")
@@ -399,6 +419,11 @@ class RawLattice:
             for v in r:
                 if not 0 <= v < n:
                     raise NotALatticeError("table entry out of range", v)
+
+    def validate(self) -> None:
+        self.check_shape()
+        n = self.n
+        J, M = self.joins, self.meets
         for a in range(n):
             if J[a][a] != a or M[a][a] != a:
                 raise NotALatticeError("operation not idempotent", a)
@@ -459,49 +484,56 @@ class RawLattice:
         return out
 
 
-def birkhoff_poset(raw: RawLattice) -> Poset:
-    """The induced order on the join-irreducibles of a distributive lattice.
+def _certified_round_trip(raw: RawLattice) -> tuple[Poset, list[int]] | None:
+    """The Birkhoff poset and iso of ``raw``, certified in O(n^2), or None.
 
-    Validates the tables and distributivity first; either failure raises
-    (``NotDistributiveError`` carries the witness triple).
+    ``iso[a]`` is the set of join-irreducibles below ``a``.  If it is
+    injective and preserves join and meet, the tables are isomorphic to a
+    family of sets closed under union and intersection: a distributive
+    lattice.  The image holds the empty set (``iso[bottom]``) and each
+    principal downset ``iso[j]`` of the order ``P`` on the irreducibles,
+    so it is all of the downsets of ``P`` and ``DLat(P)`` enumerates n of
+    them.  None means a check failed; malformed tables raise as in
+    ``validate``, and irreducibles that share a label raise from ``Poset``.
     """
-    raw.validate()
-    raw.check_distributive()
-    irr = raw.join_irreducibles()
-    pairs = [(i, j) for i, a in enumerate(irr) for j, b in enumerate(irr)
-             if raw.leq(a, b)]
-    return Poset.from_pairs(len(irr), pairs, [raw.name(a) for a in irr])
+    raw.check_shape()
+    n, J, M = raw.n, raw.joins, raw.meets
+    try:
+        bot = raw.bottom
+        irr = raw.join_irreducibles()
+    except LatticeError:
+        return None
+    iso = [0] * n
+    for k, j in enumerate(irr):
+        row = J[j]
+        for a in range(n):
+            if row[a] == a:
+                iso[a] |= 1 << k
+    if iso[bot] != 0 or len(set(iso)) != n:
+        return None
+    for a in range(n):
+        ja, ma, ia = J[a], M[a], iso[a]
+        for b in range(n):
+            if iso[ja[b]] != ia | iso[b] or iso[ma[b]] != ia & iso[b]:
+                return None
+    # iso[j] is the principal downset of j, so P's up-sets are read off it
+    ups = [sum(1 << k for k, j in enumerate(irr) if iso[j] >> i & 1) for i in range(len(irr))]
+    return Poset(len(irr), ups, [raw.name(a) for a in irr]), iso
 
 
 def birkhoff_iso(raw: RawLattice) -> tuple[Poset, DLat, list[int]]:
-    """Full verified round trip raw -> join-irreducible poset -> downsets.
+    """Verified round trip raw -> join-irreducible poset -> downsets.
 
     Returns ``(poset, lattice, iso)`` where ``iso[a]`` is the downset mask
-    corresponding to raw element ``a``.  The isomorphism is verified
-    element-wise: bijective, and preserving join and meet on all pairs.
+    corresponding to raw element ``a``.  ``_certified_round_trip`` proves
+    in O(n^2) that ``iso`` is a lattice isomorphism.  Tables it rejects are
+    not a distributive lattice (Birkhoff), so the O(n^3) ``validate`` and
+    ``check_distributive`` scans run only then, to report the least witness.
     """
-    raw.validate()
-    raw.check_distributive()
-    irr = raw.join_irreducibles()
-    pairs = [(i, j) for i, a in enumerate(irr) for j, b in enumerate(irr)
-             if raw.leq(a, b)]
-    poset = Poset.from_pairs(len(irr), pairs, [raw.name(a) for a in irr])
-    lat = DLat(poset)
-    iso = []
-    for a in range(raw.n):
-        m = 0
-        for k, j in enumerate(irr):
-            if raw.leq(j, a):
-                m |= 1 << k
-        iso.append(m)
-    if len(set(iso)) != raw.n:
-        raise NotALatticeError("join-irreducible map is not injective")
-    if set(iso) != set(lat.elements):
-        raise NotALatticeError("join-irreducible map is not onto the downsets")
-    for a in range(raw.n):
-        for b in range(raw.n):
-            if iso[raw.joins[a][b]] != iso[a] | iso[b]:
-                raise NotALatticeError("iso fails to preserve join", (a, b))
-            if iso[raw.meets[a][b]] != iso[a] & iso[b]:
-                raise NotALatticeError("iso fails to preserve meet", (a, b))
-    return poset, lat, iso
+    cert = _certified_round_trip(raw)
+    if cert is None:
+        raw.validate()
+        raw.check_distributive()
+        raise RuntimeError("birkhoff_iso: a distributive lattice failed its certificate")
+    poset, iso = cert
+    return poset, DLat(poset), iso

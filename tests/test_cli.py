@@ -1,6 +1,9 @@
 import json
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -77,9 +80,35 @@ def test_input_error_exits_two(tmp_path, capsys):
         assert err == f"error: --at wants a point X,Y of two rationals, got {point!r}\n"
 
 
+def test_output_bound_replaces_input_cap(tmp_path, capsys):
+    # a 40-element chain base has only 41 downsets, so it is checked
+    chain = tmp_path / "chain40.lat"
+    chain.write_text("poset\nelements: " + " ".join(f"c{i}" for i in range(40))
+                     + "\ncovers: " + " ".join(f"c{i}<c{i + 1}" for i in range(39)) + "\n")
+    assert main(["lattice", "check", str(chain), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["size"] == 41
+    # a 21-element antichain has 2^21 downsets: refused, in one line
+    anti = tmp_path / "anti21.lat"
+    anti.write_text("poset\nelements: " + " ".join(f"a{i}" for i in range(21)) + "\n")
+    t0 = time.perf_counter()
+    assert main(["lattice", "check", str(anti)]) == 2
+    assert time.perf_counter() - t0 < 10
+    assert capsys.readouterr().err == ("error: downset enumeration refused: the 21-element "
+                                       "base has more than 1048576 downsets\n")
+
+
 def test_v0_expand_non_normal_exits_two(vfile, capsys):
     assert main(["v0", "expand", vfile]) == 2
     assert "not completely normal" in capsys.readouterr().err
+
+
+def test_self_check_failure_is_not_an_input_error(vfile, monkeypatch):
+    # a failed self-check is a bug: it must escape main, not exit 2 as bad input
+    from latspec import normality
+    monkeypatch.setattr(normality, "is_completely_normal",
+                        lambda lat: normality.NormalityReport(True))
+    with pytest.raises(normality.SelfCheckError):
+        main(["v0", "expand", vfile])
 
 
 def test_v0_expand_chain(tmp_path, capsys):
@@ -188,3 +217,29 @@ def test_console_entry_point():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "overall: pass" in out.stdout
+
+
+def test_back_to_back_calls_match_fresh_processes(vfile, epsfile, capsys):
+    # main keeps one parser per process; no call may leak into the next
+    argvs = [["lattice", "check", vfile, "--json"], ["hom", "check", epsfile],
+             ["lattice", "check", vfile], ["pl", "eval", "(add a b)", "--at", "1,2", "--json"],
+             ["v0", "expand", vfile], ["hom", "check", epsfile, "--json"],
+             ["pl", "eval", "(add a b)", "--at", "1/2,3"], ["replicate", "rho"]]
+    fresh = [subprocess.run([sys.executable, "-m", "latspec.cli", *argv],
+                            capture_output=True, text=True) for argv in argvs]
+    for argv, want in zip(argvs, fresh):
+        assert main(argv) == want.returncode, argv
+        assert capsys.readouterr().out == want.stdout, argv
+
+
+def test_normality_self_checks_under_optimize():
+    # python -O strips assert statements; the self-checks must still run
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tests.parent / "src"),
+                                                      env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          str(tests / "test_normality.py")],
+                         capture_output=True, text=True, env=env, cwd=tests.parent)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert " passed" in out.stdout and "failed" not in out.stdout

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
-from latspec.normality import (NotCompletelyNormalError, PinConflictError,
-                               Splitting, expand_v0, find_splitting,
-                               is_completely_normal, refinement_witness)
+from latspec import normality
+from latspec.normality import (NormalityReport, NotCompletelyNormalError,
+                               PinConflictError, RefinementWitness,
+                               SelfCheckError, Splitting, expand_v0,
+                               find_splitting, is_completely_normal,
+                               refinement_witness)
 from latspec.order import Poset, chain_lattice, downset_lattice
 from latspec.randgen import random_poset
 
@@ -104,6 +107,18 @@ def test_expand_v0_boolean_difference():
 
 def test_expand_v0_rejects_non_normal():
     with pytest.raises(NotCompletelyNormalError):
+        expand_v0(v_lattice())
+
+
+def test_self_checks_raise(monkeypatch):
+    # real exceptions, not asserts, so they also run under python -O
+    with pytest.raises(SelfCheckError):
+        Splitting(0b01, 0b10, 0b01, 0b01).check()  # a∨y != a∨b
+    with pytest.raises(SelfCheckError):
+        RefinementWitness((0b01, 0b10), ((0, 0b01), (0b01, 0))).check()  # c01∧c10 != 0
+    # expand_v0's post-condition, reached by a false "completely normal" verdict
+    monkeypatch.setattr(normality, "is_completely_normal", lambda lat: NormalityReport(True))
+    with pytest.raises(SelfCheckError):
         expand_v0(v_lattice())
 
 
