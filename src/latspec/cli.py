@@ -24,7 +24,8 @@ from .condensate import Condensate, IndexUniverse, finite_stage_iso
 from .fileformat import (ParsedHom, ParsedLattice, ParseError,
                          parse_glambda_term, parse_lattice_file, parse_pl_term)
 from .homs import hom_census
-from .lexgroup import LexError, glambda_op, ideal_leq, orthogonal_set_check, way_below
+from .lexgroup import (LEX_OPS, LexError, glambda_op, ideal_leq, orthogonal_set_check,
+                       way_below)
 from .normality import expand_v0, is_completely_normal, refinement_witness
 from .order import LatticeError, RawLattice, birkhoff_iso
 from .plfun import PLError, pl_eval, pl_ideal_leq, support_connected
@@ -276,10 +277,27 @@ def cmd_replicate(args) -> int:
     return 0 if rep.ok else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is one line on stderr and exit 2, like any other input error."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _chain_length(text: str) -> int:
+    """The type of ``--chain``: a nonnegative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1  # reported as below
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="latspec",
-                                 description="exact workbench for finite distributive "
-                                             "lattices, spectra, and PL lattice groups")
+    ap = _ArgumentParser(prog="latspec",
+                         description="exact workbench for finite distributive "
+                                     "lattices, spectra, and PL lattice groups")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_json(p):
@@ -347,20 +365,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("glambda", help="lexicographic-product elements")
     ps = p.add_subparsers(dest="action", required=True)
     po = ps.add_parser("op")
-    po.add_argument("op", choices=["add", "sub", "neg", "join", "meet", "abs", "compare"])
+    po.add_argument("op", choices=[*LEX_OPS, "compare"])
     po.add_argument("term")
     po.add_argument("term2", nargs="?")
-    po.add_argument("--chain", type=int, required=True)
+    po.add_argument("--chain", type=_chain_length, required=True)
     add_json(po)
     pw = ps.add_parser("waybelow")
     pw.add_argument("term")
     pw.add_argument("term2")
-    pw.add_argument("--chain", type=int, required=True)
+    pw.add_argument("--chain", type=_chain_length, required=True)
     add_json(pw)
     pr = ps.add_parser("ortho")
     pr.add_argument("term")
     pr.add_argument("rest", nargs="*")
-    pr.add_argument("--chain", type=int, required=True)
+    pr.add_argument("--chain", type=_chain_length, required=True)
     add_json(pr)
     for q in (po, pw, pr):
         q.set_defaults(fn=cmd_glambda)
@@ -382,7 +400,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, LatticeError, PLError, LexError, OSError, ValueError) as e:
+    except (ParseError, LatticeError, PLError, LexError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    except ValueError as e:
+        # an int too long to read or print (sys.get_int_max_str_digits)
+        if "integer string conversion" not in str(e):
+            raise
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -23,23 +23,27 @@ and ``b``::
     term  := a | b | 0 | (op term ...) | (NAT term)
     op    := add | sub | neg | join | meet | abs | pos | negpart | diff
 
-``(NAT term)`` is scalar multiplication; ``add``, ``join``, ``meet``
-accept two or more operands.  Terms for lexicographic elements extend
-the grammar with ``cK`` (basis vector at chain position K), ``zero``,
-``(pl PLTERM)``, and the ops add | sub | neg | join | meet | abs.
+``(NAT term)`` is scalar multiplication by a run of decimal digits;
+``add``, ``join``, ``meet`` fold one or more operands (``(add a)`` is
+``a``), and ``sub``, ``diff`` take exactly two.  Terms for lexicographic
+elements extend the grammar with ``cK`` (basis vector at chain position
+K), ``zero``, ``(pl PLTERM)``, and the ops add | sub | neg | join | meet |
+abs, of which add, sub, join and meet take exactly two operands.  The
+operators come from ``plfun.PL_OPS`` and ``lexgroup.LEX_OPS``.  Terms have
+no depth limit: the parser is iterative.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
 from .homs import LatHom
-from .lexgroup import LexPL
+from .lexgroup import LEX_OPS, LEX_UNARY, LexPL
 from .order import (DLat, LatticeError, Poset, RawLattice, birkhoff_iso,
                     downset_lattice)
-from .plfun import (PLFun, pl_abs, pl_add, pl_diff, pl_generators, pl_join,
-                    pl_meet, pl_neg, pl_negpart, pl_pos, pl_scale, pl_sub)
+from .plfun import PL_FOLD, PL_OPS, PL_UNARY, PLFun, pl_generators, pl_scale
 
 
 class ParseError(Exception):
@@ -202,140 +206,103 @@ def parse_lattice_text(text: str):
 
 def parse_lattice_file(path: str):
     with open(path, encoding="utf-8") as fh:
-        return parse_lattice_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path} is not UTF-8 text: {e}") from None
+    return parse_lattice_text(text)
 
 
 # -- prefix terms -----------------------------------------------------------
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
-
-
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    toks = []
-    for m in _TOKEN.finditer(text):
-        toks.append((m.group(), m.start() + 1))
-    return toks
-
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.k = 0
-
-    def peek(self):
-        return self.toks[self.k] if self.k < len(self.toks) else (None, None)
-
-    def next(self):
-        tok = self.peek()
-        if tok[0] is None:
-            raise ParseError("unexpected end of term")
-        self.k += 1
-        return tok
-
-    def done(self):
-        return self.k >= len(self.toks)
-
-
-_PL_UNARY = {"neg": pl_neg, "abs": pl_abs, "pos": pl_pos, "negpart": pl_negpart}
-_PL_NARY = {"add": pl_add, "join": pl_join, "meet": pl_meet}
-_PL_BINARY = {"sub": pl_sub, "diff": pl_diff}
+_BASIS = re.compile(r"c\d+")
 
 
 def parse_pl_term(text: str) -> PLFun:
-    ts = _Tokens(text)
-    val = _pl_expr(ts)
-    if not ts.done():
-        tok, col = ts.peek()
-        raise ParseError(f"trailing input {tok!r}", col=col)
-    return val
-
-
-def _pl_expr(ts: _Tokens) -> PLFun:
-    a, b = pl_generators()
-    tok, col = ts.next()
-    if tok == "a":
-        return a
-    if tok == "b":
-        return b
-    if tok == "0":
-        return PLFun.zero()
-    if tok != "(":
-        raise ParseError(f"expected term, got {tok!r}", col=col)
-    op, opcol = ts.next()
-    if op in _PL_UNARY:
-        arg = _pl_expr(ts)
-        _close(ts)
-        return _PL_UNARY[op](arg)
-    if op in _PL_BINARY:
-        lhs = _pl_expr(ts)
-        rhs = _pl_expr(ts)
-        _close(ts)
-        return _PL_BINARY[op](lhs, rhs)
-    if op in _PL_NARY:
-        args = [_pl_expr(ts)]
-        while ts.peek()[0] != ")":
-            args.append(_pl_expr(ts))
-        _close(ts)
-        out = args[0]
-        for x in args[1:]:
-            out = _PL_NARY[op](out, x)
-        return out
-    if op is not None and op.isdigit():
-        arg = _pl_expr(ts)
-        _close(ts)
-        return pl_scale(int(op), arg)
-    raise ParseError(f"unknown operation {op!r}", col=opcol)
-
-
-def _close(ts: _Tokens):
-    tok, col = ts.next()
-    if tok != ")":
-        raise ParseError(f"expected ')', got {tok!r}", col=col)
+    return _parse_term(text, None)
 
 
 def parse_glambda_term(text: str, chain_len: int) -> LexPL:
     """Lexicographic-product terms: cK, zero, (pl PLTERM), and group ops."""
-    ts = _Tokens(text)
-    val = _gl_expr(ts, chain_len)
-    if not ts.done():
-        tok, col = ts.peek()
-        raise ParseError(f"trailing input {tok!r}", col=col)
-    return val
+    return _parse_term(text, chain_len)
 
 
-def _gl_expr(ts: _Tokens, n: int) -> LexPL:
-    tok, col = ts.next()
-    if tok == "zero":
-        return LexPL.zero(n)
-    if tok and re.fullmatch(r"c\d+", tok):
-        pos = int(tok[1:])
-        if pos >= n:
-            raise ParseError(f"basis position {pos} out of range for chain of length {n}", col=col)
-        return LexPL.basis(n, pos)
-    if tok != "(":
-        raise ParseError(f"expected term, got {tok!r}", col=col)
-    op, opcol = ts.next()
-    if op == "pl":
-        # the rest up to the matching ')' is a PL term
-        f = _pl_expr(ts)
-        _close(ts)
-        return LexPL.from_pl(n, f)
-    if op == "neg":
-        arg = _gl_expr(ts, n)
-        _close(ts)
-        return -arg
-    if op == "abs":
-        arg = _gl_expr(ts, n)
-        _close(ts)
-        return arg.abs()
-    if op in ("add", "sub", "join", "meet"):
-        lhs = _gl_expr(ts, n)
-        rhs = _gl_expr(ts, n)
-        _close(ts)
-        return {"add": lhs.__add__, "sub": lhs.__sub__,
-                "join": lhs.join, "meet": lhs.meet}[op](rhs)
-    if op is not None and op.isdigit():
-        arg = _gl_expr(ts, n)
-        _close(ts)
-        return arg.scale(int(op))
-    raise ParseError(f"unknown operation {op!r}", col=opcol)
+def _parse_term(text: str, n: int | None):
+    """One prefix term: a PL term when ``n`` is None, else a lex term over n.
+
+    The parser is iterative, so terms have no depth limit.  Each open
+    ``(op`` is a frame ``[fn, arity, operands, lex]`` on an explicit stack:
+    ``arity`` is None for a fold over one or more operands, and ``lex`` says
+    whether the frame's operands are lex terms or PL terms.
+    """
+    toks = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(text)]
+    toks.append((None, None))
+    a, b = pl_generators()
+    pl_atoms = {"a": a, "b": b, "0": PLFun.zero()}
+    stack: list[list] = []
+    lex = n is not None
+    k = 0
+    while True:
+        tok, col = toks[k]
+        k += 1
+        if tok is None:
+            raise ParseError("unexpected end of term")
+        if tok == "(":
+            op, opcol = toks[k]
+            k += 1
+            if op is None:
+                raise ParseError("unexpected end of term")
+            stack.append(_frame(op, opcol, lex, n))
+            lex = stack[-1][3]
+            continue
+        if not lex and tok in pl_atoms:
+            val = pl_atoms[tok]
+        elif lex and tok == "zero":
+            val = LexPL.zero(n)
+        elif lex and _BASIS.fullmatch(tok):
+            pos = int(tok[1:])
+            if pos >= n:
+                raise ParseError(f"basis position {pos} out of range for chain of length {n}",
+                                 col=col)
+            val = LexPL.basis(n, pos)
+        else:
+            raise ParseError(f"expected term, got {tok!r}", col=col)
+        # hand the value to the open frames, closing each one it completes:
+        # a fold closes at the next ')', any other frame after its last operand
+        while stack:
+            fn, arity, args, _ = stack[-1]
+            args.append(val)
+            if toks[k][0] != ")" if arity is None else len(args) < arity:
+                break
+            tok, col = toks[k]
+            k += 1
+            if tok != ")":
+                raise ParseError("unexpected end of term" if tok is None
+                                 else f"expected ')', got {tok!r}", col=col)
+            stack.pop()
+            val = functools.reduce(fn, args) if arity is None else fn(*args)
+        if not stack:
+            tok, col = toks[k]
+            if tok is not None:
+                raise ParseError(f"trailing input {tok!r}", col=col)
+            return val
+        lex = stack[-1][3]
+
+
+def _frame(op: str, col: int, lex: bool, n: int | None) -> list:
+    """The parser frame for an open ``(op``, read from the PL or the lex table."""
+    if lex:
+        if op == "pl":
+            return [functools.partial(LexPL.from_pl, n), 1, [], False]
+        if op in LEX_OPS:
+            return [LEX_OPS[op], 1 if op in LEX_UNARY else 2, [], True]
+        if op.isdecimal():
+            return [lambda s: s.scale(int(op)), 1, [], True]
+    else:
+        if op in PL_OPS:
+            arity = 1 if op in PL_UNARY else None if op in PL_FOLD else 2
+            return [PL_OPS[op], arity, [], False]
+        if op.isdecimal():
+            return [lambda f: pl_scale(int(op), f), 1, [], False]
+    raise ParseError(f"unknown operation {op!r}", col=col)

@@ -164,20 +164,24 @@ class LexPL:
         return f"[lex={lex}, pl rays={self.pl.rays}, coeffs={self.pl.coeffs}]"
 
 
+# The lex operator table that the term parser and the CLI share.
+LEX_OPS = {"add": LexPL.__add__, "sub": LexPL.__sub__, "neg": LexPL.__neg__,
+           "join": LexPL.join, "meet": LexPL.meet, "abs": LexPL.abs}
+LEX_UNARY = frozenset({"neg", "abs"})
+
+
 def glambda_op(op: str, s: LexPL, t: LexPL | None = None):
-    """Name dispatch for the CLI: add|neg|sub|join|meet|abs|compare."""
-    if op == "neg":
-        return -s
-    if op == "abs":
-        return s.abs()
+    """Name dispatch for the CLI: the ``LEX_OPS`` names and compare."""
+    fn = LexPL.compare if op == "compare" else LEX_OPS.get(op)
+    if fn is None:
+        raise LexError(f"unknown operation {op!r}")
+    if op in LEX_UNARY:
+        if t is not None:
+            raise LexError(f"operation {op!r} takes one operand")
+        return fn(s)
     if t is None:
         raise LexError(f"operation {op!r} needs two operands")
-    table = {"add": lambda: s + t, "sub": lambda: s - t,
-             "join": lambda: s.join(t), "meet": lambda: s.meet(t),
-             "compare": lambda: s.compare(t)}
-    if op not in table:
-        raise LexError(f"unknown operation {op!r}")
-    return table[op]()
+    return fn(s, t)
 
 
 def way_below(x, y) -> bool:

@@ -258,18 +258,23 @@ def pl_is_zero(f: PLFun) -> bool:
     return f.coeffs == ((0, 0),)
 
 
+# The PL operator table that the term parser, randgen and pl_combine share.
+# Its order is the order randgen draws names in.
+PL_OPS = {"neg": pl_neg, "abs": pl_abs, "pos": pl_pos, "negpart": pl_negpart,
+          "add": pl_add, "sub": pl_sub, "join": pl_join, "meet": pl_meet, "diff": pl_diff}
+PL_UNARY = frozenset({"neg", "abs", "pos", "negpart"})
+PL_FOLD = frozenset({"add", "join", "meet"})  # terms fold one or more operands
+
+
 def pl_combine(op: str, f: PLFun, g: PLFun | None = None) -> PLFun:
-    """Name-dispatched operation (unary ops ignore g)."""
-    unary = {"neg": pl_neg, "abs": pl_abs, "pos": pl_pos, "negpart": pl_negpart}
-    binary = {"add": pl_add, "sub": pl_sub, "join": pl_join,
-              "meet": pl_meet, "diff": pl_diff}
-    if op in unary:
-        return unary[op](f)
-    if op in binary:
-        if g is None:
-            raise PLError(f"operation {op!r} needs two operands")
-        return binary[op](f, g)
-    raise PLError(f"unknown operation {op!r}")
+    """Name-dispatched operation from ``PL_OPS`` (unary ops ignore g)."""
+    if op not in PL_OPS:
+        raise PLError(f"unknown operation {op!r}")
+    if op in PL_UNARY:
+        return PL_OPS[op](f)
+    if g is None:
+        raise PLError(f"operation {op!r} needs two operands")
+    return PL_OPS[op](f, g)
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,10 @@ bit-for-bit.
 from __future__ import annotations
 
 import random
-from typing import Callable
 
 from .homs import LatHom, dual_hom_of_poset_map
 from .order import DLat, LatticeError, Poset, bits, downset_lattice
-from .plfun import (PLFun, pl_abs, pl_add, pl_diff, pl_generators, pl_join,
-                    pl_meet, pl_neg, pl_negpart, pl_pos, pl_scale, pl_sub)
+from .plfun import PL_OPS, PL_UNARY, PLFun, pl_generators, pl_scale
 
 
 def random_poset(rng: random.Random, n: int, edge_prob: float = 0.4) -> Poset:
@@ -65,13 +63,6 @@ def random_01_hom(rng: random.Random, max_base: int = 4) -> LatHom:
     return dual_hom_of_poset_map(g, p, q)
 
 
-_UNARY: list[tuple[str, Callable]] = [("neg", pl_neg), ("abs", pl_abs),
-                                      ("pos", pl_pos), ("negpart", pl_negpart)]
-_BINARY: list[tuple[str, Callable]] = [("add", pl_add), ("sub", pl_sub),
-                                       ("join", pl_join), ("meet", pl_meet),
-                                       ("diff", pl_diff)]
-
-
 def random_pl_term(rng: random.Random, depth: int = 6) -> tuple[str, PLFun]:
     """Random PL term of at most the given depth; returns (text, value).
 
@@ -87,10 +78,10 @@ def random_pl_term(rng: random.Random, depth: int = 6) -> tuple[str, PLFun]:
         t, v = random_pl_term(rng, depth - 1)
         return f"({k} {t})", pl_scale(k, v)
     if roll < 0.4:
-        name, fn = rng.choice(_UNARY)
+        name = rng.choice([op for op in PL_OPS if op in PL_UNARY])
         t, v = random_pl_term(rng, depth - 1)
-        return f"({name} {t})", fn(v)
-    name, fn = rng.choice(_BINARY)
+        return f"({name} {t})", PL_OPS[name](v)
+    name = rng.choice([op for op in PL_OPS if op not in PL_UNARY])
     t1, v1 = random_pl_term(rng, depth - 1)
     t2, v2 = random_pl_term(rng, depth - 1)
-    return f"({name} {t1} {t2})", fn(v1, v2)
+    return f"({name} {t1} {t2})", PL_OPS[name](v1, v2)

@@ -78,6 +78,26 @@ def test_input_error_exits_two(tmp_path, capsys):
         assert main(["pl", "eval", "(add a b)", "--at", point]) == 2
         err = capsys.readouterr().err
         assert err == f"error: --at wants a point X,Y of two rationals, got {point!r}\n"
+    nonutf8 = tmp_path / "latin1.lat"
+    nonutf8.write_bytes("poset\nelements: \xe9\n".encode("latin-1"))
+    scalar = "9" * 5000  # past int()'s default digit limit
+    for argv, msg in [
+            (["pl", "op", "(² a)"], "error: unknown operation '²'"),
+            (["glambda", "op", "neg", "c0", "c1", "--chain", "2"],
+             "error: operation 'neg' takes one operand"),
+            (["lattice", "check", str(nonutf8)], f"error: {nonutf8} is not UTF-8 text: "),
+            (["pl", "op", f"({scalar} a)"], "error: Exceeds the limit (4300 digits)")]:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(msg) and err.count("\n") == 1, err
+    # argparse rejects a negative chain length, also in one line
+    for action, terms in [("op", ["add", "c0", "c0"]), ("waybelow", ["c0", "c0"]),
+                          ("ortho", ["c0"])]:
+        with pytest.raises(SystemExit) as exc:
+            main(["glambda", action, *terms, "--chain", "-3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (f"latspec glambda {action}: error: argument --chain: "
+                                           "must be a nonnegative integer, got '-3'\n")
 
 
 def test_output_bound_replaces_input_cap(tmp_path, capsys):
@@ -156,6 +176,8 @@ def test_glambda_commands(capsys):
     assert "True" in capsys.readouterr().out
     assert main(["glambda", "op", "compare", "c0", "c1", "--chain", "2"]) == 0
     assert capsys.readouterr().out.strip() == "lt"
+    assert main(["glambda", "op", "add", "zero", "(pl a)", "--chain", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "[lex=(), pl rays=((1, 0), (0, 1)), coeffs=((1, 0),)]"
     assert main(["glambda", "ortho", "(pl (diff a b))", "(pl (diff b a))",
                  "--chain", "2", "--json"]) == 0
     d = json.loads(capsys.readouterr().out)
@@ -239,7 +261,9 @@ def test_normality_self_checks_under_optimize():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tests.parent / "src"),
                                                       env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                          str(tests / "test_normality.py")],
+                          *(str(tests / name) for name in ("test_normality.py",
+                                                           "test_replication.py",
+                                                           "test_term_oracles.py"))],
                          capture_output=True, text=True, env=env, cwd=tests.parent)
     assert out.returncode == 0, out.stdout + out.stderr
     assert " passed" in out.stdout and "failed" not in out.stdout

@@ -111,6 +111,7 @@ def test_pl_term_grammar():
     assert parse_pl_term("(join a b)") == pl_join(A, B)
     assert parse_pl_term("(3 b)") == pl_scale(3, B)
     assert parse_pl_term("(add a b a)") == parse_pl_term("(add (add a b) a)")
+    assert parse_pl_term("(add a)") == A
     with pytest.raises(ParseError):
         parse_pl_term("(frob a)")
     with pytest.raises(ParseError):

@@ -145,6 +145,9 @@ def test_glambda_op_dispatch():
         glambda_op("compare", c0)
     with pytest.raises(LexError):
         glambda_op("nope", c0, c1)
+    for op in ("neg", "abs"):
+        with pytest.raises(LexError, match=f"operation '{op}' takes one operand"):
+            glambda_op(op, c0, c1)
 
 
 def test_chain_mismatch_rejected():

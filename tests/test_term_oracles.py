@@ -1,0 +1,320 @@
+"""The recursive term parsers as oracles for the iterative one, and a CLI fuzz.
+
+``_pl_expr`` and ``_gl_expr`` below are the recursive-descent parsers that
+``latspec.fileformat`` used before its iterative parser, kept verbatim
+(with their tokenizer and operator dicts).  On the randgen corpus, on
+seeded lex terms and on seeded token mutations of both, the iterative
+parser must give an equal value, or a ``ParseError`` with an equal message
+and column.  The oracles recurse once per nesting level, so the cases here
+stay shallow; deep terms go through ``main`` against their known value.
+"""
+
+import hashlib
+import random
+import re
+
+import pytest
+
+from latspec.cli import main
+from latspec.fileformat import ParseError, parse_glambda_term, parse_pl_term
+from latspec.lexgroup import LEX_OPS, LEX_UNARY, LexPL
+from latspec.plfun import (PL_OPS, PLFun, pl_abs, pl_add, pl_diff, pl_generators, pl_join,
+                           pl_meet, pl_neg, pl_negpart, pl_pos, pl_scale, pl_sub)
+from latspec.randgen import random_pl_term
+
+# -- the recursive parsers, verbatim ------------------------------------------
+
+_TOKEN = re.compile(r"\(|\)|[^\s()]+")
+
+
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    toks = []
+    for m in _TOKEN.finditer(text):
+        toks.append((m.group(), m.start() + 1))
+    return toks
+
+
+class _Tokens:
+    def __init__(self, text: str):
+        self.toks = _tokenize(text)
+        self.k = 0
+
+    def peek(self):
+        return self.toks[self.k] if self.k < len(self.toks) else (None, None)
+
+    def next(self):
+        tok = self.peek()
+        if tok[0] is None:
+            raise ParseError("unexpected end of term")
+        self.k += 1
+        return tok
+
+    def done(self):
+        return self.k >= len(self.toks)
+
+
+_PL_UNARY = {"neg": pl_neg, "abs": pl_abs, "pos": pl_pos, "negpart": pl_negpart}
+_PL_NARY = {"add": pl_add, "join": pl_join, "meet": pl_meet}
+_PL_BINARY = {"sub": pl_sub, "diff": pl_diff}
+
+
+def oracle_parse_pl_term(text: str) -> PLFun:
+    ts = _Tokens(text)
+    val = _pl_expr(ts)
+    if not ts.done():
+        tok, col = ts.peek()
+        raise ParseError(f"trailing input {tok!r}", col=col)
+    return val
+
+
+def _pl_expr(ts: _Tokens) -> PLFun:
+    a, b = pl_generators()
+    tok, col = ts.next()
+    if tok == "a":
+        return a
+    if tok == "b":
+        return b
+    if tok == "0":
+        return PLFun.zero()
+    if tok != "(":
+        raise ParseError(f"expected term, got {tok!r}", col=col)
+    op, opcol = ts.next()
+    if op in _PL_UNARY:
+        arg = _pl_expr(ts)
+        _close(ts)
+        return _PL_UNARY[op](arg)
+    if op in _PL_BINARY:
+        lhs = _pl_expr(ts)
+        rhs = _pl_expr(ts)
+        _close(ts)
+        return _PL_BINARY[op](lhs, rhs)
+    if op in _PL_NARY:
+        args = [_pl_expr(ts)]
+        while ts.peek()[0] != ")":
+            args.append(_pl_expr(ts))
+        _close(ts)
+        out = args[0]
+        for x in args[1:]:
+            out = _PL_NARY[op](out, x)
+        return out
+    if op is not None and op.isdigit():
+        arg = _pl_expr(ts)
+        _close(ts)
+        return pl_scale(int(op), arg)
+    raise ParseError(f"unknown operation {op!r}", col=opcol)
+
+
+def _close(ts: _Tokens):
+    tok, col = ts.next()
+    if tok != ")":
+        raise ParseError(f"expected ')', got {tok!r}", col=col)
+
+
+def oracle_parse_glambda_term(text: str, chain_len: int) -> LexPL:
+    """Lexicographic-product terms: cK, zero, (pl PLTERM), and group ops."""
+    ts = _Tokens(text)
+    val = _gl_expr(ts, chain_len)
+    if not ts.done():
+        tok, col = ts.peek()
+        raise ParseError(f"trailing input {tok!r}", col=col)
+    return val
+
+
+def _gl_expr(ts: _Tokens, n: int) -> LexPL:
+    tok, col = ts.next()
+    if tok == "zero":
+        return LexPL.zero(n)
+    if tok and re.fullmatch(r"c\d+", tok):
+        pos = int(tok[1:])
+        if pos >= n:
+            raise ParseError(f"basis position {pos} out of range for chain of length {n}", col=col)
+        return LexPL.basis(n, pos)
+    if tok != "(":
+        raise ParseError(f"expected term, got {tok!r}", col=col)
+    op, opcol = ts.next()
+    if op == "pl":
+        # the rest up to the matching ')' is a PL term
+        f = _pl_expr(ts)
+        _close(ts)
+        return LexPL.from_pl(n, f)
+    if op == "neg":
+        arg = _gl_expr(ts, n)
+        _close(ts)
+        return -arg
+    if op == "abs":
+        arg = _gl_expr(ts, n)
+        _close(ts)
+        return arg.abs()
+    if op in ("add", "sub", "join", "meet"):
+        lhs = _gl_expr(ts, n)
+        rhs = _gl_expr(ts, n)
+        _close(ts)
+        return {"add": lhs.__add__, "sub": lhs.__sub__,
+                "join": lhs.join, "meet": lhs.meet}[op](rhs)
+    if op is not None and op.isdigit():
+        arg = _gl_expr(ts, n)
+        _close(ts)
+        return arg.scale(int(op))
+    raise ParseError(f"unknown operation {op!r}", col=opcol)
+
+
+# -- corpora ------------------------------------------------------------------
+
+CHAINS = (0, 1, 2, 4)
+
+# tokens that mutations insert; "07" is a scalar, "c12" is out of range on every chain
+ALPHABET = ["(", ")", "a", "b", "0", "zero", "c0", "c1", "c3", "c12", "pl", *PL_OPS,
+            "2", "07", "frob", "x1"]
+
+
+def random_lex_text(rng: random.Random, depth: int, n: int) -> str:
+    """A random lex term over a chain of length n; some basis vectors are out of range."""
+    if depth == 0 or rng.random() < 0.3:
+        roll = rng.random()
+        if roll < 0.2:
+            return "zero"
+        if roll < 0.45 or n == 0 and roll < 0.95:
+            return f"(pl {random_pl_term(rng, 2)[0]})"
+        return f"c{rng.randrange(n + 1)}"  # c{n} is out of range
+    roll = rng.random()
+    if roll < 0.15:
+        return f"({rng.randint(0, 4)} {random_lex_text(rng, depth - 1, n)})"
+    if roll < 0.35:
+        op = rng.choice([op for op in LEX_OPS if op in LEX_UNARY])
+        return f"({op} {random_lex_text(rng, depth - 1, n)})"
+    op = rng.choice([op for op in LEX_OPS if op not in LEX_UNARY])
+    return f"({op} {random_lex_text(rng, depth - 1, n)} {random_lex_text(rng, depth - 1, n)})"
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """One to three token edits, joined back with spaces or with nothing."""
+    toks = _TOKEN.findall(text)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(toks) + 1)
+        kind = rng.randrange(6)
+        if kind == 0 and toks:
+            del toks[min(k, len(toks) - 1)]
+        elif kind == 1:
+            toks.insert(k, rng.choice(ALPHABET))
+        elif kind == 2 and toks:
+            toks[min(k, len(toks) - 1)] = rng.choice(ALPHABET)
+        elif kind == 3 and len(toks) > 1:
+            j = min(k, len(toks) - 2)
+            toks[j], toks[j + 1] = toks[j + 1], toks[j]
+        elif kind == 4:
+            toks = toks[:k]
+        else:
+            toks[k:k] = toks[k:k + rng.randint(1, 3)]
+    return rng.choice([" ", " ", ""]).join(toks)
+
+
+def outcome(parse, *args):
+    try:
+        return ("value", parse(*args))
+    except ParseError as e:
+        return ("error", str(e), e.col)
+
+
+def test_randgen_corpus_is_unchanged():
+    # sha256 of the first 500 texts, recorded before randgen read PL_OPS
+    rng = random.Random(99)
+    texts = [random_pl_term(rng, 5)[0] for _ in range(500)]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == \
+        "e61e4e166422cf0e6e2f2ce9d3e35e88cba31be461bb5932873b2190148c9e15"
+
+
+def test_pl_parser_matches_recursive_oracle():
+    rng = random.Random(2024)
+    kinds = {"value": 0, "error": 0}
+    for _ in range(400):
+        text = random_pl_term(rng, 5)[0]
+        for case in [text] + [mutate(rng, text) for _ in range(4)]:
+            want = outcome(oracle_parse_pl_term, case)
+            assert outcome(parse_pl_term, case) == want, case
+            kinds[want[0]] += 1
+    assert min(kinds.values()) > 300, kinds
+
+
+@pytest.mark.parametrize("n", CHAINS)
+def test_lex_parser_matches_recursive_oracle(n):
+    rng = random.Random(7 + n)
+    kinds = {"value": 0, "error": 0}
+    for _ in range(150):
+        text = random_lex_text(rng, 4, n)
+        for case in [text] + [mutate(rng, text) for _ in range(4)]:
+            want = outcome(oracle_parse_glambda_term, case, n)
+            assert outcome(parse_glambda_term, case, n) == want, case
+            kinds[want[0]] += 1
+    assert min(kinds.values()) > 50, kinds
+
+
+def test_fixed_cases_match_recursive_oracle():
+    pl_cases = ["", "(", ")", "a", "(add a)", "(add)", "(sub a)", "(sub a b c)", "(pl a)",
+                "(neg a", "(2)", "(07 b)", "a b", "((neg a))", "(join a b a b)", "zero"]
+    for case in pl_cases:
+        assert outcome(parse_pl_term, case) == outcome(oracle_parse_pl_term, case), case
+    lex_cases = ["", "c0", "c00", "c4", "(pl a b)", "(pl (add a) )", "(add c0)", "(neg c0 c1)",
+                 "(pos c0)", "(3 (pl b))", "a", "(pl)", "zero zero", "(abs zero"]
+    for n in CHAINS:
+        for case in lex_cases:
+            assert outcome(parse_glambda_term, case, n) == \
+                outcome(oracle_parse_glambda_term, case, n), (case, n)
+
+
+def test_scalars_are_decimal():
+    # '²' passes str.isdigit but not int(); it is an unknown operation, not a scalar
+    with pytest.raises(ParseError, match="unknown operation '²'"):
+        parse_pl_term("(² a)")
+    with pytest.raises(ParseError, match="unknown operation '²'"):
+        parse_glambda_term("(² c0)", 1)
+    assert parse_pl_term("(٣ a)") == pl_scale(3, parse_pl_term("a"))
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["pl", "op"], "rays:   [(1, 0), (0, 1)]\ncoeffs: [(1, 0)]\n"),
+    (["glambda", "op", "neg"], "[lex=(-1), pl rays=((1, 0), (0, 1)), coeffs=((0, 0),)]\n"),
+])
+def test_deep_terms_through_main(argv, want, capsys):
+    depth = 10_000
+    atom = "a" if argv[0] == "pl" else "c0"
+    term = "(neg " * depth + atom + ")" * depth
+    extra = ["--chain", "1"] if argv[0] == "glambda" else []
+    assert main([*argv, term, *extra]) == 0
+    assert capsys.readouterr().out == want
+
+
+def run(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as e:  # a usage error, from argparse
+        return e.code
+
+
+def test_cli_fuzz_mutated_terms(capsys):
+    rng = random.Random(11)
+    points = ["1,2", "1/2,3", "0,0", "3,1/7", "1/0,1", "x,1", "-1,2", "1"]
+    lex_ops = [*LEX_OPS, "compare"]
+    codes = {0: 0, 2: 0}
+    for _ in range(300):
+        roll = rng.random()
+        if roll < 0.5:
+            term = random_pl_term(rng, 4)[0]
+            term = mutate(rng, term) if rng.random() < 0.5 else term
+            argv = rng.choice([["pl", "op", term],
+                               ["pl", "eval", term, "--at", rng.choice(points)],
+                               ["pl", "connected", term]])
+        else:
+            n = rng.choice(CHAINS)
+            terms = [random_lex_text(rng, 3, n) for _ in range(rng.randint(1, 3))]
+            terms = [mutate(rng, t) if rng.random() < 0.3 else t for t in terms]
+            if roll < 0.8:
+                argv = ["glambda", "op", rng.choice(lex_ops), *terms[:2]]
+            else:
+                argv = ["glambda", "ortho", *terms]
+            argv += ["--chain", str(n)]
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2), argv
+        assert len(err.splitlines()) == (code == 2), (argv, err)
+        codes[code] += 1
+    assert min(codes.values()) > 50, codes
