@@ -27,7 +27,7 @@ from .homs import hom_census
 from .lexgroup import (LEX_OPS, LexError, glambda_op, ideal_leq, orthogonal_set_check,
                        way_below)
 from .normality import expand_v0, is_completely_normal, refinement_witness
-from .order import LatticeError, RawLattice, birkhoff_iso
+from .order import LatticeError, birkhoff_round_trip
 from .plfun import PLError, pl_eval, pl_ideal_leq, support_connected
 from .replication import (kernel_not_closed, kernel_not_convex, replicate_all,
                           build_cube, expand_cube_v0, run_rho_contradiction,
@@ -68,7 +68,7 @@ def cmd_lattice_check(args) -> int:
     cn = is_completely_normal(lat)
     spec = prime_spectrum(lat)
     unit = stone_unit_check(lat, spec)
-    _, _, _ = birkhoff_iso(RawLattice.from_dlat(lat))  # raises on failure
+    birkhoff_round_trip(lat)  # raises SelfCheckError on failure
     payload = {
         "size": lat.size,
         # re-parseable serialization: rebuilding the base poset from these
@@ -213,7 +213,7 @@ def cmd_glambda(args) -> int:
     n = args.chain
     if args.action == "op":
         s = parse_glambda_term(args.term, n)
-        t = parse_glambda_term(args.term2, n) if args.term2 else None
+        t = parse_glambda_term(args.term2, n) if args.term2 is not None else None
         out = glambda_op(args.op, s, t)
         text = out if isinstance(out, str) else out.fmt()
         _emit(args, {"result": text}, [text])
@@ -397,7 +397,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as e:  # a usage error or -h: argparse has printed its output
+        return e.code
     try:
         return args.fn(args)
     except (ParseError, LatticeError, PLError, LexError, OSError) as e:

@@ -7,18 +7,25 @@ x∖y is a total binary operation satisfying
 
     (x∧y)∨(x∖y) = x        and        (x∖y)∧(y∖x) = 0,
 
-i.e. (x∖y, y∖x) is a splitting of (x, y) for every pair.  The triangle
-property x∖z ≤ (x∖y)∨(y∖z) is *measured*, never assumed: nothing forces
-the canonical least-splitting expansion to satisfy it.
+i.e. (x∖y, y∖x) is a splitting of (x, y) for every pair.
+
+On a downset lattice all of this is read off the base poset.  A splitting
+x of (a, b) is a downset holding a∖b, so ↓(a∖b) is the least candidate for
+x, and ↓(b∖a) for y: (a, b) splits iff ↓(a∖b)∧↓(b∖a) = 0, and then this is
+the least splitting.  Hence D(P) is completely normal iff every principal
+up-set of P is a chain: its spectrum is a root system (Dickmann, Schwartz
+& Tressl, *Spectral Spaces*, CUP 2019).  The canonical least-splitting
+table satisfies the triangle law x∖z ≤ (x∖y)∨(y∖z), because
+↓(x∖z) ⊆ ↓(x∖y) ∪ ↓(y∖z); pinned tables need not, so the law is still
+measured (``DiffLattice.triangle_violations``), never assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Mapping, Sequence
 
-from .order import DLat, LatticeError
+from .order import DLat, LatticeError, SelfCheckError, bits, canon_key
 
 
 class NotCompletelyNormalError(LatticeError):
@@ -32,11 +39,14 @@ class PinConflictError(LatticeError):
     """A pinned difference entry violates the defining identities."""
 
 
-class SelfCheckError(RuntimeError):
-    """A computed witness fails its defining identities: a bug, not bad input.
-
-    Not a ``LatticeError``, so the CLI does not report it as bad input.
-    """
+def _down(lat: DLat, s: int) -> int:
+    """↓s, the downset generated by the base points in ``s``."""
+    down = lat.base.down
+    out = 0
+    while s:
+        out |= down[(s & -s).bit_length() - 1]
+        s &= ~out  # points already below need no lookup
+    return out
 
 
 @dataclass(frozen=True)
@@ -54,24 +64,20 @@ class Splitting:
 
 
 def find_splitting(lat: DLat, a: int, b: int) -> Splitting | None:
-    """Least splitting of (a, b) in canonical order, or None.
+    """Least splitting of (a, b), or None.
 
-    Every splitting has x ≤ a and y ≤ b, so the search is restricted to
-    those candidates; elements come pre-sorted canonically, making the
-    result the lexicographically least pair (x minimal, then y).
+    Every splitting has x ⊇ a∖b and y ⊇ b∖a, so (↓(a∖b), ↓(b∖a)) is the
+    inclusion-least candidate, hence also first in canonical order, and
+    no splitting exists when it is not orthogonal.
     """
     lat.check_member(a)
     lat.check_member(b)
-    ab = a | b
-    xs = [x for x in lat.elements if x | a == a and x | b == ab]
-    ys = [y for y in lat.elements if y | b == b and a | y == ab]
-    for x in xs:
-        for y in ys:
-            if x & y == 0:
-                s = Splitting(a, b, x, y)
-                s.check()
-                return s
-    return None
+    x, y = _down(lat, a & ~b), _down(lat, b & ~a)
+    if x & y:
+        return None
+    s = Splitting(a, b, x, y)
+    s.check()
+    return s
 
 
 @dataclass(frozen=True)
@@ -85,12 +91,30 @@ class NormalityReport:
 
 
 def is_completely_normal(lat: DLat) -> NormalityReport:
-    els = lat.elements
-    for i, a in enumerate(els):
-        for b in els[i:]:
-            if find_splitting(lat, a, b) is None:
-                return NormalityReport(False, (a, b))
-    return NormalityReport(True)
+    """Complete normality and the least unsplittable pair, in O(n^2) on the base.
+
+    (a, b) fails to split iff some u ∈ a∖b and v ∈ b∖a are incomparable
+    with a common lower bound, i.e. v ∈ clash[u].  No clash at all is the
+    root-system certificate.  Otherwise the least failing pair in canonical
+    order is principal.  Every element with an unsplittable partner holds a
+    clashing point, so a = ↓u for the clashing u with the least ↓u.  No
+    point below u clashes, so every unsplittable partner of a holds some
+    v ∈ clash[u], and b = ↓v is the least of those.  Since (a, b) and (b, a)
+    fail together, b comes after a.
+    """
+    up, down = lat.base.up, lat.base.down
+    clash = [0] * lat.base.n
+    for p in range(lat.base.n):
+        for u in bits(up[p]):
+            clash[u] |= up[p] & ~(up[u] | down[u])
+    clashing = [u for u, c in enumerate(clash) if c]
+    if not clashing:
+        return NormalityReport(True)
+    u = min(clashing, key=lambda u: canon_key(down[u]))
+    a, b = down[u], min((down[v] for v in bits(clash[u])), key=canon_key)
+    if find_splitting(lat, a, b) is not None:
+        raise SelfCheckError(f"clashing pair ({lat.fmt(a)}, {lat.fmt(b)}) splits")
+    return NormalityReport(False, (a, b))
 
 
 @dataclass(frozen=True)
@@ -113,54 +137,20 @@ class RefinementWitness:
 
 
 def refinement_witness(lat: DLat, family: Sequence[int]) -> RefinementWitness | None:
-    """Exhaustive search for a refinement matrix over a finite family.
+    """The least refinement matrix c[i][j] = ↓(a_i∖a_j), or None if none exists.
 
-    Candidates for each off-diagonal slot are pruned by the two binary
-    conditions before the triangle condition is checked; the first full
-    assignment in canonical order is returned.  ``None`` means no witness
-    exists.  For a 2-element family this is exactly the splitting search.
+    Every witness has c[i][j] ⊇ a_i∖a_j, so when this matrix is not
+    pairwise orthogonal no witness exists.  When it is, it is a witness:
+    the triangle law holds because a_i∖a_k ⊆ (a_i∖a_j) ∪ (a_j∖a_k).  For a
+    2-element family this is the least splitting.
     """
     fam = tuple(lat.check_member(a) for a in family)
-    n = len(fam)
-    if n == 0:
-        return RefinementWitness((), ())
-    # per ordered pair (i, j): candidates d with (a_i ∧ a_j) ∨ d = a_i
-    cand: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            meet = fam[i] & fam[j]
-            cand[i, j] = [d for d in lat.elements if meet | d == fam[i]]
-    # per unordered pair: candidate (c_ij, c_ji) with the orthogonality cut
-    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pair_cands: list[list[tuple[int, int]]] = []
-    for i, j in slots:
-        pc = [(u, v) for u in cand[i, j] for v in cand[j, i] if u & v == 0]
-        if not pc:
-            return None
-        pair_cands.append(pc)
-    for choice in product(*pair_cands):
-        c = [[0] * n for _ in range(n)]
-        for (i, j), (u, v) in zip(slots, choice):
-            c[i][j] = u
-            c[j][i] = v
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if c[i][k] | c[i][j] | c[j][k] != c[i][j] | c[j][k]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            w = RefinementWitness(fam, tuple(tuple(r) for r in c))
-            w.check()
-            return w
-    return None
+    c = tuple(tuple(_down(lat, ai & ~aj) for aj in fam) for ai in fam)
+    if any(c[i][j] & c[j][i] for i in range(len(fam)) for j in range(i)):
+        return None
+    w = RefinementWitness(fam, c)
+    w.check()
+    return w
 
 
 class DiffLattice:
@@ -194,8 +184,9 @@ class DiffLattice:
     def triangle_violations(self, limit: int | None = None) -> list[tuple[int, int, int]]:
         """Triples (x, y, z) with x∖z ≰ (x∖y)∨(y∖z).
 
-        Reported, not asserted: the identity holds in the group-derived
-        setting but is not guaranteed by canonical least splittings.
+        Reported, not asserted: the canonical least-splitting table has none
+        (↓(x∖z) ⊆ ↓(x∖y) ∪ ↓(y∖z)), but a table with pinned entries, like the
+        cube replay's inherited ones, can have some.
         """
         out = []
         els = self.lat.elements
@@ -262,9 +253,12 @@ def expand_v0(lat: DLat, pinned: Mapping[tuple[int, int], int] | None = None) ->
 
 
 def _least_partner(lat: DLat, x: int, y: int, d: int) -> int:
-    """Least v with (y∧x)∨v = y and d∧v = 0, given x∖y = d already pinned."""
-    for v in lat.elements:
-        if (y & x) | v == y and d & v == 0:
-            return v
-    raise PinConflictError(
-        f"pinned {lat.fmt(x)}∖{lat.fmt(y)} = {lat.fmt(d)} admits no consistent partner")
+    """Least v with (y∧x)∨v = y and d∧v = 0, given x∖y = d already pinned.
+
+    Every such v holds y∖x, so it is ↓(y∖x) when that misses d.
+    """
+    v = _down(lat, y & ~x)
+    if v & d:
+        raise PinConflictError(
+            f"pinned {lat.fmt(x)}∖{lat.fmt(y)} = {lat.fmt(d)} admits no consistent partner")
+    return v

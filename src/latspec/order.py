@@ -53,6 +53,13 @@ class NotDistributiveError(LatticeError):
         super().__init__(f"not distributive at triple {witness}")
 
 
+class SelfCheckError(RuntimeError):
+    """A computed result fails its certificate: a bug, not bad input.
+
+    Not a ``LatticeError``, so the CLI does not report it as bad input.
+    """
+
+
 def popcount(x: int) -> int:
     return x.bit_count()
 
@@ -534,6 +541,22 @@ def birkhoff_iso(raw: RawLattice) -> tuple[Poset, DLat, list[int]]:
     if cert is None:
         raw.validate()
         raw.check_distributive()
-        raise RuntimeError("birkhoff_iso: a distributive lattice failed its certificate")
+        raise SelfCheckError("birkhoff_iso: a distributive lattice failed its certificate")
     poset, iso = cert
     return poset, DLat(poset), iso
+
+
+def birkhoff_round_trip(lat: DLat) -> None:
+    """Certify the round trip base -> downsets -> join-irreducibles in O(n^2).
+
+    The elements are the downsets of the base, so the join-irreducibles
+    are the principal downsets ↓p = {r : r <= p}, ordered by inclusion as
+    p is in the base.  The round trip gives back the base when each
+    ``base.down[p]`` is ↓p, read from ``base.up``, and is an element.  This
+    is ``birkhoff_iso(RawLattice.from_dlat(lat))`` without rebuilding the
+    lattice; a failure is a bug and raises ``SelfCheckError``.
+    """
+    up = lat.base.up
+    for p, dp in enumerate(lat.base.down):
+        if dp != sum(1 << r for r, ur in enumerate(up) if ur >> p & 1) or dp not in lat:
+            raise SelfCheckError(f"Birkhoff round trip fails at base point {lat.base.labels[p]}")

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ import pytest
 
 from latspec.cli import main
 from latspec.order import Poset, downset_lattice
+from latspec.randgen import random_01_hom, random_poset
 
 V_POSET = """poset
 elements: t u v
@@ -85,19 +87,27 @@ def test_input_error_exits_two(tmp_path, capsys):
             (["pl", "op", "(² a)"], "error: unknown operation '²'"),
             (["glambda", "op", "neg", "c0", "c1", "--chain", "2"],
              "error: operation 'neg' takes one operand"),
+            # an empty second operand is a term to parse, not a missing one
+            (["glambda", "op", "add", "c0", "", "--chain", "1"],
+             "error: unexpected end of term"),
             (["lattice", "check", str(nonutf8)], f"error: {nonutf8} is not UTF-8 text: "),
             (["pl", "op", f"({scalar} a)"], "error: Exceeds the limit (4300 digits)")]:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith(msg) and err.count("\n") == 1, err
-    # argparse rejects a negative chain length, also in one line
+    # argparse rejects a negative chain length, also in one line, and main
+    # returns its exit code instead of raising SystemExit
     for action, terms in [("op", ["add", "c0", "c0"]), ("waybelow", ["c0", "c0"]),
                           ("ortho", ["c0"])]:
-        with pytest.raises(SystemExit) as exc:
-            main(["glambda", action, *terms, "--chain", "-3"])
-        assert exc.value.code == 2
+        assert main(["glambda", action, *terms, "--chain", "-3"]) == 2
         assert capsys.readouterr().err == (f"latspec glambda {action}: error: argument --chain: "
                                            "must be a nonnegative integer, got '-3'\n")
+    assert main(["glambda", "op", "add", "c0"]) == 2
+    assert capsys.readouterr().err == ("latspec glambda op: error: the following arguments "
+                                       "are required: --chain\n")
+    # help is printed as before, and main returns argparse's 0
+    assert main(["lattice", "check", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: latspec lattice check [-h] [--dot] [--json] file\n")
 
 
 def test_output_bound_replaces_input_cap(tmp_path, capsys):
@@ -262,8 +272,76 @@ def test_normality_self_checks_under_optimize():
                                                       env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
                           *(str(tests / name) for name in ("test_normality.py",
+                                                           "test_normality_oracles.py",
                                                            "test_replication.py",
                                                            "test_term_oracles.py"))],
                          capture_output=True, text=True, env=env, cwd=tests.parent)
     assert out.returncode == 0, out.stdout + out.stderr
     assert " passed" in out.stdout and "failed" not in out.stdout
+
+
+def _poset_text(p: Poset) -> str:
+    names = [f"p{i}" for i in range(p.n)]
+    return ("poset\nelements: " + " ".join(names) + "\ncovers: "
+            + " ".join(f"{names[i]}<{names[j]}" for i, j in p.covers()) + "\n")
+
+
+def _lattice_fields(lat, prefix: str, name: str) -> str:
+    els = lat.elements
+    leq = [f"{name}{i}<{name}{j}" for i, x in enumerate(els) for j, y in enumerate(els)
+           if x & y == x and (y ^ x).bit_count() == 1]
+    return (f"{prefix}elements: " + " ".join(f"{name}{i}" for i in range(len(els)))
+            + f"\n{prefix}leq: " + " ".join(leq) + "\n")
+
+
+def _hom_text(hom) -> str:
+    return ("hom\n" + _lattice_fields(hom.dom, "dom.", "d") + _lattice_fields(hom.cod, "cod.", "c")
+            + "map: " + " ".join(f"d{i}->c{hom.cod.pos(v)}" for i, v in enumerate(hom.table)) + "\n")
+
+
+_SNIPPETS = ["<", "->", "{", "}", ",", " ", "\n", ":", "#", "x", "p0", "d0", "c1", "é",
+             "leq: ", "covers: p1<p0", "map: d0->c0", "elements: q", "lattice\n", "9" * 30]
+
+
+def _mutate(rng, text: str) -> str:
+    for _ in range(rng.randint(1, 2)):
+        roll, i = rng.random(), rng.randrange(len(text) + 1)
+        if roll < 0.3:
+            text = text[:i] + text[i + rng.randint(1, 4):]
+        elif roll < 0.7:
+            text = text[:i] + rng.choice(_SNIPPETS) + text[i:]
+        else:
+            lines = text.splitlines(keepends=True)
+            k = rng.randrange(len(lines))
+            lines[k:k + 1] = [] if roll < 0.85 else [lines[k], lines[k]]
+            text = "".join(lines)
+    return text
+
+
+def test_cli_fuzz_mutated_files(tmp_path, capsys):
+    # every run ends in 0, 1 or 2, a usage or input error in one stderr
+    # line, and never in a traceback (an exception would fail the test)
+    rng = random.Random(17)
+    codes = {0: 0, 1: 0, 2: 0}
+    path = tmp_path / "fuzz.lat"
+    for _ in range(300):
+        if rng.random() < 0.6:
+            if rng.random() < 0.5:
+                text = _poset_text(random_poset(rng, rng.randint(0, 4)))
+            else:
+                lat = downset_lattice(random_poset(rng, rng.randint(0, 3)))
+                text = "lattice\n" + _lattice_fields(lat, "", "e")
+            tokens = [rng.choice(["e0", "e1", "e2", "{}", "{p0}", "{p1}", "{p0,p1}", "{q}"])
+                      for _ in range(rng.randint(1, 4))]
+            argv = rng.choice([["lattice", "check", "--json"], ["lattice", "check", "--dot"],
+                               ["v0", "expand"], ["refine", "witness", *tokens]])
+        else:
+            text = _hom_text(random_01_hom(rng, 3))
+            argv = rng.choice([["hom", "check", "--json"], ["cond", "stage", "--indices", "i"]])
+        path.write_text(_mutate(rng, text) if rng.random() < 0.6 else text, encoding="utf-8")
+        code = main([*argv[:2], str(path), *argv[2:]])
+        err = capsys.readouterr().err
+        assert code in codes, argv
+        assert len(err.splitlines()) == (code == 2), (argv, err)
+        codes[code] += 1
+    assert codes[0] > 80 and codes[2] > 80, codes

@@ -185,9 +185,9 @@ def test_refinement_triples_on_normal_lattices():
 
 def test_triangle_property_is_reported_not_assumed():
     # nothing forces the triangle law on a difference table; it is measured
-    # and reported.  Recorded outcomes for two fixed deterministic tables:
-    # the plain least-splitting table on the 3x3 grid has no violations,
-    # while the inheritance-pinned table built for the cube replay does.
+    # and reported.  The plain least-splitting table has no violations (a
+    # theorem: ↓(x∖z) ⊆ ↓(x∖y) ∪ ↓(y∖z)), here on the 3x3 grid, while the
+    # inheritance-pinned table built for the cube replay does.
     from latspec.order import chain_product
     from latspec.replication import build_cube, expand_cube_v0
     lat, _, _ = chain_product([3, 3])

@@ -1,0 +1,315 @@
+"""Seeded differential tests of the normality layer against its old searches.
+
+The oracles are the product searches that the closed forms replaced, kept
+verbatim: ``find_splitting`` over all candidate pairs, the pairwise
+``is_completely_normal`` scan, the ``itertools.product`` search in
+``refinement_witness`` and the linear ``_least_partner`` scan.  The
+Birkhoff round-trip certificate is checked against the full
+``birkhoff_iso(RawLattice.from_dlat(lat))`` rebuild.
+"""
+
+from __future__ import annotations
+
+import functools
+import random
+import time
+from itertools import product
+from typing import Sequence
+
+import pytest
+
+from latspec import normality
+from latspec.normality import (NormalityReport, NotCompletelyNormalError,
+                               PinConflictError, RefinementWitness, Splitting,
+                               expand_v0, find_splitting, is_completely_normal,
+                               refinement_witness)
+from latspec.order import (DLat, Poset, RawLattice, SelfCheckError, birkhoff_iso,
+                           birkhoff_round_trip, chain_product, downset_lattice)
+from latspec.randgen import random_poset
+
+
+# -- oracles: the searches as they were before the closed forms ----------
+
+def oracle_find_splitting(lat: DLat, a: int, b: int) -> Splitting | None:
+    """Least splitting of (a, b) in canonical order, or None.
+
+    Every splitting has x ≤ a and y ≤ b, so the search is restricted to
+    those candidates; elements come pre-sorted canonically, making the
+    result the lexicographically least pair (x minimal, then y).
+    """
+    lat.check_member(a)
+    lat.check_member(b)
+    ab = a | b
+    xs = [x for x in lat.elements if x | a == a and x | b == ab]
+    ys = [y for y in lat.elements if y | b == b and a | y == ab]
+    for x in xs:
+        for y in ys:
+            if x & y == 0:
+                s = Splitting(a, b, x, y)
+                s.check()
+                return s
+    return None
+
+
+def oracle_is_completely_normal(lat: DLat) -> NormalityReport:
+    els = lat.elements
+    for i, a in enumerate(els):
+        for b in els[i:]:
+            if oracle_find_splitting(lat, a, b) is None:
+                return NormalityReport(False, (a, b))
+    return NormalityReport(True)
+
+
+def oracle_refinement_witness(lat: DLat, family: Sequence[int]) -> RefinementWitness | None:
+    """Exhaustive search for a refinement matrix over a finite family.
+
+    Candidates for each off-diagonal slot are pruned by the two binary
+    conditions before the triangle condition is checked; the first full
+    assignment in canonical order is returned.  ``None`` means no witness
+    exists.  For a 2-element family this is exactly the splitting search.
+    """
+    fam = tuple(lat.check_member(a) for a in family)
+    n = len(fam)
+    if n == 0:
+        return RefinementWitness((), ())
+    # per ordered pair (i, j): candidates d with (a_i ∧ a_j) ∨ d = a_i
+    cand: dict[tuple[int, int], list[int]] = {}
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            meet = fam[i] & fam[j]
+            cand[i, j] = [d for d in lat.elements if meet | d == fam[i]]
+    # per unordered pair: candidate (c_ij, c_ji) with the orthogonality cut
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pair_cands: list[list[tuple[int, int]]] = []
+    for i, j in slots:
+        pc = [(u, v) for u in cand[i, j] for v in cand[j, i] if u & v == 0]
+        if not pc:
+            return None
+        pair_cands.append(pc)
+    for choice in product(*pair_cands):
+        c = [[0] * n for _ in range(n)]
+        for (i, j), (u, v) in zip(slots, choice):
+            c[i][j] = u
+            c[j][i] = v
+        ok = True
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    if c[i][k] | c[i][j] | c[j][k] != c[i][j] | c[j][k]:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if ok:
+            w = RefinementWitness(fam, tuple(tuple(r) for r in c))
+            w.check()
+            return w
+    return None
+
+
+def oracle_least_partner(lat: DLat, x: int, y: int, d: int) -> int:
+    """Least v with (y∧x)∨v = y and d∧v = 0, given x∖y = d already pinned."""
+    for v in lat.elements:
+        if (y & x) | v == y and d & v == 0:
+            return v
+    raise PinConflictError(
+        f"pinned {lat.fmt(x)}∖{lat.fmt(y)} = {lat.fmt(d)} admits no consistent partner")
+
+
+# -- the seeded corpus ------------------------------------------------------
+
+def outcome(fn, *args):
+    """The result of a call, or the class and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:  # compared, never swallowed: the oracle raises the same
+        return type(e), str(e)
+
+
+@pytest.fixture(scope="module")
+def lattices() -> list[DLat]:
+    """600 seeded downset lattices of at most 24 elements, many not completely normal."""
+    rng = random.Random(6_2026)
+    out = []
+    while len(out) < 600:
+        p = random_poset(rng, rng.randint(3, 6), rng.choice([0.3, 0.4, 0.5]))
+        lat = downset_lattice(p)
+        if lat.size <= 24:
+            out.append(lat)
+    return out
+
+
+def test_complete_normality_matches_oracle(lattices):
+    negatives = 0
+    for lat in lattices:
+        rep = is_completely_normal(lat)
+        assert rep == oracle_is_completely_normal(lat), lat
+        negatives += not rep.completely_normal
+    assert 150 <= negatives <= 450, negatives
+    # larger bases, where the least witness can sit deeper in the order
+    rng = random.Random(6_2027)
+    done = negatives = 0
+    while done < 200:
+        lat = downset_lattice(random_poset(rng, rng.randint(5, 8), rng.choice([0.25, 0.4])))
+        if lat.size > 48:
+            continue
+        rep = is_completely_normal(lat)
+        assert rep == oracle_is_completely_normal(lat), lat
+        done += 1
+        negatives += not rep.completely_normal
+    assert 100 <= negatives <= 180, negatives
+
+
+def test_splittings_match_oracle(lattices):
+    rng = random.Random(61)
+    absent = 0
+    for lat in lattices:
+        els = lat.elements
+        for _ in range(20):
+            a, b = rng.choice(els), rng.choice(els)
+            got = outcome(find_splitting, lat, a, b)
+            assert got == outcome(oracle_find_splitting, lat, a, b), (lat, a, b)
+            absent += got is None
+        if lat.base.n >= 2 and not lat.base.is_downset(2):  # 2 = {1}: 1 is above 0
+            assert outcome(find_splitting, lat, 2, 0) == outcome(oracle_find_splitting, lat, 2, 0)
+    assert absent > 300, absent
+
+
+def test_refinement_witnesses_match_oracle(lattices):
+    rng = random.Random(62)
+    none = 0
+    for lat in lattices:
+        for size in (2, 3, 4):
+            fam = [rng.choice(lat.elements) for _ in range(size)]
+            got = refinement_witness(lat, fam)
+            assert got == oracle_refinement_witness(lat, fam), (lat, fam)
+            none += got is None
+    assert none > 100, none
+    assert refinement_witness(lattices[0], []) == oracle_refinement_witness(lattices[0], [])
+
+
+def test_half_pinned_partners_match_oracle(lattices):
+    rng = random.Random(63)
+    conflicts = tables = 0
+    for lat in lattices:
+        els = lat.elements
+        for k in range(10):
+            x, y = rng.choice(els), rng.choice(els)
+            # a pin d for x∖y must satisfy (x∧y)∨d = x, as expand_v0 checks first
+            d = rng.choice([d for d in els if (x & y) | d == x])
+            got = outcome(normality._least_partner, lat, x, y, d)
+            assert got == outcome(oracle_least_partner, lat, x, y, d), (lat, x, y, d)
+            conflicts += isinstance(got, tuple)
+            if k == 0 and not isinstance(got, tuple) and x != y \
+                    and oracle_is_completely_normal(lat).completely_normal:
+                # the whole table: the pin, its partner, least splittings elsewhere
+                dl = expand_v0(lat, {(x, y): d})
+                for u in els:
+                    for v in els:
+                        want = {(x, y): d, (y, x): got}.get((u, v))
+                        if want is None:
+                            want = oracle_find_splitting(lat, u, v).x
+                        assert dl.diff(u, v) == want, (lat, x, y, d, u, v)
+                tables += 1
+    assert conflicts > 500 and tables > 100, (conflicts, tables)
+
+
+def test_expand_v0_rejects_with_oracle_witness(lattices):
+    for lat in lattices[:200]:
+        rep = oracle_is_completely_normal(lat)
+        if not rep.completely_normal:
+            with pytest.raises(NotCompletelyNormalError) as exc:
+                expand_v0(lat)
+            assert exc.value.pair == rep.witness
+
+
+def test_large_family_answers_in_milliseconds():
+    # the product search grows with the candidates of all 28+ slots; the
+    # closed form is one downset per entry
+    lat, to_mask, _ = chain_product([3, 3, 3])
+    rng = random.Random(64)
+    fam = [to_mask([rng.randrange(3) for _ in range(3)]) for _ in range(10)]
+    t0 = time.perf_counter()
+    w = refinement_witness(lat, fam)
+    assert time.perf_counter() - t0 < 0.1
+    # each entry is the least splitting of its pair, by the oracle
+    for i, a in enumerate(fam):
+        for j, b in enumerate(fam):
+            s = oracle_find_splitting(lat, a, b)
+            assert (w.matrix[i][j], w.matrix[j][i]) == (s.x, s.y)
+    # on a lattice that is not completely normal, one unsplittable pair
+    # among eight members means no witness
+    v_plus = downset_lattice(Poset.from_pairs(5, [(0, 1), (0, 2), (3, 4)]))
+    fam = [rng.choice(v_plus.elements) for _ in range(6)] + [0b00011, 0b00101]
+    t0 = time.perf_counter()
+    assert refinement_witness(v_plus, fam) is None
+    assert time.perf_counter() - t0 < 0.1
+
+
+# -- the Birkhoff round trip ------------------------------------------------
+
+def oracle_round_trip(lat: DLat) -> bool:
+    """Whether the tables rebuilt by ``birkhoff_iso`` give back the base.
+
+    The join-irreducible for p is the least element holding p; the round
+    trip holds when it is ``base.down[p]`` for every p and the rebuilt order
+    on these irreducibles is the base order.
+    """
+    raw = RawLattice.from_dlat(lat)
+    poset, _, _ = birkhoff_iso(raw)
+    k = {lat.elements[a]: i for i, a in enumerate(raw.join_irreducibles())}
+    least = [functools.reduce(int.__and__, (m for m in lat.elements if m >> p & 1))
+             for p in range(lat.base.n)]
+    if least != list(lat.base.down) or any(m not in k for m in least) or len(k) != lat.base.n:
+        return False
+    return all(poset.leq(k[least[p]], k[least[q]]) == lat.base.leq(p, q)
+               for p in range(lat.base.n) for q in range(lat.base.n))
+
+
+def round_trip_passes(lat: DLat) -> bool:
+    try:
+        birkhoff_round_trip(lat)
+    except SelfCheckError:
+        return False
+    return True
+
+
+def test_round_trip_certificate_matches_rebuild(lattices):
+    rng = random.Random(65)
+    failures = 0
+    for lat in lattices[:300]:
+        assert round_trip_passes(lat) and oracle_round_trip(lat), lat
+        # corrupt the base's principal downsets under the same elements:
+        # swap two, or replace one by an element or by a non-element
+        base = lat.base
+        down = list(base.down)
+        p, q = rng.randrange(base.n), rng.randrange(base.n)
+        kind = rng.randrange(3)
+        if kind == 0:
+            down[p], down[q] = down[q], down[p]
+        elif kind == 1:
+            down[p] = rng.choice(lat.elements)
+        else:
+            down[p] = rng.choice([m for m in range(1, 1 << base.n) if m not in lat] or [0])
+        saved, base.down = base.down, tuple(down)
+        try:
+            verdict = round_trip_passes(lat)
+            assert verdict == oracle_round_trip(lat), (base, saved, down)
+            failures += not verdict
+        finally:
+            base.down = saved
+    assert failures > 100, failures
+
+
+def test_round_trip_failure_is_a_bug(tmp_path, monkeypatch):
+    # a failed certificate escapes main: it is not reported as bad input
+    from latspec import cli
+    p = tmp_path / "c3.lat"
+    p.write_text("poset\nelements: x y\ncovers: x<y\n")
+    monkeypatch.setattr(DLat, "__contains__", lambda self, m: m != self.base.down[1])
+    with pytest.raises(SelfCheckError, match="Birkhoff round trip fails at base point y"):
+        cli.main(["lattice", "check", str(p)])

@@ -283,13 +283,6 @@ def test_deep_terms_through_main(argv, want, capsys):
     assert capsys.readouterr().out == want
 
 
-def run(argv) -> int:
-    try:
-        return main(argv)
-    except SystemExit as e:  # a usage error, from argparse
-        return e.code
-
-
 def test_cli_fuzz_mutated_terms(capsys):
     rng = random.Random(11)
     points = ["1,2", "1/2,3", "0,0", "3,1/7", "1/0,1", "x,1", "-1,2", "1"]
@@ -312,7 +305,7 @@ def test_cli_fuzz_mutated_terms(capsys):
             else:
                 argv = ["glambda", "ortho", *terms]
             argv += ["--chain", str(n)]
-        code = run(argv)
+        code = main(argv)
         err = capsys.readouterr().err
         assert code in (0, 2), argv
         assert len(err.splitlines()) == (code == 2), (argv, err)
