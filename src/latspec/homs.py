@@ -2,9 +2,12 @@
 
 ``is_closed`` and ``is_convex`` implement, on finite bounded distributive
 lattices, the two witness-style conditions used to tell apart maps that can
-or cannot arise from lattice-ordered groups and f-rings.  Both searches are
-exhaustive and return the least counterexample in canonical order, so
-failure messages are reproducible across runs.
+or cannot arise from lattice-ordered groups and f-rings.  Each scans its
+triples in canonical order and returns the least counterexample, so failure
+messages are reproducible across runs.  Neither searches for a witness
+inside a triple: closedness reads the principal ideal {x : f(x) ≤ b}, and
+convexity reads the base posets through the dual point map φ, which every
+0,1-homomorphism of finite distributive lattices has (f(x) = φ⁻¹[x]).
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .order import DLat, LatticeError, Poset, canon_key, downset_lattice
-from .spectra import CofinalityError, prime_spectrum
+from .order import DLat, LatticeError, Poset, bits, canon_key, downset_lattice
+from .spectra import CofinalityError
 
 
 class NotAHomomorphismError(LatticeError):
@@ -78,6 +81,23 @@ class LatHom:
             if DLat.leq(self.table[i], q):
                 acc |= x
         return acc
+
+    def dual_point_map(self) -> tuple[int, ...]:
+        """φ: cod base -> dom base with f(x) = {p : φ(p) ∈ x}.
+
+        ↓φ(p) is the least x with p ∈ f(x).  Those x form a prime filter, so
+        it is also the meet of the principal downsets ↓q with p ∈ f(↓q).
+        Needs f(1) = 1; otherwise some p lies in no f(x), and this raises
+        ``CofinalityError`` as ``spec_map`` does.
+        """
+        if not self.preserves_top:
+            raise CofinalityError("f^{-1}[Q] is all of the domain; f is not cofinal")
+        down = self.dom.base.down
+        least = [self.dom.top] * self.cod.base.n
+        for dq in down:
+            for p in bits(self._app(dq)):
+                least[p] &= dq
+        return tuple(map(down.index, least))
 
     def compose(self, other: "LatHom") -> "LatHom":
         """self ∘ other (other applied first)."""
@@ -166,19 +186,18 @@ class ClosedReport:
 def is_closed(f: LatHom) -> ClosedReport:
     """f(a0) ≤ f(a1)∨b always needs x with a0 ≤ a1∨x and f(x) ≤ b.
 
-    Exhaustive over all triples; the returned witness is the first failing
-    triple in canonical element order.
+    Those x form the principal ideal ↓g(b), g = ``preimage_generator``, so
+    the condition is a0 ≤ a1∨g(b).  The returned witness is the first
+    failing triple (a0, a1, b) in canonical element order.
     """
     dom, cod = f.dom, f.cod
+    gens = [f.preimage_generator(b) for b in cod.elements]
     for i, a0 in enumerate(dom.elements):
         fa0 = f.table[i]
         for j, a1 in enumerate(dom.elements):
             fa1 = f.table[j]
-            for b in cod.elements:
-                if fa0 | fa1 | b != fa1 | b:
-                    continue  # hypothesis f(a0) <= f(a1) v b fails
-                if not any(a0 | a1 | x == a1 | x and DLat.leq(f.table[k], b)
-                           for k, x in enumerate(dom.elements)):
+            for b, g in zip(cod.elements, gens):
+                if fa0 | fa1 | b == fa1 | b and a0 | a1 | g != a1 | g:
                     return ClosedReport(False, (a0, a1, b))
     return ClosedReport(True)
 
@@ -197,38 +216,34 @@ def is_convex(f: LatHom) -> ConvexReport:
     """Prime-ideal interpolation test, exhaustive over (P, Q0, J).
 
     P ranges over Spec(dom), Q0 over Spec(cod), and J over all proper
-    ideals of the codomain, taken literally with no narrowing.  Ideals of
-    a finite lattice are the principal downsets, so the enumeration runs
-    over generators.  Requires a cofinal map.
+    ideals of the codomain.  Ideals of a finite lattice are principal and
+    named by their generators: the primes I_p = ↓(top∖↑p) and ↓j for
+    j ≠ top.  Each test is read on the base posets.  With U = top∖j,
+    I_q ⊆ ↓j iff U ⊆ ↑q; f⁻¹[I_q] = I_φ(q) for the dual point map φ; and
+    I_p ⊆ f⁻¹[↓j] iff p ≤ φ(u) for every u in U.  Requires a cofinal map.
     """
     if not is_cofinal(f).cofinal:
         raise CofinalityError("is_convex requires a cofinal homomorphism")
-    dom, cod = f.dom, f.cod
-    sd = prime_spectrum(dom)
-    sc = prime_spectrum(cod)
-    # principal-downset generators: a prime ideal ↓g is recovered as the
-    # join of its members
-    def gen_of(spec, lat, k):
-        acc = lat.bottom
-        for pos, x in enumerate(lat.elements):
-            if (spec.points[k] >> pos) & 1:
-                acc |= x
-        return acc
-
-    dom_primes = sorted((gen_of(sd, dom, k) for k in range(sd.n_points)), key=canon_key)
-    cod_primes = sorted((gen_of(sc, cod, k) for k in range(sc.n_points)), key=canon_key)
-    proper = [j for j in cod.elements if j != cod.top]
-    pregen = {q: f.preimage_generator(q) for q in cod.elements}
-    for p in dom_primes:
-        for q0 in cod_primes:
-            for j in proper:
-                if not DLat.leq(q0, j):
+    phi = f.dual_point_map()
+    dbase, cbase = f.dom.base, f.cod.base
+    dtop, ctop = f.dom.top, f.cod.top
+    dom_pts = sorted(range(dbase.n), key=lambda p: canon_key(dtop & ~dbase.up[p]))
+    cod_pts = sorted(range(cbase.n), key=lambda q: canon_key(ctop & ~cbase.up[q]))
+    proper = []  # (j, U, the points p with I_p ⊆ f⁻¹[↓j])
+    for j in f.cod.elements[:-1]:
+        u, below = ctop & ~j, dtop
+        for q in bits(u):
+            below &= dbase.down[phi[q]]
+        proper.append((j, u, below))
+    for p in dom_pts:
+        for q0 in cod_pts:
+            if not dbase.leq(phi[q0], p):
+                continue
+            for j, u, below in proper:
+                if u & ~cbase.up[q0] or not (below >> p) & 1:
                     continue
-                if not (DLat.leq(pregen[q0], p) and DLat.leq(p, pregen[j])):
-                    continue
-                if not any(DLat.leq(q0, q) and DLat.leq(q, j) and pregen[q] == p
-                           for q in cod_primes):
-                    return ConvexReport(False, (p, q0, j))
+                if not any(phi[q] == p and u & ~cbase.up[q] == 0 for q in bits(cbase.up[q0])):
+                    return ConvexReport(False, (dtop & ~dbase.up[p], ctop & ~cbase.up[q0], j))
     return ConvexReport(True)
 
 

@@ -237,9 +237,6 @@ class DLat:
         self.base = base
         self.elements = base.downsets()
         self._pos = {m: k for k, m in enumerate(self.elements)}
-        # distributivity is automatic for downsets; assert it by sampling
-        # anyway, so a corrupted element table cannot slip through silently
-        self.assert_distributive_sample(triples=32)
 
     @property
     def size(self) -> int:
@@ -280,16 +277,6 @@ class DLat:
     def fmt(self, mask: int) -> str:
         names = [self.base.labels[i] for i in bits(mask)]
         return "{" + ",".join(names) + "}"
-
-    def assert_distributive_sample(self, triples: int = 200, seed: int = 0) -> None:
-        """Spot-check distributivity (automatic for downsets, asserted anyway)."""
-        import random
-        rng = random.Random(seed)
-        els = self.elements
-        for _ in range(triples):
-            a, b, c = (rng.choice(els) for _ in range(3))
-            if a & (b | c) != (a & b) | (a & c):
-                raise NotDistributiveError((a, b, c))
 
     def __repr__(self):
         return f"DLat(size={self.size}, base_n={self.base.n})"

@@ -218,7 +218,7 @@ class CubeV0Report:
                 "failures": list(self.failures)}
 
 
-def expand_cube_v0(cube: CubeDiagram) -> tuple[dict, CubeV0Report]:
+def expand_cube_v0(cube: CubeDiagram, rep: CubeReport | None = None) -> tuple[dict, CubeV0Report]:
     """Expand every cube lattice by a difference operation, inductively.
 
     Processing nodes in subset-size order: if both members of a pair lie in
@@ -227,8 +227,10 @@ def expand_cube_v0(cube: CubeDiagram) -> tuple[dict, CubeV0Report]:
     strong amalgams); otherwise the canonical least splitting is assigned.
     Afterwards every map is checked to preserve the difference, pair by
     pair, and both identities are re-checked in all eight structures.
+    ``rep`` is the cube's ``verify_cube`` report, computed here if not given.
     """
-    rep = verify_cube(cube)
+    if rep is None:
+        rep = verify_cube(cube)
     if not rep.ok:
         raise LatticeError(f"cube verification failed: {rep.failures}")
     checked = []
@@ -366,7 +368,8 @@ class RhoReport:
                 "failures": list(self.failures)}
 
 
-def run_rho_contradiction(cube: CubeDiagram | None = None) -> RhoReport:
+def run_rho_contradiction(cube: CubeDiagram | None = None,
+                          v0: tuple[dict, CubeV0Report] | None = None) -> RhoReport:
     """Three exhaustive steps.
 
     1. In each pair node, solve (1,1)∨u = (2,1), (1,1)∨v = (1,2), u∧v = 0;
@@ -376,6 +379,8 @@ def run_rho_contradiction(cube: CubeDiagram | None = None) -> RhoReport:
     3. The first of these joined with the third stays at (2,2,0,0), so the
        second is not below the join: the triangle inequality fails on the
        last coordinate.
+
+    ``v0`` is the cube's ``expand_cube_v0`` result, computed here if not given.
     """
     if cube is None:
         cube = build_cube()
@@ -418,7 +423,7 @@ def run_rho_contradiction(cube: CubeDiagram | None = None) -> RhoReport:
     # the naturality equations extend from generators to the generated
     # subalgebras: images of generated subalgebras land in generated
     # subalgebras (maps preserve the difference globally, per expand_cube_v0)
-    expanded, v0rep = expand_cube_v0(cube)
+    expanded, v0rep = v0 or expand_cube_v0(cube)
     sub_ok = v0rep.ok
     rho = rho_generator_images(cube)
     subs = {p: generated_subalgebra(expanded[p], list(rho[p].values())) for p in NODES}
@@ -536,7 +541,7 @@ class ReplicationSummary:
 def replicate_all() -> ReplicationSummary:
     cube = build_cube()
     cube_rep = verify_cube(cube)
-    _, v0_rep = expand_cube_v0(cube)
-    rho_rep = run_rho_contradiction(cube)
-    return ReplicationSummary(cube_rep, v0_rep, rho_rep,
+    v0 = expand_cube_v0(cube, cube_rep)
+    rho_rep = run_rho_contradiction(cube, v0)
+    return ReplicationSummary(cube_rep, v0[1], rho_rep,
                               kernel_not_closed(), kernel_not_convex())

@@ -39,6 +39,15 @@ class Spectrum:
     def point_leq(self, i: int, j: int) -> bool:
         return self.points[i] | self.points[j] == self.points[j]
 
+    def base_point(self, k: int) -> int:
+        """The base point p with point k = I_p = {x : p ∉ x}.
+
+        A prime ideal I_p is the principal downset of its largest member,
+        top∖↑p, which is the member at the highest element position.
+        """
+        lat = self.lattice
+        return lat.base.up.index(lat.top & ~lat.elements[self.points[k].bit_length() - 1])
+
     def point_elements(self, i: int) -> list[int]:
         """The prime ideal at point i, as lattice element masks."""
         els = self.lattice.elements
@@ -151,29 +160,21 @@ def stone_unit_check(lat: DLat, spec: Spectrum | None = None) -> StoneUnitReport
 
 
 def spectrum_matches_base(lat: DLat, spec: Spectrum | None = None) -> bool:
-    """The spectrum order is isomorphic to the base poset via p ↦ I_p."""
+    """The spectrum order is isomorphic to the base poset via p ↦ I_p.
+
+    Each point is named by ``base_point``, so the points are taken to be
+    prime ideals, as both spectrum constructors give.
+    """
     if spec is None:
         spec = prime_spectrum(lat)
     base = lat.base
     if spec.n_points != base.n:
         return False
-    # reconstruct the bijection p -> point mask and compare orders
-    pt_of = []
-    for p in range(base.n):
-        m = 0
-        for pos, x in enumerate(lat.elements):
-            if not (x >> p) & 1:
-                m |= 1 << pos
-        if m not in spec.points:
-            return False
-        pt_of.append(spec.points.index(m))
-    if len(set(pt_of)) != base.n:
+    pt = [spec.base_point(k) for k in range(base.n)]
+    if len(set(pt)) != base.n:
         return False
-    for p in range(base.n):
-        for q in range(base.n):
-            if base.leq(p, q) != spec.point_leq(pt_of[p], pt_of[q]):
-                return False
-    return True
+    return all(base.leq(pt[k], pt[m]) == spec.point_leq(k, m)
+               for k in range(base.n) for m in range(base.n))
 
 
 class CofinalityError(LatticeError):
@@ -198,24 +199,18 @@ class SpecMapResult:
 
 
 def spec_map(f) -> SpecMapResult:
-    """Dual of a LatHom: Q ↦ f⁻¹[Q], with the preimages verified prime."""
-    dom, cod = f.dom, f.cod
-    sd = prime_spectrum(dom)
-    sc = prime_spectrum(cod)
-    dom_pts = {pt: k for k, pt in enumerate(sd.points)}
-    mapping = []
-    for q in range(sc.n_points):
-        qmask = sc.points[q]
-        pre = 0
-        for pos, x in enumerate(dom.elements):
-            fx = f(x)
-            if (qmask >> cod.pos(fx)) & 1:
-                pre |= 1 << pos
-        if pre == (1 << dom.size) - 1:
-            raise CofinalityError("f^{-1}[Q] is all of the domain; f is not cofinal")
-        if pre not in dom_pts:
-            raise LatticeError("preimage of a prime ideal is not prime")
-        mapping.append(dom_pts[pre])
+    """Dual of a LatHom: Q ↦ f⁻¹[Q], read off the dual point map.
+
+    Point k of Spec(cod) is I_p for p = ``base_point(k)``, and its preimage
+    is the prime I_φ(p) of the domain, for φ = ``f.dual_point_map()``.  A
+    map with f(1) ≠ 1 raises ``CofinalityError``: some preimage is the whole
+    domain.
+    """
+    sd = prime_spectrum(f.dom)
+    sc = prime_spectrum(f.cod)
+    phi = f.dual_point_map()
+    dom_point = {sd.base_point(k): k for k in range(sd.n_points)}
+    mapping = [dom_point[phi[sc.base_point(k)]] for k in range(sc.n_points)]
     inj = len(set(mapping)) == len(mapping)
     emb = all(sc.point_leq(i, j) == sd.point_leq(mapping[i], mapping[j])
               for i in range(sc.n_points) for j in range(sc.n_points))

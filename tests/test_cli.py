@@ -271,7 +271,8 @@ def test_normality_self_checks_under_optimize():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tests.parent / "src"),
                                                       env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                          *(str(tests / name) for name in ("test_normality.py",
+                          *(str(tests / name) for name in ("test_hom_oracles.py",
+                                                           "test_normality.py",
                                                            "test_normality_oracles.py",
                                                            "test_replication.py",
                                                            "test_term_oracles.py"))],

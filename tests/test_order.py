@@ -43,7 +43,6 @@ def test_dlat_basics():
     assert DLat.meet(0b011, 0b101) == 0b001
     with pytest.raises(LatticeError):
         lat.check_member(0b010)  # {u} is not downward closed
-    lat.assert_distributive_sample()
 
 
 def test_chain_product_converters():
