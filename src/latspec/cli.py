@@ -28,7 +28,7 @@ from .lexgroup import (LEX_OPS, LexError, glambda_op, ideal_leq, orthogonal_set_
                        way_below)
 from .normality import expand_v0, is_completely_normal, refinement_witness
 from .order import LatticeError, birkhoff_round_trip
-from .plfun import PLError, pl_eval, pl_ideal_leq, support_connected
+from .plfun import PLError, pl_abs, pl_eval, pl_ideal_leq, support_connected
 from .replication import (kernel_not_closed, kernel_not_convex, replicate_all,
                           build_cube, expand_cube_v0, run_rho_contradiction,
                           verify_cube)
@@ -189,12 +189,14 @@ def cmd_pl(args) -> int:
             lines.append(f"witness direction with |y| = 0 < |x|: {res.witness}")
         if args.samples and res.holds:
             rng = random.Random(args.seed)
-            from .plfun import pl_abs
             fa, ga = pl_abs(f), pl_abs(g)
             bad = 0
             for _ in range(args.samples):
-                px = Fraction(rng.randint(0, 10 ** 6), rng.randint(1, 1000))
-                py = Fraction(rng.randint(0, 10 ** 6), rng.randint(1, 1000))
+                a, b = rng.randint(0, 10 ** 6), rng.randint(1, 1000)
+                c, d = rng.randint(0, 10 ** 6), rng.randint(1, 1000)
+                # the sample point is (a/b, c/d); |f| and |g| are positively
+                # homogeneous and b·d > 0, so comparing them at (a·d, c·b) is exact
+                px, py = a * d, c * b
                 if pl_eval(fa, px, py) > res.bound * pl_eval(ga, px, py):
                     bad += 1
             payload["samples"] = args.samples
@@ -283,8 +285,8 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _chain_length(text: str) -> int:
-    """The type of ``--chain``: a nonnegative integer."""
+def _nonnegative_int(text: str) -> int:
+    """The type of ``--chain`` and ``--samples``: a nonnegative integer."""
     try:
         n = int(text)
     except ValueError:
@@ -353,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     pi = ps.add_parser("ideal-leq")
     pi.add_argument("term")
     pi.add_argument("term2")
-    pi.add_argument("--samples", type=int, default=0, help="confirm the bound at N sample points")
+    pi.add_argument("--samples", type=_nonnegative_int, default=0,
+                    help="confirm the bound at N sample points")
     pi.add_argument("--seed", type=int, default=0)
     add_json(pi)
     pn = ps.add_parser("connected")
@@ -368,17 +371,17 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("op", choices=[*LEX_OPS, "compare"])
     po.add_argument("term")
     po.add_argument("term2", nargs="?")
-    po.add_argument("--chain", type=_chain_length, required=True)
+    po.add_argument("--chain", type=_nonnegative_int, required=True)
     add_json(po)
     pw = ps.add_parser("waybelow")
     pw.add_argument("term")
     pw.add_argument("term2")
-    pw.add_argument("--chain", type=_chain_length, required=True)
+    pw.add_argument("--chain", type=_nonnegative_int, required=True)
     add_json(pw)
     pr = ps.add_parser("ortho")
     pr.add_argument("term")
     pr.add_argument("rest", nargs="*")
-    pr.add_argument("--chain", type=_chain_length, required=True)
+    pr.add_argument("--chain", type=_nonnegative_int, required=True)
     add_json(pr)
     for q in (po, pw, pr):
         q.set_defaults(fn=cmd_glambda)

@@ -16,6 +16,7 @@ later construction step uses a *lower* chain position).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Sequence
 
 from .plfun import (IdealLeq, PLFun, pl_abs, pl_add, pl_eq, pl_geq_zero,
@@ -48,6 +49,13 @@ def lex_basis(length: int, pos: int) -> tuple[int, ...]:
     return tuple(1 if i == pos else 0 for i in range(length))
 
 
+def _lex_entry(k) -> int:
+    try:
+        return index(k)
+    except TypeError:
+        raise LexError(f"lex entry {k!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class LexPL:
     """An element of (integer chain power) ×_lex (PL function group)."""
@@ -56,7 +64,7 @@ class LexPL:
     pl: PLFun
 
     def __post_init__(self):
-        object.__setattr__(self, "lex", tuple(int(k) for k in self.lex))
+        object.__setattr__(self, "lex", tuple(_lex_entry(k) for k in self.lex))
 
     @classmethod
     def zero(cls, chain_len: int) -> "LexPL":

@@ -8,18 +8,26 @@ generated by the two coordinate projections under +, -, ∨, ∧ consists of
 exactly these functions, so all lattice-group operations stay exact.
 
 All coefficients are Python ints, hence arbitrary precision by
-construction; there is no overflow path to detect.
+construction; there is no overflow path to detect.  Arithmetic is on
+integers end to end: rays are compared by integer cross products, and
+``pl_eval`` finds a point's cone by bisection over the fan, scaling a
+rational point to an integer one and dividing the value once.
 
 Canonical form: adjacent cones never carry equal functionals, and adjacent
 functionals agree on the shared ray (continuity).  Canonical forms are
-unique, so function equality is tuple equality.
+unique, so function equality is tuple equality.  The public constructor
+``PLFun(rays, coeffs)`` validates all of this; the operations here map
+canonical fans to canonical fans, so their results are canonical by
+construction and are built without validating again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import index
 from typing import Sequence
 
 Vec = tuple[int, int]
@@ -47,16 +55,34 @@ def _primitive(x: int, y: int) -> Vec:
     return (x // g, y // g)
 
 
-def _merge_rays(*ray_lists: Sequence[Vec]) -> tuple[Vec, ...]:
-    rays = set()
-    for rl in ray_lists:
-        rays.update(rl)
-    return tuple(sorted(rays, key=_angle_key))
+def _merge_rays(r: Sequence[Vec], s: Sequence[Vec]) -> tuple[Vec, ...]:
+    """Union of two strictly angle-sorted ray lists, in one pass.
+
+    Two primitive rays of the closed quadrant with cross product 0 are
+    equal, so the sign of the cross product orders them exactly.
+    """
+    out = []
+    i = j = 0
+    while i < len(r) and j < len(s):
+        c = _cross(r[i], s[j])
+        if c < 0:
+            out.append(s[j])
+            j += 1
+        else:
+            out.append(r[i])
+            i += 1
+            if c == 0:
+                j += 1
+    out.extend(r[i:])
+    out.extend(s[j:])
+    return tuple(out)
 
 
-def _angle_key(r: Vec) -> Fraction:
-    # monotone in angle on the closed quadrant: y/(x+y) ∈ [0, 1]
-    return Fraction(r[1], r[0] + r[1])
+def _entry(v) -> int:
+    try:
+        return index(v)
+    except TypeError:
+        raise PLError(f"fan entry {v!r} is not an integer") from None
 
 
 class PLFun:
@@ -65,8 +91,8 @@ class PLFun:
     __slots__ = ("rays", "coeffs")
 
     def __init__(self, rays: Sequence[Vec], coeffs: Sequence[Vec]):
-        rays = tuple((int(x), int(y)) for x, y in rays)
-        coeffs = tuple((int(m), int(n)) for m, n in coeffs)
+        rays = tuple((_entry(x), _entry(y)) for x, y in rays)
+        coeffs = tuple((_entry(m), _entry(n)) for m, n in coeffs)
         if len(rays) < 2 or rays[0] != RAY_X or rays[-1] != RAY_Y:
             raise PLError("fan must start at (1,0) and end at (0,1)")
         if len(coeffs) != len(rays) - 1:
@@ -99,8 +125,23 @@ class PLFun:
     # -- construction ---------------------------------------------------
 
     @classmethod
+    def _trusted(cls, rays: tuple[Vec, ...], coeffs: tuple[Vec, ...]) -> "PLFun":
+        """A fan the caller guarantees canonical: set the slots, check nothing."""
+        f = object.__new__(cls)
+        f.rays = rays
+        f.coeffs = coeffs
+        return f
+
+    @classmethod
     def from_pieces(cls, rays: Sequence[Vec], coeffs: Sequence[Vec]) -> "PLFun":
-        """Build from a (possibly redundant) fan, merging equal neighbours."""
+        """Build from a (possibly redundant) fan, merging equal neighbours.
+
+        The fan must be valid apart from redundant rays: strictly sorted
+        primitive integer rays from (1,0) to (0,1) and continuous integer
+        functionals, as the operations below produce.  The result is
+        canonical by construction and is not validated again; data from
+        outside goes through ``PLFun(rays, coeffs)``.
+        """
         out_rays = [tuple(rays[0])]
         out_coeffs = [tuple(coeffs[0])]
         for k in range(1, len(coeffs)):
@@ -110,7 +151,7 @@ class PLFun:
             out_rays.append(tuple(rays[k]))
             out_coeffs.append(c)
         out_rays.append(tuple(rays[-1]))
-        return cls(out_rays, out_coeffs)
+        return cls._trusted(tuple(out_rays), tuple(out_coeffs))
 
     @classmethod
     def linear(cls, m: int, n: int) -> "PLFun":
@@ -146,7 +187,7 @@ def refine(f: PLFun, g: PLFun) -> tuple[tuple[Vec, ...], list[Vec], list[Vec]]:
 
 def common_refinement(fs: Sequence[PLFun]) -> tuple[tuple[Vec, ...], list[list[Vec]]]:
     """Common fan of any number of functions with their coefficient lists."""
-    rays = _merge_rays(*(f.rays for f in fs))
+    rays = reduce(_merge_rays, (f.rays for f in fs), ())
     return rays, [_coeffs_on(f, rays) for f in fs]
 
 
@@ -156,7 +197,7 @@ def pl_add(f: PLFun, g: PLFun) -> PLFun:
 
 
 def pl_neg(f: PLFun) -> PLFun:
-    return PLFun(f.rays, tuple((-m, -n) for m, n in f.coeffs))
+    return PLFun._trusted(f.rays, tuple((-m, -n) for m, n in f.coeffs))
 
 
 def pl_sub(f: PLFun, g: PLFun) -> PLFun:
@@ -166,7 +207,7 @@ def pl_sub(f: PLFun, g: PLFun) -> PLFun:
 def pl_scale(k: int, f: PLFun) -> PLFun:
     if k == 0:
         return PLFun.zero()
-    return PLFun(f.rays, tuple((k * m, k * n) for m, n in f.coeffs)) if k > 0 \
+    return PLFun._trusted(f.rays, tuple((k * m, k * n) for m, n in f.coeffs)) if k > 0 \
         else pl_neg(pl_scale(-k, f))
 
 
@@ -187,7 +228,7 @@ def pl_join(f: PLFun, g: PLFun) -> PLFun:
         s1, s2 = _dot(df, rays[k]), _dot(df, rays[k + 1])
         if (s1 > 0 > s2) or (s1 < 0 < s2):
             extra.append(_crossing_ray(df, rays[k], rays[k + 1]))
-    if extra:
+    if extra:  # found in cone order, so already angle-sorted
         rays = _merge_rays(rays, extra)
         cf, cg = _coeffs_on(f, rays), _coeffs_on(g, rays)
     out = []
@@ -220,17 +261,34 @@ def pl_diff(f: PLFun, g: PLFun) -> PLFun:
 
 
 def pl_eval(f: PLFun, x, y):
-    """Value at a rational point of the closed quadrant."""
-    x, y = Fraction(x), Fraction(y)
-    if x < 0 or y < 0:
+    """Value at a rational point of the closed quadrant.
+
+    The point is scaled to the integer point (x.num·y.den, y.num·x.den).
+    f is positively homogeneous, so this multiplies the value by x.den·y.den,
+    which is divided out once at the end: the value is an int when integral,
+    else a ``Fraction``.  An int point is its own scaling and is never
+    converted.  The cone is that of the first k with cross(p, r_{k+1}) ≥ 0,
+    found by bisection over the angle-sorted rays.
+    """
+    if not (type(x) is int and type(y) is int):
+        x, y = Fraction(x), Fraction(y)
+    px, py = x.numerator * y.denominator, y.numerator * x.denominator
+    if px < 0 or py < 0:
         raise PLError(f"point ({x}, {y}) outside the closed quadrant")
-    p = (x, y)
-    for k in range(len(f.rays) - 1):
-        if _cross(f.rays[k], p) >= 0 and _cross(p, f.rays[k + 1]) >= 0:
-            m, n = f.coeffs[k]
-            v = m * x + n * y
-            return int(v) if v.denominator == 1 else v
-    raise PLError("point not located in any cone")  # pragma: no cover
+    rays = f.rays
+    lo, hi = 1, len(rays) - 1  # cross(p, rays[-1]) = px ≥ 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        rx, ry = rays[mid]
+        if px * ry >= py * rx:  # cross(p, rays[mid]) ≥ 0
+            hi = mid
+        else:
+            lo = mid + 1
+    m, n = f.coeffs[lo - 1]
+    v = m * px + n * py
+    den = x.denominator * y.denominator
+    q, r = divmod(v, den)
+    return q if r == 0 else Fraction(v, den)
 
 
 def ray_values(f: PLFun) -> tuple[int, ...]:

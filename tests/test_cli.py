@@ -102,6 +102,11 @@ def test_input_error_exits_two(tmp_path, capsys):
         assert main(["glambda", action, *terms, "--chain", "-3"]) == 2
         assert capsys.readouterr().err == (f"latspec glambda {action}: error: argument --chain: "
                                            "must be a nonnegative integer, got '-3'\n")
+    # --samples takes the same type: a negative count is a usage error, not "sampled -5 points"
+    for samples in (["--samples", "-5"], ["--samples=-5"]):
+        assert main(["pl", "ideal-leq", "a", "(add a b)", *samples]) == 2
+        assert capsys.readouterr() == ("", "latspec pl ideal-leq: error: argument --samples: "
+                                           "must be a nonnegative integer, got '-5'\n")
     assert main(["glambda", "op", "add", "c0"]) == 2
     assert capsys.readouterr().err == ("latspec glambda op: error: the following arguments "
                                        "are required: --chain\n")
@@ -274,6 +279,7 @@ def test_normality_self_checks_under_optimize():
                           *(str(tests / name) for name in ("test_hom_oracles.py",
                                                            "test_normality.py",
                                                            "test_normality_oracles.py",
+                                                           "test_pl_oracles.py",
                                                            "test_replication.py",
                                                            "test_term_oracles.py"))],
                          capture_output=True, text=True, env=env, cwd=tests.parent)

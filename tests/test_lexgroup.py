@@ -155,6 +155,14 @@ def test_chain_mismatch_rejected():
         LexPL.basis(2, 0).join(LexPL.basis(3, 0))
 
 
+def test_lex_entries_must_be_integers():
+    for lex, bad in [((1.5, "2"), "1.5"), ((1, "2"), "'2'")]:
+        with pytest.raises(LexError) as err:
+            LexPL(lex, A)
+        assert str(err.value) == f"lex entry {bad} is not an integer"
+    assert LexPL([True, 2], A).lex == (1, 2)
+
+
 def test_principal_ideal_lattice():
     ia, ib = PrincipalIdeal(A), PrincipalIdeal(B)
     assert ia.join(ib) == PrincipalIdeal(pl_add(A, B))

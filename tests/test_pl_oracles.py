@@ -1,0 +1,284 @@
+"""Seeded differential tests of the integer PL arithmetic against the old Fraction code.
+
+The oracles are kept verbatim from before the arithmetic moved to
+integers: ``pl_eval`` as a linear scan over the cones in ``Fraction``
+arithmetic, ``_merge_rays`` as a sort of the union by a ``Fraction`` angle
+key, and the constructor that validated every fan, which every operation
+used to call on its result.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from latspec import cli
+from latspec.cli import main
+from latspec.fileformat import parse_pl_term
+from latspec.plfun import (PL_OPS, PL_UNARY, RAY_X, RAY_Y, IdealLeq, PLError, PLFun,
+                           _merge_rays, common_refinement, pl_abs, pl_add, pl_eval,
+                           pl_generators, pl_ideal_leq, pl_join, pl_meet, pl_scale, pl_sub)
+from latspec.randgen import random_pl_term
+
+A, B = pl_generators()
+
+
+# -- oracles: the Fraction code as it was --------------------------------------
+
+def _cross(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _dot(c, r):
+    return c[0] * r[0] + c[1] * r[1]
+
+
+def _primitive(x, y):
+    if x < 0 or y < 0 or (x == 0 and y == 0):
+        raise PLError(f"({x}, {y}) is not a direction in the closed quadrant")
+    g = gcd(x, y)
+    return (x // g, y // g)
+
+
+def oracle_merge_rays(*ray_lists):
+    rays = set()
+    for rl in ray_lists:
+        rays.update(rl)
+    return tuple(sorted(rays, key=_angle_key))
+
+
+def _angle_key(r):
+    # monotone in angle on the closed quadrant: y/(x+y) ∈ [0, 1]
+    return Fraction(r[1], r[0] + r[1])
+
+
+class OracleFan:
+    """The validating constructor, verbatim."""
+
+    def __init__(self, rays, coeffs):
+        rays = tuple((int(x), int(y)) for x, y in rays)
+        coeffs = tuple((int(m), int(n)) for m, n in coeffs)
+        if len(rays) < 2 or rays[0] != RAY_X or rays[-1] != RAY_Y:
+            raise PLError("fan must start at (1,0) and end at (0,1)")
+        if len(coeffs) != len(rays) - 1:
+            raise PLError("need exactly one functional per cone")
+        for x, y in rays:
+            if x < 0 or y < 0 or (x, y) != _primitive(x, y):
+                raise PLError(f"ray ({x}, {y}) is not primitive in the quadrant")
+        for k in range(len(rays) - 1):
+            if _cross(rays[k], rays[k + 1]) <= 0:
+                raise PLError("rays must be strictly sorted by angle")
+        for k in range(len(coeffs) - 1):
+            if _dot(coeffs[k], rays[k + 1]) != _dot(coeffs[k + 1], rays[k + 1]):
+                raise PLError(f"discontinuity at ray {rays[k + 1]}")
+            if coeffs[k] == coeffs[k + 1]:
+                raise PLError(f"fan not canonical: redundant ray {rays[k + 1]}")
+        self.rays = rays
+        self.coeffs = coeffs
+
+
+def oracle_pl_eval(f, x, y):
+    """Value at a rational point of the closed quadrant."""
+    x, y = Fraction(x), Fraction(y)
+    if x < 0 or y < 0:
+        raise PLError(f"point ({x}, {y}) outside the closed quadrant")
+    p = (x, y)
+    for k in range(len(f.rays) - 1):
+        if _cross(f.rays[k], p) >= 0 and _cross(p, f.rays[k + 1]) >= 0:
+            m, n = f.coeffs[k]
+            v = m * x + n * y
+            return int(v) if v.denominator == 1 else v
+    raise PLError("point not located in any cone")  # pragma: no cover
+
+
+def oracle_sample_verdicts(fa, ga, bound, seed, samples):
+    """The sampling loop of ``pl ideal-leq --samples`` as it was: Fraction points."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(samples):
+        px = Fraction(rng.randint(0, 10 ** 6), rng.randint(1, 1000))
+        py = Fraction(rng.randint(0, 10 ** 6), rng.randint(1, 1000))
+        out.append(oracle_pl_eval(fa, px, py) > bound * oracle_pl_eval(ga, px, py))
+    return out
+
+
+def sample_verdicts(fa, ga, bound, seed, samples):
+    """The same loop on the integer points (a·d, c·b), as ``cmd_pl`` runs it."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(samples):
+        a, b = rng.randint(0, 10 ** 6), rng.randint(1, 1000)
+        c, d = rng.randint(0, 10 ** 6), rng.randint(1, 1000)
+        px, py = a * d, c * b
+        out.append(pl_eval(fa, px, py) > bound * pl_eval(ga, px, py))
+    return out
+
+
+# -- corpus --------------------------------------------------------------------
+
+def hinge_sum(rng: random.Random, hinges: int = 22) -> PLFun:
+    """A sum of hinges with distinct kinks: a fan of hinges + 2 rays.
+
+    Each hinge is the join or meet of a linear form L and L + (p·b - q·a),
+    which has its one kink on the ray (p, q).
+    """
+    kinks = sorted({(p // gcd(p, q), q // gcd(p, q)) for p in range(1, 10)
+                    for q in range(1, 10)}, key=_angle_key)
+    total = PLFun.zero()
+    for p, q in rng.sample(kinks, hinges):
+        low = PLFun.linear(rng.randint(-6, 6), rng.randint(-6, 6))
+        high = pl_add(low, pl_sub(pl_scale(p, B), pl_scale(q, A)))
+        total = pl_add(total, pl_join(low, high) if rng.random() < 0.5 else pl_meet(low, high))
+    return total
+
+
+def zigzag(rng: random.Random, order: int = 8) -> PLFun:
+    """A function that changes sign on every cone of its fan.
+
+    The rays are the Farey sequence of the given order, read as t = y/(x+y);
+    neighbours have cross product 1, so any integer values at the rays fit
+    integer functionals.  The values alternate in sign.
+    """
+    ts = sorted({Fraction(a, b) for b in range(1, order + 1) for a in range(b + 1)})
+    rays = [(t.denominator - t.numerator, t.numerator) for t in ts]
+    vals = [(-1) ** k * rng.randint(1, 5) for k in range(len(rays))]
+    coeffs = [(v * s[1] - w * r[1], w * r[0] - v * s[0])
+              for r, s, v, w in zip(rays, rays[1:], vals, vals[1:])]
+    return PLFun(rays, coeffs)
+
+
+def corpus(seed: int) -> tuple[list[str], list[PLFun]]:
+    rng = random.Random(seed)
+    terms = [random_pl_term(rng, rng.randint(1, 7)) for _ in range(60)]
+    fs = [A, B, PLFun.zero()] + [f for _, f in terms]
+    fs += [hinge_sum(rng) for _ in range(8)] + [zigzag(rng) for _ in range(6)]
+    return [t for t, _ in terms], fs
+
+
+TERMS, CORPUS = corpus(2024)
+
+
+def results(rng: random.Random, fs: list[PLFun], pairs: int):
+    """Every PL operation and scaling on seeded pairs from the corpus."""
+    for _ in range(pairs):
+        f, g = rng.choice(fs), rng.choice(fs)
+        for name, op in PL_OPS.items():
+            yield op(f) if name in PL_UNARY else op(f, g)
+        yield pl_scale(rng.randint(-4, 4), f)
+        yield pl_abs(pl_add(f, pl_scale(-2, g)))
+
+
+def points(rng: random.Random, f: PLFun):
+    """Random rationals, every ray of f, both axes and the origin, as int and Fraction."""
+    for _ in range(12):
+        yield (Fraction(rng.randint(0, 400), rng.randint(1, 40)),
+               Fraction(rng.randint(0, 400), rng.randint(1, 40)))
+        yield rng.randint(0, 10 ** 6), rng.randint(0, 10 ** 6)
+    for rx, ry in f.rays:
+        k = rng.randint(1, 9)
+        yield rx * k, ry * k
+        yield Fraction(rx * k, 7), Fraction(ry * k, 7)
+        yield Fraction(rx, 3), ry
+    for v in (1, 5, Fraction(2, 3)):
+        yield v, 0
+        yield 0, v
+    yield 0, 0
+    yield Fraction(0), Fraction(0)
+    yield Fraction(0), 0
+
+
+# -- tests ---------------------------------------------------------------------
+
+def test_eval_matches_fraction_scan():
+    rng = random.Random(7)
+    for f in CORPUS + list(results(rng, CORPUS, 20)):
+        for x, y in points(rng, f):
+            want = oracle_pl_eval(f, x, y)
+            got = pl_eval(f, x, y)
+            assert got == want and type(got) is type(want), (f, x, y)
+
+
+def test_eval_rejects_points_outside_quadrant():
+    f = CORPUS[-1]
+    for x, y in ((-1, 0), (0, -1), (Fraction(-1, 2), 3), (3, Fraction(-1, 5))):
+        with pytest.raises(PLError) as want:
+            oracle_pl_eval(f, x, y)
+        with pytest.raises(PLError) as got:
+            pl_eval(f, x, y)
+        assert str(got.value) == str(want.value)
+
+
+def test_operation_results_are_canonical():
+    rng = random.Random(11)
+    n = 0
+    for g in results(rng, CORPUS, 120):
+        assert PLFun(g.rays, g.coeffs) == g
+        o = OracleFan(g.rays, g.coeffs)
+        assert (o.rays, o.coeffs) == (g.rays, g.coeffs)
+        n += 1
+    assert n > 1000
+
+
+def test_merge_matches_sorted_union():
+    rng = random.Random(13)
+    for _ in range(400):
+        f, g = rng.choice(CORPUS), rng.choice(CORPUS)
+        assert _merge_rays(f.rays, g.rays) == oracle_merge_rays(f.rays, g.rays)
+        # sorted sublists, including empty ones and ones sharing no ray
+        r = [ray for ray in f.rays if rng.random() < 0.5]
+        s = [ray for ray in g.rays if rng.random() < 0.3]
+        assert _merge_rays(r, s) == oracle_merge_rays(r, s)
+        assert _merge_rays(s, r) == oracle_merge_rays(r, s)
+        fs = rng.sample(CORPUS, rng.randint(0, 5))
+        rays, _ = common_refinement(fs)
+        assert rays == oracle_merge_rays(*(h.rays for h in fs))
+
+
+def test_sampling_verdicts_match_fraction_points():
+    rng = random.Random(17)
+    checked = failures = 0
+    while checked < 40:
+        x, y = rng.choice(CORPUS), rng.choice(CORPUS)
+        res = pl_ideal_leq(x, y)
+        if not res.holds:
+            continue
+        fa, ga = pl_abs(x), pl_abs(y)
+        seed = rng.randrange(1000)
+        for bound in {res.bound, max(res.bound - 1, 0)}:
+            want = oracle_sample_verdicts(fa, ga, bound, seed, 60)
+            assert sample_verdicts(fa, ga, bound, seed, 60) == want
+            failures += sum(want)
+        checked += 1
+    assert failures > 0  # bound - 1 really fails somewhere
+
+
+@pytest.mark.parametrize("lower", [0, 1])
+def test_cli_sampling_counts_match_fraction_points(capsys, monkeypatch, lower):
+    # with the bound lowered by one, main's own sampling loop must fail
+    # exactly where the Fraction loop fails
+    def ideal_leq(f, g):
+        res = pl_ideal_leq(f, g)
+        return IdealLeq(True, bound=max(res.bound - lower, 0)) if res.holds else res
+
+    monkeypatch.setattr(cli, "pl_ideal_leq", ideal_leq)
+    rng = random.Random(19)
+    ran = failures = 0
+    for _ in range(60):
+        tx, ty = rng.choice(TERMS), rng.choice(TERMS)
+        seed = rng.randrange(1000)
+        assert main(["pl", "ideal-leq", tx, ty, "--samples", "40", "--seed", str(seed),
+                     "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        if not out["holds"]:
+            continue
+        fa, ga = pl_abs(parse_pl_term(tx)), pl_abs(parse_pl_term(ty))
+        want = oracle_sample_verdicts(fa, ga, out["bound"], seed, 40)
+        assert out["sample_failures"] == sum(want)
+        failures += sum(want)
+        ran += 1
+    assert ran > 10
+    assert (failures > 0) == (lower == 1)

@@ -37,6 +37,14 @@ def test_fan_validation():
         PLFun(((0, 1), (1, 0)), ((1, 0),))  # wrong orientation
     with pytest.raises(PLError):
         PLFun(((1, 0), (0, 1)), ((1, 0), (0, 1)))  # too many coefficients
+    # entries must be integers: no truncation of 1.5, no parsing of '1'
+    for rays, coeffs, bad in [(((1, 0), (0, 1)), ((1.5, 0),), "1.5"),
+                              ((("1", 0), (0, 1)), (("3", 0),), "'1'"),
+                              (((1, 0), (0, 1)), ((Fraction(2), 0),), "Fraction(2, 1)")]:
+        with pytest.raises(PLError) as err:
+            PLFun(rays, coeffs)
+        assert str(err.value) == f"fan entry {bad} is not an integer"
+    assert PLFun(((True, 0), (0, 1)), ((3, 0),)) == PLFun.linear(3, 0)  # bool is an int
 
 
 def test_join_inserts_crossing_ray():
