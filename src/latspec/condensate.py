@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .homs import LatHom, NotAHomomorphismError
 from .order import DLat, LatticeError, product_lattice
+from .report import Report
 
 
 class MixedCondensateError(LatticeError):
@@ -182,7 +183,7 @@ def cond_make(phi: LatHom, universe: IndexUniverse) -> Condensate:
 
 
 @dataclass(frozen=True)
-class StageIsoReport:
+class StageIsoReport(Report):
     """Outcome of comparing a finite stage C_J with the product A × B^J."""
 
     stage_size: int
@@ -190,15 +191,10 @@ class StageIsoReport:
     bijective: bool
     is_lattice_iso: bool
     bounds_ok: bool
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self) -> bool:
-        return self.bijective and self.is_lattice_iso and self.bounds_ok
-
-    def to_dict(self):
-        return {"stage_size": self.stage_size, "product_size": self.product_size,
-                "bijective": self.bijective, "is_lattice_iso": self.is_lattice_iso,
-                "bounds_ok": self.bounds_ok, "ok": self.ok}
+    def __post_init__(self):
+        object.__setattr__(self, "ok", self.bijective and self.is_lattice_iso and self.bounds_ok)
 
 
 def finite_stage_iso(cond: Condensate, names: Sequence[str]) -> StageIsoReport:
@@ -266,20 +262,15 @@ class AlmostConstantSurjection:
 
 
 @dataclass(frozen=True)
-class SurjectionReport:
+class SurjectionReport(Report):
     hom_ok: bool
     bottom_ok: bool
     top_ok: bool
     surjective: bool
     source_size: int
     target_size: int
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self) -> bool:
-        return self.hom_ok and self.bottom_ok and self.top_ok and self.surjective
-
-    def to_dict(self):
-        return {"hom_ok": self.hom_ok, "bottom_ok": self.bottom_ok,
-                "top_ok": self.top_ok, "surjective": self.surjective,
-                "source_size": self.source_size, "target_size": self.target_size,
-                "ok": self.ok}
+    def __post_init__(self):
+        object.__setattr__(self, "ok",
+                           self.hom_ok and self.bottom_ok and self.top_ok and self.surjective)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .order import DLat, LatticeError, Poset, bits, canon_key, downset_lattice
+from .report import Report
 from .spectra import CofinalityError
 
 
@@ -154,13 +155,15 @@ def dual_hom_of_poset_map(g: Sequence[int], p: Poset, q: Poset) -> LatHom:
 
 
 @dataclass(frozen=True)
-class CofinalReport:
+class CofinalReport(Report):
+    """Cofinality, with the first codomain element below no element of the range.
+
+    No command serializes this report; its dict lists all three fields.
+    """
+
     cofinal: bool
     top_rule_agrees: bool  # f(1) = 1 matches the definitional test
     unbounded_witness: int | None = None
-
-    def to_dict(self):
-        return {"cofinal": self.cofinal, "top_rule_agrees": self.top_rule_agrees}
 
 
 def is_cofinal(f: LatHom) -> CofinalReport:
@@ -175,12 +178,9 @@ def is_cofinal(f: LatHom) -> CofinalReport:
 
 
 @dataclass(frozen=True)
-class ClosedReport:
+class ClosedReport(Report):
     closed: bool
     witness: tuple[int, int, int] | None = None  # (a0, a1, b), least in canonical order
-
-    def to_dict(self):
-        return {"closed": self.closed, "witness": list(self.witness) if self.witness else None}
 
 
 def is_closed(f: LatHom) -> ClosedReport:
@@ -203,13 +203,10 @@ def is_closed(f: LatHom) -> ClosedReport:
 
 
 @dataclass(frozen=True)
-class ConvexReport:
+class ConvexReport(Report):
     convex: bool
     # witness ideals are principal; each is named by its generator element
     witness: tuple[int, int, int] | None = None  # (p, q0, j) generators of (P, Q0, J)
-
-    def to_dict(self):
-        return {"convex": self.convex, "witness": list(self.witness) if self.witness else None}
 
 
 def is_convex(f: LatHom) -> ConvexReport:
@@ -248,7 +245,7 @@ def is_convex(f: LatHom) -> ConvexReport:
 
 
 @dataclass(frozen=True)
-class HomCensus:
+class HomCensus(Report):
     """One-call summary of all homomorphism flags."""
 
     valid: bool
@@ -261,20 +258,6 @@ class HomCensus:
     closed_witness: tuple[int, int, int] | None
     convex: bool | None  # None when the map is not cofinal
     convex_witness: tuple[int, int, int] | None
-
-    def to_dict(self):
-        return {
-            "valid": self.valid,
-            "preserves_bottom": self.preserves_bottom,
-            "preserves_top": self.preserves_top,
-            "surjective": self.surjective,
-            "injective": self.injective,
-            "cofinal": self.cofinal,
-            "closed": self.closed,
-            "closed_witness": list(self.closed_witness) if self.closed_witness else None,
-            "convex": self.convex,
-            "convex_witness": list(self.convex_witness) if self.convex_witness else None,
-        }
 
 
 def hom_census(f: LatHom) -> HomCensus:

@@ -15,13 +15,14 @@ later construction step uses a *lower* chain position).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import index
 from typing import Sequence
 
 from .plfun import (IdealLeq, PLFun, pl_abs, pl_add, pl_eq, pl_geq_zero,
                     pl_ideal_leq, pl_is_zero, pl_join, pl_meet, pl_neg,
-                    pl_scale, pl_sub)
+                    pl_scale, pl_sub, pl_way_below)
+from .report import Report
 
 
 class LexError(ValueError):
@@ -200,7 +201,6 @@ def way_below(x, y) -> bool:
     leading position), or y has zero lex part and then x must be 0.
     """
     if isinstance(x, PLFun):
-        from .plfun import pl_way_below
         return pl_way_below(x, y)
     if not (x.is_nonneg() and y.is_nonneg()):
         raise LexError("way-below is defined for nonnegative elements only")
@@ -282,7 +282,7 @@ class PrincipalIdeal:
 
 
 @dataclass(frozen=True)
-class OrthReport:
+class OrthReport(Report):
     """Pairwise-orthogonality report for a set of strictly positive elements.
 
     ``lex_parts_zero`` records the finite form of the countability
@@ -295,16 +295,11 @@ class OrthReport:
     meet_violations: tuple[tuple[int, int], ...]
     lex_parts_zero: bool | None  # None when not applicable (size < 2 or not orthogonal)
     nonzero_lex_members: tuple[int, ...]
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self) -> bool:
-        return self.pairwise_orthogonal and self.lex_parts_zero is not False
-
-    def to_dict(self):
-        return {"size": self.size, "pairwise_orthogonal": self.pairwise_orthogonal,
-                "meet_violations": [list(v) for v in self.meet_violations],
-                "lex_parts_zero": self.lex_parts_zero,
-                "nonzero_lex_members": list(self.nonzero_lex_members), "ok": self.ok}
+    def __post_init__(self):
+        object.__setattr__(self, "ok",
+                           self.pairwise_orthogonal and self.lex_parts_zero is not False)
 
 
 def orthogonal_set_check(xs: Sequence[LexPL]) -> OrthReport:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .order import DLat, LatticeError, SelfCheckError, bits, canon_key
+from .report import Report
 
 
 class NotCompletelyNormalError(LatticeError):
@@ -81,13 +82,9 @@ def find_splitting(lat: DLat, a: int, b: int) -> Splitting | None:
 
 
 @dataclass(frozen=True)
-class NormalityReport:
+class NormalityReport(Report):
     completely_normal: bool
     witness: tuple[int, int] | None = None  # least unsplittable pair
-
-    def to_dict(self):
-        return {"completely_normal": self.completely_normal,
-                "witness": list(self.witness) if self.witness else None}
 
 
 def is_completely_normal(lat: DLat) -> NormalityReport:

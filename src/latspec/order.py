@@ -19,7 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, permutations
 from typing import Callable, Iterable, Sequence
 
 
@@ -207,7 +207,6 @@ class Poset:
 
     def isomorphic_to(self, other: "Poset") -> bool:
         """Brute-force isomorphism test (intended for small posets)."""
-        from itertools import permutations
         if self.n != other.n:
             return False
         if sorted(map(popcount, self.up)) != sorted(map(popcount, other.up)):

@@ -30,6 +30,8 @@ from math import gcd
 from operator import index
 from typing import Sequence
 
+from .report import Report
+
 Vec = tuple[int, int]
 
 RAY_X: Vec = (1, 0)
@@ -220,23 +222,23 @@ def _crossing_ray(df: Vec, left: Vec, right: Vec) -> Vec:
 
 
 def pl_join(f: PLFun, g: PLFun) -> PLFun:
-    """Pointwise maximum: refine, split cones where f - g changes sign."""
+    """Pointwise maximum: refine, split cones where f - g changes sign.
+
+    A crossing ray lies inside one cone of the common fan, so its two
+    halves keep that cone's functionals: the larger one on each side.
+    """
     rays, cf, cg = refine(f, g)
-    extra = []
+    out_rays, out = [rays[0]], []
     for k in range(len(rays) - 1):
         df = (cf[k][0] - cg[k][0], cf[k][1] - cg[k][1])
         s1, s2 = _dot(df, rays[k]), _dot(df, rays[k + 1])
         if (s1 > 0 > s2) or (s1 < 0 < s2):
-            extra.append(_crossing_ray(df, rays[k], rays[k + 1]))
-    if extra:  # found in cone order, so already angle-sorted
-        rays = _merge_rays(rays, extra)
-        cf, cg = _coeffs_on(f, rays), _coeffs_on(g, rays)
-    out = []
-    for k in range(len(rays) - 1):
-        df = (cf[k][0] - cg[k][0], cf[k][1] - cg[k][1])
-        take_f = _dot(df, rays[k]) >= 0 and _dot(df, rays[k + 1]) >= 0
-        out.append(cf[k] if take_f else cg[k])
-    return PLFun.from_pieces(rays, out)
+            out_rays.append(_crossing_ray(df, rays[k], rays[k + 1]))
+            out += (cf[k], cg[k]) if s1 > 0 else (cg[k], cf[k])
+        else:
+            out.append(cf[k] if s1 >= 0 and s2 >= 0 else cg[k])
+        out_rays.append(rays[k + 1])
+    return PLFun.from_pieces(out_rays, out)
 
 
 def pl_meet(f: PLFun, g: PLFun) -> PLFun:
@@ -336,7 +338,7 @@ def pl_combine(op: str, f: PLFun, g: PLFun | None = None) -> PLFun:
 
 
 @dataclass(frozen=True)
-class IdealLeq:
+class IdealLeq(Report):
     """Result of the principal-ideal containment test ⟨x⟩ ⊆ ⟨y⟩.
 
     When it holds, ``bound`` is the least n with |x| ≤ n·|y|.  When it
@@ -346,10 +348,6 @@ class IdealLeq:
     holds: bool
     bound: int | None = None
     witness: Vec | None = None
-
-    def to_dict(self):
-        return {"holds": self.holds, "bound": self.bound,
-                "witness": list(self.witness) if self.witness else None}
 
 
 def pl_ideal_leq(x: PLFun, y: PLFun) -> IdealLeq:

@@ -21,13 +21,14 @@ a mismatch pinpoints the failing value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .condensate import AlmostConstantSurjection, IndexUniverse
-from .homs import LatHom, dual_hom_of_poset_map, hom_census, is_closed, is_convex
+from .homs import HomCensus, LatHom, dual_hom_of_poset_map, hom_census, is_closed, is_convex
 from .normality import DiffLattice, expand_v0, is_completely_normal
 from .order import DLat, LatticeError, Poset, chain_lattice, chain_product
+from .report import Report
 
 BAR = (0, 2, 2)     # 0↦0, nonzero↦2
 RMAP = (0, 1, 1)    # 0↦0, nonzero↦1
@@ -114,7 +115,8 @@ def build_cube() -> CubeDiagram:
 
 
 @dataclass(frozen=True)
-class CubeReport:
+class CubeReport(Report):
+    ok: bool = field(init=False)
     embeddings_ok: bool
     bounds_ok: bool
     faces_ok: bool
@@ -124,16 +126,9 @@ class CubeReport:
     n_amalgams: int
     failures: tuple[str, ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return self.embeddings_ok and self.bounds_ok and self.faces_ok and self.amalgams_ok
-
-    def to_dict(self):
-        return {"ok": self.ok, "embeddings_ok": self.embeddings_ok,
-                "bounds_ok": self.bounds_ok, "faces_ok": self.faces_ok,
-                "amalgams_ok": self.amalgams_ok, "n_maps": self.n_maps,
-                "n_faces": self.n_faces, "n_amalgams": self.n_amalgams,
-                "failures": list(self.failures)}
+    def __post_init__(self):
+        object.__setattr__(self, "ok", self.embeddings_ok and self.bounds_ok
+                           and self.faces_ok and self.amalgams_ok)
 
 
 def verify_cube(cube: CubeDiagram) -> CubeReport:
@@ -199,23 +194,16 @@ def _two_level_squares() -> list[tuple[frozenset, tuple[frozenset, frozenset], f
 
 
 @dataclass(frozen=True)
-class CubeV0Report:
+class CubeV0Report(Report):
+    ok: bool = field(init=False)
     identities_ok: bool
     maps_preserve_diff: bool
     normality_checked: tuple[str, ...]
     triangle_violations: int
     failures: tuple[str, ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return self.identities_ok and self.maps_preserve_diff
-
-    def to_dict(self):
-        return {"ok": self.ok, "identities_ok": self.identities_ok,
-                "maps_preserve_diff": self.maps_preserve_diff,
-                "normality_checked": list(self.normality_checked),
-                "triangle_violations": self.triangle_violations,
-                "failures": list(self.failures)}
+    def __post_init__(self):
+        object.__setattr__(self, "ok", self.identities_ok and self.maps_preserve_diff)
 
 
 def expand_cube_v0(cube: CubeDiagram, rep: CubeReport | None = None) -> tuple[dict, CubeV0Report]:
@@ -337,7 +325,8 @@ def generated_subalgebra(dl: DiffLattice, gens: list[int]) -> set[int]:
 
 
 @dataclass(frozen=True)
-class RhoReport:
+class RhoReport(Report):
+    ok: bool = field(init=False)
     forced_solutions: dict
     forced_unique: bool
     pushed: dict
@@ -349,23 +338,10 @@ class RhoReport:
     subalgebras_ok: bool
     failures: tuple[str, ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return (self.forced_unique and self.pushed_expected and self.triangle_fails
-                and self.naturality_ok and self.subalgebras_ok)
-
-    def to_dict(self):
-        return {"ok": self.ok,
-                "forced_solutions": {str(k): v for k, v in self.forced_solutions.items()},
-                "forced_unique": self.forced_unique,
-                "pushed": {str(k): list(v) for k, v in self.pushed.items()},
-                "pushed_expected": self.pushed_expected,
-                "join_value": list(self.join_value),
-                "triangle_fails": self.triangle_fails,
-                "last_coordinate": list(self.last_coordinate),
-                "naturality_ok": self.naturality_ok,
-                "subalgebras_ok": self.subalgebras_ok,
-                "failures": list(self.failures)}
+    def __post_init__(self):
+        object.__setattr__(self, "ok", self.forced_unique and self.pushed_expected
+                           and self.triangle_fails and self.naturality_ok
+                           and self.subalgebras_ok)
 
 
 def run_rho_contradiction(cube: CubeDiagram | None = None,
@@ -444,21 +420,17 @@ def zero_separating_map() -> LatHom:
 
 
 @dataclass(frozen=True)
-class ClosedKernelReport:
+class ClosedKernelReport(Report):
+    ok: bool = field(init=False)
     eps_closed: bool
     witness: tuple
     witness_expected: bool
     identity_controls: tuple[bool, ...]
-    census: dict
+    census: HomCensus
 
-    @property
-    def ok(self) -> bool:
-        return (not self.eps_closed) and self.witness_expected and all(self.identity_controls)
-
-    def to_dict(self):
-        return {"ok": self.ok, "eps_closed": self.eps_closed,
-                "witness": list(self.witness), "witness_expected": self.witness_expected,
-                "identity_controls": list(self.identity_controls), "census": self.census}
+    def __post_init__(self):
+        object.__setattr__(self, "ok", (not self.eps_closed) and self.witness_expected
+                           and all(self.identity_controls))
 
 
 def kernel_not_closed() -> ClosedKernelReport:
@@ -474,29 +446,22 @@ def kernel_not_closed() -> ClosedKernelReport:
     controls = (is_closed(LatHom.identity(c3)).closed,
                 is_closed(LatHom.identity(eps.cod)).closed)
     return ClosedKernelReport(rep.closed, rep.witness or (), rep.witness == expected,
-                              controls, hom_census(eps).to_dict())
+                              controls, hom_census(eps))
 
 
 @dataclass(frozen=True)
-class ConvexKernelReport:
+class ConvexKernelReport(Report):
+    ok: bool = field(init=False)
     phi_table: tuple[int, ...]
     table_expected: bool
     phi_convex: bool
     witness: tuple
     stage_reports: tuple
-    census: dict
+    census: HomCensus
 
-    @property
-    def ok(self) -> bool:
-        return (self.table_expected and not self.phi_convex
-                and all(r.ok for r in self.stage_reports))
-
-    def to_dict(self):
-        return {"ok": self.ok, "phi_table": list(self.phi_table),
-                "table_expected": self.table_expected, "phi_convex": self.phi_convex,
-                "witness": list(self.witness),
-                "stage_reports": [r.to_dict() for r in self.stage_reports],
-                "census": self.census}
+    def __post_init__(self):
+        object.__setattr__(self, "ok", self.table_expected and not self.phi_convex
+                           and all(r.ok for r in self.stage_reports))
 
 
 def kernel_not_convex(max_stage: int = 2) -> ConvexKernelReport:
@@ -516,26 +481,21 @@ def kernel_not_convex(max_stage: int = 2) -> ConvexKernelReport:
     stages = tuple(acs.verify_stage([f"i{t}" for t in range(k)])
                    for k in range(max_stage + 1))
     return ConvexKernelReport(levels, table_ok, conv.convex, conv.witness or (),
-                              stages, hom_census(phi).to_dict())
+                              stages, hom_census(phi))
 
 
 @dataclass(frozen=True)
-class ReplicationSummary:
+class ReplicationSummary(Report):
+    ok: bool = field(init=False)
     cube: CubeReport
     v0: CubeV0Report
     rho: RhoReport
     closed_kernel: ClosedKernelReport
     convex_kernel: ConvexKernelReport
 
-    @property
-    def ok(self) -> bool:
-        return (self.cube.ok and self.v0.ok and self.rho.ok
-                and self.closed_kernel.ok and self.convex_kernel.ok)
-
-    def to_dict(self):
-        return {"ok": self.ok, "cube": self.cube.to_dict(), "v0": self.v0.to_dict(),
-                "rho": self.rho.to_dict(), "closed_kernel": self.closed_kernel.to_dict(),
-                "convex_kernel": self.convex_kernel.to_dict()}
+    def __post_init__(self):
+        object.__setattr__(self, "ok", self.cube.ok and self.v0.ok and self.rho.ok
+                           and self.closed_kernel.ok and self.convex_kernel.ok)
 
 
 def replicate_all() -> ReplicationSummary:

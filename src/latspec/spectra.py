@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .order import DLat, LatticeError, bits, canon_key
+from .report import Report
 
 #: Brute-force enumeration refuses lattices above this many elements.
 BRUTEFORCE_SIZE_BOUND = 2 ** 16
@@ -122,12 +123,9 @@ def prime_spectrum_bruteforce(lat: DLat, size_bound: int = BRUTEFORCE_SIZE_BOUND
 
 
 @dataclass(frozen=True)
-class StoneUnitReport:
+class StoneUnitReport(Report):
     ok: bool
     failures: tuple[str, ...] = ()
-
-    def to_dict(self):
-        return {"ok": self.ok, "failures": list(self.failures)}
 
 
 def stone_unit_check(lat: DLat, spec: Spectrum | None = None) -> StoneUnitReport:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -232,6 +233,48 @@ def test_replicate_rho_reports_values(capsys):
     assert d["pushed"]["(2, 3)"] == [2, 0, 0, 0]
 
 
+#: sha256 of the stdout of ``latspec ARGV --json``, which pins the values and
+#: the key order of every report; V and EPS stand for the two files above
+JSON_STDOUT_SHA256 = {
+    ("replicate", "all"):
+        "98e321049532d075eda613904208d3c389e13480f562cdd44dd0fc5c68347ff1",
+    ("replicate", "cube"):
+        "5405b58501496725bace059547a7f2c68c897316c0c9a7c3b6b5ec3c361fee14",
+    ("replicate", "v0"):
+        "d5c808655359fa17305eb6d73ba160c3a20ec8ae59fd0315a001a9fb92fd5ad8",
+    ("replicate", "rho"):
+        "0a01b5e20c5e764502e342e44ad8cb6e3d0a487e5d84825f5dde12f38fe04c94",
+    ("replicate", "closed-kernel"):
+        "859eddd8466c2d2cc3fbf02b4adcd3a17efb2fa32941db9396ddb940a016f250",
+    ("replicate", "convex-kernel"):
+        "0bbf5f61bce088c46c47500f5dc842daa360081aa11e64995f5a36aad119f466",
+    ("hom", "check", "EPS"):
+        "ba03d03f6e355658bb28d7579e282f37a22acfce06db8377584cb215e92487b4",
+    ("cond", "stage", "EPS", "--indices", "i,j"):
+        "88b933e7f92b7e9f3b00d9ce79d7eaf87a3996f2436b5abc0a1e914815f51863",
+    ("lattice", "check", "V"):
+        "ded086d66eecc365641c8fdd00cf63e732ffcfc86a05c494b542e956c2b37f3c",
+    ("glambda", "ortho", "(pl (diff a b))", "(pl (diff b a))", "--chain", "2"):
+        "5f20c04dc757f5d717e81064fd60d5b8e95bb6ba181511756dd00c7175043e0e",
+    ("glambda", "ortho", "c0", "(pl a)", "(pl b)", "--chain", "2"):
+        "3317ad7723ff96714ca005aa9627cf01897cdffed6c998c4a280acee9eeaa5f4",
+    ("pl", "ideal-leq", "a", "(add a b)"):
+        "e2350bc4b13e7420917c0152c0f78dd5be22c00512de00d7b5f11abbcf5d6480",
+    ("pl", "ideal-leq", "(add a b)", "a"):
+        "429386762c61e7dd6d15460a58c1d14c891eb16facc28a1be3bd8748a5497c96",
+    ("pl", "ideal-leq", "a", "(add a b)", "--samples", "50", "--seed", "3"):
+        "2165e09a5fcd1abbcee979e36490876d54df683abdfb17eaa039aa2f37d04bfc",
+}
+
+
+@pytest.mark.parametrize("argv", list(JSON_STDOUT_SHA256), ids=" ".join)
+def test_json_output_unchanged(argv, vfile, epsfile, capsys):
+    files = {"V": vfile, "EPS": epsfile}
+    assert main([files.get(a, a) for a in argv] + ["--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == JSON_STDOUT_SHA256[argv], out
+
+
 def test_dot_output_chain_spectrum_is_path(tmp_path, capsys):
     # the spectrum of the n-chain is a path with n-1 nodes
     for n in (2, 3, 5):
@@ -281,6 +324,7 @@ def test_normality_self_checks_under_optimize():
                                                            "test_normality_oracles.py",
                                                            "test_pl_oracles.py",
                                                            "test_replication.py",
+                                                           "test_report_oracles.py",
                                                            "test_term_oracles.py"))],
                          capture_output=True, text=True, env=env, cwd=tests.parent)
     assert out.returncode == 0, out.stdout + out.stderr

@@ -4,7 +4,9 @@ The oracles are kept verbatim from before the arithmetic moved to
 integers: ``pl_eval`` as a linear scan over the cones in ``Fraction``
 arithmetic, ``_merge_rays`` as a sort of the union by a ``Fraction`` angle
 key, and the constructor that validated every fan, which every operation
-used to call on its result.
+used to call on its result.  ``pl_join`` is also checked against its
+two-pass form, which merged the crossing rays into the common fan and
+then read both functions' coefficients off the whole fan again.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from latspec import cli
 from latspec.cli import main
 from latspec.fileformat import parse_pl_term
 from latspec.plfun import (PL_OPS, PL_UNARY, RAY_X, RAY_Y, IdealLeq, PLError, PLFun,
-                           _merge_rays, common_refinement, pl_abs, pl_add, pl_eval,
-                           pl_generators, pl_ideal_leq, pl_join, pl_meet, pl_scale, pl_sub)
+                           _coeffs_on, _crossing_ray, _merge_rays, common_refinement,
+                           pl_abs, pl_add, pl_eval, pl_generators, pl_ideal_leq, pl_join,
+                           pl_meet, pl_neg, pl_scale, pl_sub, refine)
 from latspec.randgen import random_pl_term
 
 A, B = pl_generators()
@@ -93,6 +96,26 @@ def oracle_pl_eval(f, x, y):
             v = m * x + n * y
             return int(v) if v.denominator == 1 else v
     raise PLError("point not located in any cone")  # pragma: no cover
+
+
+def oracle_pl_join(f: PLFun, g: PLFun) -> PLFun:
+    """Pointwise maximum: refine, split cones where f - g changes sign."""
+    rays, cf, cg = refine(f, g)
+    extra = []
+    for k in range(len(rays) - 1):
+        df = (cf[k][0] - cg[k][0], cf[k][1] - cg[k][1])
+        s1, s2 = _dot(df, rays[k]), _dot(df, rays[k + 1])
+        if (s1 > 0 > s2) or (s1 < 0 < s2):
+            extra.append(_crossing_ray(df, rays[k], rays[k + 1]))
+    if extra:  # found in cone order, so already angle-sorted
+        rays = _merge_rays(rays, extra)
+        cf, cg = _coeffs_on(f, rays), _coeffs_on(g, rays)
+    out = []
+    for k in range(len(rays) - 1):
+        df = (cf[k][0] - cg[k][0], cf[k][1] - cg[k][1])
+        take_f = _dot(df, rays[k]) >= 0 and _dot(df, rays[k + 1]) >= 0
+        out.append(cf[k] if take_f else cg[k])
+    return PLFun.from_pieces(rays, out)
 
 
 def oracle_sample_verdicts(fa, ga, bound, seed, samples):
@@ -221,6 +244,18 @@ def test_operation_results_are_canonical():
         assert (o.rays, o.coeffs) == (g.rays, g.coeffs)
         n += 1
     assert n > 1000
+
+
+def test_join_matches_two_pass_join():
+    # every ordered pair of the corpus, and each function against 0 and -f;
+    # the zigzags change sign on every cone, against 0 and against each other
+    crossings = []
+    for f in CORPUS:
+        for g in CORPUS + [PLFun.zero(), pl_neg(f)]:
+            want = oracle_pl_join(f, g)
+            assert pl_join(f, g) == want, (f, g)
+            crossings.append(len(set(want.rays) - set(f.rays) - set(g.rays)))
+    assert sum(c > 0 for c in crossings) > 1000 and max(crossings) >= 20
 
 
 def test_merge_matches_sorted_union():

@@ -111,7 +111,7 @@ def test_kernel_not_convex():
     assert rep.phi_table == (0, 1, 1, 2) and rep.table_expected
     assert rep.phi_convex is False
     assert [r.ok for r in rep.stage_reports] == [True, True, True]
-    assert rep.census["closed"] is False  # phi is not closed either
+    assert rep.census.closed is False  # phi is not closed either
 
 
 def test_replicate_all_summary():
