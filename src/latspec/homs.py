@@ -137,6 +137,9 @@ def dual_hom_of_poset_map(g: Sequence[int], p: Poset, q: Poset) -> LatHom:
     """
     if len(g) != p.n:
         raise LatticeError("poset map table has wrong length")
+    for i, v in enumerate(g):
+        if not 0 <= v < q.n:
+            raise LatticeError(f"poset map value {v} out of range at {i}")
     for i in range(p.n):
         for j in range(p.n):
             if p.leq(i, j) and not q.leq(g[i], g[j]):

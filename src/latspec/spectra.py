@@ -2,17 +2,21 @@
 
 A prime ideal of a finite lattice is a nonempty proper subset that is
 downward closed, join closed, and satisfies x∧y ∈ P ⟹ x ∈ P or y ∈ P.
-Every ideal of a finite lattice is the principal downset of its largest
-element, so the honest brute-force enumeration below ranges over candidate
-generators and re-checks all four defining conditions from scratch; it is
-the oracle for the fast join-irreducible path.
+For the downset lattice of a base poset the primes are exactly
+I_p = {x : p ∉ x}, and I_p ⊆ I_q iff p ≤ q (finite Stone duality), so a
+spectrum is the base poset with its points in canonical order: each point
+is named by its base point, and a prime is expanded to its members only
+where output needs them.  Every ideal of a finite lattice is the principal
+downset of its largest element, so the honest brute-force enumeration
+below ranges over candidate generators and re-checks all four defining
+conditions from scratch; it is the oracle for the fast path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .order import DLat, LatticeError, bits, canon_key
+from .order import DLat, LatticeError, SelfCheckError, canon_key
 from .report import Report
 
 #: Brute-force enumeration refuses lattices above this many elements.
@@ -23,81 +27,62 @@ BRUTEFORCE_SIZE_BOUND = 2 ** 16
 class Spectrum:
     """All prime ideals of a DLat, ordered by inclusion.
 
-    ``points[k]`` is a bitmask over *element positions* of the lattice
-    (canonical enumeration order), so point comparison is mask inclusion.
-    ``unit[p]`` is, for the element at position ``p``, the bitmask of points
-    not containing that element: the unit map a ↦ {P : a ∉ P}.
+    ``points[k]`` is the base point p with point k = I_p = {x : p ∉ x}, so
+    point comparison is the base order.
     """
 
     lattice: DLat
     points: tuple[int, ...]
-    unit: tuple[int, ...]
 
     @property
     def n_points(self) -> int:
         return len(self.points)
 
     def point_leq(self, i: int, j: int) -> bool:
-        return self.points[i] | self.points[j] == self.points[j]
-
-    def base_point(self, k: int) -> int:
-        """The base point p with point k = I_p = {x : p ∉ x}.
-
-        A prime ideal I_p is the principal downset of its largest member,
-        top∖↑p, which is the member at the highest element position.
-        """
-        lat = self.lattice
-        return lat.base.up.index(lat.top & ~lat.elements[self.points[k].bit_length() - 1])
+        return self.lattice.base.leq(self.points[i], self.points[j])
 
     def point_elements(self, i: int) -> list[int]:
         """The prime ideal at point i, as lattice element masks."""
-        els = self.lattice.elements
-        return [els[p] for p in bits(self.points[i])]
+        p = self.points[i]
+        return [x for x in self.lattice.elements if not x >> p & 1]
 
     def order_pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n_points) for j in range(self.n_points)
                 if i != j and self.point_leq(i, j)]
 
 
-def _point_masks_to_spectrum(lat: DLat, raw_points: list[int]) -> Spectrum:
-    pts = sorted(set(raw_points), key=canon_key)
-    unit = []
-    for p in range(lat.size):
-        m = 0
-        for k, pt in enumerate(pts):
-            if not (pt >> p) & 1:
-                m |= 1 << k
-        unit.append(m)
-    return Spectrum(lat, tuple(pts), tuple(unit))
-
-
 def prime_spectrum(lat: DLat) -> Spectrum:
-    """Spectrum via the join-irreducible shortcut.
+    """Spectrum via the join-irreducible shortcut: the points are the base.
 
-    For the downset lattice of a base poset, the prime ideals are exactly
-    I_p = {x : p ∉ x} for base elements p, and p ≤ q iff I_p ⊆ I_q.
+    Points come in the canonical order of their element-position masks M_p
+    (bit k set when element k lies in I_p), and the key ``canon_key(M_p)``
+    is read off the base without building M_p: popcount(M_p) = |I_p| counts
+    the x with x ∩ ↑p = ∅, and the highest bit of M_p is the position of
+    I_p's largest member top∖↑p.  Distinct primes have distinct largest
+    members, so among primes of one size that bit decides, and positions
+    follow ``canon_key``.  The key is (|I_p|, canon_key(top∖↑p)).
     """
-    els = lat.elements
-    pts = []
-    for p in range(lat.base.n):
-        m = 0
-        for pos, x in enumerate(els):
-            if not (x >> p) & 1:
-                m |= 1 << pos
-        pts.append(m)
-    return _point_masks_to_spectrum(lat, pts)
+    els, up, top = lat.elements, lat.base.up, lat.top
+
+    def key(p: int) -> tuple[int, tuple[int, int]]:
+        return sum(not x & up[p] for x in els), canon_key(top & ~up[p])
+
+    return Spectrum(lat, tuple(sorted(range(lat.base.n), key=key)))
 
 
-def prime_spectrum_bruteforce(lat: DLat, size_bound: int = BRUTEFORCE_SIZE_BOUND) -> Spectrum:
+def prime_spectrum_bruteforce(lat: DLat) -> Spectrum:
     """Oracle path: enumerate ideals as principal downsets, test primality.
 
     Every nonempty proper ideal candidate is re-verified to be downward
-    closed and join closed before the prime condition is tested.
+    closed and join closed before the prime condition is tested.  The
+    primes are sorted by their element-position masks, and each is named
+    by its generator: ↓gen is I_p for the base point p with ↑p = top∖gen.
     """
-    if lat.size > size_bound:
-        raise LatticeError(f"brute-force spectrum refused for size {lat.size} > {size_bound}")
+    if lat.size > BRUTEFORCE_SIZE_BOUND:
+        raise LatticeError(f"brute-force spectrum refused for size {lat.size} "
+                           f"> {BRUTEFORCE_SIZE_BOUND}")
     els = lat.elements
-    pts = []
+    primes = []
     for gen in els:
         if gen == lat.top:
             continue  # proper ideals only
@@ -118,8 +103,11 @@ def prime_spectrum_bruteforce(lat: DLat, size_bound: int = BRUTEFORCE_SIZE_BOUND
                         prime = False
                         break
         if prime:
-            pts.append(mask)
-    return _point_masks_to_spectrum(lat, pts)
+            primes.append((canon_key(mask), lat.top & ~gen))
+    up = lat.base.up
+    if any(rest not in up for _, rest in primes):
+        raise SelfCheckError("a prime ideal is not I_p for any base point p")
+    return Spectrum(lat, tuple(up.index(rest) for _, rest in sorted(primes)))
 
 
 @dataclass(frozen=True)
@@ -129,14 +117,24 @@ class StoneUnitReport(Report):
 
 
 def stone_unit_check(lat: DLat, spec: Spectrum | None = None) -> StoneUnitReport:
-    """Verify a ↦ {P : a ∉ P} is a bounded-lattice isomorphism onto its image."""
+    """Verify a ↦ {k : points[k] ∈ a} is a bounded-lattice isomorphism onto its image.
+
+    This is the unit a ↦ {P : a ∉ P}.  For a spectrum of ``lat`` whose
+    points are a permutation of the base, it is a relabelling of bits: it
+    is injective, sends ∨ to ∪ and ∧ to ∩, preserves and reflects order,
+    and sends 0 and top to ∅ and all points, so the check passes without a
+    scan.  Any other spectrum gets the pair scan, which names the first
+    failure.
+    """
     if spec is None:
         spec = prime_spectrum(lat)
-    unit = spec.unit
+    if spec.lattice == lat and sorted(spec.points) == list(range(lat.base.n)):
+        return StoneUnitReport(True)
+    els = lat.elements
+    unit = [sum(1 << k for k, p in enumerate(spec.points) if x >> p & 1) for x in els]
     fails: list[str] = []
     if len(set(unit)) != lat.size:
         fails.append("unit not injective")
-    els = lat.elements
     for i, x in enumerate(els):
         for j, y in enumerate(els):
             if (unit[i] | unit[j] == unit[j]) != DLat.leq(x, y):
@@ -160,18 +158,17 @@ def stone_unit_check(lat: DLat, spec: Spectrum | None = None) -> StoneUnitReport
 def spectrum_matches_base(lat: DLat, spec: Spectrum | None = None) -> bool:
     """The spectrum order is isomorphic to the base poset via p ↦ I_p.
 
-    Each point is named by ``base_point``, so the points are taken to be
-    prime ideals, as both spectrum constructors give.
+    The points must be a permutation of the base, and the prime ideals,
+    read element by element, must be included in each other exactly as the
+    base orders their points.
     """
     if spec is None:
         spec = prime_spectrum(lat)
     base = lat.base
-    if spec.n_points != base.n:
+    if sorted(spec.points) != list(range(base.n)):
         return False
-    pt = [spec.base_point(k) for k in range(base.n)]
-    if len(set(pt)) != base.n:
-        return False
-    return all(base.leq(pt[k], pt[m]) == spec.point_leq(k, m)
+    ideals = [set(spec.point_elements(k)) for k in range(base.n)]
+    return all((ideals[k] <= ideals[m]) == base.leq(spec.points[k], spec.points[m])
                for k in range(base.n) for m in range(base.n))
 
 
@@ -199,16 +196,16 @@ class SpecMapResult:
 def spec_map(f) -> SpecMapResult:
     """Dual of a LatHom: Q ↦ f⁻¹[Q], read off the dual point map.
 
-    Point k of Spec(cod) is I_p for p = ``base_point(k)``, and its preimage
-    is the prime I_φ(p) of the domain, for φ = ``f.dual_point_map()``.  A
+    Point k of Spec(cod) is I_q for q = ``points[k]``, and its preimage is
+    the prime I_φ(q) of the domain, for φ = ``f.dual_point_map()``.  A
     map with f(1) ≠ 1 raises ``CofinalityError``: some preimage is the whole
     domain.
     """
     sd = prime_spectrum(f.dom)
     sc = prime_spectrum(f.cod)
     phi = f.dual_point_map()
-    dom_point = {sd.base_point(k): k for k in range(sd.n_points)}
-    mapping = [dom_point[phi[sc.base_point(k)]] for k in range(sc.n_points)]
+    index_in_sd = {p: k for k, p in enumerate(sd.points)}
+    mapping = [index_in_sd[phi[q]] for q in sc.points]
     inj = len(set(mapping)) == len(mapping)
     emb = all(sc.point_leq(i, j) == sd.point_leq(mapping[i], mapping[j])
               for i in range(sc.n_points) for j in range(sc.n_points))

@@ -275,6 +275,39 @@ def test_json_output_unchanged(argv, vfile, epsfile, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == JSON_STDOUT_SHA256[argv], out
 
 
+#: an explicit N-shaped lattice whose join-irreducibles x, w, a, b are listed
+#: top first, so its base labels are not a linear extension
+N_LATTICE = """lattice
+elements: 1 x y w v a b 0
+leq: x<1 y<1 w<y v<x v<y a<v b<w b<v 0<a 0<b
+"""
+
+#: a base that is not completely normal (a lies below the incomparable b
+#: and c), labelled top first; its two largest primes have 9 members each
+H_POSET = """poset
+elements: f e d c b a
+covers: a<b a<c b<d c<d c<e e<f
+"""
+
+#: sha256 of the stdout of ``latspec lattice check FILE FLAG``, which pins
+#: the order of the spectrum points where label order and size disagree
+POINT_ORDER_SHA256 = {
+    (N_LATTICE, "--json"): "ca1a47fc903f4e0f994efc19f425078d5b1239b7ffe6df8889e9ab668d491da7",
+    (H_POSET, "--json"): "b32df5412061b070501fd7e4bab42a523ce8f1b56a36b60b522397b11bf9c06d",
+    (H_POSET, "--dot"): "caf4abfd8790c54e6e8b12341c19c68654133294b793d6fdb752e139c3b0232a",
+}
+
+
+@pytest.mark.parametrize("text, flag", list(POINT_ORDER_SHA256),
+                         ids=["N-lattice-json", "H-poset-json", "H-poset-dot"])
+def test_spectrum_point_order_unchanged(text, flag, tmp_path, capsys):
+    path = tmp_path / "case.lat"
+    path.write_text(text)
+    assert main(["lattice", "check", str(path), flag]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == POINT_ORDER_SHA256[text, flag], out
+
+
 def test_dot_output_chain_spectrum_is_path(tmp_path, capsys):
     # the spectrum of the n-chain is a path with n-1 nodes
     for n in (2, 3, 5):
@@ -325,6 +358,7 @@ def test_normality_self_checks_under_optimize():
                                                            "test_pl_oracles.py",
                                                            "test_replication.py",
                                                            "test_report_oracles.py",
+                                                           "test_spectra_oracles.py",
                                                            "test_term_oracles.py"))],
                          capture_output=True, text=True, env=env, cwd=tests.parent)
     assert out.returncode == 0, out.stdout + out.stderr

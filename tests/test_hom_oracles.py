@@ -5,7 +5,8 @@ The oracles are ``is_closed``, ``is_convex``, ``spec_map`` and
 verbatim: the search for an interpolant x inside each closedness triple,
 the convexity scan over generators recovered from prime-spectrum masks,
 the preimage of every codomain point computed element by element, and the
-I_p masks rebuilt to match a spectrum against its base.
+I_p masks rebuilt to match a spectrum against its base.  They read the
+mask-based spectrum of ``test_spectra_oracles``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from latspec.order import DLat, LatticeError, Poset, canon_key, chain_product
 from latspec.randgen import random_01_hom, random_monotone_map, random_poset
 from latspec.spectra import (CofinalityError, SpecMapResult, Spectrum, prime_spectrum,
                              prime_spectrum_bruteforce, spec_map, spectrum_matches_base)
+from test_spectra_oracles import (OracleSpectrum, corruptions, old_form, oracle_prime_spectrum,
+                                  point_masks)
 
 
 # -- oracles: the scans as they were before the dual point map ------------
@@ -55,8 +58,8 @@ def oracle_is_convex(f: LatHom) -> ConvexReport:
     if not is_cofinal(f).cofinal:
         raise CofinalityError("is_convex requires a cofinal homomorphism")
     dom, cod = f.dom, f.cod
-    sd = prime_spectrum(dom)
-    sc = prime_spectrum(cod)
+    sd = oracle_prime_spectrum(dom)
+    sc = oracle_prime_spectrum(cod)
     # principal-downset generators: a prime ideal ↓g is recovered as the
     # join of its members
     def gen_of(spec, lat, k):
@@ -83,10 +86,10 @@ def oracle_is_convex(f: LatHom) -> ConvexReport:
     return ConvexReport(True)
 
 
-def oracle_spectrum_matches_base(lat: DLat, spec: Spectrum | None = None) -> bool:
+def oracle_spectrum_matches_base(lat: DLat, spec: OracleSpectrum | None = None) -> bool:
     """The spectrum order is isomorphic to the base poset via p ↦ I_p."""
     if spec is None:
-        spec = prime_spectrum(lat)
+        spec = oracle_prime_spectrum(lat)
     base = lat.base
     if spec.n_points != base.n:
         return False
@@ -112,8 +115,8 @@ def oracle_spectrum_matches_base(lat: DLat, spec: Spectrum | None = None) -> boo
 def oracle_spec_map(f) -> SpecMapResult:
     """Dual of a LatHom: Q ↦ f⁻¹[Q], with the preimages verified prime."""
     dom, cod = f.dom, f.cod
-    sd = prime_spectrum(dom)
-    sc = prime_spectrum(cod)
+    sd = oracle_prime_spectrum(dom)
+    sc = oracle_prime_spectrum(cod)
     dom_pts = {pt: k for k, pt in enumerate(sd.points)}
     mapping = []
     for q in range(sc.n_points):
@@ -218,11 +221,20 @@ def test_convex_witnesses_on_shuffled_bases():
     assert not_convex >= 60, not_convex
 
 
+def as_masks(res):
+    """A spec_map result, or what it raised, with each spectrum as its point masks."""
+    if isinstance(res, tuple):
+        return res
+    masks = [s.points if isinstance(s, OracleSpectrum) else point_masks(s)
+             for s in (res.dom_spectrum, res.cod_spectrum)]
+    return (*masks, res.point_map, res.injective, res.order_embedding)
+
+
 def test_spec_map_matches_oracle(homs):
     refused = 0
     for f in homs + PROJECTIONS:
         got = outcome(spec_map, f)
-        assert got == outcome(oracle_spec_map, f), f.table
+        assert as_masks(got) == as_masks(outcome(oracle_spec_map, f)), f.table
         refused += isinstance(got, tuple)
         if isinstance(got, tuple):
             assert got[0] is CofinalityError
@@ -237,7 +249,7 @@ def test_dual_point_map_gives_the_map_back(homs):
 
 
 def test_base_point_on_both_spectra(homs):
-    """base_point(k) is the p with point k = I_p, on either constructor's points."""
+    """points[k] is the p with point k = I_p, on either constructor's points."""
     seen = {}
     for f in homs[::2]:
         for lat in (f.dom, f.cod):
@@ -245,20 +257,24 @@ def test_base_point_on_both_spectra(homs):
                 continue
             seen[lat] = None
             fast, brute = prime_spectrum(lat), prime_spectrum_bruteforce(lat)
-            pts = [fast.base_point(k) for k in range(fast.n_points)]
-            assert pts == [brute.base_point(k) for k in range(brute.n_points)]
-            for k, p in enumerate(pts):
-                assert fast.points[k] == sum(1 << pos for pos, x in enumerate(lat.elements)
-                                             if not (x >> p) & 1)
+            assert fast.points == brute.points
+            old = oracle_prime_spectrum(lat)
+            for k, p in enumerate(fast.points):
+                assert old.points[k] == sum(1 << pos for pos, x in enumerate(lat.elements)
+                                            if not (x >> p) & 1)
             assert spectrum_matches_base(lat) == oracle_spectrum_matches_base(lat) is True
             assert (spectrum_matches_base(lat, brute)
-                    == oracle_spectrum_matches_base(lat, brute) is True)
+                    == oracle_spectrum_matches_base(lat, old_form(lat, brute.points)) is True)
+            for pts in corruptions(fast.points):
+                assert (spectrum_matches_base(lat, Spectrum(lat, pts))
+                        == oracle_spectrum_matches_base(lat, old_form(lat, pts))
+                        == (pts == fast.points[::-1])), (lat, pts)
     assert len(seen) > 300, len(seen)
     # against the spectrum of another lattice, mostly a mismatch
     lats = list(seen)
     mismatches = 0
     for lat, other in zip(lats, lats[1:]):
         got = spectrum_matches_base(lat, prime_spectrum(other))
-        assert got == oracle_spectrum_matches_base(lat, prime_spectrum(other)), (lat, other)
+        assert got == oracle_spectrum_matches_base(lat, oracle_prime_spectrum(other)), (lat, other)
         mismatches += not got
     assert mismatches > 250, mismatches

@@ -4,7 +4,7 @@ import pytest
 
 from latspec.homs import (LatHom, NotAHomomorphismError, dual_hom_of_poset_map,
                           hom_census, is_closed, is_cofinal, is_convex)
-from latspec.order import Poset, chain_lattice, downset_lattice
+from latspec.order import LatticeError, Poset, chain_lattice, downset_lattice
 from latspec.randgen import random_01_hom
 from latspec.spectra import CofinalityError
 
@@ -27,6 +27,18 @@ def test_constructor_rejects_non_homs():
         LatHom(c3, c2, [1, 1, 1])  # does not preserve 0
     with pytest.raises(NotAHomomorphismError):
         LatHom(downset_lattice(Poset.antichain(2)), c2, [0, 1, 1, 0])  # join broken
+
+
+@pytest.mark.parametrize("g, q, message", [
+    ([-1, -1], Poset.chain(2), "poset map value -1 out of range at 0"),
+    ([3, 3], Poset.chain(3), "poset map value 3 out of range at 0"),
+    ([0, 5], Poset.chain(2), "poset map value 5 out of range at 1"),
+])
+def test_dual_hom_rejects_values_outside_the_codomain(g, q, message):
+    # each value is range-checked before the monotonicity loop indexes q with it
+    with pytest.raises(LatticeError) as e:
+        dual_hom_of_poset_map(g, Poset.chain(2), q)
+    assert str(e.value) == message
 
 
 def test_flags():

@@ -35,7 +35,7 @@ def powerset_prime_ideals(lat):
 def test_chain_spectra_frozen():
     s3 = prime_spectrum(chain_lattice(3))
     assert s3.n_points == 2
-    assert s3.points[0] | s3.points[1] == s3.points[1]  # a 2-chain
+    assert s3.point_leq(0, 1)  # a 2-chain
     s2 = prime_spectrum(chain_lattice(2))
     assert s2.n_points == 1
     assert s2.point_elements(0) == [0]  # the single point is {0}
@@ -62,8 +62,8 @@ def test_bruteforce_vs_powerset_vs_shortcut(mk):
     fast = prime_spectrum(lat)
     slow = prime_spectrum_bruteforce(lat)
     assert fast.points == slow.points
-    assert fast.unit == slow.unit
-    assert list(fast.points) == powerset_prime_ideals(lat)
+    masks = [sum(1 << lat.pos(x) for x in fast.point_elements(k)) for k in range(fast.n_points)]
+    assert masks == powerset_prime_ideals(lat)
 
 
 def test_bruteforce_agreement_random():
