@@ -119,38 +119,23 @@ class StoneUnitReport(Report):
 def stone_unit_check(lat: DLat, spec: Spectrum | None = None) -> StoneUnitReport:
     """Verify a ↦ {k : points[k] ∈ a} is a bounded-lattice isomorphism onto its image.
 
-    This is the unit a ↦ {P : a ∉ P}.  For a spectrum of ``lat`` whose
-    points are a permutation of the base, it is a relabelling of bits: it
-    is injective, sends ∨ to ∪ and ∧ to ∩, preserves and reflects order,
-    and sends 0 and top to ∅ and all points, so the check passes without a
-    scan.  Any other spectrum gets the pair scan, which names the first
-    failure.
+    This is the unit a ↦ {P : a ∉ P}, and its defining checks are decided
+    by the point list.  For any list of points the unit sends ∨ to ∪, ∧ to ∩
+    and 0 to ∅, and preserves order.  It is injective iff every base point
+    is listed: if p is not, ↓p and ↓p∖{p} have the same image.  An
+    injective unit reflects order, because a ⊄ b means some base point
+    lies in a and not in b.  Top is sent to all points iff none lies
+    outside the base.  A spectrum of another lattice fails outright.
     """
     if spec is None:
         spec = prime_spectrum(lat)
-    if spec.lattice == lat and sorted(spec.points) == list(range(lat.base.n)):
-        return StoneUnitReport(True)
-    els = lat.elements
-    unit = [sum(1 << k for k, p in enumerate(spec.points) if x >> p & 1) for x in els]
+    if spec.lattice != lat:
+        return StoneUnitReport(False, ("spectrum of another lattice",))
+    n = lat.base.n
     fails: list[str] = []
-    if len(set(unit)) != lat.size:
+    if not set(range(n)) <= set(spec.points):
         fails.append("unit not injective")
-    for i, x in enumerate(els):
-        for j, y in enumerate(els):
-            if (unit[i] | unit[j] == unit[j]) != DLat.leq(x, y):
-                fails.append(f"order not reflected/preserved at ({lat.fmt(x)}, {lat.fmt(y)})")
-                break
-            if unit[lat.pos(x | y)] != unit[i] | unit[j]:
-                fails.append(f"join not sent to union at ({lat.fmt(x)}, {lat.fmt(y)})")
-                break
-            if unit[lat.pos(x & y)] != unit[i] & unit[j]:
-                fails.append(f"meet not sent to intersection at ({lat.fmt(x)}, {lat.fmt(y)})")
-                break
-        if fails:
-            break
-    if unit[lat.pos(lat.bottom)] != 0:
-        fails.append("bottom not sent to empty set")
-    if unit[lat.pos(lat.top)] != (1 << spec.n_points) - 1:
+    if any(not 0 <= p < n for p in spec.points):
         fails.append("top not sent to full point set")
     return StoneUnitReport(not fails, tuple(fails))
 

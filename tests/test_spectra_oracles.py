@@ -161,10 +161,11 @@ def old_form(lat: DLat, points) -> OracleSpectrum:
 
 def corruptions(points: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The reversed order, a point beyond the base, and, where they exist,
-    a missing point and a repeated one."""
+    a missing point, one replaced by a point beyond the base, and a
+    repeated one."""
     out = [points[::-1], points + (len(points),)]
     if points:
-        out.append(points[1:])
+        out += [points[1:], points[:-1] + (len(points),)]
     if len(points) > 1:
         out.append(points[:-1] + points[:1])
     return out
@@ -234,7 +235,8 @@ def test_stone_unit_on_corrupted_spectra(lattices):
 
     The unit of any list of points sends ∨ to ∪ and ∧ to ∩, so only a
     missing point (not injective) and a point beyond the base (top not
-    full) can fail; the scan stops after one row once injectivity fails.
+    full) can fail; the oracle's scan stops after one row once injectivity
+    fails.
     """
     failing = set()
     for lat in lattices[::4]:
@@ -242,5 +244,29 @@ def test_stone_unit_on_corrupted_spectra(lattices):
             rep = stone_unit_check(lat, Spectrum(lat, pts))
             assert rep == oracle_stone_unit_check(lat, old_form(lat, pts)), (lat, pts)
             assert rep.ok == (sorted(pts) == list(range(lat.base.n)))
-            failing.update(rep.failures)
-    assert failing == {"unit not injective", "top not sent to full point set"}, failing
+            failing.add(rep.failures)
+    assert failing == {(), ("unit not injective",), ("top not sent to full point set",),
+                       ("unit not injective", "top not sent to full point set")}, failing
+
+
+def test_stone_unit_on_a_negative_point():
+    """A negative point lies in no element, so top misses it; the oracle
+    cannot build its mask at all."""
+    lat = downset_lattice(Poset.chain(2))
+    assert stone_unit_check(lat, Spectrum(lat, (0, 1, -1))) == StoneUnitReport(
+        False, ("top not sent to full point set",))
+    assert stone_unit_check(lat, Spectrum(lat, (0, -1))) == StoneUnitReport(
+        False, ("unit not injective", "top not sent to full point set"))
+
+
+def test_stone_unit_rejects_a_spectrum_of_another_lattice(lattices):
+    """A spectrum of another lattice fails, even when its points are a
+    permutation of this lattice's base; an equal lattice built anew passes."""
+    chain, antichain = downset_lattice(Poset.chain(2)), downset_lattice(Poset.antichain(2))
+    foreign = StoneUnitReport(False, ("spectrum of another lattice",))
+    assert stone_unit_check(chain, prime_spectrum(antichain)) == foreign
+    assert stone_unit_check(antichain, prime_spectrum(chain)) == foreign
+    for lat, other in zip(lattices[::4], lattices[1::4]):
+        spec = prime_spectrum(other)
+        assert stone_unit_check(lat, spec) == (StoneUnitReport(True) if lat == other else foreign)
+        assert stone_unit_check(lat, prime_spectrum(downset_lattice(lat.base))).ok
