@@ -246,7 +246,7 @@ class AlmostConstantSurjection:
         """Exhaustively check 0,1-homomorphism and surjectivity on a stage.
 
         The map is tabulated once on the flat stages and handed to
-        ``LatHom``, which checks 0, join and meet on all pairs.
+        ``LatHom``, which certifies 0, join and meet on the base posets.
         """
         src, _, decode = self.source.stage_lattice(names)
         tgt, encode, _ = self.target.stage_lattice(names)

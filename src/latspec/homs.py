@@ -2,12 +2,16 @@
 
 ``is_closed`` and ``is_convex`` implement, on finite bounded distributive
 lattices, the two witness-style conditions used to tell apart maps that can
-or cannot arise from lattice-ordered groups and f-rings.  Each scans its
-triples in canonical order and returns the least counterexample, so failure
-messages are reproducible across runs.  Neither searches for a witness
-inside a triple: closedness reads the principal ideal {x : f(x) ≤ b}, and
-convexity reads the base posets through the dual point map φ, which every
-0,1-homomorphism of finite distributive lattices has (f(x) = φ⁻¹[x]).
+or cannot arise from lattice-ordered groups and f-rings.  Both read the
+base posets through the dual point map φ, which every 0,1-homomorphism of
+finite distributive lattices has (f(x) = φ⁻¹[x]); ``LatHom`` finds φ while
+it certifies its table.  ``LatHom`` and ``is_closed`` certify first and
+scan in canonical order only where the certificate fails (or, for
+closedness, where f(1) ≠ 1); ``is_convex`` always scans its triples.  A
+scan returns the least counterexample, so failure messages are
+reproducible across runs.  No scan searches for a witness inside a
+triple: closedness reads the principal ideal {x : f(x) ≤ b}, and
+convexity reads φ.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .order import DLat, LatticeError, Poset, bits, canon_key, downset_lattice
+from .order import (DLat, LatticeError, Poset, SelfCheckError, bits, canon_key,
+                    downset_lattice)
 from .report import Report
 from .spectra import CofinalityError
 
@@ -27,17 +32,55 @@ class NotAHomomorphismError(LatticeError):
         super().__init__(f"map does not preserve {kind} at {witness}")
 
 
+def _dual_points(dom: DLat, cod: DLat, table: tuple[int, ...]) -> tuple[int | None, ...] | None:
+    """The dual point map of a table with f(0) = 0, or None if it is no hom.
+
+    With fd[q] = f(↓q), such a table preserves join and meet iff (a)
+    f(x) = ⋃_{q∈x} fd[q] for every x, and (b) for each codomain point p the
+    q with p ∈ fd[q] are none or exactly ↑m for one m.  Then p ∈ f(x) iff
+    m ∈ x, so m = φ(p); entry p is None when p lies in no f(x).  A
+    homomorphism meets both: x is the join of the ↓q inside it, and
+    {x : p ∈ f(x)} is a prime filter, generated by one ↓m (finite
+    Birkhoff duality).  O(|L|·n).
+    """
+    base = dom.base
+    fd = [table[dom.pos(d)] for d in base.down]
+    fd_of_bit = {1 << q: v for q, v in enumerate(fd)}
+    for x, fx in zip(dom.elements, table):
+        acc = 0
+        while x:
+            low = x & -x
+            acc |= fd_of_bit[low]
+            x ^= low
+        if acc != fx:
+            return None
+    holders = [0] * cod.base.n
+    for q, v in enumerate(fd):
+        for p in bits(v):
+            holders[p] |= 1 << q
+    phi = []
+    for s in holders:
+        m = next((m for m in bits(s) if base.up[m] == s), None)
+        if s and m is None:
+            return None
+        phi.append(m)
+    return tuple(phi)
+
+
 class LatHom:
     """A verified 0-lattice homomorphism between two DLats.
 
     The table is indexed by the domain's canonical element positions and
     stores codomain element masks.  Preservation of 0, join and meet is
-    checked at construction; the remaining flags (top, surjective,
-    injective, cofinal) are computed once and stored.
+    certified at construction on the base posets (``_dual_points``); only
+    a table that fails the certificate gets the scan of all pairs, which
+    names the least failing pair.  The certificate yields the dual point
+    map, which is stored with the remaining flags (top, surjective,
+    injective, cofinal).
     """
 
     __slots__ = ("dom", "cod", "table", "preserves_top", "surjective",
-                 "injective", "cofinal")
+                 "injective", "cofinal", "_phi")
 
     def __init__(self, dom: DLat, cod: DLat, table: Sequence[int]):
         table = tuple(table)
@@ -50,6 +93,21 @@ class LatHom:
         self.table = table
         if table[dom.pos(dom.bottom)] != cod.bottom:
             raise NotAHomomorphismError("0", dom.bottom)
+        self._phi = _dual_points(dom, cod, table)
+        if self._phi is None:
+            self._scan_pairs()
+            raise SelfCheckError("LatHom: a table that fails the certificate passed the pair scan")
+        self.preserves_top = self(dom.top) == cod.top
+        rng = set(table)
+        self.surjective = len(rng) == cod.size
+        self.injective = len(rng) == dom.size
+        # for bounded lattices cofinality reduces to f(top) = top; checked
+        # definitionally in is_cofinal
+        self.cofinal = self.preserves_top
+
+    def _scan_pairs(self) -> None:
+        """Raise for the first pair, in canonical order, whose join or meet fails."""
+        dom, table = self.dom, self.table
         els = dom.elements
         for i, x in enumerate(els):
             for j in range(i, len(els)):
@@ -58,13 +116,6 @@ class LatHom:
                     raise NotAHomomorphismError("join", (dom.fmt(x), dom.fmt(y)))
                 if self._app(x & y) != table[i] & table[j]:
                     raise NotAHomomorphismError("meet", (dom.fmt(x), dom.fmt(y)))
-        self.preserves_top = self(dom.top) == cod.top
-        rng = set(table)
-        self.surjective = len(rng) == cod.size
-        self.injective = len(rng) == dom.size
-        # for bounded lattices cofinality reduces to f(top) = top; checked
-        # definitionally in is_cofinal
-        self.cofinal = self.preserves_top
 
     def _app(self, x: int) -> int:
         return self.table[self.dom.pos(x)]
@@ -86,19 +137,13 @@ class LatHom:
     def dual_point_map(self) -> tuple[int, ...]:
         """φ: cod base -> dom base with f(x) = {p : φ(p) ∈ x}.
 
-        ↓φ(p) is the least x with p ∈ f(x).  Those x form a prime filter, so
-        it is also the meet of the principal downsets ↓q with p ∈ f(↓q).
-        Needs f(1) = 1; otherwise some p lies in no f(x), and this raises
-        ``CofinalityError`` as ``spec_map`` does.
+        ↓φ(p) is the least x with p ∈ f(x); the constructor's certificate
+        found it.  Needs f(1) = 1; otherwise some p lies in no f(x), and
+        this raises ``CofinalityError`` as ``spec_map`` does.
         """
         if not self.preserves_top:
             raise CofinalityError("f^{-1}[Q] is all of the domain; f is not cofinal")
-        down = self.dom.base.down
-        least = [self.dom.top] * self.cod.base.n
-        for dq in down:
-            for p in bits(self._app(dq)):
-                least[p] &= dq
-        return tuple(map(down.index, least))
+        return self._phi
 
     def compose(self, other: "LatHom") -> "LatHom":
         """self ∘ other (other applied first)."""
@@ -186,13 +231,32 @@ class ClosedReport(Report):
     witness: tuple[int, int, int] | None = None  # (a0, a1, b), least in canonical order
 
 
+def _goes_up(f: LatHom) -> bool:
+    """φ(↑p) = ↑φ(p) for every codomain point p; needs f(1) = 1."""
+    phi = f.dual_point_map()
+    dup, cup = f.dom.base.up, f.cod.base.up
+    for p, m in enumerate(phi):
+        img = 0
+        for r in bits(cup[p]):
+            img |= 1 << phi[r]
+        if img != dup[m]:
+            return False
+    return True
+
+
 def is_closed(f: LatHom) -> ClosedReport:
     """f(a0) ≤ f(a1)∨b always needs x with a0 ≤ a1∨x and f(x) ≤ b.
 
-    Those x form the principal ideal ↓g(b), g = ``preimage_generator``, so
-    the condition is a0 ≤ a1∨g(b).  The returned witness is the first
-    failing triple (a0, a1, b) in canonical element order.
+    A 0,1-homomorphism is closed iff its dual point map goes up,
+    φ(↑p) = ↑φ(p) for every point p: its dual spectral map is closed.
+    That certifies a closed map in O(n²).  Only a map that fails it, or
+    has f(1) ≠ 1, gets the triple scan.  There the x form the principal
+    ideal ↓g(b), g = ``preimage_generator``, so the condition is
+    a0 ≤ a1∨g(b).  The returned witness is the first failing triple
+    (a0, a1, b) in canonical element order.
     """
+    if f.preserves_top and _goes_up(f):
+        return ClosedReport(True)
     dom, cod = f.dom, f.cod
     gens = [f.preimage_generator(b) for b in cod.elements]
     for i, a0 in enumerate(dom.elements):
@@ -202,6 +266,8 @@ def is_closed(f: LatHom) -> ClosedReport:
             for b, g in zip(cod.elements, gens):
                 if fa0 | fa1 | b == fa1 | b and a0 | a1 | g != a1 | g:
                     return ClosedReport(False, (a0, a1, b))
+    if f.preserves_top:
+        raise SelfCheckError("is_closed: a map that fails the going-up certificate is closed")
     return ClosedReport(True)
 
 

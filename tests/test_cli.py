@@ -308,6 +308,89 @@ def test_spectrum_point_order_unchanged(text, flag, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == POINT_ORDER_SHA256[text, flag], out
 
 
+def _projection_hom() -> str:
+    """The projection 3³ → 3² that drops the middle factor, as a hom file.
+
+    Both lattices list their elements, covers and map entries in a stride
+    order, so declaration order is neither canonical nor a linear extension.
+    """
+    dom = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
+    dom = [dom[(7 * n) % 27] for n in range(27)]
+    cod = [(i, k) for i in range(3) for k in range(3)]
+    cod = [cod[(4 * n) % 9] for n in range(9)]
+
+    def covers(els, name):
+        return " ".join(f"{name(t)}<{name(t[:c] + (t[c] + 1,) + t[c + 1:])}"
+                        for t in els for c in range(len(t)) if t[c] < 2)
+
+    a = lambda t: "a" + "".join(map(str, t))
+    b = lambda t: "b" + "".join(map(str, t))
+    return ("hom\ndom.elements: " + " ".join(map(a, dom)) + "\ndom.leq: " + covers(dom, a)
+            + "\ncod.elements: " + " ".join(map(b, cod)) + "\ncod.leq: " + covers(cod, b)
+            + "\nmap: " + " ".join(f"{a(t)}->{b((t[0], t[2]))}" for t in dom) + "\n")
+
+
+#: the dual of V ∋ s ↦ x, t ↦ y from the antichain {x, y}: ↑x maps onto
+#: {s}, not onto ↑s, so it is not closed
+NOT_CLOSED_HOM = """hom
+dom.elements: su 1 0 st s
+dom.leq: 0<s s<st s<su st<1 su<1
+cod.elements: 0 x y 1
+cod.leq: 0<x 0<y x<1 y<1
+map: 0->0 s->x st->1 su->x 1->1
+"""
+
+#: the projection 3² → 3 met with the middle element: a 0-hom with f(1) ≠ 1
+NO_TOP_HOM = """hom
+dom.elements: a00 a01 a02 a10 a11 a12 a20 a21 a22
+dom.leq: a00<a01 a01<a02 a10<a11 a11<a12 a20<a21 a21<a22 a00<a10 a10<a20 a01<a11 a11<a21 a02<a12 a12<a22
+cod.elements: b0 b1 b2
+cod.leq: b0<b1 b1<b2
+map: a00->b0 a01->b0 a02->b0 a10->b1 a11->b1 a12->b1 a20->b1 a21->b1 a22->b1
+"""
+
+#: sha256 of the stdout of ``latspec hom check FILE [--json]``, recorded
+#: before the homomorphism certificates, which pins the census of a
+#: certified closed map, of a map that fails going-up and of one without 1
+HOM_CHECK_SHA256 = {
+    ("projection", ""): "b5e4ea2eac0d928bae6bd08de4ea03a40068ec48db45be5b04c0f45517a41c2a",
+    ("projection", "--json"): "cb2ee06cd3eafc6563c5ebb3898288c752fcad3421d67ca855d2aec42ee79626",
+    ("not-closed", ""): "368390445f581d4b14424d799a183c2b0f5cf7f7c98b30526cfbc960d693ab69",
+    ("not-closed", "--json"): "96823e715a3706ebbe4663797d5f0af8d3f7a579a5349268f48d0a184e7c7bf8",
+    ("no-top", ""): "8d983b8e554fb3f47ba3994af321fd32534299692729361310ca76b12ed468c8",
+    ("no-top", "--json"): "dc7656a8cff39d0881a3f579062835b1fdd3c58a6732b24b1099b9f403914b8f",
+}
+
+
+@pytest.mark.parametrize("case, flag", list(HOM_CHECK_SHA256), ids="-".join)
+def test_hom_check_output_unchanged(case, flag, tmp_path, capsys):
+    text = {"projection": _projection_hom(), "not-closed": NOT_CLOSED_HOM,
+            "no-top": NO_TOP_HOM}[case]
+    path = tmp_path / "case.hom"
+    path.write_text(text)
+    assert main(["hom", "check", str(path), *filter(None, [flag])]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HOM_CHECK_SHA256[case, flag], out
+
+
+_SQUARE = "hom\ndom.elements: 0 a b 1\ndom.leq: 0<a 0<b a<1 b<1\ncod.elements: 0 1\ncod.leq: 0<1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("hom\ndom.elements: 0 1\ndom.leq: 0<1\ncod.elements: 0 1\ncod.leq: 0<1\nmap: 0->1 1->1\n",
+     "map does not preserve 0 at 0"),
+    (_SQUARE + "map: 0->0 a->0 b->0 1->1\n", "map does not preserve join at ('{a}', '{b}')"),
+    (_SQUARE + "map: 0->0 a->1 b->1 1->1\n", "map does not preserve meet at ('{a}', '{b}')"),
+], ids=["0", "join", "meet"])
+def test_hom_check_rejections_unchanged(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.hom"
+    path.write_text(text)
+    for flags in ([], ["--json"]):
+        assert main(["hom", "check", str(path), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: line 6: {message}\n")
+
+
 def test_dot_output_chain_spectrum_is_path(tmp_path, capsys):
     # the spectrum of the n-chain is a path with n-1 nodes
     for n in (2, 3, 5):

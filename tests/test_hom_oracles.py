@@ -1,8 +1,10 @@
 """Seeded differential tests of homs and spectra against their old element scans.
 
 The oracles are ``is_closed``, ``is_convex``, ``spec_map`` and
-``spectrum_matches_base`` as they were before the dual point map, kept
-verbatim: the search for an interpolant x inside each closedness triple,
+``spectrum_matches_base`` as they were before the dual point map, and the
+``LatHom`` constructor's checks as they were before its certificate, kept
+verbatim: the join and meet of every pair of elements, the search for an
+interpolant x inside each closedness triple,
 the convexity scan over generators recovered from prime-spectrum masks,
 the preimage of every codomain point computed element by element, and the
 I_p masks rebuilt to match a spectrum against its base.  They read the
@@ -15,9 +17,10 @@ import random
 
 import pytest
 
-from latspec.homs import (ClosedReport, ConvexReport, LatHom, dual_hom_of_poset_map,
-                          is_closed, is_cofinal, is_convex)
-from latspec.order import DLat, LatticeError, Poset, canon_key, chain_product
+from latspec import homs as homs_module
+from latspec.homs import (ClosedReport, ConvexReport, LatHom, NotAHomomorphismError,
+                          dual_hom_of_poset_map, is_closed, is_cofinal, is_convex)
+from latspec.order import DLat, LatticeError, Poset, SelfCheckError, canon_key, chain_product
 from latspec.randgen import random_01_hom, random_monotone_map, random_poset
 from latspec.spectra import (CofinalityError, SpecMapResult, Spectrum, prime_spectrum,
                              prime_spectrum_bruteforce, spec_map, spectrum_matches_base)
@@ -26,6 +29,25 @@ from test_spectra_oracles import (OracleSpectrum, corruptions, old_form, oracle_
 
 
 # -- oracles: the scans as they were before the dual point map ------------
+
+def oracle_lathom_check(dom: DLat, cod: DLat, table) -> None:
+    """Raise as ``LatHom(dom, cod, table)`` did: 0, then join and meet on all pairs."""
+    table = tuple(table)
+    if len(table) != dom.size:
+        raise LatticeError("hom table has wrong length")
+    for v in table:
+        cod.check_member(v)
+    if table[dom.pos(dom.bottom)] != cod.bottom:
+        raise NotAHomomorphismError("0", dom.bottom)
+    els = dom.elements
+    for i, x in enumerate(els):
+        for j in range(i, len(els)):
+            y = els[j]
+            if table[dom.pos(x | y)] != table[i] | table[j]:
+                raise NotAHomomorphismError("join", (dom.fmt(x), dom.fmt(y)))
+            if table[dom.pos(x & y)] != table[i] & table[j]:
+                raise NotAHomomorphismError("meet", (dom.fmt(x), dom.fmt(y)))
+
 
 def oracle_is_closed(f: LatHom) -> ClosedReport:
     """f(a0) ≤ f(a1)∨b always needs x with a0 ≤ a1∨x and f(x) ≤ b.
@@ -181,13 +203,71 @@ def test_projection_sizes():
 
 def test_closed_matches_oracle(homs):
     not_closed = not_top = 0
+    cells = dict.fromkeys([(True, True), (True, False), (False, True), (False, False)], 0)
     for f in homs + PROJECTIONS:
         rep = is_closed(f)
         assert rep == oracle_is_closed(f), f.table
         not_closed += not rep.closed
         not_top += not f.preserves_top
+        cells[f.preserves_top, rep.closed] += 1
     assert 500 <= not_closed <= 1200 and 600 <= not_top <= 1200, (not_closed, not_top)
+    # the going-up certificate accepts and rejects, and the scan decides without 1
+    assert min(cells.values()) >= 150, cells
     assert all(is_closed(f).closed for f in PROJECTIONS)
+
+
+def table_corruptions(rng: random.Random, f: LatHom) -> list[list[int]]:
+    """One entry replaced, two entries swapped, and one entry made non-monotone."""
+    els, cod = f.dom.elements, f.cod.elements
+    out = []
+    t = list(f.table)
+    t[rng.randrange(len(t))] = rng.choice(cod)
+    out.append(t)
+    t = list(f.table)
+    i, j = rng.randrange(len(t)), rng.randrange(len(t))
+    t[i], t[j] = t[j], t[i]
+    out.append(t)
+    i = rng.randrange(len(els))
+    below = [f.table[k] for k, y in enumerate(els) if y & els[i] == y]
+    above = [f.table[k] for k, y in enumerate(els) if y & els[i] == els[i]]
+    bad = [c for c in cod if any(v & ~c for v in below) or any(c & ~v for v in above)]
+    if bad:
+        t = list(f.table)
+        t[i] = rng.choice(bad)
+        out.append(t)
+    return out
+
+
+def test_lathom_matches_oracle(homs):
+    rng = random.Random(7_2028)
+    kinds = dict.fromkeys(["0", "join", "meet"], 0)
+    accepted = 0
+    for f in homs + PROJECTIONS:
+        assert outcome(oracle_lathom_check, f.dom, f.cod, f.table) is None
+        for t in table_corruptions(rng, f):
+            got = outcome(LatHom, f.dom, f.cod, t)
+            want = outcome(oracle_lathom_check, f.dom, f.cod, t)
+            if want is None:
+                assert isinstance(got, LatHom), (f.table, t, got)
+                accepted += 1
+                if got.preserves_top:
+                    assert dual_hom_of_poset_map(got.dual_point_map(), f.cod.base, f.dom.base) == got
+            else:
+                assert got == want, (f.table, t)
+                assert want[0] is NotAHomomorphismError
+                kinds[want[1].split()[4]] += 1
+    assert accepted >= 1000 and min(kinds.values()) >= 300, (accepted, kinds)
+
+
+def test_failed_certificates_raise(monkeypatch):
+    """A certificate that rejects what its scan accepts is a bug, even under -O."""
+    f = PROJECTIONS[0]
+    monkeypatch.setattr(homs_module, "_goes_up", lambda f: False)
+    with pytest.raises(SelfCheckError, match="is_closed"):
+        is_closed(f)
+    monkeypatch.setattr(homs_module, "_dual_points", lambda dom, cod, table: None)
+    with pytest.raises(SelfCheckError, match="LatHom"):
+        LatHom(f.dom, f.cod, f.table)
 
 
 def test_convex_matches_oracle(homs):
