@@ -13,8 +13,9 @@ effective line names the kind.  Examples of the three kinds:
 A ``poset`` file describes the base; the lattice is its downsets and
 elements are written as subset literals like ``{t,u}``.  A ``lattice``
 file lists the elements themselves with their order; it is canonicalized
-through the join-irreducible representation, and validation failures
-(not a lattice, not distributive) carry the witness.  A fourth kind,
+through the join-irreducible representation, certified from the order
+alone (``order.lattice_of_order``), and validation failures (not a
+lattice, not distributive) carry the witness.  A fourth kind,
 ``plterm``, holds a single line ``term: (...)``.
 
 PL terms are parenthesized prefix expressions over the generators ``a``
@@ -41,8 +42,8 @@ from dataclasses import dataclass
 
 from .homs import LatHom
 from .lexgroup import LEX_OPS, LEX_UNARY, LexPL
-from .order import (DLat, LatticeError, Poset, RawLattice, birkhoff_iso,
-                    downset_lattice)
+from .order import (DLat, LatticeError, Poset, downset_lattice,
+                    lattice_of_order)
 from .plfun import PL_FOLD, PL_OPS, PL_UNARY, PLFun, pl_generators, pl_scale
 
 
@@ -117,15 +118,17 @@ def _fields(lines: list[tuple[int, str]]) -> dict[str, tuple[int, str]]:
 
 
 def _parse_relation(no: int, text: str, names: list[str], sep: str) -> list[tuple[int, int]]:
+    index = {x: k for k, x in enumerate(names)}
     pairs = []
-    for tok in text.split():
+    for m in re.finditer(r"\S+", text):
+        tok = m.group()
         if sep not in tok:
             raise ParseError(f"expected '<a>{sep}<b>', got {tok!r}", no)
         a, _, b = tok.partition(sep)
         for x in (a, b):
-            if x not in names:
-                raise ParseError(f"undeclared element {x!r}", no, text.find(tok) + 1)
-        pairs.append((names.index(a), names.index(b)))
+            if x not in index:
+                raise ParseError(f"undeclared element {x!r}", no, m.start() + 1)
+        pairs.append((index[a], index[b]))
     return pairs
 
 
@@ -150,13 +153,12 @@ def _parse_poset_lattice(kind: str, fields: dict, prefix: str = "") -> ParsedLat
         except LatticeError as e:
             raise ParseError(str(e), no) from e
         return ParsedLattice(downset_lattice(poset), "poset", {})
-    # explicit lattice: close the declared order, build and canonicalize
+    # explicit lattice: close the declared order and canonicalize it
     entry = get("leq", required=False)
     pairs = _parse_relation(entry[0], entry[1], names, "<") if entry else []
     try:
         poset = Poset.from_pairs(len(names), pairs, names)  # rejects cycles
-        raw_lat = RawLattice.from_order(poset)
-        _, lat, iso = birkhoff_iso(raw_lat)
+        _, lat, iso = lattice_of_order(poset)
     except LatticeError as e:
         raise ParseError(str(e), no) from e
     return ParsedLattice(lat, "lattice", {names[k]: iso[k] for k in range(len(names))})

@@ -65,16 +65,30 @@ def popcount(x: int) -> int:
 
 
 def bits(mask: int) -> Iterable[int]:
-    i = 0
+    """The set bits of a nonnegative mask, in ascending order."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def canon_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
+
+
+def _close_by_fixpoint(up: list[int]) -> list[int]:
+    """Close up-masks under transitivity in place, repeating until nothing changes."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(up)):
+            acc = up[i]
+            for j in bits(up[i]):
+                acc |= up[j]
+            if acc != up[i]:
+                up[i] = acc
+                changed = True
+    return up
 
 
 #: the most downsets ``Poset.downsets`` enumerates (2^20, an antichain of 20)
@@ -96,18 +110,16 @@ class Poset:
                 raise LatticeError("up-mask references element out of range")
             if not (up[i] >> i) & 1:
                 raise LatticeError(f"relation not reflexive at {i}")
+        down = [0] * n
         for i in range(n):
             for j in bits(up[i]):
                 if i != j and (up[j] >> i) & 1:
                     raise CycleError(i, j)
                 if up[j] & ~up[i]:
                     raise LatticeError(f"relation not transitive at ({i}, {j})")
+                down[j] |= 1 << i
         self.n = n
         self.up = up
-        down = [0] * n
-        for i in range(n):
-            for j in bits(up[i]):
-                down[j] |= 1 << i
         self.down = tuple(down)
         if labels is None:
             labels = tuple(str(i) for i in range(n))
@@ -124,23 +136,36 @@ class Poset:
                    labels: Sequence[str] | None = None) -> "Poset":
         """Reflexive-transitive closure of arbitrary (a <= b) pairs.
 
-        Cycles raise ``CycleError`` instead of being collapsed.
+        One pass: a topological order of the pairs' graph (Kahn, CACM
+        5(11), 1962) is taken in reverse, so each up-mask is its own bit
+        joined with the finished up-masks of its successors.  Pairs with a
+        cycle have no such order; they are closed by a fixpoint loop
+        instead, and ``Poset`` raises ``CycleError`` on the closure.
         """
-        up = [1 << i for i in range(n)]
+        succ = [0] * n
         for a, b in pairs:
             if not (0 <= a < n and 0 <= b < n):
                 raise LatticeError(f"pair ({a}, {b}) out of range")
-            up[a] |= 1 << b
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = up[i]
-                for j in bits(up[i]):
-                    acc |= up[j]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
+            if a != b:
+                succ[a] |= 1 << b
+        indeg = [0] * n
+        for s in succ:
+            for b in bits(s):
+                indeg[b] += 1
+        order = [a for a in range(n) if not indeg[a]]
+        for a in order:
+            for b in bits(succ[a]):
+                indeg[b] -= 1
+                if not indeg[b]:
+                    order.append(b)
+        up = [(1 << a) | s for a, s in enumerate(succ)]
+        if len(order) < n:
+            return cls(n, _close_by_fixpoint(up), labels)
+        for a in reversed(order):
+            acc = up[a]
+            for b in bits(succ[a]):
+                acc |= up[b]
+            up[a] = acc
         return cls(n, up, labels)
 
     @classmethod
@@ -522,6 +547,9 @@ def birkhoff_iso(raw: RawLattice) -> tuple[Poset, DLat, list[int]]:
     in O(n^2) that ``iso`` is a lattice isomorphism.  Tables it rejects are
     not a distributive lattice (Birkhoff), so the O(n^3) ``validate`` and
     ``check_distributive`` scans run only then, to report the least witness.
+    An order needs no tables: ``lattice_of_order`` gives the same result
+    and calls this function, on ``RawLattice.from_order``, only to report
+    why an order is not a distributive lattice.
     """
     cert = _certified_round_trip(raw)
     if cert is None:
@@ -530,6 +558,68 @@ def birkhoff_iso(raw: RawLattice) -> tuple[Poset, DLat, list[int]]:
         raise SelfCheckError("birkhoff_iso: a distributive lattice failed its certificate")
     poset, iso = cert
     return poset, DLat(poset), iso
+
+
+def _certified_order(poset: Poset) -> tuple[Poset, DLat, list[int]] | None:
+    """The Birkhoff poset, lattice and iso of an order, certified in O(|L|·|J|), or None.
+
+    ``J`` is the points whose strict down-set is some principal ``down[b]``:
+    the points with exactly one lower cover, in index order.  ``iso[a]`` is
+    ``J ∩ ↓a``, with bit k for ``J[k]``: a downset of the order ``P_J`` that
+    ``J`` inherits, monotone in a.  The order is isomorphic through ``iso``
+    to the downsets of ``P_J``, hence a distributive lattice whose
+    join-irreducibles are ``J`` (Birkhoff), iff:
+
+    - for every a and every t in J outside ``iso[a]``, ``iso[a] ∪ ↓t`` is
+      some ``iso[b]`` with a <= b.  The image holds the empty set when
+      n > 0 (``iso`` of a minimal point) and is closed under adding a
+      principal downset, so it holds every downset of ``P_J``, and there
+      are at most n of them to enumerate.  Every cover S ⊂ S∪{t} of the
+      downsets has S∪{t} = S ∪ ↓t, so ``iso`` reflects the order;
+    - ``DLat(P_J)`` has n elements, so that ``iso``, onto them, is injective.
+    """
+    n, up = poset.n, poset.up
+    by_down = {d: b for b, d in enumerate(poset.down)}
+    irr = [a for a, d in enumerate(poset.down) if d & ~(1 << a) in by_down]
+    iso = [0] * n
+    for k, j in enumerate(irr):
+        for a in bits(up[j]):
+            iso[a] |= 1 << k
+    pos = {m: a for a, m in enumerate(iso)}
+    principal = [iso[j] for j in irr]
+    full = (1 << len(irr)) - 1
+    for a, s in enumerate(iso):
+        ua = up[a]
+        for t in bits(full ^ s):
+            b = pos.get(s | principal[t])
+            if b is None or not ua >> b & 1:
+                return None
+    # principal[k] is the principal downset of J[k] in P_J, so P_J's up-sets are read off it
+    ups = [0] * len(irr)
+    for k, d in enumerate(principal):
+        for i in bits(d):
+            ups[i] |= 1 << k
+    base = Poset(len(irr), ups, [poset.labels[j] for j in irr])
+    lat = DLat(base)
+    return (base, lat, iso) if lat.size == n else None
+
+
+def lattice_of_order(poset: Poset) -> tuple[Poset, DLat, list[int]]:
+    """The distributive lattice an order is: ``(poset, lattice, iso)`` as ``birkhoff_iso``.
+
+    Gives the values of ``birkhoff_iso(RawLattice.from_order(poset))``
+    (the same join-irreducible poset, labels, bit order and ``iso``) but
+    certifies them from the order alone, in O(|L|·|J|), with no join or
+    meet table (``_certified_order``).  Only an order the certificate
+    rejects builds the tables, so that ``birkhoff_iso`` raises its error
+    with its least witness; if it accepts instead, that is a bug and
+    raises ``SelfCheckError``.
+    """
+    cert = _certified_order(poset)
+    if cert is None:
+        birkhoff_iso(RawLattice.from_order(poset))
+        raise SelfCheckError("lattice_of_order: a distributive lattice failed its certificate")
+    return cert
 
 
 def birkhoff_round_trip(lat: DLat) -> None:

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from latspec.cli import main
-from latspec.order import Poset, downset_lattice
+from latspec.homs import dual_hom_of_poset_map
+from latspec.order import Poset, chain_product, downset_lattice
 from latspec.randgen import random_01_hom, random_poset
 
 V_POSET = """poset
@@ -391,6 +392,91 @@ def test_hom_check_rejections_unchanged(text, message, tmp_path, capsys):
         assert (out, err) == ("", f"error: line 6: {message}\n")
 
 
+def _shuffled_fields(rng, lat, prefix: str, name: str) -> str:
+    """``lat`` as explicit fields, each element named by its canonical position.
+
+    The elements, and the covers with a few implied pairs and one repeated
+    cover, are declared in a seeded shuffle: not in a linear extension.
+    """
+    els = lat.elements
+    order = list(range(len(els)))
+    rng.shuffle(order)
+    le = [(i, j) for i, x in enumerate(els) for j, y in enumerate(els) if x & y == x != y]
+    covers = [(i, j) for i, j in le if (els[i] ^ els[j]).bit_count() == 1]
+    pairs = covers + rng.sample(le, 4) + covers[:1]
+    rng.shuffle(pairs)
+    return (f"{prefix}elements: " + " ".join(f"{name}{i}" for i in order)
+            + f"\n{prefix}leq: " + " ".join(f"{name}{i}<{name}{j}" for i, j in pairs) + "\n")
+
+
+#: the H base above, numbered f e d c b a
+H_BASE = Poset.from_pairs(6, [(5, 4), (5, 3), (4, 2), (3, 2), (3, 1), (1, 0)], "fedcba")
+
+
+def _shuffled_text(case: str) -> str:
+    """Explicit files in a seeded declaration order: the downsets of H, the
+    chain product 2 x 3 x 3, and the dual of a monotone map H -> 3-chain."""
+    rng = random.Random(1201)
+    if case != "hom":
+        lat = downset_lattice(H_BASE) if case == "H" else chain_product([2, 3, 3])[0]
+        return "lattice\n" + _shuffled_fields(rng, lat, "", "e")
+    hom = dual_hom_of_poset_map([2, 1, 2, 1, 1, 0], H_BASE, Poset.chain(3))
+    entries = [f"d{i}->c{hom.cod.pos(v)}" for i, v in enumerate(hom.table)]
+    rng.shuffle(entries)
+    return ("hom\n" + _shuffled_fields(rng, hom.dom, "dom.", "d")
+            + _shuffled_fields(rng, hom.cod, "cod.", "c") + "map: " + " ".join(entries) + "\n")
+
+
+#: sha256 of the stdout of ``latspec lattice|hom check FILE [FLAG]`` on the
+#: shuffled explicit files, recorded before explicit files were certified
+#: from their order alone
+SHUFFLED_SHA256 = {
+    ("H", ""):
+        "38c4abb32c1a5393f5c54da80ed94eba3334b5b31b618ab2231c7d91132d5797",
+    ("H", "--json"):
+        "bce32b5b0fe93d608356edbbca8eee254b3613bcafc8d0d6f7ed80ba8a264ce4",
+    ("H", "--dot"):
+        "a4b199066d663c2915ed6adc48373d55bf22f017ed3652943f5ff5f329034411",
+    ("2x3x3", ""):
+        "679de5756b4c822cc3c1a5da53c935b3a769532f532559107d35a0f1e4231122",
+    ("2x3x3", "--json"):
+        "5e51d00d7180293fc9eadc157508bb6d4e9c2a232e0590709cc0d2d6d6e781ca",
+    ("2x3x3", "--dot"):
+        "8d79f987713fb6305416b34cee8965ca79c241cbfee34cd4ea4f885fc913b678",
+    ("hom", ""):
+        "49565670f3b1f9825249b8020adebc7bc8ce2abc0544f38fb4c43b77a59a4b93",
+    ("hom", "--json"):
+        "2089609858c8e4155895f904583057337211b70e9d3bed20e96d99cba8f4bfe5",
+}
+
+
+@pytest.mark.parametrize("case, flag", list(SHUFFLED_SHA256), ids="-".join)
+def test_shuffled_explicit_files_unchanged(case, flag, tmp_path, capsys):
+    path = tmp_path / "case.lat"
+    path.write_text(_shuffled_text(case))
+    assert main(["hom" if case == "hom" else "lattice", "check", str(path),
+                 *filter(None, [flag])]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SHUFFLED_SHA256[case, flag], out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("elements: 1 c b a 0\nleq: 0<a 0<b 0<c a<1 b<1 c<1", "not distributive at triple (1, 2, 3)"),
+    ("elements: 1 z y x 0\nleq: 0<x x<y y<1 0<z z<1", "not distributive at triple (2, 1, 3)"),
+    ("elements: a 0 b\nleq: 0<a 0<b", "no least upper bound: (0, 2)"),
+    ("elements: a 1 b\nleq: a<1 b<1", "no greatest lower bound: (0, 2)"),
+    ("elements: 0 a 1\nleq: 0<a a<1 1<a", "order cycle: 1 <= 2 and 2 <= 1"),
+    ("elements:", "empty carrier"),
+], ids=["M3", "N5", "no-lub", "no-glb", "cycle", "empty"])
+def test_explicit_lattice_rejections_unchanged(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.lat"
+    path.write_text(f"lattice\n{text}\n")
+    for flags in ([], ["--json"], ["--dot"]):
+        assert main(["lattice", "check", str(path), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: line 2: {message}\n")
+
+
 def test_dot_output_chain_spectrum_is_path(tmp_path, capsys):
     # the spectrum of the n-chain is a path with n-1 nodes
     for n in (2, 3, 5):
@@ -438,6 +524,7 @@ def test_normality_self_checks_under_optimize():
                           *(str(tests / name) for name in ("test_hom_oracles.py",
                                                            "test_normality.py",
                                                            "test_normality_oracles.py",
+                                                           "test_order_oracles.py",
                                                            "test_pl_oracles.py",
                                                            "test_replication.py",
                                                            "test_report_oracles.py",

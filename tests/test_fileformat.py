@@ -64,6 +64,14 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as ei:
         parse_lattice_text("poset\nelements: a b\ncovers: a<c\n")
     assert ei.value.line == 3
+    # the column is the offending token's own, not that of an earlier token
+    # that holds it as a substring
+    with pytest.raises(ParseError) as ei:
+        parse_lattice_text("lattice\nelements: a bb\nleq: a<bb  a<b\n")
+    assert str(ei.value) == "line 3, col 7: undeclared element 'b'"
+    with pytest.raises(ParseError) as ei:
+        parse_lattice_text("lattice\nelements: a bb\nleq: a<bb a<b\n")
+    assert str(ei.value) == "line 3, col 6: undeclared element 'b'"
     with pytest.raises(ParseError) as ei:
         parse_lattice_text("widget\n")
     assert ei.value.line == 1

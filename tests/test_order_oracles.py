@@ -1,19 +1,60 @@
 """Seeded differential tests of the order layer against its definitional oracles.
 
-The oracles are the direct algorithms the fast paths replaced: the scan of
+The oracles are the direct algorithms the fast paths replaced: the shift
+loop for ``bits``, the fixpoint loop for ``Poset.from_pairs``, the scan of
 all 2^n masks for downsets, the lub/glb search over all candidates for
-``RawLattice.from_order``, and the O(n^3) ``validate`` ->
-``check_distributive`` -> round trip for ``birkhoff_iso``.
+``RawLattice.from_order``, the O(n^3) ``validate`` ->
+``check_distributive`` -> round trip for ``birkhoff_iso``, and the join
+and meet tables of ``birkhoff_iso(RawLattice.from_order(...))`` for
+``lattice_of_order``.
 """
 
 import random
 
 import pytest
 
-from latspec.order import (DLat, LatticeError, NotALatticeError, Poset,
-                           RawLattice, birkhoff_iso, canon_key,
-                           downset_lattice)
+from latspec import order
+from latspec.fileformat import parse_lattice_text
+from latspec.order import (CycleError, DLat, LatticeError, NotALatticeError,
+                           NotDistributiveError, Poset, RawLattice,
+                           SelfCheckError, birkhoff_iso, canon_key,
+                           downset_lattice, lattice_of_order)
 from latspec.randgen import random_poset
+
+
+def bits_shift(mask):
+    """``bits`` before it iterated the set bits only: one shift per position."""
+    i = 0
+    while mask:
+        if mask & 1:
+            yield i
+        mask >>= 1
+        i += 1
+
+
+def from_pairs_fixpoint(n, pairs, labels=None) -> Poset:
+    """``Poset.from_pairs`` before its one-pass closure: a fixpoint loop."""
+    up = [1 << i for i in range(n)]
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise LatticeError(f"pair ({a}, {b}) out of range")
+        up[a] |= 1 << b
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            acc = up[i]
+            for j in bits_shift(up[i]):
+                acc |= up[j]
+            if acc != up[i]:
+                up[i] = acc
+                changed = True
+    return Poset(n, up, labels)
+
+
+def lattice_of_order_tables(poset: Poset):
+    """``lattice_of_order`` as it was: through the order's join and meet tables."""
+    return birkhoff_iso(RawLattice.from_order(poset))
 
 
 def downsets_scan(p: Poset) -> tuple[int, ...]:
@@ -211,3 +252,172 @@ def _named_raw(pairs, n, names):
         "labels", "chain-201"])
 def test_birkhoff_iso_matches_full_checks_on_fixed_tables(raw):
     assert birkhoff_outcome(birkhoff_iso, raw) == birkhoff_outcome(birkhoff_iso_full, raw)
+
+
+def test_bits_matches_shift_loop():
+    rng = random.Random(4105)
+    masks = [0, 1, 1 << 200, (1 << 257) - 1]
+    masks += [rng.getrandbits(rng.choice((1, 5, 20, 64, 201, 333))) for _ in range(1500)]
+    masks += [sum(1 << rng.randrange(450) for _ in range(rng.randint(1, 6))) for _ in range(500)]
+    for m in masks:
+        assert list(order.bits(m)) == list(bits_shift(m)), m
+    assert sum(m.bit_length() > 200 for m in masks) > 500
+
+
+def poset_outcome(fn, *args):
+    try:
+        p = fn(*args)
+    except LatticeError as e:
+        return (type(e), str(e), getattr(e, "cycle", None))
+    return ("ok", p.n, p.up, p.down, p.labels)
+
+
+def test_from_pairs_matches_fixpoint_loop(monkeypatch):
+    # only pairs with a cycle (self-pairs aside) are closed by the fixpoint loop
+    fixpoints = []
+    close = order._close_by_fixpoint
+    monkeypatch.setattr(order, "_close_by_fixpoint", lambda up: fixpoints.append(1) or close(up))
+    rng = random.Random(4106)
+    kinds = {}
+    for _ in range(600):
+        n = rng.randint(0, 12)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        prob = rng.choice((0.1, 0.3, 0.6))
+        pairs = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < prob]
+        pairs += [(a, a) for a in range(n) if rng.random() < 0.2]
+        if pairs:
+            pairs += rng.choices(pairs, k=rng.randint(1, 3))
+        roll = rng.random()
+        if n >= 2 and roll < 0.3:
+            i, j = sorted(rng.sample(range(n), 2))
+            pairs.append((perm[j], perm[i]))
+        elif n and roll < 0.35:
+            pairs.append((rng.randrange(n), rng.choice((-1, n))))
+        rng.shuffle(pairs)
+        labels = [f"p{k}" for k in range(n)] if rng.random() < 0.5 else None
+        got = poset_outcome(Poset.from_pairs, n, pairs, labels)
+        assert got == poset_outcome(from_pairs_fixpoint, n, pairs, labels), (n, pairs)
+        kinds[got[0]] = kinds.get(got[0], 0) + 1
+    assert kinds["ok"] > 300 and kinds[CycleError] > 50 and kinds[LatticeError] > 10, kinds
+    assert len(fixpoints) == kinds[CycleError]
+
+
+def order_outcome(fn, n, pairs, labels):
+    """A comparable summary of ``fn`` on the closed order: the value, or the error."""
+    try:
+        poset, lat, iso = fn(Poset.from_pairs(n, pairs, labels))
+    except LatticeError as e:
+        return (type(e), str(e))
+    return ("ok", poset, poset.labels, poset.up, lat.elements, iso)
+
+
+def assert_same_as_tables(n, pairs, labels=None):
+    got = order_outcome(lattice_of_order, n, pairs, labels)
+    assert got == order_outcome(lattice_of_order_tables, n, pairs, labels), (n, pairs)
+    return "ok" if got[0] == "ok" else got[1].split(":")[0].split(" at ")[0]
+
+
+def lattice_pairs(rng, lat: DLat):
+    """``lat`` as an order over a shuffled numbering: its covers, some implied
+    pairs, self-pairs and repeats, in a shuffled list; and its labels."""
+    els = list(lat.elements)
+    rng.shuffle(els)
+    pos = {m: k for k, m in enumerate(els)}
+    le = [(pos[x], pos[y]) for x in els for y in els if x & y == x]
+    covers = [(a, b) for a, b in le if (els[a] ^ els[b]).bit_count() == 1]
+    pairs = covers + rng.sample(le, rng.randint(0, min(len(le), 6)))
+    pairs += rng.choices(covers, k=rng.randint(0, 2)) if covers else []
+    rng.shuffle(pairs)
+    return len(els), pairs, [lat.fmt(m) for m in els]
+
+
+def test_lattice_of_order_matches_tables_on_downset_lattices():
+    rng = random.Random(4107)
+    sizes = set()
+    for _ in range(300):
+        n, pairs, labels = lattice_pairs(rng, downset_lattice(random_poset(rng, rng.randint(0, 6))))
+        assert assert_same_as_tables(n, pairs, labels) == "ok"
+        sizes.add(n)
+    assert 1 in sizes and max(sizes) > 20
+
+
+def test_lattice_of_order_matches_tables_on_perturbed_and_random_orders():
+    # a lattice's order with one pair dropped or one pair added, random
+    # relations over 0..7 elements, and the same with a bottom and a top
+    # adjoined: lattices, orders without a lub or a glb, non-distributive
+    # lattices, cycles and the empty carrier
+    rng = random.Random(4108)
+    kinds = {}
+    for _ in range(900):
+        roll = rng.random()
+        labels = None
+        if roll < 0.45:
+            n, pairs, labels = lattice_pairs(rng, downset_lattice(random_poset(rng, rng.randint(1, 5))))
+            if n > 1 and rng.random() < 0.5:
+                drop = rng.choice(pairs)
+                pairs = [p for p in pairs if p != drop]
+            else:
+                pairs.append((rng.randrange(n), rng.randrange(n)))
+        else:
+            n = rng.randint(0, 7)
+            pairs = [(a, b) for a in range(n) for b in range(n)
+                     if a != b and rng.random() < rng.choice((0.1, 0.2, 0.35))]
+            if roll > 0.75:
+                pairs = [(a + 1, b + 1) for a, b in pairs if a < b]
+                pairs += [(0, a) for a in range(1, n + 2)] + [(a, n + 1) for a in range(n + 1)]
+                n += 2
+        kind = assert_same_as_tables(n, pairs, labels)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["ok"] > 150 and kinds["empty carrier"] > 15 and kinds["order cycle"] > 60, kinds
+    assert kinds["no least upper bound"] > 100 and kinds["no greatest lower bound"] > 40, kinds
+    assert kinds["not distributive"] > 75, kinds
+
+
+def product_order(p, q):
+    """The product of two orders given as ``(n, pairs)``; element (a, i) is ``a * nq + i``."""
+    (n1, pairs1), (n2, pairs2) = p, q
+    pairs = [(a * n2 + i, b * n2 + i) for a, b in pairs1 for i in range(n2)]
+    pairs += [(a * n2 + i, a * n2 + j) for i, j in pairs2 for a in range(n1)]
+    return n1 * n2, pairs
+
+
+M3 = (5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+N5 = (5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+
+
+def chain_order(n):
+    return n, [(i, i + 1) for i in range(n - 1)]
+
+
+@pytest.mark.parametrize("n, pairs", [
+    M3, N5, product_order(M3, chain_order(2)), product_order(chain_order(3), M3),
+    product_order(N5, chain_order(3)), product_order(chain_order(2), N5),
+    product_order(chain_order(2), product_order(chain_order(3), chain_order(2))),
+    (3, [(0, 1), (0, 2)]), (3, [(1, 0), (2, 0)]), (4, [(0, 2), (0, 3), (1, 2), (1, 3)]),
+    # 24 atoms over a bottom: a certificate that enumerated the downsets of
+    # the atoms before it rejected would meet 2^24 of them
+    (25, [(0, a) for a in range(1, 25)]),
+    (2, [(0, 1), (1, 0)]), (0, []), (1, []), (1, [(0, 0)]), (2, []),
+], ids=["M3", "N5", "M3x2", "3xM3", "N5x3", "2xN5", "2x3x2", "no-lub", "no-glb",
+        "bowtie", "24-atoms", "cycle", "empty", "one", "one-self-pair", "antichain"])
+def test_lattice_of_order_matches_tables_on_fixed_orders(n, pairs):
+    rng = random.Random(4109)
+    perm = list(range(n))
+    for _ in range(5):
+        shuffled = [(perm[a], perm[b]) for a, b in pairs]
+        assert_same_as_tables(n, shuffled, [f"x{k}" for k in range(n)])
+        rng.shuffle(perm)
+
+
+def test_rejected_certificate_raises(monkeypatch):
+    # an order that is a distributive lattice but fails its certificate is a
+    # bug: the table path accepts it, and the result is SelfCheckError
+    monkeypatch.setattr(order, "_certified_order", lambda poset: None)
+    with pytest.raises(SelfCheckError):
+        lattice_of_order(Poset.chain(3))
+    with pytest.raises(SelfCheckError):
+        parse_lattice_text("lattice\nelements: 0 a b 1\nleq: 0<a 0<b a<1 b<1\n")
+    with pytest.raises(NotDistributiveError):
+        lattice_of_order(Poset.from_pairs(*M3))
