@@ -5,13 +5,14 @@ lattices, the two witness-style conditions used to tell apart maps that can
 or cannot arise from lattice-ordered groups and f-rings.  Both read the
 base posets through the dual point map φ, which every 0,1-homomorphism of
 finite distributive lattices has (f(x) = φ⁻¹[x]); ``LatHom`` finds φ while
-it certifies its table.  ``LatHom`` and ``is_closed`` certify first and
-scan in canonical order only where the certificate fails (or, for
-closedness, where f(1) ≠ 1); ``is_convex`` always scans its triples.  A
-scan returns the least counterexample, so failure messages are
-reproducible across runs.  No scan searches for a witness inside a
+it certifies its table, and a 0-homomorphism has it on the points of
+f(1).  ``LatHom`` and ``is_closed`` certify first and scan in canonical
+order only where the certificate fails; ``is_convex`` always scans its
+triples.  A scan returns the least counterexample, so failure messages
+are reproducible across runs.  No scan searches for a witness inside a
 triple: closedness reads the principal ideal {x : f(x) ≤ b}, and
-convexity reads φ.
+convexity reads φ.  Cofinality is f(1) = 1, read once by ``LatHom``;
+``is_cofinal`` is its definitional test.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ class LatHom:
         rng = set(table)
         self.surjective = len(rng) == cod.size
         self.injective = len(rng) == dom.size
-        # for bounded lattices cofinality reduces to f(top) = top; checked
-        # definitionally in is_cofinal
+        # for bounded lattices cofinality reduces to f(top) = top; is_cofinal
+        # is the definitional test
         self.cofinal = self.preserves_top
 
     def _scan_pairs(self) -> None:
@@ -232,14 +233,17 @@ class ClosedReport(Report):
 
 
 def _goes_up(f: LatHom) -> bool:
-    """φ(↑p) = ↑φ(p) for every codomain point p; needs f(1) = 1."""
-    phi = f.dual_point_map()
+    """φ(↑p ∩ f(1)) = ↑φ(p) for every codomain point p in f(1).
+
+    φ is the stored dual point map, None off f(1).
+    """
+    phi, top = f._phi, f(f.dom.top)
     dup, cup = f.dom.base.up, f.cod.base.up
-    for p, m in enumerate(phi):
+    for p in bits(top):
         img = 0
-        for r in bits(cup[p]):
+        for r in bits(cup[p] & top):
             img |= 1 << phi[r]
-        if img != dup[m]:
+        if img != dup[phi[p]]:
             return False
     return True
 
@@ -249,13 +253,17 @@ def is_closed(f: LatHom) -> ClosedReport:
 
     A 0,1-homomorphism is closed iff its dual point map goes up,
     φ(↑p) = ↑φ(p) for every point p: its dual spectral map is closed.
-    That certifies a closed map in O(n²).  Only a map that fails it, or
-    has f(1) ≠ 1, gets the triple scan.  There the x form the principal
-    ideal ↓g(b), g = ``preimage_generator``, so the condition is
-    a0 ≤ a1∨g(b).  The returned witness is the first failing triple
-    (a0, a1, b) in canonical element order.
+    Any 0-homomorphism reduces to that: f(x) ≤ b iff f(x) ≤ b ∧ f(1), and
+    b ↦ b ∧ f(1) maps the codomain onto the downsets of f(1), so f is
+    closed iff the 0,1-homomorphism onto ↓f(1) is, whose dual point map
+    is φ on the points of f(1) (``_goes_up``).  That certifies a closed
+    map in O(n²).  Only a map that fails it gets the triple scan.  There
+    the x form the principal ideal ↓g(b), g = ``preimage_generator``, so
+    the condition is a0 ≤ a1∨g(b).  The returned witness is the first
+    failing triple (a0, a1, b) in canonical element order; a scan that
+    finds none raises ``SelfCheckError``.
     """
-    if f.preserves_top and _goes_up(f):
+    if _goes_up(f):
         return ClosedReport(True)
     dom, cod = f.dom, f.cod
     gens = [f.preimage_generator(b) for b in cod.elements]
@@ -266,9 +274,7 @@ def is_closed(f: LatHom) -> ClosedReport:
             for b, g in zip(cod.elements, gens):
                 if fa0 | fa1 | b == fa1 | b and a0 | a1 | g != a1 | g:
                     return ClosedReport(False, (a0, a1, b))
-    if f.preserves_top:
-        raise SelfCheckError("is_closed: a map that fails the going-up certificate is closed")
-    return ClosedReport(True)
+    raise SelfCheckError("is_closed: a map that fails the going-up certificate is closed")
 
 
 @dataclass(frozen=True)
@@ -288,7 +294,7 @@ def is_convex(f: LatHom) -> ConvexReport:
     I_q ⊆ ↓j iff U ⊆ ↑q; f⁻¹[I_q] = I_φ(q) for the dual point map φ; and
     I_p ⊆ f⁻¹[↓j] iff p ≤ φ(u) for every u in U.  Requires a cofinal map.
     """
-    if not is_cofinal(f).cofinal:
+    if not f.cofinal:
         raise CofinalityError("is_convex requires a cofinal homomorphism")
     phi = f.dual_point_map()
     dbase, cbase = f.dom.base, f.cod.base
@@ -330,9 +336,8 @@ class HomCensus(Report):
 
 
 def hom_census(f: LatHom) -> HomCensus:
-    cof = is_cofinal(f)
     cl = is_closed(f)
-    if cof.cofinal:
+    if f.cofinal:
         cv = is_convex(f)
         convex, cvw = cv.convex, cv.witness
     else:
@@ -343,7 +348,7 @@ def hom_census(f: LatHom) -> HomCensus:
         preserves_top=f.preserves_top,
         surjective=f.surjective,
         injective=f.injective,
-        cofinal=cof.cofinal,
+        cofinal=f.cofinal,
         closed=cl.closed,
         closed_witness=cl.witness,
         convex=convex,

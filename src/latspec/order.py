@@ -14,6 +14,10 @@ Conventions used throughout the package:
   order" refines "minimal in the lattice order".
 - ``RawLattice`` is an untrusted lattice given by join/meet tables; it is
   the input format for canonicalization via join-irreducibles.
+- Birkhoff duality has one certificate, ``_certified_order``, read off an
+  order: an explicit order (``lattice_of_order``) or the order of a join
+  table (``birkhoff_iso``, which also checks that the tables are the
+  order's join and meet).
 """
 
 from __future__ import annotations
@@ -476,16 +480,6 @@ class RawLattice:
             raise NotALatticeError("no bottom element")
         return cand
 
-    @property
-    def top(self) -> int:
-        cand = 0
-        for a in range(1, self.n):
-            if self.leq(cand, a):
-                cand = a
-        if not all(self.leq(a, cand) for a in range(self.n)):
-            raise NotALatticeError("no top element")
-        return cand
-
     def join_irreducibles(self) -> list[int]:
         """Elements a != 0 that are not the join of their strict lower set."""
         bot = self.bottom
@@ -502,66 +496,8 @@ class RawLattice:
         return out
 
 
-def _certified_round_trip(raw: RawLattice) -> tuple[Poset, list[int]] | None:
-    """The Birkhoff poset and iso of ``raw``, certified in O(n^2), or None.
-
-    ``iso[a]`` is the set of join-irreducibles below ``a``.  If it is
-    injective and preserves join and meet, the tables are isomorphic to a
-    family of sets closed under union and intersection: a distributive
-    lattice.  The image holds the empty set (``iso[bottom]``) and each
-    principal downset ``iso[j]`` of the order ``P`` on the irreducibles,
-    so it is all of the downsets of ``P`` and ``DLat(P)`` enumerates n of
-    them.  None means a check failed; malformed tables raise as in
-    ``validate``, and irreducibles that share a label raise from ``Poset``.
-    """
-    raw.check_shape()
-    n, J, M = raw.n, raw.joins, raw.meets
-    try:
-        bot = raw.bottom
-        irr = raw.join_irreducibles()
-    except LatticeError:
-        return None
-    iso = [0] * n
-    for k, j in enumerate(irr):
-        row = J[j]
-        for a in range(n):
-            if row[a] == a:
-                iso[a] |= 1 << k
-    if iso[bot] != 0 or len(set(iso)) != n:
-        return None
-    for a in range(n):
-        ja, ma, ia = J[a], M[a], iso[a]
-        for b in range(n):
-            if iso[ja[b]] != ia | iso[b] or iso[ma[b]] != ia & iso[b]:
-                return None
-    # iso[j] is the principal downset of j, so P's up-sets are read off it
-    ups = [sum(1 << k for k, j in enumerate(irr) if iso[j] >> i & 1) for i in range(len(irr))]
-    return Poset(len(irr), ups, [raw.name(a) for a in irr]), iso
-
-
-def birkhoff_iso(raw: RawLattice) -> tuple[Poset, DLat, list[int]]:
-    """Verified round trip raw -> join-irreducible poset -> downsets.
-
-    Returns ``(poset, lattice, iso)`` where ``iso[a]`` is the downset mask
-    corresponding to raw element ``a``.  ``_certified_round_trip`` proves
-    in O(n^2) that ``iso`` is a lattice isomorphism.  Tables it rejects are
-    not a distributive lattice (Birkhoff), so the O(n^3) ``validate`` and
-    ``check_distributive`` scans run only then, to report the least witness.
-    An order needs no tables: ``lattice_of_order`` gives the same result
-    and calls this function, on ``RawLattice.from_order``, only to report
-    why an order is not a distributive lattice.
-    """
-    cert = _certified_round_trip(raw)
-    if cert is None:
-        raw.validate()
-        raw.check_distributive()
-        raise SelfCheckError("birkhoff_iso: a distributive lattice failed its certificate")
-    poset, iso = cert
-    return poset, DLat(poset), iso
-
-
-def _certified_order(poset: Poset) -> tuple[Poset, DLat, list[int]] | None:
-    """The Birkhoff poset, lattice and iso of an order, certified in O(|L|·|J|), or None.
+def _certified_order(poset: Poset) -> tuple[list[int], list[int]] | None:
+    """The join-irreducibles and Birkhoff iso of an order, certified in O(|L|·|J|), or None.
 
     ``J`` is the points whose strict down-set is some principal ``down[b]``:
     the points with exactly one lower cover, in index order.  ``iso[a]`` is
@@ -570,13 +506,13 @@ def _certified_order(poset: Poset) -> tuple[Poset, DLat, list[int]] | None:
     to the downsets of ``P_J``, hence a distributive lattice whose
     join-irreducibles are ``J`` (Birkhoff), iff:
 
+    - n > 0 and ``iso`` is injective;
     - for every a and every t in J outside ``iso[a]``, ``iso[a] ∪ ↓t`` is
-      some ``iso[b]`` with a <= b.  The image holds the empty set when
-      n > 0 (``iso`` of a minimal point) and is closed under adding a
-      principal downset, so it holds every downset of ``P_J``, and there
-      are at most n of them to enumerate.  Every cover S ⊂ S∪{t} of the
-      downsets has S∪{t} = S ∪ ↓t, so ``iso`` reflects the order;
-    - ``DLat(P_J)`` has n elements, so that ``iso``, onto them, is injective.
+      some ``iso[b]`` with a <= b.  The image holds the empty set
+      (``iso`` of a minimal point) and is closed under adding a principal
+      downset, so it is every downset of ``P_J``, n of them.  Every cover
+      S ⊂ S∪{t} of the downsets has S∪{t} = S ∪ ↓t, so ``iso`` reflects
+      the order.
     """
     n, up = poset.n, poset.up
     by_down = {d: b for b, d in enumerate(poset.down)}
@@ -586,6 +522,8 @@ def _certified_order(poset: Poset) -> tuple[Poset, DLat, list[int]] | None:
         for a in bits(up[j]):
             iso[a] |= 1 << k
     pos = {m: a for a, m in enumerate(iso)}
+    if not n or len(pos) != n:
+        return None
     principal = [iso[j] for j in irr]
     full = (1 << len(irr)) - 1
     for a, s in enumerate(iso):
@@ -594,14 +532,59 @@ def _certified_order(poset: Poset) -> tuple[Poset, DLat, list[int]] | None:
             b = pos.get(s | principal[t])
             if b is None or not ua >> b & 1:
                 return None
-    # principal[k] is the principal downset of J[k] in P_J, so P_J's up-sets are read off it
+    return irr, iso
+
+
+def _birkhoff_dual(irr: list[int], iso: list[int],
+                   labels: Sequence[str]) -> tuple[Poset, DLat, list[int]]:
+    """``(P_J, DLat(P_J), iso)`` from a certified ``_certified_order`` result.
+
+    ``iso[j]`` is the principal downset of j in ``P_J``, so the up-sets of
+    ``P_J`` are read off it; ``labels`` names the points of ``J``.
+    """
     ups = [0] * len(irr)
-    for k, d in enumerate(principal):
-        for i in bits(d):
+    for k, j in enumerate(irr):
+        for i in bits(iso[j]):
             ups[i] |= 1 << k
-    base = Poset(len(irr), ups, [poset.labels[j] for j in irr])
-    lat = DLat(base)
-    return (base, lat, iso) if lat.size == n else None
+    base = Poset(len(irr), ups, labels)
+    return base, DLat(base), iso
+
+
+def birkhoff_iso(raw: RawLattice) -> tuple[Poset, DLat, list[int]]:
+    """Verified round trip raw -> join-irreducible poset -> downsets.
+
+    Returns ``(poset, lattice, iso)`` where ``iso[a]`` is the downset mask
+    corresponding to raw element ``a``.  The order is read off the join
+    table (a <= b iff a∨b = b).  If it is a partial order,
+    ``_certified_order``, the certificate of explicit lattice files, proves
+    it a distributive lattice and finds its join-irreducibles, and the
+    tables are accepted iff ``iso`` sends join to ∪ and meet to ∩ on every
+    pair: O(n^2) in all.  Tables that fail are not a distributive lattice
+    (Birkhoff), so the O(n^3) ``validate`` and ``check_distributive`` scans
+    run only then, to report the least witness.  The raw labels name only
+    the join-irreducibles, so a clash among them raises from ``Poset``
+    once the tables are accepted.
+    An order needs no tables: ``lattice_of_order`` gives the same result
+    and calls this function, on ``RawLattice.from_order``, only to report
+    why an order is not a distributive lattice.
+    """
+    raw.check_shape()
+    n, J, M = raw.n, raw.joins, raw.meets
+    try:
+        order = Poset(n, [sum(1 << b for b, c in enumerate(row) if c == b) for row in J])
+    except LatticeError:
+        cert = None
+    else:
+        cert = _certified_order(order)
+    if cert is not None:
+        irr, iso = cert
+        if all([iso[c] for c in ja] == [ia | ib for ib in iso]
+               and [iso[c] for c in ma] == [ia & ib for ib in iso]
+               for ja, ma, ia in zip(J, M, iso)):
+            return _birkhoff_dual(irr, iso, [raw.name(a) for a in irr])
+    raw.validate()
+    raw.check_distributive()
+    raise SelfCheckError("birkhoff_iso: a distributive lattice failed its certificate")
 
 
 def lattice_of_order(poset: Poset) -> tuple[Poset, DLat, list[int]]:
@@ -619,7 +602,8 @@ def lattice_of_order(poset: Poset) -> tuple[Poset, DLat, list[int]]:
     if cert is None:
         birkhoff_iso(RawLattice.from_order(poset))
         raise SelfCheckError("lattice_of_order: a distributive lattice failed its certificate")
-    return cert
+    irr, iso = cert
+    return _birkhoff_dual(irr, iso, [poset.labels[j] for j in irr])
 
 
 def birkhoff_round_trip(lat: DLat) -> None:

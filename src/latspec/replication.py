@@ -60,9 +60,6 @@ class CubeDiagram:
         step = next(r for r in NODES if p < r <= q and len(r) == len(p) + 1)
         return self.hom(step, q).compose(self.homs[p, step])
 
-    def covers(self) -> list[tuple[frozenset, frozenset]]:
-        return sorted(self.homs, key=lambda pq: (len(pq[0]), sorted(pq[0]), sorted(pq[1])))
-
 
 def _sizes(p: frozenset) -> list[int]:
     if not p:

@@ -216,6 +216,34 @@ def test_closed_matches_oracle(homs):
     assert all(is_closed(f).closed for f in PROJECTIONS)
 
 
+def test_closed_without_top_certified(homs, monkeypatch):
+    """A closed map with f(1) ≠ 1 is certified by going up on f(1), with no scan."""
+    closed = [f for f in homs if not f.preserves_top and oracle_is_closed(f).closed]
+    assert len(closed) >= 150, len(closed)
+
+    def no_scan(self, q):
+        raise AssertionError("preimage_generator called: the triple scan ran")
+
+    monkeypatch.setattr(LatHom, "preimage_generator", no_scan)
+    assert all(is_closed(f).closed for f in closed)
+    # a scan that finds no witness is a bug whether or not f(1) = 1
+    monkeypatch.undo()
+    monkeypatch.setattr(homs_module, "_goes_up", lambda f: False)
+    for f in closed[:20]:
+        with pytest.raises(SelfCheckError, match="is_closed"):
+            is_closed(f)
+
+
+def test_cofinal_flag_matches_definition(homs):
+    """``LatHom.cofinal`` (f(1) = 1), which the census reads, is definitional cofinality."""
+    counts = dict.fromkeys([True, False], 0)
+    for f in homs + PROJECTIONS:
+        rep = is_cofinal(f)
+        assert rep.cofinal == f.cofinal and rep.top_rule_agrees, f.table
+        counts[f.cofinal] += 1
+    assert min(counts.values()) >= 600, counts
+
+
 def table_corruptions(rng: random.Random, f: LatHom) -> list[list[int]]:
     """One entry replaced, two entries swapped, and one entry made non-monotone."""
     els, cod = f.dom.elements, f.cod.elements

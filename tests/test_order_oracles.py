@@ -227,6 +227,10 @@ def test_birkhoff_iso_matches_full_checks_on_order_lattices():
     assert {"ok", NotALatticeError} <= kinds and len(kinds) == 3
 
 
+SQUARE_JOINS = ((0, 1, 2, 3), (1, 1, 3, 3), (2, 3, 2, 3), (3, 3, 3, 3))
+SQUARE_MEETS = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3))
+
+
 def _named_raw(pairs, n, names):
     return RawLattice.from_order(Poset.from_pairs(n, pairs, names))
 
@@ -244,12 +248,17 @@ def _named_raw(pairs, n, names):
     RawLattice(2, ((0, 1),), ((0, 0), (0, 1))),
     RawLattice(0, (), ()),
     # a valid square whose two atoms share a label
-    RawLattice(4, ((0, 1, 2, 3), (1, 1, 3, 3), (2, 3, 2, 3), (3, 3, 3, 3)),
-               ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3)), ("0", "x", "x", "1")),
+    RawLattice(4, SQUARE_JOINS, SQUARE_MEETS, ("0", "x", "x", "1")),
+    # the same, with bottom and top sharing a label: only atoms are named
+    RawLattice(4, SQUARE_JOINS, SQUARE_MEETS, ("z", "a", "b", "z")),
+    # atoms sharing a label in tables that fail: the table error comes first
+    RawLattice(4, SQUARE_JOINS, SQUARE_MEETS[:3] + ((0, 1, 2, 0),), ("0", "z", "z", "1")),
+    RawLattice(4, ((0, 1, 2, 3), (1, 1, 3, 3), (2, 3, 2, 3), (3, 3, 2, 3)), SQUARE_MEETS,
+               ("0", "z", "z", "1")),
     # a valid 3-chain numbered 2 < 0 < 1
     RawLattice(3, ((0, 1, 0), (1, 1, 1), (0, 1, 2)), ((0, 0, 2), (0, 1, 2), (2, 2, 2))),
 ], ids=["M3", "N5", "range-high", "range-low", "ragged", "short", "empty",
-        "labels", "chain-201"])
+        "labels", "labels-not-irreducible", "labels-bad-meet", "labels-bad-join", "chain-201"])
 def test_birkhoff_iso_matches_full_checks_on_fixed_tables(raw):
     assert birkhoff_outcome(birkhoff_iso, raw) == birkhoff_outcome(birkhoff_iso_full, raw)
 
@@ -412,11 +421,14 @@ def test_lattice_of_order_matches_tables_on_fixed_orders(n, pairs):
 
 
 def test_rejected_certificate_raises(monkeypatch):
-    # an order that is a distributive lattice but fails its certificate is a
-    # bug: the table path accepts it, and the result is SelfCheckError
+    # an order or tables that are a distributive lattice but fail the
+    # certificate are a bug: the table scans accept them, and the result is
+    # SelfCheckError
     monkeypatch.setattr(order, "_certified_order", lambda poset: None)
     with pytest.raises(SelfCheckError):
         lattice_of_order(Poset.chain(3))
+    with pytest.raises(SelfCheckError, match="birkhoff_iso"):
+        birkhoff_iso(RawLattice.from_dlat(downset_lattice(Poset.from_pairs(*N5))))
     with pytest.raises(SelfCheckError):
         parse_lattice_text("lattice\nelements: 0 a b 1\nleq: 0<a 0<b a<1 b<1\n")
     with pytest.raises(NotDistributiveError):
