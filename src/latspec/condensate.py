@@ -10,7 +10,10 @@ never enters a computation.
 
 Renormalization (dropping deviation entries equal to φ(base)) runs after
 every construction, so equality of elements is plain equality of canonical
-forms.
+forms.  ``Condensate.element`` validates and normalizes outside input;
+join and meet build their results directly, in one merge of the operands'
+sorted deviations, since a join or meet of two members is a member, and
+``leq`` reads s ≤ t as s∨t = t.
 
 A finite stage C_J (supports inside a finite index set J) is ≅ A × B^J and
 is built flat, as the downset lattice of P_A ⊔ J·P_B
@@ -76,10 +79,6 @@ class CondElem:
     dev: tuple[tuple[str, int], ...]
     cond: "Condensate" = field(repr=False, compare=True)
 
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.dev)
-
     def value_at(self, name: str) -> int:
         for k, v in self.dev:
             if k == name:
@@ -123,25 +122,50 @@ class Condensate:
             raise MixedCondensateError("elements belong to different condensates")
 
     def join(self, s: CondElem, t: CondElem) -> CondElem:
+        """Pointwise join, in one merge of the two canonical deviation maps."""
         self._pair(s, t)
-        names = sorted(set(s.support) | set(t.support))
-        return self.element(s.base | t.base,
-                            {n: s.value_at(n) | t.value_at(n) for n in names})
+        return self._pointwise(s, t, s.base | t.base, int.__or__)
 
     def meet(self, s: CondElem, t: CondElem) -> CondElem:
+        """Pointwise meet, in one merge of the two canonical deviation maps."""
         self._pair(s, t)
-        names = sorted(set(s.support) | set(t.support))
-        return self.element(s.base & t.base,
-                            {n: s.value_at(n) & t.value_at(n) for n in names})
+        return self._pointwise(s, t, s.base & t.base, int.__and__)
+
+    def _pointwise(self, s: CondElem, t: CondElem, base: int,
+                   op: Callable[[int, int], int]) -> CondElem:
+        """The element with the given base and value op(s_i, t_i) at each i.
+
+        Off both supports the value is op(φ(s.base), φ(t.base)) = φ(base),
+        as φ is a lattice homomorphism, so one merge of the two sorted
+        deviation tuples visits every name that can deviate, and entries
+        equal to φ(base) are dropped.  Operands are canonical members, so
+        the names, base and values of the result are members too and are
+        not validated again.
+        """
+        table, pos = self.phi.table, self.phi.dom.pos
+        fs, ft, fb = table[pos(s.base)], table[pos(t.base)], table[pos(base)]
+        sd, td = s.dev, t.dev
+        ns, nt = len(sd), len(td)
+        i = j = 0
+        dev = []
+        while i < ns or j < nt:
+            if j == nt or i < ns and sd[i][0] < td[j][0]:
+                name, v = sd[i][0], op(sd[i][1], ft)
+                i += 1
+            elif i == ns or td[j][0] < sd[i][0]:
+                name, v = td[j][0], op(fs, td[j][1])
+                j += 1
+            else:
+                name, v = sd[i][0], op(sd[i][1], td[j][1])
+                i += 1
+                j += 1
+            if v != fb:
+                dev.append((name, v))
+        return CondElem(base, tuple(dev), self)
 
     def leq(self, s: CondElem, t: CondElem) -> bool:
-        self._pair(s, t)
-        if s.base | t.base != t.base:
-            return False
-        for n in set(s.support) | set(t.support):
-            if s.value_at(n) | t.value_at(n) != t.value_at(n):
-                return False
-        return True
+        """s ≤ t iff s∨t = t; canonical forms make the equality exact."""
+        return self.join(s, t) == t
 
     def eq(self, s: CondElem, t: CondElem) -> bool:
         self._pair(s, t)

@@ -17,7 +17,11 @@ up-set of P is a chain: its spectrum is a root system (Dickmann, Schwartz
 & Tressl, *Spectral Spaces*, CUP 2019).  The canonical least-splitting
 table satisfies the triangle law x∖z ≤ (x∖y)∨(y∖z), because
 ↓(x∖z) ⊆ ↓(x∖y) ∪ ↓(y∖z); pinned tables need not, so the law is still
-measured (``DiffLattice.triangle_violations``), never assumed.
+measured (``DiffLattice.triangle_violations``), never assumed.  The same
+inclusion bounds the count: an entry satisfying (x∧y)∨d = x holds x∖y and,
+being a downset, ↓(x∖y).  So on a table that satisfies the identities, a
+triple can fail only where d(x, z) is above the least entry ↓(x∖z), and
+only those z are scanned.
 """
 
 from __future__ import annotations
@@ -151,8 +155,10 @@ def refinement_witness(lat: DLat, family: Sequence[int]) -> RefinementWitness | 
 
 
 class DiffLattice:
-    """A DLat together with a total difference table satisfying both
-    splitting identities on every pair."""
+    """A DLat together with a total difference table of its elements.
+
+    The splitting identities are checked by ``check_identities``, not here.
+    """
 
     __slots__ = ("lat", "_diff")
 
@@ -161,8 +167,11 @@ class DiffLattice:
         self._diff = dict(diff)
         for x in lat.elements:
             for y in lat.elements:
-                if (x, y) not in self._diff:
+                d = self._diff.get((x, y))
+                if d is None:
                     raise LatticeError(f"difference table missing entry ({x}, {y})")
+                if d not in lat:
+                    raise LatticeError(f"difference entry ({x}, {y}) = {d:#x} is not an element")
 
     def diff(self, x: int, y: int) -> int:
         return self._diff[x, y]
@@ -179,19 +188,32 @@ class DiffLattice:
         return None
 
     def triangle_violations(self, limit: int | None = None) -> list[tuple[int, int, int]]:
-        """Triples (x, y, z) with x∖z ≰ (x∖y)∨(y∖z).
+        """Triples (x, y, z) with x∖z ≰ (x∖y)∨(y∖z), in canonical order.
 
-        Reported, not asserted: the canonical least-splitting table has none
-        (↓(x∖z) ⊆ ↓(x∖y) ∪ ↓(y∖z)), but a table with pinned entries, like the
-        cube replay's inherited ones, can have some.
+        Reported, not asserted: the canonical least-splitting table has none,
+        but a table with pinned entries, like the cube replay's inherited
+        ones, can have some.  When every entry satisfies the identities,
+        d(x, y) ⊇ ↓(x∖y) for every pair, so a z with d(x, z) = ↓(x∖z) gives
+        d(x, z) ⊆ ↓(x∖y) ∪ ↓(y∖z) ⊆ d(x, y)∨d(y, z) for every y.  Only the
+        other z are scanned, in the same order, so the list and the ``limit``
+        cut-off are those of the full scan, which runs when an identity fails.
         """
+        lat, diff = self.lat, self._diff
+        els = lat.elements
+        if self.check_identities() is None:
+            hot = {x: [z for z in els if diff[x, z] != _down(lat, x & ~z)] for x in els}
+        else:
+            hot = dict.fromkeys(els, els)
         out = []
-        els = self.lat.elements
         for x in els:
+            zs = hot[x]
+            if not zs:
+                continue
             for y in els:
-                for z in els:
-                    d = self._diff[x, z]
-                    bound = self._diff[x, y] | self._diff[y, z]
+                dxy = diff[x, y]
+                for z in zs:
+                    d = diff[x, z]
+                    bound = dxy | diff[y, z]
                     if d | bound != bound:
                         out.append((x, y, z))
                         if limit is not None and len(out) >= limit:

@@ -28,6 +28,22 @@ map: 0->0 u->1 1->1
 """
 
 
+#: the level map (0, 1, 1, 2) from the 4-chain onto the 3-chain
+LEVEL_HOM = """hom
+dom.elements: 0 a b 1
+dom.leq: 0<a a<b b<1
+cod.elements: 0 m 1
+cod.leq: 0<m m<1
+map: 0->0 a->m b->m 1->1
+"""
+
+#: the chain cube 3 x 3 x 3: its base is three 2-chains
+CUBE_POSET = """poset
+elements: a1 a2 b1 b2 c1 c2
+covers: a1<a2 b1<b2 c1<c2
+"""
+
+
 @pytest.fixture
 def vfile(tmp_path):
     p = tmp_path / "v.lat"
@@ -235,7 +251,8 @@ def test_replicate_rho_reports_values(capsys):
 
 
 #: sha256 of the stdout of ``latspec ARGV --json``, which pins the values and
-#: the key order of every report; V and EPS stand for the two files above
+#: the key order of every report; V, EPS, LEVEL and CUBE stand for the
+#: files above
 JSON_STDOUT_SHA256 = {
     ("replicate", "all"):
         "98e321049532d075eda613904208d3c389e13480f562cdd44dd0fc5c68347ff1",
@@ -253,6 +270,10 @@ JSON_STDOUT_SHA256 = {
         "ba03d03f6e355658bb28d7579e282f37a22acfce06db8377584cb215e92487b4",
     ("cond", "stage", "EPS", "--indices", "i,j"):
         "88b933e7f92b7e9f3b00d9ce79d7eaf87a3996f2436b5abc0a1e914815f51863",
+    ("cond", "stage", "LEVEL", "--indices", "i,j,k"):
+        "c1057e6a73e5f9ec242f417a3a9424f444e50926b46bb5c43dc0f02ee4bc122c",
+    ("v0", "expand", "CUBE"):
+        "d25858399c844c215f5519aab4c2ccf820098dbb9e204dc3fbe110453e7c9604",
     ("lattice", "check", "V"):
         "ded086d66eecc365641c8fdd00cf63e732ffcfc86a05c494b542e956c2b37f3c",
     ("glambda", "ortho", "(pl (diff a b))", "(pl (diff b a))", "--chain", "2"):
@@ -269,8 +290,11 @@ JSON_STDOUT_SHA256 = {
 
 
 @pytest.mark.parametrize("argv", list(JSON_STDOUT_SHA256), ids=" ".join)
-def test_json_output_unchanged(argv, vfile, epsfile, capsys):
-    files = {"V": vfile, "EPS": epsfile}
+def test_json_output_unchanged(argv, vfile, epsfile, tmp_path, capsys):
+    (tmp_path / "level.hom").write_text(LEVEL_HOM)
+    (tmp_path / "cube.lat").write_text(CUBE_POSET)
+    files = {"V": vfile, "EPS": epsfile, "LEVEL": str(tmp_path / "level.hom"),
+             "CUBE": str(tmp_path / "cube.lat")}
     assert main([files.get(a, a) for a in argv] + ["--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == JSON_STDOUT_SHA256[argv], out
@@ -521,7 +545,8 @@ def test_normality_self_checks_under_optimize():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tests.parent / "src"),
                                                       env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                          *(str(tests / name) for name in ("test_hom_oracles.py",
+                          *(str(tests / name) for name in ("test_condensate_oracles.py",
+                                                           "test_hom_oracles.py",
                                                            "test_normality.py",
                                                            "test_normality_oracles.py",
                                                            "test_order_oracles.py",

@@ -1,0 +1,147 @@
+"""Seeded differential tests of the condensate operations against their old forms.
+
+The oracles are ``Condensate.join``, ``meet`` and ``leq`` as they were
+before the one-pass merge, kept verbatim apart from reading the support
+off ``dev``: each reads the values on the union of the two supports
+through ``value_at`` and rebuilds the result through
+``Condensate.element``, which validates and renormalizes it.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from latspec.condensate import (CondElem, Condensate, IndexUniverse,
+                                MixedCondensateError, finite_stage_iso)
+from latspec.homs import LatHom, dual_hom_of_poset_map
+from latspec.order import Poset, chain_lattice
+from latspec.randgen import random_01_hom
+
+
+# -- oracles: the operations as they were before the one-pass merge ---------
+
+def support(e: CondElem) -> tuple[str, ...]:
+    return tuple(name for name, _ in e.dev)
+
+
+def oracle_join(cond: Condensate, s: CondElem, t: CondElem) -> CondElem:
+    cond._pair(s, t)
+    names = sorted(set(support(s)) | set(support(t)))
+    return cond.element(s.base | t.base,
+                        {n: s.value_at(n) | t.value_at(n) for n in names})
+
+
+def oracle_meet(cond: Condensate, s: CondElem, t: CondElem) -> CondElem:
+    cond._pair(s, t)
+    names = sorted(set(support(s)) | set(support(t)))
+    return cond.element(s.base & t.base,
+                        {n: s.value_at(n) & t.value_at(n) for n in names})
+
+
+def oracle_leq(cond: Condensate, s: CondElem, t: CondElem) -> bool:
+    cond._pair(s, t)
+    if s.base | t.base != t.base:
+        return False
+    for n in set(support(s)) | set(support(t)):
+        if s.value_at(n) | t.value_at(n) != t.value_at(n):
+            return False
+    return True
+
+
+# -- the seeded corpus --------------------------------------------------------
+
+#: index names whose string order differs from their numeric order
+NAMES = ["i", "i0", "i1", "i10", "i2", "j", "ξ"]
+
+
+def eps_map() -> LatHom:
+    return LatHom(chain_lattice(3), chain_lattice(2), [0, 1, 1])
+
+
+def level_map() -> LatHom:
+    return dual_hom_of_poset_map([0, 2], Poset.chain(2), Poset.chain(3))
+
+
+def random_maps() -> list[LatHom]:
+    """0,1-homs between random downset lattices, each with a 0-hom x ↦ f(x) ∧ c."""
+    rng = random.Random(14_2026)
+    out = []
+    while len(out) < 40:
+        f = random_01_hom(rng, 4)
+        c = rng.choice(f.cod.elements)
+        out += [f, LatHom(f.dom, f.cod, [v & c for v in f.table])]
+    return out
+
+
+def random_elem(rng: random.Random, cond: Condensate, names: list[str]) -> CondElem:
+    """An element deviating on some of ``names``, built with some redundant entries."""
+    base = rng.choice(cond.phi.dom.elements)
+    return cond.element(base, {n: rng.choice(cond.phi.cod.elements)
+                               for n in names if rng.random() < 0.7})
+
+
+def random_pair(rng: random.Random, cond: Condensate, kind: str) -> tuple[CondElem, CondElem]:
+    names = rng.sample(NAMES, rng.randint(2, len(NAMES)))
+    half = len(names) // 2
+    if kind == "empty":
+        return cond.element(rng.choice(cond.phi.dom.elements)), random_elem(rng, cond, names)
+    if kind == "disjoint":
+        return random_elem(rng, cond, names[:half]), random_elem(rng, cond, names[half:])
+    return random_elem(rng, cond, names), random_elem(rng, cond, names[1:])
+
+
+def assert_ops_match(cond: Condensate, s: CondElem, t: CondElem) -> bool:
+    """join, meet and leq agree with the oracles; True if a deviation collapsed."""
+    collapsed = False
+    for op, oracle in ((cond.join, oracle_join), (cond.meet, oracle_meet)):
+        got, want = op(s, t), oracle(cond, s, t)
+        assert got == want and got.dev == want.dev, (s, t, got, want)
+        # the unvalidated result is canonical: rebuilding it changes nothing
+        assert cond.element(got.base, got.dev) == got
+        collapsed |= len(got.dev) < len(set(support(s)) | set(support(t)))
+    assert cond.leq(s, t) == oracle_leq(cond, s, t), (s, t)
+    return collapsed
+
+
+@pytest.mark.parametrize("which", ["eps", "level", "random"])
+def test_operations_match_oracle(which):
+    maps = {"eps": [eps_map()], "level": [level_map()], "random": random_maps()}[which]
+    rng = random.Random(141)
+    counts = dict.fromkeys(["empty", "disjoint", "overlapping", "collapsed", "leq"], 0)
+    for phi in maps:
+        cond = Condensate(phi, IndexUniverse.countable())
+        for _ in range(600 // len(maps)):
+            kind = rng.choice(["empty", "disjoint", "overlapping"])
+            s, t = random_pair(rng, cond, kind)
+            for a, b in ((s, t), (t, s), (s, s)):
+                counts["collapsed"] += assert_ops_match(cond, a, b)
+                counts["leq"] += cond.leq(a, b)
+            counts[kind] += 1
+    assert min(counts.values()) >= 100, counts
+    if which == "random":
+        assert sum(not phi.cofinal for phi in maps) >= 10  # φ(1) ≠ 1
+
+
+@pytest.mark.parametrize("phi", [eps_map(), level_map()], ids=["eps", "level"])
+def test_whole_stages_match_oracle(phi):
+    # every ordered pair of a stage, where the values at the stage names
+    # range over all of B and many results fall back to φ(base)
+    cond = Condensate(phi, IndexUniverse.countable())
+    stage = cond.stage(["i", "j"])
+    collapsed = sum(assert_ops_match(cond, s, t) for s in stage for t in stage)
+    assert collapsed >= len(stage), collapsed
+    assert finite_stage_iso(cond, ["i", "j"]).ok
+
+
+def test_mixed_condensates_rejected_like_oracle():
+    c1, c2 = Condensate(eps_map(), IndexUniverse.countable()), \
+        Condensate(eps_map(), IndexUniverse.countable())
+    s, t = c1.element(c1.phi.dom.top, {"i": 0}), c2.bottom
+    for op, oracle in ((c1.join, oracle_join), (c1.meet, oracle_meet), (c1.leq, oracle_leq)):
+        for a, b in ((s, t), (t, s), (t, t)):
+            with pytest.raises(MixedCondensateError):
+                op(a, b)
+            with pytest.raises(MixedCondensateError):
+                oracle(c1, a, b)

@@ -3,8 +3,9 @@
 The oracles are the product searches that the closed forms replaced, kept
 verbatim: ``find_splitting`` over all candidate pairs, the pairwise
 ``is_completely_normal`` scan, the ``itertools.product`` search in
-``refinement_witness`` and the linear ``_least_partner`` scan.  The
-Birkhoff round-trip certificate is checked against the full
+``refinement_witness``, the linear ``_least_partner`` scan and the scan of
+every triple in ``DiffLattice.triangle_violations``.  The Birkhoff
+round-trip certificate is checked against the full
 ``birkhoff_iso(RawLattice.from_dlat(lat))`` rebuild.
 """
 
@@ -19,13 +20,15 @@ from typing import Sequence
 import pytest
 
 from latspec import normality
-from latspec.normality import (NormalityReport, NotCompletelyNormalError,
+from latspec.normality import (DiffLattice, NormalityReport, NotCompletelyNormalError,
                                PinConflictError, RefinementWitness, Splitting,
                                expand_v0, find_splitting, is_completely_normal,
                                refinement_witness)
-from latspec.order import (DLat, Poset, RawLattice, SelfCheckError, birkhoff_iso,
-                           birkhoff_round_trip, chain_product, downset_lattice)
+from latspec.order import (DLat, LatticeError, Poset, RawLattice, SelfCheckError, birkhoff_iso,
+                           birkhoff_round_trip, chain_lattice, chain_product,
+                           downset_lattice)
 from latspec.randgen import random_poset
+from latspec.replication import NODES, build_cube, expand_cube_v0
 
 
 # -- oracles: the searches as they were before the closed forms ----------
@@ -118,6 +121,23 @@ def oracle_least_partner(lat: DLat, x: int, y: int, d: int) -> int:
             return v
     raise PinConflictError(
         f"pinned {lat.fmt(x)}∖{lat.fmt(y)} = {lat.fmt(d)} admits no consistent partner")
+
+
+def oracle_triangle_violations(dl: DiffLattice, limit: int | None = None
+                               ) -> list[tuple[int, int, int]]:
+    """Triples (x, y, z) with x∖z ≰ (x∖y)∨(y∖z), scanning every triple."""
+    out = []
+    els = dl.lat.elements
+    for x in els:
+        for y in els:
+            for z in els:
+                d = dl.diff(x, z)
+                bound = dl.diff(x, y) | dl.diff(y, z)
+                if d | bound != bound:
+                    out.append((x, y, z))
+                    if limit is not None and len(out) >= limit:
+                        return out
+    return out
 
 
 # -- the seeded corpus ------------------------------------------------------
@@ -313,3 +333,105 @@ def test_round_trip_failure_is_a_bug(tmp_path, monkeypatch):
     monkeypatch.setattr(DLat, "__contains__", lambda self, m: m != self.base.down[1])
     with pytest.raises(SelfCheckError, match="Birkhoff round trip fails at base point y"):
         cli.main(["lattice", "check", str(p)])
+
+
+# -- the triangle scan ------------------------------------------------------
+
+def assert_triangles_match(dl: DiffLattice) -> list[tuple[int, int, int]]:
+    """The scan agrees with the oracle with no limit and with limits 1 and 5."""
+    full = oracle_triangle_violations(dl)
+    assert dl.triangle_violations() == full, dl.lat
+    for limit in (1, 5):
+        assert dl.triangle_violations(limit) == oracle_triangle_violations(dl, limit), (dl.lat, limit)
+    return full
+
+
+def test_triangles_on_canonical_tables_match_oracle(lattices):
+    normal = [lat for lat in lattices if is_completely_normal(lat).completely_normal]
+    assert len(normal) >= 300, len(normal)
+    for lat in normal[:60] + [chain_product(sizes)[0] for sizes in ([2, 3, 3], [4, 4], [3, 3, 3])]:
+        assert assert_triangles_match(expand_v0(lat)) == []
+
+
+def test_triangles_on_cube_tables_match_oracle():
+    expanded, rep = expand_cube_v0(build_cube())
+    total = sum(len(assert_triangles_match(expanded[p])) for p in NODES)
+    assert total == rep.triangle_violations == 805
+
+
+def _random_pins(rng: random.Random, lat: DLat, k: int) -> dict[tuple[int, int], int]:
+    """``k`` pins x∖y = d with (x∧y)∨d = x, some with their partner pinned too."""
+    els, pins = lat.elements, {}
+    for _ in range(k):
+        x, y = rng.choice(els), rng.choice(els)
+        if x == y:
+            continue
+        pins[x, y] = rng.choice([d for d in els if (x & y) | d == x])
+        if rng.random() < 0.3:
+            cands = [v for v in els if (x & y) | v == y and v & pins[x, y] == 0]
+            if cands:
+                pins[y, x] = rng.choice(cands)
+    return pins
+
+
+def test_triangles_on_pinned_tables_match_oracle(lattices):
+    rng = random.Random(66)
+    tables = violating = cut = 0
+    for lat in lattices:
+        if lat.size < 4 or not is_completely_normal(lat).completely_normal:
+            continue
+        try:
+            dl = expand_v0(lat, _random_pins(rng, lat, rng.randint(1, 6)))
+        except PinConflictError:
+            continue
+        found = len(assert_triangles_match(dl))
+        tables += 1
+        violating += found > 0
+        cut += found > 5  # the limit 5 cuts the list short
+    assert tables >= 200 and violating >= 60 and cut >= 20, (tables, violating, cut)
+
+
+def test_triangles_on_corrupted_tables_match_oracle(lattices):
+    # a corrupted entry can break an identity; the scan then covers every
+    # triple, and when the identities survive the restricted scan stays exact
+    rng = random.Random(67)
+    broken = kept = 0
+    for lat in lattices:
+        if lat.size < 3 or not is_completely_normal(lat).completely_normal:
+            continue
+        els, canonical = lat.elements, expand_v0(lat)
+        table = {(x, y): canonical.diff(x, y) for x in els for y in els}
+        for _ in range(rng.randint(1, 3)):
+            table[rng.choice(els), rng.choice(els)] = rng.choice(els)
+        dl = DiffLattice(lat, table)
+        assert_triangles_match(dl)
+        if dl.check_identities() is None:
+            kept += 1
+        else:
+            broken += 1
+    assert broken >= 250 and kept >= 15, (broken, kept)
+
+
+def test_entry_below_least_hides_a_violation():
+    # on the chain 0 < u < 1, 1∖u = 0 breaks (1∧u)∨(1∖u) = 1.  The entry
+    # 1∖0 = 1 is the least one, yet (1, u, 0) fails: 1 ≰ (1∖u)∨(u∖0) = u.
+    # Only the full scan, run because an identity fails, finds it.
+    c3 = chain_lattice(3)
+    zero, u, one = c3.elements
+    canonical = expand_v0(c3)
+    table = {(x, y): canonical.diff(x, y) for x in c3.elements for y in c3.elements}
+    table[one, u] = zero
+    dl = DiffLattice(c3, table)
+    assert dl.check_identities() == (one, u)
+    assert assert_triangles_match(dl) == [(one, u, zero)]
+
+
+def test_difference_entries_are_elements():
+    c3 = chain_lattice(3)
+    table = {(x, y): 0 for x in c3.elements for y in c3.elements}
+    table[c3.top, 0] = 0b10  # {p1} without p0 is not a downset
+    with pytest.raises(LatticeError, match="is not an element"):
+        DiffLattice(c3, table)
+    del table[c3.top, 0]
+    with pytest.raises(LatticeError, match="missing entry"):
+        DiffLattice(c3, table)
