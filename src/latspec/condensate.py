@@ -10,10 +10,12 @@ never enters a computation.
 
 Renormalization (dropping deviation entries equal to φ(base)) runs after
 every construction, so equality of elements is plain equality of canonical
-forms.  ``Condensate.element`` validates and normalizes outside input;
-join and meet build their results directly, in one merge of the operands'
-sorted deviations, since a join or meet of two members is a member, and
-``leq`` reads s ≤ t as s∨t = t.
+forms: ``CondElem`` compares base and deviation tuple, and its condensate
+handle by identity.  ``Condensate.element`` validates and normalizes
+outside input; join and meet build their results directly, in one merge of
+the operands' sorted deviations with φ read from a table built once per
+handle, since a join or meet of two members is a member, and ``leq`` reads
+s ≤ t as s∨t = t.
 
 A finite stage C_J (supports inside a finite index set J) is ≅ A × B^J and
 is built flat, as the downset lattice of P_A ⊔ J·P_B
@@ -23,6 +25,7 @@ is built flat, as the downset lattice of P_A ⊔ J·P_B
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .homs import LatHom, NotAHomomorphismError
@@ -71,13 +74,32 @@ class IndexUniverse:
         return f"symbolic {self.kind} index set"
 
 
-@dataclass(frozen=True)
 class CondElem:
-    """A condensate element in canonical form: base plus finite deviations."""
+    """A condensate element in canonical form: base plus finite deviations.
 
-    base: int
-    dev: tuple[tuple[str, int], ...]
-    cond: "Condensate" = field(repr=False, compare=True)
+    A slotted value class: two elements are equal iff they have the same
+    base and deviation tuple and belong to the same ``Condensate`` handle
+    (compared by identity), so canonical forms make equality exact.  The
+    hash agrees with that equality, and ``repr`` leaves the handle out.
+    """
+
+    __slots__ = ("base", "dev", "cond")
+
+    def __init__(self, base: int, dev: tuple[tuple[str, int], ...], cond: "Condensate"):
+        self.base = base
+        self.dev = dev
+        self.cond = cond
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.base == other.base and self.dev == other.dev and self.cond is other.cond
+
+    def __hash__(self):
+        return hash((self.base, self.dev, id(self.cond)))
+
+    def __repr__(self):
+        return f"CondElem(base={self.base!r}, dev={self.dev!r})"
 
     def value_at(self, name: str) -> int:
         for k, v in self.dev:
@@ -97,6 +119,7 @@ class Condensate:
     def __init__(self, phi: LatHom, universe: IndexUniverse):
         self.phi = phi
         self.universe = universe
+        self._phi_at = dict(zip(phi.dom.elements, phi.table))  # x ↦ φ(x)
 
     def element(self, base: int, dev: Mapping[str, int] | Iterable[tuple[str, int]] = ()) -> CondElem:
         """Normalized element: entries equal to φ(base) are dropped."""
@@ -123,27 +146,30 @@ class Condensate:
 
     def join(self, s: CondElem, t: CondElem) -> CondElem:
         """Pointwise join, in one merge of the two canonical deviation maps."""
-        self._pair(s, t)
-        return self._pointwise(s, t, s.base | t.base, int.__or__)
+        if s.cond is not self or t.cond is not self:
+            raise MixedCondensateError("elements belong to different condensates")
+        return self._pointwise(s, t, s.base | t.base, or_)
 
     def meet(self, s: CondElem, t: CondElem) -> CondElem:
         """Pointwise meet, in one merge of the two canonical deviation maps."""
-        self._pair(s, t)
-        return self._pointwise(s, t, s.base & t.base, int.__and__)
+        if s.cond is not self or t.cond is not self:
+            raise MixedCondensateError("elements belong to different condensates")
+        return self._pointwise(s, t, s.base & t.base, and_)
 
     def _pointwise(self, s: CondElem, t: CondElem, base: int,
                    op: Callable[[int, int], int]) -> CondElem:
         """The element with the given base and value op(s_i, t_i) at each i.
 
-        Off both supports the value is op(φ(s.base), φ(t.base)) = φ(base),
-        as φ is a lattice homomorphism, so one merge of the two sorted
-        deviation tuples visits every name that can deviate, and entries
-        equal to φ(base) are dropped.  Operands are canonical members, so
+        φ is read from the handle's table of values.  Off both supports the
+        value is op(φ(s.base), φ(t.base)) = φ(base), as φ is a lattice
+        homomorphism, so one merge of the two sorted deviation tuples
+        visits every name that can deviate, and entries equal to φ(base)
+        are dropped.  Operands are canonical members, so
         the names, base and values of the result are members too and are
         not validated again.
         """
-        table, pos = self.phi.table, self.phi.dom.pos
-        fs, ft, fb = table[pos(s.base)], table[pos(t.base)], table[pos(base)]
+        phi = self._phi_at
+        fs, ft, fb = phi[s.base], phi[t.base], phi[base]
         sd, td = s.dev, t.dev
         ns, nt = len(sd), len(td)
         i = j = 0
@@ -225,16 +251,19 @@ def finite_stage_iso(cond: Condensate, names: Sequence[str]) -> StageIsoReport:
     """Verify C_J ≅ A × B^J as bounded lattices, exhaustively.
 
     Each element of the flat product is embedded once; ``cond.join`` and
-    ``cond.meet`` must then agree with ``|`` and ``&`` on every pair.
+    ``cond.meet`` must then agree with ``|`` and ``&`` on every ordered
+    pair, each expected result read by one dict lookup of its mask.
     """
     lat, _, decode = cond.stage_lattice(names)
     els = lat.elements
     images = [decode(m) for m in els]
-    iso = all(cond.join(images[i], images[j]) == images[lat.pos(x | y)]
-              and cond.meet(images[i], images[j]) == images[lat.pos(x & y)]
-              for i, x in enumerate(els) for j, y in enumerate(els))
-    bounds = (images[lat.pos(lat.bottom)] == cond.bottom
-              and images[lat.pos(lat.top)]
+    image = dict(zip(els, images))
+    join, meet = cond.join, cond.meet
+    pairs = list(zip(els, images))
+    iso = all(join(s, t) == image[x | y] and meet(s, t) == image[x & y]
+              for x, s in pairs for y, t in pairs)
+    bounds = (image[lat.bottom] == cond.bottom
+              and image[lat.top]
               == cond.element(cond.phi.dom.top, {n: cond.phi.cod.top for n in names}))
     stage_size = len(set(images))
     return StageIsoReport(stage_size, lat.size, stage_size == lat.size, iso, bounds)

@@ -270,6 +270,8 @@ JSON_STDOUT_SHA256 = {
         "ba03d03f6e355658bb28d7579e282f37a22acfce06db8377584cb215e92487b4",
     ("cond", "stage", "EPS", "--indices", "i,j"):
         "88b933e7f92b7e9f3b00d9ce79d7eaf87a3996f2436b5abc0a1e914815f51863",
+    ("cond", "stage", "EPS", "--indices", "i,j,k"):
+        "827b0ff3a5b8456c09c8acdc6d22f537975590b68c161723ff327b463e37a579",
     ("cond", "stage", "LEVEL", "--indices", "i,j,k"):
         "c1057e6a73e5f9ec242f417a3a9424f444e50926b46bb5c43dc0f02ee4bc122c",
     ("v0", "expand", "CUBE"):

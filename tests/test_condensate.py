@@ -231,3 +231,45 @@ def test_verify_stage_matches_pairwise_oracle(kernel):
                 assert rep.hom_ok and rep.surjective == (k == 0)
             else:
                 assert not rep.hom_ok and not rep.top_ok
+
+
+def one_wrong_pair_cond(op, later_first):
+    """A condensate whose ``op`` is wrong on exactly one ordered pair of the
+    stage {i, j}: (s, t) with s after t in stage order, or with s before t.
+    The reversed pair gets the right answer."""
+
+    class OneWrongPair(Condensate):
+        wrong = None  # the ordered pair that gets a wrong result
+
+        def join(self, s, t):
+            return self._maybe_wrong("join", s, t, super().join(s, t))
+
+        def meet(self, s, t):
+            return self._maybe_wrong("meet", s, t, super().meet(s, t))
+
+        def _maybe_wrong(self, name, s, t, right):
+            return s if name == op and (s, t) == self.wrong else right
+
+    cond = OneWrongPair(eps_cond().phi, IndexUniverse.countable())
+    stage = cond.stage(["i", "j"])
+    right = getattr(cond, op)
+    # the first pair, in stage order, whose result is neither operand
+    early, late = next((a, b) for k, a in enumerate(stage) for b in stage[k + 1:]
+                       if right(a, b) not in (a, b))
+    assert finite_stage_iso(cond, ["i", "j"]).ok
+    cond.wrong = (late, early) if later_first else (early, late)
+    s, t = cond.wrong
+    assert getattr(cond, op)(s, t) == s != getattr(Condensate, op)(cond, s, t)
+    assert getattr(cond, op)(t, s) == getattr(Condensate, op)(cond, t, s)
+    return cond
+
+
+@pytest.mark.parametrize("later_first", [True, False], ids=["later-first", "earlier-first"])
+@pytest.mark.parametrize("op", ["join", "meet"])
+def test_stage_iso_checks_every_ordered_pair(op, later_first):
+    # one wrong ordered pair is enough to fail the check, whichever of the
+    # two orders is wrong: skipping half the pairs by commutativity fails here
+    cond = one_wrong_pair_cond(op, later_first)
+    rep = finite_stage_iso(cond, ["i", "j"])
+    assert rep.bijective and rep.bounds_ok
+    assert not rep.is_lattice_iso and not rep.ok

@@ -14,7 +14,8 @@ import random
 import pytest
 
 from latspec.condensate import (CondElem, Condensate, IndexUniverse,
-                                MixedCondensateError, finite_stage_iso)
+                                MixedCondensateError, finite_stage_iso,
+                                stage_inclusion)
 from latspec.homs import LatHom, dual_hom_of_poset_map
 from latspec.order import Poset, chain_lattice
 from latspec.randgen import random_01_hom
@@ -145,3 +146,54 @@ def test_mixed_condensates_rejected_like_oracle():
                 op(a, b)
             with pytest.raises(MixedCondensateError):
                 oracle(c1, a, b)
+
+
+# -- CondElem as a value: what the frozen dataclass gave ----------------------
+
+def test_equal_elements_built_apart_are_equal_and_hash_equal():
+    cond = Condensate(level_map(), IndexUniverse.countable())
+    a = cond.phi.dom.elements[1]
+    s, t = cond.element(a, {"j": 0, "i": 0}), cond.element(a, [("i", 0), ("j", 0)])
+    assert s is not t and s == t and not s != t and hash(s) == hash(t)
+    # a result built by the merge equals the same element built by element()
+    u = cond.join(s, cond.bottom)
+    assert u == s and hash(u) == hash(s) and len({s, t, u}) == 1
+
+
+def test_elements_of_distinct_handles_are_unequal():
+    phi = eps_map()
+    c1, c2 = Condensate(phi, IndexUniverse.countable()), Condensate(phi, IndexUniverse.countable())
+    for base, dev in ((0, {}), (phi.dom.top, {"i": 0})):
+        s, t = c1.element(base, dev), c2.element(base, dev)
+        assert (s.base, s.dev) == (t.base, t.dev)
+        assert s != t and not s == t
+    assert len(set(c1.stage(["i"])) | set(c2.stage(["i"]))) == 2 * 6
+
+
+def test_element_never_equals_a_tuple():
+    cond = Condensate(eps_map(), IndexUniverse.countable())
+    s = cond.element(cond.phi.dom.top, {"i": 0})
+    for other in ((s.base, s.dev, s.cond), (s.base, s.dev), s.dev):
+        assert s != other and other != s and not s == other
+    assert s in {s} and (s.base, s.dev, s.cond) not in {s}
+
+
+def test_repr_leaves_the_condensate_out():
+    cond = Condensate(eps_map(), IndexUniverse.countable())
+    s = cond.element(1, {"i": 0})
+    assert repr(s) == "CondElem(base=1, dev=(('i', 0),))"
+    assert repr(cond.bottom) == "CondElem(base=0, dev=())"
+
+
+@pytest.mark.parametrize("phi", [eps_map(), level_map()], ids=["eps", "level"])
+def test_stage_sets_and_inclusions(phi):
+    cond = Condensate(phi, IndexUniverse.countable())
+    names = ["i", "j"]
+    for k in range(3):
+        stage = cond.stage(names[:k])
+        assert len(set(stage)) == len(stage) == phi.dom.size * phi.cod.size ** k
+        for small in range(k + 1):
+            assert stage_inclusion(cond, names[:small], names[:k])
+    # a stage over other names shares only the constant families
+    shared = set(cond.stage(["i"])) & set(cond.stage(["j"]))
+    assert shared == set(cond.stage([]))
