@@ -124,9 +124,6 @@ class LatHom:
     def __call__(self, x: int) -> int:
         return self.table[self.dom.pos(self.dom.check_member(x))]
 
-    def image(self) -> set[int]:
-        return set(self.table)
-
     def preimage_generator(self, q: int) -> int:
         """Generator of the principal ideal f⁻¹[↓q] (finite lattices only)."""
         acc = self.dom.bottom

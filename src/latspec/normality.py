@@ -17,11 +17,20 @@ up-set of P is a chain: its spectrum is a root system (Dickmann, Schwartz
 & Tressl, *Spectral Spaces*, CUP 2019).  The canonical least-splitting
 table satisfies the triangle law x∖z ≤ (x∖y)∨(y∖z), because
 ↓(x∖z) ⊆ ↓(x∖y) ∪ ↓(y∖z); pinned tables need not, so the law is still
-measured (``DiffLattice.triangle_violations``), never assumed.  The same
-inclusion bounds the count: an entry satisfying (x∧y)∨d = x holds x∖y and,
-being a downset, ↓(x∖y).  So on a table that satisfies the identities, a
-triple can fail only where d(x, z) is above the least entry ↓(x∖z), and
-only those z are scanned.
+measured (``DiffLattice.triangle_violations``), never assumed.
+
+So a table is the least-splitting table plus its exceptions: a
+``DiffLattice`` keeps every entry and the set of hot pairs, those whose
+entry is not ↓(x∖y) or, on a lattice that is not completely normal, whose
+least entries meet.  Every other pair satisfies both identities, so
+``check_identities`` reads only the hot pairs and their transposes.  The
+inclusion above bounds the triangle count too: an entry satisfying
+(x∧y)∨d = x holds x∖y and, being a downset, ↓(x∖y).  So on a table that
+satisfies the identities, a triple can fail only where d(x, z) is above the
+least entry ↓(x∖z), that is at a hot pair (x, z), and only those z are
+scanned.  ``expand_v0`` lays pins over the least table in one pass over
+the pairs, and its hot pairs are the pins that differ from their least
+entry.
 """
 
 from __future__ import annotations
@@ -155,16 +164,23 @@ def refinement_witness(lat: DLat, family: Sequence[int]) -> RefinementWitness | 
 
 
 class DiffLattice:
-    """A DLat together with a total difference table of its elements.
+    """A DLat with a total difference table: least splittings plus exceptions.
 
-    The splitting identities are checked by ``check_identities``, not here.
+    ``_diff`` holds every entry, so a read is one lookup.  ``_hot`` holds
+    the pairs that the least-splitting argument does not cover: those whose
+    entry is not ↓(x∖y), and those with ↓(x∖y)∧↓(y∖x) ≠ 0, which only a
+    table on a lattice that is not completely normal can have.  Every other
+    pair holds ↓(x∖y) and satisfies both identities, so the scans read
+    their exceptions off ``_hot``.  The identities are checked by
+    ``check_identities``, not here.
     """
 
-    __slots__ = ("lat", "_diff")
+    __slots__ = ("lat", "_diff", "_hot")
 
     def __init__(self, lat: DLat, diff: Mapping[tuple[int, int], int]):
         self.lat = lat
         self._diff = dict(diff)
+        self._hot = set()
         for x in lat.elements:
             for y in lat.elements:
                 d = self._diff.get((x, y))
@@ -172,19 +188,33 @@ class DiffLattice:
                     raise LatticeError(f"difference table missing entry ({x}, {y})")
                 if d not in lat:
                     raise LatticeError(f"difference entry ({x}, {y}) = {d:#x} is not an element")
+                least = _down(lat, x & ~y)
+                if d != least or least & _down(lat, y & ~x):
+                    self._hot.add((x, y))
+
+    @classmethod
+    def _trusted(cls, lat: DLat, diff: dict, hot: set) -> "DiffLattice":
+        """A table whose entries the caller guarantees: set the slots, check nothing."""
+        dl = object.__new__(cls)
+        dl.lat, dl._diff, dl._hot = lat, diff, hot
+        return dl
 
     def diff(self, x: int, y: int) -> int:
         return self._diff[x, y]
 
     def check_identities(self) -> tuple[int, int] | None:
-        """Least pair violating either identity, or None (exact, all pairs)."""
-        for x in self.lat.elements:
-            for y in self.lat.elements:
-                d = self._diff[x, y]
-                if (x & y) | d != x:
-                    return (x, y)
-                if d & self._diff[y, x] != 0:
-                    return (x, y)
+        """Least pair violating either identity, or None.
+
+        Exact from the hot pairs and their transposes alone: any other pair
+        holds ↓(x∖y) and ↓(y∖x), which are orthogonal, and
+        (x∧y)∨↓(x∖y) = x because ↓(x∖y) ⊆ x.
+        """
+        diff, pos = self._diff, self.lat.pos
+        pairs = self._hot | {(y, x) for x, y in self._hot}
+        for x, y in sorted(pairs, key=lambda p: (pos(p[0]), pos(p[1]))):
+            d = diff[x, y]
+            if (x & y) | d != x or d & diff[y, x] != 0:
+                return (x, y)
         return None
 
     def triangle_violations(self, limit: int | None = None) -> list[tuple[int, int, int]]:
@@ -194,21 +224,21 @@ class DiffLattice:
         but a table with pinned entries, like the cube replay's inherited
         ones, can have some.  When every entry satisfies the identities,
         d(x, y) ⊇ ↓(x∖y) for every pair, so a z with d(x, z) = ↓(x∖z) gives
-        d(x, z) ⊆ ↓(x∖y) ∪ ↓(y∖z) ⊆ d(x, y)∨d(y, z) for every y.  Only the
-        other z are scanned, in the same order, so the list and the ``limit``
-        cut-off are those of the full scan, which runs when an identity fails.
+        d(x, z) ⊆ ↓(x∖y) ∪ ↓(y∖z) ⊆ d(x, y)∨d(y, z) for every y.  The other
+        z are the hot pairs (x, z), scanned in the same order, so the list
+        and the ``limit`` cut-off are those of the full scan, which runs
+        when an identity fails.
         """
         lat, diff = self.lat, self._diff
         els = lat.elements
         if self.check_identities() is None:
-            hot = {x: [z for z in els if diff[x, z] != _down(lat, x & ~z)] for x in els}
+            hot: dict[int, list[int]] = {}
+            for x, z in sorted(self._hot, key=lambda p: (lat.pos(p[0]), lat.pos(p[1]))):
+                hot.setdefault(x, []).append(z)
         else:
             hot = dict.fromkeys(els, els)
         out = []
-        for x in els:
-            zs = hot[x]
-            if not zs:
-                continue
+        for x, zs in hot.items():
             for y in els:
                 dxy = diff[x, y]
                 for z in zs:
@@ -222,12 +252,15 @@ class DiffLattice:
 
 
 def expand_v0(lat: DLat, pinned: Mapping[tuple[int, int], int] | None = None) -> DiffLattice:
-    """Total difference table extending ``pinned`` by canonical least splittings.
+    """Total difference table: the least splittings with ``pinned`` laid over them.
 
     Preconditions: the lattice is completely normal (else
     ``NotCompletelyNormalError``) and the pins are mutually consistent with
-    the identities (else ``PinConflictError``).  Unpinned pairs get the
-    least splitting; a half-pinned pair gets the least consistent partner.
+    the identities (else ``PinConflictError``).  Each pair (x, y) gets its
+    least splitting (↓(x∖y), ↓(y∖x)) where it is not pinned, so the partner
+    of a half-pinned pair is its least consistent one: every partner holds
+    the other half of the least splitting, and there is none when that half
+    meets the pin.  The pins that differ from their least entry are hot.
     """
     pins = dict(pinned or {})
     for (x, y), d in pins.items():
@@ -243,41 +276,21 @@ def expand_v0(lat: DLat, pinned: Mapping[tuple[int, int], int] | None = None) ->
     cn = is_completely_normal(lat)
     if not cn.completely_normal:
         raise NotCompletelyNormalError(lat, cn.witness)
-    table: dict[tuple[int, int], int] = {}
-    els = lat.elements
+    table, hot, els = {}, set(), lat.elements
     for i, x in enumerate(els):
         for y in els[i:]:
-            if x == y:
-                d = pins.get((x, x), 0)
-                if d != 0:
-                    raise PinConflictError("diagonal difference is forced to 0")
-                table[x, x] = 0
-                continue
-            px, py = pins.get((x, y)), pins.get((y, x))
-            if px is not None and py is not None:
-                table[x, y], table[y, x] = px, py
-            elif px is not None:
-                part = _least_partner(lat, x, y, px)
-                table[x, y], table[y, x] = px, part
-            elif py is not None:
-                part = _least_partner(lat, y, x, py)
-                table[y, x], table[x, y] = py, part
-            else:
-                s = find_splitting(lat, x, y)
-                if s is None:
-                    raise SelfCheckError(f"no splitting of ({lat.fmt(x)}, {lat.fmt(y)}) "
-                                         "in a lattice found completely normal")
-                table[x, y], table[y, x] = s.x, s.y
-    return DiffLattice(lat, table)
-
-
-def _least_partner(lat: DLat, x: int, y: int, d: int) -> int:
-    """Least v with (y∧x)∨v = y and d∧v = 0, given x∖y = d already pinned.
-
-    Every such v holds y∖x, so it is ↓(y∖x) when that misses d.
-    """
-    v = _down(lat, y & ~x)
-    if v & d:
-        raise PinConflictError(
-            f"pinned {lat.fmt(x)}∖{lat.fmt(y)} = {lat.fmt(d)} admits no consistent partner")
-    return v
+            cx, cy = _down(lat, x & ~y), _down(lat, y & ~x)
+            if cx & cy:
+                raise SelfCheckError(f"no splitting of ({lat.fmt(x)}, {lat.fmt(y)}) "
+                                     "in a lattice found completely normal")
+            dx, dy = pins.get((x, y), cx), pins.get((y, x), cy)
+            if dx & dy:  # only one side is pinned: two pins were checked above
+                u, v, d = (x, y, dx) if (x, y) in pins else (y, x, dy)
+                raise PinConflictError(
+                    f"pinned {lat.fmt(u)}∖{lat.fmt(v)} = {lat.fmt(d)} admits no consistent partner")
+            table[x, y], table[y, x] = dx, dy
+            if dx != cx:
+                hot.add((x, y))
+            if dy != cy:
+                hot.add((y, x))
+    return DiffLattice._trusted(lat, table, hot)

@@ -564,9 +564,9 @@ def birkhoff_iso(raw: RawLattice) -> tuple[Poset, DLat, list[int]]:
     run only then, to report the least witness.  The raw labels name only
     the join-irreducibles, so a clash among them raises from ``Poset``
     once the tables are accepted.
-    An order needs no tables: ``lattice_of_order`` gives the same result
-    and calls this function, on ``RawLattice.from_order``, only to report
-    why an order is not a distributive lattice.
+    An order needs no tables: ``lattice_of_order`` gives the same result,
+    and builds ``RawLattice.from_order`` only to report, with the same
+    error, why an order is not a distributive lattice.
     """
     raw.check_shape()
     n, J, M = raw.n, raw.joins, raw.meets
@@ -594,13 +594,17 @@ def lattice_of_order(poset: Poset) -> tuple[Poset, DLat, list[int]]:
     (the same join-irreducible poset, labels, bit order and ``iso``) but
     certifies them from the order alone, in O(|L|·|J|), with no join or
     meet table (``_certified_order``).  Only an order the certificate
-    rejects builds the tables, so that ``birkhoff_iso`` raises its error
-    with its least witness; if it accepts instead, that is a bug and
-    raises ``SelfCheckError``.
+    rejects builds the tables, to raise the error ``birkhoff_iso`` would
+    raise, with its least witness.  Tables read off an order that has every
+    lub and glb already satisfy the lattice axioms, so only the shape (an
+    empty order fails there) and distributivity are scanned; if both pass
+    instead, that is a bug and raises ``SelfCheckError``.
     """
     cert = _certified_order(poset)
     if cert is None:
-        birkhoff_iso(RawLattice.from_order(poset))
+        raw = RawLattice.from_order(poset)
+        raw.check_shape()
+        raw.check_distributive()
         raise SelfCheckError("lattice_of_order: a distributive lattice failed its certificate")
     irr, iso = cert
     return _birkhoff_dual(irr, iso, [poset.labels[j] for j in irr])

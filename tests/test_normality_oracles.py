@@ -3,10 +3,12 @@
 The oracles are the product searches that the closed forms replaced, kept
 verbatim: ``find_splitting`` over all candidate pairs, the pairwise
 ``is_completely_normal`` scan, the ``itertools.product`` search in
-``refinement_witness``, the linear ``_least_partner`` scan and the scan of
-every triple in ``DiffLattice.triangle_violations``.  The Birkhoff
-round-trip certificate is checked against the full
-``birkhoff_iso(RawLattice.from_dlat(lat))`` rebuild.
+``refinement_witness``, the linear scan for the partner of a half-pinned
+pair and the scan of every triple in ``DiffLattice.triangle_violations``.
+``expand_v0`` is checked against its branch-per-pair form, which built a
+``Splitting`` for every unpinned pair, and ``check_identities`` against
+the scan of every pair.  The Birkhoff round-trip certificate is checked
+against the full ``birkhoff_iso(RawLattice.from_dlat(lat))`` rebuild.
 """
 
 from __future__ import annotations
@@ -212,20 +214,26 @@ def test_refinement_witnesses_match_oracle(lattices):
     assert refinement_witness(lattices[0], []) == oracle_refinement_witness(lattices[0], [])
 
 
+def expanded_partner(lat: DLat, x: int, y: int, d: int) -> int:
+    """The entry y∖x that ``expand_v0`` gives when only x∖y = d is pinned."""
+    return expand_v0(lat, {(x, y): d}).diff(y, x)
+
+
 def test_half_pinned_partners_match_oracle(lattices):
     rng = random.Random(63)
     conflicts = tables = 0
     for lat in lattices:
+        if not is_completely_normal(lat).completely_normal:
+            continue  # expand_v0 takes completely normal lattices only
         els = lat.elements
-        for k in range(10):
-            x, y = rng.choice(els), rng.choice(els)
+        for k in range(20):  # 20 draws, as only the completely normal lattices take part
+            x, y = rng.sample(els, 2)  # a nonzero diagonal pin fails before any partner
             # a pin d for x∖y must satisfy (x∧y)∨d = x, as expand_v0 checks first
             d = rng.choice([d for d in els if (x & y) | d == x])
-            got = outcome(normality._least_partner, lat, x, y, d)
+            got = outcome(expanded_partner, lat, x, y, d)
             assert got == outcome(oracle_least_partner, lat, x, y, d), (lat, x, y, d)
             conflicts += isinstance(got, tuple)
-            if k == 0 and not isinstance(got, tuple) and x != y \
-                    and oracle_is_completely_normal(lat).completely_normal:
+            if k == 0 and not isinstance(got, tuple):
                 # the whole table: the pin, its partner, least splittings elsewhere
                 dl = expand_v0(lat, {(x, y): d})
                 for u in els:
@@ -435,3 +443,187 @@ def test_difference_entries_are_elements():
     del table[c3.top, 0]
     with pytest.raises(LatticeError, match="missing entry"):
         DiffLattice(c3, table)
+
+
+# -- the difference table ---------------------------------------------------
+
+def oracle_expand_v0(lat: DLat, pinned: dict[tuple[int, int], int] | None = None) -> DiffLattice:
+    """``expand_v0`` as one branch per pair, with the linear partner scan.
+
+    Diagonal, both pinned, half pinned (``oracle_least_partner``), else
+    ``find_splitting``; the table is checked by the ``DiffLattice``
+    constructor.
+    """
+    pins = dict(pinned or {})
+    for (x, y), d in pins.items():
+        lat.check_member(x)
+        lat.check_member(y)
+        lat.check_member(d)
+        if (x & y) | d != x:
+            raise PinConflictError(
+                f"pinned {lat.fmt(x)}∖{lat.fmt(y)} = {lat.fmt(d)} violates (x∧y)∨(x∖y) = x")
+        if (y, x) in pins and d & pins[y, x] != 0:
+            raise PinConflictError(
+                f"pinned pair ({lat.fmt(x)}, {lat.fmt(y)}) violates (x∖y)∧(y∖x) = 0")
+    cn = is_completely_normal(lat)
+    if not cn.completely_normal:
+        raise NotCompletelyNormalError(lat, cn.witness)
+    table: dict[tuple[int, int], int] = {}
+    els = lat.elements
+    for i, x in enumerate(els):
+        for y in els[i:]:
+            if x == y:
+                d = pins.get((x, x), 0)
+                if d != 0:
+                    raise PinConflictError("diagonal difference is forced to 0")
+                table[x, x] = 0
+                continue
+            px, py = pins.get((x, y)), pins.get((y, x))
+            if px is not None and py is not None:
+                table[x, y], table[y, x] = px, py
+            elif px is not None:
+                part = oracle_least_partner(lat, x, y, px)
+                table[x, y], table[y, x] = px, part
+            elif py is not None:
+                part = oracle_least_partner(lat, y, x, py)
+                table[y, x], table[x, y] = py, part
+            else:
+                s = find_splitting(lat, x, y)
+                if s is None:
+                    raise SelfCheckError(f"no splitting of ({lat.fmt(x)}, {lat.fmt(y)}) "
+                                         "in a lattice found completely normal")
+                table[x, y], table[y, x] = s.x, s.y
+    return DiffLattice(lat, table)
+
+
+def oracle_check_identities(dl: DiffLattice) -> tuple[int, int] | None:
+    """Least pair violating either identity, scanning every pair."""
+    els = dl.lat.elements
+    for x in els:
+        for y in els:
+            d = dl.diff(x, y)
+            if (x & y) | d != x:
+                return (x, y)
+            if d & dl.diff(y, x) != 0:
+                return (x, y)
+    return None
+
+
+def least_entry(lat: DLat, x: int, y: int) -> int:
+    """↓(x∖y), the union of the principal downsets of the points of x∖y."""
+    return functools.reduce(int.__or__, (lat.base.down[p] for p in range(lat.base.n)
+                                         if (x & ~y) >> p & 1), 0)
+
+
+def _partner_conflicts(lat: DLat, pins: dict[tuple[int, int], int]) -> int:
+    """Half pins whose least partner meets them, by the linear scan."""
+    return sum(isinstance(outcome(oracle_least_partner, lat, x, y, d), tuple)
+               for (x, y), d in pins.items() if (y, x) not in pins)
+
+
+def _messy_pins(rng: random.Random, lat: DLat) -> dict[tuple[int, int], int]:
+    """Consistent pins, often with conflicting half pins, sometimes with broken ones."""
+    els = lat.elements
+    pins = _random_pins(rng, lat, rng.randint(0, 6))
+    for _ in range(rng.choice([0, 0, 1, 2, 3])):  # half pins that meet their least partner
+        x, y = rng.sample(els, 2)
+        bad = [d for d in els if (x & y) | d == x and d & least_entry(lat, y, x)]
+        if bad and (y, x) not in pins:
+            pins[x, y] = rng.choice(bad)
+    kind = rng.randrange(8)
+    x, y = rng.choice(els), rng.choice(els)
+    if kind == 0:
+        pins[x, y] = rng.choice(els)  # may break (x∧y)∨(x∖y) = x
+    elif kind == 1:
+        pins[x, x] = rng.choice(els)  # the diagonal
+    elif kind == 2:
+        pins[x, y], pins[y, x] = x, y  # orthogonal only when x∧y = 0
+    elif kind == 3:
+        pins[x, y] = rng.choice([m for m in range(1 << lat.base.n) if m not in lat] or [x])
+    return pins
+
+
+def assert_tables_match(lat: DLat, pins: dict[tuple[int, int], int]) -> DiffLattice | tuple:
+    """Equal tables and identity verdicts, or the same exception and message."""
+    got, want = outcome(expand_v0, lat, pins), outcome(oracle_expand_v0, lat, pins)
+    if isinstance(want, tuple):
+        assert got == want, (lat, pins)
+        return got
+    assert got._diff == want._diff, (lat, pins)
+    assert got.check_identities() == oracle_check_identities(want) == want.check_identities()
+    return got
+
+
+def test_expanded_tables_match_oracle(lattices):
+    rng = random.Random(68)
+    built = pinned = not_normal = conflicts = multiple = 0
+    for lat in lattices:
+        for _ in range(4):
+            pins = _messy_pins(rng, lat)
+            got = assert_tables_match(lat, pins)
+            if isinstance(got, DiffLattice):
+                built += 1
+                pinned += bool(pins)
+            elif got[0] is NotCompletelyNormalError:
+                not_normal += 1
+            elif "admits no consistent partner" in got[1]:
+                conflicts += 1
+                multiple += _partner_conflicts(lat, pins) >= 2
+        assert_tables_match(lat, {})
+    assert built >= 400 and pinned >= 300 and not_normal >= 300, (built, pinned, not_normal)
+    assert conflicts >= 200 and multiple >= 60, (conflicts, multiple)
+
+
+def test_identities_on_outside_tables_match_oracle(lattices):
+    # least-entry tables, corrupted, on every lattice: on one that is not
+    # completely normal the least entries of some pair meet, and those pairs
+    # are hot although their entries are least
+    rng = random.Random(69)
+    failing = meeting = 0
+    for i, lat in enumerate(lattices):
+        els = lat.elements
+        table = {(x, y): least_entry(lat, x, y) for x in els for y in els}
+        for _ in range(rng.randint(0, 3)):
+            table[rng.choice(els), rng.choice(els)] = rng.choice(els)
+        dl = DiffLattice(lat, table)
+        got = dl.check_identities()
+        assert got == oracle_check_identities(dl), (lat, table)
+        failing += got is not None
+        meeting += any(dl.diff(x, y) == least_entry(lat, x, y) for x, y in dl._hot)
+        if i < 100:
+            assert_triangles_match(dl)
+    assert failing >= 400 and meeting >= 200, (failing, meeting)
+
+
+def test_expand_v0_builds_no_splitting(monkeypatch):
+    # the table is the least splittings with the pins over them, and the
+    # scans read the pairs that differ off the table
+    lat = chain_product([3, 3, 3])[0]
+    plain = expand_v0(lat)
+    expanded, rep = expand_cube_v0(build_cube())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a least entry was derived again")
+
+    monkeypatch.setattr(normality, "find_splitting", refuse)
+    monkeypatch.setattr(normality, "Splitting", refuse)
+    assert expand_v0(lat)._diff == plain._diff
+    again, rep_again = expand_cube_v0(build_cube())
+    assert rep_again == rep and all(again[p]._diff == expanded[p]._diff for p in NODES)
+    # the hot pairs are the entries that differ from ↓(x∖y), here all pins
+    assert plain._hot == set()
+    for dl in again.values():
+        els = dl.lat.elements
+        assert dl._hot == {(x, y) for x in els for y in els
+                           if dl.diff(x, y) != least_entry(dl.lat, x, y)}
+    rng = random.Random(70)
+    for _ in range(40):
+        pins = _random_pins(rng, lat, rng.randint(1, 8))
+        try:
+            dl = expand_v0(lat, pins)
+        except PinConflictError:
+            continue
+        assert dl._hot == {(x, y) for (x, y), d in pins.items() if d != least_entry(lat, x, y)}
+    monkeypatch.setattr(normality, "_down", refuse)
+    assert plain.check_identities() is None and plain.triangle_violations() == []
+    assert sum(len(again[p].triangle_violations()) for p in NODES) == rep.triangle_violations == 805
