@@ -129,7 +129,14 @@ class CubeReport(Report):
 
 
 def verify_cube(cube: CubeDiagram) -> CubeReport:
-    """Embeddings, commuting faces, and strong amalgams, all exhaustive."""
+    """Embeddings, commuting faces, and strong amalgams, all exhaustive.
+
+    Each two-level square p0 < p1, p2 < ptop is visited once: its two cover
+    paths are composed, the face commutes when they agree, and the square is
+    a strong amalgam when the images of p1 and p2 meet in exactly the image
+    of the path through p1.  The six bottom-to-top paths are checked against
+    the composite ``cube.hom`` builds.
+    """
     fails = []
     emb = bounds = True
     for (p, q), h in cube.homs.items():
@@ -139,20 +146,18 @@ def verify_cube(cube: CubeDiagram) -> CubeReport:
         if not (h(h.dom.bottom) == h.cod.bottom and h(h.dom.top) == h.cod.top):
             bounds = False
             fails.append(f"map {sorted(p)}->{sorted(q)} not a 0,1-map")
-    # faces: for every p ⊆ q, all cover paths define the same composite
     faces = True
-    n_faces = 0
-    for p in NODES:
-        for q in NODES:
-            if p < q and len(q - p) == 2:
-                n_faces += 1
-                paths = []
-                for r in NODES:
-                    if p < r < q:
-                        paths.append(cube.homs[r, q].compose(cube.homs[p, r]))
-                if any(h.table != paths[0].table for h in paths[1:]):
-                    faces = False
-                    fails.append(f"face over {sorted(p)}..{sorted(q)} does not commute")
+    amalg_fails = []
+    squares = _two_level_squares()
+    for p0, (p1, p2), ptop in squares:
+        h1, h2 = cube.homs[p1, ptop], cube.homs[p2, ptop]
+        h0 = h1.compose(cube.homs[p0, p1])
+        if h2.compose(cube.homs[p0, p2]).table != h0.table:
+            faces = False
+            fails.append(f"face over {sorted(p0)}..{sorted(ptop)} does not commute")
+        if set(h1.table) & set(h2.table) != set(h0.table):
+            amalg_fails.append(
+                f"square {sorted(p0)};{sorted(p1)},{sorted(p2)} is not a strong amalgam")
     # full-interval coherence: all six cover paths from bottom to top agree
     bottom, top = NODES[0], NODES[-1]
     ref = cube.hom(bottom, top)
@@ -164,18 +169,8 @@ def verify_cube(cube: CubeDiagram) -> CubeReport:
                 if h.table != ref.table:
                     faces = False
                     fails.append(f"path via {sorted(mid1)},{sorted(mid2)} disagrees")
-    # strong amalgams on every two-level square
-    amalg = True
-    squares = _two_level_squares()
-    for p0, (p1, p2), ptop in squares:
-        h1 = cube.hom(p1, ptop)
-        h2 = cube.hom(p2, ptop)
-        h0 = cube.hom(p0, ptop)
-        inter = set(h1.table) & set(h2.table)
-        if inter != set(h0.table):
-            amalg = False
-            fails.append(f"square {sorted(p0)};{sorted(p1)},{sorted(p2)} is not a strong amalgam")
-    return CubeReport(emb, bounds, faces, amalg, len(cube.homs), n_faces,
+    fails += amalg_fails
+    return CubeReport(emb, bounds, faces, not amalg_fails, len(cube.homs), len(squares),
                       len(squares), tuple(fails))
 
 
@@ -206,13 +201,18 @@ class CubeV0Report(Report):
 def expand_cube_v0(cube: CubeDiagram, rep: CubeReport | None = None) -> tuple[dict, CubeV0Report]:
     """Expand every cube lattice by a difference operation, inductively.
 
-    Processing nodes in subset-size order: if both members of a pair lie in
-    the range of a map from a smaller node, the difference is inherited
-    from the smallest such node (well defined because the squares are
-    strong amalgams); otherwise the canonical least splitting is assigned.
-    Afterwards every map is checked to preserve the difference, pair by
-    pair, and both identities are re-checked in all eight structures.
-    ``rep`` is the cube's ``verify_cube`` report, computed here if not given.
+    Processing nodes in subset-size order, node p's pins are the finished
+    tables of its lower covers pushed forward: each cover h: q → p sets
+    d(h(x1), h(x2)) = h(d(x1, x2)) for every pair of q, and two covers that
+    push different values raise.  Every other pair gets its canonical least
+    splitting.  This is the smallest-holder rule: on a verified cube every
+    pair in the image of a smaller node is in the image of a lower cover
+    (the composite factors through one), and that cover's entry is the
+    smallest holder's value pushed through commuting faces; the strong
+    amalgams make the holders of a pair have a smallest one.  Afterwards
+    every map is checked to preserve the difference, pair by pair, and both
+    identities are re-checked in all eight structures.  ``rep`` must be
+    ``verify_cube(cube)``, which is computed here if not given.
     """
     if rep is None:
         rep = verify_cube(cube)
@@ -224,33 +224,23 @@ def expand_cube_v0(cube: CubeDiagram, rep: CubeReport | None = None) -> tuple[di
         checked.append(f"{sorted(p)}: completely normal = {r.completely_normal}")
         if not r.completely_normal:
             raise LatticeError(f"cube lattice {sorted(p)} is not completely normal")
+    imgs = {pq: dict(zip(h.dom.elements, h.table)) for pq, h in cube.homs.items()}
     expanded: dict = {}
     fails = []
     for p in NODES:
-        lat = cube.lattices[p]
-        subs = []
-        for q in NODES:
-            if q < p:
-                h = cube.hom(q, p)
-                subs.append((q, h, set(h.table), {h(x): x for x in h.dom.elements}))
-        subs.sort(key=lambda t: len(t[0]))
         pins: dict[tuple[int, int], int] = {}
-        els = lat.elements
-        for i, x1 in enumerate(els):
-            for x2 in els[i + 1:]:
-                holders = [(q, h, inv) for q, h, rng, inv in subs
-                           if x1 in rng and x2 in rng]
-                if not holders:
-                    continue
-                qmin = holders[0][0]
-                if any(not (qmin <= q) for q, _, _ in holders):
-                    raise LatticeError(
-                        f"inherited assignment conflict at {sorted(p)}: no smallest sub-image")
-                q, h, inv = holders[0]
-                y1, y2 = inv[x1], inv[x2]
-                pins[x1, x2] = h(expanded[q].diff(y1, y2))
-                pins[x2, x1] = h(expanded[q].diff(y2, y1))
-        expanded[p] = expand_v0(lat, pins)
+        for (q, r), img in imgs.items():
+            if r != p:
+                continue
+            dq = expanded[q]
+            for x1, y1 in img.items():
+                for x2, y2 in img.items():
+                    d = img[dq.diff(x1, x2)]
+                    if pins.setdefault((y1, y2), d) != d:
+                        raise LatticeError(
+                            f"inherited assignment conflict at {sorted(p)}: pair ({y1}, {y2}) "
+                            f"gets {pins[y1, y2]}, and {d} from {sorted(q)}")
+        expanded[p] = expand_v0(cube.lattices[p], pins)
     identities_ok = True
     for p in NODES:
         w = expanded[p].check_identities()
@@ -258,18 +248,13 @@ def expand_cube_v0(cube: CubeDiagram, rep: CubeReport | None = None) -> tuple[di
             identities_ok = False
             fails.append(f"identity failure in {sorted(p)} at {w}")
     preserve = True
-    for (p, q), h in cube.homs.items():
+    for (p, q), img in imgs.items():
         dp, dq = expanded[p], expanded[q]
-        for x1 in cube.lattices[p].elements:
-            for x2 in cube.lattices[p].elements:
-                if h(dp.diff(x1, x2)) != dq.diff(h(x1), h(x2)):
-                    preserve = False
-                    fails.append(
-                        f"map {sorted(p)}->{sorted(q)} does not preserve the difference at ({x1}, {x2})")
-                    break
-            else:
-                continue
-            break
+        bad = next(((x1, x2) for x1 in img for x2 in img
+                    if img[dp.diff(x1, x2)] != dq.diff(img[x1], img[x2])), None)
+        if bad is not None:
+            preserve = False
+            fails.append(f"map {sorted(p)}->{sorted(q)} does not preserve the difference at {bad}")
     tri = sum(len(expanded[p].triangle_violations()) for p in NODES)
     return expanded, CubeV0Report(identities_ok, preserve, tuple(checked), tri, tuple(fails))
 
@@ -305,19 +290,22 @@ def rho_naturality(cube: CubeDiagram) -> list[str]:
 
 
 def generated_subalgebra(dl: DiffLattice, gens: list[int]) -> set[int]:
-    """Closure of {0, 1} ∪ gens under join, meet, and the difference."""
+    """Closure of {0, 1} ∪ gens under join, meet, and the difference.
+
+    A worklist: each element, when taken, is combined once with itself and
+    every element taken before it.
+    """
     lat = dl.lat
     out = {lat.bottom, lat.top, *gens}
-    grew = True
-    while grew:
-        grew = False
-        cur = list(out)
-        for x in cur:
-            for y in cur:
-                for z in (x | y, x & y, dl.diff(x, y)):
-                    if z not in out:
-                        out.add(z)
-                        grew = True
+    todo, done = list(out), []
+    while todo:
+        x = todo.pop()
+        done.append(x)
+        for y in done:
+            for z in (x | y, x & y, dl.diff(x, y), dl.diff(y, x)):
+                if z not in out:
+                    out.add(z)
+                    todo.append(z)
     return out
 
 

@@ -9,6 +9,10 @@ pair and the scan of every triple in ``DiffLattice.triangle_violations``.
 ``Splitting`` for every unpinned pair, and ``check_identities`` against
 the scan of every pair.  The Birkhoff round-trip certificate is checked
 against the full ``birkhoff_iso(RawLattice.from_dlat(lat))`` rebuild.
+The cube replay's ``verify_cube``, ``expand_cube_v0`` and
+``generated_subalgebra`` are checked against their parent forms, which
+looped over every pair of nodes, derived each pin from the smallest
+holder among all smaller nodes, and rescanned every pair to a fixpoint.
 """
 
 from __future__ import annotations
@@ -30,7 +34,10 @@ from latspec.order import (DLat, LatticeError, Poset, RawLattice, SelfCheckError
                            birkhoff_round_trip, chain_lattice, chain_product,
                            downset_lattice)
 from latspec.randgen import random_poset
-from latspec.replication import NODES, build_cube, expand_cube_v0
+from latspec.homs import LatHom
+from latspec.replication import (BAR, NODES, RMAP, CubeDiagram, CubeReport, CubeV0Report,
+                                 _two_level_squares, build_cube, expand_cube_v0,
+                                 generated_subalgebra, rho_generator_images, verify_cube)
 
 
 # -- oracles: the searches as they were before the closed forms ----------
@@ -627,3 +634,290 @@ def test_expand_v0_builds_no_splitting(monkeypatch):
     monkeypatch.setattr(normality, "_down", refuse)
     assert plain.check_identities() is None and plain.triangle_violations() == []
     assert sum(len(again[p].triangle_violations()) for p in NODES) == rep.triangle_violations == 805
+
+
+# -- the cube replay ----------------------------------------------------------
+
+# The parent forms of the cube layer, verbatim: the faces over every pair of
+# nodes two levels apart, each amalgam's composites through ``cube.hom``,
+# every pin derived from the smallest of all smaller nodes whose image holds
+# the pair, and the closure that rescans every pair each round.
+
+def oracle_verify_cube(cube: CubeDiagram) -> CubeReport:
+    """Embeddings, commuting faces, and strong amalgams, all exhaustive."""
+    fails = []
+    emb = bounds = True
+    for (p, q), h in cube.homs.items():
+        if not h.injective:
+            emb = False
+            fails.append(f"map {sorted(p)}->{sorted(q)} not injective")
+        if not (h(h.dom.bottom) == h.cod.bottom and h(h.dom.top) == h.cod.top):
+            bounds = False
+            fails.append(f"map {sorted(p)}->{sorted(q)} not a 0,1-map")
+    # faces: for every p ⊆ q, all cover paths define the same composite
+    faces = True
+    n_faces = 0
+    for p in NODES:
+        for q in NODES:
+            if p < q and len(q - p) == 2:
+                n_faces += 1
+                paths = []
+                for r in NODES:
+                    if p < r < q:
+                        paths.append(cube.homs[r, q].compose(cube.homs[p, r]))
+                if any(h.table != paths[0].table for h in paths[1:]):
+                    faces = False
+                    fails.append(f"face over {sorted(p)}..{sorted(q)} does not commute")
+    # full-interval coherence: all six cover paths from bottom to top agree
+    bottom, top = NODES[0], NODES[-1]
+    ref = cube.hom(bottom, top)
+    for mid1 in NODES[1:4]:
+        for mid2 in NODES[4:7]:
+            if mid1 < mid2:
+                h = cube.homs[mid2, top].compose(
+                    cube.homs[mid1, mid2].compose(cube.homs[bottom, mid1]))
+                if h.table != ref.table:
+                    faces = False
+                    fails.append(f"path via {sorted(mid1)},{sorted(mid2)} disagrees")
+    # strong amalgams on every two-level square
+    amalg = True
+    squares = _two_level_squares()
+    for p0, (p1, p2), ptop in squares:
+        h1 = cube.hom(p1, ptop)
+        h2 = cube.hom(p2, ptop)
+        h0 = cube.hom(p0, ptop)
+        inter = set(h1.table) & set(h2.table)
+        if inter != set(h0.table):
+            amalg = False
+            fails.append(f"square {sorted(p0)};{sorted(p1)},{sorted(p2)} is not a strong amalgam")
+    return CubeReport(emb, bounds, faces, amalg, len(cube.homs), n_faces,
+                      len(squares), tuple(fails))
+
+
+def oracle_expand_cube_v0(cube: CubeDiagram, rep: CubeReport | None = None) -> tuple[dict, CubeV0Report]:
+    """Expand every cube lattice by a difference operation, inductively.
+
+    Processing nodes in subset-size order: if both members of a pair lie in
+    the range of a map from a smaller node, the difference is inherited
+    from the smallest such node (well defined because the squares are
+    strong amalgams); otherwise the canonical least splitting is assigned.
+    Afterwards every map is checked to preserve the difference, pair by
+    pair, and both identities are re-checked in all eight structures.
+    ``rep`` is the cube's ``verify_cube`` report, computed here if not given.
+    """
+    if rep is None:
+        rep = verify_cube(cube)
+    if not rep.ok:
+        raise LatticeError(f"cube verification failed: {rep.failures}")
+    checked = []
+    for p in (frozenset(), frozenset({1}), frozenset({1, 2})):
+        r = is_completely_normal(cube.lattices[p])
+        checked.append(f"{sorted(p)}: completely normal = {r.completely_normal}")
+        if not r.completely_normal:
+            raise LatticeError(f"cube lattice {sorted(p)} is not completely normal")
+    expanded: dict = {}
+    fails = []
+    for p in NODES:
+        lat = cube.lattices[p]
+        subs = []
+        for q in NODES:
+            if q < p:
+                h = cube.hom(q, p)
+                subs.append((q, h, set(h.table), {h(x): x for x in h.dom.elements}))
+        subs.sort(key=lambda t: len(t[0]))
+        pins: dict[tuple[int, int], int] = {}
+        els = lat.elements
+        for i, x1 in enumerate(els):
+            for x2 in els[i + 1:]:
+                holders = [(q, h, inv) for q, h, rng, inv in subs
+                           if x1 in rng and x2 in rng]
+                if not holders:
+                    continue
+                qmin = holders[0][0]
+                if any(not (qmin <= q) for q, _, _ in holders):
+                    raise LatticeError(
+                        f"inherited assignment conflict at {sorted(p)}: no smallest sub-image")
+                q, h, inv = holders[0]
+                y1, y2 = inv[x1], inv[x2]
+                pins[x1, x2] = h(expanded[q].diff(y1, y2))
+                pins[x2, x1] = h(expanded[q].diff(y2, y1))
+        expanded[p] = expand_v0(lat, pins)
+    identities_ok = True
+    for p in NODES:
+        w = expanded[p].check_identities()
+        if w is not None:
+            identities_ok = False
+            fails.append(f"identity failure in {sorted(p)} at {w}")
+    preserve = True
+    for (p, q), h in cube.homs.items():
+        dp, dq = expanded[p], expanded[q]
+        for x1 in cube.lattices[p].elements:
+            for x2 in cube.lattices[p].elements:
+                if h(dp.diff(x1, x2)) != dq.diff(h(x1), h(x2)):
+                    preserve = False
+                    fails.append(
+                        f"map {sorted(p)}->{sorted(q)} does not preserve the difference at ({x1}, {x2})")
+                    break
+            else:
+                continue
+            break
+    tri = sum(len(expanded[p].triangle_violations()) for p in NODES)
+    return expanded, CubeV0Report(identities_ok, preserve, tuple(checked), tri, tuple(fails))
+
+
+def oracle_generated_subalgebra(dl: DiffLattice, gens: list[int]) -> set[int]:
+    """Closure of {0, 1} ∪ gens under join, meet, and the difference."""
+    lat = dl.lat
+    out = {lat.bottom, lat.top, *gens}
+    grew = True
+    while grew:
+        grew = False
+        cur = list(out)
+        for x in cur:
+            for y in cur:
+                for z in (x | y, x & y, dl.diff(x, y)):
+                    if z not in out:
+                        out.add(z)
+                        grew = True
+    return out
+
+
+TOP_FORMULAS = (
+    lambda t: (BAR[t[0]], t[0], t[1], RMAP[t[1]]),  # a
+    lambda t: (t[0], BAR[t[0]], t[1], RMAP[t[0]]),  # b
+    lambda t: (t[0], t[1], BAR[t[1]], RMAP[t[1]]),  # c
+    lambda t: (BAR[t[1]], t[1], t[0], RMAP[t[0]]),  # a, arguments swapped
+    lambda t: (t[1], t[0], BAR[t[0]], RMAP[t[0]]),  # c, arguments swapped
+)
+
+
+def embeddings(dom: DLat, cod: DLat) -> list[LatHom]:
+    """Every injective 0,1-embedding dom → cod, by trying every table."""
+    out = []
+    for table in product(cod.elements, repeat=dom.size):
+        try:
+            h = LatHom(dom, cod, table)
+        except LatticeError:
+            continue
+        if h.injective and h.preserves_top:
+            out.append(h)
+    return out
+
+
+def doctored(cube: CubeDiagram, pq: tuple[frozenset, frozenset], h: LatHom) -> CubeDiagram:
+    return CubeDiagram(cube.lattices, cube.to_mask, cube.to_tuple, {**cube.homs, pq: h})
+
+
+def doctored_cubes(cube: CubeDiagram):
+    """The cube with one cover replaced: a lower cover by each injective
+    0,1-embedding, a top cover by each formula of ``TOP_FORMULAS``."""
+    top = NODES[-1]
+    for (p, q), h in cube.homs.items():
+        if q != top:
+            news = embeddings(h.dom, h.cod)
+        else:
+            tt, tm = cube.to_tuple[p], cube.to_mask[q]
+            news = [LatHom(h.dom, h.cod, [tm(f(tt(m))) for m in h.dom.elements])
+                    for f in TOP_FORMULAS]
+        for new in news:
+            yield (p, q), new, doctored(cube, (p, q), new)
+
+
+def cube_tables(result) -> tuple:
+    """An ``expand_cube_v0`` result as comparable values: every table, its
+    hot set and the report; or what was raised."""
+    if isinstance(result[0], type):
+        return result
+    expanded, rep = result
+    return tuple((expanded[p]._diff, expanded[p]._hot) for p in NODES), rep
+
+
+def test_cube_pins_match_smallest_holder_oracle():
+    cube = build_cube()
+    rep = verify_cube(cube)
+    want = cube_tables(outcome(oracle_expand_cube_v0, cube, rep))
+    assert want[1].ok and want[1].triangle_violations == 805
+    assert cube_tables(outcome(expand_cube_v0, cube, rep)) == want
+    assert cube_tables(outcome(expand_cube_v0, cube)) == want
+    # every doctored cube is refused by its own report, or else replays alike
+    refused = 0
+    for _, _, bent in doctored_cubes(cube):
+        got = cube_tables(outcome(expand_cube_v0, bent))
+        assert got == cube_tables(outcome(oracle_expand_cube_v0, bent))
+        refused += got[0] is LatticeError and "cube verification failed" in got[1]
+    assert refused == 48
+
+
+def test_cube_pin_conflict_is_reachable():
+    # a level-1 cover replaced by another embedding of the 3-chain, with the
+    # original cube's report: the covers of the top node push different values
+    cube = build_cube()
+    rep = verify_cube(cube)
+    conflicts = 0
+    for (p, q), h in cube.homs.items():
+        if len(p) != 1:
+            continue
+        others = [e for e in embeddings(h.dom, h.cod) if e.table != h.table]
+        assert len(others) == 6
+        for other in others:
+            bent = doctored(cube, (p, q), other)
+            with pytest.raises(LatticeError, match=r"inherited assignment conflict at \[1, 2, 3\]"):
+                expand_cube_v0(bent, rep)
+            with pytest.raises(LatticeError, match="cube verification failed"):
+                expand_cube_v0(bent, verify_cube(bent))
+            conflicts += 1
+    assert conflicts == 36
+
+
+def test_verify_cube_matches_oracle():
+    cube = build_cube()
+    assert verify_cube(cube) == oracle_verify_cube(cube)
+    # every 0,1-map out of the 2-chain is the same, so a single doctored
+    # cover cannot make two bottom-to-top paths differ
+    faces = amalgams = 0
+    for _, _, bent in doctored_cubes(cube):
+        got = verify_cube(bent)
+        assert got == oracle_verify_cube(bent)
+        faces += not got.faces_ok
+        amalgams += not got.amalgams_ok
+    assert (faces, amalgams) == (48, 32)
+
+
+def test_generated_subalgebra_matches_oracle():
+    cube = build_cube()
+    expanded, _ = expand_cube_v0(cube)
+    rho = rho_generator_images(cube)
+    rng = random.Random(71)
+    for p in NODES:
+        dl = expanded[p]
+        gen_sets = [list(rho[p].values())]
+        gen_sets += [rng.choices(dl.lat.elements, k=rng.randint(0, 3)) for _ in range(30)]
+        for gens in gen_sets:
+            assert generated_subalgebra(dl, gens) == oracle_generated_subalgebra(dl, gens), (p, gens)
+
+
+def test_cube_replay_reads_covers_only(monkeypatch):
+    # the pins are pushed along the twelve covers, and verify_cube composes
+    # each square's paths itself: only the full-interval reference is a
+    # composite built by cube.hom
+    cube = build_cube()
+    rep = verify_cube(cube)
+    expanded, v0 = expand_cube_v0(cube, rep)
+    ref = cube.hom(NODES[0], NODES[-1])
+    calls = []
+
+    def reference(self, p, q):
+        calls.append((p, q))
+        return ref
+
+    monkeypatch.setattr(CubeDiagram, "hom", reference)
+    assert verify_cube(cube) == rep and calls == [(NODES[0], NODES[-1])]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a composite was built")
+
+    monkeypatch.setattr(CubeDiagram, "hom", refuse)
+    again, v0_again = expand_cube_v0(cube, rep)
+    assert v0_again == v0
+    assert all(again[p]._diff == expanded[p]._diff and again[p]._hot == expanded[p]._hot
+               for p in NODES)
