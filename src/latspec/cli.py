@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote  # json's C string encoder
 
 from . import dot as dotmod
 from .condensate import Condensate, IndexUniverse, finite_stage_iso
@@ -34,15 +34,59 @@ from .replication import (kernel_not_closed, kernel_not_convex, replicate_all,
                           verify_cube)
 from .spectra import prime_spectrum, stone_unit_check
 
-JSON_KW = dict(indent=2, sort_keys=False)
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+#: how an item of each scalar type is written (bool, a subclass of int, is not one)
+_SCALARS = {str: _quote, int: int.__repr__}
+
+
+def _dumps(value, nl: str = "\n") -> str:
+    """The bytes of ``json.dumps(value, indent=2)``, laid out in one recursive pass.
+
+    With ``indent`` set, CPython's ``json`` falls back to its pure-Python
+    encoder, so reports write their own ``indent=2`` layout: strings are
+    quoted by ``json``'s C encoder (ASCII only, as ``ensure_ascii``), ints
+    by ``int.__repr__``, ``True``, ``False`` and ``None`` become ``true``,
+    ``false`` and ``null``, and dicts with str keys, lists and tuples nest
+    as ``indent=2`` does, empty ones as ``{}`` and ``[]``.  A list of
+    strings only or ints only is written in one join.  Any other type,
+    float included, raises ``TypeError``.  ``nl`` is the line break and
+    indent of the depth ``value`` sits at.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        kinds = set(map(type, value))
+        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(scalar, value) if scalar else [_dumps(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = nl + "  "  # _quote raises TypeError on a key that is not a str
+        return ("{" + inner + ("," + inner).join([_quote(k) + ": " + _dumps(x, inner)
+                                                  for k, x in value.items()]) + nl + "}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
+    """Print the report: ``payload`` as ``indent=2`` JSON under ``--json``, else the text lines."""
     if args.json:
-        print(json.dumps(payload, **JSON_KW))
+        print(_dumps(payload))
     else:
         for line in text_lines:
             print(line)
+
+
+def _names(lat) -> dict[int, str]:
+    """Each element's text, formatted once per command."""
+    return {m: lat.fmt(m) for m in lat.elements}
 
 
 def _need_lattice(parsed) -> ParsedLattice:
@@ -69,6 +113,8 @@ def cmd_lattice_check(args) -> int:
     spec = prime_spectrum(lat)
     unit = stone_unit_check(lat, spec)
     birkhoff_round_trip(lat)  # raises SelfCheckError on failure
+    name = _names(lat)
+    pairs = spec.order_pairs()
     payload = {
         "size": lat.size,
         # re-parseable serialization: rebuilding the base poset from these
@@ -77,18 +123,18 @@ def cmd_lattice_check(args) -> int:
                  "covers": [[lat.base.labels[i], lat.base.labels[j]]
                             for i, j in lat.base.covers()]},
         "completely_normal": cn.completely_normal,
-        "witness": [lat.fmt(w) for w in cn.witness] if cn.witness else None,
-        "spectrum_points": [[lat.fmt(e) for e in spec.point_elements(k)]
+        "witness": [name[w] for w in cn.witness] if cn.witness else None,
+        "spectrum_points": [[name[e] for e in spec.point_elements(k)]
                             for k in range(spec.n_points)],
-        "spectrum_order": spec.order_pairs(),
+        "spectrum_order": pairs,
         "stone_unit": unit.to_dict(),
         "birkhoff_roundtrip": True,
     }
     lines = [f"size: {lat.size}",
              f"completely_normal: {cn.completely_normal}"]
     if cn.witness:
-        lines.append(f"witness: ({lat.fmt(cn.witness[0])}, {lat.fmt(cn.witness[1])})")
-    lines.append(f"spectrum: {spec.n_points} point(s), order pairs {spec.order_pairs()}")
+        lines.append(f"witness: ({name[cn.witness[0]]}, {name[cn.witness[1]]})")
+    lines.append(f"spectrum: {spec.n_points} point(s), order pairs {pairs}")
     lines.append(f"stone_unit: {'pass' if unit.ok else 'FAIL ' + '; '.join(unit.failures)}")
     lines.append("birkhoff_roundtrip: pass")
     _emit(args, payload, lines)
@@ -109,21 +155,22 @@ def cmd_v0_expand(args) -> int:
     lat = pl.lat
     dl = expand_v0(lat)
     tri = dl.triangle_violations(limit=5)
+    name = _names(lat)
+    table = [[name[x], name[y], name[dl.diff(x, y)]]
+             for x in lat.elements for y in lat.elements]
+    triples = [[name[a] for a in t] for t in tri]
     payload = {
         "size": lat.size,
-        "table": [[lat.fmt(x), lat.fmt(y), lat.fmt(dl.diff(x, y))]
-                  for x in lat.elements for y in lat.elements],
+        "table": table,
         "identities": "pass",
-        "triangle_violations": [[lat.fmt(a) for a in t] for t in tri],
+        "triangle_violations": triples,
     }
     lines = [f"difference table over {lat.size} elements:"]
-    for x in lat.elements:
-        for y in lat.elements:
-            lines.append(f"  {lat.fmt(x)} \\ {lat.fmt(y)} = {lat.fmt(dl.diff(x, y))}")
+    lines += [f"  {x} \\ {y} = {d}" for x, y, d in table]
     lines.append("identities: pass")
     if tri:
         lines.append(f"triangle property fails at {len(tri)}+ triples, e.g. "
-                     + ", ".join("(" + ",".join(lat.fmt(a) for a in t) + ")" for t in tri[:2]))
+                     + ", ".join("(" + ",".join(t) + ")" for t in triples[:2]))
     else:
         lines.append("triangle property: no violations")
     _emit(args, payload, lines)
@@ -137,12 +184,13 @@ def cmd_refine_witness(args) -> int:
     if w is None:
         _emit(args, {"witness": None}, ["no refinement witness exists"])
         return 0
-    payload = {"witness": [[pl.lat.fmt(c) for c in row] for row in w.matrix]}
+    matrix = [[pl.lat.fmt(c) for c in row] for row in w.matrix]
+    payload = {"witness": matrix}
     lines = ["refinement witness:"]
-    for i, row in enumerate(w.matrix):
+    for i, row in enumerate(matrix):
         for j, c in enumerate(row):
             if i != j:
-                lines.append(f"  c[{i}][{j}] = {pl.lat.fmt(c)}")
+                lines.append(f"  c[{i}][{j}] = {c}")
     _emit(args, payload, lines)
     return 0
 

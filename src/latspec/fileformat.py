@@ -118,7 +118,16 @@ def _fields(lines: list[tuple[int, str]]) -> dict[str, tuple[int, str]]:
 
 
 def _parse_relation(no: int, text: str, names: list[str], sep: str) -> list[tuple[int, int]]:
+    """The tokens ``a<sep>b`` of a relation line, as index pairs into ``names``.
+
+    Well-formed lines are read with ``str.split``; a line with a bad token is
+    read again token by token, to report the first one with its column.
+    """
     index = {x: k for k, x in enumerate(names)}
+    try:
+        return [(index[a], index[b]) for a, b in (tok.split(sep, 1) for tok in text.split())]
+    except (KeyError, ValueError):
+        pass
     pairs = []
     for m in re.finditer(r"\S+", text):
         tok = m.group()

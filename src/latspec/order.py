@@ -3,7 +3,14 @@
 Conventions used throughout the package:
 
 - A ``Poset`` has elements ``0 .. n-1`` and stores its order relation as a
-  tuple of upset bitmasks (``up[i]`` has bit ``j`` set iff ``i <= j``).
+  tuple of upset bitmasks (``up[i]`` has bit ``j`` set iff ``i <= j``) and
+  their transpose, the downset bitmasks.  ``Poset(n, up)`` validates
+  up-masks from outside (reflexive, antisymmetric, transitive), as do the
+  cyclic branch of ``from_pairs`` and the order ``birkhoff_iso`` reads off
+  a join table.  Orders that hold by construction are built by
+  ``Poset._trusted``, which checks only the labels: the acyclic branch of
+  ``from_pairs``, ``disjoint_union`` and the join-irreducible poset of
+  ``_birkhoff_dual``.
 - A ``DLat`` is the lattice of *all* downsets of a base poset.  An element
   of a ``DLat`` is an ``int`` bitmask over the base elements; join is ``|``,
   meet is ``&``, order is bitmask inclusion.  Equality of elements is plain
@@ -95,6 +102,16 @@ def _close_by_fixpoint(up: list[int]) -> list[int]:
     return up
 
 
+def _checked_labels(n: int, labels: Sequence[str] | None) -> tuple[str, ...]:
+    """The labels of an n-element poset: given ones must be distinct, one per element."""
+    if labels is None:
+        return tuple(map(str, range(n)))
+    labels = tuple(labels)
+    if len(labels) != n or len(set(labels)) != n:
+        raise LatticeError("labels must be distinct, one per element")
+    return labels
+
+
 #: the most downsets ``Poset.downsets`` enumerates (2^20, an antichain of 20)
 MAX_DOWNSETS = 1 << 20
 
@@ -125,40 +142,57 @@ class Poset:
         self.n = n
         self.up = up
         self.down = tuple(down)
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        else:
-            labels = tuple(labels)
-            if len(labels) != n or len(set(labels)) != n:
-                raise LatticeError("labels must be distinct, one per element")
-        self.labels = labels
+        self.labels = _checked_labels(n, labels)
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, n: int, up: Sequence[int], down: Sequence[int],
+                 labels: Sequence[str] | None = None) -> "Poset":
+        """An order the caller guarantees by construction: set the masks, check the labels only.
+
+        ``up`` and ``down`` must be reflexive, antisymmetric and transitive
+        and each other's transpose; nothing re-derives that.  Labels still
+        get the "distinct, one per element" check of ``Poset``.
+        """
+        p = object.__new__(cls)
+        p.n = n
+        p.up = tuple(up)
+        p.down = tuple(down)
+        p.labels = _checked_labels(n, labels)
+        return p
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]],
                    labels: Sequence[str] | None = None) -> "Poset":
         """Reflexive-transitive closure of arbitrary (a <= b) pairs.
 
-        One pass: a topological order of the pairs' graph (Kahn, CACM
-        5(11), 1962) is taken in reverse, so each up-mask is its own bit
-        joined with the finished up-masks of its successors.  Pairs with a
+        Two passes over a topological order of the pairs' graph (Kahn,
+        CACM 5(11), 1962), each walking the successor lists.  The Kahn pass
+        visits each point after all its predecessors, so it pushes each
+        finished down-mask into its successors; the reverse pass joins each
+        up-mask with the finished up-masks of its successors.  The result is
+        a closed order by construction and is built trusted.  Pairs with a
         cycle have no such order; they are closed by a fixpoint loop
-        instead, and ``Poset`` raises ``CycleError`` on the closure.
+        instead, and the validating ``Poset`` raises ``CycleError`` on the
+        closure.
         """
         succ = [0] * n
+        nexts: list[list[int]] = [[] for _ in range(n)]
+        indeg = [0] * n
         for a, b in pairs:
             if not (0 <= a < n and 0 <= b < n):
                 raise LatticeError(f"pair ({a}, {b}) out of range")
-            if a != b:
+            if a != b and not succ[a] >> b & 1:
                 succ[a] |= 1 << b
-        indeg = [0] * n
-        for s in succ:
-            for b in bits(s):
+                nexts[a].append(b)
                 indeg[b] += 1
         order = [a for a in range(n) if not indeg[a]]
+        down = [1 << a for a in range(n)]
         for a in order:
-            for b in bits(succ[a]):
+            da = down[a]
+            for b in nexts[a]:
+                down[b] |= da
                 indeg[b] -= 1
                 if not indeg[b]:
                     order.append(b)
@@ -167,10 +201,10 @@ class Poset:
             return cls(n, _close_by_fixpoint(up), labels)
         for a in reversed(order):
             acc = up[a]
-            for b in bits(succ[a]):
+            for b in nexts[a]:
                 acc |= up[b]
             up[a] = acc
-        return cls(n, up, labels)
+        return cls._trusted(n, up, down, labels)
 
     @classmethod
     def chain(cls, n: int, labels: Sequence[str] | None = None) -> "Poset":
@@ -182,15 +216,21 @@ class Poset:
 
     @classmethod
     def disjoint_union(cls, posets: Sequence["Poset"]) -> "Poset":
-        n = sum(p.n for p in posets)
+        """The orders side by side, built trusted.
+
+        The k-th order's masks are shifted past the earlier ones' elements
+        and its labels are prefixed ``k.``.
+        """
         ups: list[int] = []
+        downs: list[int] = []
         labels: list[str] = []
         offset = 0
         for k, p in enumerate(posets):
             ups.extend(u << offset for u in p.up)
+            downs.extend(d << offset for d in p.down)
             labels.extend(f"{k}.{lab}" for lab in p.labels)
             offset += p.n
-        return cls(n, ups, labels)
+        return cls._trusted(offset, ups, downs, labels)
 
     # -- queries ------------------------------------------------------
 
@@ -539,14 +579,17 @@ def _birkhoff_dual(irr: list[int], iso: list[int],
                    labels: Sequence[str]) -> tuple[Poset, DLat, list[int]]:
     """``(P_J, DLat(P_J), iso)`` from a certified ``_certified_order`` result.
 
-    ``iso[j]`` is the principal downset of j in ``P_J``, so the up-sets of
-    ``P_J`` are read off it; ``labels`` names the points of ``J``.
+    ``iso[irr[k]]`` is the principal downset of k in ``P_J``, the order that
+    ``J`` inherits, so it is the down-mask at k and the up-masks are its
+    transpose.  That is an order by construction, built trusted;
+    ``labels`` names the points of ``J`` and is still checked.
     """
+    downs = [iso[j] for j in irr]
     ups = [0] * len(irr)
-    for k, j in enumerate(irr):
-        for i in bits(iso[j]):
+    for k, d in enumerate(downs):
+        for i in bits(d):
             ups[i] |= 1 << k
-    base = Poset(len(irr), ups, labels)
+    base = Poset._trusted(len(irr), ups, downs, labels)
     return base, DLat(base), iso
 
 

@@ -47,8 +47,10 @@ class Spectrum:
         return [x for x in self.lattice.elements if not x >> p & 1]
 
     def order_pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n_points) for j in range(self.n_points)
-                if i != j and self.point_leq(i, j)]
+        """The pairs i != j of points with point i <= point j, read off the base up-masks."""
+        up, pts = self.lattice.base.up, self.points
+        return [(i, j) for i, p in enumerate(pts) for j, q in enumerate(pts)
+                if i != j and up[p] >> q & 1]
 
 
 def prime_spectrum(lat: DLat) -> Spectrum:

@@ -291,6 +291,38 @@ JSON_STDOUT_SHA256 = {
 }
 
 
+#: the chain product 2 x 3 as an explicit lattice, its join-irreducibles
+#: named with a quote, a backslash, a non-ASCII and a non-BMP character
+ESCAPED_LATTICE = """lattice
+elements: 0 é "q" a\\b𝔽 m:x 1
+leq: 0<é 0<"q" "q"<a\\b𝔽 é<m:x "q"<m:x m:x<1 a\\b𝔽<1
+"""
+
+#: sha256 of the stdout of ``latspec ARGV``, recorded before the report
+#: emitter replaced ``json.dumps``: the text layouts, and escaped labels in
+#: both layouts
+PINNED_STDOUT_SHA256 = {
+    ("lattice", "check", "ESC", "--json"):
+        "84fb8c22677a79fe1c5e9480dff768263b8985fab7d2a585030b31f85de46c4e",
+    ("lattice", "check", "ESC"):
+        "0e2f83123ef9fdab93e9dbc6c5145a621b0ed75c93866fdb32c9407bba726cee",
+    ("v0", "expand", "ESC", "--json"):
+        "46deea8b9e6f2639dadbb5486387c9d1b20bb8af28ca9ab0f75354431711b0ad",
+    ("v0", "expand", "CUBE"):
+        "25ddf576dc04c3cf2e76465f554b3205bed27583352368214fbbd585ef6a1bda",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_STDOUT_SHA256), ids=" ".join)
+def test_stdout_pinned(argv, tmp_path, capsys):
+    (tmp_path / "esc.lat").write_text(ESCAPED_LATTICE, encoding="utf-8")
+    (tmp_path / "cube.lat").write_text(CUBE_POSET)
+    files = {"ESC": str(tmp_path / "esc.lat"), "CUBE": str(tmp_path / "cube.lat")}
+    assert main([files.get(a, a) for a in argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[argv], out
+
+
 @pytest.mark.parametrize("argv", list(JSON_STDOUT_SHA256), ids=" ".join)
 def test_json_output_unchanged(argv, vfile, epsfile, tmp_path, capsys):
     (tmp_path / "level.hom").write_text(LEVEL_HOM)

@@ -313,6 +313,80 @@ def test_from_pairs_matches_fixpoint_loop(monkeypatch):
     assert len(fixpoints) == kinds[CycleError]
 
 
+def assert_trusted_is_validated(p: Poset):
+    """A trusted ``Poset`` equals the validating constructor on its own up-masks."""
+    q = Poset(p.n, p.up, p.labels)
+    assert (p.n, p.up, p.down, p.labels) == (q.n, q.up, q.down, q.labels), p
+
+
+def test_trusted_orders_match_validating_constructor():
+    # the three trusted builds: the acyclic branch of from_pairs (seeded
+    # DAGs, and downset-lattice orders in a shuffled numbering), the P_J of
+    # _birkhoff_dual on certified orders, and disjoint unions
+    rng = random.Random(4110)
+    for _ in range(300):
+        n = rng.randint(0, 14)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        pairs = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < rng.choice((0.05, 0.2, 0.5))]
+        pairs += rng.choices(pairs, k=min(len(pairs), 2))
+        rng.shuffle(pairs)
+        labels = [f"q{k}" for k in range(n)] if rng.random() < 0.5 else None
+        p = Poset.from_pairs(n, pairs, labels)
+        assert_trusted_is_validated(p)
+        assert poset_outcome(Poset.from_pairs, n, pairs, labels) == \
+            poset_outcome(from_pairs_fixpoint, n, pairs, labels)
+
+        lattice_in = downset_lattice(random_poset(rng, rng.randint(0, 5)))
+        m, lpairs, llabels = lattice_pairs(rng, lattice_in)
+        lattice = Poset.from_pairs(m, lpairs, llabels)
+        assert_trusted_is_validated(lattice)
+        assert poset_outcome(Poset.from_pairs, m, lpairs, llabels) == \
+            poset_outcome(from_pairs_fixpoint, m, lpairs, llabels)
+        irr, iso = order._certified_order(lattice)
+        names = [lattice.labels[j] for j in irr]
+        base, lat, _ = order._birkhoff_dual(irr, iso, names)
+        assert_trusted_is_validated(base)
+        # P_J is the order that the join-irreducibles inherit
+        want = Poset(len(irr), [sum(1 << k for k, t in enumerate(irr) if lattice.leq(j, t))
+                                for j in irr], names)
+        assert (base.up, base.down, base.labels) == (want.up, want.down, want.labels)
+        assert lat.size == m
+
+        parts = [p, lattice, base][:rng.randint(0, 3)]
+        union = Poset.disjoint_union(parts)
+        assert_trusted_is_validated(union)
+        assert union.n == sum(q.n for q in parts)
+
+
+def test_trusted_orders_keep_their_errors():
+    # cyclic pairs still close by the fixpoint and raise from the validating
+    # Poset, with the same witness; labels from a caller are still checked
+    rng = random.Random(4111)
+    for _ in range(200):
+        n = rng.randint(2, 10)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3]
+        a, b = sorted(rng.sample(range(n), 2))
+        pairs += [(a, b), (b, a)]
+        rng.shuffle(pairs)
+        got = poset_outcome(Poset.from_pairs, n, pairs, None)
+        assert got[0] is CycleError
+        assert got == poset_outcome(from_pairs_fixpoint, n, pairs, None)
+    message = "labels must be distinct, one per element"
+    for n, pairs, labels in [(3, [(0, 1)], "aab"), (2, [], ["x"]), (2, [(0, 1)], "xyz"),
+                             (0, [], ["x"])]:
+        with pytest.raises(LatticeError, match=message):
+            Poset.from_pairs(n, pairs, labels)
+        with pytest.raises(LatticeError, match=message):
+            from_pairs_fixpoint(n, pairs, labels)
+    with pytest.raises(LatticeError, match=message):
+        order._birkhoff_dual([1, 2], [0, 1, 2, 3], ["z", "z"])  # the square 2 x 2
+    # a cycle is reported before the labels are looked at
+    with pytest.raises(CycleError):
+        Poset.from_pairs(2, [(0, 1), (1, 0)], "zz")
+
+
 def order_outcome(fn, n, pairs, labels):
     """A comparable summary of ``fn`` on the closed order: the value, or the error."""
     try:
