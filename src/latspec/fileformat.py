@@ -30,8 +30,10 @@ and ``b``::
 elements extend the grammar with ``cK`` (basis vector at chain position
 K), ``zero``, ``(pl PLTERM)``, and the ops add | sub | neg | join | meet |
 abs, of which add, sub, join and meet take exactly two operands.  The
-operators come from ``plfun.PL_OPS`` and ``lexgroup.LEX_OPS``.  Terms have
-no depth limit: the parser is iterative.
+operators come from ``plfun.PL_OPS`` and ``lexgroup.LEX_OPS``, and a PL
+fold calls its k-ary function from ``plfun.PL_FOLD`` once with all its
+operands (an ``add`` is one ``pl_sum``).  Terms have no depth limit: the
+parser is iterative.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 from .homs import LatHom
 from .lexgroup import LEX_OPS, LEX_UNARY, LexPL
@@ -244,28 +247,35 @@ def _parse_term(text: str, n: int | None):
 
     The parser is iterative, so terms have no depth limit.  Each open
     ``(op`` is a frame ``[fn, arity, operands, lex]`` on an explicit stack:
-    ``arity`` is None for a fold over one or more operands, and ``lex`` says
-    whether the frame's operands are lex terms or PL terms.
+    ``arity`` is None for a fold, whose ``fn`` (from ``plfun.PL_FOLD``)
+    takes all its operands at once when its ``)`` closes it, and ``lex``
+    says whether the frame's operands are lex terms or PL terms.  The
+    tokens are read without their positions: an error finds its 1-based
+    column by reading the text again (``_column``), and one at the end of
+    the input has none.
     """
-    toks = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(text)]
-    toks.append((None, None))
+    toks = _TOKEN.findall(text)
+    toks.append(None)
     a, b = pl_generators()
     pl_atoms = {"a": a, "b": b, "0": PLFun.zero()}
     stack: list[list] = []
     lex = n is not None
     k = 0
     while True:
-        tok, col = toks[k]
+        tok = toks[k]
         k += 1
         if tok is None:
             raise ParseError("unexpected end of term")
         if tok == "(":
-            op, opcol = toks[k]
+            op = toks[k]
             k += 1
             if op is None:
                 raise ParseError("unexpected end of term")
-            stack.append(_frame(op, opcol, lex, n))
-            lex = stack[-1][3]
+            frame = _frame(op, lex, n)
+            if frame is None:
+                raise ParseError(f"unknown operation {op!r}", col=_column(text, k - 1))
+            stack.append(frame)
+            lex = frame[3]
             continue
         if not lex and tok in pl_atoms:
             val = pl_atoms[tok]
@@ -275,34 +285,39 @@ def _parse_term(text: str, n: int | None):
             pos = int(tok[1:])
             if pos >= n:
                 raise ParseError(f"basis position {pos} out of range for chain of length {n}",
-                                 col=col)
+                                 col=_column(text, k - 1))
             val = LexPL.basis(n, pos)
         else:
-            raise ParseError(f"expected term, got {tok!r}", col=col)
+            raise ParseError(f"expected term, got {tok!r}", col=_column(text, k - 1))
         # hand the value to the open frames, closing each one it completes:
         # a fold closes at the next ')', any other frame after its last operand
         while stack:
             fn, arity, args, _ = stack[-1]
             args.append(val)
-            if toks[k][0] != ")" if arity is None else len(args) < arity:
+            if toks[k] != ")" if arity is None else len(args) < arity:
                 break
-            tok, col = toks[k]
+            tok = toks[k]
             k += 1
             if tok != ")":
                 raise ParseError("unexpected end of term" if tok is None
-                                 else f"expected ')', got {tok!r}", col=col)
+                                 else f"expected ')', got {tok!r}", col=_column(text, k - 1))
             stack.pop()
-            val = functools.reduce(fn, args) if arity is None else fn(*args)
+            val = fn(args) if arity is None else fn(*args)
         if not stack:
-            tok, col = toks[k]
-            if tok is not None:
-                raise ParseError(f"trailing input {tok!r}", col=col)
+            if toks[k] is not None:
+                raise ParseError(f"trailing input {toks[k]!r}", col=_column(text, k))
             return val
         lex = stack[-1][3]
 
 
-def _frame(op: str, col: int, lex: bool, n: int | None) -> list:
-    """The parser frame for an open ``(op``, read from the PL or the lex table."""
+def _column(text: str, k: int) -> int | None:
+    """1-based column of the k-th token of ``text``, None past its last token."""
+    m = next(islice(_TOKEN.finditer(text), k, None), None)
+    return None if m is None else m.start() + 1
+
+
+def _frame(op: str, lex: bool, n: int | None) -> list | None:
+    """The parser frame for an open ``(op``, from the PL or the lex table; None if unknown."""
     if lex:
         if op == "pl":
             return [functools.partial(LexPL.from_pl, n), 1, [], False]
@@ -311,9 +326,10 @@ def _frame(op: str, col: int, lex: bool, n: int | None) -> list:
         if op.isdecimal():
             return [lambda s: s.scale(int(op)), 1, [], True]
     else:
+        if op in PL_FOLD:
+            return [PL_FOLD[op], None, [], False]
         if op in PL_OPS:
-            arity = 1 if op in PL_UNARY else None if op in PL_FOLD else 2
-            return [PL_OPS[op], arity, [], False]
+            return [PL_OPS[op], 1 if op in PL_UNARY else 2, [], False]
         if op.isdecimal():
             return [lambda f: pl_scale(int(op), f), 1, [], False]
-    raise ParseError(f"unknown operation {op!r}", col=col)
+    return None

@@ -19,13 +19,32 @@ unique, so function equality is tuple equality.  The public constructor
 ``PLFun(rays, coeffs)`` validates all of this; the operations here map
 canonical fans to canonical fans, so their results are canonical by
 construction and are built without validating again.
+
+Bends: by continuity the step c_k - c_{k-1} across an interior ray (p, q)
+is orthogonal to it, so it is t·(-q, p) for an integer t ≠ 0, the bend of
+f at that ray (the weight of a tropical PL function at a ray, Maclagan &
+Sturmfels, *Introduction to Tropical Geometry*, 2015).  A function is its
+first functional plus its bends, and the arithmetic costs what the kinks
+cost:
+
+- a one-cone (linear) operand of ``pl_add`` shifts every cone of the
+  other; ``pl_join`` of two linear operands compares them at (1,0) and
+  (0,1) and splits the quadrant at most once; ``pl_neg`` and ``pl_scale``
+  act cone by cone.  None of these refines a fan.
+- ``pl_sum`` adds any number of operands as one merge of their bends:
+  the first functionals add, the bends add per ray, the rays whose bends
+  cancel are dropped, and one prefix pass in exact angle order (integer
+  cross products) rebuilds the functionals.  ``pl_add`` of two fans is
+  its case k = 2, and the term parser's ``add`` frames call it once.
+- ``pl_join`` of fans, and ``pl_ideal_leq``, read both operands on their
+  common refinement (``refine``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cmp_to_key, reduce
 from math import gcd
 from operator import index
 from typing import Sequence
@@ -187,15 +206,46 @@ def refine(f: PLFun, g: PLFun) -> tuple[tuple[Vec, ...], list[Vec], list[Vec]]:
     return rays, _coeffs_on(f, rays), _coeffs_on(g, rays)
 
 
-def common_refinement(fs: Sequence[PLFun]) -> tuple[tuple[Vec, ...], list[list[Vec]]]:
-    """Common fan of any number of functions with their coefficient lists."""
-    rays = reduce(_merge_rays, (f.rays for f in fs), ())
-    return rays, [_coeffs_on(f, rays) for f in fs]
+# orders primitive rays of the quadrant by angle: r before s iff cross(r, s) > 0
+_ANGLE = cmp_to_key(lambda r, s: r[1] * s[0] - r[0] * s[1])
+
+
+def pl_sum(fs: Sequence[PLFun]) -> PLFun:
+    """f1 + ... + fk as one merge of their bends.
+
+    The first functionals add.  At an interior ray (p, q) of a fan the step
+    c_k - c_{k-1} is t·(-q, p) for an integer t, its bend, read off the
+    second component as an exact quotient by p > 0.  The bends add per ray;
+    the rays whose bends cancel are dropped, and one prefix pass in angle
+    order rebuilds the functionals, which differ across every ray kept.
+    """
+    m = n = 0
+    bend: dict[Vec, int] = {}
+    for f in fs:
+        c, rays = f.coeffs, f.rays
+        m += c[0][0]
+        n += c[0][1]
+        for k in range(1, len(c)):
+            r = rays[k]
+            bend[r] = bend.get(r, 0) + (c[k][1] - c[k - 1][1]) // r[0]
+    out_rays, out = [RAY_X], [(m, n)]
+    for r in sorted([r for r, t in bend.items() if t], key=_ANGLE):
+        t = bend[r]
+        m, n = m - t * r[1], n + t * r[0]
+        out_rays.append(r)
+        out.append((m, n))
+    out_rays.append(RAY_Y)
+    return PLFun._trusted(tuple(out_rays), tuple(out))
 
 
 def pl_add(f: PLFun, g: PLFun) -> PLFun:
-    rays, cf, cg = refine(f, g)
-    return PLFun.from_pieces(rays, [(a[0] + b[0], a[1] + b[1]) for a, b in zip(cf, cg)])
+    """f + g: a linear operand shifts every cone of the other, else ``pl_sum``."""
+    if len(g.coeffs) == 1:
+        f, g = g, f
+    if len(f.coeffs) == 1:
+        a, b = f.coeffs[0]
+        return PLFun._trusted(g.rays, tuple((m + a, n + b) for m, n in g.coeffs))
+    return pl_sum((f, g))
 
 
 def pl_neg(f: PLFun) -> PLFun:
@@ -209,8 +259,7 @@ def pl_sub(f: PLFun, g: PLFun) -> PLFun:
 def pl_scale(k: int, f: PLFun) -> PLFun:
     if k == 0:
         return PLFun.zero()
-    return PLFun._trusted(f.rays, tuple((k * m, k * n) for m, n in f.coeffs)) if k > 0 \
-        else pl_neg(pl_scale(-k, f))
+    return PLFun._trusted(f.rays, tuple((k * m, k * n) for m, n in f.coeffs))
 
 
 def _crossing_ray(df: Vec, left: Vec, right: Vec) -> Vec:
@@ -225,8 +274,19 @@ def pl_join(f: PLFun, g: PLFun) -> PLFun:
     """Pointwise maximum: refine, split cones where f - g changes sign.
 
     A crossing ray lies inside one cone of the common fan, so its two
-    halves keep that cone's functionals: the larger one on each side.
+    halves keep that cone's functionals: the larger one on each side.  Two
+    linear operands are compared at (1,0) and (0,1) only: one dominates, or
+    f - g vanishes on one ray inside the quadrant.
     """
+    if len(f.coeffs) == 1 == len(g.coeffs):
+        cf, cg = f.coeffs[0], g.coeffs[0]
+        s1, s2 = cf[0] - cg[0], cf[1] - cg[1]
+        if s1 >= 0 and s2 >= 0:
+            return f
+        if s1 <= 0 and s2 <= 0:
+            return g
+        return PLFun._trusted((RAY_X, _primitive(abs(s2), abs(s1)), RAY_Y),
+                              (cf, cg) if s1 > 0 else (cg, cf))
     rays, cf, cg = refine(f, g)
     out_rays, out = [rays[0]], []
     for k in range(len(rays) - 1):
@@ -323,7 +383,10 @@ def pl_is_zero(f: PLFun) -> bool:
 PL_OPS = {"neg": pl_neg, "abs": pl_abs, "pos": pl_pos, "negpart": pl_negpart,
           "add": pl_add, "sub": pl_sub, "join": pl_join, "meet": pl_meet, "diff": pl_diff}
 PL_UNARY = frozenset({"neg", "abs", "pos", "negpart"})
-PL_FOLD = frozenset({"add", "join", "meet"})  # terms fold one or more operands
+# terms fold one or more operands: each fold name's k-ary function (the
+# folds of join and meet read the names pl_join and pl_meet when called)
+PL_FOLD = {"add": pl_sum, "join": lambda fs: reduce(pl_join, fs),
+           "meet": lambda fs: reduce(pl_meet, fs)}
 
 
 def pl_combine(op: str, f: PLFun, g: PLFun | None = None) -> PLFun:

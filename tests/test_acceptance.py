@@ -20,15 +20,15 @@ from latspec.lexgroup import LexPL, ideal_eq, orthogonal_set_check, way_below
 from latspec.normality import is_completely_normal, refinement_witness
 from latspec.order import (Poset, RawLattice, birkhoff_iso, chain_lattice,
                            downset_lattice)
-from latspec.plfun import (PLFun, common_refinement, pl_abs, pl_add, pl_diff,
-                           pl_eval, pl_generators, pl_ideal_eq, pl_ideal_leq,
-                           pl_join, pl_leq, pl_meet, pl_scale,
-                           support_connected)
+from latspec.plfun import (PLFun, pl_abs, pl_add, pl_diff, pl_eval,
+                           pl_generators, pl_ideal_eq, pl_ideal_leq, pl_join,
+                           pl_leq, pl_meet, pl_scale, support_connected)
 from latspec.randgen import random_pl_term, random_poset
 from latspec.replication import (build_cube, expand_cube_v0, kernel_not_closed,
                                  kernel_not_convex, run_rho_contradiction,
                                  verify_cube)
 from latspec.spectra import spectrum_matches_base
+from test_pl_oracles import common_refinement
 
 A, B = pl_generators()
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -250,9 +251,31 @@ def test_replicate_rho_reports_values(capsys):
     assert d["pushed"]["(2, 3)"] == [2, 0, 0, 0]
 
 
+def hinge_sum_text(hinges: int, seed: int) -> str:
+    """``(add h1 h2 ...)``: hinges with distinct kinks, in seeded order.
+
+    Each hinge is the join or meet of a linear form L and L + (p·b - q·a),
+    which has its one kink on the ray (p, q); the sum's fan has hinges + 2
+    rays.
+    """
+    rng = random.Random(seed)
+    kinks = sorted({(p // math.gcd(p, q), q // math.gcd(p, q))
+                    for p in range(1, 10) for q in range(1, 10)})
+    out = []
+    for p, q in rng.sample(kinks, hinges):
+        low = f"(sub ({rng.randint(0, 6)} a) ({rng.randint(0, 6)} b))"
+        op = rng.choice(("join", "meet"))
+        out.append(f"({op} {low} (add {low} (sub ({p} b) ({q} a))))")
+    return "(add " + " ".join(out) + ")"
+
+
+#: PL terms the digest table names by placeholder
+TERMS = {"ABS48": f"(abs {hinge_sum_text(48, 48)})", "SUM24": hinge_sum_text(24, 24)}
+
+
 #: sha256 of the stdout of ``latspec ARGV --json``, which pins the values and
 #: the key order of every report; V, EPS, LEVEL and CUBE stand for the
-#: files above
+#: files above, ABS48 and SUM24 for the terms in ``TERMS``
 JSON_STDOUT_SHA256 = {
     ("replicate", "all"):
         "98e321049532d075eda613904208d3c389e13480f562cdd44dd0fc5c68347ff1",
@@ -288,6 +311,15 @@ JSON_STDOUT_SHA256 = {
         "429386762c61e7dd6d15460a58c1d14c891eb16facc28a1be3bd8748a5497c96",
     ("pl", "ideal-leq", "a", "(add a b)", "--samples", "50", "--seed", "3"):
         "2165e09a5fcd1abbcee979e36490876d54df683abdfb17eaa039aa2f37d04bfc",
+    ("pl", "op", "ABS48"):
+        "348405c712548f55278df5599e1a0b469c713aec444d97d57b3ec40ecd20396a",
+    ("pl", "op", "(add (join a b) (neg (join a b)))"):
+        "ced9922adfdad3568d5c61fa1f2e40d16aa4af0c093482c716f7c9d271d21aec",
+    ("pl", "ideal-leq", "SUM24", "(add a b)", "--samples", "50", "--seed", "3"):
+        "20d6a9565e9cea8f01051e713bc2aab8631e5fa49170b69ce8eda407263b5762",
+    ("glambda", "op", "add", "(add c0 (pl (join a (2 b))))", "(pl (neg (join a (2 b))))",
+     "--chain", "2"):
+        "271972140969f2ebb38e037b4b0a97533868406cabda32b9eee167b3f001098b",
 }
 
 
@@ -328,7 +360,7 @@ def test_json_output_unchanged(argv, vfile, epsfile, tmp_path, capsys):
     (tmp_path / "level.hom").write_text(LEVEL_HOM)
     (tmp_path / "cube.lat").write_text(CUBE_POSET)
     files = {"V": vfile, "EPS": epsfile, "LEVEL": str(tmp_path / "level.hom"),
-             "CUBE": str(tmp_path / "cube.lat")}
+             "CUBE": str(tmp_path / "cube.lat"), **TERMS}
     assert main([files.get(a, a) for a in argv] + ["--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == JSON_STDOUT_SHA256[argv], out

@@ -7,6 +7,9 @@ key, and the constructor that validated every fan, which every operation
 used to call on its result.  ``pl_join`` is also checked against its
 two-pass form, which merged the crossing rays into the common fan and
 then read both functions' coefficients off the whole fan again.
+``pl_add`` and the k-ary ``pl_sum``, which merge bends, are checked
+against the add that refined both fans and merged equal neighbours, and
+``common_refinement`` (no longer used by the package) lives here.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -22,9 +26,9 @@ from latspec import cli
 from latspec.cli import main
 from latspec.fileformat import parse_pl_term
 from latspec.plfun import (PL_OPS, PL_UNARY, RAY_X, RAY_Y, IdealLeq, PLError, PLFun,
-                           _coeffs_on, _crossing_ray, _merge_rays, common_refinement,
-                           pl_abs, pl_add, pl_eval, pl_generators, pl_ideal_leq, pl_join,
-                           pl_meet, pl_neg, pl_scale, pl_sub, refine)
+                           _coeffs_on, _crossing_ray, _merge_rays, pl_abs, pl_add, pl_eval,
+                           pl_generators, pl_ideal_leq, pl_join, pl_meet, pl_neg, pl_scale,
+                           pl_sub, pl_sum, refine)
 from latspec.randgen import random_pl_term
 
 A, B = pl_generators()
@@ -116,6 +120,17 @@ def oracle_pl_join(f: PLFun, g: PLFun) -> PLFun:
         take_f = _dot(df, rays[k]) >= 0 and _dot(df, rays[k + 1]) >= 0
         out.append(cf[k] if take_f else cg[k])
     return PLFun.from_pieces(rays, out)
+
+
+def oracle_pl_add(f: PLFun, g: PLFun) -> PLFun:
+    rays, cf, cg = refine(f, g)
+    return PLFun.from_pieces(rays, [(a[0] + b[0], a[1] + b[1]) for a, b in zip(cf, cg)])
+
+
+def common_refinement(fs):
+    """Common fan of any number of functions with their coefficient lists."""
+    rays = reduce(_merge_rays, (f.rays for f in fs), ())
+    return rays, [_coeffs_on(f, rays) for f in fs]
 
 
 def oracle_sample_verdicts(fa, ga, bound, seed, samples):
@@ -256,6 +271,82 @@ def test_join_matches_two_pass_join():
             assert pl_join(f, g) == want, (f, g)
             crossings.append(len(set(want.rays) - set(f.rays) - set(g.rays)))
     assert sum(c > 0 for c in crossings) > 1000 and max(crossings) >= 20
+
+
+def canonical(f: PLFun) -> PLFun:
+    """f, after the validating constructor has accepted its fan."""
+    o = OracleFan(f.rays, f.coeffs)
+    assert (o.rays, o.coeffs) == (f.rays, f.coeffs)
+    return f
+
+
+def kink(p: int, q: int) -> PLFun:
+    """0 ∨ (p·b - q·a): one bend, on the ray (p, q)."""
+    return pl_join(PLFun.zero(), PLFun.linear(-q, p))
+
+
+#: hinges on two rays whose slopes q/p round to the same float, listed
+#: against their angle order, so a float angle key cannot sort them
+NEAR = [kink(10 ** 20, 10 ** 20 + 1), kink(10 ** 20 + 1, 10 ** 20 + 2),
+        pl_scale(-3, kink(10 ** 20, 10 ** 20 + 1))]
+LINEAR = [PLFun.linear(m, n) for m in range(-6, 7) for n in range(-6, 7)]
+FANS = [f for f in CORPUS if len(f.coeffs) > 1] + NEAR
+
+
+def test_add_matches_refining_oracle():
+    rng = random.Random(23)
+    seen = {"linear+linear": 0, "linear+fan": 0, "fan+linear": 0, "fan+fan": 0}
+    for _ in range(600):
+        kinds = rng.choice(list(seen))
+        f, g = (rng.choice(LINEAR if k == "linear" else FANS) for k in kinds.split("+"))
+        assert canonical(pl_add(f, g)) == oracle_pl_add(f, g), (f, g)
+        assert canonical(pl_sub(f, g)) == oracle_pl_add(f, pl_neg(g)), (f, g)
+        seen[kinds] += 1
+    assert min(seen.values()) > 100, seen
+    for f in CORPUS + NEAR + LINEAR[::7]:
+        # the bends of f - f all cancel: the zero fan, exactly
+        assert pl_sub(f, f) == pl_add(f, pl_neg(f)) == PLFun.zero()
+        assert pl_sub(f, f).rays == (RAY_X, RAY_Y)
+
+
+def test_sum_matches_left_fold_of_oracle():
+    rng = random.Random(29)
+    pool = CORPUS + NEAR + LINEAR[::5]
+    repeated = 0
+    for k in range(1, 9):
+        for _ in range(40):
+            fs = rng.choices(pool, k=k)  # drawn with replacement
+            fs += [pl_neg(f) for f in rng.sample(fs, rng.randint(0, k // 2))]
+            repeated += len(set(fs)) < len(fs)
+            assert canonical(pl_sum(fs)) == reduce(oracle_pl_add, fs), fs
+    assert repeated > 100
+    # the near rays in both orders, and cancelling against each other
+    for fs in (NEAR, NEAR[::-1], NEAR[:2] + [pl_neg(NEAR[1])], [NEAR[0]] * 3 + NEAR[2:]):
+        assert canonical(pl_sum(fs)) == reduce(oracle_pl_add, fs)
+    assert pl_sum([]) == PLFun.zero()
+
+
+def test_linear_join_and_meet_match_oracle():
+    rng = random.Random(31)
+    seen = {"equal": 0, "tie": 0, "dominated": 0, "f first": 0, "g first": 0}
+    for f in LINEAR:
+        m, n = f.coeffs[0]
+        near = [PLFun.linear(m + dm, n + dn) for dm, dn in ((0, 0), (1, 0), (-1, 0), (0, 1),
+                                                            (0, -1), (2, -3), (-3, 2))]
+        for g in near + rng.sample(LINEAR, 12):
+            s1, s2 = m - g.coeffs[0][0], n - g.coeffs[0][1]
+            seen["equal" if s1 == s2 == 0 else "tie" if s1 * s2 == 0 else
+                 "dominated" if s1 * s2 > 0 else "f first" if s1 > 0 else "g first"] += 1
+            assert canonical(pl_join(f, g)) == oracle_pl_join(f, g), (f, g)
+            want = pl_neg(oracle_pl_join(pl_neg(f), pl_neg(g)))
+            assert canonical(pl_meet(f, g)) == want, (f, g)
+    assert min(seen.values()) >= len(LINEAR), seen
+
+
+def test_negative_scale_is_negated_scale():
+    for f in CORPUS + NEAR:
+        for k in (-1, -2, -7, -(10 ** 20)):
+            assert canonical(pl_scale(k, f)) == pl_neg(pl_scale(-k, f)), (k, f)
 
 
 def test_merge_matches_sorted_union():

@@ -261,6 +261,37 @@ def test_fixed_cases_match_recursive_oracle():
                 outcome(oracle_parse_glambda_term, case, n), (case, n)
 
 
+OPERANDS_23 = "(add " + " ".join(["a", "(neg b)", "(2 a)"] * 7 + ["b", "0"])
+
+
+@pytest.mark.parametrize("case, want", [
+    # the input ends inside a frame: no column
+    ("(add a (neg b", ("unexpected end of term", None)),
+    ("(sub (join a b)", ("unexpected end of term", None)),
+    ("(", ("unexpected end of term", None)),
+    # a missing ')' at the end
+    ("(add a (neg b)", ("unexpected end of term", None)),
+    ("(neg a", ("unexpected end of term", None)),
+    ("(sub a b c)", ("expected ')', got 'c'", 10)),
+    # trailing input after runs of spaces and tabs
+    ("a \t \t  b", ("trailing input 'b'", 8)),
+    ("(neg a)\t\t   )", ("trailing input ')'", 13)),
+    ("(add a b) \t(neg a)", ("trailing input '('", 12)),
+    # an unknown operation glued to its '('
+    ("(frob a)", ("unknown operation 'frob'", 2)),
+    ("(add a(frob(b)))", ("unknown operation 'frob'", 8)),
+    ("(join\t(neg a)\t(x1 b))", ("unknown operation 'x1'", 16)),
+    # a bad token after '(add' and its 23 operands
+    (OPERANDS_23 + " x1)", ("expected term, got 'x1'", len(OPERANDS_23) + 2)),
+    (OPERANDS_23 + "\t(frob a))", ("unknown operation 'frob'", len(OPERANDS_23) + 3)),
+    (OPERANDS_23, ("unexpected end of term", None)),
+])
+def test_error_columns_are_pinned(case, want):
+    # outcome() is ("error", message, column)
+    assert outcome(parse_pl_term, case) == ("error", *want) == \
+        outcome(oracle_parse_pl_term, case), case
+
+
 def test_scalars_are_decimal():
     # '²' passes str.isdigit but not int(); it is an unknown operation, not a scalar
     with pytest.raises(ParseError, match="unknown operation '²'"):
