@@ -240,8 +240,8 @@ def cmd_pl(args) -> int:
             fa, ga = pl_abs(f), pl_abs(g)
             bad = 0
             for _ in range(args.samples):
-                a, b = rng.randint(0, 10 ** 6), rng.randint(1, 1000)
-                c, d = rng.randint(0, 10 ** 6), rng.randint(1, 1000)
+                a, b = rng.randrange(10 ** 6 + 1), 1 + rng.randrange(1000)
+                c, d = rng.randrange(10 ** 6 + 1), 1 + rng.randrange(1000)
                 # the sample point is (a/b, c/d); |f| and |g| are positively
                 # homogeneous and b·d > 0, so comparing them at (a·d, c·b) is exact
                 px, py = a * d, c * b

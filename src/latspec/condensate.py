@@ -12,14 +12,18 @@ Renormalization (dropping deviation entries equal to φ(base)) runs after
 every construction, so equality of elements is plain equality of canonical
 forms: ``CondElem`` compares base and deviation tuple, and its condensate
 handle by identity.  ``Condensate.element`` validates and normalizes
-outside input; join and meet build their results directly, in one merge of
-the operands' sorted deviations with φ read from a table built once per
-handle, since a join or meet of two members is a member, and ``leq`` reads
-s ≤ t as s∨t = t.
+outside input.  The row is the primitive of the arithmetic:
+``joins(s, ts)`` and ``meets(s, ts)`` unpack s once and build each s∨t or
+s∧t directly, in one merge of the operands' sorted deviations with φ read
+from a table built once per handle, since a join or meet of two members
+is a member.  ``join`` and ``meet`` are the one-element rows, and ``leq``
+reads s ≤ t as s∨t = t.
 
 A finite stage C_J (supports inside a finite index set J) is ≅ A × B^J and
 is built flat, as the downset lattice of P_A ⊔ J·P_B
-(``order.product_lattice``); stage checks run on its integer masks.
+(``order.product_lattice``); stage checks run on its integer masks.  Stage
+elements, and the images of ``AlmostConstantSurjection``, are members by
+construction and are built in canonical form without validation.
 """
 
 from __future__ import annotations
@@ -123,18 +127,22 @@ class Condensate:
 
     def element(self, base: int, dev: Mapping[str, int] | Iterable[tuple[str, int]] = ()) -> CondElem:
         """Normalized element: entries equal to φ(base) are dropped."""
-        a, b = self.phi.dom, self.phi.cod
-        a.check_member(base)
+        self.phi.dom.check_member(base)
+        b = self.phi.cod
         items = dict(dev)
-        fb = self.phi(base)
-        norm = []
+        checked = []
         for name in sorted(items):
             if not self.universe.admits(name):
                 raise LatticeError(f"index {name!r} not in {self.universe.describe()}")
-            v = b.check_member(items[name])
-            if v != fb:
-                norm.append((name, v))
-        return CondElem(base, tuple(norm), self)
+            checked.append((name, b.check_member(items[name])))
+        return self._canonical(base, checked)
+
+    def _canonical(self, base: int, items: Iterable[tuple[str, int]]) -> CondElem:
+        """The element with a member base and (name, value) items that the
+        caller guarantees admitted, members of B and in name order: entries
+        equal to φ(base) are dropped, nothing is checked."""
+        fb = self._phi_at[base]
+        return CondElem(base, tuple([(n, v) for n, v in items if v != fb]), self)
 
     @property
     def bottom(self) -> CondElem:
@@ -145,49 +153,63 @@ class Condensate:
             raise MixedCondensateError("elements belong to different condensates")
 
     def join(self, s: CondElem, t: CondElem) -> CondElem:
-        """Pointwise join, in one merge of the two canonical deviation maps."""
-        if s.cond is not self or t.cond is not self:
-            raise MixedCondensateError("elements belong to different condensates")
-        return self._pointwise(s, t, s.base | t.base, or_)
+        """Pointwise join: the one-element row of ``joins``."""
+        return self._row(s, (t,), or_)[0]
 
     def meet(self, s: CondElem, t: CondElem) -> CondElem:
-        """Pointwise meet, in one merge of the two canonical deviation maps."""
-        if s.cond is not self or t.cond is not self:
-            raise MixedCondensateError("elements belong to different condensates")
-        return self._pointwise(s, t, s.base & t.base, and_)
+        """Pointwise meet: the one-element row of ``meets``."""
+        return self._row(s, (t,), and_)[0]
 
-    def _pointwise(self, s: CondElem, t: CondElem, base: int,
-                   op: Callable[[int, int], int]) -> CondElem:
-        """The element with the given base and value op(s_i, t_i) at each i.
+    def joins(self, s: CondElem, ts: Sequence[CondElem]) -> list[CondElem]:
+        """The row [s ∨ t for t in ts], in one pass that unpacks s once."""
+        return self._row(s, ts, or_)
+
+    def meets(self, s: CondElem, ts: Sequence[CondElem]) -> list[CondElem]:
+        """The row [s ∧ t for t in ts], in one pass that unpacks s once."""
+        return self._row(s, ts, and_)
+
+    def _row(self, s: CondElem, ts: Sequence[CondElem],
+             op: Callable[[int, int], int]) -> list[CondElem]:
+        """The elements with base op(s.base, t.base) and value op(s_i, t_i)
+        at each i, one for each t.
 
         φ is read from the handle's table of values.  Off both supports the
         value is op(φ(s.base), φ(t.base)) = φ(base), as φ is a lattice
         homomorphism, so one merge of the two sorted deviation tuples
         visits every name that can deviate, and entries equal to φ(base)
-        are dropped.  Operands are canonical members, so
-        the names, base and values of the result are members too and are
-        not validated again.
+        are dropped.  Operands are canonical members, so the names, base
+        and values of each result are members too and are not validated
+        again.  The handle, base, φ(base) and deviations of s are read
+        once per row.
         """
+        if s.cond is not self or any(t.cond is not self for t in ts):
+            raise MixedCondensateError("elements belong to different condensates")
         phi = self._phi_at
-        fs, ft, fb = phi[s.base], phi[t.base], phi[base]
-        sd, td = s.dev, t.dev
-        ns, nt = len(sd), len(td)
-        i = j = 0
-        dev = []
-        while i < ns or j < nt:
-            if j == nt or i < ns and sd[i][0] < td[j][0]:
-                name, v = sd[i][0], op(sd[i][1], ft)
-                i += 1
-            elif i == ns or td[j][0] < sd[i][0]:
-                name, v = td[j][0], op(fs, td[j][1])
-                j += 1
-            else:
-                name, v = sd[i][0], op(sd[i][1], td[j][1])
-                i += 1
-                j += 1
-            if v != fb:
-                dev.append((name, v))
-        return CondElem(base, tuple(dev), self)
+        sb, sd = s.base, s.dev
+        fs, ns = phi[sb], len(sd)
+        row = []
+        for t in ts:
+            base = op(sb, t.base)
+            ft, fb = phi[t.base], phi[base]
+            dev = []
+            i = 0
+            for name, v in t.dev:
+                while i < ns and sd[i][0] < name:
+                    if (w := op(sd[i][1], ft)) != fb:
+                        dev.append((sd[i][0], w))
+                    i += 1
+                if i < ns and sd[i][0] == name:
+                    w = op(sd[i][1], v)
+                    i += 1
+                else:
+                    w = op(fs, v)
+                if w != fb:
+                    dev.append((name, w))
+            for name, v in sd[i:]:
+                if (w := op(v, ft)) != fb:
+                    dev.append((name, w))
+            row.append(CondElem(base, tuple(dev), self))
+        return row
 
     def leq(self, s: CondElem, t: CondElem) -> bool:
         """s ≤ t iff s∨t = t; canonical forms make the equality exact."""
@@ -203,6 +225,9 @@ class Condensate:
         A × B^J and the converters between its masks and stage elements.
 
         Coordinates are the base, then the value at each name in order.
+        The names are checked and sorted once here, so ``decode`` builds
+        each element in canonical form from coordinates that are members
+        by construction, without validating them again.
         """
         names = tuple(names)
         for n in names:
@@ -215,9 +240,12 @@ class Condensate:
         def encode(e: CondElem) -> int:
             return to_mask([e.base] + [e.value_at(n) for n in names])
 
+        order = sorted(range(len(names)), key=names.__getitem__)
+        sorted_names = [names[k] for k in order]
+
         def decode(mask: int) -> CondElem:
             base, *vals = to_tuple(mask)
-            return self.element(base, dict(zip(names, vals)))
+            return self._canonical(base, zip(sorted_names, [vals[k] for k in order]))
 
         return lat, encode, decode
 
@@ -250,18 +278,20 @@ class StageIsoReport(Report):
 def finite_stage_iso(cond: Condensate, names: Sequence[str]) -> StageIsoReport:
     """Verify C_J ≅ A × B^J as bounded lattices, exhaustively.
 
-    Each element of the flat product is embedded once; ``cond.join`` and
-    ``cond.meet`` must then agree with ``|`` and ``&`` on every ordered
-    pair, each expected result read by one dict lookup of its mask.
+    Each element of the flat product is embedded once.  For each left
+    operand s = image(x), the rows ``cond.joins(s, images)`` and
+    ``cond.meets(s, images)`` must equal the images of ``x | y`` and
+    ``x & y`` over every y, each read by one dict lookup of its mask; so
+    the condensate's own join and meet run on every ordered pair.
     """
     lat, _, decode = cond.stage_lattice(names)
     els = lat.elements
     images = [decode(m) for m in els]
     image = dict(zip(els, images))
-    join, meet = cond.join, cond.meet
-    pairs = list(zip(els, images))
-    iso = all(join(s, t) == image[x | y] and meet(s, t) == image[x & y]
-              for x, s in pairs for y, t in pairs)
+    joins, meets = cond.joins, cond.meets
+    iso = all(joins(s, images) == [image[x | y] for y in els]
+              and meets(s, images) == [image[x & y] for y in els]
+              for x, s in zip(els, images))
     bounds = (image[lat.bottom] == cond.bottom
               and image[lat.top]
               == cond.element(cond.phi.dom.top, {n: cond.phi.cod.top for n in names}))
@@ -281,7 +311,7 @@ class AlmostConstantSurjection:
     """The stage-respecting map Cond(id_A, I) → Cond(φ, I).
 
     Sends (x, (x_i)_i) to (x, (φ(x_i))_i): base fixed, each deviation
-    pushed through φ, then renormalized.
+    pushed through the table of φ in name order, then renormalized.
     """
 
     def __init__(self, phi: LatHom, universe: IndexUniverse):
@@ -293,13 +323,16 @@ class AlmostConstantSurjection:
     def apply(self, s: CondElem) -> CondElem:
         if s.cond is not self.source:
             raise MixedCondensateError("element does not belong to the source condensate")
-        return self.target.element(s.base, {n: self.phi(v) for n, v in s.dev})
+        phi = self.target._phi_at
+        return self.target._canonical(s.base, [(n, phi[v]) for n, v in s.dev])
 
     def verify_stage(self, names: Sequence[str]) -> "SurjectionReport":
         """Exhaustively check 0,1-homomorphism and surjectivity on a stage.
 
         The map is tabulated once on the flat stages and handed to
         ``LatHom``, which certifies 0, join and meet on the base posets.
+        Each source element is decoded in canonical form, mapped by
+        ``apply`` and encoded; nothing on the way is validated again.
         """
         src, _, decode = self.source.stage_lattice(names)
         tgt, encode, _ = self.target.stage_lattice(names)

@@ -366,6 +366,27 @@ def test_json_output_unchanged(argv, vfile, epsfile, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == JSON_STDOUT_SHA256[argv], out
 
 
+def test_cond_stage_report_ignores_index_order(tmp_path, capsys):
+    # stage elements are built with the names sorted once per stage
+    (tmp_path / "level.hom").write_text(LEVEL_HOM)
+    assert main(["cond", "stage", str(tmp_path / "level.hom"), "--indices", "k,i,j",
+                 "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        JSON_STDOUT_SHA256[("cond", "stage", "LEVEL", "--indices", "i,j,k")], out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 7, 41, 2011])
+def test_ideal_leq_sample_draws_match_randint(seed):
+    # ``pl ideal-leq --samples`` draws with randrange; the pinned digests
+    # were recorded with randint(0, 10**6) and randint(1, 1000), which
+    # consume the same stream
+    new, old = random.Random(seed), random.Random(seed)
+    for _ in range(500):
+        assert (new.randrange(10 ** 6 + 1), 1 + new.randrange(1000)) \
+            == (old.randint(0, 10 ** 6), old.randint(1, 1000))
+
+
 #: an explicit N-shaped lattice whose join-irreducibles x, w, a, b are listed
 #: top first, so its base labels are not a linear extension
 N_LATTICE = """lattice

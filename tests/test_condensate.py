@@ -233,43 +233,60 @@ def test_verify_stage_matches_pairwise_oracle(kernel):
                 assert not rep.hom_ok and not rep.top_ok
 
 
-def one_wrong_pair_cond(op, later_first):
-    """A condensate whose ``op`` is wrong on exactly one ordered pair of the
-    stage {i, j}: (s, t) with s after t in stage order, or with s before t.
-    The reversed pair gets the right answer."""
+def one_wrong_pair_cond(op, where):
+    """A condensate whose row of ``op`` is wrong at exactly one ordered
+    pair (s, t) of the stage {i, j}; the reversed pair gets the right
+    answer.  ``where`` places the pair: s after t in stage order, s before
+    t, or t first or last in the stage, so at the start or the end of the
+    row ``finite_stage_iso`` reads for s."""
 
     class OneWrongPair(Condensate):
-        wrong = None  # the ordered pair that gets a wrong result
+        wrong = None  # (s, t, the wrong result)
 
-        def join(self, s, t):
-            return self._maybe_wrong("join", s, t, super().join(s, t))
+        def joins(self, s, ts):
+            return self._maybe_wrong("join", s, ts, super().joins(s, ts))
 
-        def meet(self, s, t):
-            return self._maybe_wrong("meet", s, t, super().meet(s, t))
+        def meets(self, s, ts):
+            return self._maybe_wrong("meet", s, ts, super().meets(s, ts))
 
-        def _maybe_wrong(self, name, s, t, right):
-            return s if name == op and (s, t) == self.wrong else right
+        def _maybe_wrong(self, name, s, ts, row):
+            if name != op or self.wrong is None:
+                return row
+            ws, wt, bad = self.wrong
+            return [bad if (s, t) == (ws, wt) else r for t, r in zip(ts, row)]
 
     cond = OneWrongPair(eps_cond().phi, IndexUniverse.countable())
     stage = cond.stage(["i", "j"])
-    right = getattr(cond, op)
-    # the first pair, in stage order, whose result is neither operand
-    early, late = next((a, b) for k, a in enumerate(stage) for b in stage[k + 1:]
-                       if right(a, b) not in (a, b))
+    rows = getattr(Condensate, op + "s")
+
+    def right(s, t):
+        return rows(cond, s, [t])[0]
+
+    if where in ("later-first", "earlier-first"):
+        # the first pair, in stage order, whose result is neither operand
+        early, late = next((a, b) for k, a in enumerate(stage) for b in stage[k + 1:]
+                           if right(a, b) not in (a, b))
+        s, t = (late, early) if where == "later-first" else (early, late)
+    else:
+        s, t = stage[1], stage[0] if where == "first-in-row" else stage[-1]
     assert finite_stage_iso(cond, ["i", "j"]).ok
-    cond.wrong = (late, early) if later_first else (early, late)
-    s, t = cond.wrong
-    assert getattr(cond, op)(s, t) == s != getattr(Condensate, op)(cond, s, t)
-    assert getattr(cond, op)(t, s) == getattr(Condensate, op)(cond, t, s)
+    bad = s if right(s, t) != s else t
+    cond.wrong = (s, t, bad)
+    ts = stage if where in ("first-in-row", "last-in-row") else [t]
+    got = getattr(cond, op + "s")(s, ts)
+    assert got[ts.index(t)] == bad != right(s, t)
+    assert [r for u, r in zip(ts, got) if u != t] == [right(s, u) for u in ts if u != t]
+    assert getattr(cond, op + "s")(t, [s])[0] == right(t, s)
     return cond
 
 
-@pytest.mark.parametrize("later_first", [True, False], ids=["later-first", "earlier-first"])
+@pytest.mark.parametrize("where", ["later-first", "earlier-first", "first-in-row", "last-in-row"])
 @pytest.mark.parametrize("op", ["join", "meet"])
-def test_stage_iso_checks_every_ordered_pair(op, later_first):
+def test_stage_iso_checks_every_ordered_pair(op, where):
     # one wrong ordered pair is enough to fail the check, whichever of the
-    # two orders is wrong: skipping half the pairs by commutativity fails here
-    cond = one_wrong_pair_cond(op, later_first)
+    # two orders is wrong and wherever it sits in its row: skipping half the
+    # pairs by commutativity, or an end of a row, fails here
+    cond = one_wrong_pair_cond(op, where)
     rep = finite_stage_iso(cond, ["i", "j"])
     assert rep.bijective and rep.bounds_ok
     assert not rep.is_lattice_iso and not rep.ok

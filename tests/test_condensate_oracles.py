@@ -5,19 +5,27 @@ before the one-pass merge, kept verbatim apart from reading the support
 off ``dev``: each reads the values on the union of the two supports
 through ``value_at`` and rebuilds the result through
 ``Condensate.element``, which validates and renormalizes it.
+
+The rows ``joins`` and ``meets`` are checked against the pairwise merge
+as it was before rows, and ``finite_stage_iso`` against its pair loop of
+that time; ``PairwiseCondensate`` and ``pair_loop_stage_iso`` keep both
+verbatim.  Stage elements, built in canonical form without validation,
+are checked against the same elements built by ``Condensate.element``.
 """
 
 from __future__ import annotations
 
 import random
+from operator import and_, or_
+from typing import Callable, Sequence
 
 import pytest
 
 from latspec.condensate import (CondElem, Condensate, IndexUniverse,
-                                MixedCondensateError, finite_stage_iso,
-                                stage_inclusion)
+                                MixedCondensateError, StageIsoReport,
+                                finite_stage_iso, stage_inclusion)
 from latspec.homs import LatHom, dual_hom_of_poset_map
-from latspec.order import Poset, chain_lattice
+from latspec.order import Poset, chain_lattice, product_lattice
 from latspec.randgen import random_01_hom
 
 
@@ -49,6 +57,78 @@ def oracle_leq(cond: Condensate, s: CondElem, t: CondElem) -> bool:
         if s.value_at(n) | t.value_at(n) != t.value_at(n):
             return False
     return True
+
+
+class PairwiseCondensate(Condensate):
+    """A handle whose ``join`` and ``meet`` are the pairwise merge as it was
+    before rows; ``joins`` and ``meets`` stay the rows under test."""
+
+    def join(self, s: CondElem, t: CondElem) -> CondElem:
+        """Pointwise join, in one merge of the two canonical deviation maps."""
+        if s.cond is not self or t.cond is not self:
+            raise MixedCondensateError("elements belong to different condensates")
+        return self._pointwise(s, t, s.base | t.base, or_)
+
+    def meet(self, s: CondElem, t: CondElem) -> CondElem:
+        """Pointwise meet, in one merge of the two canonical deviation maps."""
+        if s.cond is not self or t.cond is not self:
+            raise MixedCondensateError("elements belong to different condensates")
+        return self._pointwise(s, t, s.base & t.base, and_)
+
+    def _pointwise(self, s: CondElem, t: CondElem, base: int,
+                   op: Callable[[int, int], int]) -> CondElem:
+        """The element with the given base and value op(s_i, t_i) at each i.
+
+        φ is read from the handle's table of values.  Off both supports the
+        value is op(φ(s.base), φ(t.base)) = φ(base), as φ is a lattice
+        homomorphism, so one merge of the two sorted deviation tuples
+        visits every name that can deviate, and entries equal to φ(base)
+        are dropped.  Operands are canonical members, so
+        the names, base and values of the result are members too and are
+        not validated again.
+        """
+        phi = self._phi_at
+        fs, ft, fb = phi[s.base], phi[t.base], phi[base]
+        sd, td = s.dev, t.dev
+        ns, nt = len(sd), len(td)
+        i = j = 0
+        dev = []
+        while i < ns or j < nt:
+            if j == nt or i < ns and sd[i][0] < td[j][0]:
+                name, v = sd[i][0], op(sd[i][1], ft)
+                i += 1
+            elif i == ns or td[j][0] < sd[i][0]:
+                name, v = td[j][0], op(fs, td[j][1])
+                j += 1
+            else:
+                name, v = sd[i][0], op(sd[i][1], td[j][1])
+                i += 1
+                j += 1
+            if v != fb:
+                dev.append((name, v))
+        return CondElem(base, tuple(dev), self)
+
+
+def pair_loop_stage_iso(cond: Condensate, names: Sequence[str]) -> StageIsoReport:
+    """Verify C_J ≅ A × B^J as bounded lattices, exhaustively.
+
+    Each element of the flat product is embedded once; ``cond.join`` and
+    ``cond.meet`` must then agree with ``|`` and ``&`` on every ordered
+    pair, each expected result read by one dict lookup of its mask.
+    """
+    lat, _, decode = cond.stage_lattice(names)
+    els = lat.elements
+    images = [decode(m) for m in els]
+    image = dict(zip(els, images))
+    join, meet = cond.join, cond.meet
+    pairs = list(zip(els, images))
+    iso = all(join(s, t) == image[x | y] and meet(s, t) == image[x & y]
+              for x, s in pairs for y, t in pairs)
+    bounds = (image[lat.bottom] == cond.bottom
+              and image[lat.top]
+              == cond.element(cond.phi.dom.top, {n: cond.phi.cod.top for n in names}))
+    stage_size = len(set(images))
+    return StageIsoReport(stage_size, lat.size, stage_size == lat.size, iso, bounds)
 
 
 # -- the seeded corpus --------------------------------------------------------
@@ -146,6 +226,124 @@ def test_mixed_condensates_rejected_like_oracle():
                 op(a, b)
             with pytest.raises(MixedCondensateError):
                 oracle(c1, a, b)
+
+
+# -- rows against the pairwise merge -----------------------------------------
+
+def shuffled_elem(rng: random.Random, cond: Condensate, names: list[str]) -> CondElem:
+    """An element on ``names``, handed to ``element`` in a shuffled name order."""
+    names = rng.sample(names, len(names))
+    return cond.element(rng.choice(cond.phi.dom.elements),
+                        {n: rng.choice(cond.phi.cod.elements) for n in names})
+
+
+def random_row(rng: random.Random, cond: Condensate, s: CondElem
+               ) -> tuple[list[CondElem], set[str]]:
+    """A row for s whose supports are empty, disjoint from, overlapping or
+    equal to s's, with s itself in it; and the kinds it holds."""
+    sn = list(support(s))
+    rest = [n for n in NAMES if n not in sn]
+    row, kinds = [s], set()
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.choice(["empty", "disjoint", "overlapping", "equal"])
+        names = {"empty": [], "equal": sn,
+                 "disjoint": rng.sample(rest, rng.randint(0, len(rest))),
+                 "overlapping": rng.sample(sn, rng.randint(0, len(sn)))
+                 + rng.sample(rest, rng.randint(0, len(rest)))}[kind]
+        t = shuffled_elem(rng, cond, names)
+        row.insert(rng.randint(0, len(row)), t)
+        if not t.dev:
+            kinds.add("empty")
+        elif not sn:
+            kinds.add("disjoint")
+        else:
+            shared = set(support(t)) & set(sn)
+            kinds.add("equal" if support(t) == tuple(sn) else
+                      "overlapping" if shared else "disjoint")
+    return row, kinds
+
+
+@pytest.mark.parametrize("which", ["eps", "level", "random"])
+def test_rows_match_pairwise_merge(which):
+    maps = {"eps": [eps_map()], "level": [level_map()], "random": random_maps()}[which]
+    rng = random.Random(2011)
+    counts = dict.fromkeys(["empty", "disjoint", "overlapping", "equal"], 0)
+    for phi in maps:
+        cond = PairwiseCondensate(phi, IndexUniverse.countable())
+        for _ in range(240 // len(maps)):
+            s = shuffled_elem(rng, cond, rng.sample(NAMES, rng.randint(0, len(NAMES))))
+            row, kinds = random_row(rng, cond, s)
+            for rows, pair, one in ((cond.joins, cond.join, Condensate.join),
+                                    (cond.meets, cond.meet, Condensate.meet)):
+                got, want = rows(s, row), [pair(s, t) for t in row]
+                assert got == want and [e.dev for e in got] == [e.dev for e in want], (s, row)
+                # the one-element row, as join and meet now are
+                assert [one(cond, s, t) for t in row] == want
+            assert cond.joins(s, []) == cond.meets(s, []) == []
+            for kind in kinds:
+                counts[kind] += 1
+    assert min(counts.values()) >= 60, counts
+
+
+def test_mixed_rows_rejected_at_every_position():
+    c1, c2 = Condensate(level_map(), IndexUniverse.countable()), \
+        Condensate(level_map(), IndexUniverse.countable())
+    s, foreign = c1.element(c1.phi.dom.top, {"i": 0}), c2.element(0, {"j": 1})
+    row = c1.stage(["i"])
+    message = "^elements belong to different condensates$"
+    for rows in (c1.joins, c1.meets):
+        with pytest.raises(MixedCondensateError, match=message):
+            rows(foreign, row)
+        with pytest.raises(MixedCondensateError, match=message):
+            rows(foreign, [])
+        for k in range(len(row) + 1):
+            with pytest.raises(MixedCondensateError, match=message):
+                rows(s, row[:k] + [foreign] + row[k:])
+    for op in (c1.join, c1.meet, c1.leq):
+        for a, b in ((s, foreign), (foreign, s)):
+            with pytest.raises(MixedCondensateError, match=message):
+                op(a, b)
+
+
+def corrupted(cond: Condensate) -> Condensate:
+    """The handle with φ's table wrong at its top: one entry moved off φ(1)."""
+    top = cond.phi.dom.top
+    cod = cond.phi.cod.elements
+    cond._phi_at[top] = cod[(cod.index(cond._phi_at[top]) + 1) % len(cod)]
+    return cond
+
+
+def test_stage_reports_match_pair_loop():
+    maps = [eps_map(), level_map()] + random_maps()[:12]
+    broken = 0
+    for k, phi in enumerate(maps):
+        for names in ([], ["j"], ["j", "i"]):
+            cond = PairwiseCondensate(phi, IndexUniverse.countable())
+            rep = finite_stage_iso(cond, names)
+            assert rep == pair_loop_stage_iso(cond, names) and rep.ok, (k, names)
+            bad = corrupted(PairwiseCondensate(phi, IndexUniverse.countable()))
+            rep = finite_stage_iso(bad, names)
+            assert rep == pair_loop_stage_iso(bad, names), (k, names)
+            broken += not rep.is_lattice_iso
+            if k < 2 and names:  # the kernel maps
+                assert not rep.is_lattice_iso and not rep.ok, (k, names)
+    assert broken >= 10, broken
+
+
+@pytest.mark.parametrize("phi", [eps_map(), level_map()], ids=["eps", "level"])
+def test_stage_elements_are_canonical_for_unsorted_names(phi):
+    cond = Condensate(phi, IndexUniverse.countable())
+    names = ["k", "i", "j"]
+    lat, encode, _ = cond.stage_lattice(names)
+    _, _, to_tuple = product_lattice([phi.dom] + [phi.cod] * len(names))
+    built = []
+    for m in lat.elements:
+        base, *vals = to_tuple(m)
+        built.append(cond.element(base, dict(zip(names, vals))))
+    stage = cond.stage(names)
+    assert stage == built and [e.dev for e in stage] == [e.dev for e in built]
+    assert [encode(e) for e in stage] == list(lat.elements)
+    assert finite_stage_iso(cond, names).ok
 
 
 # -- CondElem as a value: what the frozen dataclass gave ----------------------
