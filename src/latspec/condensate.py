@@ -28,20 +28,19 @@ construction and are built in canonical form without validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .homs import LatHom, NotAHomomorphismError
 from .order import DLat, LatticeError, product_lattice
-from .report import Report
+from .report import Report, field, frozen
 
 
 class MixedCondensateError(LatticeError):
     """An operation received elements of two different condensates."""
 
 
-@dataclass(frozen=True)
+@frozen
 class IndexUniverse:
     """A finite, symbolic-countable, or symbolic-uncountable index set.
 
@@ -260,7 +259,7 @@ def cond_make(phi: LatHom, universe: IndexUniverse) -> Condensate:
     return Condensate(phi, universe)
 
 
-@dataclass(frozen=True)
+@frozen
 class StageIsoReport(Report):
     """Outcome of comparing a finite stage C_J with the product A × B^J."""
 
@@ -347,7 +346,7 @@ class AlmostConstantSurjection:
                                 len(set(table)) == tgt.size, src.size, tgt.size)
 
 
-@dataclass(frozen=True)
+@frozen
 class SurjectionReport(Report):
     hom_ok: bool
     bottom_ok: bool

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from itertools import islice
 
 from .homs import LatHom
@@ -48,6 +47,7 @@ from .lexgroup import LEX_OPS, LEX_UNARY, LexPL
 from .order import (DLat, LatticeError, Poset, downset_lattice,
                     lattice_of_order)
 from .plfun import PL_FOLD, PL_OPS, PL_UNARY, PLFun, pl_generators, pl_scale
+from .report import frozen
 
 
 class ParseError(Exception):
@@ -60,7 +60,7 @@ class ParseError(Exception):
         super().__init__(where + msg)
 
 
-@dataclass(frozen=True)
+@frozen
 class ParsedLattice:
     """A lattice plus the user-facing element naming from its source file."""
 
@@ -91,7 +91,7 @@ class ParsedLattice:
         return self.lat.fmt(mask)
 
 
-@dataclass(frozen=True)
+@frozen
 class ParsedHom:
     hom: LatHom
     dom: ParsedLattice

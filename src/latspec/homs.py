@@ -17,12 +17,11 @@ convexity reads φ.  Cofinality is f(1) = 1, read once by ``LatHom``;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .order import (DLat, LatticeError, Poset, SelfCheckError, bits, canon_key,
                     downset_lattice)
-from .report import Report
+from .report import Report, frozen
 from .spectra import CofinalityError
 
 
@@ -200,7 +199,7 @@ def dual_hom_of_poset_map(g: Sequence[int], p: Poset, q: Poset) -> LatHom:
     return LatHom(dom, cod, [pull(s) for s in dom.elements])
 
 
-@dataclass(frozen=True)
+@frozen
 class CofinalReport(Report):
     """Cofinality, with the first codomain element below no element of the range.
 
@@ -223,7 +222,7 @@ def is_cofinal(f: LatHom) -> CofinalReport:
     return CofinalReport(cofinal, cofinal == f.preserves_top, witness)
 
 
-@dataclass(frozen=True)
+@frozen
 class ClosedReport(Report):
     closed: bool
     witness: tuple[int, int, int] | None = None  # (a0, a1, b), least in canonical order
@@ -274,7 +273,7 @@ def is_closed(f: LatHom) -> ClosedReport:
     raise SelfCheckError("is_closed: a map that fails the going-up certificate is closed")
 
 
-@dataclass(frozen=True)
+@frozen
 class ConvexReport(Report):
     convex: bool
     # witness ideals are principal; each is named by its generator element
@@ -316,7 +315,7 @@ def is_convex(f: LatHom) -> ConvexReport:
     return ConvexReport(True)
 
 
-@dataclass(frozen=True)
+@frozen
 class HomCensus(Report):
     """One-call summary of all homomorphism flags."""
 

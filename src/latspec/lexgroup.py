@@ -15,14 +15,13 @@ later construction step uses a *lower* chain position).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import index
 from typing import Sequence
 
 from .plfun import (IdealLeq, PLFun, pl_abs, pl_add, pl_eq, pl_geq_zero,
                     pl_ideal_leq, pl_is_zero, pl_join, pl_meet, pl_neg,
                     pl_scale, pl_sub, pl_way_below)
-from .report import Report
+from .report import Report, field, frozen
 
 
 class LexError(ValueError):
@@ -57,7 +56,7 @@ def _lex_entry(k) -> int:
         raise LexError(f"lex entry {k!r} is not an integer") from None
 
 
-@dataclass(frozen=True)
+@frozen
 class LexPL:
     """An element of (integer chain power) ×_lex (PL function group)."""
 
@@ -281,7 +280,7 @@ class PrincipalIdeal:
         return f"PrincipalIdeal({self.generator!r})"
 
 
-@dataclass(frozen=True)
+@frozen
 class OrthReport(Report):
     """Pairwise-orthogonality report for a set of strictly positive elements.
 

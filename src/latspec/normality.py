@@ -35,11 +35,10 @@ entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .order import DLat, LatticeError, SelfCheckError, bits, canon_key
-from .report import Report
+from .report import Report, frozen
 
 
 class NotCompletelyNormalError(LatticeError):
@@ -63,7 +62,7 @@ def _down(lat: DLat, s: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
+@frozen
 class Splitting:
     a: int
     b: int
@@ -94,7 +93,7 @@ def find_splitting(lat: DLat, a: int, b: int) -> Splitting | None:
     return s
 
 
-@dataclass(frozen=True)
+@frozen
 class NormalityReport(Report):
     completely_normal: bool
     witness: tuple[int, int] | None = None  # least unsplittable pair
@@ -127,7 +126,7 @@ def is_completely_normal(lat: DLat) -> NormalityReport:
     return NormalityReport(False, (a, b))
 
 
-@dataclass(frozen=True)
+@frozen
 class RefinementWitness:
     """A matrix c with a_i = (a_i∧a_j)∨c[i][j], c[i][j]∧c[j][i] = 0, and
     c[i][k] ≤ c[i][j]∨c[j][k]."""

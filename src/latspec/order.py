@@ -29,9 +29,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, permutations
 from typing import Callable, Iterable, Sequence
+
+from .report import frozen
 
 
 class LatticeError(Exception):
@@ -412,7 +413,7 @@ def chain_product(sizes: Sequence[int]) -> tuple[DLat, Callable[[Sequence[int]],
     return lat, levels_to_mask, mask_to_levels
 
 
-@dataclass(frozen=True)
+@frozen
 class RawLattice:
     """A finite bounded lattice given by explicit join/meet tables.
 

@@ -42,14 +42,13 @@ cost:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, reduce
 from math import gcd
 from operator import index
 from typing import Sequence
 
-from .report import Report
+from .report import Report, frozen
 
 Vec = tuple[int, int]
 
@@ -400,7 +399,7 @@ def pl_combine(op: str, f: PLFun, g: PLFun | None = None) -> PLFun:
     return PL_OPS[op](f, g)
 
 
-@dataclass(frozen=True)
+@frozen
 class IdealLeq(Report):
     """Result of the principal-ideal containment test ⟨x⟩ ⊆ ⟨y⟩.
 

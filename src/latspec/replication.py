@@ -21,14 +21,13 @@ a mismatch pinpoints the failing value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .condensate import AlmostConstantSurjection, IndexUniverse
 from .homs import HomCensus, LatHom, dual_hom_of_poset_map, hom_census, is_closed, is_convex
 from .normality import DiffLattice, expand_v0, is_completely_normal
 from .order import DLat, LatticeError, Poset, chain_lattice, chain_product
-from .report import Report
+from .report import Report, field, frozen
 
 BAR = (0, 2, 2)     # 0↦0, nonzero↦2
 RMAP = (0, 1, 1)    # 0↦0, nonzero↦1
@@ -37,7 +36,7 @@ NODES = [frozenset(s) for s in
          [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]]
 
 
-@dataclass(frozen=True)
+@frozen
 class CubeDiagram:
     """Eight chain-product lattices indexed by subsets of {1,2,3}, with the
     twelve cover maps and tuple<->mask converters per node."""
@@ -111,7 +110,7 @@ def build_cube() -> CubeDiagram:
     return CubeDiagram(lats, to_mask, to_tuple, homs)
 
 
-@dataclass(frozen=True)
+@frozen
 class CubeReport(Report):
     ok: bool = field(init=False)
     embeddings_ok: bool
@@ -185,7 +184,7 @@ def _two_level_squares() -> list[tuple[frozenset, tuple[frozenset, frozenset], f
     return out
 
 
-@dataclass(frozen=True)
+@frozen
 class CubeV0Report(Report):
     ok: bool = field(init=False)
     identities_ok: bool
@@ -309,7 +308,7 @@ def generated_subalgebra(dl: DiffLattice, gens: list[int]) -> set[int]:
     return out
 
 
-@dataclass(frozen=True)
+@frozen
 class RhoReport(Report):
     ok: bool = field(init=False)
     forced_solutions: dict
@@ -404,7 +403,7 @@ def zero_separating_map() -> LatHom:
     return LatHom(chain_lattice(3), chain_lattice(2), [0, 1, 1])
 
 
-@dataclass(frozen=True)
+@frozen
 class ClosedKernelReport(Report):
     ok: bool = field(init=False)
     eps_closed: bool
@@ -434,7 +433,7 @@ def kernel_not_closed() -> ClosedKernelReport:
                               controls, hom_census(eps))
 
 
-@dataclass(frozen=True)
+@frozen
 class ConvexKernelReport(Report):
     ok: bool = field(init=False)
     phi_table: tuple[int, ...]
@@ -469,7 +468,7 @@ def kernel_not_convex(max_stage: int = 2) -> ConvexKernelReport:
                               stages, hom_census(phi))
 
 
-@dataclass(frozen=True)
+@frozen
 class ReplicationSummary(Report):
     ok: bool = field(init=False)
     cube: CubeReport

@@ -14,16 +14,15 @@ conditions from scratch; it is the oracle for the fast path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .order import DLat, LatticeError, SelfCheckError, canon_key
-from .report import Report
+from .report import Report, frozen
 
 #: Brute-force enumeration refuses lattices above this many elements.
 BRUTEFORCE_SIZE_BOUND = 2 ** 16
 
 
-@dataclass(frozen=True)
+@frozen
 class Spectrum:
     """All prime ideals of a DLat, ordered by inclusion.
 
@@ -112,7 +111,7 @@ def prime_spectrum_bruteforce(lat: DLat) -> Spectrum:
     return Spectrum(lat, tuple(up.index(rest) for _, rest in sorted(primes)))
 
 
-@dataclass(frozen=True)
+@frozen
 class StoneUnitReport(Report):
     ok: bool
     failures: tuple[str, ...] = ()
@@ -163,7 +162,7 @@ class CofinalityError(LatticeError):
     """A spectral preimage was the whole domain (map not cofinal)."""
 
 
-@dataclass(frozen=True)
+@frozen
 class SpecMapResult:
     """The dual map Spec(cod) -> Spec(dom) of a 0-lattice homomorphism.
 

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -625,26 +624,24 @@ def test_back_to_back_calls_match_fresh_processes(vfile, epsfile, capsys):
         assert capsys.readouterr().out == want.stdout, argv
 
 
-def test_normality_self_checks_under_optimize():
+def test_startup_loads_no_code_generation_modules():
+    # a one-shot command imports the CLI and builds its parser in a fresh interpreter
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules)\n"
+            "import latspec.cli; latspec.cli.build_parser()\n"
+            "print(*sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    added = set(out.stdout.split())
+    assert "latspec.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, sorted(added)
+
+
+def test_normality_self_checks_under_optimize(optimized_rerun):
     # python -O strips assert statements; the self-checks must still run
-    tests = Path(__file__).resolve().parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tests.parent / "src"),
-                                                      env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                          *(str(tests / name) for name in ("test_condensate_oracles.py",
-                                                           "test_hom_oracles.py",
-                                                           "test_normality.py",
-                                                           "test_normality_oracles.py",
-                                                           "test_order_oracles.py",
-                                                           "test_pl_oracles.py",
-                                                           "test_replication.py",
-                                                           "test_report_oracles.py",
-                                                           "test_spectra_oracles.py",
-                                                           "test_term_oracles.py"))],
-                         capture_output=True, text=True, env=env, cwd=tests.parent)
-    assert out.returncode == 0, out.stdout + out.stderr
-    assert " passed" in out.stdout and "failed" not in out.stdout
+    stdout, stderr = optimized_rerun.communicate()
+    assert optimized_rerun.returncode == 0, stdout + stderr
+    assert " passed" in stdout and "failed" not in stdout
 
 
 def _poset_text(p: Poset) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 from latspec.condensate import (AlmostConstantSurjection, Condensate, IndexUniverse,
                                 finite_stage_iso)
@@ -318,20 +318,28 @@ OLD = {cls.__name__[3:]: cls for cls in (
     OldConvexKernelReport, OldReplicationSummary)}
 
 
+def params(r: Report) -> list[str]:
+    """r's constructor fields, in the declaration order its class records."""
+    return [name for name in r._fields if name not in r._derived]
+
+
+def rebuilt(r: Report, **changes) -> Report:
+    """r built again through its class's constructor, ``changes`` applied."""
+    return type(r)(**{name: changes.get(name, getattr(r, name)) for name in params(r)})
+
+
 def old(r: Report):
     """The old class built from r's constructor fields, nested reports converted."""
     kw = {}
-    for f in fields(r):
-        if not f.init:
-            continue
-        v = getattr(r, f.name)
-        if f.name == "census":  # the kernels held the census as its dict
+    for name in params(r):
+        v = getattr(r, name)
+        if name == "census":  # the kernels held the census as its dict
             v = old(v).to_dict()
         elif isinstance(v, Report):
             v = old(v)
         elif isinstance(v, tuple) and any(isinstance(x, Report) for x in v):
             v = tuple(old(x) for x in v)
-        kw[f.name] = v
+        kw[name] = v
     return OLD[type(r).__name__](**kw)
 
 
@@ -398,19 +406,18 @@ def stage_reports(rng: random.Random):
 def replication_reports():
     summary = replicate_all()
     yield summary
-    for f in fields(summary):
-        if f.init:
-            part = getattr(summary, f.name)
-            yield part
-            yield replace(summary, **{f.name: next(flipped(part))})  # one part fails
+    for name in params(summary):
+        part = getattr(summary, name)
+        yield part
+        yield rebuilt(summary, **{name: next(flipped(part))})  # one part fails
 
 
 def flipped(r: Report):
     """r with each bool constructor field negated in turn: every way ``ok`` can fail."""
-    for f in fields(r):
-        v = getattr(r, f.name)
-        if f.init and isinstance(v, bool):
-            yield replace(r, **{f.name: not v})
+    for name in params(r):
+        v = getattr(r, name)
+        if isinstance(v, bool):
+            yield rebuilt(r, **{name: not v})
 
 
 def corpus():
