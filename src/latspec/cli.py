@@ -28,7 +28,8 @@ from .lexgroup import (LEX_OPS, LexError, glambda_op, ideal_leq, orthogonal_set_
                        way_below)
 from .normality import expand_v0, is_completely_normal, refinement_witness
 from .order import LatticeError, birkhoff_round_trip
-from .plfun import PLError, pl_abs, pl_eval, pl_ideal_leq, support_connected
+from .plfun import (PLError, pl_abs, pl_eval, pl_ideal_leq, pl_scale, pl_sum,
+                    support_connected)
 from .replication import (kernel_not_closed, kernel_not_convex, replicate_all,
                           build_cube, expand_cube_v0, run_rho_contradiction,
                           verify_cube)
@@ -237,15 +238,15 @@ def cmd_pl(args) -> int:
             lines.append(f"witness direction with |y| = 0 < |x|: {res.witness}")
         if args.samples and res.holds:
             rng = random.Random(args.seed)
-            fa, ga = pl_abs(f), pl_abs(g)
+            # |f| > bound·|g| at a point iff h = |f| - bound·|g| is positive there
+            h = pl_sum((pl_abs(f), pl_scale(-res.bound, pl_abs(g))))
             bad = 0
             for _ in range(args.samples):
                 a, b = rng.randrange(10 ** 6 + 1), 1 + rng.randrange(1000)
                 c, d = rng.randrange(10 ** 6 + 1), 1 + rng.randrange(1000)
-                # the sample point is (a/b, c/d); |f| and |g| are positively
-                # homogeneous and b·d > 0, so comparing them at (a·d, c·b) is exact
-                px, py = a * d, c * b
-                if pl_eval(fa, px, py) > res.bound * pl_eval(ga, px, py):
+                # the sample point is (a/b, c/d); h is positively homogeneous
+                # and b·d > 0, so its sign at (a·d, c·b) is exact
+                if pl_eval(h, a * d, c * b) > 0:
                     bad += 1
             payload["samples"] = args.samples
             payload["seed"] = args.seed

@@ -31,14 +31,18 @@ elements extend the grammar with ``cK`` (basis vector at chain position
 K), ``zero``, ``(pl PLTERM)``, and the ops add | sub | neg | join | meet |
 abs, of which add, sub, join and meet take exactly two operands.  The
 operators come from ``plfun.PL_OPS`` and ``lexgroup.LEX_OPS``, and a PL
-fold calls its k-ary function from ``plfun.PL_FOLD`` once with all its
-operands (an ``add`` is one ``pl_sum``).  Terms have no depth limit: the
-parser is iterative.
+fold calls its k-ary rule from ``plfun.PL_FOLD`` once with all its
+operands.  A PL subterm is carried as a term value of ``plfun``: the int
+pair (m, n) while it is linear, a ``PLFun`` from its first kink on.  The
+atoms are pairs (``plfun.PL_ATOMS``), and the rules keep a pair a pair
+until a kink; a pair is lifted to its one-cone fan (``plfun.as_fan``) by a
+rule whose other operand is a fan, on entering a lex ``(pl ...)`` frame,
+and at the end of a PL term.  Terms have no depth limit: the parser is
+iterative.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from itertools import islice
 
@@ -46,7 +50,7 @@ from .homs import LatHom
 from .lexgroup import LEX_OPS, LEX_UNARY, LexPL
 from .order import (DLat, LatticeError, Poset, downset_lattice,
                     lattice_of_order)
-from .plfun import PL_FOLD, PL_OPS, PL_UNARY, PLFun, pl_generators, pl_scale
+from .plfun import PL_ATOMS, PL_FOLD, PL_OPS, PL_UNARY, PLFun, as_fan, term_scale
 from .report import frozen
 
 
@@ -249,15 +253,19 @@ def _parse_term(text: str, n: int | None):
     ``(op`` is a frame ``[fn, arity, operands, lex]`` on an explicit stack:
     ``arity`` is None for a fold, whose ``fn`` (from ``plfun.PL_FOLD``)
     takes all its operands at once when its ``)`` closes it, and ``lex``
-    says whether the frame's operands are lex terms or PL terms.  The
-    tokens are read without their positions: an error finds its 1-based
-    column by reading the text again (``_column``), and one at the end of
-    the input has none.
+    says whether the frame's operands are lex terms or PL terms.  A scalar
+    ``(NAT`` is a frame of arity 2 that starts with the scalar as its first
+    operand.  PL operands are ``plfun`` term values: the int pair (m, n)
+    of a linear subterm, else a ``PLFun``.  The rules of ``PL_OPS`` and
+    ``PL_FOLD`` combine them (a rule lifts a pair whose other operand is a
+    fan), and the parser itself lifts a pair (``as_fan``) only as the
+    operand of a lex ``(pl`` frame or as the value of a whole PL term.
+    The tokens are read without their positions: an error finds its
+    1-based column by reading the text again (``_column``), and one at the
+    end of the input has none.
     """
     toks = _TOKEN.findall(text)
     toks.append(None)
-    a, b = pl_generators()
-    pl_atoms = {"a": a, "b": b, "0": PLFun.zero()}
     stack: list[list] = []
     lex = n is not None
     k = 0
@@ -277,8 +285,8 @@ def _parse_term(text: str, n: int | None):
             stack.append(frame)
             lex = frame[3]
             continue
-        if not lex and tok in pl_atoms:
-            val = pl_atoms[tok]
+        if not lex and tok in PL_ATOMS:
+            val = PL_ATOMS[tok]
         elif lex and tok == "zero":
             val = LexPL.zero(n)
         elif lex and _BASIS.fullmatch(tok):
@@ -306,7 +314,7 @@ def _parse_term(text: str, n: int | None):
         if not stack:
             if toks[k] is not None:
                 raise ParseError(f"trailing input {toks[k]!r}", col=_column(text, k))
-            return val
+            return as_fan(val) if n is None else val
         lex = stack[-1][3]
 
 
@@ -320,7 +328,7 @@ def _frame(op: str, lex: bool, n: int | None) -> list | None:
     """The parser frame for an open ``(op``, from the PL or the lex table; None if unknown."""
     if lex:
         if op == "pl":
-            return [functools.partial(LexPL.from_pl, n), 1, [], False]
+            return [lambda v: LexPL.from_pl(n, as_fan(v)), 1, [], False]
         if op in LEX_OPS:
             return [LEX_OPS[op], 1 if op in LEX_UNARY else 2, [], True]
         if op.isdecimal():
@@ -331,5 +339,5 @@ def _frame(op: str, lex: bool, n: int | None) -> list | None:
         if op in PL_OPS:
             return [PL_OPS[op], 1 if op in PL_UNARY else 2, [], False]
         if op.isdecimal():
-            return [lambda f: pl_scale(int(op), f), 1, [], False]
+            return [term_scale, 2, [int(op)], False]
     return None

@@ -67,16 +67,24 @@ class LexPL:
         object.__setattr__(self, "lex", tuple(_lex_entry(k) for k in self.lex))
 
     @classmethod
+    def _trusted(cls, lex: tuple[int, ...], pl: PLFun) -> "LexPL":
+        """An element whose lex part is a tuple of ints by construction: no normalising pass."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "lex", lex)
+        object.__setattr__(s, "pl", pl)
+        return s
+
+    @classmethod
     def zero(cls, chain_len: int) -> "LexPL":
-        return cls((0,) * chain_len, PLFun.zero())
+        return cls._trusted((0,) * chain_len, PLFun.zero())
 
     @classmethod
     def from_pl(cls, chain_len: int, f: PLFun) -> "LexPL":
-        return cls((0,) * chain_len, f)
+        return cls._trusted((0,) * chain_len, f)
 
     @classmethod
     def basis(cls, chain_len: int, pos: int) -> "LexPL":
-        return cls(lex_basis(chain_len, pos), PLFun.zero())
+        return cls._trusted(lex_basis(chain_len, pos), PLFun.zero())
 
     @property
     def chain_len(self) -> int:
@@ -90,19 +98,19 @@ class LexPL:
 
     def __add__(self, other: "LexPL") -> "LexPL":
         self._compat(other)
-        return LexPL(tuple(a + b for a, b in zip(self.lex, other.lex)),
-                     pl_add(self.pl, other.pl))
+        return LexPL._trusted(tuple(a + b for a, b in zip(self.lex, other.lex)),
+                              pl_add(self.pl, other.pl))
 
     def __neg__(self) -> "LexPL":
-        return LexPL(tuple(-a for a in self.lex), pl_neg(self.pl))
+        return LexPL._trusted(tuple(-a for a in self.lex), pl_neg(self.pl))
 
     def __sub__(self, other: "LexPL") -> "LexPL":
         self._compat(other)
-        return LexPL(tuple(a - b for a, b in zip(self.lex, other.lex)),
-                     pl_sub(self.pl, other.pl))
+        return LexPL._trusted(tuple(a - b for a, b in zip(self.lex, other.lex)),
+                              pl_sub(self.pl, other.pl))
 
     def scale(self, k: int) -> "LexPL":
-        return LexPL(tuple(k * a for a in self.lex), pl_scale(k, self.pl))
+        return LexPL._trusted(tuple(k * a for a in self.lex), pl_scale(k, self.pl))
 
     def __eq__(self, other):
         return (isinstance(other, LexPL) and self.lex == other.lex
@@ -136,7 +144,7 @@ class LexPL:
             return self
         if s < 0:
             return other
-        return LexPL(self.lex, pl_join(self.pl, other.pl))
+        return LexPL._trusted(self.lex, pl_join(self.pl, other.pl))
 
     def meet(self, other: "LexPL") -> "LexPL":
         self._compat(other)
@@ -145,7 +153,7 @@ class LexPL:
             return other
         if s < 0:
             return self
-        return LexPL(self.lex, pl_meet(self.pl, other.pl))
+        return LexPL._trusted(self.lex, pl_meet(self.pl, other.pl))
 
     def abs(self) -> "LexPL":
         s = lex_sign(self.lex)
@@ -153,7 +161,7 @@ class LexPL:
             return self
         if s < 0:
             return -self
-        return LexPL(self.lex, pl_abs(self.pl))
+        return LexPL._trusted(self.lex, pl_abs(self.pl))
 
     def compare(self, other: "LexPL") -> str:
         """'lt' | 'eq' | 'gt' | 'incomparable' (total on the lex part)."""

@@ -35,9 +35,18 @@ cost:
   the first functionals add, the bends add per ray, the rays whose bends
   cancel are dropped, and one prefix pass in exact angle order (integer
   cross products) rebuilds the functionals.  ``pl_add`` of two fans is
-  its case k = 2, and the term parser's ``add`` frames call it once.
+  its case k = 2.
 - ``pl_join`` of fans, and ``pl_ideal_leq``, read both operands on their
   common refinement (``refine``).
+
+Term values: the term parser carries a linear subterm as its functional,
+the int pair (m, n), and builds a ``PLFun`` only at the first kink.  The
+rules of ``PL_OPS`` and ``PL_FOLD`` take such values.  On pairs, neg, the
+scalars, add, sub and the ``add`` fold are integer operations, and join,
+meet, abs, pos, negpart and diff keep the dominating functional or split
+the quadrant once, by ``pl_join``'s rule for linear operands.  A pair
+whose co-operand is a fan is lifted to its one-cone fan (``as_fan``).  On
+``PLFun`` operands every rule is the ``pl_*`` function of its name.
 """
 
 from __future__ import annotations
@@ -175,11 +184,15 @@ class PLFun:
 
     @classmethod
     def linear(cls, m: int, n: int) -> "PLFun":
-        return cls((RAY_X, RAY_Y), ((m, n),))
+        # one cone with an integer functional is canonical: only the entries need a check
+        return cls._trusted(_QUADRANT, ((_entry(m), _entry(n)),))
 
     @classmethod
     def zero(cls) -> "PLFun":
-        return cls.linear(0, 0)
+        return cls._trusted(_QUADRANT, ((0, 0),))
+
+
+_QUADRANT = (RAY_X, RAY_Y)
 
 
 def pl_generators() -> tuple[PLFun, PLFun]:
@@ -269,23 +282,32 @@ def _crossing_ray(df: Vec, left: Vec, right: Vec) -> Vec:
     raise PLError("no crossing ray inside the cone")  # pragma: no cover
 
 
+def _pair_join(c: Vec, d: Vec, sign: int = 1):
+    """c ∨ d of two functionals, or c ∧ d for ``sign`` -1.
+
+    They are compared at (1,0) and (0,1) only: one dominates, and is
+    returned as it is, or c - d vanishes on one ray inside the quadrant,
+    which splits it into two cones: the result is that two-cone fan.
+    """
+    s1, s2 = sign * (c[0] - d[0]), sign * (c[1] - d[1])
+    if s1 >= 0 and s2 >= 0:
+        return c
+    if s1 <= 0 and s2 <= 0:
+        return d
+    return PLFun._trusted((RAY_X, _primitive(abs(s2), abs(s1)), RAY_Y),
+                          (c, d) if s1 > 0 else (d, c))
+
+
 def pl_join(f: PLFun, g: PLFun) -> PLFun:
     """Pointwise maximum: refine, split cones where f - g changes sign.
 
     A crossing ray lies inside one cone of the common fan, so its two
     halves keep that cone's functionals: the larger one on each side.  Two
-    linear operands are compared at (1,0) and (0,1) only: one dominates, or
-    f - g vanishes on one ray inside the quadrant.
+    linear operands go through ``_pair_join``.
     """
     if len(f.coeffs) == 1 == len(g.coeffs):
-        cf, cg = f.coeffs[0], g.coeffs[0]
-        s1, s2 = cf[0] - cg[0], cf[1] - cg[1]
-        if s1 >= 0 and s2 >= 0:
-            return f
-        if s1 <= 0 and s2 <= 0:
-            return g
-        return PLFun._trusted((RAY_X, _primitive(abs(s2), abs(s1)), RAY_Y),
-                              (cf, cg) if s1 > 0 else (cg, cf))
+        h = _pair_join(f.coeffs[0], g.coeffs[0])
+        return h if type(h) is PLFun else f if h is f.coeffs[0] else g
     rays, cf, cg = refine(f, g)
     out_rays, out = [rays[0]], []
     for k in range(len(rays) - 1):
@@ -377,15 +399,93 @@ def pl_is_zero(f: PLFun) -> bool:
     return f.coeffs == ((0, 0),)
 
 
-# The PL operator table that the term parser, randgen and pl_combine share.
-# Its order is the order randgen draws names in.
-PL_OPS = {"neg": pl_neg, "abs": pl_abs, "pos": pl_pos, "negpart": pl_negpart,
-          "add": pl_add, "sub": pl_sub, "join": pl_join, "meet": pl_meet, "diff": pl_diff}
+# -- term values ----------------------------------------------------------------
+#
+# A term value is an int pair (m, n), the functional of a linear term, or a
+# PLFun.  The primitive rules below take the pair path when all their
+# operands are pairs, and otherwise lift the pairs and call the pl_* function
+# of their name; the others are composed from them as the pl_* functions
+# are, so on PLFun operands every rule is the pl_* function of its name.
+
+def as_fan(v) -> PLFun:
+    """A term value as a ``PLFun``: a pair (m, n) becomes its one-cone fan."""
+    return PLFun._trusted(_QUADRANT, (v,)) if type(v) is tuple else v
+
+
+def term_scale(k: int, v):
+    return (k * v[0], k * v[1]) if type(v) is tuple else pl_scale(k, v)
+
+
+def _neg(v):
+    return (-v[0], -v[1]) if type(v) is tuple else pl_neg(v)
+
+
+def _add(v, w):
+    if type(v) is type(w) is tuple:
+        return (v[0] + w[0], v[1] + w[1])
+    return pl_add(as_fan(v), as_fan(w))
+
+
+def _join(v, w):
+    if type(v) is type(w) is tuple:
+        return _pair_join(v, w)
+    return pl_join(as_fan(v), as_fan(w))
+
+
+def _meet(v, w):
+    if type(v) is type(w) is tuple:
+        return _pair_join(v, w, -1)
+    return pl_meet(as_fan(v), as_fan(w))
+
+
+def _sub(v, w):
+    return _add(v, _neg(w))
+
+
+def _pos(v):
+    return _join(v, (0, 0))
+
+
+def _negpart(v):
+    return _pos(_neg(v))
+
+
+def _abs(v):
+    return _join(v, _neg(v))
+
+
+def _diff(v, w):
+    return _pos(_sub(v, w))
+
+
+def _sum(vs):
+    """The ``add`` fold: pairs add as integers, fans and that total in one ``pl_sum``."""
+    m = n = 0
+    fans = []
+    for v in vs:
+        if type(v) is tuple:
+            m += v[0]
+            n += v[1]
+        else:
+            fans.append(v)
+    if not fans:
+        return (m, n)
+    if m or n:
+        fans.append(as_fan((m, n)))
+    return pl_sum(fans) if len(fans) > 1 else fans[0]
+
+
+# The PL operator table that the term parser, randgen and pl_combine share:
+# each name's rule on term values.  Its order is the order randgen draws
+# names in.
+PL_OPS = {"neg": _neg, "abs": _abs, "pos": _pos, "negpart": _negpart,
+          "add": _add, "sub": _sub, "join": _join, "meet": _meet, "diff": _diff}
 PL_UNARY = frozenset({"neg", "abs", "pos", "negpart"})
-# terms fold one or more operands: each fold name's k-ary function (the
-# folds of join and meet read the names pl_join and pl_meet when called)
-PL_FOLD = {"add": pl_sum, "join": lambda fs: reduce(pl_join, fs),
-           "meet": lambda fs: reduce(pl_meet, fs)}
+# terms fold one or more operands: each fold name's k-ary rule
+PL_FOLD = {"add": _sum, "join": lambda vs: reduce(_join, vs),
+           "meet": lambda vs: reduce(_meet, vs)}
+# the atoms of PL terms, as term values
+PL_ATOMS = {"a": (1, 0), "b": (0, 1), "0": (0, 0)}
 
 
 def pl_combine(op: str, f: PLFun, g: PLFun | None = None) -> PLFun:

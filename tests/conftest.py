@@ -7,11 +7,15 @@ once collection has selected that test and runs while the rest of the
 session does; the test runs last and joins it.  If the test never runs
 (``-x``, an interrupt, ``--collect-only``), ``pytest_sessionfinish`` ends
 the child.
+
+The ``pl_terms_round`` fixture gives the benchmark's pl-terms jobs to the
+tests that check latspec on them.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -57,3 +61,17 @@ def pytest_sessionfinish(session: pytest.Session) -> None:
 def optimized_rerun(request: pytest.FixtureRequest) -> subprocess.Popen:
     """The ``python -O`` pytest child, started at collection; the test joins it."""
     return request.config.stash[_RERUN]
+
+
+@pytest.fixture
+def pl_terms_round(monkeypatch: pytest.MonkeyPatch, tmp_path: Path):
+    """``pl_terms_round(seed)``: one round of the benchmark's pl-terms jobs.
+
+    The round is generated as ``perfbench/run.py --workload pl-terms --seed
+    SEED`` generates it, by importing the benchmark's modules from
+    ``perfbench/``, which stays as it is.
+    """
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import pl_terms
+
+    return lambda seed: pl_terms(random.Random(f"pl-terms:{seed}"), tmp_path)

@@ -6,7 +6,7 @@ from latspec.lexgroup import (LexError, LexPL, PrincipalIdeal, glambda_op,
                               ideal_eq, ideal_leq, lex_leading, lex_sign,
                               orthogonal_set_check, way_below)
 from latspec.plfun import (PLFun, pl_abs, pl_add, pl_diff, pl_generators,
-                           pl_meet, pl_scale, pl_sub)
+                           pl_meet, pl_neg, pl_scale, pl_sub)
 from latspec.randgen import random_pl_term
 
 A, B = pl_generators()
@@ -161,6 +161,19 @@ def test_lex_entries_must_be_integers():
             LexPL(lex, A)
         assert str(err.value) == f"lex entry {bad} is not an integer"
     assert LexPL([True, 2], A).lex == (1, 2)
+
+
+def test_lex_arithmetic_results_are_normalised():
+    # LexPL's own operations build their results without the constructor's
+    # pass; the public constructor still rejects non-integer entries
+    s, t = LexPL([True, -2], A), LexPL((0, -2), pl_neg(B))
+    for r in [s + t, s - t, -s, s.scale(3), s.join(t), s.meet(t), t.abs(), t.join(t),
+              LexPL.zero(2), LexPL.basis(2, 1), LexPL.from_pl(2, B)]:
+        assert LexPL(r.lex, r.pl) == r
+        assert all(type(k) is int for k in r.lex)
+    with pytest.raises(LexError) as err:
+        LexPL((s + t).lex + (0.5,), A)
+    assert str(err.value) == "lex entry 0.5 is not an integer"
 
 
 def test_principal_ideal_lattice():

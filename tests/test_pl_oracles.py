@@ -145,7 +145,7 @@ def oracle_sample_verdicts(fa, ga, bound, seed, samples):
 
 
 def sample_verdicts(fa, ga, bound, seed, samples):
-    """The same loop on the integer points (a·d, c·b), as ``cmd_pl`` runs it."""
+    """The same loop on the integer points (a·d, c·b), evaluating |x| and |y|."""
     rng = random.Random(seed)
     out = []
     for _ in range(samples):
@@ -153,6 +153,18 @@ def sample_verdicts(fa, ga, bound, seed, samples):
         c, d = rng.randint(0, 10 ** 6), rng.randint(1, 1000)
         px, py = a * d, c * b
         out.append(pl_eval(fa, px, py) > bound * pl_eval(ga, px, py))
+    return out
+
+
+def reduced_sample_verdicts(fa, ga, bound, seed, samples):
+    """The loop as ``cmd_pl`` runs it: the sign of h = |x| - bound·|y| at (a·d, c·b)."""
+    h = pl_sum((fa, pl_scale(-bound, ga)))
+    rng = random.Random(seed)
+    out = []
+    for _ in range(samples):
+        a, b = rng.randint(0, 10 ** 6), rng.randint(1, 1000)
+        c, d = rng.randint(0, 10 ** 6), rng.randint(1, 1000)
+        out.append(pl_eval(h, a * d, c * b) > 0)
     return out
 
 
@@ -376,7 +388,10 @@ def test_sampling_verdicts_match_fraction_points():
         seed = rng.randrange(1000)
         for bound in {res.bound, max(res.bound - 1, 0)}:
             want = oracle_sample_verdicts(fa, ga, bound, seed, 60)
-            assert sample_verdicts(fa, ga, bound, seed, 60) == want
+            two = sample_verdicts(fa, ga, bound, seed, 60)
+            assert two == want
+            # the reduced form h = |x| - bound·|y| fails at the same points
+            assert reduced_sample_verdicts(fa, ga, bound, seed, 60) == two
             failures += sum(want)
         checked += 1
     assert failures > 0  # bound - 1 really fails somewhere

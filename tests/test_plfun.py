@@ -45,6 +45,13 @@ def test_fan_validation():
             PLFun(rays, coeffs)
         assert str(err.value) == f"fan entry {bad} is not an integer"
     assert PLFun(((True, 0), (0, 1)), ((3, 0),)) == PLFun.linear(3, 0)  # bool is an int
+    # linear() checks only its two entries: one cone with an int functional is canonical
+    assert PLFun.linear(True, -2) == PLFun(((1, 0), (0, 1)), ((1, -2),))
+    assert type(PLFun.linear(True, -2).coeffs[0][0]) is int
+    with pytest.raises(PLError) as err:
+        PLFun.linear(1, "2")
+    assert str(err.value) == "fan entry '2' is not an integer"
+    assert PLFun.zero() == PLFun(((1, 0), (0, 1)), ((0, 0),))
 
 
 def test_join_inserts_crossing_ray():

@@ -2,24 +2,29 @@
 
 ``_pl_expr`` and ``_gl_expr`` below are the recursive-descent parsers that
 ``latspec.fileformat`` used before its iterative parser, kept verbatim
-(with their tokenizer and operator dicts).  On the randgen corpus, on
-seeded lex terms and on seeded token mutations of both, the iterative
-parser must give an equal value, or a ``ParseError`` with an equal message
-and column.  The oracles recurse once per nesting level, so the cases here
-stay shallow; deep terms go through ``main`` against their known value.
+(with their tokenizer and operator dicts).  They build a ``PLFun`` for
+every subterm, so they also check the parser's linear path, which carries
+linear subterms as int pairs.  On the randgen corpus, on the benchmark's
+pl-terms jobs, on seeded lex terms and on seeded token mutations, the
+iterative parser must give an equal value, or a ``ParseError`` with an
+equal message and column.  The oracles recurse once per nesting level, so
+the cases here stay shallow; deep terms go through ``main`` against their
+known value.
 """
 
 import hashlib
 import random
 import re
+from functools import reduce
 
 import pytest
 
 from latspec.cli import main
 from latspec.fileformat import ParseError, parse_glambda_term, parse_pl_term
 from latspec.lexgroup import LEX_OPS, LEX_UNARY, LexPL
-from latspec.plfun import (PL_OPS, PLFun, pl_abs, pl_add, pl_diff, pl_generators, pl_join,
-                           pl_meet, pl_neg, pl_negpart, pl_pos, pl_scale, pl_sub)
+from latspec.plfun import (PL_FOLD, PL_OPS, PL_UNARY, PLFun, as_fan, pl_abs, pl_add, pl_diff,
+                           pl_generators, pl_join, pl_meet, pl_neg, pl_negpart, pl_pos,
+                           pl_scale, pl_sub, term_scale)
 from latspec.randgen import random_pl_term
 
 # -- the recursive parsers, verbatim ------------------------------------------
@@ -259,6 +264,126 @@ def test_fixed_cases_match_recursive_oracle():
         for case in lex_cases:
             assert outcome(parse_glambda_term, case, n) == \
                 outcome(oracle_parse_glambda_term, case, n), (case, n)
+
+
+def job_terms(argv: list[str]) -> tuple[list[str], int | None]:
+    """The term arguments of a pl-terms job, and the chain length of a glambda job."""
+    k = 3 if argv[:2] == ["glambda", "op"] else 2
+    terms, chain = [], None
+    while k < len(argv):
+        if argv[k] == "--json":
+            k += 1
+        elif argv[k].startswith("--"):
+            chain = int(argv[k + 1]) if argv[k] == "--chain" else chain
+            k += 2
+        else:
+            terms.append(argv[k])
+            k += 1
+    return terms, chain
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_workload_terms_match_recursive_oracle(seed, pl_terms_round):
+    parsed = {"pl": 0, "glambda": 0}
+    for job in pl_terms_round(seed):
+        argv = job.spec["argv"]
+        terms, n = job_terms(argv)
+        for text in terms:
+            if n is None:
+                got = parse_pl_term(text)
+                assert type(got) is PLFun and got == oracle_parse_pl_term(text), text
+            else:
+                got = parse_glambda_term(text, n)
+                assert type(got.pl) is PLFun and got == oracle_parse_glambda_term(text, n), text
+            parsed[argv[0]] += 1
+    assert parsed["pl"] > 40 and parsed["glambda"] > 20, parsed
+
+
+BIG = str(2 ** 64 + 1)
+
+
+@pytest.mark.parametrize("case", [
+    "(0 (sub (3 a) b))", "(0 (join a b))", "(sub (2 a) (2 a))", "(sub (join a b) (join a b))",
+    "(add a)", "(add (join a b))", "(join a a b)", "(meet b (2 a) a)", "(abs (sub a b))",
+    "(abs (add a b))", "(pos (neg a))", "(pos (sub a b))", "(negpart (sub a b))", "(diff b a)",
+    "(diff (2 a) a)", "(add (join a (2 b)) (3 a) (neg b))", "(add (3 a) (neg b) (join a b) 0)",
+    "(sub (join a b) (neg a))", "(join (3 a) (meet a b))", f"({BIG} (sub a (3 b)))",
+    f"(join ({BIG} a) (neg ({BIG} b)))", f"(add ({BIG} (join a b)) ({BIG} ({BIG} a)))",
+])
+def test_linear_path_edge_cases_match_recursive_oracle(case):
+    got = parse_pl_term(case)
+    assert type(got) is PLFun and got == oracle_parse_pl_term(case), case
+    assert all(type(x) is int for c in got.coeffs for x in c)
+
+
+@pytest.mark.parametrize("case", ["(pl (3 a))", "(pl 0)", "(add (pl (sub a b)) c1)",
+                                  "(join (pl a) (pl (2 a)))", "(3 (pl (neg b)))",
+                                  f"(sub (pl ({BIG} a)) (pl (join a b)))"])
+def test_lex_pl_frames_match_recursive_oracle(case):
+    got = parse_glambda_term(case, 2)
+    assert type(got.pl) is PLFun and got == oracle_parse_glambda_term(case, 2), case
+
+
+# the public function of each name that ``PL_OPS`` extends to int pairs
+PUBLIC = {**_PL_UNARY, **_PL_NARY, **_PL_BINARY}
+
+
+def test_term_rules_on_pairs_match_public_functions():
+    # a rule keeps two pairs a pair exactly when the public function on their
+    # one-cone fans has no kink; mixed operands give the public result
+    pairs = [(m, n) for m in range(-3, 4) for n in range(-3, 4)]
+    fans = [pl_join(as_fan(c), as_fan(d)) for c, d in [((1, 0), (0, 1)), ((2, -1), (-1, 3))]]
+    for c in pairs:
+        for name in PL_UNARY:
+            got, want = PL_OPS[name](c), PUBLIC[name](as_fan(c))
+            assert as_fan(got) == want and (type(got) is tuple) == (len(want.coeffs) == 1)
+        for k in (-2, 0, 3):
+            assert term_scale(k, c) == pl_scale(k, as_fan(c)).coeffs[0]
+        for d in pairs + fans:
+            for name in PL_OPS.keys() - PL_UNARY:
+                got, want = PL_OPS[name](c, d), PUBLIC[name](as_fan(c), as_fan(d))
+                assert as_fan(got) == want, (name, c, d)
+                assert (type(got) is tuple) == (type(d) is tuple and len(want.coeffs) == 1)
+                got = PL_OPS[name](d, c)
+                assert as_fan(got) == PUBLIC[name](as_fan(d), as_fan(c)), (name, d, c)
+    for vs in ([(1, 2), (-1, -2)], [(2, -1), fans[0], (3, 3)], [fans[1], fans[0]]):
+        assert as_fan(PL_FOLD["add"](vs)) == reduce(pl_add, map(as_fan, vs))
+
+
+def count_builds(monkeypatch) -> list[int]:
+    """Count every PLFun built, validated or trusted, in ``counts[0]``."""
+    counts = [0]
+    trusted, init = PLFun._trusted.__func__, PLFun.__init__
+
+    def counted_trusted(cls, rays, coeffs):
+        counts[0] += 1
+        return trusted(cls, rays, coeffs)
+
+    def counted_init(self, rays, coeffs):
+        counts[0] += 1
+        init(self, rays, coeffs)
+
+    monkeypatch.setattr(PLFun, "_trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(PLFun, "__init__", counted_init)
+    return counts
+
+
+@pytest.mark.parametrize("text, builds", [
+    ("(add (3 a) (neg b))", 1),  # a pair to the end, lifted once
+    ("(neg (sub (2 (add a b 0)) (meet a (2 a))))", 1),
+    ("(join (2 a) a)", 1),  # one operand dominates: still a pair
+    ("(join (add (3 a) (neg b)) (2 b))", 1),  # pairs that cross: their two-cone fan
+    # each join of crossing pairs builds one more, and the add of the fans one
+    ("(add (join a b) (join (2 a) b))", 3),
+    ("(add (join a b) (join (2 a) b) (join (3 a) b))", 4),
+    ("(add (join a b) (join (2 a) b) (join (3 a) b) (join (4 a) b))", 5),
+])
+def test_linear_subterms_build_no_plfun(text, builds, monkeypatch):
+    want = oracle_parse_pl_term(text)
+    counts = count_builds(monkeypatch)
+    got = parse_pl_term(text)
+    assert counts[0] == builds, text
+    assert got == want
 
 
 OPERANDS_23 = "(add " + " ".join(["a", "(neg b)", "(2 a)"] * 7 + ["b", "0"])
