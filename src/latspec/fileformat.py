@@ -30,15 +30,15 @@ and ``b``::
 elements extend the grammar with ``cK`` (basis vector at chain position
 K), ``zero``, ``(pl PLTERM)``, and the ops add | sub | neg | join | meet |
 abs, of which add, sub, join and meet take exactly two operands.  The
-operators come from ``plfun.PL_OPS`` and ``lexgroup.LEX_OPS``, and a PL
-fold calls its k-ary rule from ``plfun.PL_FOLD`` once with all its
-operands.  A PL subterm is carried as a term value of ``plfun``: the int
-pair (m, n) while it is linear, a ``PLFun`` from its first kink on.  The
-atoms are pairs (``plfun.PL_ATOMS``), and the rules keep a pair a pair
-until a kink; a pair is lifted to its one-cone fan (``plfun.as_fan``) by a
-rule whose other operand is a fan, on entering a lex ``(pl ...)`` frame,
-and at the end of a PL term.  Terms have no depth limit: the parser is
-iterative.
+operators are the functions of ``plfun.PL_OPS`` and ``lexgroup.LEX_OPS``,
+and a PL fold calls its k-ary rule from ``plfun.PL_FOLD`` (``pl_sum`` for
+``add``) once with all its operands.  A PL subterm is carried as a term
+value of ``plfun``: the int pair (m, n) while it is linear, a ``PLFun``
+from its first kink on.  The atoms are pairs (``plfun.PL_ATOMS``), and the
+``pl_*`` functions keep a pair a pair until a kink; a pair is lifted to
+its one-cone fan (``plfun.as_fan``) by a function whose other operand is
+a ``PLFun``, on entering a lex ``(pl ...)`` frame, and at the end of a PL
+term.  Terms have no depth limit: the parser is iterative.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .homs import LatHom
 from .lexgroup import LEX_OPS, LEX_UNARY, LexPL
 from .order import (DLat, LatticeError, Poset, downset_lattice,
                     lattice_of_order)
-from .plfun import PL_ATOMS, PL_FOLD, PL_OPS, PL_UNARY, PLFun, as_fan, term_scale
+from .plfun import PL_ATOMS, PL_FOLD, PL_OPS, PL_UNARY, PLFun, as_fan, pl_scale
 from .report import frozen
 
 
@@ -250,16 +250,18 @@ def _parse_term(text: str, n: int | None):
     """One prefix term: a PL term when ``n`` is None, else a lex term over n.
 
     The parser is iterative, so terms have no depth limit.  Each open
-    ``(op`` is a frame ``[fn, arity, operands, lex]`` on an explicit stack:
-    ``arity`` is None for a fold, whose ``fn`` (from ``plfun.PL_FOLD``)
-    takes all its operands at once when its ``)`` closes it, and ``lex``
-    says whether the frame's operands are lex terms or PL terms.  A scalar
-    ``(NAT`` is a frame of arity 2 that starts with the scalar as its first
-    operand.  PL operands are ``plfun`` term values: the int pair (m, n)
-    of a linear subterm, else a ``PLFun``.  The rules of ``PL_OPS`` and
-    ``PL_FOLD`` combine them (a rule lifts a pair whose other operand is a
-    fan), and the parser itself lifts a pair (``as_fan``) only as the
-    operand of a lex ``(pl`` frame or as the value of a whole PL term.
+    ``(op`` is a frame ``[fn, arity, operands, lex]`` on an explicit stack,
+    read off its grammar's frame tables by ``_frame``: ``arity`` is None
+    for a fold, whose ``fn`` (from ``plfun.PL_FOLD``) takes all its
+    operands at once when its ``)`` closes it, and ``lex`` says whether the
+    frame's operands are lex terms or PL terms.  A scalar ``(NAT`` is a
+    frame of arity 2 that starts with the scalar as its first operand, and
+    a lex ``(pl`` frame one that starts with the chain length.  PL operands
+    are ``plfun`` term values: the int pair (m, n) of a linear subterm,
+    else a ``PLFun``.  The ``pl_*`` functions of ``PL_OPS`` and ``PL_FOLD``
+    combine them (lifting a pair whose other operand is a ``PLFun``), and
+    the parser itself lifts a pair (``as_fan``) only as the operand of a
+    lex ``(pl`` frame or as the value of a whole PL term.
     The tokens are read without their positions: an error finds its
     1-based column by reading the text again (``_column``), and one at the
     end of the input has none.
@@ -325,19 +327,30 @@ def _column(text: str, k: int) -> int | None:
 
 
 def _frame(op: str, lex: bool, n: int | None) -> list | None:
-    """The parser frame for an open ``(op``, from the PL or the lex table; None if unknown."""
+    """The parser frame for an open ``(op`` from its grammar's tables; None if unknown.
+
+    A scalar ``(NAT`` keeps the grammar it opens in, and a lex ``(pl`` frame
+    starts with the chain length as its first operand.
+    """
     if lex:
-        if op == "pl":
-            return [lambda v: LexPL.from_pl(n, as_fan(v)), 1, [], False]
-        if op in LEX_OPS:
-            return [LEX_OPS[op], 1 if op in LEX_UNARY else 2, [], True]
-        if op.isdecimal():
-            return [lambda s: s.scale(int(op)), 1, [], True]
+        if op in _LEX_RULES:
+            return [_LEX_RULES[op], _LEX_ARITY[op], [n] if op == "pl" else [], op != "pl"]
+        rule = _lex_scale
     else:
-        if op in PL_FOLD:
-            return [PL_FOLD[op], None, [], False]
-        if op in PL_OPS:
-            return [PL_OPS[op], 1 if op in PL_UNARY else 2, [], False]
-        if op.isdecimal():
-            return [term_scale, 2, [int(op)], False]
-    return None
+        if op in _PL_RULES:
+            return [_PL_RULES[op], _PL_ARITY[op], [], False]
+        rule = pl_scale
+    return [rule, 2, [int(op)], lex] if op.isdecimal() else None
+
+
+def _lex_scale(k: int, s: LexPL) -> LexPL:
+    return s.scale(k)
+
+
+# Each grammar's frame tables: an op's rule, and its arity (None for a fold).
+# The rules are values of module-level dicts, so that a function wrapped
+# wherever latspec holds it (perfbench/spans.py) is wrapped for the parser too.
+_PL_RULES = {**PL_OPS, **PL_FOLD}
+_PL_ARITY = {**{op: 1 if op in PL_UNARY else 2 for op in PL_OPS}, **dict.fromkeys(PL_FOLD)}
+_LEX_RULES = {**LEX_OPS, "pl": lambda n, v: LexPL.from_pl(n, as_fan(v))}
+_LEX_ARITY = {**{op: 1 if op in LEX_UNARY else 2 for op in LEX_OPS}, "pl": 2}

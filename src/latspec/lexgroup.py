@@ -18,9 +18,9 @@ from __future__ import annotations
 from operator import index
 from typing import Sequence
 
-from .plfun import (IdealLeq, PLFun, pl_abs, pl_add, pl_eq, pl_geq_zero,
-                    pl_ideal_leq, pl_is_zero, pl_join, pl_meet, pl_neg,
-                    pl_scale, pl_sub, pl_way_below)
+from .plfun import (IdealLeq, PLFun, pl_abs, pl_add, pl_geq_zero, pl_ideal_leq,
+                    pl_is_zero, pl_join, pl_meet, pl_neg, pl_scale, pl_sub,
+                    pl_way_below)
 from .report import Report, field, frozen
 
 
@@ -113,8 +113,7 @@ class LexPL:
         return LexPL._trusted(tuple(k * a for a in self.lex), pl_scale(k, self.pl))
 
     def __eq__(self, other):
-        return (isinstance(other, LexPL) and self.lex == other.lex
-                and pl_eq(self.pl, other.pl))
+        return isinstance(other, LexPL) and self.lex == other.lex and self.pl == other.pl
 
     def __hash__(self):
         return hash((self.lex, self.pl.rays, self.pl.coeffs))

@@ -41,12 +41,13 @@ cost:
 
 Term values: the term parser carries a linear subterm as its functional,
 the int pair (m, n), and builds a ``PLFun`` only at the first kink.  The
-rules of ``PL_OPS`` and ``PL_FOLD`` take such values.  On pairs, neg, the
-scalars, add, sub and the ``add`` fold are integer operations, and join,
-meet, abs, pos, negpart and diff keep the dominating functional or split
-the quadrant once, by ``pl_join``'s rule for linear operands.  A pair
-whose co-operand is a fan is lifted to its one-cone fan (``as_fan``).  On
-``PLFun`` operands every rule is the ``pl_*`` function of its name.
+arithmetic functions take such values as well as ``PLFun`` operands.  On
+pairs, neg, scale, add, sub and ``pl_sum`` are integer operations, and
+join, meet, abs, pos, negpart and diff keep the dominating functional or
+split the quadrant once, by ``_pair_join``: two pairs give a pair unless
+the result has a kink.  A pair whose co-operand is a ``PLFun`` is lifted
+to its one-cone fan (``as_fan``), so any ``PLFun`` operand gives a
+``PLFun``.
 """
 
 from __future__ import annotations
@@ -194,6 +195,9 @@ class PLFun:
 
 _QUADRANT = (RAY_X, RAY_Y)
 
+# a term value: the functional (m, n) of a linear function, or a PLFun
+Value = Vec | PLFun
+
 
 def pl_generators() -> tuple[PLFun, PLFun]:
     """The coordinate projections a: (x,y) ↦ x and b: (x,y) ↦ y."""
@@ -222,24 +226,41 @@ def refine(f: PLFun, g: PLFun) -> tuple[tuple[Vec, ...], list[Vec], list[Vec]]:
 _ANGLE = cmp_to_key(lambda r, s: r[1] * s[0] - r[0] * s[1])
 
 
-def pl_sum(fs: Sequence[PLFun]) -> PLFun:
+def as_fan(v: Value) -> PLFun:
+    """A term value as a ``PLFun``: a pair (m, n) becomes its one-cone fan."""
+    return PLFun._trusted(_QUADRANT, (v,)) if type(v) is tuple else v
+
+
+def pl_sum(fs: Sequence[Value]) -> Value:
     """f1 + ... + fk as one merge of their bends.
 
-    The first functionals add.  At an interior ray (p, q) of a fan the step
-    c_k - c_{k-1} is t·(-q, p) for an integer t, its bend, read off the
-    second component as an exact quotient by p > 0.  The bends add per ray;
-    the rays whose bends cancel are dropped, and one prefix pass in angle
-    order rebuilds the functionals, which differ across every ray kept.
+    The first functionals add, pairs (m, n) among them.  At an interior ray
+    (p, q) of a fan the step c_k - c_{k-1} is t·(-q, p) for an integer t,
+    its bend, read off the second component as an exact quotient by p > 0.
+    The bends add per ray; the rays whose bends cancel are dropped, and one
+    prefix pass in angle order rebuilds the functionals, which differ
+    across every ray kept.  Pairs alone sum to their pair, and one fan plus
+    pairs that cancel is that fan; the empty sum is the zero ``PLFun``.
     """
     m = n = 0
     bend: dict[Vec, int] = {}
+    fans = []
     for f in fs:
+        if type(f) is tuple:
+            m += f[0]
+            n += f[1]
+            continue
+        fans.append(f)
         c, rays = f.coeffs, f.rays
         m += c[0][0]
         n += c[0][1]
         for k in range(1, len(c)):
             r = rays[k]
             bend[r] = bend.get(r, 0) + (c[k][1] - c[k - 1][1]) // r[0]
+    if not fans:
+        return (m, n) if fs else PLFun.zero()
+    if len(fans) == 1 and fans[0].coeffs[0] == (m, n):
+        return fans[0]
     out_rays, out = [RAY_X], [(m, n)]
     for r in sorted([r for r, t in bend.items() if t], key=_ANGLE):
         t = bend[r]
@@ -250,8 +271,11 @@ def pl_sum(fs: Sequence[PLFun]) -> PLFun:
     return PLFun._trusted(tuple(out_rays), tuple(out))
 
 
-def pl_add(f: PLFun, g: PLFun) -> PLFun:
-    """f + g: a linear operand shifts every cone of the other, else ``pl_sum``."""
+def pl_add(f: Value, g: Value) -> Value:
+    """f + g: pairs add, a linear operand shifts the other's cones, else ``pl_sum``."""
+    if type(f) is type(g) is tuple:
+        return (f[0] + g[0], f[1] + g[1])
+    f, g = as_fan(f), as_fan(g)
     if len(g.coeffs) == 1:
         f, g = g, f
     if len(f.coeffs) == 1:
@@ -260,15 +284,19 @@ def pl_add(f: PLFun, g: PLFun) -> PLFun:
     return pl_sum((f, g))
 
 
-def pl_neg(f: PLFun) -> PLFun:
+def pl_neg(f: Value) -> Value:
+    if type(f) is tuple:
+        return (-f[0], -f[1])
     return PLFun._trusted(f.rays, tuple((-m, -n) for m, n in f.coeffs))
 
 
-def pl_sub(f: PLFun, g: PLFun) -> PLFun:
+def pl_sub(f: Value, g: Value) -> Value:
     return pl_add(f, pl_neg(g))
 
 
-def pl_scale(k: int, f: PLFun) -> PLFun:
+def pl_scale(k: int, f: Value) -> Value:
+    if type(f) is tuple:
+        return (k * f[0], k * f[1])
     if k == 0:
         return PLFun.zero()
     return PLFun._trusted(f.rays, tuple((k * m, k * n) for m, n in f.coeffs))
@@ -298,13 +326,16 @@ def _pair_join(c: Vec, d: Vec, sign: int = 1):
                           (c, d) if s1 > 0 else (d, c))
 
 
-def pl_join(f: PLFun, g: PLFun) -> PLFun:
+def pl_join(f: Value, g: Value) -> Value:
     """Pointwise maximum: refine, split cones where f - g changes sign.
 
     A crossing ray lies inside one cone of the common fan, so its two
     halves keep that cone's functionals: the larger one on each side.  Two
     linear operands go through ``_pair_join``.
     """
+    if type(f) is type(g) is tuple:
+        return _pair_join(f, g)
+    f, g = as_fan(f), as_fan(g)
     if len(f.coeffs) == 1 == len(g.coeffs):
         h = _pair_join(f.coeffs[0], g.coeffs[0])
         return h if type(h) is PLFun else f if h is f.coeffs[0] else g
@@ -322,23 +353,25 @@ def pl_join(f: PLFun, g: PLFun) -> PLFun:
     return PLFun.from_pieces(out_rays, out)
 
 
-def pl_meet(f: PLFun, g: PLFun) -> PLFun:
+def pl_meet(f: Value, g: Value) -> Value:
+    if type(f) is type(g) is tuple:
+        return _pair_join(f, g, -1)
     return pl_neg(pl_join(pl_neg(f), pl_neg(g)))
 
 
-def pl_pos(f: PLFun) -> PLFun:
-    return pl_join(f, PLFun.zero())
+def pl_pos(f: Value) -> Value:
+    return pl_join(f, (0, 0))
 
 
-def pl_negpart(f: PLFun) -> PLFun:
+def pl_negpart(f: Value) -> Value:
     return pl_pos(pl_neg(f))
 
 
-def pl_abs(f: PLFun) -> PLFun:
+def pl_abs(f: Value) -> Value:
     return pl_join(f, pl_neg(f))
 
 
-def pl_diff(f: PLFun, g: PLFun) -> PLFun:
+def pl_diff(f: Value, g: Value) -> Value:
     """The truncated difference (f - g) ∨ 0."""
     return pl_pos(pl_sub(f, g))
 
@@ -391,99 +424,18 @@ def pl_leq(f: PLFun, g: PLFun) -> bool:
     return pl_geq_zero(pl_sub(g, f))
 
 
-def pl_eq(f: PLFun, g: PLFun) -> bool:
-    return f.rays == g.rays and f.coeffs == g.coeffs
-
-
 def pl_is_zero(f: PLFun) -> bool:
     return f.coeffs == ((0, 0),)
 
 
-# -- term values ----------------------------------------------------------------
-#
-# A term value is an int pair (m, n), the functional of a linear term, or a
-# PLFun.  The primitive rules below take the pair path when all their
-# operands are pairs, and otherwise lift the pairs and call the pl_* function
-# of their name; the others are composed from them as the pl_* functions
-# are, so on PLFun operands every rule is the pl_* function of its name.
-
-def as_fan(v) -> PLFun:
-    """A term value as a ``PLFun``: a pair (m, n) becomes its one-cone fan."""
-    return PLFun._trusted(_QUADRANT, (v,)) if type(v) is tuple else v
-
-
-def term_scale(k: int, v):
-    return (k * v[0], k * v[1]) if type(v) is tuple else pl_scale(k, v)
-
-
-def _neg(v):
-    return (-v[0], -v[1]) if type(v) is tuple else pl_neg(v)
-
-
-def _add(v, w):
-    if type(v) is type(w) is tuple:
-        return (v[0] + w[0], v[1] + w[1])
-    return pl_add(as_fan(v), as_fan(w))
-
-
-def _join(v, w):
-    if type(v) is type(w) is tuple:
-        return _pair_join(v, w)
-    return pl_join(as_fan(v), as_fan(w))
-
-
-def _meet(v, w):
-    if type(v) is type(w) is tuple:
-        return _pair_join(v, w, -1)
-    return pl_meet(as_fan(v), as_fan(w))
-
-
-def _sub(v, w):
-    return _add(v, _neg(w))
-
-
-def _pos(v):
-    return _join(v, (0, 0))
-
-
-def _negpart(v):
-    return _pos(_neg(v))
-
-
-def _abs(v):
-    return _join(v, _neg(v))
-
-
-def _diff(v, w):
-    return _pos(_sub(v, w))
-
-
-def _sum(vs):
-    """The ``add`` fold: pairs add as integers, fans and that total in one ``pl_sum``."""
-    m = n = 0
-    fans = []
-    for v in vs:
-        if type(v) is tuple:
-            m += v[0]
-            n += v[1]
-        else:
-            fans.append(v)
-    if not fans:
-        return (m, n)
-    if m or n:
-        fans.append(as_fan((m, n)))
-    return pl_sum(fans) if len(fans) > 1 else fans[0]
-
-
 # The PL operator table that the term parser, randgen and pl_combine share:
-# each name's rule on term values.  Its order is the order randgen draws
-# names in.
-PL_OPS = {"neg": _neg, "abs": _abs, "pos": _pos, "negpart": _negpart,
-          "add": _add, "sub": _sub, "join": _join, "meet": _meet, "diff": _diff}
+# each name's pl_* function.  Its order is the order randgen draws names in.
+PL_OPS = {"neg": pl_neg, "abs": pl_abs, "pos": pl_pos, "negpart": pl_negpart,
+          "add": pl_add, "sub": pl_sub, "join": pl_join, "meet": pl_meet, "diff": pl_diff}
 PL_UNARY = frozenset({"neg", "abs", "pos", "negpart"})
 # terms fold one or more operands: each fold name's k-ary rule
-PL_FOLD = {"add": _sum, "join": lambda vs: reduce(_join, vs),
-           "meet": lambda vs: reduce(_meet, vs)}
+PL_FOLD = {"add": pl_sum, "join": lambda vs: reduce(pl_join, vs),
+           "meet": lambda vs: reduce(pl_meet, vs)}
 # the atoms of PL terms, as term values
 PL_ATOMS = {"a": (1, 0), "b": (0, 1), "0": (0, 0)}
 

@@ -24,7 +24,7 @@ from latspec.fileformat import ParseError, parse_glambda_term, parse_pl_term
 from latspec.lexgroup import LEX_OPS, LEX_UNARY, LexPL
 from latspec.plfun import (PL_FOLD, PL_OPS, PL_UNARY, PLFun, as_fan, pl_abs, pl_add, pl_diff,
                            pl_generators, pl_join, pl_meet, pl_neg, pl_negpart, pl_pos,
-                           pl_scale, pl_sub, term_scale)
+                           pl_scale, pl_sub, pl_sum)
 from latspec.randgen import random_pl_term
 
 # -- the recursive parsers, verbatim ------------------------------------------
@@ -329,25 +329,45 @@ PUBLIC = {**_PL_UNARY, **_PL_NARY, **_PL_BINARY}
 
 
 def test_term_rules_on_pairs_match_public_functions():
-    # a rule keeps two pairs a pair exactly when the public function on their
-    # one-cone fans has no kink; mixed operands give the public result
+    # the rules are the public functions; each keeps two pairs a pair exactly
+    # when its result on their one-cone fans has no kink, and gives a PLFun
+    # whenever an operand is one
+    assert PL_OPS.keys() == PUBLIC.keys() and PL_FOLD["add"] is pl_sum
+    assert all(PL_OPS[name] is PUBLIC[name] for name in PL_OPS)
     pairs = [(m, n) for m in range(-3, 4) for n in range(-3, 4)]
     fans = [pl_join(as_fan(c), as_fan(d)) for c, d in [((1, 0), (0, 1)), ((2, -1), (-1, 3))]]
+    for f in fans:
+        for name in PL_UNARY:
+            assert type(PL_OPS[name](f)) is PLFun
+        for k in (-2, 0, 3):
+            assert type(pl_scale(k, f)) is PLFun
+        for g in fans:
+            for name in PL_OPS.keys() - PL_UNARY:
+                assert type(PL_OPS[name](f, g)) is PLFun
     for c in pairs:
         for name in PL_UNARY:
             got, want = PL_OPS[name](c), PUBLIC[name](as_fan(c))
             assert as_fan(got) == want and (type(got) is tuple) == (len(want.coeffs) == 1)
         for k in (-2, 0, 3):
-            assert term_scale(k, c) == pl_scale(k, as_fan(c)).coeffs[0]
+            assert pl_scale(k, c) == pl_scale(k, as_fan(c)).coeffs[0]
         for d in pairs + fans:
             for name in PL_OPS.keys() - PL_UNARY:
                 got, want = PL_OPS[name](c, d), PUBLIC[name](as_fan(c), as_fan(d))
                 assert as_fan(got) == want, (name, c, d)
-                assert (type(got) is tuple) == (type(d) is tuple and len(want.coeffs) == 1)
+                assert type(got) is (tuple if type(d) is tuple and len(want.coeffs) == 1
+                                     else PLFun)
                 got = PL_OPS[name](d, c)
                 assert as_fan(got) == PUBLIC[name](as_fan(d), as_fan(c)), (name, d, c)
-    for vs in ([(1, 2), (-1, -2)], [(2, -1), fans[0], (3, 3)], [fans[1], fans[0]]):
-        assert as_fan(PL_FOLD["add"](vs)) == reduce(pl_add, map(as_fan, vs))
+                assert type(d) is tuple or type(got) is PLFun
+    # pl_sum, the add fold: pairs alone sum to their pair, a fan among the
+    # operands gives the left fold of pl_add on the lifted operands
+    for vs in ([(1, 2)], [(1, 2), (-1, -2)], pairs, pairs[::-1] + [(5, -7)]):
+        assert pl_sum(vs) == (sum(m for m, _ in vs), sum(n for _, n in vs))
+    for vs in ([fans[0]], [(2, -1), fans[0], (3, 3)], [fans[1], fans[0]],
+               [fans[0], (1, 1), (-1, -1)], [(0, 0), fans[1], (0, 0)], pairs + fans + pairs):
+        got = pl_sum(vs)
+        assert type(got) is PLFun and got == reduce(pl_add, map(as_fan, vs)), vs
+    assert pl_sum([]) == PLFun.zero() and type(pl_sum([])) is PLFun
 
 
 def count_builds(monkeypatch) -> list[int]:
