@@ -28,7 +28,7 @@ from .lexgroup import (LEX_OPS, LexError, glambda_op, ideal_leq, orthogonal_set_
                        way_below)
 from .normality import expand_v0, is_completely_normal, refinement_witness
 from .order import LatticeError, birkhoff_round_trip
-from .plfun import (PLError, pl_abs, pl_eval, pl_ideal_leq, pl_scale, pl_sum,
+from .plfun import (PLError, pl_abs, pl_eval, pl_ideal_leq_abs, pl_scale, pl_sum,
                     support_connected)
 from .replication import (kernel_not_closed, kernel_not_convex, replicate_all,
                           build_cube, expand_cube_v0, run_rho_contradiction,
@@ -229,7 +229,8 @@ def cmd_pl(args) -> int:
     if args.action == "ideal-leq":
         f = parse_pl_term(args.term)
         g = parse_pl_term(args.term2)
-        res = pl_ideal_leq(f, g)
+        fa, ga = pl_abs(f), pl_abs(g)
+        res = pl_ideal_leq_abs(fa, ga)
         payload = res.to_dict()
         lines = [f"holds: {res.holds}"]
         if res.holds:
@@ -239,7 +240,7 @@ def cmd_pl(args) -> int:
         if args.samples and res.holds:
             rng = random.Random(args.seed)
             # |f| > bound·|g| at a point iff h = |f| - bound·|g| is positive there
-            h = pl_sum((pl_abs(f), pl_scale(-res.bound, pl_abs(g))))
+            h = pl_sum((fa, pl_scale(-res.bound, ga)))
             bad = 0
             for _ in range(args.samples):
                 a, b = rng.randrange(10 ** 6 + 1), 1 + rng.randrange(1000)

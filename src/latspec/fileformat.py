@@ -14,9 +14,15 @@ A ``poset`` file describes the base; the lattice is its downsets and
 elements are written as subset literals like ``{t,u}``.  A ``lattice``
 file lists the elements themselves with their order; it is canonicalized
 through the join-irreducible representation, certified from the order
-alone (``order.lattice_of_order``), and validation failures (not a
-lattice, not distributive) carry the witness.  A fourth kind,
-``plterm``, holds a single line ``term: (...)``.
+alone along the Kahn pass that closes the declared pairs
+(``order.lattice_of_pairs``): each element's set of join-irreducibles
+below it must be an order embedding into the downsets of the
+join-irreducibles, and those downsets must number exactly the elements,
+which makes the embedding onto (Birkhoff).  That costs O(n + |pairs|)
+plus the downset enumeration the lattice needs anyway, stopped once it
+passes n.  Validation failures (not a lattice, not distributive) carry
+the witness.  A fourth kind, ``plterm``, holds a single line ``term:
+(...)``.
 
 PL terms are parenthesized prefix expressions over the generators ``a``
 and ``b``::
@@ -48,8 +54,7 @@ from itertools import islice
 
 from .homs import LatHom
 from .lexgroup import LEX_OPS, LEX_UNARY, LexPL
-from .order import (DLat, LatticeError, Poset, downset_lattice,
-                    lattice_of_order)
+from .order import DLat, LatticeError, Poset, downset_lattice, lattice_of_pairs
 from .plfun import PL_ATOMS, PL_FOLD, PL_OPS, PL_UNARY, PLFun, as_fan, pl_scale
 from .report import frozen
 
@@ -173,8 +178,7 @@ def _parse_poset_lattice(kind: str, fields: dict, prefix: str = "") -> ParsedLat
     entry = get("leq", required=False)
     pairs = _parse_relation(entry[0], entry[1], names, "<") if entry else []
     try:
-        poset = Poset.from_pairs(len(names), pairs, names)  # rejects cycles
-        _, lat, iso = lattice_of_order(poset)
+        _, lat, iso = lattice_of_pairs(len(names), pairs, names)  # rejects cycles
     except LatticeError as e:
         raise ParseError(str(e), no) from e
     return ParsedLattice(lat, "lattice", {names[k]: iso[k] for k in range(len(names))})

@@ -19,8 +19,8 @@ from operator import index
 from typing import Sequence
 
 from .plfun import (IdealLeq, PLFun, pl_abs, pl_add, pl_geq_zero, pl_ideal_leq,
-                    pl_is_zero, pl_join, pl_meet, pl_neg, pl_scale, pl_sub,
-                    pl_way_below)
+                    pl_ideal_leq_abs, pl_is_zero, pl_join, pl_meet, pl_neg, pl_scale,
+                    pl_sub, pl_way_below)
 from .report import Report, field, frozen
 
 
@@ -246,7 +246,7 @@ def ideal_leq(x, y) -> IdealLeq:
         return IdealLeq(True, bound=lo)
     if lx is not None:
         return IdealLeq(False)
-    return pl_ideal_leq(ax.pl, ay.pl)
+    return pl_ideal_leq_abs(ax.pl, ay.pl)  # zero lex parts: ax.pl = |x.pl|
 
 
 def ideal_eq(x, y) -> bool:

@@ -21,10 +21,17 @@ Conventions used throughout the package:
   order" refines "minimal in the lattice order".
 - ``RawLattice`` is an untrusted lattice given by join/meet tables; it is
   the input format for canonicalization via join-irreducibles.
-- Birkhoff duality has one certificate, ``_certified_order``, read off an
-  order: an explicit order (``lattice_of_order``) or the order of a join
-  table (``birkhoff_iso``, which also checks that the tables are the
-  order's join and meet).
+- Birkhoff duality has one certificate, ``_certified_order``, computed
+  along the Kahn pass of ``Poset._closed`` that closes an order's pairs:
+  the declared pairs of an explicit lattice (``lattice_of_pairs``), the
+  pairs of a closed order (``lattice_of_order``) or those of a join table
+  (``birkhoff_iso``, which also checks that the tables are the order's
+  join and meet).  The pass pushes each point's join-irreducibles below
+  it, and the meet of their up-sets, into its successors: O(n + |pairs|).
+  Those meets equal the points' own up-sets iff the map is an order
+  embedding into the downsets of the join-irreducibles, and the downset
+  enumeration of ``DLat``, stopped once it passes n, shows that it is
+  onto.
 """
 
 from __future__ import annotations
@@ -178,6 +185,12 @@ class Poset:
         instead, and the validating ``Poset`` raises ``CycleError`` on the
         closure.
         """
+        return cls._closed(n, pairs, labels)[0]
+
+    @classmethod
+    def _closed(cls, n: int, pairs: Iterable[tuple[int, int]],
+                labels: Sequence[str] | None = None) -> tuple["Poset", list[int], list[list[int]]]:
+        """``from_pairs`` with its Kahn pass: the poset, the topological order and the successor lists."""
         succ = [0] * n
         nexts: list[list[int]] = [[] for _ in range(n)]
         indeg = [0] * n
@@ -199,13 +212,14 @@ class Poset:
                     order.append(b)
         up = [(1 << a) | s for a, s in enumerate(succ)]
         if len(order) < n:
-            return cls(n, _close_by_fixpoint(up), labels)
+            # a cycle: the validating Poset raises CycleError on the closure
+            return cls(n, _close_by_fixpoint(up), labels), order, nexts
         for a in reversed(order):
             acc = up[a]
             for b in nexts[a]:
                 acc |= up[b]
             up[a] = acc
-        return cls._trusted(n, up, down, labels)
+        return cls._trusted(n, up, down, labels), order, nexts
 
     @classmethod
     def chain(cls, n: int, labels: Sequence[str] | None = None) -> "Poset":
@@ -255,8 +269,8 @@ class Poset:
                 return False
         return True
 
-    def downsets(self) -> tuple[int, ...]:
-        """All downsets, sorted by canonical key; refused past ``MAX_DOWNSETS``.
+    def downsets(self, limit: int = MAX_DOWNSETS) -> tuple[int, ...]:
+        """All downsets, sorted by canonical key; refused past ``limit`` of them.
 
         Doubling along a linear extension (Habib, Medina, Nourine & Steiner,
         DAM 110, 2001): each element, by size of its principal downset, is
@@ -267,12 +281,14 @@ class Poset:
             bit = 1 << i
             below = self.down[i] & ~bit
             # count before building, so a refusal costs at most one pass
-            if 2 * len(out) > MAX_DOWNSETS and (
-                    len(out) + sum(m & below == below for m in out) > MAX_DOWNSETS):
+            # (the count maps the int methods, with no per-element bytecode)
+            if 2 * len(out) > limit and (
+                    len(out) + sum(map(below.__eq__, map(below.__and__, out))) > limit):
                 raise LatticeError(f"downset enumeration refused: the {self.n}-element "
-                                   f"base has more than {MAX_DOWNSETS} downsets")
+                                   f"base has more than {limit} downsets")
             out += [m | bit for m in out if m & below == below]
-        out.sort(key=canon_key)
+        out.sort()
+        out.sort(key=int.bit_count)  # stable: by (popcount, mask), the canonical key
         return tuple(out)
 
     def isomorphic_to(self, other: "Poset") -> bool:
@@ -302,9 +318,9 @@ class DLat:
 
     __slots__ = ("base", "elements", "_pos")
 
-    def __init__(self, base: Poset):
+    def __init__(self, base: Poset, limit: int = MAX_DOWNSETS):
         self.base = base
-        self.elements = base.downsets()
+        self.elements = base.downsets(limit)
         self._pos = {m: k for k, m in enumerate(self.elements)}
 
     @property
@@ -537,53 +553,60 @@ class RawLattice:
         return out
 
 
-def _certified_order(poset: Poset) -> tuple[list[int], list[int]] | None:
-    """The join-irreducibles and Birkhoff iso of an order, certified in O(|L|·|J|), or None.
+def _certified_order(poset: Poset, topo: Sequence[int], nexts: Sequence[Sequence[int]]
+                     ) -> tuple[list[int], list[int], DLat] | None:
+    """The join-irreducibles, Birkhoff iso and dual of an order, certified along its Kahn pass, or None.
 
-    ``J`` is the points whose strict down-set is some principal ``down[b]``:
-    the points with exactly one lower cover, in index order.  ``iso[a]`` is
-    ``J ∩ ↓a``, with bit k for ``J[k]``: a downset of the order ``P_J`` that
-    ``J`` inherits, monotone in a.  The order is isomorphic through ``iso``
-    to the downsets of ``P_J``, hence a distributive lattice whose
-    join-irreducibles are ``J`` (Birkhoff), iff:
+    ``topo`` is a linear extension and ``nexts[a]`` lists points above a
+    whose upward closure is the order: the Kahn pass of ``Poset._closed``.
+    ``J`` is the points whose strict down-set is some principal
+    ``down[b]``, the points with exactly one lower cover, in index order.
+    One pass along ``topo`` pushes into each successor ``iso[a] = J ∩
+    ↓a``, with bit k for ``J[k]``, and ``cap[a]``, the AND of ``up[j]``
+    over j in ``J ∩ ↓a`` (all points when that is empty): the points b
+    with ``iso[a] ⊆ iso[b]``.  Each ``iso[a]`` is a downset of ``P_J``,
+    the order that ``J`` inherits.  The order is a distributive lattice
+    with join-irreducibles ``J`` and Birkhoff iso ``iso`` (Davey &
+    Priestley, *Introduction to Lattices and Order*, 2nd ed., ch. 5) iff:
 
-    - n > 0 and ``iso`` is injective;
-    - for every a and every t in J outside ``iso[a]``, ``iso[a] ∪ ↓t`` is
-      some ``iso[b]`` with a <= b.  The image holds the empty set
-      (``iso`` of a minimal point) and is closed under adding a principal
-      downset, so it is every downset of ``P_J``, n of them.  Every cover
-      S ⊂ S∪{t} of the downsets has S∪{t} = S ∪ ↓t, so ``iso`` reflects
-      the order.
+    - ``cap[a] == up[a]`` for every a: ``iso[a] ⊆ iso[b]`` iff a <= b, so
+      ``iso`` is an order embedding into the downsets of ``P_J``;
+    - n > 0 and ``P_J`` has n downsets, so the embedding is onto.
+
+    The count is the enumeration that ``DLat(P_J)`` runs anyway, stopped
+    once it passes n; the rest is O(n + |pairs|).
     """
     n, up = poset.n, poset.up
-    by_down = {d: b for b, d in enumerate(poset.down)}
-    irr = [a for a, d in enumerate(poset.down) if d & ~(1 << a) in by_down]
+    downs = set(poset.down)
+    irr = [a for a, d in enumerate(poset.down) if d ^ 1 << a in downs]
     iso = [0] * n
+    cap = [(1 << n) - 1] * n
     for k, j in enumerate(irr):
-        for a in bits(up[j]):
-            iso[a] |= 1 << k
-    pos = {m: a for a, m in enumerate(iso)}
-    if not n or len(pos) != n:
+        iso[j] = 1 << k
+        cap[j] = up[j]
+    for a in topo:
+        s, c = iso[a], cap[a]
+        for b in nexts[a]:
+            iso[b] |= s
+            cap[b] &= c
+    if not n or tuple(cap) != up:
         return None
-    principal = [iso[j] for j in irr]
-    full = (1 << len(irr)) - 1
-    for a, s in enumerate(iso):
-        ua = up[a]
-        for t in bits(full ^ s):
-            b = pos.get(s | principal[t])
-            if b is None or not ua >> b & 1:
-                return None
-    return irr, iso
+    try:
+        _, lat, _ = _birkhoff_dual(irr, iso, [poset.labels[j] for j in irr], n)
+    except LatticeError:  # more than n downsets; the labels are a poset's, distinct
+        return None
+    return irr, iso, lat
 
 
-def _birkhoff_dual(irr: list[int], iso: list[int],
-                   labels: Sequence[str]) -> tuple[Poset, DLat, list[int]]:
+def _birkhoff_dual(irr: list[int], iso: list[int], labels: Sequence[str],
+                   limit: int = MAX_DOWNSETS) -> tuple[Poset, DLat, list[int]]:
     """``(P_J, DLat(P_J), iso)`` from a certified ``_certified_order`` result.
 
     ``iso[irr[k]]`` is the principal downset of k in ``P_J``, the order that
     ``J`` inherits, so it is the down-mask at k and the up-masks are its
     transpose.  That is an order by construction, built trusted;
-    ``labels`` names the points of ``J`` and is still checked.
+    ``labels`` names the points of ``J`` and is still checked.  The
+    lattice is refused past ``limit`` elements.
     """
     downs = [iso[j] for j in irr]
     ups = [0] * len(irr)
@@ -591,7 +614,41 @@ def _birkhoff_dual(irr: list[int], iso: list[int],
         for i in bits(d):
             ups[i] |= 1 << k
     base = Poset._trusted(len(irr), ups, downs, labels)
-    return base, DLat(base), iso
+    return base, DLat(base, limit), iso
+
+
+def lattice_of_pairs(n: int, pairs: Iterable[tuple[int, int]],
+                     labels: Sequence[str] | None = None) -> tuple[Poset, DLat, list[int]]:
+    """The distributive lattice the closure of (a <= b) pairs is: ``(poset, lattice, iso)`` as ``birkhoff_iso``.
+
+    Gives the values of ``birkhoff_iso(RawLattice.from_order(poset))``
+    for ``poset = Poset.from_pairs(n, pairs, labels)`` (the same
+    join-irreducible poset, labels, bit order and ``iso``) but certifies
+    them from the order alone, with no join or meet table:
+    ``_certified_order`` walks the Kahn pass that closed the pairs, so an
+    explicit lattice costs O(n + |pairs|) plus the enumeration of its n
+    downsets.  Only an order the certificate rejects builds the tables,
+    to raise the error ``birkhoff_iso`` would raise, with its least
+    witness.  Tables read off an order that has every lub and glb already
+    satisfy the lattice axioms, so only the shape (an empty order fails
+    there) and distributivity are scanned; if both pass instead, that is a
+    bug and raises ``SelfCheckError``.
+    """
+    poset, topo, nexts = Poset._closed(n, pairs, labels)
+    cert = _certified_order(poset, topo, nexts)
+    if cert is None:
+        raw = RawLattice.from_order(poset)
+        raw.check_shape()
+        raw.check_distributive()
+        raise SelfCheckError("lattice_of_order: a distributive lattice failed its certificate")
+    _, iso, lat = cert
+    return lat.base, lat, iso
+
+
+def lattice_of_order(poset: Poset) -> tuple[Poset, DLat, list[int]]:
+    """``lattice_of_pairs`` over the pairs of a closed order, which closing leaves as they are."""
+    return lattice_of_pairs(poset.n, [(a, b) for a, u in enumerate(poset.up) for b in bits(u)],
+                            poset.labels)
 
 
 def birkhoff_iso(raw: RawLattice) -> tuple[Poset, DLat, list[int]]:
@@ -599,15 +656,17 @@ def birkhoff_iso(raw: RawLattice) -> tuple[Poset, DLat, list[int]]:
 
     Returns ``(poset, lattice, iso)`` where ``iso[a]`` is the downset mask
     corresponding to raw element ``a``.  The order is read off the join
-    table (a <= b iff a∨b = b).  If it is a partial order,
+    table (a <= b iff a∨b = b).  If its closure has no cycle,
     ``_certified_order``, the certificate of explicit lattice files, proves
-    it a distributive lattice and finds its join-irreducibles, and the
-    tables are accepted iff ``iso`` sends join to ∪ and meet to ∩ on every
-    pair: O(n^2) in all.  Tables that fail are not a distributive lattice
-    (Birkhoff), so the O(n^3) ``validate`` and ``check_distributive`` scans
-    run only then, to report the least witness.  The raw labels name only
-    the join-irreducibles, so a clash among them raises from ``Poset``
-    once the tables are accepted.
+    that closure a distributive lattice and finds its join-irreducibles,
+    and the tables are accepted iff ``iso`` sends join to ∪ and meet to ∩
+    on every pair: O(n^2) in all.  (``iso`` is injective, so tables that
+    pass read off exactly the order ``iso`` embeds, closed already.)
+    Tables that fail are not a distributive lattice (Birkhoff), so the
+    O(n^3) ``validate`` and ``check_distributive`` scans run only then, to
+    report the least witness.  The raw labels name only the
+    join-irreducibles: once the tables are accepted, ``P_J`` is built
+    again with them, and a clash among them raises from ``Poset``.
     An order needs no tables: ``lattice_of_order`` gives the same result,
     and builds ``RawLattice.from_order`` only to report, with the same
     error, why an order is not a distributive lattice.
@@ -615,13 +674,12 @@ def birkhoff_iso(raw: RawLattice) -> tuple[Poset, DLat, list[int]]:
     raw.check_shape()
     n, J, M = raw.n, raw.joins, raw.meets
     try:
-        order = Poset(n, [sum(1 << b for b, c in enumerate(row) if c == b) for row in J])
-    except LatticeError:
+        cert = _certified_order(*Poset._closed(
+            n, [(a, b) for a, row in enumerate(J) for b, c in enumerate(row) if c == b]))
+    except CycleError:
         cert = None
-    else:
-        cert = _certified_order(order)
     if cert is not None:
-        irr, iso = cert
+        irr, iso, _ = cert
         if all([iso[c] for c in ja] == [ia | ib for ib in iso]
                and [iso[c] for c in ma] == [ia & ib for ib in iso]
                for ja, ma, ia in zip(J, M, iso)):
@@ -629,29 +687,6 @@ def birkhoff_iso(raw: RawLattice) -> tuple[Poset, DLat, list[int]]:
     raw.validate()
     raw.check_distributive()
     raise SelfCheckError("birkhoff_iso: a distributive lattice failed its certificate")
-
-
-def lattice_of_order(poset: Poset) -> tuple[Poset, DLat, list[int]]:
-    """The distributive lattice an order is: ``(poset, lattice, iso)`` as ``birkhoff_iso``.
-
-    Gives the values of ``birkhoff_iso(RawLattice.from_order(poset))``
-    (the same join-irreducible poset, labels, bit order and ``iso``) but
-    certifies them from the order alone, in O(|L|·|J|), with no join or
-    meet table (``_certified_order``).  Only an order the certificate
-    rejects builds the tables, to raise the error ``birkhoff_iso`` would
-    raise, with its least witness.  Tables read off an order that has every
-    lub and glb already satisfy the lattice axioms, so only the shape (an
-    empty order fails there) and distributivity are scanned; if both pass
-    instead, that is a bug and raises ``SelfCheckError``.
-    """
-    cert = _certified_order(poset)
-    if cert is None:
-        raw = RawLattice.from_order(poset)
-        raw.check_shape()
-        raw.check_distributive()
-        raise SelfCheckError("lattice_of_order: a distributive lattice failed its certificate")
-    irr, iso = cert
-    return _birkhoff_dual(irr, iso, [poset.labels[j] for j in irr])
 
 
 def birkhoff_round_trip(lat: DLat) -> None:

@@ -465,13 +465,19 @@ class IdealLeq(Report):
 
 
 def pl_ideal_leq(x: PLFun, y: PLFun) -> IdealLeq:
-    """Decide ∃n: |x| ≤ n·|y| on the common refinement, ray by ray.
+    """Decide ∃n: |x| ≤ n·|y|: ``pl_ideal_leq_abs`` of |x| and |y|."""
+    return pl_ideal_leq_abs(pl_abs(x), pl_abs(y))
 
-    A degree-1 homogeneous functional on a two-dimensional cone is
-    dominated iff it is dominated at the two extreme rays, so checking all
-    rays of the refined fan decides pointwise dominance exactly.
+
+def pl_ideal_leq_abs(fx: PLFun, fy: PLFun) -> IdealLeq:
+    """Decide ∃n: fx ≤ n·fy for fx = |x| and fy = |y|, ray by ray.
+
+    On the common refinement, a degree-1 homogeneous functional on a
+    two-dimensional cone is dominated iff it is dominated at the two
+    extreme rays, so checking all rays of the refined fan decides
+    pointwise dominance exactly.  A caller that holds |x| and |y| anyway
+    passes them here instead of computing them twice.
     """
-    fx, fy = pl_abs(x), pl_abs(y)
     rays, cx, cy = refine(fx, fy)
     best = 0
     for k, r in enumerate(rays):

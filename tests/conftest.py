@@ -8,8 +8,8 @@ session does; the test runs last and joins it.  If the test never runs
 (``-x``, an interrupt, ``--collect-only``), ``pytest_sessionfinish`` ends
 the child.
 
-The ``pl_terms_round`` fixture gives the benchmark's pl-terms jobs to the
-tests that check latspec on them.
+The ``workload_round`` fixture gives a round of the benchmark's jobs to
+the tests that check latspec on them.
 """
 
 from __future__ import annotations
@@ -64,14 +64,20 @@ def optimized_rerun(request: pytest.FixtureRequest) -> subprocess.Popen:
 
 
 @pytest.fixture
-def pl_terms_round(monkeypatch: pytest.MonkeyPatch, tmp_path: Path):
-    """``pl_terms_round(seed)``: one round of the benchmark's pl-terms jobs.
+def workload_round(monkeypatch: pytest.MonkeyPatch, tmp_path: Path):
+    """``workload_round(name, seed)``: one round of a benchmark workload's jobs.
 
-    The round is generated as ``perfbench/run.py --workload pl-terms --seed
+    The round is generated as ``perfbench/run.py --workload NAME --seed
     SEED`` generates it, by importing the benchmark's modules from
-    ``perfbench/``, which stays as it is.
+    ``perfbench/``, which stays as it is.  Its files are written under a
+    fresh directory per call.
     """
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    from workloads import pl_terms
+    from workloads import WORKLOADS
 
-    return lambda seed: pl_terms(random.Random(f"pl-terms:{seed}"), tmp_path)
+    def generate(name: str, seed: int):
+        work = tmp_path / f"{name}-{seed}"
+        work.mkdir()
+        return WORKLOADS[name](random.Random(f"{name}:{seed}"), work)
+
+    return generate

@@ -10,6 +10,7 @@ and meet tables of ``birkhoff_iso(RawLattice.from_order(...))`` for
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +19,7 @@ from latspec.fileformat import parse_lattice_text
 from latspec.order import (CycleError, DLat, LatticeError, NotALatticeError,
                            NotDistributiveError, Poset, RawLattice,
                            SelfCheckError, birkhoff_iso, canon_key,
-                           downset_lattice, lattice_of_order)
+                           downset_lattice, lattice_of_order, lattice_of_pairs)
 from latspec.randgen import random_poset
 
 
@@ -340,11 +341,11 @@ def test_trusted_orders_match_validating_constructor():
 
         lattice_in = downset_lattice(random_poset(rng, rng.randint(0, 5)))
         m, lpairs, llabels = lattice_pairs(rng, lattice_in)
-        lattice = Poset.from_pairs(m, lpairs, llabels)
+        lattice, topo, nexts = Poset._closed(m, lpairs, llabels)
         assert_trusted_is_validated(lattice)
         assert poset_outcome(Poset.from_pairs, m, lpairs, llabels) == \
             poset_outcome(from_pairs_fixpoint, m, lpairs, llabels)
-        irr, iso = order._certified_order(lattice)
+        irr, iso, _ = order._certified_order(lattice, topo, nexts)
         names = [lattice.labels[j] for j in irr]
         base, lat, _ = order._birkhoff_dual(irr, iso, names)
         assert_trusted_is_validated(base)
@@ -389,16 +390,24 @@ def test_trusted_orders_keep_their_errors():
 
 def order_outcome(fn, n, pairs, labels):
     """A comparable summary of ``fn`` on the closed order: the value, or the error."""
+    return pairs_outcome(lambda *args: fn(Poset.from_pairs(*args)), n, pairs, labels)
+
+
+def pairs_outcome(fn, n, pairs, labels):
+    """A comparable summary of ``fn`` on the pairs: the value, or the error."""
     try:
-        poset, lat, iso = fn(Poset.from_pairs(n, pairs, labels))
+        poset, lat, iso = fn(n, pairs, labels)
     except LatticeError as e:
         return (type(e), str(e))
     return ("ok", poset, poset.labels, poset.up, lat.elements, iso)
 
 
 def assert_same_as_tables(n, pairs, labels=None):
+    # the certificate along the Kahn pass over the closed order's pairs,
+    # and over the pairs themselves
     got = order_outcome(lattice_of_order, n, pairs, labels)
     assert got == order_outcome(lattice_of_order_tables, n, pairs, labels), (n, pairs)
+    assert pairs_outcome(lattice_of_pairs, n, pairs, labels) == got, (n, pairs)
     return "ok" if got[0] == "ok" else got[1].split(":")[0].split(" at ")[0]
 
 
@@ -468,6 +477,10 @@ def product_order(p, q):
 
 M3 = (5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
 N5 = (5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+# 24 atoms between a bottom and a top: each element's join-irreducibles
+# below it (the atoms) embed its order into the downsets of the atoms, but
+# those number 2^24, not 26
+M24 = (26, [(0, a) for a in range(1, 25)] + [(a, 25) for a in range(1, 25)])
 
 
 def chain_order(n):
@@ -482,9 +495,12 @@ def chain_order(n):
     # 24 atoms over a bottom: a certificate that enumerated the downsets of
     # the atoms before it rejected would meet 2^24 of them
     (25, [(0, a) for a in range(1, 25)]),
+    # a lattice that only the downset count rejects, stopped once it passes
+    # 26; its witness comes from the distributivity scan
+    M24,
     (2, [(0, 1), (1, 0)]), (0, []), (1, []), (1, [(0, 0)]), (2, []),
 ], ids=["M3", "N5", "M3x2", "3xM3", "N5x3", "2xN5", "2x3x2", "no-lub", "no-glb",
-        "bowtie", "24-atoms", "cycle", "empty", "one", "one-self-pair", "antichain"])
+        "bowtie", "24-atoms", "M24", "cycle", "empty", "one", "one-self-pair", "antichain"])
 def test_lattice_of_order_matches_tables_on_fixed_orders(n, pairs):
     rng = random.Random(4109)
     perm = list(range(n))
@@ -494,11 +510,65 @@ def test_lattice_of_order_matches_tables_on_fixed_orders(n, pairs):
         rng.shuffle(perm)
 
 
+def test_only_the_capped_count_rejects_m24(monkeypatch):
+    # M24 passes cap == up, so only the count rejects it; the enumeration
+    # runs once, in DLat(P_J), capped at the 26 elements, and the fallback
+    # gives the tables' least witness
+    calls = []
+    downsets = Poset.downsets
+
+    def spy(self, limit=order.MAX_DOWNSETS):
+        calls.append((self.n, limit))
+        return downsets(self, limit)
+
+    monkeypatch.setattr(Poset, "downsets", spy)
+    got = pairs_outcome(lattice_of_pairs, *M24, None)
+    assert calls == [(24, 26)]
+    assert got[0] is NotDistributiveError
+    want = outcome(RawLattice.check_distributive, RawLattice.from_order(Poset.from_pairs(*M24)))
+    assert got == want[:2]
+
+
+def declared_lattices(text):
+    """The explicit lattices of a lattice or hom file, read here: (names, pairs) each."""
+    fields = dict(line.split(":", 1) for line in text.splitlines()[1:])
+    out = []
+    for prefix in ("", "dom.", "cod."):
+        if prefix + "elements" in fields:
+            names = fields[prefix + "elements"].split()
+            index = {x: k for k, x in enumerate(names)}
+            pairs = [tuple(index[x] for x in tok.split("<"))
+                     for tok in fields.get(prefix + "leq", "").split()]
+            out.append((names, pairs))
+    return out
+
+
+@pytest.mark.parametrize("workload", ["lattice-files", "hom-files"])
+def test_workload_lattices_match_tables(workload_round, workload):
+    # every explicit lattice the benchmark parses, certified along its Kahn
+    # pass, against the order's join and meet tables
+    checked = 0
+    for seed in (1, 2, 3):
+        for job in workload_round(workload, seed):
+            text = Path(job.spec["argv"][2]).read_text(encoding="utf-8")
+            if text.split("\n", 1)[0] not in ("lattice", "hom"):
+                continue
+            parsed = parse_lattice_text(text)
+            got = [parsed] if text.startswith("lattice") else [parsed.dom, parsed.cod]
+            for p, (names, pairs) in zip(got, declared_lattices(text), strict=True):
+                base, lat, iso = lattice_of_order_tables(Poset.from_pairs(len(names), pairs, names))
+                assert (p.lat.base.labels, p.lat.base.up) == (base.labels, base.up)
+                assert p.lat.elements == lat.elements
+                assert p.names == dict(zip(names, iso))
+                checked += 1
+    assert checked >= {"lattice-files": 135, "hom-files": 240}[workload], checked
+
+
 def test_rejected_certificate_raises(monkeypatch):
     # an order or tables that are a distributive lattice but fail the
     # certificate are a bug: the table scans accept them, and the result is
     # SelfCheckError
-    monkeypatch.setattr(order, "_certified_order", lambda poset: None)
+    monkeypatch.setattr(order, "_certified_order", lambda poset, topo, nexts: None)
     with pytest.raises(SelfCheckError):
         lattice_of_order(Poset.chain(3))
     with pytest.raises(SelfCheckError, match="birkhoff_iso"):

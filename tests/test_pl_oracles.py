@@ -27,8 +27,8 @@ from latspec.cli import main
 from latspec.fileformat import parse_pl_term
 from latspec.plfun import (PL_OPS, PL_UNARY, RAY_X, RAY_Y, IdealLeq, PLError, PLFun,
                            _coeffs_on, _crossing_ray, _merge_rays, pl_abs, pl_add, pl_eval,
-                           pl_generators, pl_ideal_leq, pl_join, pl_meet, pl_neg, pl_scale,
-                           pl_sub, pl_sum, refine)
+                           pl_generators, pl_ideal_leq, pl_ideal_leq_abs, pl_join, pl_meet,
+                           pl_neg, pl_scale, pl_sub, pl_sum, refine)
 from latspec.randgen import random_pl_term
 
 A, B = pl_generators()
@@ -401,11 +401,11 @@ def test_sampling_verdicts_match_fraction_points():
 def test_cli_sampling_counts_match_fraction_points(capsys, monkeypatch, lower):
     # with the bound lowered by one, main's own sampling loop must fail
     # exactly where the Fraction loop fails
-    def ideal_leq(f, g):
-        res = pl_ideal_leq(f, g)
+    def ideal_leq(fa, ga):
+        res = pl_ideal_leq_abs(fa, ga)
         return IdealLeq(True, bound=max(res.bound - lower, 0)) if res.holds else res
 
-    monkeypatch.setattr(cli, "pl_ideal_leq", ideal_leq)
+    monkeypatch.setattr(cli, "pl_ideal_leq_abs", ideal_leq)
     rng = random.Random(19)
     ran = failures = 0
     for _ in range(60):

@@ -283,9 +283,9 @@ def job_terms(argv: list[str]) -> tuple[list[str], int | None]:
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_workload_terms_match_recursive_oracle(seed, pl_terms_round):
+def test_workload_terms_match_recursive_oracle(seed, workload_round):
     parsed = {"pl": 0, "glambda": 0}
-    for job in pl_terms_round(seed):
+    for job in workload_round("pl-terms", seed):
         argv = job.spec["argv"]
         terms, n = job_terms(argv)
         for text in terms:

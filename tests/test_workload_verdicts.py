@@ -9,7 +9,7 @@ round of seed 1 in-process, so that such a fault fails tier-1 first.
 import functools
 
 
-def test_pl_terms_round_passes_the_benchmark_checks(pl_terms_round, monkeypatch, capsys):
+def test_pl_terms_round_passes_the_benchmark_checks(workload_round, monkeypatch, capsys):
     import plterms
 
     from latspec.cli import main
@@ -18,7 +18,7 @@ def test_pl_terms_round_passes_the_benchmark_checks(pl_terms_round, monkeypatch,
     # point); memoized, the round is checked in about a second
     for name in ("seg", "evaluate"):
         monkeypatch.setattr(plterms, name, functools.lru_cache(maxsize=None)(getattr(plterms, name)))
-    jobs = pl_terms_round(1)
+    jobs = workload_round("pl-terms", 1)
     faults = []
     for job in jobs:
         rc = main(job.spec["argv"])
