@@ -7,8 +7,7 @@ finite carriers, so every reported result is exact.
 """
 
 from .condensate import (AlmostConstantSurjection, CondElem, Condensate,
-                         IndexUniverse, cond_make, finite_stage_iso,
-                         stage_inclusion)
+                         IndexUniverse, finite_stage_iso, stage_inclusion)
 from .homs import (HomCensus, LatHom, dual_hom_of_poset_map, hom_census,
                    is_closed, is_cofinal, is_convex)
 from .lexgroup import (LexPL, PrincipalIdeal, glambda_op, ideal_eq,

@@ -24,8 +24,7 @@ from .condensate import Condensate, IndexUniverse, finite_stage_iso
 from .fileformat import (ParsedHom, ParsedLattice, ParseError,
                          parse_glambda_term, parse_lattice_file, parse_pl_term)
 from .homs import hom_census
-from .lexgroup import (LEX_OPS, LexError, glambda_op, ideal_leq, orthogonal_set_check,
-                       way_below)
+from .lexgroup import LEX_OPS, LexError, glambda_op, orthogonal_set_check, way_below
 from .normality import expand_v0, is_completely_normal, refinement_witness
 from .order import LatticeError, birkhoff_round_trip
 from .plfun import (PLError, pl_abs, pl_eval, pl_ideal_leq_abs, pl_scale, pl_sum,

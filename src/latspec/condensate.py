@@ -147,10 +147,6 @@ class Condensate:
     def bottom(self) -> CondElem:
         return self.element(self.phi.dom.bottom)
 
-    def _pair(self, s: CondElem, t: CondElem) -> None:
-        if s.cond is not self or t.cond is not self:
-            raise MixedCondensateError("elements belong to different condensates")
-
     def join(self, s: CondElem, t: CondElem) -> CondElem:
         """Pointwise join: the one-element row of ``joins``."""
         return self._row(s, (t,), or_)[0]
@@ -214,10 +210,6 @@ class Condensate:
         """s ≤ t iff s∨t = t; canonical forms make the equality exact."""
         return self.join(s, t) == t
 
-    def eq(self, s: CondElem, t: CondElem) -> bool:
-        self._pair(s, t)
-        return s.base == t.base and s.dev == t.dev
-
     def stage_lattice(self, names: Sequence[str]
                       ) -> tuple[DLat, Callable[[CondElem], int], Callable[[int], CondElem]]:
         """The stage C_J as ``(lat, encode, decode)``: the flat lattice
@@ -252,11 +244,6 @@ class Condensate:
         """All elements with support inside the given finite index set."""
         lat, _, decode = self.stage_lattice(names)
         return [decode(m) for m in lat.elements]
-
-
-def cond_make(phi: LatHom, universe: IndexUniverse) -> Condensate:
-    """Condensate of a verified homomorphism over an index universe."""
-    return Condensate(phi, universe)
 
 
 @frozen

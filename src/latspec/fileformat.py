@@ -74,7 +74,6 @@ class ParsedLattice:
     """A lattice plus the user-facing element naming from its source file."""
 
     lat: DLat
-    kind: str                 # "poset" | "lattice"
     names: dict               # declared element name -> element mask (lattice kind)
 
     def resolve(self, token: str) -> int:
@@ -173,7 +172,7 @@ def _parse_poset_lattice(kind: str, fields: dict, prefix: str = "") -> ParsedLat
             poset = Poset.from_pairs(len(names), pairs, names)
         except LatticeError as e:
             raise ParseError(str(e), no) from e
-        return ParsedLattice(downset_lattice(poset), "poset", {})
+        return ParsedLattice(downset_lattice(poset), {})
     # explicit lattice: close the declared order and canonicalize it
     entry = get("leq", required=False)
     pairs = _parse_relation(entry[0], entry[1], names, "<") if entry else []
@@ -181,7 +180,7 @@ def _parse_poset_lattice(kind: str, fields: dict, prefix: str = "") -> ParsedLat
         _, lat, iso = lattice_of_pairs(len(names), pairs, names)  # rejects cycles
     except LatticeError as e:
         raise ParseError(str(e), no) from e
-    return ParsedLattice(lat, "lattice", {names[k]: iso[k] for k in range(len(names))})
+    return ParsedLattice(lat, {names[k]: iso[k] for k in range(len(names))})
 
 
 def parse_lattice_text(text: str):
@@ -220,7 +219,7 @@ def parse_lattice_text(text: str):
     if missing:
         raise ParseError(f"map does not cover element {dom.display(missing[0])}", no)
     try:
-        hom = LatHom.from_mapping(dom.lat, cod.lat, table)
+        hom = LatHom(dom.lat, cod.lat, [table[m] for m in dom.lat.elements])
     except LatticeError as e:
         raise ParseError(str(e), no) from e
     return ParsedHom(hom, dom, cod)

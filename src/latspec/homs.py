@@ -17,7 +17,7 @@ convexity reads φ.  Cofinality is f(1) = 1, read once by ``LatHom``;
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 from .order import (DLat, LatticeError, Poset, SelfCheckError, bits, canon_key,
                     downset_lattice)
@@ -151,14 +151,6 @@ class LatHom:
     @classmethod
     def identity(cls, lat: DLat) -> "LatHom":
         return cls(lat, lat, lat.elements)
-
-    @classmethod
-    def from_mapping(cls, dom: DLat, cod: DLat, table: Mapping[int, int]) -> "LatHom":
-        return cls(dom, cod, [table[x] for x in dom.elements])
-
-    @classmethod
-    def from_function(cls, dom: DLat, cod: DLat, fn: Callable[[int], int]) -> "LatHom":
-        return cls(dom, cod, [fn(x) for x in dom.elements])
 
     def __repr__(self):
         return f"LatHom({self.dom!r} -> {self.cod!r})"

@@ -5,12 +5,12 @@ Conventions used throughout the package:
 - A ``Poset`` has elements ``0 .. n-1`` and stores its order relation as a
   tuple of upset bitmasks (``up[i]`` has bit ``j`` set iff ``i <= j``) and
   their transpose, the downset bitmasks.  ``Poset(n, up)`` validates
-  up-masks from outside (reflexive, antisymmetric, transitive), as do the
-  cyclic branch of ``from_pairs`` and the order ``birkhoff_iso`` reads off
-  a join table.  Orders that hold by construction are built by
-  ``Poset._trusted``, which checks only the labels: the acyclic branch of
-  ``from_pairs``, ``disjoint_union`` and the join-irreducible poset of
-  ``_birkhoff_dual``.
+  up-masks from outside (reflexive, antisymmetric, transitive), as does
+  the cyclic branch of ``from_pairs``.  Orders that hold by construction
+  are built by ``Poset._trusted``, which checks only the labels: the
+  acyclic branch of ``from_pairs`` (and so the order ``birkhoff_iso``
+  reads off a join table, unless it has a cycle), ``disjoint_union`` and
+  the join-irreducible poset of ``_birkhoff_dual``.
 - A ``DLat`` is the lattice of *all* downsets of a base poset.  An element
   of a ``DLat`` is an ``int`` bitmask over the base elements; join is ``|``,
   meet is ``&``, order is bitmask inclusion.  Equality of elements is plain
@@ -23,11 +23,11 @@ Conventions used throughout the package:
   the input format for canonicalization via join-irreducibles.
 - Birkhoff duality has one certificate, ``_certified_order``, computed
   along the Kahn pass of ``Poset._closed`` that closes an order's pairs:
-  the declared pairs of an explicit lattice (``lattice_of_pairs``), the
-  pairs of a closed order (``lattice_of_order``) or those of a join table
-  (``birkhoff_iso``, which also checks that the tables are the order's
-  join and meet).  The pass pushes each point's join-irreducibles below
-  it, and the meet of their up-sets, into its successors: O(n + |pairs|).
+  the declared pairs of an explicit lattice (``lattice_of_pairs``) or
+  those of a join table (``birkhoff_iso``, which also checks that the
+  tables are the order's join and meet).  The pass pushes each point's
+  join-irreducibles below it, and the meet of their up-sets, into its
+  successors: O(n + |pairs|).
   Those meets equal the points' own up-sets iff the map is an order
   embedding into the downsets of the join-irreducibles, and the downset
   enumeration of ``DLat``, stopped once it passes n, shows that it is
@@ -36,7 +36,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from itertools import accumulate, permutations
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .report import frozen
@@ -77,10 +77,6 @@ class SelfCheckError(RuntimeError):
 
     Not a ``LatticeError``, so the CLI does not report it as bad input.
     """
-
-
-def popcount(x: int) -> int:
-    return x.bit_count()
 
 
 def bits(mask: int) -> Iterable[int]:
@@ -263,12 +259,6 @@ class Poset:
                     out.append((i, j))
         return out
 
-    def is_downset(self, mask: int) -> bool:
-        for j in bits(mask):
-            if self.down[j] & ~mask:
-                return False
-        return True
-
     def downsets(self, limit: int = MAX_DOWNSETS) -> tuple[int, ...]:
         """All downsets, sorted by canonical key; refused past ``limit`` of them.
 
@@ -290,18 +280,6 @@ class Poset:
         out.sort()
         out.sort(key=int.bit_count)  # stable: by (popcount, mask), the canonical key
         return tuple(out)
-
-    def isomorphic_to(self, other: "Poset") -> bool:
-        """Brute-force isomorphism test (intended for small posets)."""
-        if self.n != other.n:
-            return False
-        if sorted(map(popcount, self.up)) != sorted(map(popcount, other.up)):
-            return False
-        for perm in permutations(range(self.n)):
-            if all(self.leq(i, j) == other.leq(perm[i], perm[j])
-                   for i in range(self.n) for j in range(self.n)):
-                return True
-        return False
 
     def __repr__(self):
         return f"Poset(n={self.n}, covers={self.covers()})"
@@ -424,7 +402,7 @@ def chain_product(sizes: Sequence[int]) -> tuple[DLat, Callable[[Sequence[int]],
         return to_mask([(1 << v) - 1 for v in vals])
 
     def mask_to_levels(mask: int) -> tuple[int, ...]:
-        return tuple(map(popcount, to_tuple(mask)))
+        return tuple(map(int.bit_count, to_tuple(mask)))
 
     return lat, levels_to_mask, mask_to_levels
 
@@ -640,15 +618,9 @@ def lattice_of_pairs(n: int, pairs: Iterable[tuple[int, int]],
         raw = RawLattice.from_order(poset)
         raw.check_shape()
         raw.check_distributive()
-        raise SelfCheckError("lattice_of_order: a distributive lattice failed its certificate")
+        raise SelfCheckError("lattice_of_pairs: a distributive lattice failed its certificate")
     _, iso, lat = cert
     return lat.base, lat, iso
-
-
-def lattice_of_order(poset: Poset) -> tuple[Poset, DLat, list[int]]:
-    """``lattice_of_pairs`` over the pairs of a closed order, which closing leaves as they are."""
-    return lattice_of_pairs(poset.n, [(a, b) for a, u in enumerate(poset.up) for b in bits(u)],
-                            poset.labels)
 
 
 def birkhoff_iso(raw: RawLattice) -> tuple[Poset, DLat, list[int]]:
@@ -667,9 +639,9 @@ def birkhoff_iso(raw: RawLattice) -> tuple[Poset, DLat, list[int]]:
     report the least witness.  The raw labels name only the
     join-irreducibles: once the tables are accepted, ``P_J`` is built
     again with them, and a clash among them raises from ``Poset``.
-    An order needs no tables: ``lattice_of_order`` gives the same result,
-    and builds ``RawLattice.from_order`` only to report, with the same
-    error, why an order is not a distributive lattice.
+    An order needs no tables: ``lattice_of_pairs`` over its pairs gives
+    the same result, and builds ``RawLattice.from_order`` only to report,
+    with the same error, why an order is not a distributive lattice.
     """
     raw.check_shape()
     n, J, M = raw.n, raw.joins, raw.meets

@@ -420,10 +420,6 @@ def pl_geq_zero(f: PLFun) -> bool:
     return all(v >= 0 for v in ray_values(f))
 
 
-def pl_leq(f: PLFun, g: PLFun) -> bool:
-    return pl_geq_zero(pl_sub(g, f))
-
-
 def pl_is_zero(f: PLFun) -> bool:
     return f.coeffs == ((0, 0),)
 
@@ -490,10 +486,6 @@ def pl_ideal_leq_abs(fx: PLFun, fy: PLFun) -> IdealLeq:
         else:
             best = max(best, -(-vx // vy))  # ceil division
     return IdealLeq(True, bound=best)
-
-
-def pl_ideal_eq(x: PLFun, y: PLFun) -> bool:
-    return pl_ideal_leq(x, y).holds and pl_ideal_leq(y, x).holds
 
 
 def support_ray_profile(f: PLFun) -> tuple[tuple[bool, ...], tuple[bool, ...]]:

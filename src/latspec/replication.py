@@ -46,9 +46,6 @@ class CubeDiagram:
     to_tuple: dict
     homs: dict  # (p, q) cover pairs -> LatHom
 
-    def lat(self, *p: int) -> DLat:
-        return self.lattices[frozenset(p)]
-
     def hom(self, p: frozenset, q: frozenset) -> LatHom:
         """Composite map along covers for any p ⊆ q (path independence is
         part of verify_cube)."""
@@ -142,7 +139,7 @@ def verify_cube(cube: CubeDiagram) -> CubeReport:
         if not h.injective:
             emb = False
             fails.append(f"map {sorted(p)}->{sorted(q)} not injective")
-        if not (h(h.dom.bottom) == h.cod.bottom and h(h.dom.top) == h.cod.top):
+        if not h.preserves_top:  # LatHom raises at construction unless f(0) = 0
             bounds = False
             fails.append(f"map {sorted(p)}->{sorted(q)} not a 0,1-map")
     faces = True
@@ -361,6 +358,7 @@ def run_rho_contradiction(cube: CubeDiagram | None = None,
     top = s({1, 2, 3})
     tt_top = cube.to_tuple[top]
     pushed = {}
+    pushed_ok = True
     for (i, j), expect in (((1, 2), (2, 2, 0, 0)), ((1, 3), (2, 2, 0, 1)),
                            ((2, 3), (2, 0, 0, 0))):
         node = s({i, j})
@@ -368,8 +366,8 @@ def run_rho_contradiction(cube: CubeDiagram | None = None,
         val = tt_top(h(cube.to_mask[node]((2, 0))))
         pushed[i, j] = val
         if val != expect:
+            pushed_ok = False
             fails.append(f"pushed value for d_{i},{j} is {val}, expected {expect}")
-    pushed_ok = not any(f.startswith("pushed") for f in fails)
     tm_top = cube.to_mask[top]
     join_mask = tm_top(pushed[1, 2]) | tm_top(pushed[2, 3])
     join_val = tt_top(join_mask)

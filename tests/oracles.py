@@ -1,0 +1,49 @@
+"""Definitional helpers that only the tests call.
+
+Brute-force and textbook forms of questions the workbench answers
+another way or never asks: a downset test by its definition, poset
+isomorphism by search over all permutations, the pointwise PL order and
+principal-ideal equality, and the Birkhoff certificate of an order that
+is already closed.
+"""
+
+from __future__ import annotations
+
+from itertools import permutations
+
+from latspec.order import DLat, Poset, bits, lattice_of_pairs
+from latspec.plfun import PLFun, pl_geq_zero, pl_ideal_leq, pl_sub
+
+
+def is_downset(p: Poset, mask: int) -> bool:
+    """Every point of ``mask`` has its whole down-set inside ``mask``."""
+    return all(not p.down[j] & ~mask for j in bits(mask))
+
+
+def isomorphic_to(p: Poset, q: Poset) -> bool:
+    """Brute-force isomorphism test (intended for small posets)."""
+    if p.n != q.n:
+        return False
+    if sorted(u.bit_count() for u in p.up) != sorted(u.bit_count() for u in q.up):
+        return False
+    for perm in permutations(range(p.n)):
+        if all(p.leq(i, j) == q.leq(perm[i], perm[j])
+               for i in range(p.n) for j in range(p.n)):
+            return True
+    return False
+
+
+def lattice_of_order(poset: Poset) -> tuple[Poset, DLat, list[int]]:
+    """``lattice_of_pairs`` over the pairs of a closed order, which closing leaves as they are."""
+    return lattice_of_pairs(poset.n, [(a, b) for a, u in enumerate(poset.up) for b in bits(u)],
+                            poset.labels)
+
+
+def pl_leq(f: PLFun, g: PLFun) -> bool:
+    """f ≤ g pointwise."""
+    return pl_geq_zero(pl_sub(g, f))
+
+
+def pl_ideal_eq(x: PLFun, y: PLFun) -> bool:
+    """⟨x⟩ = ⟨y⟩: each principal ideal contains the other."""
+    return pl_ideal_leq(x, y).holds and pl_ideal_leq(y, x).holds

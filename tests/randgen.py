@@ -1,17 +1,16 @@
 """Seeded random generators for posets, lattices, homomorphisms, PL terms.
 
 Everything here is driven by an explicit ``random.Random`` instance so the
-corpora used by the test suite and the demo scripts are reproducible
-bit-for-bit.
+corpora used by the test suite are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
 import random
 
-from .homs import LatHom, dual_hom_of_poset_map
-from .order import DLat, LatticeError, Poset, bits, downset_lattice
-from .plfun import PL_OPS, PL_UNARY, PLFun, pl_generators, pl_scale
+from latspec.homs import LatHom, dual_hom_of_poset_map
+from latspec.order import DLat, LatticeError, Poset, bits, downset_lattice
+from latspec.plfun import PL_OPS, PL_UNARY, PLFun, pl_generators, pl_scale
 
 
 def random_poset(rng: random.Random, n: int, edge_prob: float = 0.4) -> Poset:

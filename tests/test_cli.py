@@ -12,7 +12,7 @@ import pytest
 from latspec.cli import main
 from latspec.homs import dual_hom_of_poset_map
 from latspec.order import Poset, chain_product, downset_lattice
-from latspec.randgen import random_01_hom, random_poset
+from randgen import random_01_hom, random_poset
 
 V_POSET = """poset
 elements: t u v

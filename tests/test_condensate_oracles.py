@@ -2,9 +2,10 @@
 
 The oracles are ``Condensate.join``, ``meet`` and ``leq`` as they were
 before the one-pass merge, kept verbatim apart from reading the support
-off ``dev``: each reads the values on the union of the two supports
-through ``value_at`` and rebuilds the result through
-``Condensate.element``, which validates and renormalizes it.
+off ``dev`` and checking the operands' handle with ``check_pair``: each
+reads the values on the union of the two supports through ``value_at``
+and rebuilds the result through ``Condensate.element``, which validates
+and renormalizes it.
 
 The rows ``joins`` and ``meets`` are checked against the pairwise merge
 as it was before rows, and ``finite_stage_iso`` against its pair loop of
@@ -26,7 +27,7 @@ from latspec.condensate import (CondElem, Condensate, IndexUniverse,
                                 finite_stage_iso, stage_inclusion)
 from latspec.homs import LatHom, dual_hom_of_poset_map
 from latspec.order import Poset, chain_lattice, product_lattice
-from latspec.randgen import random_01_hom
+from randgen import random_01_hom
 
 
 # -- oracles: the operations as they were before the one-pass merge ---------
@@ -35,22 +36,28 @@ def support(e: CondElem) -> tuple[str, ...]:
     return tuple(name for name, _ in e.dev)
 
 
+def check_pair(cond: Condensate, s: CondElem, t: CondElem) -> None:
+    """Raise unless both operands belong to ``cond``."""
+    if s.cond is not cond or t.cond is not cond:
+        raise MixedCondensateError("elements belong to different condensates")
+
+
 def oracle_join(cond: Condensate, s: CondElem, t: CondElem) -> CondElem:
-    cond._pair(s, t)
+    check_pair(cond, s, t)
     names = sorted(set(support(s)) | set(support(t)))
     return cond.element(s.base | t.base,
                         {n: s.value_at(n) | t.value_at(n) for n in names})
 
 
 def oracle_meet(cond: Condensate, s: CondElem, t: CondElem) -> CondElem:
-    cond._pair(s, t)
+    check_pair(cond, s, t)
     names = sorted(set(support(s)) | set(support(t)))
     return cond.element(s.base & t.base,
                         {n: s.value_at(n) & t.value_at(n) for n in names})
 
 
 def oracle_leq(cond: Condensate, s: CondElem, t: CondElem) -> bool:
-    cond._pair(s, t)
+    check_pair(cond, s, t)
     if s.base | t.base != t.base:
         return False
     for n in set(support(s)) | set(support(t)):

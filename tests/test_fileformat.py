@@ -7,7 +7,7 @@ from latspec.fileformat import (ParsedHom, ParsedLattice, ParseError,
                                 parse_pl_term)
 from latspec.lexgroup import LexPL
 from latspec.plfun import pl_diff, pl_generators, pl_join, pl_scale
-from latspec.randgen import random_pl_term
+from randgen import random_pl_term
 
 A, B = pl_generators()
 

@@ -21,9 +21,9 @@ from latspec import homs as homs_module
 from latspec.homs import (ClosedReport, ConvexReport, LatHom, NotAHomomorphismError,
                           dual_hom_of_poset_map, is_closed, is_cofinal, is_convex)
 from latspec.order import DLat, LatticeError, Poset, SelfCheckError, canon_key, chain_product
-from latspec.randgen import random_01_hom, random_monotone_map, random_poset
 from latspec.spectra import (CofinalityError, SpecMapResult, Spectrum, prime_spectrum,
                              prime_spectrum_bruteforce, spec_map, spectrum_matches_base)
+from randgen import random_01_hom, random_monotone_map, random_poset
 from test_spectra_oracles import (OracleSpectrum, corruptions, old_form, oracle_prime_spectrum,
                                   point_masks)
 
@@ -173,8 +173,8 @@ def projection(sizes: list[int], drop: int) -> LatHom:
     """The projection of a product of chains onto all factors but ``drop``."""
     dom, _, levels = chain_product(sizes)
     cod, to_mask, _ = chain_product([s for t, s in enumerate(sizes) if t != drop])
-    return LatHom.from_function(
-        dom, cod, lambda x: to_mask([v for t, v in enumerate(levels(x)) if t != drop]))
+    return LatHom(dom, cod, [to_mask([v for t, v in enumerate(levels(x)) if t != drop])
+                             for x in dom.elements])
 
 
 @pytest.fixture(scope="module")

@@ -5,8 +5,8 @@ import pytest
 from latspec.homs import (LatHom, NotAHomomorphismError, dual_hom_of_poset_map,
                           hom_census, is_closed, is_cofinal, is_convex)
 from latspec.order import LatticeError, Poset, chain_lattice, downset_lattice
-from latspec.randgen import random_01_hom
 from latspec.spectra import CofinalityError
+from randgen import random_01_hom
 
 
 def eps():
@@ -108,7 +108,7 @@ def test_convex_identity_and_quotient():
 def test_identity_closed_and_convex_random_corpus():
     rng = random.Random(4242)
     from latspec.order import downset_lattice
-    from latspec.randgen import random_poset
+    from randgen import random_poset
     for _ in range(25):
         lat = downset_lattice(random_poset(rng, rng.randint(0, 4)))
         ident = LatHom.identity(lat)

@@ -7,7 +7,7 @@ from latspec.lexgroup import (LexError, LexPL, PrincipalIdeal, glambda_op,
                               orthogonal_set_check, way_below)
 from latspec.plfun import (PLFun, pl_abs, pl_add, pl_diff, pl_generators,
                            pl_meet, pl_neg, pl_scale, pl_sub)
-from latspec.randgen import random_pl_term
+from randgen import random_pl_term
 
 A, B = pl_generators()
 

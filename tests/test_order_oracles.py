@@ -6,7 +6,8 @@ all 2^n masks for downsets, the lub/glb search over all candidates for
 ``RawLattice.from_order``, the O(n^3) ``validate`` ->
 ``check_distributive`` -> round trip for ``birkhoff_iso``, and the join
 and meet tables of ``birkhoff_iso(RawLattice.from_order(...))`` for
-``lattice_of_order``.
+``oracles.lattice_of_order``, which is ``lattice_of_pairs`` over a closed
+order's pairs.
 """
 
 import random
@@ -19,8 +20,9 @@ from latspec.fileformat import parse_lattice_text
 from latspec.order import (CycleError, DLat, LatticeError, NotALatticeError,
                            NotDistributiveError, Poset, RawLattice,
                            SelfCheckError, birkhoff_iso, canon_key,
-                           downset_lattice, lattice_of_order, lattice_of_pairs)
-from latspec.randgen import random_poset
+                           downset_lattice, lattice_of_pairs)
+from oracles import is_downset, lattice_of_order
+from randgen import random_poset
 
 
 def bits_shift(mask):
@@ -59,7 +61,7 @@ def lattice_of_order_tables(poset: Poset):
 
 
 def downsets_scan(p: Poset) -> tuple[int, ...]:
-    out = [m for m in range(1 << p.n) if p.is_downset(m)]
+    out = [m for m in range(1 << p.n) if is_downset(p, m)]
     out.sort(key=canon_key)
     return tuple(out)
 
@@ -569,11 +571,11 @@ def test_rejected_certificate_raises(monkeypatch):
     # certificate are a bug: the table scans accept them, and the result is
     # SelfCheckError
     monkeypatch.setattr(order, "_certified_order", lambda poset, topo, nexts: None)
-    with pytest.raises(SelfCheckError):
+    with pytest.raises(SelfCheckError, match="lattice_of_pairs"):
         lattice_of_order(Poset.chain(3))
     with pytest.raises(SelfCheckError, match="birkhoff_iso"):
         birkhoff_iso(RawLattice.from_dlat(downset_lattice(Poset.from_pairs(*N5))))
-    with pytest.raises(SelfCheckError):
+    with pytest.raises(SelfCheckError, match="lattice_of_pairs"):
         parse_lattice_text("lattice\nelements: 0 a b 1\nleq: 0<a 0<b a<1 b<1\n")
     with pytest.raises(NotDistributiveError):
         lattice_of_order(Poset.from_pairs(*M3))

@@ -29,7 +29,7 @@ from latspec.plfun import (PL_OPS, PL_UNARY, RAY_X, RAY_Y, IdealLeq, PLError, PL
                            _coeffs_on, _crossing_ray, _merge_rays, pl_abs, pl_add, pl_eval,
                            pl_generators, pl_ideal_leq, pl_ideal_leq_abs, pl_join, pl_meet,
                            pl_neg, pl_scale, pl_sub, pl_sum, refine)
-from latspec.randgen import random_pl_term
+from randgen import random_pl_term
 
 A, B = pl_generators()
 

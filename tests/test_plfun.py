@@ -5,10 +5,11 @@ import pytest
 
 from latspec.plfun import (PLError, PLFun, pl_abs, pl_add, pl_combine,
                            pl_diff, pl_eval, pl_generators, pl_geq_zero,
-                           pl_ideal_eq, pl_ideal_leq, pl_is_zero, pl_join,
-                           pl_leq, pl_meet, pl_neg, pl_scale, pl_sub,
-                           pl_way_below, ray_values, support_connected)
-from latspec.randgen import random_pl_term
+                           pl_ideal_leq, pl_is_zero, pl_join, pl_meet, pl_neg,
+                           pl_scale, pl_sub, pl_way_below, ray_values,
+                           support_connected)
+from oracles import pl_ideal_eq, pl_leq
+from randgen import random_pl_term
 
 A, B = pl_generators()
 

@@ -12,7 +12,7 @@ from latspec.lexgroup import LexPL, lex_sign
 from latspec.normality import find_splitting
 from latspec.order import DLat, Poset, downset_lattice
 from latspec.plfun import PLFun, pl_eval, pl_scale
-from latspec.randgen import random_pl_term
+from randgen import random_pl_term
 
 ZERO = PLFun.zero()
 

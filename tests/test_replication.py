@@ -10,10 +10,10 @@ S = frozenset
 
 
 def test_cube_shapes():
-    assert CUBE.lat().size == 2
-    assert CUBE.lat(1).size == 3
-    assert CUBE.lat(1, 2).size == 9
-    assert CUBE.lat(1, 2, 3).size == 54
+    assert CUBE.lattices[S()].size == 2
+    assert CUBE.lattices[S({1})].size == 3
+    assert CUBE.lattices[S({1, 2})].size == 9
+    assert CUBE.lattices[S({1, 2, 3})].size == 54
     assert len(CUBE.homs) == 12
 
 

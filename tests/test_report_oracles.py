@@ -25,10 +25,10 @@ from latspec.lexgroup import LexPL, OrthReport, ideal_leq, orthogonal_set_check
 from latspec.normality import is_completely_normal
 from latspec.order import chain_lattice
 from latspec.plfun import pl_diff, pl_generators, pl_ideal_leq
-from latspec.randgen import random_01_hom, random_dlat, random_pl_term
 from latspec.replication import replicate_all
 from latspec.report import Report
 from latspec.spectra import StoneUnitReport, stone_unit_check
+from randgen import random_01_hom, random_dlat, random_pl_term
 
 
 # -- oracles: the report classes as they were ----------------------------------

@@ -21,10 +21,10 @@ import pytest
 
 from latspec.dot import _digraph, spectrum_dot
 from latspec.order import DLat, Poset, bits, canon_key, downset_lattice
-from latspec.randgen import random_poset
 from latspec.spectra import (Spectrum, StoneUnitReport, prime_spectrum,
                              prime_spectrum_bruteforce, spectrum_matches_base,
                              stone_unit_check)
+from randgen import random_poset
 
 
 # -- oracles: the mask-based spectrum as it was -------------------------------

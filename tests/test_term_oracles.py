@@ -25,7 +25,7 @@ from latspec.lexgroup import LEX_OPS, LEX_UNARY, LexPL
 from latspec.plfun import (PL_FOLD, PL_OPS, PL_UNARY, PLFun, as_fan, pl_abs, pl_add, pl_diff,
                            pl_generators, pl_join, pl_meet, pl_neg, pl_negpart, pl_pos,
                            pl_scale, pl_sub, pl_sum)
-from latspec.randgen import random_pl_term
+from randgen import random_pl_term
 
 # -- the recursive parsers, verbatim ------------------------------------------
 

@@ -36,10 +36,10 @@ from latspec.lexgroup import LexPL, ideal_leq, orthogonal_set_check
 from latspec.normality import find_splitting, is_completely_normal, refinement_witness
 from latspec.order import RawLattice
 from latspec.plfun import pl_diff, pl_generators, pl_ideal_leq
-from latspec.randgen import random_01_hom, random_dlat, random_pl_term
 from latspec.replication import build_cube, replicate_all
 from latspec.report import Report, _bind, _plain
 from latspec.spectra import prime_spectrum, spec_map, stone_unit_check
+from randgen import random_01_hom, random_dlat, random_pl_term
 
 
 def value_classes() -> dict[str, type]:
