@@ -2,22 +2,35 @@
 
 Given a 0-lattice homomorphism φ: A → B and an index set I, the condensate
 is the sublattice of A × B^I of pairs (x, y) with y_i = φ(x) for all but
-finitely many i.  Elements are stored as (base, deviations): the base value
-x plus the finite map of indices where y differs from φ(x).  That finite
-support makes condensates over symbolic countable or uncountable index
-universes exactly computable; the cardinality tag is documentation only and
-never enters a computation.
+finitely many i.  Elements are stored as a base value x and a deviation
+word that packs the finitely many indices where y differs from φ(x).  That
+finite support makes condensates over symbolic countable or uncountable
+index universes exactly computable; the cardinality tag is documentation
+only and never enters a computation.
 
-Renormalization (dropping deviation entries equal to φ(base)) runs after
-every construction, so equality of elements is plain equality of canonical
-forms: ``CondElem`` compares base and deviation tuple, and its condensate
-handle by identity.  ``Condensate.element`` validates and normalizes
-outside input.  The row is the primitive of the arithmetic:
-``joins(s, ts)`` and ``meets(s, ts)`` unpack s once and build each s∨t or
-s∧t directly, in one merge of the operands' sorted deviations with φ read
-from a table built once per handle, since a join or meet of two members
-is a member.  ``join`` and ``meet`` are the one-element rows, and ``leq``
-reads s ≤ t as s∨t = t.
+A value of B is a downset bitmask of w = |base(B)| bits.  Each
+``Condensate`` handle gives an index name a slot k ≥ 1 the first time it
+sees the name; slot k is the field of bits [k·w, (k+1)·w) of a word, and
+slot 0 stands for every index without a slot of its own.  A word holds
+y_i XOR φ(x) in the field of i's slot, so a slot without a deviation is
+zero and slot 0 of an element is always zero.  That canonical form is
+built by every construction, so equality of elements is plain equality:
+``CondElem`` compares base and word, and its condensate handle by
+identity.  The named deviations ((name, value), …) are read off the word
+in name order.  ``Condensate.element`` validates and normalizes outside
+input.
+
+The row is the primitive of the arithmetic: ``joins(s, ts)`` and
+``meets(s, ts)`` unpack s once and build each s∨t or s∧t directly.  With
+the handle's table x ↦ φ(x) repeated in slot 0 and in every assigned slot,
+``word ^ table[base]`` is the element's value at every slot at once, so
+one big-integer ``|`` or ``&`` computes every coordinate of a pair (SWAR:
+Lamport, CACM 18(8), 1975), and XOR with the table at the new base puts
+the result back in canonical form.  A join or meet of two members is a
+member, so nothing is validated again.  A row costs O(slots·w) bits per
+pair, not O(support): a long-lived handle that sees many names pays for
+the width of its words.  ``join`` and ``meet`` are the one-element rows,
+and ``leq`` reads s ≤ t as s∨t = t.
 
 A finite stage C_J (supports inside a finite index set J) is ≅ A × B^J and
 is built flat, as the downset lattice of P_A ⊔ J·P_B
@@ -78,37 +91,43 @@ class IndexUniverse:
 
 
 class CondElem:
-    """A condensate element in canonical form: base plus finite deviations.
+    """A condensate element in canonical form: base plus deviation word.
 
+    The word holds, in the field of each slot of the handle, the value at
+    that slot XOR φ(base); it is zero where the element does not deviate.
     A slotted value class: two elements are equal iff they have the same
-    base and deviation tuple and belong to the same ``Condensate`` handle
-    (compared by identity), so canonical forms make equality exact.  The
-    hash agrees with that equality, and ``repr`` leaves the handle out.
+    base and word and belong to the same ``Condensate`` handle (compared
+    by identity), so canonical forms make equality exact.  The hash agrees
+    with that equality, and ``repr`` shows the named deviations and leaves
+    the handle out.
     """
 
-    __slots__ = ("base", "dev", "cond")
+    __slots__ = ("base", "word", "cond")
 
-    def __init__(self, base: int, dev: tuple[tuple[str, int], ...], cond: "Condensate"):
+    def __init__(self, base: int, word: int, cond: "Condensate"):
         self.base = base
-        self.dev = dev
+        self.word = word
         self.cond = cond
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.base == other.base and self.dev == other.dev and self.cond is other.cond
+        return self.base == other.base and self.word == other.word and self.cond is other.cond
 
     def __hash__(self):
-        return hash((self.base, self.dev, id(self.cond)))
+        return hash((self.base, self.word, id(self.cond)))
 
     def __repr__(self):
         return f"CondElem(base={self.base!r}, dev={self.dev!r})"
 
+    @property
+    def dev(self) -> tuple[tuple[str, int], ...]:
+        """The deviations ((name, value), …) in name order, read off the word."""
+        return self.cond._deviations(self.base, self.word)
+
     def value_at(self, name: str) -> int:
-        for k, v in self.dev:
-            if k == name:
-                return v
-        return self.cond.phi(self.base)
+        c = self.cond
+        return ((self.word >> c._slots.get(name, 0) * c._width) & c._mask) ^ c._phi_at[self.base]
 
     def fmt(self) -> str:
         a, b = self.cond.phi.dom, self.cond.phi.cod
@@ -117,12 +136,39 @@ class CondElem:
 
 
 class Condensate:
-    """Handle for Cond(φ, I): element construction and pointwise algebra."""
+    """Handle for Cond(φ, I): element construction and pointwise algebra.
 
-    def __init__(self, phi: LatHom, universe: IndexUniverse):
+    ``slots`` is the index name ↦ slot table; handles that pass the same
+    dict place every name at the same slot.
+    """
+
+    def __init__(self, phi: LatHom, universe: IndexUniverse, slots: dict[str, int] | None = None):
         self.phi = phi
         self.universe = universe
         self._phi_at = dict(zip(phi.dom.elements, phi.table))  # x ↦ φ(x)
+        self._slots = {} if slots is None else slots
+        self._width = phi.cod.base.n
+        self._mask = phi.cod.top
+        self._nslots = -1  # the slot count that _rows and _named were built for
+
+    def _tables(self) -> dict[int, int]:
+        """The row table x ↦ φ(x) in slot 0 and in every assigned slot.
+
+        It and the (name, shift) list in name order are rebuilt from φ's
+        table when the slot count has changed since they were built.
+        """
+        if self._nslots != len(self._slots):
+            w = self._width
+            ones = sum(1 << k * w for k in range(len(self._slots) + 1))
+            self._rows = {x: f * ones for x, f in self._phi_at.items()}
+            self._named = sorted((n, k * w) for n, k in self._slots.items())
+            self._nslots = len(self._slots)
+        return self._rows
+
+    def _deviations(self, base: int, word: int) -> tuple[tuple[str, int], ...]:
+        self._tables()
+        fb, m = self._phi_at[base], self._mask
+        return tuple([(n, f ^ fb) for n, shift in self._named if (f := (word >> shift) & m)])
 
     def element(self, base: int, dev: Mapping[str, int] | Iterable[tuple[str, int]] = ()) -> CondElem:
         """Normalized element: entries equal to φ(base) are dropped."""
@@ -137,11 +183,17 @@ class Condensate:
         return self._canonical(base, checked)
 
     def _canonical(self, base: int, items: Iterable[tuple[str, int]]) -> CondElem:
-        """The element with a member base and (name, value) items that the
-        caller guarantees admitted, members of B and in name order: entries
-        equal to φ(base) are dropped, nothing is checked."""
+        """The element with a member base and (name, value) items with
+        distinct names that the caller guarantees admitted and members of
+        B: entries equal to φ(base) are dropped, a deviating name gets a
+        slot if it has none, and nothing is checked."""
         fb = self._phi_at[base]
-        return CondElem(base, tuple([(n, v) for n, v in items if v != fb]), self)
+        slots, w = self._slots, self._width
+        word = 0
+        for n, v in items:
+            if v != fb:
+                word |= (v ^ fb) << slots.setdefault(n, len(slots) + 1) * w
+        return CondElem(base, word, self)
 
     @property
     def bottom(self) -> CondElem:
@@ -165,46 +217,26 @@ class Condensate:
 
     def _row(self, s: CondElem, ts: Sequence[CondElem],
              op: Callable[[int, int], int]) -> list[CondElem]:
-        """The elements with base op(s.base, t.base) and value op(s_i, t_i)
-        at each i, one for each t.
+        """The elements with base b = op(s.base, t.base) and value
+        op(s_i, t_i) at each i, one for each t.
 
-        φ is read from the handle's table of values.  Off both supports the
-        value is op(φ(s.base), φ(t.base)) = φ(base), as φ is a lattice
-        homomorphism, so one merge of the two sorted deviation tuples
-        visits every name that can deviate, and entries equal to φ(base)
-        are dropped.  Operands are canonical members, so the names, base
-        and values of each result are members too and are not validated
-        again.  The handle, base, φ(base) and deviations of s are read
-        once per row.
+        ``word ^ table[base]`` is an element's value at every slot, φ(base)
+        where it does not deviate, so one ``op`` on two such words gives
+        every value of the result, and XOR with table[b] leaves the
+        deviations from φ(b).  Slot 0 of the result is
+        op(φ(s.base), φ(t.base)) XOR φ(b), zero as φ is a lattice
+        homomorphism; so is every slot that neither operand deviates at,
+        including slots assigned after an operand was built.  Operands are
+        canonical members, so each result is one too and is not validated
+        again.  The handle and values of s are read once per row.
         """
         if s.cond is not self or any(t.cond is not self for t in ts):
             raise MixedCondensateError("elements belong to different condensates")
-        phi = self._phi_at
-        sb, sd = s.base, s.dev
-        fs, ns = phi[sb], len(sd)
-        row = []
-        for t in ts:
-            base = op(sb, t.base)
-            ft, fb = phi[t.base], phi[base]
-            dev = []
-            i = 0
-            for name, v in t.dev:
-                while i < ns and sd[i][0] < name:
-                    if (w := op(sd[i][1], ft)) != fb:
-                        dev.append((sd[i][0], w))
-                    i += 1
-                if i < ns and sd[i][0] == name:
-                    w = op(sd[i][1], v)
-                    i += 1
-                else:
-                    w = op(fs, v)
-                if w != fb:
-                    dev.append((name, w))
-            for name, v in sd[i:]:
-                if (w := op(v, ft)) != fb:
-                    dev.append((name, w))
-            row.append(CondElem(base, tuple(dev), self))
-        return row
+        table = self._tables()
+        sb = s.base
+        sv = s.word ^ table[sb]
+        return [CondElem(b := op(sb, t.base), op(sv, t.word ^ table[t.base]) ^ table[b], self)
+                for t in ts]
 
     def leq(self, s: CondElem, t: CondElem) -> bool:
         """s ≤ t iff s∨t = t; canonical forms make the equality exact."""
@@ -216,9 +248,11 @@ class Condensate:
         A × B^J and the converters between its masks and stage elements.
 
         Coordinates are the base, then the value at each name in order.
-        The names are checked and sorted once here, so ``decode`` builds
-        each element in canonical form from coordinates that are members
-        by construction, without validating them again.
+        The names are checked and given slots once here, with the offset
+        of each coordinate in a mask and the shift of its slot in a word;
+        ``decode`` ORs each coordinate XOR φ(base) into its slot, so it
+        builds the canonical element from coordinates that are members by
+        construction, without validating them again.
         """
         names = tuple(names)
         for n in names:
@@ -226,17 +260,22 @@ class Condensate:
                 raise LatticeError(f"index {n!r} not in {self.universe.describe()}")
         if len(set(names)) != len(names):
             raise LatticeError("stage index names must be distinct")
-        lat, to_mask, to_tuple = product_lattice([self.phi.dom] + [self.phi.cod] * len(names))
+        a = self.phi.dom
+        lat, to_mask, _ = product_lattice([a] + [self.phi.cod] * len(names))
+        slots, w, m, phi, top_a = self._slots, self._width, self._mask, self._phi_at, a.top
+        shifts = [(a.base.n + k * w, slots.setdefault(n, len(slots) + 1) * w)
+                  for k, n in enumerate(names)]
 
         def encode(e: CondElem) -> int:
             return to_mask([e.base] + [e.value_at(n) for n in names])
 
-        order = sorted(range(len(names)), key=names.__getitem__)
-        sorted_names = [names[k] for k in order]
-
         def decode(mask: int) -> CondElem:
-            base, *vals = to_tuple(mask)
-            return self._canonical(base, zip(sorted_names, [vals[k] for k in order]))
+            base = mask & top_a
+            fb = phi[base]
+            word = 0
+            for offset, shift in shifts:
+                word |= (((mask >> offset) & m) ^ fb) << shift
+            return CondElem(base, word, self)
 
         return lat, encode, decode
 
@@ -296,21 +335,39 @@ def stage_inclusion(cond: Condensate, small: Sequence[str], large: Sequence[str]
 class AlmostConstantSurjection:
     """The stage-respecting map Cond(id_A, I) → Cond(φ, I).
 
-    Sends (x, (x_i)_i) to (x, (φ(x_i))_i): base fixed, each deviation
-    pushed through the table of φ in name order, then renormalized.
+    Sends (x, (x_i)_i) to (x, (φ(x_i))_i).  Source and target share one
+    name ↦ slot table, so each deviation is pushed through the table of φ
+    in its own slot, from a field of width |base(A)| to one of width
+    |base(B)|.
     """
 
     def __init__(self, phi: LatHom, universe: IndexUniverse):
         self.phi = phi
         self.universe = universe
-        self.source = Condensate(LatHom.identity(phi.dom), universe)
-        self.target = Condensate(phi, universe)
+        slots: dict[str, int] = {}
+        self.source = Condensate(LatHom.identity(phi.dom), universe, slots)
+        self.target = Condensate(phi, universe, slots)
 
     def apply(self, s: CondElem) -> CondElem:
+        """The image of s, built field by field in canonical form.
+
+        The source's field at slot k is x_k XOR x, as the source map is
+        the identity; the target's is φ(x_k) XOR φ(x), zero exactly where
+        the image does not deviate.
+        """
         if s.cond is not self.source:
             raise MixedCondensateError("element does not belong to the source condensate")
         phi = self.target._phi_at
-        return self.target._canonical(s.base, [(n, phi[v]) for n, v in s.dev])
+        wa, ma, wb = self.source._width, self.source._mask, self.target._width
+        base, word = s.base, s.word
+        fb = phi[base]
+        out = shift = 0
+        while word:
+            if f := word & ma:
+                out |= (phi[f ^ base] ^ fb) << shift
+            word >>= wa
+            shift += wb
+        return CondElem(base, out, self.target)
 
     def verify_stage(self, names: Sequence[str]) -> "SurjectionReport":
         """Exhaustively check 0,1-homomorphism and surjectivity on a stage.

@@ -7,7 +7,7 @@ Hasse diagrams (drawn bottom-up).
 
 from __future__ import annotations
 
-from .order import DLat
+from .order import DLat, bits
 from .spectra import Spectrum
 
 
@@ -23,13 +23,11 @@ def _digraph(name: str, nodes: list[tuple[str, str]], edges: list[tuple[str, str
 
 def lattice_hasse_dot(lat: DLat, name: str = "lattice") -> str:
     """Hasse diagram of the lattice itself (downset lattices are graded:
-    covers add exactly one base element)."""
+    y covers x iff x is y less one base point, so each element y has a
+    lower cover for each point p of y whose removal leaves a downset)."""
     nodes = [(f"e{k}", lat.fmt(m)) for k, m in enumerate(lat.elements)]
-    edges = []
-    for k, x in enumerate(lat.elements):
-        for l, y in enumerate(lat.elements):
-            if x != y and x | y == y and (y & ~x).bit_count() == 1:
-                edges.append((f"e{k}", f"e{l}"))
+    edges = [(f"e{lat.pos(y ^ 1 << p)}", f"e{l}")
+             for l, y in enumerate(lat.elements) for p in bits(y) if y ^ 1 << p in lat]
     return _digraph(name, nodes, sorted(edges))
 
 

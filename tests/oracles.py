@@ -3,14 +3,16 @@
 Brute-force and textbook forms of questions the workbench answers
 another way or never asks: a downset test by its definition, poset
 isomorphism by search over all permutations, the pointwise PL order and
-principal-ideal equality, and the Birkhoff certificate of an order that
-is already closed.
+principal-ideal equality, the Birkhoff certificate of an order that
+is already closed, and the Hasse diagram of a lattice found by scanning
+every ordered pair of elements.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
+from latspec.dot import _digraph
 from latspec.order import DLat, Poset, bits, lattice_of_pairs
 from latspec.plfun import PLFun, pl_geq_zero, pl_ideal_leq, pl_sub
 
@@ -47,3 +49,15 @@ def pl_leq(f: PLFun, g: PLFun) -> bool:
 def pl_ideal_eq(x: PLFun, y: PLFun) -> bool:
     """⟨x⟩ = ⟨y⟩: each principal ideal contains the other."""
     return pl_ideal_leq(x, y).holds and pl_ideal_leq(y, x).holds
+
+
+def lattice_hasse_dot_by_pair_scan(lat: DLat, name: str = "lattice") -> str:
+    """``dot.lattice_hasse_dot`` with its covers found among all ordered
+    pairs: y covers x iff x ⊂ y and they differ in one base point."""
+    nodes = [(f"e{k}", lat.fmt(m)) for k, m in enumerate(lat.elements)]
+    edges = []
+    for k, x in enumerate(lat.elements):
+        for l, y in enumerate(lat.elements):
+            if x != y and x | y == y and (y & ~x).bit_count() == 1:
+                edges.append((f"e{k}", f"e{l}"))
+    return _digraph(name, nodes, sorted(edges))

@@ -9,9 +9,16 @@ and renormalizes it.
 
 The rows ``joins`` and ``meets`` are checked against the pairwise merge
 as it was before rows, and ``finite_stage_iso`` against its pair loop of
-that time; ``PairwiseCondensate`` and ``pair_loop_stage_iso`` keep both
-verbatim.  Stage elements, built in canonical form without validation,
-are checked against the same elements built by ``Condensate.element``.
+that time; ``PairwiseCondensate`` and ``pair_loop_stage_iso`` keep both,
+the merge building its result through ``Condensate._canonical``.  Stage
+elements, built in canonical form without validation, are checked
+against the same elements built by ``Condensate.element``.
+
+Elements are packed deviation words, so the rows are also checked
+against the pointwise join and meet defined on dicts of named values,
+with slots given out between rows, and ``AlmostConstantSurjection.apply``
+against its per-name push (n, v) ↦ (n, φ(v)) as it was before words,
+kept verbatim in ``PushedSurjection``.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from typing import Callable, Sequence
 
 import pytest
 
-from latspec.condensate import (CondElem, Condensate, IndexUniverse,
-                                MixedCondensateError, StageIsoReport,
+from latspec.condensate import (AlmostConstantSurjection, CondElem, Condensate,
+                                IndexUniverse, MixedCondensateError, StageIsoReport,
                                 finite_stage_iso, stage_inclusion)
 from latspec.homs import LatHom, dual_hom_of_poset_map
 from latspec.order import Poset, chain_lattice, product_lattice
@@ -113,7 +120,7 @@ class PairwiseCondensate(Condensate):
                 j += 1
             if v != fb:
                 dev.append((name, v))
-        return CondElem(base, tuple(dev), self)
+        return self._canonical(base, dev)
 
 
 def pair_loop_stage_iso(cond: Condensate, names: Sequence[str]) -> StageIsoReport:
@@ -330,9 +337,17 @@ def test_stage_reports_match_pair_loop():
             assert rep == pair_loop_stage_iso(cond, names) and rep.ok, (k, names)
             bad = corrupted(PairwiseCondensate(phi, IndexUniverse.countable()))
             rep = finite_stage_iso(bad, names)
-            assert rep == pair_loop_stage_iso(bad, names), (k, names)
+            if names:
+                assert rep == pair_loop_stage_iso(bad, names), (k, names)
+            else:
+                # slot 0 holds φ(base) at the indices without a slot, so the
+                # rows see the table even where the merge sees no deviation:
+                # C_∅ fails exactly when the pair loop fails on a one-index stage
+                loop = pair_loop_stage_iso(
+                    corrupted(PairwiseCondensate(phi, IndexUniverse.countable())), ["j"])
+                assert rep.is_lattice_iso == loop.is_lattice_iso, k
             broken += not rep.is_lattice_iso
-            if k < 2 and names:  # the kernel maps
+            if k < 2:  # the kernel maps
                 assert not rep.is_lattice_iso and not rep.ok, (k, names)
     assert broken >= 10, broken
 
@@ -351,6 +366,119 @@ def test_stage_elements_are_canonical_for_unsorted_names(phi):
     assert stage == built and [e.dev for e in stage] == [e.dev for e in built]
     assert [encode(e) for e in stage] == list(lat.elements)
     assert finite_stage_iso(cond, names).ok
+
+
+# -- packed rows and apply against their definitions on dicts ---------------
+
+def pointwise(cond: Condensate, s: CondElem, t: CondElem,
+              op: Callable[[int, int], int]) -> tuple[int, dict[str, int]]:
+    """(base, deviations) of the pointwise op(s, t), by definition on dicts:
+    the value at each name of either support is op of the operands' values
+    there, φ(base) off a support, and values equal to φ of the new base drop."""
+    phi = cond.phi
+    base, sd, td = op(s.base, t.base), dict(s.dev), dict(t.dev)
+    vals = {n: op(sd.get(n, phi(s.base)), td.get(n, phi(t.base))) for n in sd.keys() | td.keys()}
+    return base, {n: v for n, v in vals.items() if v != phi(base)}
+
+
+def assert_canonical_as(got: CondElem, cond: Condensate, base: int, dev: dict[str, int]) -> None:
+    """got is (base, dev), equal and hash-equal to that element built by ``element``."""
+    want = cond.element(base, dev)
+    assert (got.base, dict(got.dev)) == (base, dev), (got, base, dev)
+    assert got == want and hash(got) == hash(want) and got.dev == want.dev
+    assert got in {want} and want in {got}
+
+
+@pytest.mark.parametrize("which", ["eps", "level", "random"])
+def test_packed_rows_match_dict_pointwise(which):
+    maps = {"eps": [eps_map()], "level": [level_map()], "random": random_maps()}[which]
+    rng = random.Random(2612)
+    counts = dict.fromkeys(["early", "staged", "unstaged", "collapsed", "leq"], 0)
+    unstaged = {"ξ", "i10"}
+    for phi in maps:
+        cond = Condensate(phi, IndexUniverse.countable())
+        # rows run after each of three phases: early operands deviate on
+        # three names, which take the first slots; a stage slots two more;
+        # then elements alone slot the last two, which no stage holds
+        early = [random_elem(rng, cond, NAMES[:3]) for _ in range(6)]
+        pool, stage = list(early), None
+        for phase in range(3):
+            if phase == 1:
+                pool += cond.stage(["j", "i2"])
+                stage = set(pool[len(early):])
+            elif phase == 2:
+                pool += [random_elem(rng, cond, rng.sample(NAMES, rng.randint(1, len(NAMES))))
+                         for _ in range(6)]
+            for _ in range(max(4, 60 // len(maps))):
+                s = rng.choice(pool)
+                row = rng.sample(pool, rng.randint(1, min(8, len(pool))))
+                for rows, one, op in ((cond.joins, cond.join, or_),
+                                      (cond.meets, cond.meet, and_)):
+                    got = rows(s, row)
+                    assert len(got) == len(row)
+                    for t, g in zip(row, got):
+                        base, dev = pointwise(cond, s, t, op)
+                        assert_canonical_as(g, cond, base, dev)
+                        assert one(s, t) == g and hash(one(s, t)) == hash(g)
+                        names = set(support(s)) | set(support(t))
+                        counts["early"] += ((s in early) != (t in early)
+                                            and bool(names - set(NAMES[:3])))
+                        counts["staged"] += bool(names & {"j", "i2"})
+                        counts["unstaged"] += bool(names & unstaged)
+                        counts["collapsed"] += len(dev) < len(names)
+                    # a result is in the stage's set iff its support is inside it
+                    assert stage is None or all(
+                        (g in stage) == (set(support(g)) <= {"j", "i2"}) for g in got)
+                for t in row:
+                    want = pointwise(cond, s, t, or_) == (t.base, dict(t.dev))
+                    assert cond.leq(s, t) == want, (s, t)
+                    counts["leq"] += want
+        assert stage_inclusion(cond, ["j"], ["i2", "j"])
+    assert min(counts.values()) >= 60, counts
+
+
+class PushedSurjection(AlmostConstantSurjection):
+    """A surjection whose ``apply`` pushes each named deviation (n, v) to
+    (n, φ(v)) and renormalizes, as it did before packed words."""
+
+    def apply(self, s: CondElem) -> CondElem:
+        if s.cond is not self.source:
+            raise MixedCondensateError("element does not belong to the source condensate")
+        phi = self.target._phi_at
+        return self.target._canonical(s.base, [(n, phi[v]) for n, v in s.dev])
+
+
+@pytest.mark.parametrize("which", ["eps", "level", "random"])
+def test_apply_matches_per_name_push(which):
+    maps = {"eps": [eps_map()], "level": [level_map()], "random": random_maps()}[which]
+    rng = random.Random(2613)
+    counts = dict.fromkeys(["target_first", "collapsed", "kept"], 0)
+    for phi in maps:
+        acs = AlmostConstantSurjection(phi, IndexUniverse.countable())
+        # the target sees some names first: the shared table slots them
+        first = rng.sample(NAMES, 3)
+        acs.target.stage_lattice(first[:2])
+        acs.target.element(phi.dom.bottom, {first[2]: phi.cod.top})
+        for _ in range(max(20, 200 // len(maps))):
+            s = random_elem(rng, acs.source, rng.sample(NAMES, rng.randint(0, len(NAMES))))
+            got = acs.apply(s)
+            assert got == PushedSurjection.apply(acs, s) and got.dev == PushedSurjection.apply(acs, s).dev
+            want = {n: phi(v) for n, v in s.dev if phi(v) != phi(s.base)}
+            assert_canonical_as(got, acs.target, s.base, want)
+            counts["target_first"] += bool(set(support(s)) & set(first))
+            counts["collapsed"] += len(want) < len(s.dev)
+            counts["kept"] += bool(want)
+    assert min(counts.values()) >= 20, counts
+
+
+@pytest.mark.parametrize("phi", [eps_map(), level_map()], ids=["eps", "level"])
+def test_stage_surjection_reports_match_per_name_push(phi):
+    for k in range(4):
+        names = [f"i{t}" for t in range(k)]
+        rep = AlmostConstantSurjection(phi, IndexUniverse.countable()).verify_stage(names)
+        assert rep == PushedSurjection(phi, IndexUniverse.countable()).verify_stage(names)
+        assert rep.ok and (rep.source_size, rep.target_size) == (
+            phi.dom.size ** (k + 1), phi.dom.size * phi.cod.size ** k)
 
 
 # -- CondElem as a value: what the frozen dataclass gave ----------------------

@@ -9,7 +9,9 @@ by an O(n³) search for a point strictly between.  They are kept verbatim
 (the class without its ``base_point`` helper) and compared on a seeded
 corpus of bases of 0-9 points whose labels are not a linear extension:
 point masks, order pairs, DOT text, and the unit check on the spectrum
-and on corrupted point lists.
+and on corrupted point lists.  The same corpus checks the lattice's own
+DOT text, whose covers are now found by removing one point of each
+element, against the scan of every ordered pair in ``oracles``.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from dataclasses import dataclass
 
 import pytest
 
-from latspec.dot import _digraph, spectrum_dot
+from latspec.dot import _digraph, lattice_hasse_dot, spectrum_dot
 from latspec.order import DLat, Poset, bits, canon_key, downset_lattice
 from latspec.spectra import (Spectrum, StoneUnitReport, prime_spectrum,
                              prime_spectrum_bruteforce, spectrum_matches_base,
                              stone_unit_check)
+from oracles import lattice_hasse_dot_by_pair_scan
 from randgen import random_poset
 
 
@@ -220,6 +223,15 @@ def test_bruteforce_names_the_same_points(lattices):
 def test_dot_matches_oracle(lattices):
     for lat in lattices:
         assert spectrum_dot(prime_spectrum(lat)) == oracle_spectrum_dot(oracle_prime_spectrum(lat))
+
+
+def test_lattice_dot_matches_pair_scan(lattices):
+    edges = 0
+    for lat in lattices:
+        text = lattice_hasse_dot(lat)
+        assert text == lattice_hasse_dot_by_pair_scan(lat), lat
+        edges += text.count(" -> ")
+    assert edges >= 10 * len(lattices), edges
 
 
 def test_stone_unit_matches_oracle(lattices):
