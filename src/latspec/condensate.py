@@ -20,23 +20,28 @@ identity.  The named deviations ((name, value), …) are read off the word
 in name order.  ``Condensate.element`` validates and normalizes outside
 input.
 
-The row is the primitive of the arithmetic: ``joins(s, ts)`` and
-``meets(s, ts)`` unpack s once and build each s∨t or s∧t directly.  With
-the handle's table x ↦ φ(x) repeated in slot 0 and in every assigned slot,
-``word ^ table[base]`` is the element's value at every slot at once, so
-one big-integer ``|`` or ``&`` computes every coordinate of a pair (SWAR:
-Lamport, CACM 18(8), 1975), and XOR with the table at the new base puts
-the result back in canonical form.  A join or meet of two members is a
-member, so nothing is validated again.  A row costs O(slots·w) bits per
-pair, not O(support): a long-lived handle that sees many names pays for
-the width of its words.  ``join`` and ``meet`` are the one-element rows,
-and ``leq`` reads s ≤ t as s∨t = t.
+The packed row is the primitive of the arithmetic.  With the handle's
+table x ↦ φ(x) repeated in slot 0 and in every assigned slot,
+``word ^ table[base]`` is the element's value at every slot at once.  An
+element's packed form is its base followed by those values
+(``Condensate.pack``), and a packed row lays packed forms side by side in
+byte-aligned fields, so ``op_row`` computes s∨t or s∧t for every t of a
+row with one big-integer ``|`` or ``&`` (SWAR: Lamport, CACM 18(8),
+1975).  A field unpacks to canonical form by XOR with the table at its
+new base.  A join or meet of two members is a member, so nothing is
+validated again.  A row costs O(slots·w) bits per pair, not O(support):
+a long-lived handle that sees many names pays for the width of its
+words.  ``joins`` and ``meets`` unpack the row, ``join`` and ``meet`` are
+the one-element rows, and ``leq`` reads s ≤ t as s∨t = t.
 
 A finite stage C_J (supports inside a finite index set J) is ≅ A × B^J and
 is built flat, as the downset lattice of P_A ⊔ J·P_B
-(``order.product_lattice``); stage checks run on its integer masks.  Stage
-elements, and the images of ``AlmostConstantSurjection``, are members by
-construction and are built in canonical form without validation.
+(``order.product_lattice``); stage checks run on its integer masks.
+``finite_stage_iso`` packs a stage once and checks the row of each left
+operand with one packed ``|`` and one ``&``, so the condensate's own op
+still computes every ordered pair.  Stage elements, and the images of
+``AlmostConstantSurjection``, are members by construction and are built
+in canonical form without validation.
 """
 
 from __future__ import annotations
@@ -125,10 +130,6 @@ class CondElem:
         """The deviations ((name, value), …) in name order, read off the word."""
         return self.cond._deviations(self.base, self.word)
 
-    def value_at(self, name: str) -> int:
-        c = self.cond
-        return ((self.word >> c._slots.get(name, 0) * c._width) & c._mask) ^ c._phi_at[self.base]
-
     def fmt(self) -> str:
         a, b = self.cond.phi.dom, self.cond.phi.cod
         devs = ", ".join(f"{k}↦{b.fmt(v)}" for k, v in self.dev)
@@ -149,19 +150,21 @@ class Condensate:
         self._slots = {} if slots is None else slots
         self._width = phi.cod.base.n
         self._mask = phi.cod.top
-        self._nslots = -1  # the slot count that _rows and _named were built for
+        self._nslots = -1  # the slot count that _rows, _named and _field were built for
 
     def _tables(self) -> dict[int, int]:
         """The row table x ↦ φ(x) in slot 0 and in every assigned slot.
 
-        It and the (name, shift) list in name order are rebuilt from φ's
-        table when the slot count has changed since they were built.
+        It, the (name, shift) list in name order and the byte width of a
+        packed field are rebuilt from φ's table when the slot count has
+        changed since they were built.
         """
         if self._nslots != len(self._slots):
             w = self._width
             ones = sum(1 << k * w for k in range(len(self._slots) + 1))
             self._rows = {x: f * ones for x, f in self._phi_at.items()}
             self._named = sorted((n, k * w) for n, k in self._slots.items())
+            self._field = max(1, -(-(self.phi.dom.base.n + (len(self._slots) + 1) * w) // 8))
             self._nslots = len(self._slots)
         return self._rows
 
@@ -201,42 +204,67 @@ class Condensate:
 
     def join(self, s: CondElem, t: CondElem) -> CondElem:
         """Pointwise join: the one-element row of ``joins``."""
-        return self._row(s, (t,), or_)[0]
+        return self.joins(s, (t,))[0]
 
     def meet(self, s: CondElem, t: CondElem) -> CondElem:
         """Pointwise meet: the one-element row of ``meets``."""
-        return self._row(s, (t,), and_)[0]
+        return self.meets(s, (t,))[0]
 
     def joins(self, s: CondElem, ts: Sequence[CondElem]) -> list[CondElem]:
-        """The row [s ∨ t for t in ts], in one pass that unpacks s once."""
-        return self._row(s, ts, or_)
+        """The row [s ∨ t for t in ts]: one packed ``|``, unpacked field by field."""
+        return self._unpacked_row(or_, s, ts)
 
     def meets(self, s: CondElem, ts: Sequence[CondElem]) -> list[CondElem]:
-        """The row [s ∧ t for t in ts], in one pass that unpacks s once."""
-        return self._row(s, ts, and_)
+        """The row [s ∧ t for t in ts]: one packed ``&``, unpacked field by field."""
+        return self._unpacked_row(and_, s, ts)
 
-    def _row(self, s: CondElem, ts: Sequence[CondElem],
-             op: Callable[[int, int], int]) -> list[CondElem]:
-        """The elements with base b = op(s.base, t.base) and value
-        op(s_i, t_i) at each i, one for each t.
+    def pack(self, elems: Sequence[CondElem]) -> tuple[list[bytes], int]:
+        """The packed forms of elems, each in a big-endian field of fb bytes,
+        and fb.
 
-        ``word ^ table[base]`` is an element's value at every slot, φ(base)
-        where it does not deviate, so one ``op`` on two such words gives
-        every value of the result, and XOR with table[b] leaves the
-        deviations from φ(b).  Slot 0 of the result is
+        The packed form of e is ``base | (word ^ table[base]) << |base(A)|``:
+        its base, then its value at every slot, slot 0 included.  Two
+        elements of this handle are equal iff their packed forms are, as
+        XOR with table[base] is a bijection.  The handle of each element is
+        checked here, once.
+        """
+        if any(e.cond is not self for e in elems):
+            raise MixedCondensateError("elements belong to different condensates")
+        table, wa = self._tables(), self.phi.dom.base.n
+        fb = self._field
+        return [(e.base | (e.word ^ table[e.base]) << wa).to_bytes(fb, "big")
+                for e in elems], fb
+
+    def op_row(self, op: Callable[[int, int], int], p: int, row: int, ones: int) -> int:
+        """The packed row whose every field is op(p, that field of ``row``).
+
+        ``ones`` has a 1 at the low end of each field, so ``p * ones`` is p
+        in every field, and one big-integer ``|`` or ``&`` computes every
+        ordered pair of the row: no bit crosses a field, and a field is
+        wide enough for the op of two packed forms.
+        """
+        return op(p * ones, row)
+
+    def _unpacked_row(self, op: Callable[[int, int], int], s: CondElem,
+                      ts: Sequence[CondElem]) -> list[CondElem]:
+        """The elements op(s, t) for t in ts, unpacked from ``op_row``.
+
+        A field f unpacks to ``CondElem(b, (f >> |base(A)|) ^ table[b])``
+        with b = f & top(A).  Slot 0 of its word is
         op(φ(s.base), φ(t.base)) XOR φ(b), zero as φ is a lattice
         homomorphism; so is every slot that neither operand deviates at,
         including slots assigned after an operand was built.  Operands are
         canonical members, so each result is one too and is not validated
-        again.  The handle and values of s are read once per row.
+        again.
         """
-        if s.cond is not self or any(t.cond is not self for t in ts):
-            raise MixedCondensateError("elements belong to different condensates")
-        table = self._tables()
-        sb = s.base
-        sv = s.word ^ table[sb]
-        return [CondElem(b := op(sb, t.base), op(sv, t.word ^ table[t.base]) ^ table[b], self)
-                for t in ts]
+        fields, fb = self.pack([s, *ts])
+        out = self.op_row(op, int.from_bytes(fields[0], "big"),
+                          int.from_bytes(b"".join(fields[1:]), "big"),
+                          _packed_ones(len(ts), fb)).to_bytes(len(ts) * fb, "big")
+        table, wa, top = self._rows, self.phi.dom.base.n, self.phi.dom.top
+        return [CondElem(b := (f := int.from_bytes(out[k:k + fb], "big")) & top,
+                         (f >> wa) ^ table[b], self)
+                for k in range(0, len(out), fb)]
 
     def leq(self, s: CondElem, t: CondElem) -> bool:
         """s ≤ t iff s∨t = t; canonical forms make the equality exact."""
@@ -252,7 +280,11 @@ class Condensate:
         of each coordinate in a mask and the shift of its slot in a word;
         ``decode`` ORs each coordinate XOR φ(base) into its slot, so it
         builds the canonical element from coordinates that are members by
-        construction, without validating them again.
+        construction, without validating them again.  ``encode`` mirrors
+        it: it reads each slot's field off the word, XOR φ(base), into its
+        coordinate.  It checks no membership: a mask of the flat stage is
+        exactly a tuple of factor downsets, and ``LatHom`` checks every
+        table entry it is handed against the target stage.
         """
         names = tuple(names)
         for n in names:
@@ -261,13 +293,18 @@ class Condensate:
         if len(set(names)) != len(names):
             raise LatticeError("stage index names must be distinct")
         a = self.phi.dom
-        lat, to_mask, _ = product_lattice([a] + [self.phi.cod] * len(names))
+        lat, _, _ = product_lattice([a] + [self.phi.cod] * len(names))
         slots, w, m, phi, top_a = self._slots, self._width, self._mask, self._phi_at, a.top
         shifts = [(a.base.n + k * w, slots.setdefault(n, len(slots) + 1) * w)
                   for k, n in enumerate(names)]
 
         def encode(e: CondElem) -> int:
-            return to_mask([e.base] + [e.value_at(n) for n in names])
+            base, word = e.base, e.word
+            fb = phi[base]
+            mask = base
+            for offset, shift in shifts:
+                mask |= (((word >> shift) & m) ^ fb) << offset
+            return mask
 
         def decode(mask: int) -> CondElem:
             base = mask & top_a
@@ -300,27 +337,39 @@ class StageIsoReport(Report):
         object.__setattr__(self, "ok", self.bijective and self.is_lattice_iso and self.bounds_ok)
 
 
+def _packed_ones(n: int, fb: int) -> int:
+    """The packed row of n fields of fb bytes with a 1 at the low end of each."""
+    return int.from_bytes(b"\1".rjust(fb, b"\0") * n, "big")
+
+
 def finite_stage_iso(cond: Condensate, names: Sequence[str]) -> StageIsoReport:
     """Verify C_J ≅ A × B^J as bounded lattices, exhaustively.
 
-    Each element of the flat product is embedded once.  For each left
-    operand s = image(x), the rows ``cond.joins(s, images)`` and
-    ``cond.meets(s, images)`` must equal the images of ``x | y`` and
-    ``x & y`` over every y, each read by one dict lookup of its mask; so
-    the condensate's own join and meet run on every ordered pair.
+    Each element of the flat product is embedded and packed once
+    (``Condensate.pack``), and the packed images are laid side by side in
+    one row.  For each left operand x, ``cond.op_row`` computes the join
+    and the meet of its image with every image in one big-integer ``|``
+    and one ``&``; each must equal the row of the images of ``x | y`` and
+    ``x & y`` over every y, joined from the packed fields by mask.  So
+    the condensate's own packed op still computes every ordered pair, and
+    comparing packed forms is exactly comparing canonical elements.
     """
     lat, _, decode = cond.stage_lattice(names)
     els = lat.elements
-    images = [decode(m) for m in els]
-    image = dict(zip(els, images))
-    joins, meets = cond.joins, cond.meets
-    iso = all(joins(s, images) == [image[x | y] for y in els]
-              and meets(s, images) == [image[x & y] for y in els]
-              for x, s in zip(els, images))
-    bounds = (image[lat.bottom] == cond.bottom
-              and image[lat.top]
+    fields, fb = cond.pack([decode(m) for m in els])
+    field = dict(zip(els, fields))
+    row = int.from_bytes(b"".join(fields), "big")
+    ones = _packed_ones(len(els), fb)
+    op_row, get = cond.op_row, field.__getitem__
+    iso = all(op_row(or_, p, row, ones)
+              == int.from_bytes(b"".join(map(get, map(x.__or__, els))), "big")
+              and op_row(and_, p, row, ones)
+              == int.from_bytes(b"".join(map(get, map(x.__and__, els))), "big")
+              for x, p in zip(els, [int.from_bytes(f, "big") for f in fields]))
+    bounds = (decode(lat.bottom) == cond.bottom
+              and decode(lat.top)
               == cond.element(cond.phi.dom.top, {n: cond.phi.cod.top for n in names}))
-    stage_size = len(set(images))
+    stage_size = len(set(fields))
     return StageIsoReport(stage_size, lat.size, stage_size == lat.size, iso, bounds)
 
 

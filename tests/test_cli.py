@@ -296,6 +296,8 @@ JSON_STDOUT_SHA256 = {
         "827b0ff3a5b8456c09c8acdc6d22f537975590b68c161723ff327b463e37a579",
     ("cond", "stage", "LEVEL", "--indices", "i,j,k"):
         "c1057e6a73e5f9ec242f417a3a9424f444e50926b46bb5c43dc0f02ee4bc122c",
+    ("cond", "stage", "LEVEL", "--indices", "i,j,k,l"):
+        "25b2c3aa35d41f3ac7666c20e8cbb916abb721c9fe87ca87212dbcd889b97519",
     ("v0", "expand", "CUBE"):
         "d25858399c844c215f5519aab4c2ccf820098dbb9e204dc3fbe110453e7c9604",
     ("lattice", "check", "V"):

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from operator import and_, or_
 
 import pytest
 
@@ -234,49 +235,50 @@ def test_verify_stage_matches_pairwise_oracle(kernel):
 
 
 def one_wrong_pair_cond(op, where):
-    """A condensate whose row of ``op`` is wrong at exactly one ordered
-    pair (s, t) of the stage {i, j}; the reversed pair gets the right
-    answer.  ``where`` places the pair: s after t in stage order, s before
-    t, or t first or last in the stage, so at the start or the end of the
-    row ``finite_stage_iso`` reads for s."""
+    """A condensate whose packed row of ``op`` is wrong at exactly one
+    ordered pair (s, t) of the stage {i, j}; the reversed pair gets the
+    right answer.  The wrong field is planted in ``op_row``, the primitive
+    that both ``finite_stage_iso`` and the element rows call.  ``where``
+    places the pair: s after t in stage order, s before t, or t first or
+    last in the stage, so at the start or the end of the row
+    ``finite_stage_iso`` reads for s."""
 
     class OneWrongPair(Condensate):
-        wrong = None  # (s, t, the wrong result)
+        wrong = None  # the packed forms of s, t and the wrong result
 
-        def joins(self, s, ts):
-            return self._maybe_wrong("join", s, ts, super().joins(s, ts))
-
-        def meets(self, s, ts):
-            return self._maybe_wrong("meet", s, ts, super().meets(s, ts))
-
-        def _maybe_wrong(self, name, s, ts, row):
-            if name != op or self.wrong is None:
-                return row
+        def op_row(self, fn, p, row, ones):
+            out = super().op_row(fn, p, row, ones)
+            if fn is not {"join": or_, "meet": and_}[op] or self.wrong is None:
+                return out
             ws, wt, bad = self.wrong
-            return [bad if (s, t) == (ws, wt) else r for t, r in zip(ts, row)]
+            if p != int.from_bytes(ws, "big"):
+                return out
+            fb = len(ws)
+            size = -(-ones.bit_length() // (8 * fb)) * fb  # a 1 ends each field
+            got, ts = out.to_bytes(size, "big"), row.to_bytes(size, "big")
+            return int.from_bytes(b"".join(bad if ts[k:k + fb] == wt else got[k:k + fb]
+                                           for k in range(0, size, fb)), "big")
 
     cond = OneWrongPair(eps_cond().phi, IndexUniverse.countable())
     stage = cond.stage(["i", "j"])
-    rows = getattr(Condensate, op + "s")
-
-    def right(s, t):
-        return rows(cond, s, [t])[0]
-
+    rows = getattr(cond, op + "s")
     if where in ("later-first", "earlier-first"):
         # the first pair, in stage order, whose result is neither operand
         early, late = next((a, b) for k, a in enumerate(stage) for b in stage[k + 1:]
-                           if right(a, b) not in (a, b))
+                           if rows(a, [b])[0] not in (a, b))
         s, t = (late, early) if where == "later-first" else (early, late)
     else:
         s, t = stage[1], stage[0] if where == "first-in-row" else stage[-1]
     assert finite_stage_iso(cond, ["i", "j"]).ok
-    bad = s if right(s, t) != s else t
-    cond.wrong = (s, t, bad)
     ts = stage if where in ("first-in-row", "last-in-row") else [t]
-    got = getattr(cond, op + "s")(s, ts)
-    assert got[ts.index(t)] == bad != right(s, t)
-    assert [r for u, r in zip(ts, got) if u != t] == [right(s, u) for u in ts if u != t]
-    assert getattr(cond, op + "s")(t, [s])[0] == right(t, s)
+    k = ts.index(t)
+    right, back = rows(s, ts), rows(t, [s])[0]
+    bad = s if right[k] != s else t
+    cond.wrong = tuple(cond.pack([s, t, bad])[0])
+    got = rows(s, ts)
+    assert got[k] == bad != right[k]
+    assert got[:k] + got[k + 1:] == right[:k] + right[k + 1:]
+    assert rows(t, [s])[0] == back
     return cond
 
 

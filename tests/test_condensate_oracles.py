@@ -24,6 +24,7 @@ kept verbatim in ``PushedSurjection``.
 from __future__ import annotations
 
 import random
+from itertools import product
 from operator import and_, or_
 from typing import Callable, Sequence
 
@@ -43,6 +44,11 @@ def support(e: CondElem) -> tuple[str, ...]:
     return tuple(name for name, _ in e.dev)
 
 
+def value_at(e: CondElem, name: str) -> int:
+    """The value of e at ``name``: its deviation there, else φ(base)."""
+    return dict(e.dev).get(name, e.cond.phi(e.base))
+
+
 def check_pair(cond: Condensate, s: CondElem, t: CondElem) -> None:
     """Raise unless both operands belong to ``cond``."""
     if s.cond is not cond or t.cond is not cond:
@@ -53,14 +59,14 @@ def oracle_join(cond: Condensate, s: CondElem, t: CondElem) -> CondElem:
     check_pair(cond, s, t)
     names = sorted(set(support(s)) | set(support(t)))
     return cond.element(s.base | t.base,
-                        {n: s.value_at(n) | t.value_at(n) for n in names})
+                        {n: value_at(s, n) | value_at(t, n) for n in names})
 
 
 def oracle_meet(cond: Condensate, s: CondElem, t: CondElem) -> CondElem:
     check_pair(cond, s, t)
     names = sorted(set(support(s)) | set(support(t)))
     return cond.element(s.base & t.base,
-                        {n: s.value_at(n) & t.value_at(n) for n in names})
+                        {n: value_at(s, n) & value_at(t, n) for n in names})
 
 
 def oracle_leq(cond: Condensate, s: CondElem, t: CondElem) -> bool:
@@ -68,7 +74,7 @@ def oracle_leq(cond: Condensate, s: CondElem, t: CondElem) -> bool:
     if s.base | t.base != t.base:
         return False
     for n in set(support(s)) | set(support(t)):
-        if s.value_at(n) | t.value_at(n) != t.value_at(n):
+        if value_at(s, n) | value_at(t, n) != value_at(t, n):
             return False
     return True
 
@@ -327,29 +333,41 @@ def corrupted(cond: Condensate) -> Condensate:
     return cond
 
 
+def pairwise_handle(phi: LatHom, held: Sequence[str], corrupt: bool = False) -> Condensate:
+    """A fresh ``PairwiseCondensate``, its table corrupted if asked, that
+    already holds slots for the names ``held``."""
+    cond = PairwiseCondensate(phi, IndexUniverse.countable())
+    if corrupt:
+        corrupted(cond)
+    cond.stage_lattice(held)
+    return cond
+
+
 def test_stage_reports_match_pair_loop():
     maps = [eps_map(), level_map()] + random_maps()[:12]
     broken = 0
     for k, phi in enumerate(maps):
-        for names in ([], ["j"], ["j", "i"]):
-            cond = PairwiseCondensate(phi, IndexUniverse.countable())
+        # the kernel maps also at |J| = 3
+        stages = [[], ["j"], ["j", "i"]] + [["j", "i", "k"]] * (k < 2)
+        # names outside the stage that the handle slotted first
+        for names, held in product(stages, [[], ["ξ", "i10"]]):
+            cond = pairwise_handle(phi, held)
             rep = finite_stage_iso(cond, names)
-            assert rep == pair_loop_stage_iso(cond, names) and rep.ok, (k, names)
-            bad = corrupted(PairwiseCondensate(phi, IndexUniverse.countable()))
+            assert rep == pair_loop_stage_iso(cond, names) and rep.ok, (k, names, held)
+            bad = pairwise_handle(phi, held, corrupt=True)
             rep = finite_stage_iso(bad, names)
             if names:
-                assert rep == pair_loop_stage_iso(bad, names), (k, names)
+                assert rep == pair_loop_stage_iso(bad, names), (k, names, held)
             else:
                 # slot 0 holds φ(base) at the indices without a slot, so the
                 # rows see the table even where the merge sees no deviation:
                 # C_∅ fails exactly when the pair loop fails on a one-index stage
-                loop = pair_loop_stage_iso(
-                    corrupted(PairwiseCondensate(phi, IndexUniverse.countable())), ["j"])
-                assert rep.is_lattice_iso == loop.is_lattice_iso, k
+                loop = pair_loop_stage_iso(pairwise_handle(phi, held, corrupt=True), ["j"])
+                assert rep.is_lattice_iso == loop.is_lattice_iso, (k, held)
             broken += not rep.is_lattice_iso
             if k < 2:  # the kernel maps
-                assert not rep.is_lattice_iso and not rep.ok, (k, names)
-    assert broken >= 10, broken
+                assert not rep.is_lattice_iso and not rep.ok, (k, names, held)
+    assert broken >= 40, broken
 
 
 @pytest.mark.parametrize("phi", [eps_map(), level_map()], ids=["eps", "level"])

@@ -56,7 +56,7 @@ def test_digest_payloads_match_json_dumps(tmp_path, monkeypatch, capsys):
         assert cli.main(argv) == 0, argv
         out = capsys.readouterr().out
         assert out == json.dumps(payloads[-1], indent=2) + "\n", argv
-    assert len(payloads) == len(jobs) == 31
+    assert len(payloads) == len(jobs) == 32
     for p in payloads:
         assert cli._dumps(p) == json.dumps(p, indent=2)
 
