@@ -21,17 +21,17 @@ def _digraph(name: str, nodes: list[tuple[str, str]], edges: list[tuple[str, str
     return "\n".join(lines) + "\n"
 
 
-def lattice_hasse_dot(lat: DLat, name: str = "lattice") -> str:
+def lattice_hasse_dot(lat: DLat) -> str:
     """Hasse diagram of the lattice itself (downset lattices are graded:
     y covers x iff x is y less one base point, so each element y has a
     lower cover for each point p of y whose removal leaves a downset)."""
     nodes = [(f"e{k}", lat.fmt(m)) for k, m in enumerate(lat.elements)]
     edges = [(f"e{lat.pos(y ^ 1 << p)}", f"e{l}")
              for l, y in enumerate(lat.elements) for p in bits(y) if y ^ 1 << p in lat]
-    return _digraph(name, nodes, sorted(edges))
+    return _digraph("lattice", nodes, sorted(edges))
 
 
-def spectrum_dot(spec: Spectrum, name: str = "spectrum") -> str:
+def spectrum_dot(spec: Spectrum) -> str:
     """Prime spectrum under inclusion; for an n-chain this is a path of
     n - 1 nodes.  The spectrum is the base relabelled, so its Hasse edges
     are the base covers."""
@@ -42,4 +42,4 @@ def spectrum_dot(spec: Spectrum, name: str = "spectrum") -> str:
         labels.append((f"p{k}", f"P{k}: {members}"))
     index = {p: k for k, p in enumerate(spec.points)}
     edges = [(f"p{index[i]}", f"p{index[j]}") for i, j in lat.base.covers()]
-    return _digraph(name, labels, sorted(edges))
+    return _digraph("spectrum", labels, sorted(edges))

@@ -6,13 +6,13 @@ or cannot arise from lattice-ordered groups and f-rings.  Both read the
 base posets through the dual point map φ, which every 0,1-homomorphism of
 finite distributive lattices has (f(x) = φ⁻¹[x]); ``LatHom`` finds φ while
 it certifies its table, and a 0-homomorphism has it on the points of
-f(1).  ``LatHom`` and ``is_closed`` certify first and scan in canonical
-order only where the certificate fails; ``is_convex`` always scans its
-triples.  A scan returns the least counterexample, so failure messages
-are reproducible across runs.  No scan searches for a witness inside a
-triple: closedness reads the principal ideal {x : f(x) ≤ b}, and
-convexity reads φ.  Cofinality is f(1) = 1, read once by ``LatHom``;
-``is_cofinal`` is its definitional test.
+f(1).  ``LatHom`` certifies first and scans its pairs in canonical order
+only where the certificate fails.  Neither ``is_closed`` nor ``is_convex``
+enumerates the codomain lattice: each condition is monotone in its last
+argument, so the least counterexample has a closed form on the base
+posets, and failure messages are reproducible across runs.  Cofinality
+is f(1) = 1, read once by ``LatHom``; ``is_cofinal`` is its definitional
+test.
 """
 
 from __future__ import annotations
@@ -123,14 +123,6 @@ class LatHom:
     def __call__(self, x: int) -> int:
         return self.table[self.dom.pos(self.dom.check_member(x))]
 
-    def preimage_generator(self, q: int) -> int:
-        """Generator of the principal ideal f⁻¹[↓q] (finite lattices only)."""
-        acc = self.dom.bottom
-        for i, x in enumerate(self.dom.elements):
-            if DLat.leq(self.table[i], q):
-                acc |= x
-        return acc
-
     def dual_point_map(self) -> tuple[int, ...]:
         """φ: cod base -> dom base with f(x) = {p : φ(p) ∈ x}.
 
@@ -236,6 +228,28 @@ def _goes_up(f: LatHom) -> bool:
     return True
 
 
+def _least_unclosed(f: LatHom) -> tuple[int, int, int]:
+    """The least triple (a0, a1, b) at which f is not closed.
+
+    f(a0) ≤ f(a1)∨b iff b ⊇ b* = ↓(f(a0)∖f(a1)), taken in the codomain
+    base.  The x with f(x) ≤ b form the principal ideal ↓g(b),
+    g(b) = {m : f(↓m) ⊆ b}, so the conclusion is a0 ≤ a1∨g(b), which is
+    monotone in b.  A pair therefore fails iff it fails at b*, and b* is
+    its least failing b in canonical order: every other one is larger.
+    Raises ``SelfCheckError`` when no pair fails.
+    """
+    dom, cdown = f.dom, f.cod.base.down
+    fd = [f.table[dom.pos(d)] for d in dom.base.down]
+    for a0, fa0 in zip(dom.elements, f.table):
+        for a1, fa1 in zip(dom.elements, f.table):
+            b = 0
+            for q in bits(fa0 & ~fa1):
+                b |= cdown[q]
+            if a0 & ~(a1 | sum(1 << m for m, v in enumerate(fd) if not v & ~b)):
+                return a0, a1, b
+    raise SelfCheckError("is_closed: a map that fails the going-up certificate is closed")
+
+
 def is_closed(f: LatHom) -> ClosedReport:
     """f(a0) ≤ f(a1)∨b always needs x with a0 ≤ a1∨x and f(x) ≤ b.
 
@@ -245,24 +259,17 @@ def is_closed(f: LatHom) -> ClosedReport:
     b ↦ b ∧ f(1) maps the codomain onto the downsets of f(1), so f is
     closed iff the 0,1-homomorphism onto ↓f(1) is, whose dual point map
     is φ on the points of f(1) (``_goes_up``).  That certifies a closed
-    map in O(n²).  Only a map that fails it gets the triple scan.  There
-    the x form the principal ideal ↓g(b), g = ``preimage_generator``, so
-    the condition is a0 ≤ a1∨g(b).  The returned witness is the first
-    failing triple (a0, a1, b) in canonical element order; a scan that
-    finds none raises ``SelfCheckError``.
+    map in O(n²).  Only a map that fails it gets the pair loop of
+    ``_least_unclosed``, which reads the least witness off the bases: the
+    x form the principal ideal ↓g(b), the hypothesis holds exactly for
+    b ⊇ b*, one b* per pair, and the conclusion a0 ≤ a1∨g(b) is monotone
+    in b, so the first pair that fails at its b* gives the first failing
+    triple (a0, a1, b*) in canonical element order.  A loop that finds
+    none raises ``SelfCheckError``.
     """
     if _goes_up(f):
         return ClosedReport(True)
-    dom, cod = f.dom, f.cod
-    gens = [f.preimage_generator(b) for b in cod.elements]
-    for i, a0 in enumerate(dom.elements):
-        fa0 = f.table[i]
-        for j, a1 in enumerate(dom.elements):
-            fa1 = f.table[j]
-            for b, g in zip(cod.elements, gens):
-                if fa0 | fa1 | b == fa1 | b and a0 | a1 | g != a1 | g:
-                    return ClosedReport(False, (a0, a1, b))
-    raise SelfCheckError("is_closed: a map that fails the going-up certificate is closed")
+    return ClosedReport(False, _least_unclosed(f))
 
 
 @frozen
@@ -273,37 +280,38 @@ class ConvexReport(Report):
 
 
 def is_convex(f: LatHom) -> ConvexReport:
-    """Prime-ideal interpolation test, exhaustive over (P, Q0, J).
+    """Prime-ideal interpolation test over (P, Q0, J), read on the bases.
 
     P ranges over Spec(dom), Q0 over Spec(cod), and J over all proper
     ideals of the codomain.  Ideals of a finite lattice are principal and
     named by their generators: the primes I_p = ↓(top∖↑p) and ↓j for
-    j ≠ top.  Each test is read on the base posets.  With U = top∖j,
-    I_q ⊆ ↓j iff U ⊆ ↑q; f⁻¹[I_q] = I_φ(q) for the dual point map φ; and
-    I_p ⊆ f⁻¹[↓j] iff p ≤ φ(u) for every u in U.  Requires a cofinal map.
+    j ≠ top.  With U = top∖j, I_q ⊆ ↓j iff U ⊆ ↑q; f⁻¹[I_q] = I_φ(q) for
+    the dual point map φ; and I_p ⊆ f⁻¹[↓j] iff U ⊆ A_p = {q : p ≤ φ(q)}.
+    So (p, q0, j) fails when φ(q0) ≤ p, U ⊆ S = ↑q0 ∩ A_p, and no q ≥ q0
+    has φ(q) = p and U ⊆ ↑q.  Failure is monotone in U: if U fails, so
+    does every larger U ⊆ S.  A pair (p, q0) thus fails iff S ≠ ∅ and no
+    q ∈ S has ↑q = S and φ(q) = p, and its least failing j in canonical
+    order is top∖S, the one of least popcount.  The pairs are visited in
+    canonical order, so the first failing pair gives the least witness.
+    Requires a cofinal map.
     """
     if not f.cofinal:
         raise CofinalityError("is_convex requires a cofinal homomorphism")
     phi = f.dual_point_map()
     dbase, cbase = f.dom.base, f.cod.base
-    dtop, ctop = f.dom.top, f.cod.top
+    dtop, ctop, cup = f.dom.top, f.cod.top, cbase.up
     dom_pts = sorted(range(dbase.n), key=lambda p: canon_key(dtop & ~dbase.up[p]))
-    cod_pts = sorted(range(cbase.n), key=lambda q: canon_key(ctop & ~cbase.up[q]))
-    proper = []  # (j, U, the points p with I_p ⊆ f⁻¹[↓j])
-    for j in f.cod.elements[:-1]:
-        u, below = ctop & ~j, dtop
-        for q in bits(u):
-            below &= dbase.down[phi[q]]
-        proper.append((j, u, below))
+    cod_pts = sorted(range(cbase.n), key=lambda q: canon_key(ctop & ~cup[q]))
+    above = [0] * dbase.n  # A_p
+    for q, m in enumerate(phi):
+        for p in bits(dbase.down[m]):
+            above[p] |= 1 << q
     for p in dom_pts:
         for q0 in cod_pts:
-            if not dbase.leq(phi[q0], p):
-                continue
-            for j, u, below in proper:
-                if u & ~cbase.up[q0] or not (below >> p) & 1:
-                    continue
-                if not any(phi[q] == p and u & ~cbase.up[q] == 0 for q in bits(cbase.up[q0])):
-                    return ConvexReport(False, (dtop & ~dbase.up[p], ctop & ~cbase.up[q0], j))
+            s = cup[q0] & above[p]
+            if (s and dbase.leq(phi[q0], p)
+                    and not any(phi[q] == p and cup[q] == s for q in bits(s))):
+                return ConvexReport(False, (dtop & ~dbase.up[p], ctop & ~cup[q0], ctop & ~s))
     return ConvexReport(True)
 
 

@@ -446,22 +446,21 @@ class ConvexKernelReport(Report):
                            and all(r.ok for r in self.stage_reports))
 
 
-def kernel_not_convex(max_stage: int = 2) -> ConvexKernelReport:
+def kernel_not_convex() -> ConvexKernelReport:
     """The dual of 1↦1, 2↦3 (a 4-chain → 3-chain map) is not convex.
 
     The map table is derived, not hard-coded: the generator-level poset map
     into the 3-element chain is dualized to S ↦ g⁻¹[S], and the result must
     be the level map (0, 1, 1, 2).  The almost-constant surjection between
     the matching condensates is verified to be a surjective 0,1-map on all
-    finite stages up to ``max_stage`` indices.
+    finite stages of 0, 1 and 2 indices.
     """
     phi = dual_hom_of_poset_map([0, 2], Poset.chain(2), Poset.chain(3))
     levels = tuple(phi.cod.pos(v) for v in phi.table)
     table_ok = levels == (0, 1, 1, 2)
     conv = is_convex(phi)
     acs = AlmostConstantSurjection(phi, IndexUniverse.countable())
-    stages = tuple(acs.verify_stage([f"i{t}" for t in range(k)])
-                   for k in range(max_stage + 1))
+    stages = tuple(acs.verify_stage([f"i{t}" for t in range(k)]) for k in range(3))
     return ConvexKernelReport(levels, table_ok, conv.convex, conv.witness or (),
                               stages, hom_census(phi))
 

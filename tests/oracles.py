@@ -51,7 +51,7 @@ def pl_ideal_eq(x: PLFun, y: PLFun) -> bool:
     return pl_ideal_leq(x, y).holds and pl_ideal_leq(y, x).holds
 
 
-def lattice_hasse_dot_by_pair_scan(lat: DLat, name: str = "lattice") -> str:
+def lattice_hasse_dot_by_pair_scan(lat: DLat) -> str:
     """``dot.lattice_hasse_dot`` with its covers found among all ordered
     pairs: y covers x iff x ⊂ y and they differ in one base point."""
     nodes = [(f"e{k}", lat.fmt(m)) for k, m in enumerate(lat.elements)]
@@ -60,4 +60,4 @@ def lattice_hasse_dot_by_pair_scan(lat: DLat, name: str = "lattice") -> str:
         for l, y in enumerate(lat.elements):
             if x != y and x | y == y and (y & ~x).bit_count() == 1:
                 edges.append((f"e{k}", f"e{l}"))
-    return _digraph(name, nodes, sorted(edges))
+    return _digraph("lattice", nodes, sorted(edges))

@@ -80,7 +80,7 @@ def test_criterion_03_closed_kernel():
 
 def test_criterion_04_convex_kernel():
     with criterion(4, "convex kernel: (0,1,1,2) not convex; stage surjections", 1.0):
-        rep = kernel_not_convex(max_stage=2)
+        rep = kernel_not_convex()
         assert rep.ok
         assert rep.phi_table == (0, 1, 1, 2)
         assert rep.phi_convex is False

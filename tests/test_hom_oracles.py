@@ -69,6 +69,15 @@ def oracle_is_closed(f: LatHom) -> ClosedReport:
     return ClosedReport(True)
 
 
+def preimage_generator(f: LatHom, q: int) -> int:
+    """Generator of the principal ideal f⁻¹[↓q] (finite lattices only)."""
+    acc = f.dom.bottom
+    for i, x in enumerate(f.dom.elements):
+        if DLat.leq(f.table[i], q):
+            acc |= x
+    return acc
+
+
 def oracle_is_convex(f: LatHom) -> ConvexReport:
     """Prime-ideal interpolation test, exhaustive over (P, Q0, J).
 
@@ -94,7 +103,7 @@ def oracle_is_convex(f: LatHom) -> ConvexReport:
     dom_primes = sorted((gen_of(sd, dom, k) for k in range(sd.n_points)), key=canon_key)
     cod_primes = sorted((gen_of(sc, cod, k) for k in range(sc.n_points)), key=canon_key)
     proper = [j for j in cod.elements if j != cod.top]
-    pregen = {q: f.preimage_generator(q) for q in cod.elements}
+    pregen = {q: preimage_generator(f, q) for q in cod.elements}
     for p in dom_primes:
         for q0 in cod_primes:
             for j in proper:
@@ -221,10 +230,10 @@ def test_closed_without_top_certified(homs, monkeypatch):
     closed = [f for f in homs if not f.preserves_top and oracle_is_closed(f).closed]
     assert len(closed) >= 150, len(closed)
 
-    def no_scan(self, q):
-        raise AssertionError("preimage_generator called: the triple scan ran")
+    def no_scan(f):
+        raise AssertionError("_least_unclosed called: the pair loop ran")
 
-    monkeypatch.setattr(LatHom, "preimage_generator", no_scan)
+    monkeypatch.setattr(homs_module, "_least_unclosed", no_scan)
     assert all(is_closed(f).closed for f in closed)
     # a scan that finds no witness is a bug whether or not f(1) = 1
     monkeypatch.undo()
@@ -317,16 +326,25 @@ def shuffled_poset(rng: random.Random, n: int) -> Poset:
 
 
 def test_convex_witnesses_on_shuffled_bases():
-    """Witnesses whose order differs from label order, on duals of monotone maps."""
-    rng = random.Random(7_2027)
-    not_convex = 0
+    """Witnesses whose order differs from label order, on duals of monotone maps.
+
+    The closed test runs on each dual map f and on the 0-hom x ↦ f(x) ∧ c,
+    so its pair loop meets bases whose labels are no linear extension.
+    """
+    rng, crng = random.Random(7_2027), random.Random(7_2029)
+    not_convex = not_closed = 0
     for _ in range(1000):
         p, q = shuffled_poset(rng, rng.randint(1, 6)), shuffled_poset(rng, rng.randint(1, 6))
         f = dual_hom_of_poset_map(random_monotone_map(rng, p, q), p, q)
         rep = is_convex(f)
         assert rep == oracle_is_convex(f), (p, q, f.table)
         not_convex += not rep.convex
-    assert not_convex >= 60, not_convex
+        c = crng.choice(f.cod.elements)
+        for g in (f, LatHom(f.dom, f.cod, [v & c for v in f.table])):
+            rep = is_closed(g)
+            assert rep == oracle_is_closed(g), (p, q, g.table)
+            not_closed += not rep.closed
+    assert not_convex >= 60 and not_closed >= 500, (not_convex, not_closed)
 
 
 def as_masks(res):

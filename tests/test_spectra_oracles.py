@@ -119,7 +119,7 @@ def oracle_stone_unit_check(lat: DLat, spec: OracleSpectrum) -> StoneUnitReport:
     return StoneUnitReport(not fails, tuple(fails))
 
 
-def oracle_spectrum_dot(spec: OracleSpectrum, name: str = "spectrum") -> str:
+def oracle_spectrum_dot(spec: OracleSpectrum) -> str:
     """Prime spectrum under inclusion; for an n-chain this is a path of
     n - 1 nodes."""
     lat = spec.lattice
@@ -136,7 +136,7 @@ def oracle_spectrum_dot(spec: OracleSpectrum, name: str = "spectrum") -> str:
                                  and spec.point_leq(k, j) for k in range(spec.n_points))
             if not strict_between:
                 edges.append((f"p{i}", f"p{j}"))
-    return _digraph(name, labels, sorted(edges))
+    return _digraph("spectrum", labels, sorted(edges))
 
 
 # -- the two forms side by side -----------------------------------------------
