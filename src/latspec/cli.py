@@ -156,8 +156,8 @@ def cmd_v0_expand(args) -> int:
     dl = expand_v0(lat)
     tri = dl.triangle_violations(limit=5)
     name = _names(lat)
-    table = [[name[x], name[y], name[dl.diff(x, y)]]
-             for x in lat.elements for y in lat.elements]
+    table = [[name[x], name[y], name[d]]
+             for x in lat.elements for y, d in zip(lat.elements, dl.row(x))]
     triples = [[name[a] for a in t] for t in tri]
     payload = {
         "size": lat.size,

@@ -19,22 +19,29 @@ table satisfies the triangle law x∖z ≤ (x∖y)∨(y∖z), because
 ↓(x∖z) ⊆ ↓(x∖y) ∪ ↓(y∖z); pinned tables need not, so the law is still
 measured (``DiffLattice.triangle_violations``), never assumed.
 
-So a table is the least-splitting table plus its exceptions: a
-``DiffLattice`` keeps every entry and the set of hot pairs, those whose
-entry is not ↓(x∖y) or, on a lattice that is not completely normal, whose
-least entries meet.  Every other pair satisfies both identities, so
-``check_identities`` reads only the hot pairs and their transposes.  The
-inclusion above bounds the triangle count too: an entry satisfying
-(x∧y)∨d = x holds x∖y and, being a downset, ↓(x∖y).  So on a table that
-satisfies the identities, a triple can fail only where d(x, z) is above the
-least entry ↓(x∖z), that is at a hot pair (x, z), and only those z are
-scanned.  ``expand_v0`` lays pins over the least table in one pass over
-the pairs, and its hot pairs are the pins that differ from their least
-entry.
+A table is stored as packed rows (SWAR: one big-integer operation acts on
+every field of a word; Lamport, CACM 18(8), 1975).  Each element x_k owns
+a field of w = max(|base|, 1) bits, and the row of x holds d(x, x_k) in
+field k, the column of x holds d(x_k, x).  The least-splitting table is
+built from two words per base point (``_least_table``), so ``expand_v0``
+reads the least entries of a whole row at once, checks every least
+splitting with one AND per row, and lays its pins over row and column
+fields.  ``check_identities`` tests every pair of a row with two row
+operations.  The hot pairs of a ``DiffLattice`` are those whose entry is
+not ↓(x∖y) or, on a lattice that is not completely normal, whose least
+entries meet; ``expand_v0``'s are the pins that differ from their least
+entry.  They bound the triangle scan: an entry satisfying (x∧y)∨d = x
+holds x∖y and, being a downset, ↓(x∖y), so on a table that satisfies
+the identities a triple can fail only where d(x, z) is above the least
+entry ↓(x∖z), that is at a hot pair (x, z).  Each such pair is tested
+against every y in one word.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import groupby
+from operator import itemgetter, or_
 from typing import Mapping, Sequence
 
 from .order import DLat, LatticeError, SelfCheckError, bits, canon_key
@@ -162,92 +169,182 @@ def refinement_witness(lat: DLat, family: Sequence[int]) -> RefinementWitness | 
     return w
 
 
-class DiffLattice:
-    """A DLat with a total difference table: least splittings plus exceptions.
+def _least_table(lat: DLat) -> tuple[tuple[int, int, int], list[int], list[int]]:
+    """The packing of ``lat`` and its least-splitting table as packed rows.
 
-    ``_diff`` holds every entry, so a read is one lookup.  ``_hot`` holds
-    the pairs that the least-splitting argument does not cover: those whose
-    entry is not ↓(x∖y), and those with ↓(x∖y)∧↓(y∖x) ≠ 0, which only a
-    table on a lattice that is not completely normal can have.  Every other
-    pair holds ↓(x∖y) and satisfies both identities, so the scans read
-    their exceptions off ``_hot``.  The identities are checked by
+    Fields are w = max(|base|, 1) bits wide, and field k of a word belongs
+    to the element x_k; ``ones`` has a 1 at the bottom of every field, and
+    ``packed`` holds x_k in field k.  For a base point p, A_p holds ↓p in
+    the fields of the x_k without p, and B_p in those of the x_k with p.
+    The least row of x, the OR of A_p over p ∈ x, holds ↓(x∖x_k) in field
+    k; the least column, the OR of B_p over p ∉ x, holds ↓(x_k∖x).
+    Returns ((w, ones, packed), rows, columns), rows and columns in the
+    canonical order of the elements.
+    """
+    els, down = lat.elements, lat.base.down
+    w = max(lat.base.n, 1)
+    ones = ((1 << w * len(els)) - 1) // ((1 << w) - 1)
+    packed = sum(map(int.__lshift__, els, range(0, w * len(els), w)))
+    a, b = [], []
+    for p, dp in enumerate(down):
+        has_p = (packed >> p) & ones
+        a.append(dp * (ones ^ has_p))
+        b.append(dp * has_p)
+    return (w, ones, packed), _or_rows(a, els), _or_rows(b, [lat.top ^ x for x in els])
+
+
+def _or_rows(words: list[int], masks: Sequence[int]) -> list[int]:
+    """For each mask, the OR of ``words[p]`` over its bits p.
+
+    Each run of eight words gets a table of the ORs of all its subsets,
+    indexed by the subset's bits, so a mask costs one lookup per run.
+    """
+    out = [0] * len(masks)
+    for s in range(0, len(words), 8):
+        table = [0]
+        for v in words[s:s + 8]:
+            table += [t | v for t in table]
+        out = [r | table[(m >> s) & 255] for r, m in zip(out, masks)]
+    return out
+
+
+def _nonzero_fields(v: int, w: int, ones: int) -> int:
+    """The bottom bit of every field of ``v`` that is nonzero, and no other bit."""
+    span = 1
+    while 2 * span <= w:
+        v |= v >> span  # bit j now ORs bits j .. j+2·span-1
+        span *= 2
+    return (v | v >> (w - span)) & ones  # two windows of span cover bits j .. j+w-1
+
+
+def _lowest_field(v: int, w: int) -> int:
+    """Index of the lowest nonzero field of a nonzero ``v``."""
+    return ((v & -v).bit_length() - 1) // w
+
+
+class DiffLattice:
+    """A DLat with a total difference table, stored as packed rows.
+
+    ``_diff[i]`` holds d(x_i, x_k) in field k and ``_cols[i]`` holds
+    d(x_k, x_i), in the fields of ``_least_table``, so one big-integer
+    operation reads or tests a whole row.  ``_hot`` holds the pairs that
+    the least-splitting argument does not cover: those whose entry is not
+    ↓(x∖y), and those with ↓(x∖y)∧↓(y∖x) ≠ 0, which only a table on a
+    lattice that is not completely normal can have.  The triangle scan
+    reads its exceptions off ``_hot``.  The identities are checked by
     ``check_identities``, not here.
     """
 
-    __slots__ = ("lat", "_diff", "_hot")
+    __slots__ = ("lat", "_w", "_ones", "_packed", "_diff", "_cols", "_hot")
 
     def __init__(self, lat: DLat, diff: Mapping[tuple[int, int], int]):
-        self.lat = lat
-        self._diff = dict(diff)
-        self._hot = set()
-        for x in lat.elements:
-            for y in lat.elements:
-                d = self._diff.get((x, y))
+        shape, least_rows, least_cols = _least_table(lat)
+        w, ones, _ = shape
+        els = lat.elements
+        rows, cols = [0] * len(els), [0] * len(els)
+        for i, x in enumerate(els):
+            for k, y in enumerate(els):
+                d = diff.get((x, y))
                 if d is None:
                     raise LatticeError(f"difference table missing entry ({x}, {y})")
                 if d not in lat:
                     raise LatticeError(f"difference entry ({x}, {y}) = {d:#x} is not an element")
-                least = _down(lat, x & ~y)
-                if d != least or least & _down(lat, y & ~x):
-                    self._hot.add((x, y))
+                rows[i] |= d << w * k
+                cols[k] |= d << w * i
+        hot = set()
+        for i, (row, least, least_col) in enumerate(zip(rows, least_rows, least_cols)):
+            for f in bits(_nonzero_fields((row ^ least) | (least & least_col), w, ones)):
+                hot.add((els[i], els[f // w]))
+        self._fill(lat, shape, rows, cols, hot)
+
+    def _fill(self, lat: DLat, shape: tuple[int, int, int], rows: list[int], cols: list[int],
+              hot: set) -> None:
+        self.lat, (self._w, self._ones, self._packed) = lat, shape
+        self._diff, self._cols, self._hot = rows, cols, hot
 
     @classmethod
-    def _trusted(cls, lat: DLat, diff: dict, hot: set) -> "DiffLattice":
+    def _trusted(cls, lat: DLat, shape: tuple[int, int, int], rows: list[int], cols: list[int],
+                 hot: set) -> "DiffLattice":
         """A table whose entries the caller guarantees: set the slots, check nothing."""
         dl = object.__new__(cls)
-        dl.lat, dl._diff, dl._hot = lat, diff, hot
+        dl._fill(lat, shape, rows, cols, hot)
         return dl
 
     def diff(self, x: int, y: int) -> int:
-        return self._diff[x, y]
+        pos, w = self.lat.pos, self._w
+        return (self._diff[pos(x)] >> w * pos(y)) & ((1 << w) - 1)
+
+    def row(self, x: int, at: Sequence[int] | None = None) -> list[int]:
+        """The entries d(x, y), y in the canonical order of the elements or at positions ``at``."""
+        row, w = self._diff[self.lat.pos(x)], self._w
+        return [(row >> w * k) & ((1 << w) - 1) for k in (range(self.lat.size) if at is None else at)]
 
     def check_identities(self) -> tuple[int, int] | None:
         """Least pair violating either identity, or None.
 
-        Exact from the hot pairs and their transposes alone: any other pair
-        holds ↓(x∖y) and ↓(y∖x), which are orthogonal, and
-        (x∧y)∨↓(x∖y) = x because ↓(x∖y) ⊆ x.
+        Two row operations per element x test every pair (x, y) at once:
+        field k of ((x·ones ∧ packed) ∨ row) is (x∧x_k)∨d(x, x_k), which
+        must be x, and field k of row ∧ column is d(x, x_k)∧d(x_k, x), which
+        must be 0.  The least failing pair is the lowest nonzero field of
+        the first failing row.
         """
-        diff, pos = self._diff, self.lat.pos
-        pairs = self._hot | {(y, x) for x, y in self._hot}
-        for x, y in sorted(pairs, key=lambda p: (pos(p[0]), pos(p[1]))):
-            d = diff[x, y]
-            if (x & y) | d != x or d & diff[y, x] != 0:
-                return (x, y)
+        els, w, ones, packed = self.lat.elements, self._w, self._ones, self._packed
+        for x, row, col in zip(els, self._diff, self._cols):
+            xs = x * ones
+            bad = (((xs & packed) | row) ^ xs) | (row & col)
+            if bad:
+                return x, els[_lowest_field(bad, w)]
         return None
+
+    def _violation_words(self):
+        """(i, k, v) with v ≠ 0 per pair (x_i, x_k) that can fail the triangle law.
+
+        Field j of v is d(x_i, x_k) minus d(x_i, x_j)∨d(x_j, x_k), so its
+        nonzero fields are the y = x_j of the triples (x_i, y, x_k) that
+        fail.  When every entry satisfies the identities, d(x, y) ⊇ ↓(x∖y)
+        for every pair, so a z with d(x, z) = ↓(x∖z) gives d(x, z) ⊆
+        ↓(x∖y) ∪ ↓(y∖z) ⊆ d(x, y)∨d(y, z) for every y: only the hot pairs
+        (x, z) are read.  When an identity fails, every pair is.  Pairs
+        come in canonical order.
+        """
+        rows, cols, w, ones = self._diff, self._cols, self._w, self._ones
+        if self.check_identities() is None:
+            pos = self.lat.pos
+            pairs = sorted((pos(x), pos(z)) for x, z in self._hot)
+        else:
+            pairs = ((i, k) for i in range(len(rows)) for k in range(len(rows)))
+        for i, k in pairs:
+            row = rows[i]
+            v = ((row >> w * k) & ((1 << w) - 1)) * ones & ~(row | cols[k])
+            if v:
+                yield i, k, v
 
     def triangle_violations(self, limit: int | None = None) -> list[tuple[int, int, int]]:
         """Triples (x, y, z) with x∖z ≰ (x∖y)∨(y∖z), in canonical order.
 
         Reported, not asserted: the canonical least-splitting table has none,
         but a table with pinned entries, like the cube replay's inherited
-        ones, can have some.  When every entry satisfies the identities,
-        d(x, y) ⊇ ↓(x∖y) for every pair, so a z with d(x, z) = ↓(x∖z) gives
-        d(x, z) ⊆ ↓(x∖y) ∪ ↓(y∖z) ⊆ d(x, y)∨d(y, z) for every y.  The other
-        z are the hot pairs (x, z), scanned in the same order, so the list
-        and the ``limit`` cut-off are those of the full scan, which runs
-        when an identity fails.
+        ones, can have some.  Each word of ``_violation_words`` tests one
+        pair (x, z) against every y at once; the words of a row x are read
+        y by y and, for each y, z by z, so the list and the ``limit``
+        cut-off are those of the scan of every triple.
         """
-        lat, diff = self.lat, self._diff
-        els = lat.elements
-        if self.check_identities() is None:
-            hot: dict[int, list[int]] = {}
-            for x, z in sorted(self._hot, key=lambda p: (lat.pos(p[0]), lat.pos(p[1]))):
-                hot.setdefault(x, []).append(z)
-        else:
-            hot = dict.fromkeys(els, els)
+        els, w, ones, field = self.lat.elements, self._w, self._ones, (1 << self._w) - 1
         out = []
-        for x, zs in hot.items():
-            for y in els:
-                dxy = diff[x, y]
-                for z in zs:
-                    d = diff[x, z]
-                    bound = dxy | diff[y, z]
-                    if d | bound != bound:
-                        out.append((x, y, z))
+        for i, words in groupby(self._violation_words(), itemgetter(0)):
+            words = [(k, v) for _, k, v in words]
+            for b in bits(reduce(or_, (_nonzero_fields(v, w, ones) for _, v in words))):
+                for k, v in words:
+                    if (v >> b) & field:
+                        out.append((els[i], els[b // w], els[k]))
                         if limit is not None and len(out) >= limit:
                             return out
         return out
+
+    def triangle_count(self) -> int:
+        """``len(self.triangle_violations())``, counted off the words without the triples."""
+        w, ones = self._w, self._ones
+        return sum(_nonzero_fields(v, w, ones).bit_count() for _, _, v in self._violation_words())
 
 
 def expand_v0(lat: DLat, pinned: Mapping[tuple[int, int], int] | None = None) -> DiffLattice:
@@ -259,7 +356,9 @@ def expand_v0(lat: DLat, pinned: Mapping[tuple[int, int], int] | None = None) ->
     least splitting (↓(x∖y), ↓(y∖x)) where it is not pinned, so the partner
     of a half-pinned pair is its least consistent one: every partner holds
     the other half of the least splitting, and there is none when that half
-    meets the pin.  The pins that differ from their least entry are hot.
+    meets the pin.  Of several such conflicts the least pair, in the order
+    (x_i, x_k) with k ≥ i, is reported.  The pins that differ from their
+    least entry are hot.
     """
     pins = dict(pinned or {})
     for (x, y), d in pins.items():
@@ -275,21 +374,27 @@ def expand_v0(lat: DLat, pinned: Mapping[tuple[int, int], int] | None = None) ->
     cn = is_completely_normal(lat)
     if not cn.completely_normal:
         raise NotCompletelyNormalError(lat, cn.witness)
-    table, hot, els = {}, set(), lat.elements
-    for i, x in enumerate(els):
-        for y in els[i:]:
-            cx, cy = _down(lat, x & ~y), _down(lat, y & ~x)
-            if cx & cy:
-                raise SelfCheckError(f"no splitting of ({lat.fmt(x)}, {lat.fmt(y)}) "
-                                     "in a lattice found completely normal")
-            dx, dy = pins.get((x, y), cx), pins.get((y, x), cy)
-            if dx & dy:  # only one side is pinned: two pins were checked above
-                u, v, d = (x, y, dx) if (x, y) in pins else (y, x, dy)
-                raise PinConflictError(
-                    f"pinned {lat.fmt(u)}∖{lat.fmt(v)} = {lat.fmt(d)} admits no consistent partner")
-            table[x, y], table[y, x] = dx, dy
-            if dx != cx:
-                hot.add((x, y))
-            if dy != cy:
-                hot.add((y, x))
-    return DiffLattice._trusted(lat, table, hot)
+    shape, rows, cols = _least_table(lat)
+    w, els, pos, field = shape[0], lat.elements, lat.pos, (1 << shape[0]) - 1
+    for i, (row, col) in enumerate(zip(rows, cols)):
+        if row & col:  # the first such row meets its least partner at some x_k, k > i
+            raise SelfCheckError(f"no splitting of ({lat.fmt(els[i])}, "
+                                 f"{lat.fmt(els[_lowest_field(row & col, w)])}) "
+                                 "in a lattice found completely normal")
+    table, transpose, hot, conflict = rows[:], cols[:], set(), None
+    for (x, y), d in pins.items():
+        i, k = pos(x), pos(y)
+        least = (rows[i] >> w * k) & field
+        if d != least:
+            table[i] ^= (d ^ least) << w * k
+            transpose[k] ^= (d ^ least) << w * i
+            hot.add((x, y))
+        # a half pin meets its partner's least entry ↓(y∖x), field k of column i
+        if (y, x) not in pins and d & (cols[i] >> w * k):
+            key = (min(i, k), max(i, k), x, y, d)
+            conflict = min(conflict or key, key)
+    if conflict:
+        _, _, x, y, d = conflict
+        raise PinConflictError(
+            f"pinned {lat.fmt(x)}∖{lat.fmt(y)} = {lat.fmt(d)} admits no consistent partner")
+    return DiffLattice._trusted(lat, shape, table, transpose, hot)

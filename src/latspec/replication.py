@@ -230,8 +230,7 @@ def expand_cube_v0(cube: CubeDiagram, rep: CubeReport | None = None) -> tuple[di
                 continue
             dq = expanded[q]
             for x1, y1 in img.items():
-                for x2, y2 in img.items():
-                    d = img[dq.diff(x1, x2)]
+                for y2, d in zip(img.values(), map(img.__getitem__, dq.row(x1))):
                     if pins.setdefault((y1, y2), d) != d:
                         raise LatticeError(
                             f"inherited assignment conflict at {sorted(p)}: pair ({y1}, {y2}) "
@@ -246,12 +245,14 @@ def expand_cube_v0(cube: CubeDiagram, rep: CubeReport | None = None) -> tuple[di
     preserve = True
     for (p, q), img in imgs.items():
         dp, dq = expanded[p], expanded[q]
-        bad = next(((x1, x2) for x1 in img for x2 in img
-                    if img[dp.diff(x1, x2)] != dq.diff(img[x1], img[x2])), None)
+        at = list(map(dq.lat.pos, img.values()))
+        bad = next(((x1, x2) for x1, y1 in img.items()
+                    for x2, d, e in zip(img, dp.row(x1), dq.row(y1, at))
+                    if img[d] != e), None)
         if bad is not None:
             preserve = False
             fails.append(f"map {sorted(p)}->{sorted(q)} does not preserve the difference at {bad}")
-    tri = sum(len(expanded[p].triangle_violations()) for p in NODES)
+    tri = sum(expanded[p].triangle_count() for p in NODES)
     return expanded, CubeV0Report(identities_ok, preserve, tuple(checked), tri, tuple(fails))
 
 
@@ -289,7 +290,8 @@ def generated_subalgebra(dl: DiffLattice, gens: list[int]) -> set[int]:
     """Closure of {0, 1} ∪ gens under join, meet, and the difference.
 
     A worklist: each element, when taken, is combined once with itself and
-    every element taken before it.
+    every element taken before it.  It stops as soon as the closure holds
+    every element of the lattice.
     """
     lat = dl.lat
     out = {lat.bottom, lat.top, *gens}
@@ -302,6 +304,8 @@ def generated_subalgebra(dl: DiffLattice, gens: list[int]) -> set[int]:
                 if z not in out:
                     out.add(z)
                     todo.append(z)
+                    if len(out) == lat.size:
+                        return out
     return out
 
 

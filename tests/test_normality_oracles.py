@@ -133,16 +133,18 @@ def oracle_least_partner(lat: DLat, x: int, y: int, d: int) -> int:
         f"pinned {lat.fmt(x)}∖{lat.fmt(y)} = {lat.fmt(d)} admits no consistent partner")
 
 
-def oracle_triangle_violations(dl: DiffLattice, limit: int | None = None
-                               ) -> list[tuple[int, int, int]]:
-    """Triples (x, y, z) with x∖z ≰ (x∖y)∨(y∖z), scanning every triple."""
+def oracle_triangle_violations(dl: DiffLattice, limit: int | None = None,
+                               xs: set[int] | None = None) -> list[tuple[int, int, int]]:
+    """Triples (x, y, z) with x∖z ≰ (x∖y)∨(y∖z), scanning every triple, or
+    every triple whose x is in ``xs``."""
     out = []
     els = dl.lat.elements
-    for x in els:
+    diff = {(x, y): dl.diff(x, y) for x in els for y in els}
+    for x in els if xs is None else [x for x in els if x in xs]:
         for y in els:
             for z in els:
-                d = dl.diff(x, z)
-                bound = dl.diff(x, y) | dl.diff(y, z)
+                d = diff[x, z]
+                bound = diff[x, y] | diff[y, z]
                 if d | bound != bound:
                     out.append((x, y, z))
                     if limit is not None and len(out) >= limit:
@@ -353,12 +355,24 @@ def test_round_trip_failure_is_a_bug(tmp_path, monkeypatch):
 
 # -- the triangle scan ------------------------------------------------------
 
-def assert_triangles_match(dl: DiffLattice) -> list[tuple[int, int, int]]:
-    """The scan agrees with the oracle with no limit and with limits 1 and 5."""
-    full = oracle_triangle_violations(dl)
-    assert dl.triangle_violations() == full, dl.lat
+def assert_triangles_match(dl: DiffLattice, xs: set[int] | None = None) -> list[tuple[int, int, int]]:
+    """The scan agrees with the oracle with no limit and with limits 1 and 5,
+    and the count with the list.  With ``xs`` the oracle scans only the rows
+    x in ``xs``, which must hold the rows of the first five triples, so the
+    cut lists are the first triples of the oracle's."""
+    got = dl.triangle_violations()
+    assert dl.triangle_count() == len(got), dl.lat
+    if xs is None:
+        full = oracle_triangle_violations(dl)
+        assert got == full, dl.lat
+        for limit in (1, 5):
+            assert dl.triangle_violations(limit) == oracle_triangle_violations(dl, limit), (dl.lat, limit)
+        return full
+    assert {x for x, _, _ in got[:5]} <= xs, dl.lat
+    full = oracle_triangle_violations(dl, None, xs)
+    assert [t for t in got if t[0] in xs] == full, dl.lat
     for limit in (1, 5):
-        assert dl.triangle_violations(limit) == oracle_triangle_violations(dl, limit), (dl.lat, limit)
+        assert dl.triangle_violations(limit) == full[:limit], (dl.lat, limit)
     return full
 
 
@@ -635,6 +649,62 @@ def test_expand_v0_builds_no_splitting(monkeypatch):
     monkeypatch.setattr(normality, "_down", refuse)
     assert plain.check_identities() is None and plain.triangle_violations() == []
     assert sum(len(again[p].triangle_violations()) for p in NODES) == rep.triangle_violations == 805
+
+
+def assert_packed(dl: DiffLattice) -> None:
+    """Every entry read off the rows and off the columns, in ``w``-bit fields."""
+    lat, w = dl.lat, dl._w
+    assert w == max(lat.base.n, 1)
+    for i, x in enumerate(lat.elements):
+        assert dl.row(x) == [dl.diff(x, y) for y in lat.elements]
+        assert dl._diff[i] >> w * lat.size == 0 and dl._cols[i] >> w * lat.size == 0
+        for k, y in enumerate(lat.elements):
+            assert (dl._cols[k] >> w * i) & ((1 << w) - 1) == dl.diff(x, y), (lat, x, y)
+
+
+def _partnered_pins(rng: random.Random, lat: DLat, k: int) -> dict[tuple[int, int], int]:
+    """``k`` pins x∖y = d, each missing the least partner ↓(y∖x), so none conflicts."""
+    els, pins = lat.elements, {}
+    while len(pins) < k:
+        x, y = rng.sample(els, 2)
+        if (y, x) not in pins:
+            partner = least_entry(lat, y, x)
+            pins[x, y] = rng.choice([d for d in els if (x & y) | d == x and d & partner == 0])
+    return pins
+
+
+def test_packed_tables_at_the_extremes_match_oracles(lattices):
+    # fields of one bit on the one-element lattice, 256 fields of twelve bits
+    # on the chain product 4x4x4x4, and small lattices from the corpus: the
+    # canonical table, pinned tables and corrupted ones.  On the big lattice
+    # the triangle oracle scans the rows of the hot pairs, the rows of the
+    # first five triples and two more rows
+    one, big = chain_lattice(1), chain_product([4, 4, 4, 4])[0]
+    assert (one.size, one.base.n, big.size, big.base.n) == (1, 0, 256, 12)
+    rng = random.Random(72)
+    cases = [(one, {}), (big, {}), (big, _partnered_pins(rng, big, 6))]
+    for lat in lattices[:60]:
+        cases += [(lat, {}), (lat, _random_pins(rng, lat, rng.randint(1, 6)))]
+    tables = violating = broken = 0
+    for lat, pins in cases:
+        got = assert_tables_match(lat, pins)
+        if not isinstance(got, DiffLattice):
+            continue
+        table = {(x, y): got.diff(x, y) for x in lat.elements for y in lat.elements}
+        if pins:
+            table[rng.choice(lat.elements), rng.choice(lat.elements)] = rng.choice(lat.elements)
+        for dl in (got, DiffLattice(lat, table)):
+            assert_packed(dl)
+            if dl is not got:  # assert_tables_match checked the identities of got
+                assert dl.check_identities() == oracle_check_identities(dl)
+            xs = None
+            if lat is big:
+                xs = {x for x, _ in dl._hot} | {x for x, _, _ in dl.triangle_violations(5)}
+                xs |= set(rng.sample(lat.elements, 2))
+            violating += bool(assert_triangles_match(dl, xs))
+            broken += dl.check_identities() is not None
+            tables += 1
+    assert tables >= 100 and violating >= 30 and broken >= 20, (tables, violating, broken)
 
 
 # -- the cube replay ----------------------------------------------------------
