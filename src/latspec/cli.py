@@ -28,7 +28,7 @@ from .lexgroup import LEX_OPS, LexError, glambda_op, orthogonal_set_check, way_b
 from .normality import expand_v0, is_completely_normal, refinement_witness
 from .order import LatticeError, birkhoff_round_trip
 from .plfun import (PLError, pl_abs, pl_eval, pl_ideal_leq_abs, pl_scale, pl_sum,
-                    support_connected)
+                    pl_values, support_connected)
 from .replication import (kernel_not_closed, kernel_not_convex, replicate_all,
                           build_cube, expand_cube_v0, run_rho_contradiction,
                           verify_cube)
@@ -237,17 +237,9 @@ def cmd_pl(args) -> int:
         else:
             lines.append(f"witness direction with |y| = 0 < |x|: {res.witness}")
         if args.samples and res.holds:
-            rng = random.Random(args.seed)
             # |f| > bound·|g| at a point iff h = |f| - bound·|g| is positive there
             h = pl_sum((fa, pl_scale(-res.bound, ga)))
-            bad = 0
-            for _ in range(args.samples):
-                a, b = rng.randrange(10 ** 6 + 1), 1 + rng.randrange(1000)
-                c, d = rng.randrange(10 ** 6 + 1), 1 + rng.randrange(1000)
-                # the sample point is (a/b, c/d); h is positively homogeneous
-                # and b·d > 0, so its sign at (a·d, c·b) is exact
-                if pl_eval(h, a * d, c * b) > 0:
-                    bad += 1
+            bad = sum(v > 0 for v in pl_values(h, _sample_points(args.seed, args.samples)))
             payload["samples"] = args.samples
             payload["seed"] = args.seed
             payload["sample_failures"] = bad
@@ -258,6 +250,29 @@ def cmd_pl(args) -> int:
     conn = support_connected(f)
     _emit(args, {"connected": conn}, [f"support connected: {conn}"])
     return 0
+
+
+def _sample_points(seed: int, samples: int):
+    """The sample points of ``pl ideal-leq --samples``, one at a time.
+
+    A point (a/b, c/d) has a, c in [0, 10**6] and b, d in [1, 1000], drawn
+    as ``randrange`` draws them, straight from ``getrandbits``.  It is
+    given as (a·d, c·b): the function sampled is positively homogeneous
+    and b·d > 0, so its sign there is its sign at (a/b, c/d).
+    """
+    getrandbits = random.Random(seed).getrandbits
+
+    def below(n, k):
+        # randrange(n) as CPython draws it: k = n.bit_length() bits, drawn again while ≥ n
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    for _ in range(samples):
+        a, b = below(10 ** 6 + 1, 20), 1 + below(1000, 10)
+        c, d = below(10 ** 6 + 1, 20), 1 + below(1000, 10)
+        yield a * d, c * b
 
 
 def cmd_glambda(args) -> int:

@@ -44,7 +44,10 @@ from its first kink on.  The atoms are pairs (``plfun.PL_ATOMS``), and the
 ``pl_*`` functions keep a pair a pair until a kink; a pair is lifted to
 its one-cone fan (``plfun.as_fan``) by a function whose other operand is
 a ``PLFun``, on entering a lex ``(pl ...)`` frame, and at the end of a PL
-term.  Terms have no depth limit: the parser is iterative.
+term.  Terms have no depth limit: the parser is iterative.  It keeps the
+open frame in locals and looks each ``(op``'s rule up in its grammar's
+rule dicts, whose values stay the module-level functions, and it reads a
+scaled atom ``(NAT atom)`` of the PL grammar in one step.
 """
 
 from __future__ import annotations
@@ -252,26 +255,30 @@ def parse_glambda_term(text: str, chain_len: int) -> LexPL:
 def _parse_term(text: str, n: int | None):
     """One prefix term: a PL term when ``n`` is None, else a lex term over n.
 
-    The parser is iterative, so terms have no depth limit.  Each open
-    ``(op`` is a frame ``[fn, arity, operands, lex]`` on an explicit stack,
-    read off its grammar's frame tables by ``_frame``: ``arity`` is None
-    for a fold, whose ``fn`` (from ``plfun.PL_FOLD``) takes all its
-    operands at once when its ``)`` closes it, and ``lex`` says whether the
-    frame's operands are lex terms or PL terms.  A scalar ``(NAT`` is a
+    The parser is iterative, so terms have no depth limit.  The open
+    ``(op`` frame lives in locals: its rule ``fn`` and ``arity``, looked up
+    in its grammar's ``_*_RULES`` and ``_*_ARITY`` dicts, its operands
+    ``args``, and ``lex``, which says whether they are lex or PL terms.
+    Opening a frame pushes the one around it, so the stack holds only
+    suspended frames; outside every frame ``args`` is None.  ``arity`` is
+    None for a fold, whose ``fn`` (from ``plfun.PL_FOLD``) takes all its
+    operands at once when its ``)`` closes it.  A scalar ``(NAT`` is a
     frame of arity 2 that starts with the scalar as its first operand, and
-    a lex ``(pl`` frame one that starts with the chain length.  PL operands
-    are ``plfun`` term values: the int pair (m, n) of a linear subterm,
-    else a ``PLFun``.  The ``pl_*`` functions of ``PL_OPS`` and ``PL_FOLD``
-    combine them (lifting a pair whose other operand is a ``PLFun``), and
-    the parser itself lifts a pair (``as_fan``) only as the operand of a
-    lex ``(pl`` frame or as the value of a whole PL term.
+    a lex ``(pl`` frame one that starts with the chain length.  In the PL
+    grammar, ``(NAT atom)`` is read in one step as ``pl_scale(NAT, atom)``.
+    PL operands are ``plfun`` term values: the int pair (m, n) of a linear
+    subterm, else a ``PLFun``.  The ``pl_*`` functions of ``PL_OPS`` and
+    ``PL_FOLD`` combine them (lifting a pair whose other operand is a
+    ``PLFun``), and the parser itself lifts a pair (``as_fan``) only as the
+    operand of a lex ``(pl`` frame or as the value of a whole PL term.
     The tokens are read without their positions: an error finds its
     1-based column by reading the text again (``_column``), and one at the
     end of the input has none.
     """
     toks = _TOKEN.findall(text)
     toks.append(None)
-    stack: list[list] = []
+    stack: list[tuple] = []  # the suspended frames, each (fn, arity, args, lex)
+    fn = arity = args = None
     lex = n is not None
     k = 0
     while True:
@@ -284,13 +291,22 @@ def _parse_term(text: str, n: int | None):
             k += 1
             if op is None:
                 raise ParseError("unexpected end of term")
-            frame = _frame(op, lex, n)
-            if frame is None:
-                raise ParseError(f"unknown operation {op!r}", col=_column(text, k - 1))
-            stack.append(frame)
-            lex = frame[3]
-            continue
-        if not lex and tok in PL_ATOMS:
+            if not lex and toks[k] in PL_ATOMS and toks[k + 1] == ")" and op.isdecimal():
+                val = pl_scale(int(op), PL_ATOMS[toks[k]])  # (NAT atom) in one step
+                k += 2
+            else:
+                stack.append((fn, arity, args, lex))
+                rules, arities = (_LEX_RULES, _LEX_ARITY) if lex else (_PL_RULES, _PL_ARITY)
+                if op in rules:
+                    fn, arity, args = rules[op], arities[op], []
+                    if op == "pl":
+                        args, lex = [n], False
+                elif op.isdecimal():
+                    fn, arity, args = _lex_scale if lex else pl_scale, 2, [int(op)]
+                else:
+                    raise ParseError(f"unknown operation {op!r}", col=_column(text, k - 1))
+                continue
+        elif not lex and tok in PL_ATOMS:
             val = PL_ATOMS[tok]
         elif lex and tok == "zero":
             val = LexPL.zero(n)
@@ -304,8 +320,7 @@ def _parse_term(text: str, n: int | None):
             raise ParseError(f"expected term, got {tok!r}", col=_column(text, k - 1))
         # hand the value to the open frames, closing each one it completes:
         # a fold closes at the next ')', any other frame after its last operand
-        while stack:
-            fn, arity, args, _ = stack[-1]
+        while args is not None:
             args.append(val)
             if toks[k] != ")" if arity is None else len(args) < arity:
                 break
@@ -314,36 +329,18 @@ def _parse_term(text: str, n: int | None):
             if tok != ")":
                 raise ParseError("unexpected end of term" if tok is None
                                  else f"expected ')', got {tok!r}", col=_column(text, k - 1))
-            stack.pop()
             val = fn(args) if arity is None else fn(*args)
-        if not stack:
+            fn, arity, args, lex = stack.pop()
+        else:
             if toks[k] is not None:
                 raise ParseError(f"trailing input {toks[k]!r}", col=_column(text, k))
             return as_fan(val) if n is None else val
-        lex = stack[-1][3]
 
 
 def _column(text: str, k: int) -> int | None:
     """1-based column of the k-th token of ``text``, None past its last token."""
     m = next(islice(_TOKEN.finditer(text), k, None), None)
     return None if m is None else m.start() + 1
-
-
-def _frame(op: str, lex: bool, n: int | None) -> list | None:
-    """The parser frame for an open ``(op`` from its grammar's tables; None if unknown.
-
-    A scalar ``(NAT`` keeps the grammar it opens in, and a lex ``(pl`` frame
-    starts with the chain length as its first operand.
-    """
-    if lex:
-        if op in _LEX_RULES:
-            return [_LEX_RULES[op], _LEX_ARITY[op], [n] if op == "pl" else [], op != "pl"]
-        rule = _lex_scale
-    else:
-        if op in _PL_RULES:
-            return [_PL_RULES[op], _PL_ARITY[op], [], False]
-        rule = pl_scale
-    return [rule, 2, [int(op)], lex] if op.isdecimal() else None
 
 
 def _lex_scale(k: int, s: LexPL) -> LexPL:

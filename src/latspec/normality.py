@@ -274,9 +274,9 @@ class DiffLattice:
         pos, w = self.lat.pos, self._w
         return (self._diff[pos(x)] >> w * pos(y)) & ((1 << w) - 1)
 
-    def row(self, x: int, at: Sequence[int] | None = None) -> list[int]:
-        """The entries d(x, y), y in the canonical order of the elements or at positions ``at``."""
-        row, w = self._diff[self.lat.pos(x)], self._w
+    def row(self, x: int, at: Sequence[int] | None = None, column: bool = False) -> list[int]:
+        """The entries d(x, y), or d(y, x) for ``column``, y in canonical order or at ``at``."""
+        row, w = (self._cols if column else self._diff)[self.lat.pos(x)], self._w
         return [(row >> w * k) & ((1 << w) - 1) for k in (range(self.lat.size) if at is None else at)]
 
     def check_identities(self) -> tuple[int, int] | None:

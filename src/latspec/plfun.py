@@ -10,8 +10,9 @@ exactly these functions, so all lattice-group operations stay exact.
 All coefficients are Python ints, hence arbitrary precision by
 construction; there is no overflow path to detect.  Arithmetic is on
 integers end to end: rays are compared by integer cross products, and
-``pl_eval`` finds a point's cone by bisection over the fan, scaling a
-rational point to an integer one and dividing the value once.
+one cone search, ``pl_values``, finds the cone of each integer point of a
+batch by bisection over the fan.  ``pl_eval`` runs it on one point,
+scaling a rational point to an integer one and dividing the value once.
 
 Canonical form: adjacent cones never carry equal functionals, and adjacent
 functionals agree on the shared ray (continuity).  Canonical forms are
@@ -56,7 +57,7 @@ from fractions import Fraction
 from functools import cmp_to_key, reduce
 from math import gcd
 from operator import index
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .report import Report, frozen
 
@@ -383,28 +384,40 @@ def pl_eval(f: PLFun, x, y):
     f is positively homogeneous, so this multiplies the value by x.den·y.den,
     which is divided out once at the end: the value is an int when integral,
     else a ``Fraction``.  An int point is its own scaling and is never
-    converted.  The cone is that of the first k with cross(p, r_{k+1}) ≥ 0,
-    found by bisection over the angle-sorted rays.
+    converted.  The cone is found by ``pl_values``, the one cone search.
     """
     if not (type(x) is int and type(y) is int):
         x, y = Fraction(x), Fraction(y)
     px, py = x.numerator * y.denominator, y.numerator * x.denominator
     if px < 0 or py < 0:
         raise PLError(f"point ({x}, {y}) outside the closed quadrant")
-    rays = f.rays
-    lo, hi = 1, len(rays) - 1  # cross(p, rays[-1]) = px ≥ 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        rx, ry = rays[mid]
-        if px * ry >= py * rx:  # cross(p, rays[mid]) ≥ 0
-            hi = mid
-        else:
-            lo = mid + 1
-    m, n = f.coeffs[lo - 1]
-    v = m * px + n * py
+    v = next(pl_values(f, ((px, py),)))
     den = x.denominator * y.denominator
     q, r = divmod(v, den)
     return q if r == 0 else Fraction(v, den)
+
+
+def pl_values(f: PLFun, points: Iterable[Vec]) -> Iterator[int]:
+    """f at each integer point (px, py) of the closed quadrant, as the points come.
+
+    A point's cone is that of the first k with cross(p, r_{k+1}) ≥ 0,
+    found by bisection over the angle-sorted rays.  The bisection runs
+    inline for every point, so a batch pays no call per point, and no
+    point or value is kept.
+    """
+    rays, coeffs = f.rays, f.coeffs
+    top = len(rays) - 1  # cross(p, rays[-1]) = px ≥ 0
+    for px, py in points:
+        lo, hi = 1, top
+        while lo < hi:
+            mid = (lo + hi) // 2
+            rx, ry = rays[mid]
+            if px * ry >= py * rx:  # cross(p, rays[mid]) ≥ 0
+                hi = mid
+            else:
+                lo = mid + 1
+        m, n = coeffs[lo - 1]
+        yield m * px + n * py
 
 
 def ray_values(f: PLFun) -> tuple[int, ...]:

@@ -290,17 +290,19 @@ def generated_subalgebra(dl: DiffLattice, gens: list[int]) -> set[int]:
     """Closure of {0, 1} ∪ gens under join, meet, and the difference.
 
     A worklist: each element, when taken, is combined once with itself and
-    every element taken before it.  It stops as soon as the closure holds
+    every element taken before it, whose differences with it are read off
+    its row and its column at once.  It stops as soon as the closure holds
     every element of the lattice.
     """
     lat = dl.lat
     out = {lat.bottom, lat.top, *gens}
-    todo, done = list(out), []
+    todo, done, at = list(out), [], []
     while todo:
         x = todo.pop()
         done.append(x)
-        for y in done:
-            for z in (x | y, x & y, dl.diff(x, y), dl.diff(y, x)):
+        at.append(lat.pos(x))
+        for y, dxy, dyx in zip(done, dl.row(x, at), dl.row(x, at, column=True)):
+            for z in (x | y, x & y, dxy, dyx):
                 if z not in out:
                     out.add(z)
                     todo.append(z)

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from latspec import cli
 from latspec.cli import main
 from latspec.homs import dual_hom_of_poset_map
 from latspec.order import Poset, chain_product, downset_lattice
+from latspec.plfun import pl_values
 from randgen import random_01_hom, random_poset
 
 V_POSET = """poset
@@ -109,7 +111,14 @@ def test_input_error_exits_two(tmp_path, capsys):
             (["glambda", "op", "add", "c0", "", "--chain", "1"],
              "error: unexpected end of term"),
             (["lattice", "check", str(nonutf8)], f"error: {nonutf8} is not UTF-8 text: "),
-            (["pl", "op", f"({scalar} a)"], "error: Exceeds the limit (4300 digits)")]:
+            (["pl", "op", f"({scalar} a)"], "error: Exceeds the limit (4300 digits)"),
+            # the scalar read in one step above, and as a frame of its own
+            (["pl", "op", f"({scalar} (neg a))"], "error: Exceeds the limit (4300 digits)"),
+            (["pl", "op", f"({scalar} c0)"], "error: Exceeds the limit (4300 digits)"),
+            (["glambda", "op", "neg", f"(pl ({scalar} a))", "--chain", "1"],
+             "error: Exceeds the limit (4300 digits)"),
+            (["glambda", "op", "neg", f"({scalar} c0)", "--chain", "1"],
+             "error: Exceeds the limit (4300 digits)")]:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith(msg) and err.count("\n") == 1, err
@@ -386,6 +395,30 @@ def test_ideal_leq_sample_draws_match_randint(seed):
     for _ in range(500):
         assert (new.randrange(10 ** 6 + 1), 1 + new.randrange(1000)) \
             == (old.randint(0, 10 ** 6), old.randint(1, 1000))
+
+
+def test_ideal_leq_sample_points_follow_randrange(monkeypatch, capsys):
+    # ``cmd_pl`` draws a, b, c and d from getrandbits by CPython's rule for
+    # randrange; the points (a·d, c·b) it evaluates must be those that
+    # randrange(10**6 + 1) and 1 + randrange(1000) give, in the same order
+    batches = []
+
+    def values(f, points):
+        batches.append(list(points))
+        return pl_values(f, batches[-1])
+
+    monkeypatch.setattr(cli, "pl_values", values)
+    for seed in range(50):
+        assert main(["pl", "ideal-leq", "a", "(add a b)", "--samples", "400",
+                     "--seed", str(seed)]) == 0
+        rng, want = random.Random(seed), []
+        for _ in range(400):
+            a, b = rng.randrange(10 ** 6 + 1), 1 + rng.randrange(1000)
+            c, d = rng.randrange(10 ** 6 + 1), 1 + rng.randrange(1000)
+            want.append((a * d, c * b))
+        assert batches == [want], seed
+        batches.clear()
+    assert "sampled 400 points" in capsys.readouterr().out
 
 
 #: an explicit N-shaped lattice whose join-irreducibles x, w, a, b are listed

@@ -28,7 +28,7 @@ from latspec.fileformat import parse_pl_term
 from latspec.plfun import (PL_OPS, PL_UNARY, RAY_X, RAY_Y, IdealLeq, PLError, PLFun,
                            _coeffs_on, _crossing_ray, _merge_rays, pl_abs, pl_add, pl_eval,
                            pl_generators, pl_ideal_leq, pl_ideal_leq_abs, pl_join, pl_meet,
-                           pl_neg, pl_scale, pl_sub, pl_sum, refine)
+                           pl_neg, pl_scale, pl_sub, pl_sum, pl_values, refine)
 from randgen import random_pl_term
 
 A, B = pl_generators()
@@ -250,6 +250,32 @@ def test_eval_matches_fraction_scan():
             want = oracle_pl_eval(f, x, y)
             got = pl_eval(f, x, y)
             assert got == want and type(got) is type(want), (f, x, y)
+
+
+def test_batched_values_match_fraction_scan():
+    # pl_values is the cone search of pl_eval and of the sampled count in
+    # ``pl ideal-leq --samples``; on the hinge sums and zigzags, and on
+    # |x| - bound·|y| as cmd_pl builds it, its values and its count of
+    # positive values must be the oracle's, on rays, axes and the origin too
+    rng = random.Random(23)
+    fs = [hinge_sum(rng) for _ in range(4)] + [zigzag(rng) for _ in range(4)]
+    for x, y in zip(fs, fs[1:]):
+        # |y| + a + b is positive off the origin, so every ideal lies below it
+        fa, ga = pl_abs(x), pl_add(pl_abs(y), pl_add(A, B))
+        bound = pl_ideal_leq_abs(fa, ga).bound
+        fs += [pl_sum((fa, pl_scale(-b, ga))) for b in (bound, bound - 1)]
+    positives = 0
+    for f in fs:
+        pts = [(rng.randrange(10 ** 9), rng.randrange(10 ** 9)) for _ in range(60)]
+        pts += [(rx * k, ry * k) for rx, ry in f.rays for k in (1, rng.randint(2, 10 ** 6))]
+        pts += [(0, 7), (5, 0), (0, 0)]
+        rng.shuffle(pts)
+        want = [oracle_pl_eval(f, px, py) for px, py in pts]
+        got = list(pl_values(f, iter(pts)))
+        assert got == want and all(type(v) is int for v in got), f
+        assert sum(v > 0 for v in got) == sum(v > 0 for v in want)
+        positives += 0 < sum(v > 0 for v in want) < len(pts)
+    assert positives == 15  # all but the h of each least bound take both signs
 
 
 def test_eval_rejects_points_outside_quadrant():

@@ -254,12 +254,19 @@ def test_lex_parser_matches_recursive_oracle(n):
 
 
 def test_fixed_cases_match_recursive_oracle():
+    # the PL grammar reads a scaled atom (NAT atom) in one step, also inside
+    # a lex (pl ...) frame; the lex grammar does not
+    scaled = ["(3 a b)", "(3 a", "(3", "(3 a))", "(3 c0)", "(3 zero)", "(3 a)", "(3\t0 )", "(3 )",
+              "(3 (a))", "(3 (3 a))", "(٣ a)", "(add (3 b) (3 a) (3 a b))", "(neg (3 b)) (3 a)",
+              "(3 a(3 b))"]
     pl_cases = ["", "(", ")", "a", "(add a)", "(add)", "(sub a)", "(sub a b c)", "(pl a)",
-                "(neg a", "(2)", "(07 b)", "a b", "((neg a))", "(join a b a b)", "zero"]
+                "(neg a", "(2)", "(07 b)", "a b", "((neg a))", "(join a b a b)", "zero", *scaled]
     for case in pl_cases:
         assert outcome(parse_pl_term, case) == outcome(oracle_parse_pl_term, case), case
     lex_cases = ["", "c0", "c00", "c4", "(pl a b)", "(pl (add a) )", "(add c0)", "(neg c0 c1)",
-                 "(pos c0)", "(3 (pl b))", "a", "(pl)", "zero zero", "(abs zero"]
+                 "(pos c0)", "(3 (pl b))", "a", "(pl)", "zero zero", "(abs zero",
+                 *(f"(pl {case})" for case in scaled), "(3 c0)", "(3 zero)", "(3 a)",
+                 "(3 c0 zero)", "(add (3 c0) (3 zero))", "(٣ c0)", "(pl 3 a)"]
     for n in CHAINS:
         for case in lex_cases:
             assert outcome(parse_glambda_term, case, n) == \
