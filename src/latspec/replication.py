@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .condensate import AlmostConstantSurjection, IndexUniverse
-from .homs import HomCensus, LatHom, dual_hom_of_poset_map, hom_census, is_closed, is_convex
+from .homs import HomCensus, LatHom, dual_hom_of_poset_map, hom_census, is_closed
 from .normality import DiffLattice, expand_v0, is_completely_normal
 from .order import DLat, LatticeError, Poset, chain_lattice, chain_product
 from .report import Report, field, frozen
@@ -429,12 +429,12 @@ def kernel_not_closed() -> ClosedKernelReport:
     """
     eps = zero_separating_map()
     c3 = eps.dom
-    rep = is_closed(eps)
+    census = hom_census(eps)
     expected = (c3.top, c3.elements[1], eps.cod.bottom)
     controls = (is_closed(LatHom.identity(c3)).closed,
                 is_closed(LatHom.identity(eps.cod)).closed)
-    return ClosedKernelReport(rep.closed, rep.witness or (), rep.witness == expected,
-                              controls, hom_census(eps))
+    return ClosedKernelReport(census.closed, census.closed_witness or (),
+                              census.closed_witness == expected, controls, census)
 
 
 @frozen
@@ -464,11 +464,11 @@ def kernel_not_convex() -> ConvexKernelReport:
     phi = dual_hom_of_poset_map([0, 2], Poset.chain(2), Poset.chain(3))
     levels = tuple(phi.cod.pos(v) for v in phi.table)
     table_ok = levels == (0, 1, 1, 2)
-    conv = is_convex(phi)
+    census = hom_census(phi)
     acs = AlmostConstantSurjection(phi, IndexUniverse.countable())
     stages = tuple(acs.verify_stage([f"i{t}" for t in range(k)]) for k in range(3))
-    return ConvexKernelReport(levels, table_ok, conv.convex, conv.witness or (),
-                              stages, hom_census(phi))
+    return ConvexKernelReport(levels, table_ok, census.convex, census.convex_witness or (),
+                              stages, census)
 
 
 @frozen

@@ -5,7 +5,8 @@ another way or never asks: a downset test by its definition, poset
 isomorphism by search over all permutations, the pointwise PL order and
 principal-ideal equality, the Birkhoff certificate of an order that
 is already closed, and the Hasse diagram of a lattice found by scanning
-every ordered pair of elements.
+every ordered pair of elements.  ``outcome`` makes what a fast path and
+its oracle return or raise comparable.
 """
 
 from __future__ import annotations
@@ -13,8 +14,17 @@ from __future__ import annotations
 from itertools import permutations
 
 from latspec.dot import _digraph
-from latspec.order import DLat, Poset, bits, lattice_of_pairs
+from latspec.order import DLat, LatticeError, Poset, bits, lattice_of_pairs
 from latspec.plfun import PLFun, pl_geq_zero, pl_ideal_leq, pl_sub
+
+
+def outcome(fn, *args):
+    """The value of a call, or the class, message and witness of the
+    ``LatticeError`` it raised.  Any other exception fails the test."""
+    try:
+        return fn(*args)
+    except LatticeError as e:
+        return type(e), str(e), getattr(e, "witness", None)
 
 
 def is_downset(p: Poset, mask: int) -> bool:

@@ -26,6 +26,7 @@ def digest_jobs(tmp_path):
 
     files = {"V": write("v.lat", T.V_POSET), "EPS": write("eps.hom", T.EPS_HOM),
              "LEVEL": write("level.hom", T.LEVEL_HOM), "CUBE": write("cube.lat", T.CUBE_POSET),
+             "CHAIN9": write("chain9.lat", T.CHAIN9_POSET),
              "ESC": write("esc.lat", T.ESCAPED_LATTICE), **T.TERMS}
     jobs = [[files.get(a, a) for a in argv] + ["--json"] for argv in T.JSON_STDOUT_SHA256]
     jobs += [[files.get(a, a) for a in argv] for argv in T.PINNED_STDOUT_SHA256
@@ -56,7 +57,7 @@ def test_digest_payloads_match_json_dumps(tmp_path, monkeypatch, capsys):
         assert cli.main(argv) == 0, argv
         out = capsys.readouterr().out
         assert out == json.dumps(payloads[-1], indent=2) + "\n", argv
-    assert len(payloads) == len(jobs) == 32
+    assert len(payloads) == len(jobs) == 33
     for p in payloads:
         assert cli._dumps(p) == json.dumps(p, indent=2)
 

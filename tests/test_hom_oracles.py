@@ -23,6 +23,7 @@ from latspec.homs import (ClosedReport, ConvexReport, LatHom, NotAHomomorphismEr
 from latspec.order import DLat, LatticeError, Poset, SelfCheckError, canon_key, chain_product
 from latspec.spectra import (CofinalityError, SpecMapResult, Spectrum, prime_spectrum,
                              prime_spectrum_bruteforce, spec_map, spectrum_matches_base)
+from oracles import outcome
 from randgen import random_01_hom, random_monotone_map, random_poset
 from test_spectra_oracles import (OracleSpectrum, corruptions, old_form, oracle_prime_spectrum,
                                   point_masks)
@@ -169,14 +170,6 @@ def oracle_spec_map(f) -> SpecMapResult:
 
 
 # -- the seeded corpus ------------------------------------------------------
-
-def outcome(fn, *args):
-    """The result of a call, or the class and message of what it raised."""
-    try:
-        return fn(*args)
-    except Exception as e:  # compared, never swallowed: the oracle raises the same
-        return type(e), str(e)
-
 
 def projection(sizes: list[int], drop: int) -> LatHom:
     """The projection of a product of chains onto all factors but ``drop``."""

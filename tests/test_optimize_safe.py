@@ -1,10 +1,13 @@
 """No self-check in ``src/latspec`` disappears under ``python -O``.
 
-A static check with ``ast``.  ``-O`` strips every ``assert`` statement
-and folds ``__debug__`` to False, so a self-check written either way
-would stop checking without a sign.  The ``-O`` rerun of the oracle
-suites catches that only on the paths those suites reach; this test
-covers every line of the package.
+A static check with ``ast``, and the only ``-O`` guard.  ``-O`` strips
+every ``assert`` statement and folds ``__debug__`` to False, so a
+self-check written either way would stop checking without a sign.  Else
+``-O`` only sets ``sys.flags.optimize``, which the package never reads,
+so a package with neither compiles to the same code objects at both
+levels, and rerunning the tests under ``-O`` could find nothing that
+this test does not.  It covers every line of the package, not only the
+paths some suite reaches.
 """
 
 from __future__ import annotations

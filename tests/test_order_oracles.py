@@ -21,7 +21,7 @@ from latspec.order import (CycleError, DLat, LatticeError, NotALatticeError,
                            NotDistributiveError, Poset, RawLattice,
                            SelfCheckError, birkhoff_iso, canon_key,
                            downset_lattice, lattice_of_pairs)
-from oracles import is_downset, lattice_of_order
+from oracles import is_downset, lattice_of_order, outcome
 from randgen import random_poset
 
 
@@ -117,20 +117,14 @@ def birkhoff_iso_full(raw: RawLattice):
     return poset, lat, iso
 
 
-def outcome(fn, *args):
-    """A comparable summary: the value, or the exception's class, text and witness."""
-    try:
-        return ("ok", fn(*args))
-    except LatticeError as e:
-        return (type(e), str(e), getattr(e, "witness", None))
-
-
-def birkhoff_outcome(fn, raw):
-    out = outcome(fn, raw)
-    if out[0] == "ok":
-        poset, lat, iso = out[1]
-        return ("ok", poset, poset.labels, lat.elements, iso)
-    return out
+def iso_outcome(fn, *args):
+    """``outcome`` of a call that returns a Birkhoff certificate (poset, lattice, iso),
+    with the certificate as comparable parts."""
+    out = outcome(fn, *args)
+    if isinstance(out[0], type):
+        return out
+    poset, lat, iso = out
+    return ("ok", poset, poset.labels, poset.up, lat.elements, iso)
 
 
 def random_relation(rng, n):
@@ -192,10 +186,10 @@ def test_from_order_matches_naive():
             continue
         got = outcome(RawLattice.from_order, p)
         want = outcome(from_order_naive, p.n, p.leq, p.labels)
-        if got[0] == "ok":
+        if isinstance(got, RawLattice):
             lattices += 1
-            got = ("ok", got[1].joins, got[1].meets, got[1].labels)
-            want = ("ok", want[1].joins, want[1].meets, want[1].labels)
+            got = (got.joins, got.meets, got.labels)
+            want = (want.joins, want.meets, want.labels)
         assert got == want, p
     assert 20 < lattices < 580  # both outcomes are exercised
 
@@ -204,9 +198,9 @@ def test_birkhoff_iso_matches_full_checks_on_random_tables():
     rng = random.Random(4103)
     for _ in range(300):
         raw = shuffled_raw(rng, downset_lattice(random_poset(rng, rng.randint(0, 5))))
-        assert birkhoff_outcome(birkhoff_iso, raw) == birkhoff_outcome(birkhoff_iso_full, raw)
+        assert iso_outcome(birkhoff_iso, raw) == iso_outcome(birkhoff_iso_full, raw)
         bad = perturbed(rng, raw)
-        assert birkhoff_outcome(birkhoff_iso, bad) == birkhoff_outcome(birkhoff_iso_full, bad)
+        assert iso_outcome(birkhoff_iso, bad) == iso_outcome(birkhoff_iso_full, bad)
 
 
 def test_birkhoff_iso_matches_full_checks_on_order_lattices():
@@ -224,8 +218,8 @@ def test_birkhoff_iso_matches_full_checks_on_order_lattices():
         except NotALatticeError:
             continue
         for r in (raw, perturbed(rng, raw)):
-            got = birkhoff_outcome(birkhoff_iso, r)
-            assert got == birkhoff_outcome(birkhoff_iso_full, r)
+            got = iso_outcome(birkhoff_iso, r)
+            assert got == iso_outcome(birkhoff_iso_full, r)
             kinds.add(got[0])
     assert {"ok", NotALatticeError} <= kinds and len(kinds) == 3
 
@@ -263,7 +257,7 @@ def _named_raw(pairs, n, names):
 ], ids=["M3", "N5", "range-high", "range-low", "ragged", "short", "empty",
         "labels", "labels-not-irreducible", "labels-bad-meet", "labels-bad-join", "chain-201"])
 def test_birkhoff_iso_matches_full_checks_on_fixed_tables(raw):
-    assert birkhoff_outcome(birkhoff_iso, raw) == birkhoff_outcome(birkhoff_iso_full, raw)
+    assert iso_outcome(birkhoff_iso, raw) == iso_outcome(birkhoff_iso_full, raw)
 
 
 def test_bits_matches_shift_loop():
@@ -392,16 +386,7 @@ def test_trusted_orders_keep_their_errors():
 
 def order_outcome(fn, n, pairs, labels):
     """A comparable summary of ``fn`` on the closed order: the value, or the error."""
-    return pairs_outcome(lambda *args: fn(Poset.from_pairs(*args)), n, pairs, labels)
-
-
-def pairs_outcome(fn, n, pairs, labels):
-    """A comparable summary of ``fn`` on the pairs: the value, or the error."""
-    try:
-        poset, lat, iso = fn(n, pairs, labels)
-    except LatticeError as e:
-        return (type(e), str(e))
-    return ("ok", poset, poset.labels, poset.up, lat.elements, iso)
+    return iso_outcome(lambda *args: fn(Poset.from_pairs(*args)), n, pairs, labels)
 
 
 def assert_same_as_tables(n, pairs, labels=None):
@@ -409,7 +394,7 @@ def assert_same_as_tables(n, pairs, labels=None):
     # and over the pairs themselves
     got = order_outcome(lattice_of_order, n, pairs, labels)
     assert got == order_outcome(lattice_of_order_tables, n, pairs, labels), (n, pairs)
-    assert pairs_outcome(lattice_of_pairs, n, pairs, labels) == got, (n, pairs)
+    assert iso_outcome(lattice_of_pairs, n, pairs, labels) == got, (n, pairs)
     return "ok" if got[0] == "ok" else got[1].split(":")[0].split(" at ")[0]
 
 
@@ -524,11 +509,11 @@ def test_only_the_capped_count_rejects_m24(monkeypatch):
         return downsets(self, limit)
 
     monkeypatch.setattr(Poset, "downsets", spy)
-    got = pairs_outcome(lattice_of_pairs, *M24, None)
+    got = iso_outcome(lattice_of_pairs, *M24, None)
     assert calls == [(24, 26)]
     assert got[0] is NotDistributiveError
     want = outcome(RawLattice.check_distributive, RawLattice.from_order(Poset.from_pairs(*M24)))
-    assert got == want[:2]
+    assert got == want
 
 
 def declared_lattices(text):
