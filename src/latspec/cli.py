@@ -7,7 +7,15 @@ mismatch against the recorded values; 2 means an input or usage error.
 
 ``--json`` switches any checking subcommand to a machine-readable report
 with fixed key order; all output is deterministic, and commands that
-sample echo their seed.
+sample echo their seed.  One serializer, ``_dumps``, lays out every
+report; a ``_Rows`` value in it is an array of arrays whose cells are JSON
+text already, such as element names quoted once per command, and each of
+its rows is written with one join.  ``_emit`` writes a report one
+top-level key at a time and a ``_Rows`` value or a text report in
+batches, so the rows of a big table come from a generator and are never
+held whole.  Every check, and every error a command can report, runs
+before the first byte is written: a failed command writes nothing to
+stdout.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import functools
 import random
 import sys
 from fractions import Fraction
+from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii as _quote  # json's C string encoder
 
 from . import dot as dotmod
@@ -37,6 +46,23 @@ from .spectra import prime_spectrum, stone_unit_check
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 #: how an item of each scalar type is written (bool, a subclass of int, is not one)
 _SCALARS = {str: _quote, int: int.__repr__}
+#: a report goes out in writes of at least this many characters, the last excepted
+_BATCH = 1 << 16
+
+
+class _Rows:
+    """A JSON array of arrays whose cells are JSON text already.
+
+    ``rows`` is an iterable, read once, of iterables of ``str`` cells, such
+    as names quoted by ``_json_names``.  A cell is written as it is, so it
+    must be valid JSON text; a cell that is not a ``str`` raises
+    ``TypeError``.  Each row is written with one ``join``.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
 
 
 def _dumps(value, nl: str = "\n") -> str:
@@ -48,9 +74,10 @@ def _dumps(value, nl: str = "\n") -> str:
     by ``int.__repr__``, ``True``, ``False`` and ``None`` become ``true``,
     ``false`` and ``null``, and dicts with str keys, lists and tuples nest
     as ``indent=2`` does, empty ones as ``{}`` and ``[]``.  A list of
-    strings only or ints only is written in one join.  Any other type,
-    float included, raises ``TypeError``.  ``nl`` is the line break and
-    indent of the depth ``value`` sits at.
+    strings only or ints only is written in one join.  A ``_Rows`` value
+    is written as the arrays its rows would decode to, one join per row.
+    Any other type, float included, raises ``TypeError``.  ``nl`` is the
+    line break and indent of the depth ``value`` sits at.
     """
     if isinstance(value, str):
         return _quote(value)
@@ -72,21 +99,72 @@ def _dumps(value, nl: str = "\n") -> str:
         inner = nl + "  "  # _quote raises TypeError on a key that is not a str
         return ("{" + inner + ("," + inner).join([_quote(k) + ": " + _dumps(x, inner)
                                                   for k, x in value.items()]) + nl + "}")
+    if value.__class__ is _Rows:
+        return "".join(_row_pieces(value.rows, nl))
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    """Print the report: ``payload`` as ``indent=2`` JSON under ``--json``, else the text lines."""
-    if args.json:
-        print(_dumps(payload))
-    else:
-        for line in text_lines:
-            print(line)
+def _row_pieces(rows, nl: str):
+    """The text of a ``_Rows`` value at depth ``nl``, one piece per row and a closing one."""
+    inner = nl + "  "
+    cell = inner + "  "
+    sep, start, end = "," + cell, "[" + cell, inner + "]"
+    lead = "[" + inner
+    for text in map(sep.join, rows):
+        # a cell is never empty, so a row whose text is empty is an empty row
+        yield lead + (start + text + end if text else "[]")
+        lead = "," + inner
+    yield "[]" if lead[0] == "[" else nl + "]"
 
 
-def _names(lat) -> dict[int, str]:
-    """Each element's text, formatted once per command."""
-    return {m: lat.fmt(m) for m in lat.elements}
+def _json_pieces(report: dict):
+    """The text of ``_dumps(report)`` and a line break, in pieces.
+
+    A ``_Rows`` value of a top-level key comes one row at a time, so a
+    generator of rows is never held whole; the text between such values
+    is one piece.  Every other value is laid out before the first piece,
+    so any error it raises comes before the first byte.
+    """
+    nl = "\n  "
+    values = [x if x.__class__ is _Rows else _dumps(x, nl) for x in report.values()]
+    text, lead = [], "{" + nl
+    for key, value in zip(report, values):
+        text.append(lead + _quote(key) + ": ")
+        lead = "," + nl
+        if value.__class__ is _Rows:
+            yield "".join(text)
+            text = []
+            yield from _row_pieces(value.rows, nl)
+        else:
+            text.append(value)
+    text.append("{}\n" if lead[0] == "{" else "\n}\n")
+    yield "".join(text)
+
+
+def _emit(args, payload: dict | None, text_lines) -> None:
+    """Write the report: ``payload`` as ``indent=2`` JSON under ``--json``, else the text lines.
+
+    A command that writes only one form may pass ``None`` for the other.
+    The report goes to stdout in writes of at least ``_BATCH`` characters,
+    the last excepted: a small report takes one write, and a big one,
+    whose rows and lines may come from generators, is never held whole.
+    Every check has run before ``_emit`` is called, so a failed command
+    writes nothing.
+    """
+    pieces = _json_pieces(payload) if args.json else map("{}\n".format, text_lines)
+    write, batch, size = sys.stdout.write, [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH:
+            write("".join(batch))
+            batch, size = [], 0
+    write("".join(batch))
+
+
+def _json_names(lat) -> list[str]:
+    """Each element's name quoted as JSON text, once, in element order."""
+    return list(map(_quote, lat.names()))
 
 
 def _need_lattice(parsed) -> ParsedLattice:
@@ -106,38 +184,39 @@ def cmd_lattice_check(args) -> int:
     lat = pl.lat
     if args.dot:
         spec = prime_spectrum(lat)
-        sys.stdout.write(dotmod.lattice_hasse_dot(lat))
-        sys.stdout.write(dotmod.spectrum_dot(spec))
+        names = lat.names()
+        sys.stdout.write(dotmod.lattice_hasse_dot(lat, names))
+        sys.stdout.write(dotmod.spectrum_dot(spec, names))
         return 0
     cn = is_completely_normal(lat)
     spec = prime_spectrum(lat)
     unit = stone_unit_check(lat, spec)
     birkhoff_round_trip(lat)  # raises SelfCheckError on failure
-    name = _names(lat)
-    pairs = spec.order_pairs()
-    payload = {
+    witness = [lat.fmt(w) for w in cn.witness] if cn.witness else None
+    if not args.json:
+        lines = [f"size: {lat.size}",
+                 f"completely_normal: {cn.completely_normal}"]
+        if witness:
+            lines.append(f"witness: ({witness[0]}, {witness[1]})")
+        lines.append(f"spectrum: {spec.n_points} point(s), order pairs {spec.order_pairs()}")
+        lines.append(f"stone_unit: {'pass' if unit.ok else 'FAIL ' + '; '.join(unit.failures)}")
+        lines.append("birkhoff_roundtrip: pass")
+        _emit(args, None, lines)
+        return 0
+    labels, qnames = list(map(_quote, lat.base.labels)), _json_names(lat)
+    _emit(args, {
         "size": lat.size,
         # re-parseable serialization: rebuilding the base poset from these
         # fields reproduces the identical canonical element encoding
         "base": {"elements": list(lat.base.labels),
-                 "covers": [[lat.base.labels[i], lat.base.labels[j]]
-                            for i, j in lat.base.covers()]},
+                 "covers": _Rows([(labels[i], labels[j]) for i, j in lat.base.covers()])},
         "completely_normal": cn.completely_normal,
-        "witness": [name[w] for w in cn.witness] if cn.witness else None,
-        "spectrum_points": [[name[e] for e in spec.point_elements(k)]
-                            for k in range(spec.n_points)],
-        "spectrum_order": pairs,
+        "witness": witness,
+        "spectrum_points": _Rows(spec.members(k, qnames) for k in range(spec.n_points)),
+        "spectrum_order": _Rows(map(str, pair) for pair in spec.order_pairs()),
         "stone_unit": unit.to_dict(),
         "birkhoff_roundtrip": True,
-    }
-    lines = [f"size: {lat.size}",
-             f"completely_normal: {cn.completely_normal}"]
-    if cn.witness:
-        lines.append(f"witness: ({name[cn.witness[0]]}, {name[cn.witness[1]]})")
-    lines.append(f"spectrum: {spec.n_points} point(s), order pairs {pairs}")
-    lines.append(f"stone_unit: {'pass' if unit.ok else 'FAIL ' + '; '.join(unit.failures)}")
-    lines.append("birkhoff_roundtrip: pass")
-    _emit(args, payload, lines)
+    }, None)
     return 0
 
 
@@ -150,30 +229,36 @@ def cmd_hom_check(args) -> int:
     return 0
 
 
+def _difference_rows(lat, dl, names: list[str]):
+    """(x, y, x∖y) as names, every pair in canonical order, one row of ``dl`` at a time."""
+    name = dict(zip(lat.elements, names))
+    return ((nx, ny, name[d]) for x, nx in zip(lat.elements, names)
+            for ny, d in zip(names, dl.row(x)))
+
+
 def cmd_v0_expand(args) -> int:
     pl = _need_lattice(parse_lattice_file(args.file))
     lat = pl.lat
     dl = expand_v0(lat)
     tri = dl.triangle_violations(limit=5)
-    name = _names(lat)
-    table = [[name[x], name[y], name[d]]
-             for x in lat.elements for y, d in zip(lat.elements, dl.row(x))]
-    triples = [[name[a] for a in t] for t in tri]
-    payload = {
-        "size": lat.size,
-        "table": table,
-        "identities": "pass",
-        "triangle_violations": triples,
-    }
-    lines = [f"difference table over {lat.size} elements:"]
-    lines += [f"  {x} \\ {y} = {d}" for x, y, d in table]
-    lines.append("identities: pass")
+    triples = [[lat.fmt(a) for a in t] for t in tri]
+    if args.json:
+        _emit(args, {
+            "size": lat.size,
+            "table": _Rows(_difference_rows(lat, dl, _json_names(lat))),
+            "identities": "pass",
+            "triangle_violations": triples,
+        }, None)
+        return 0
     if tri:
-        lines.append(f"triangle property fails at {len(tri)}+ triples, e.g. "
-                     + ", ".join("(" + ",".join(t) + ")" for t in triples[:2]))
+        last = (f"triangle property fails at {len(tri)}+ triples, e.g. "
+                + ", ".join("(" + ",".join(t) + ")" for t in triples[:2]))
     else:
-        lines.append("triangle property: no violations")
-    _emit(args, payload, lines)
+        last = "triangle property: no violations"
+    table = _difference_rows(lat, dl, lat.names())
+    _emit(args, None, chain([f"difference table over {lat.size} elements:"],
+                            starmap("  {} \\ {} = {}".format, table),
+                            ["identities: pass", last]))
     return 0
 
 
@@ -185,7 +270,7 @@ def cmd_refine_witness(args) -> int:
         _emit(args, {"witness": None}, ["no refinement witness exists"])
         return 0
     matrix = [[pl.lat.fmt(c) for c in row] for row in w.matrix]
-    payload = {"witness": matrix}
+    payload = {"witness": _Rows([list(map(_quote, row)) for row in matrix])}
     lines = ["refinement witness:"]
     for i, row in enumerate(matrix):
         for j, c in enumerate(row):

@@ -341,6 +341,23 @@ class DLat:
         names = [self.base.labels[i] for i in bits(mask)]
         return "{" + ",".join(names) + "}"
 
+    def names(self) -> list[str]:
+        """``fmt`` of every element, in element order.
+
+        The labels of a mask are those of the mask without its highest
+        point, then that point's.  When that smaller mask is an element it
+        comes earlier in the canonical order, so its labels are reused.
+        """
+        labels, inner = self.base.labels, {0: ""}
+        for m in self.elements:
+            if m:
+                top = m.bit_length() - 1
+                head = inner.get(m ^ 1 << top)
+                if head is None:  # the smaller mask is not a downset
+                    head = ",".join([labels[i] for i in bits(m ^ 1 << top)])
+                inner[m] = head + "," + labels[top] if head else labels[top]
+        return ["{" + inner[m] + "}" for m in self.elements]
+
     def __repr__(self):
         return f"DLat(size={self.size}, base_n={self.base.n})"
 
@@ -428,7 +445,7 @@ class RawLattice:
         pos = {m: k for k, m in enumerate(els)}
         joins = tuple(tuple(pos[x | y] for y in els) for x in els)
         meets = tuple(tuple(pos[x & y] for y in els) for x in els)
-        labels = tuple(lat.fmt(m) for m in els)
+        labels = tuple(lat.names())
         return cls(len(els), joins, meets, labels)
 
     @classmethod

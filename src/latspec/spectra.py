@@ -14,6 +14,9 @@ conditions from scratch; it is the oracle for the fast path.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import not_
+from typing import Iterable, Iterator
 
 from .order import DLat, LatticeError, SelfCheckError, canon_key
 from .report import Report, frozen
@@ -42,8 +45,13 @@ class Spectrum:
 
     def point_elements(self, i: int) -> list[int]:
         """The prime ideal at point i, as lattice element masks."""
-        p = self.points[i]
-        return [x for x in self.lattice.elements if not x >> p & 1]
+        return list(self.members(i, self.lattice.elements))
+
+    def members(self, i: int, items: Iterable) -> Iterator:
+        """The items of the members of the prime ideal at point i, given one
+        item per lattice element in element order, such as its name."""
+        bit = 1 << self.points[i]
+        return compress(items, map(not_, map(bit.__and__, self.lattice.elements)))
 
     def order_pairs(self) -> list[tuple[int, int]]:
         """The pairs i != j of points with point i <= point j, read off the base up-masks."""

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -645,6 +646,46 @@ def test_dot_output_chain_spectrum_is_path(tmp_path, capsys):
         edges = [l for l in spec_part.splitlines() if "->" in l]
         assert len(nodes) == n - 1
         assert len(edges) == n - 2
+
+
+class _HashingStdout:
+    """A stdout that hashes what is written to it and keeps only the digest and the size."""
+
+    def __init__(self):
+        self.sha, self.size = hashlib.sha256(), 0
+
+    def write(self, text: str) -> None:
+        self.sha.update(text.encode())
+        self.size += len(text)
+
+
+#: size and sha256 of ``latspec v0 expand`` on the chain c0 < ... < c99, recorded
+#: while reports were still built whole
+CHAIN100_V0 = {
+    "--json": (5_655_041, "7ba1a4ba13115cd62621725e8ee439be8c596b05d954f0901f7c5fe064c75ef3"),
+    "text": (5_318_406, "5531cdd48752090e6e32feecaa80ea0bffa91bc0ff2de1c4c8482bf7a205943d"),
+}
+
+
+@pytest.mark.parametrize("flag", list(CHAIN100_V0))
+def test_big_report_streams_in_bounded_memory(flag, tmp_path, monkeypatch):
+    # the 101 x 101 difference table of a 100-point chain is 5.7 MB of output;
+    # it goes out in batches, so the peak of Python allocations stays a small
+    # fraction of it (holding the report whole took 4.4 times its size)
+    labels = [f"c{i}" for i in range(100)]
+    path = tmp_path / "chain100.lat"
+    path.write_text("poset\nelements: " + " ".join(labels) + "\ncovers: "
+                    + " ".join(f"{a}<{b}" for a, b in zip(labels, labels[1:])) + "\n")
+    sink = _HashingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(["v0", "expand", str(path)] + [flag] * (flag == "--json")) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (sink.size, sink.sha.hexdigest()) == CHAIN100_V0[flag]
+    assert peak < sink.size / 3, peak
 
 
 def test_console_entry_point():

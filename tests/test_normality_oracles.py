@@ -7,7 +7,9 @@ verbatim: ``find_splitting`` over all candidate pairs, the pairwise
 pair and the scan of every triple in ``DiffLattice.triangle_violations``.
 ``expand_v0`` is checked against its branch-per-pair form, which built a
 ``Splitting`` for every unpinned pair, and ``check_identities`` against
-the scan of every pair.  The Birkhoff round-trip certificate is checked
+the scan of every pair.  The table of ``v0 expand`` is also checked
+against x∖y found by its definition, which shares no code with
+``DiffLattice``.  The Birkhoff round-trip certificate is checked
 against the full ``birkhoff_iso(RawLattice.from_dlat(lat))`` rebuild.
 The cube replay's ``verify_cube``, ``expand_cube_v0`` and
 ``generated_subalgebra`` are checked against their parent forms, which
@@ -18,6 +20,7 @@ holder among all smaller nodes, and rescanned every pair to a fixpoint.
 from __future__ import annotations
 
 import functools
+import json
 import random
 import time
 from itertools import product
@@ -25,7 +28,8 @@ from typing import Sequence
 
 import pytest
 
-from latspec import normality
+from latspec import cli, normality
+from latspec.fileformat import parse_lattice_file
 from latspec.normality import (DiffLattice, NormalityReport, NotCompletelyNormalError,
                                PinConflictError, RefinementWitness, Splitting,
                                expand_v0, find_splitting, is_completely_normal,
@@ -698,6 +702,54 @@ def test_packed_tables_at_the_extremes_match_oracles(lattices):
             broken += dl.check_identities() is not None
             tables += 1
     assert tables >= 100 and violating >= 30 and broken >= 20, (tables, violating, broken)
+
+
+def definitional_difference(lat: DLat) -> dict[tuple[int, int], int]:
+    """x∖y for every pair by its definition: the least z in canonical order with x ≤ y∨z.
+
+    Whether x ≤ y∨z, that is x ⊆ y ∪ z, depends on x and y only through
+    the points of x outside y, so the elements are scanned once per such
+    set of points.
+    """
+    els, first, table = lat.elements, {}, {}
+    for x in els:
+        for y in els:
+            if x & ~y not in first:
+                first[x & ~y] = next(z for z in els if x | y | z == y | z)
+            table[x, y] = first[x & ~y]
+    return table
+
+
+def test_v0_expand_table_matches_definition(lattices, tmp_path, capsys):
+    # the table of `v0 expand` against x∖y found by its definition, with no
+    # DiffLattice, _least_table or _or_rows on the oracle's side: on the
+    # corpus, where a lattice whose definitional differences meet must be
+    # refused, on the product 4x4x4x4 (a base of 12 points), and through
+    # `v0 expand --json` on chains of 1 to 9 points
+    big = chain_product([4, 4, 4, 4])[0]
+    refused = 0
+    for lat in lattices + [big]:
+        want = definitional_difference(lat)
+        if any(d & want[y, x] for (x, y), d in want.items()):
+            with pytest.raises(NotCompletelyNormalError):
+                expand_v0(lat)
+            refused += 1
+            continue
+        dl = expand_v0(lat)
+        for x in lat.elements:
+            assert dl.row(x) == [want[x, y] for y in lat.elements], (lat, x)
+    assert 100 <= refused <= len(lattices) - 100, refused
+    for n in range(1, 10):
+        labels = [f"c{i}" for i in range(n)]
+        path = tmp_path / f"chain{n}.lat"
+        path.write_text("poset\nelements: " + " ".join(labels) + "\n" + "".join(
+            f"covers: {' '.join(f'{a}<{b}' for a, b in zip(labels, labels[1:]))}\n" * (n > 1)))
+        assert cli.main(["v0", "expand", str(path), "--json"]) == 0
+        lat = parse_lattice_file(str(path)).lat
+        want = definitional_difference(lat)
+        els = lat.elements
+        assert json.loads(capsys.readouterr().out)["table"] == [
+            [lat.fmt(x), lat.fmt(y), lat.fmt(want[x, y])] for x in els for y in els]
 
 
 # -- the cube replay ----------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from latspec.order import (CycleError, DLat, LatticeError, NotALatticeError,
@@ -5,6 +7,7 @@ from latspec.order import (CycleError, DLat, LatticeError, NotALatticeError,
                            birkhoff_iso, chain_lattice, chain_product,
                            downset_lattice, product_lattice)
 from oracles import isomorphic_to
+from randgen import random_poset
 
 
 def v_poset():
@@ -44,6 +47,21 @@ def test_dlat_basics():
     assert DLat.meet(0b011, 0b101) == 0b001
     with pytest.raises(LatticeError):
         lat.check_member(0b010)  # {u} is not downward closed
+
+
+def test_names_match_fmt():
+    # names built on shorter names against fmt of each element: on seeded
+    # posets with labels in any order, and on chains whose labels run with
+    # the order (each smaller mask a downset) and against it (none is)
+    rng = random.Random(3203)
+    lats = [downset_lattice(Poset.chain(0)), chain_lattice(30), downset_lattice(
+        Poset.from_pairs(30, [(i + 1, i) for i in range(29)], [f"c{i}" for i in range(30)]))]
+    for _ in range(200):
+        p = random_poset(rng, rng.randint(1, 9), rng.choice([0.2, 0.4]))
+        labels = [rng.choice(["a", "b", '"', "é"]) + str(i) for i in range(p.n)]
+        lats.append(downset_lattice(Poset(p.n, p.up, labels)))
+    for lat in lats:
+        assert lat.names() == [lat.fmt(m) for m in lat.elements], lat
 
 
 def test_chain_product_converters():

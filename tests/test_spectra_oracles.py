@@ -222,13 +222,15 @@ def test_bruteforce_names_the_same_points(lattices):
 
 def test_dot_matches_oracle(lattices):
     for lat in lattices:
-        assert spectrum_dot(prime_spectrum(lat)) == oracle_spectrum_dot(oracle_prime_spectrum(lat))
+        names = [lat.fmt(m) for m in lat.elements]
+        want = oracle_spectrum_dot(oracle_prime_spectrum(lat))
+        assert spectrum_dot(prime_spectrum(lat), names) == want
 
 
 def test_lattice_dot_matches_pair_scan(lattices):
     edges = 0
     for lat in lattices:
-        text = lattice_hasse_dot(lat)
+        text = lattice_hasse_dot(lat, [lat.fmt(m) for m in lat.elements])
         assert text == lattice_hasse_dot_by_pair_scan(lat), lat
         edges += text.count(" -> ")
     assert edges >= 10 * len(lattices), edges
