@@ -305,10 +305,11 @@ def cmd_pl(args) -> int:
         return 0
     if args.action == "op":
         f = parse_pl_term(args.term)
-        payload = {"rays": [list(r) for r in f.rays],
-                   "coeffs": [list(c) for c in f.coeffs]}
-        lines = [f"rays:   {list(f.rays)}", f"coeffs: {list(f.coeffs)}"]
-        _emit(args, payload, lines)
+        if args.json:
+            _emit(args, {"rays": _Rows(map(str, r) for r in f.rays),
+                         "coeffs": _Rows(map(str, c) for c in f.coeffs)}, None)
+        else:
+            _emit(args, None, [f"rays:   {list(f.rays)}", f"coeffs: {list(f.coeffs)}"])
         return 0
     if args.action == "ideal-leq":
         f = parse_pl_term(args.term)
@@ -341,23 +342,28 @@ def _sample_points(seed: int, samples: int):
     """The sample points of ``pl ideal-leq --samples``, one at a time.
 
     A point (a/b, c/d) has a, c in [0, 10**6] and b, d in [1, 1000], drawn
-    as ``randrange`` draws them, straight from ``getrandbits``.  It is
-    given as (a·d, c·b): the function sampled is positively homogeneous
-    and b·d > 0, so its sign there is its sign at (a/b, c/d).
+    in that order as ``randrange`` draws them: ``randrange(n)`` takes
+    k = n.bit_length() bits from ``getrandbits`` and draws again while the
+    value is ≥ n.  Each draw is written out in the loop, with no call of
+    its own.  A point is given as (a·d, c·b): the function sampled is
+    positively homogeneous and b·d > 0, so its sign there is its sign at
+    (a/b, c/d).
     """
     getrandbits = random.Random(seed).getrandbits
-
-    def below(n, k):
-        # randrange(n) as CPython draws it: k = n.bit_length() bits, drawn again while ≥ n
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return r
-
     for _ in range(samples):
-        a, b = below(10 ** 6 + 1, 20), 1 + below(1000, 10)
-        c, d = below(10 ** 6 + 1, 20), 1 + below(1000, 10)
-        yield a * d, c * b
+        a = getrandbits(20)  # randrange(10**6 + 1)
+        while a > 1_000_000:
+            a = getrandbits(20)
+        b = getrandbits(10)  # randrange(1000)
+        while b >= 1000:
+            b = getrandbits(10)
+        c = getrandbits(20)
+        while c > 1_000_000:
+            c = getrandbits(20)
+        d = getrandbits(10)
+        while d >= 1000:
+            d = getrandbits(10)
+        yield a * (d + 1), c * (b + 1)
 
 
 def cmd_glambda(args) -> int:

@@ -44,10 +44,14 @@ from its first kink on.  The atoms are pairs (``plfun.PL_ATOMS``), and the
 ``pl_*`` functions keep a pair a pair until a kink; a pair is lifted to
 its one-cone fan (``plfun.as_fan``) by a function whose other operand is
 a ``PLFun``, on entering a lex ``(pl ...)`` frame, and at the end of a PL
-term.  Terms have no depth limit: the parser is iterative.  It keeps the
-open frame in locals and looks each ``(op``'s rule up in its grammar's
-rule dicts, whose values stay the module-level functions, and it reads a
-scaled atom ``(NAT atom)`` of the PL grammar in one step.
+term.  Terms have no depth limit: the parser is iterative.  It splits a
+term into tokens with ``str`` methods alone, parens padded with spaces
+and the text split on whitespace; the regular expression ``_TOKEN``,
+which gives the same tokens, is read only to find the column of an
+error.  It keeps the open frame in locals and looks each ``(op``'s rule
+up in its grammar's rule dicts, whose values stay the module-level
+functions, and it reads a scaled atom ``(NAT atom)`` of the PL grammar
+in one step.
 """
 
 from __future__ import annotations
@@ -239,6 +243,7 @@ def parse_lattice_file(path: str):
 
 # -- prefix terms -----------------------------------------------------------
 
+# a term's tokens with their positions, read only to place an error (``_column``)
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
 _BASIS = re.compile(r"c\d+")
 
@@ -271,11 +276,13 @@ def _parse_term(text: str, n: int | None):
     ``PL_FOLD`` combine them (lifting a pair whose other operand is a
     ``PLFun``), and the parser itself lifts a pair (``as_fan``) only as the
     operand of a lex ``(pl`` frame or as the value of a whole PL term.
-    The tokens are read without their positions: an error finds its
-    1-based column by reading the text again (``_column``), and one at the
-    end of the input has none.
+    The tokens come from padding each paren with spaces and splitting on
+    whitespace: those of ``_TOKEN``, as ``str.split`` and ``re``'s ``\\s``
+    break on the same 29 characters.  They are read without their
+    positions: an error finds its 1-based column by reading the text again
+    with ``_TOKEN`` (``_column``), and one at the end of the input has none.
     """
-    toks = _TOKEN.findall(text)
+    toks = text.replace("(", " ( ").replace(")", " ) ").split()
     toks.append(None)
     stack: list[tuple] = []  # the suspended frames, each (fn, arity, args, lex)
     fn = arity = args = None

@@ -236,16 +236,23 @@ def _least_unclosed(f: LatHom) -> tuple[int, int, int]:
     g(b) = {m : f(↓m) ⊆ b}, so the conclusion is a0 ≤ a1∨g(b), which is
     monotone in b.  A pair therefore fails iff it fails at b*, and b* is
     its least failing b in canonical order: every other one is larger.
-    Raises ``SelfCheckError`` when no pair fails.
+    b* and g(b*) depend on the pair only through f(a0)∖f(a1), so they are
+    computed once for each such value.  Raises ``SelfCheckError`` when no
+    pair fails.
     """
     dom, cdown = f.dom, f.cod.base.down
     fd = [f.table[dom.pos(d)] for d in dom.base.down]
+    seen: dict[int, tuple[int, int]] = {}  # f(a0)∖f(a1) -> (b*, g(b*))
     for a0, fa0 in zip(dom.elements, f.table):
         for a1, fa1 in zip(dom.elements, f.table):
-            b = 0
-            for q in bits(fa0 & ~fa1):
-                b |= cdown[q]
-            if a0 & ~(a1 | sum(1 << m for m, v in enumerate(fd) if not v & ~b)):
+            diff = fa0 & ~fa1
+            if diff not in seen:
+                b = 0
+                for q in bits(diff):
+                    b |= cdown[q]
+                seen[diff] = b, sum(1 << m for m, v in enumerate(fd) if not v & ~b)
+            b, g = seen[diff]
+            if a0 & ~(a1 | g):
                 return a0, a1, b
     raise SelfCheckError("is_closed: a map that fails the going-up certificate is closed")
 

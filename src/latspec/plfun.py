@@ -292,6 +292,9 @@ def pl_neg(f: Value) -> Value:
 
 
 def pl_sub(f: Value, g: Value) -> Value:
+    """f - g: pairs subtract, else f + (-g) by ``pl_add``."""
+    if type(f) is type(g) is tuple:
+        return (f[0] - g[0], f[1] - g[1])
     return pl_add(f, pl_neg(g))
 
 

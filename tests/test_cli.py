@@ -349,7 +349,9 @@ leq: 0<é 0<"q" "q"<a\\b𝔽 é<m:x "q"<m:x m:x<1 a\\b𝔽<1
 
 #: sha256 of the stdout of ``latspec ARGV``, recorded before the report
 #: emitter replaced ``json.dumps``: the text layouts, and escaped labels in
-#: both layouts
+#: both layouts; ESC and CUBE stand for the files below, ABS48 for its term
+#: in ``TERMS`` (the text of ``pl op``, recorded before it and the JSON
+#: report were built apart)
 PINNED_STDOUT_SHA256 = {
     ("lattice", "check", "ESC", "--json"):
         "84fb8c22677a79fe1c5e9480dff768263b8985fab7d2a585030b31f85de46c4e",
@@ -359,6 +361,8 @@ PINNED_STDOUT_SHA256 = {
         "46deea8b9e6f2639dadbb5486387c9d1b20bb8af28ca9ab0f75354431711b0ad",
     ("v0", "expand", "CUBE"):
         "25ddf576dc04c3cf2e76465f554b3205bed27583352368214fbbd585ef6a1bda",
+    ("pl", "op", "ABS48"):
+        "d014372c34a5ee71b01607ba22fc02ab711239d044a8e5777f0b6d287552a306",
 }
 
 
@@ -366,7 +370,7 @@ PINNED_STDOUT_SHA256 = {
 def test_stdout_pinned(argv, tmp_path, capsys):
     (tmp_path / "esc.lat").write_text(ESCAPED_LATTICE, encoding="utf-8")
     (tmp_path / "cube.lat").write_text(CUBE_POSET)
-    files = {"ESC": str(tmp_path / "esc.lat"), "CUBE": str(tmp_path / "cube.lat")}
+    files = {"ESC": str(tmp_path / "esc.lat"), "CUBE": str(tmp_path / "cube.lat"), **TERMS}
     assert main([files.get(a, a) for a in argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[argv], out

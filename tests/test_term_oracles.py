@@ -273,6 +273,51 @@ def test_fixed_cases_match_recursive_oracle():
                 outcome(oracle_parse_glambda_term, case, n), (case, n)
 
 
+def respace(rng: random.Random, text: str, ws: str) -> str:
+    """The tokens of ``text`` joined by ``ws``, with each paren glued to its neighbour or not."""
+    toks = _TOKEN.findall(text)
+    out = [rng.choice(["", ws])]
+    for prev, tok in zip([None] + toks, toks):
+        if prev is not None:
+            glue = "(" in (prev, tok) or ")" in (prev, tok)
+            out.append(rng.choice(["", ws, ws + ws]) if glue else ws)
+        out.append(tok)
+    out.append(rng.choice(["", ws]))
+    return "".join(out)
+
+
+def test_terms_split_on_every_whitespace_character():
+    # the parser splits a term with str methods; joined by each of the 29
+    # whitespace code points, a term must give the tokens of _TOKEN, and its
+    # parse the value, or the message and column, of the recursive oracles
+    every = "".join(map(chr, range(0x110000)))
+    whitespace = re.findall(r"\s", every)  # the characters _TOKEN breaks on
+    assert len(whitespace) == 29 and all(c.isspace() for c in whitespace)
+    assert "".join(every.split()) == re.sub(r"\s", "", every)  # str.split breaks on them too
+    rng = random.Random(29)
+    kinds = {"value": 0, "error": 0}
+    for ws in whitespace:
+        cases = []
+        for _ in range(3):
+            text = random_pl_term(rng, 3)[0]
+            cases += [(text, None), (mutate(rng, text), None)]
+        for n in CHAINS[1:]:
+            text = random_lex_text(rng, 2, n)
+            cases += [(text, n), (mutate(rng, text), n)]
+        for text, n in cases:
+            case = respace(rng, text, ws)
+            assert case.replace("(", " ( ").replace(")", " ) ").split() == \
+                _TOKEN.findall(case) == _TOKEN.findall(text), repr(case)
+            if n is None:
+                want, got = outcome(oracle_parse_pl_term, case), outcome(parse_pl_term, case)
+            else:
+                want = outcome(oracle_parse_glambda_term, case, n)
+                got = outcome(parse_glambda_term, case, n)
+            assert got == want, repr(case)
+            kinds[want[0]] += 1
+    assert min(kinds.values()) > 50, kinds
+
+
 def job_terms(argv: list[str]) -> tuple[list[str], int | None]:
     """The term arguments of a pl-terms job, and the chain length of a glambda job."""
     k = 3 if argv[:2] == ["glambda", "op"] else 2
