@@ -20,25 +20,24 @@ identity.  The named deviations ((name, value), …) are read off the word
 in name order.  ``Condensate.element`` validates and normalizes outside
 input.
 
-The packed row is the primitive of the arithmetic.  With the handle's
+The value word is the primitive of the arithmetic.  With the handle's
 table x ↦ φ(x) repeated in slot 0 and in every assigned slot,
-``word ^ table[base]`` is the element's value at every slot at once.  An
-element's packed form is its base followed by those values
-(``Condensate.pack``), and a packed row lays packed forms side by side in
-byte-aligned fields, so ``op_row`` computes s∨t or s∧t for every t of a
-row with one big-integer ``|`` or ``&`` (SWAR: Lamport, CACM 18(8),
-1975).  A field unpacks to canonical form by XOR with the table at its
-new base.  A join or meet of two members is a member, so nothing is
-validated again.  A row costs O(slots·w) bits per pair, not O(support):
-a long-lived handle that sees many names pays for the width of its
-words.  ``joins`` and ``meets`` unpack the row, ``join`` and ``meet`` are
-the one-element rows, and ``leq`` reads s ≤ t as s∨t = t.
+``word ^ table[base]`` is the element's value at every slot at once, so
+``join`` and ``meet`` are one big-integer ``|`` or ``&`` of the two value
+words, XOR the table at the new base (SWAR: Lamport, CACM 18(8), 1975).
+A join or meet of two members is a member, so nothing is validated
+again.  An op costs O(slots·w) bits, not O(support): a long-lived handle
+that sees many names pays for the width of its words.  ``leq`` reads
+s ≤ t as s∨t = t.
 
 A finite stage C_J (supports inside a finite index set J) is ≅ A × B^J and
 is built flat, as the downset lattice of P_A ⊔ J·P_B
 (``order.product_lattice``); stage checks run on its integer masks.
-``finite_stage_iso`` packs a stage once and checks the row of each left
-operand with one packed ``|`` and one ``&``, so the condensate's own op
+``finite_stage_iso`` packs a stage once: an element's packed form is its
+base followed by its value word (``Condensate.pack``), and a packed row
+lays packed forms side by side in byte-aligned fields.  ``op_row`` then
+computes the join or the meet of one left operand with every element of
+the row in one big-integer ``|`` or ``&``, so the condensate's own op
 still computes every ordered pair.  Stage elements, and the images of
 ``AlmostConstantSurjection``, are members by construction and are built
 in canonical form without validation.
@@ -203,20 +202,28 @@ class Condensate:
         return self.element(self.phi.dom.bottom)
 
     def join(self, s: CondElem, t: CondElem) -> CondElem:
-        """Pointwise join: the one-element row of ``joins``."""
-        return self.joins(s, (t,))[0]
+        """Pointwise join, on the values at every slot at once."""
+        return self._op(or_, s, t)
 
     def meet(self, s: CondElem, t: CondElem) -> CondElem:
-        """Pointwise meet: the one-element row of ``meets``."""
-        return self.meets(s, (t,))[0]
+        """Pointwise meet, on the values at every slot at once."""
+        return self._op(and_, s, t)
 
-    def joins(self, s: CondElem, ts: Sequence[CondElem]) -> list[CondElem]:
-        """The row [s ∨ t for t in ts]: one packed ``|``, unpacked field by field."""
-        return self._unpacked_row(or_, s, ts)
-
-    def meets(self, s: CondElem, ts: Sequence[CondElem]) -> list[CondElem]:
-        """The row [s ∧ t for t in ts]: one packed ``&``, unpacked field by field."""
-        return self._unpacked_row(and_, s, ts)
+    def _op(self, op: Callable[[int, int], int], s: CondElem, t: CondElem) -> CondElem:
+        """op(s, t): with R = ``_tables()``, ``word ^ R[base]`` is an
+        operand's value at every slot, so the result is
+        ``op(s.word ^ R[s.base], t.word ^ R[t.base]) ^ R[b]`` with
+        b = op(s.base, t.base).  Its slot 0 is op(φ(s.base), φ(t.base))
+        XOR φ(b), zero as φ is a lattice homomorphism; so is every slot
+        that neither operand deviates at, including slots assigned after an
+        operand was built.  Operands are canonical members, so the result
+        is one too and is not validated again.
+        """
+        if s.cond is not self or t.cond is not self:
+            raise MixedCondensateError("elements belong to different condensates")
+        rows = self._tables()
+        b = op(s.base, t.base)
+        return CondElem(b, op(s.word ^ rows[s.base], t.word ^ rows[t.base]) ^ rows[b], self)
 
     def pack(self, elems: Sequence[CondElem]) -> tuple[list[bytes], int]:
         """The packed forms of elems, each in a big-endian field of fb bytes,
@@ -238,33 +245,14 @@ class Condensate:
     def op_row(self, op: Callable[[int, int], int], p: int, row: int, ones: int) -> int:
         """The packed row whose every field is op(p, that field of ``row``).
 
-        ``ones`` has a 1 at the low end of each field, so ``p * ones`` is p
-        in every field, and one big-integer ``|`` or ``&`` computes every
-        ordered pair of the row: no bit crosses a field, and a field is
-        wide enough for the op of two packed forms.
+        It is the op of ``finite_stage_iso`` alone; ``join`` and ``meet``
+        work on one pair of words.  ``ones`` has a 1 at the low end of each
+        field, so ``p * ones`` is p in every field, and one big-integer
+        ``|`` or ``&`` computes every ordered pair of the row: no bit
+        crosses a field, and a field is wide enough for the op of two
+        packed forms.
         """
         return op(p * ones, row)
-
-    def _unpacked_row(self, op: Callable[[int, int], int], s: CondElem,
-                      ts: Sequence[CondElem]) -> list[CondElem]:
-        """The elements op(s, t) for t in ts, unpacked from ``op_row``.
-
-        A field f unpacks to ``CondElem(b, (f >> |base(A)|) ^ table[b])``
-        with b = f & top(A).  Slot 0 of its word is
-        op(φ(s.base), φ(t.base)) XOR φ(b), zero as φ is a lattice
-        homomorphism; so is every slot that neither operand deviates at,
-        including slots assigned after an operand was built.  Operands are
-        canonical members, so each result is one too and is not validated
-        again.
-        """
-        fields, fb = self.pack([s, *ts])
-        out = self.op_row(op, int.from_bytes(fields[0], "big"),
-                          int.from_bytes(b"".join(fields[1:]), "big"),
-                          _packed_ones(len(ts), fb)).to_bytes(len(ts) * fb, "big")
-        table, wa, top = self._rows, self.phi.dom.base.n, self.phi.dom.top
-        return [CondElem(b := (f := int.from_bytes(out[k:k + fb], "big")) & top,
-                         (f >> wa) ^ table[b], self)
-                for k in range(0, len(out), fb)]
 
     def leq(self, s: CondElem, t: CondElem) -> bool:
         """s ≤ t iff s∨t = t; canonical forms make the equality exact."""

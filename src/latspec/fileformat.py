@@ -61,7 +61,8 @@ from itertools import islice
 
 from .homs import LatHom
 from .lexgroup import LEX_OPS, LEX_UNARY, LexPL
-from .order import DLat, LatticeError, Poset, downset_lattice, lattice_of_pairs
+from .order import (DLat, LatticeError, Poset, SelfCheckError, downset_lattice,
+                    lattice_of_pairs)
 from .plfun import PL_ATOMS, PL_FOLD, PL_OPS, PL_UNARY, PLFun, as_fan, pl_scale
 from .report import frozen
 
@@ -140,13 +141,14 @@ def _parse_relation(no: int, text: str, names: list[str], sep: str) -> list[tupl
 
     Well-formed lines are read with ``str.split``; a line with a bad token is
     read again token by token, to report the first one with its column.
+    ``str.split`` and ``\\S+`` break on the same characters, so the second
+    read always finds a bad token; not finding one is a bug.
     """
     index = {x: k for k, x in enumerate(names)}
     try:
         return [(index[a], index[b]) for a, b in (tok.split(sep, 1) for tok in text.split())]
     except (KeyError, ValueError):
         pass
-    pairs = []
     for m in re.finditer(r"\S+", text):
         tok = m.group()
         if sep not in tok:
@@ -155,8 +157,7 @@ def _parse_relation(no: int, text: str, names: list[str], sep: str) -> list[tupl
         for x in (a, b):
             if x not in index:
                 raise ParseError(f"undeclared element {x!r}", no, m.start() + 1)
-        pairs.append((index[a], index[b]))
-    return pairs
+    raise SelfCheckError(f"_parse_relation: line {no} failed to read but holds no bad token")
 
 
 def _parse_poset_lattice(kind: str, fields: dict, prefix: str = "") -> ParsedLattice:

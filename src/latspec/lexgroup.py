@@ -234,16 +234,13 @@ def ideal_leq(x, y) -> IdealLeq:
             return IdealLeq(False)
         if ax.is_zero():
             return IdealLeq(True, bound=0)
-        # least n with |x| ≤ n·|y|; validity is monotone in n
-        hi = 1 if (lx is None or lx < ly) else ax.lex[lx] // ay.lex[ly] + 1
-        lo = 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if (ay.scale(mid) - ax).is_nonneg():
-                hi = mid
-            else:
-                lo = mid + 1
-        return IdealLeq(True, bound=lo)
+        # least n with |x| ≤ n·|y|: 1 when |x| leads lower; on equal leading
+        # positions l, n·|y| - |x| leads with n·ay[l] - ax[l], so with
+        # q = ax[l] // ay[l] every n < q fails and n = q + 1 holds
+        if lx is None or lx < ly:
+            return IdealLeq(True, bound=1)
+        q = ax.lex[lx] // ay.lex[ly]
+        return IdealLeq(True, bound=q if q >= 1 and (ay.scale(q) - ax).is_nonneg() else q + 1)
     if lx is not None:
         return IdealLeq(False)
     return pl_ideal_leq_abs(ax.pl, ay.pl)  # zero lex parts: ax.pl = |x.pl|

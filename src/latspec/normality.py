@@ -16,8 +16,10 @@ the least splitting.  Hence D(P) is completely normal iff every principal
 up-set of P is a chain: its spectrum is a root system (Dickmann, Schwartz
 & Tressl, *Spectral Spaces*, CUP 2019).  The canonical least-splitting
 table satisfies the triangle law x∖z ≤ (x∖y)∨(y∖z), because
-↓(x∖z) ⊆ ↓(x∖y) ∪ ↓(y∖z); pinned tables need not, so the law is still
-measured (``DiffLattice.triangle_violations``), never assumed.
+↓(x∖z) ⊆ ↓(x∖y) ∪ ↓(y∖z); pinned tables need not, so on them the law
+is measured (``DiffLattice.triangle_violations``), never assumed.  On a
+canonical table ``latspec v0 expand`` checks the law, with the
+identities, as a self-check before it writes anything.
 
 A table is stored as packed rows (SWAR: one big-integer operation acts on
 every field of a word; Lamport, CACM 18(8), 1975).  Each element x_k owns
@@ -319,15 +321,15 @@ class DiffLattice:
             if v:
                 yield i, k, v
 
-    def triangle_violations(self, limit: int | None = None) -> list[tuple[int, int, int]]:
+    def triangle_violations(self) -> list[tuple[int, int, int]]:
         """Triples (x, y, z) with x∖z ≰ (x∖y)∨(y∖z), in canonical order.
 
         Reported, not asserted: the canonical least-splitting table has none,
         but a table with pinned entries, like the cube replay's inherited
         ones, can have some.  Each word of ``_violation_words`` tests one
         pair (x, z) against every y at once; the words of a row x are read
-        y by y and, for each y, z by z, so the list and the ``limit``
-        cut-off are those of the scan of every triple.
+        y by y and, for each y, z by z, so the list is that of the scan of
+        every triple.
         """
         els, w, ones, field = self.lat.elements, self._w, self._ones, (1 << self._w) - 1
         out = []
@@ -337,8 +339,6 @@ class DiffLattice:
                 for k, v in words:
                     if (v >> b) & field:
                         out.append((els[i], els[b // w], els[k]))
-                        if limit is not None and len(out) >= limit:
-                            return out
         return out
 
     def triangle_count(self) -> int:

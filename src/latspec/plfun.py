@@ -504,26 +504,20 @@ def pl_ideal_leq_abs(fx: PLFun, fy: PLFun) -> IdealLeq:
     return IdealLeq(True, bound=best)
 
 
-def support_ray_profile(f: PLFun) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
-    """(nonzero at each |f|-fan ray, nonzero on each open cone)."""
-    g = pl_abs(f)
-    rv = ray_values(g)
-    return tuple(v > 0 for v in rv), tuple(c != (0, 0) for c in g.coeffs)
-
-
 def support_connected(f: PLFun) -> bool:
     """Is {p ∈ Ω : f(p) ≠ 0} connected?
 
     The support of |f| is a union of open cones and rays of its canonical
     fan; within the quadrant's angular interval it is connected iff the
-    marked slots form a single run.  An empty support counts as connected.
+    slots where |f| is nonzero, each ray followed by the open cone after
+    it, form a single run.  An empty support counts as connected.
     """
-    ray_on, cone_on = support_ray_profile(f)
+    g = pl_abs(f)
     slots: list[bool] = []
-    for k, r in enumerate(ray_on):
-        slots.append(r)
-        if k < len(cone_on):
-            slots.append(cone_on[k])
+    for k, v in enumerate(ray_values(g)):
+        slots.append(v > 0)
+        if k < len(g.coeffs):
+            slots.append(g.coeffs[k] != (0, 0))
     runs = 0
     prev = False
     for s in slots:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,9 @@ import pytest
 from latspec import cli
 from latspec.cli import main
 from latspec.homs import dual_hom_of_poset_map
-from latspec.order import Poset, chain_product, downset_lattice
+from latspec.normality import DiffLattice
+from latspec.order import (LatticeError, Poset, SelfCheckError, chain_product,
+                           downset_lattice)
 from latspec.plfun import pl_values
 from randgen import random_01_hom, random_poset
 
@@ -185,6 +188,59 @@ def test_v0_expand_chain(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "{x} \\ {x,y} = {}" in out
     assert "identities: pass" in out
+
+
+#: the grid 3 x 3: its base is two 2-chains
+GRID_POSET = """poset
+elements: a1 a2 b1 b2
+covers: a1<a2 b1<b2
+"""
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]])
+@pytest.mark.parametrize("fault", ["identity", "triangle"])
+def test_v0_expand_self_checks_its_table(fault, flag, tmp_path, monkeypatch, capsys):
+    # v0 expand checks the identities and the triangle law of its table
+    # before it writes a byte: a table that fails either is a bug, so
+    # SelfCheckError escapes main instead of "identities: pass"
+    p = tmp_path / "grid.lat"
+    p.write_text(GRID_POSET)
+    real = cli.expand_v0
+
+    def doctored(lat):
+        if fault == "identity":  # (1∧0)∨d(1, 0) = 1 fails with d(1, 0) = 0
+            least = real(lat)
+            table = {(x, y): least.diff(x, y) for x in lat.elements for y in lat.elements}
+            table[lat.top, lat.bottom] = lat.bottom
+            return DiffLattice(lat, table)
+        # the first pin that keeps the identities and breaks the triangle law
+        for x, y, d in product(lat.elements, repeat=3):
+            try:
+                dl = real(lat, {(x, y): d})
+            except LatticeError:
+                continue
+            if dl.check_identities() is None and dl.triangle_count():
+                return dl
+
+    monkeypatch.setattr(cli, "expand_v0", doctored)
+    with pytest.raises(SelfCheckError, match="^v0 expand: the least-splitting table fails "
+                                             "its identities or the triangle law$"):
+        main(["v0", "expand", str(p), *flag])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, need", [
+    (["lattice", "check", "HOM"], "a poset or lattice file"),
+    (["v0", "expand", "HOM"], "a poset or lattice file"),
+    (["refine", "witness", "HOM", "{u}"], "a poset or lattice file"),
+    (["hom", "check", "LAT"], "a hom file"),
+    (["cond", "stage", "LAT", "--indices", "i"], "a hom file"),
+])
+def test_commands_refuse_the_other_file_kind(argv, need, vfile, epsfile, capsys):
+    files = {"HOM": epsfile, "LAT": vfile}
+    assert main([files.get(a, a) for a in argv]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err == f"error: this command needs {need}\n"
 
 
 def test_refine_witness_cli(vfile, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from latspec.condensate import (AlmostConstantSurjection, Condensate,
                                 IndexUniverse, MixedCondensateError,
-                                SurjectionReport, finite_stage_iso,
+                                SurjectionReport, _packed_ones, finite_stage_iso,
                                 stage_inclusion)
 from latspec.homs import LatHom, dual_hom_of_poset_map
 from latspec.order import LatticeError, Poset, chain_lattice
@@ -238,17 +238,18 @@ def one_wrong_pair_cond(op, where):
     """A condensate whose packed row of ``op`` is wrong at exactly one
     ordered pair (s, t) of the stage {i, j}; the reversed pair gets the
     right answer.  The wrong field is planted in ``op_row``, the primitive
-    that both ``finite_stage_iso`` and the element rows call.  ``where``
-    places the pair: s after t in stage order, s before t, or t first or
-    last in the stage, so at the start or the end of the row
-    ``finite_stage_iso`` reads for s."""
+    of ``finite_stage_iso``; the pair is picked with the pair ops, which
+    do not run ``op_row``.  ``where`` places the pair: s after t in stage
+    order, s before t, or t first or last in the stage, so at the start or
+    the end of the row ``finite_stage_iso`` reads for s."""
+    fn = {"join": or_, "meet": and_}[op]
 
     class OneWrongPair(Condensate):
         wrong = None  # the packed forms of s, t and the wrong result
 
-        def op_row(self, fn, p, row, ones):
-            out = super().op_row(fn, p, row, ones)
-            if fn is not {"join": or_, "meet": and_}[op] or self.wrong is None:
+        def op_row(self, f, p, row, ones):
+            out = super().op_row(f, p, row, ones)
+            if f is not fn or self.wrong is None:
                 return out
             ws, wt, bad = self.wrong
             if p != int.from_bytes(ws, "big"):
@@ -260,25 +261,36 @@ def one_wrong_pair_cond(op, where):
                                            for k in range(0, size, fb)), "big")
 
     cond = OneWrongPair(eps_cond().phi, IndexUniverse.countable())
+    pair = getattr(cond, op)
     stage = cond.stage(["i", "j"])
-    rows = getattr(cond, op + "s")
     if where in ("later-first", "earlier-first"):
         # the first pair, in stage order, whose result is neither operand
         early, late = next((a, b) for k, a in enumerate(stage) for b in stage[k + 1:]
-                           if rows(a, [b])[0] not in (a, b))
+                           if pair(a, b) not in (a, b))
         s, t = (late, early) if where == "later-first" else (early, late)
     else:
         s, t = stage[1], stage[0] if where == "first-in-row" else stage[-1]
     assert finite_stage_iso(cond, ["i", "j"]).ok
     ts = stage if where in ("first-in-row", "last-in-row") else [t]
     k = ts.index(t)
-    right, back = rows(s, ts), rows(t, [s])[0]
-    bad = s if right[k] != s else t
+    bad = s if pair(s, t) != s else t
+
+    def fields(x, ys):
+        """op_row of x with the row of ys, planted and true, field by field."""
+        packed, fb = cond.pack([x, *ys])
+        row = (fn, int.from_bytes(packed[0], "big"), int.from_bytes(b"".join(packed[1:]), "big"),
+               _packed_ones(len(ys), fb))
+        cut = [v.to_bytes(len(ys) * fb, "big") for v in (cond.op_row(*row),
+                                                           Condensate.op_row(cond, *row))]
+        return [[v[i:i + fb] for i in range(0, len(v), fb)] for v in cut]
+
+    right = cond.pack([pair(s, u) for u in ts])[0]
+    assert fields(s, ts) == [right, right]
     cond.wrong = tuple(cond.pack([s, t, bad])[0])
-    got = rows(s, ts)
-    assert got[k] == bad != right[k]
+    got, want = fields(s, ts)
+    assert want == right and got[k] == cond.wrong[2] != right[k]
     assert got[:k] + got[k + 1:] == right[:k] + right[k + 1:]
-    assert rows(t, [s])[0] == back
+    assert fields(t, [s]) == [[cond.pack([pair(t, s)])[0][0]]] * 2
     return cond
 
 

@@ -7,16 +7,16 @@ reads the values on the union of the two supports through ``value_at``
 and rebuilds the result through ``Condensate.element``, which validates
 and renormalizes it.
 
-The rows ``joins`` and ``meets`` are checked against the pairwise merge
-as it was before rows, and ``finite_stage_iso`` against its pair loop of
+The pair ops are also checked against the pairwise merge as it was
+before packed words, and ``finite_stage_iso`` against its pair loop of
 that time; ``PairwiseCondensate`` and ``pair_loop_stage_iso`` keep both,
 the merge building its result through ``Condensate._canonical``.  Stage
 elements, built in canonical form without validation, are checked
 against the same elements built by ``Condensate.element``.
 
-Elements are packed deviation words, so the rows are also checked
+Elements are packed deviation words, so the pair ops are also checked
 against the pointwise join and meet defined on dicts of named values,
-with slots given out between rows, and ``AlmostConstantSurjection.apply``
+with slots given out between ops, and ``AlmostConstantSurjection.apply``
 against its per-name push (n, v) ↦ (n, φ(v)) as it was before words,
 kept verbatim in ``PushedSurjection``.
 """
@@ -81,7 +81,8 @@ def oracle_leq(cond: Condensate, s: CondElem, t: CondElem) -> bool:
 
 class PairwiseCondensate(Condensate):
     """A handle whose ``join`` and ``meet`` are the pairwise merge as it was
-    before rows; ``joins`` and ``meets`` stay the rows under test."""
+    before packed words; ``Condensate.join`` and ``Condensate.meet`` stay
+    the ops under test."""
 
     def join(self, s: CondElem, t: CondElem) -> CondElem:
         """Pointwise join, in one merge of the two canonical deviation maps."""
@@ -248,7 +249,7 @@ def test_mixed_condensates_rejected_like_oracle():
                 oracle(c1, a, b)
 
 
-# -- rows against the pairwise merge -----------------------------------------
+# -- pair ops against the pairwise merge -------------------------------------
 
 def shuffled_elem(rng: random.Random, cond: Condensate, names: list[str]) -> CondElem:
     """An element on ``names``, handed to ``element`` in a shuffled name order."""
@@ -292,14 +293,13 @@ def test_rows_match_pairwise_merge(which):
         cond = PairwiseCondensate(phi, IndexUniverse.countable())
         for _ in range(240 // len(maps)):
             s = shuffled_elem(rng, cond, rng.sample(NAMES, rng.randint(0, len(NAMES))))
+            # the row's elements are built after s, so they can slot names s has no slot for
             row, kinds = random_row(rng, cond, s)
-            for rows, pair, one in ((cond.joins, cond.join, Condensate.join),
-                                    (cond.meets, cond.meet, Condensate.meet)):
-                got, want = rows(s, row), [pair(s, t) for t in row]
-                assert got == want and [e.dev for e in got] == [e.dev for e in want], (s, row)
-                # the one-element row, as join and meet now are
-                assert [one(cond, s, t) for t in row] == want
-            assert cond.joins(s, []) == cond.meets(s, []) == []
+            for pair, one in ((cond.join, Condensate.join), (cond.meet, Condensate.meet)):
+                for t in row:
+                    for a, b in ((s, t), (t, s)):
+                        got, want = one(cond, a, b), pair(a, b)
+                        assert got == want and got.dev == want.dev, (a, b)
             for kind in kinds:
                 counts[kind] += 1
     assert min(counts.values()) >= 60, counts
@@ -311,18 +311,20 @@ def test_mixed_rows_rejected_at_every_position():
     s, foreign = c1.element(c1.phi.dom.top, {"i": 0}), c2.element(0, {"j": 1})
     row = c1.stage(["i"])
     message = "^elements belong to different condensates$"
-    for rows in (c1.joins, c1.meets):
+    # a packed row with a foreign element anywhere in it
+    for k in range(len(row) + 1):
         with pytest.raises(MixedCondensateError, match=message):
-            rows(foreign, row)
-        with pytest.raises(MixedCondensateError, match=message):
-            rows(foreign, [])
-        for k in range(len(row) + 1):
-            with pytest.raises(MixedCondensateError, match=message):
-                rows(s, row[:k] + [foreign] + row[k:])
+            c1.pack(row[:k] + [foreign] + row[k:])
+    with pytest.raises(MixedCondensateError, match=message):
+        c1.pack([foreign])
+    # a pair op with a foreign operand on either side, against every element
     for op in (c1.join, c1.meet, c1.leq):
-        for a, b in ((s, foreign), (foreign, s)):
-            with pytest.raises(MixedCondensateError, match=message):
-                op(a, b)
+        for t in [s, *row]:
+            for a, b in ((t, foreign), (foreign, t)):
+                with pytest.raises(MixedCondensateError, match=message):
+                    op(a, b)
+        with pytest.raises(MixedCondensateError, match=message):
+            op(foreign, foreign)
 
 
 def corrupted(cond: Condensate) -> Condensate:
@@ -386,7 +388,7 @@ def test_stage_elements_are_canonical_for_unsorted_names(phi):
     assert finite_stage_iso(cond, names).ok
 
 
-# -- packed rows and apply against their definitions on dicts ---------------
+# -- pair ops and apply against their definitions on dicts ------------------
 
 def pointwise(cond: Condensate, s: CondElem, t: CondElem,
               op: Callable[[int, int], int]) -> tuple[int, dict[str, int]]:
@@ -415,7 +417,7 @@ def test_packed_rows_match_dict_pointwise(which):
     unstaged = {"ξ", "i10"}
     for phi in maps:
         cond = Condensate(phi, IndexUniverse.countable())
-        # rows run after each of three phases: early operands deviate on
+        # ops run after each of three phases: early operands deviate on
         # three names, which take the first slots; a stage slots two more;
         # then elements alone slot the last two, which no stage holds
         early = [random_elem(rng, cond, NAMES[:3]) for _ in range(6)]
@@ -430,14 +432,11 @@ def test_packed_rows_match_dict_pointwise(which):
             for _ in range(max(4, 60 // len(maps))):
                 s = rng.choice(pool)
                 row = rng.sample(pool, rng.randint(1, min(8, len(pool))))
-                for rows, one, op in ((cond.joins, cond.join, or_),
-                                      (cond.meets, cond.meet, and_)):
-                    got = rows(s, row)
-                    assert len(got) == len(row)
+                for one, op in ((cond.join, or_), (cond.meet, and_)):
+                    got = [one(s, t) for t in row]
                     for t, g in zip(row, got):
                         base, dev = pointwise(cond, s, t, op)
                         assert_canonical_as(g, cond, base, dev)
-                        assert one(s, t) == g and hash(one(s, t)) == hash(g)
                         names = set(support(s)) | set(support(t))
                         counts["early"] += ((s in early) != (t in early)
                                             and bool(names - set(NAMES[:3])))

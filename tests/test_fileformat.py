@@ -1,11 +1,14 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from latspec import fileformat
 from latspec.fileformat import (ParsedHom, ParsedLattice, ParseError,
                                 parse_glambda_term, parse_lattice_text,
                                 parse_pl_term)
 from latspec.lexgroup import LexPL
+from latspec.order import SelfCheckError
 from latspec.plfun import pl_diff, pl_generators, pl_join, pl_scale
 from randgen import random_pl_term
 
@@ -79,6 +82,18 @@ def test_parse_error_positions():
         parse_lattice_text("")
     with pytest.raises(ParseError):
         parse_lattice_text("poset\nelements: a a\n")
+
+
+def test_relation_reread_finds_the_bad_token(monkeypatch):
+    # a relation line that fails its str.split read is read again token by
+    # token, which always finds the bad token; a second read that finds
+    # none is a bug, not a parse
+    monkeypatch.setattr(fileformat, "re", SimpleNamespace(finditer=lambda pattern, text: iter(())))
+    with pytest.raises(SelfCheckError,
+                       match="^_parse_relation: line 3 failed to read but holds no bad token$"):
+        parse_lattice_text("poset\nelements: a b\ncovers: a<c\n")
+    # a well-formed line never reaches the second read
+    assert parse_lattice_text("poset\nelements: a b\ncovers: a<b\n").lat.size == 3
 
 
 def test_parse_rejects_cycles_and_nonlattices():

@@ -5,8 +5,9 @@ import pytest
 from latspec.lexgroup import (LexError, LexPL, PrincipalIdeal, glambda_op,
                               ideal_eq, ideal_leq, lex_leading, lex_sign,
                               orthogonal_set_check, way_below)
-from latspec.plfun import (PLFun, pl_abs, pl_add, pl_diff, pl_generators,
-                           pl_meet, pl_neg, pl_scale, pl_sub)
+from latspec.plfun import (IdealLeq, PLFun, pl_abs, pl_add, pl_diff, pl_generators,
+                           pl_ideal_leq, pl_ideal_leq_abs, pl_is_zero, pl_meet, pl_neg,
+                           pl_scale, pl_sub)
 from randgen import random_pl_term
 
 A, B = pl_generators()
@@ -189,3 +190,92 @@ def test_principal_ideal_lattice():
     assert PrincipalIdeal(c0).leq(PrincipalIdeal(c1)).holds
     with pytest.raises(TypeError):
         hash(ia)
+
+
+# -- the closed-form bound against the bisection it replaced ------------------
+
+def oracle_ideal_leq(x, y) -> IdealLeq:
+    """``ideal_leq`` as it was before the closed form, kept verbatim: on
+    equal leading positions the least bound is found by bisection."""
+    if isinstance(x, PLFun):
+        return pl_ideal_leq(x, y)
+    ax, ay = x.abs(), y.abs()
+    ly = lex_leading(ay.lex)
+    lx = lex_leading(ax.lex)
+    if ly is not None:
+        if lx is not None and lx > ly:
+            return IdealLeq(False)
+        if ax.is_zero():
+            return IdealLeq(True, bound=0)
+        # least n with |x| ≤ n·|y|; validity is monotone in n
+        hi = 1 if (lx is None or lx < ly) else ax.lex[lx] // ay.lex[ly] + 1
+        lo = 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if (ay.scale(mid) - ax).is_nonneg():
+                hi = mid
+            else:
+                lo = mid + 1
+        return IdealLeq(True, bound=lo)
+    if lx is not None:
+        return IdealLeq(False)
+    return pl_ideal_leq_abs(ax.pl, ay.pl)  # zero lex parts: ax.pl = |x.pl|
+
+
+def random_tail(rng: random.Random) -> PLFun:
+    return PLFun.zero() if rng.random() < 0.4 else random_pl_term(rng, 3)[1]
+
+
+def random_lex_pair(rng: random.Random, n: int = 3) -> tuple[LexPL, LexPL]:
+    """(x, y) whose absolute values mostly lead at one position l, often
+    with |x|'s leading coefficient a multiple q of |y|'s and, in part of
+    those, its lower entries q times |y|'s, so that the PL tails decide
+    whether q bounds; each is negated at random."""
+    lead = rng.randrange(n)
+    ylex = [rng.randint(-3, 3) * (rng.random() < 0.6) if i < lead else 0 for i in range(n)]
+    ylex[lead] = rng.randint(1, 4)
+    y = LexPL(ylex, random_tail(rng))
+    kind = rng.choice(["equal", "divisible", "divisible", "lower", "higher", "no-lex"])
+    if kind in ("equal", "divisible"):
+        q = rng.randint(0, 4) if kind == "divisible" else None
+        xlex = [rng.randint(-6, 6) if i < lead else 0 for i in range(n)]
+        xlex[lead] = ylex[lead] * q if q else rng.randint(1, 13)
+        tail = random_tail(rng)
+        if q and rng.random() < 0.5:  # the lex part of q·|y| - |x| vanishes
+            xlex[:lead] = [q * v for v in ylex[:lead]]
+            tail = pl_add(pl_scale(q, y.pl), tail if rng.random() < 0.5 else pl_neg(tail))
+        x = LexPL(xlex, tail)
+    elif kind == "lower":
+        xlex = [rng.randint(-6, 6) if i < lead else 0 for i in range(n)]
+        x = LexPL(xlex, random_tail(rng))
+    elif kind == "higher":  # or level with |y|'s leading position
+        x = LexPL.basis(n, rng.randrange(lead, n))
+    else:
+        x, y = LexPL.from_pl(n, random_tail(rng)), LexPL.from_pl(n, random_tail(rng))
+    return (-x if rng.random() < 0.5 else x), (-y if rng.random() < 0.5 else y)
+
+
+def test_ideal_leq_bound_matches_bisection():
+    rng = random.Random(34_2026)
+    counts = dict.fromkeys(["equal", "divisible", "at q", "at q+1", "tail decides",
+                            "zero tails", "nonzero tails", "lower", "fails"], 0)
+    for _ in range(3000):
+        x, y = random_lex_pair(rng)
+        got = ideal_leq(x, y)
+        assert got == oracle_ideal_leq(x, y), (x, y)
+        ax, ay = x.abs(), y.abs()
+        lx, ly = lex_leading(ax.lex), lex_leading(ay.lex)
+        counts["fails"] += not got.holds
+        if ly is None or lx is None or lx < ly:
+            counts["lower"] += ly is not None
+            continue
+        if lx > ly:
+            continue
+        counts["equal"] += 1
+        counts["zero tails" if pl_is_zero(ax.pl) and pl_is_zero(ay.pl) else "nonzero tails"] += 1
+        q, r = divmod(ax.lex[lx], ay.lex[ly])
+        if r == 0:
+            counts["divisible"] += 1
+            counts["at q" if got.bound == q else "at q+1"] += 1
+            counts["tail decides"] += lex_leading((ay.scale(q) - ax).lex) is None
+    assert min(counts.values()) >= 100, counts

@@ -4,7 +4,8 @@ The oracles are the product searches that the closed forms replaced, kept
 verbatim: ``find_splitting`` over all candidate pairs, the pairwise
 ``is_completely_normal`` scan, the ``itertools.product`` search in
 ``refinement_witness``, the linear scan for the partner of a half-pinned
-pair and the scan of every triple in ``DiffLattice.triangle_violations``.
+pair and the scan of every triple in ``DiffLattice.triangle_violations``
+(without the cut-off it had while the scan had one).
 ``expand_v0`` is checked against its branch-per-pair form, which built a
 ``Splitting`` for every unpinned pair, and ``check_identities`` against
 the scan of every pair.  The table of ``v0 expand`` is also checked
@@ -137,7 +138,7 @@ def oracle_least_partner(lat: DLat, x: int, y: int, d: int) -> int:
         f"pinned {lat.fmt(x)}∖{lat.fmt(y)} = {lat.fmt(d)} admits no consistent partner")
 
 
-def oracle_triangle_violations(dl: DiffLattice, limit: int | None = None,
+def oracle_triangle_violations(dl: DiffLattice,
                                xs: set[int] | None = None) -> list[tuple[int, int, int]]:
     """Triples (x, y, z) with x∖z ≰ (x∖y)∨(y∖z), scanning every triple, or
     every triple whose x is in ``xs``."""
@@ -151,8 +152,6 @@ def oracle_triangle_violations(dl: DiffLattice, limit: int | None = None,
                 bound = diff[x, y] | diff[y, z]
                 if d | bound != bound:
                     out.append((x, y, z))
-                    if limit is not None and len(out) >= limit:
-                        return out
     return out
 
 
@@ -352,23 +351,19 @@ def test_round_trip_failure_is_a_bug(tmp_path, monkeypatch):
 # -- the triangle scan ------------------------------------------------------
 
 def assert_triangles_match(dl: DiffLattice, xs: set[int] | None = None) -> list[tuple[int, int, int]]:
-    """The scan agrees with the oracle with no limit and with limits 1 and 5,
-    and the count with the list.  With ``xs`` the oracle scans only the rows
-    x in ``xs``, which must hold the rows of the first five triples, so the
-    cut lists are the first triples of the oracle's."""
+    """The scan agrees with the oracle, and the count with the list.  With
+    ``xs`` the oracle scans only the rows x in ``xs``, which must hold the
+    rows of the first five triples, and the scan's triples in those rows
+    must be the oracle's."""
     got = dl.triangle_violations()
     assert dl.triangle_count() == len(got), dl.lat
     if xs is None:
         full = oracle_triangle_violations(dl)
         assert got == full, dl.lat
-        for limit in (1, 5):
-            assert dl.triangle_violations(limit) == oracle_triangle_violations(dl, limit), (dl.lat, limit)
         return full
     assert {x for x, _, _ in got[:5]} <= xs, dl.lat
-    full = oracle_triangle_violations(dl, None, xs)
+    full = oracle_triangle_violations(dl, xs)
     assert [t for t in got if t[0] in xs] == full, dl.lat
-    for limit in (1, 5):
-        assert dl.triangle_violations(limit) == full[:limit], (dl.lat, limit)
     return full
 
 
@@ -696,7 +691,7 @@ def test_packed_tables_at_the_extremes_match_oracles(lattices):
                 assert dl.check_identities() == oracle_check_identities(dl)
             xs = None
             if lat is big:
-                xs = {x for x, _ in dl._hot} | {x for x, _, _ in dl.triangle_violations(5)}
+                xs = {x for x, _ in dl._hot} | {x for x, _, _ in dl.triangle_violations()[:5]}
                 xs |= set(rng.sample(lat.elements, 2))
             violating += bool(assert_triangles_match(dl, xs))
             broken += dl.check_identities() is not None
