@@ -24,9 +24,10 @@ import argparse
 import functools
 import random
 import sys
-from fractions import Fraction
 from itertools import chain, starmap
-from json.encoder import encode_basestring_ascii as _quote  # json's C string encoder
+# json's C string encoder, the object that json.encoder.encode_basestring_ascii
+# is on CPython, taken from _json so that start-up loads none of the json package
+from _json import encode_basestring_ascii as _quote
 
 from . import dot as dotmod
 from .condensate import Condensate, IndexUniverse, finite_stage_iso
@@ -292,6 +293,7 @@ def cmd_cond_stage(args) -> int:
 def cmd_pl(args) -> int:
     f = parse_pl_term(args.term)
     if args.action == "eval":
+        from fractions import Fraction  # only pl eval builds a rational: start-up skips decimal
         try:
             x, y = map(Fraction, args.at.split(","))
         except (ValueError, ZeroDivisionError):

@@ -28,15 +28,15 @@ field k, the column of x holds d(x_k, x).  The least-splitting table is
 built from two words per base point (``_least_table``), so ``expand_v0``
 reads the least entries of a whole row at once, checks every least
 splitting with one AND per row, and lays its pins over row and column
-fields.  ``check_identities`` tests every pair of a row with two row
-operations.  The hot pairs of a ``DiffLattice`` are those whose entry is
-not ↓(x∖y) or, on a lattice that is not completely normal, whose least
-entries meet; ``expand_v0``'s are the pins that differ from their least
-entry.  They bound the triangle scan: an entry satisfying (x∧y)∨d = x
-holds x∖y and, being a downset, ↓(x∖y), so on a table that satisfies
-the identities a triple can fail only where d(x, z) is above the least
-entry ↓(x∖z), that is at a hot pair (x, z).  Each such pair is tested
-against every y in one word.
+fields.  A table's identities are tested once, when it is filled, every
+pair of a row with two row operations.  The hot pairs of a ``DiffLattice``
+are those whose entry is not ↓(x∖y) or, on a lattice that is not
+completely normal, whose least entries meet; ``expand_v0``'s are the pins
+that differ from their least entry.  They bound the triangle scan: an
+entry satisfying (x∧y)∨d = x holds x∖y and, being a downset, ↓(x∖y), so
+on a table that satisfies the identities a triple can fail only where
+d(x, z) is above the least entry ↓(x∖z), that is at a hot pair (x, z).
+Each such pair is tested against every y in one word.
 """
 
 from __future__ import annotations
@@ -233,11 +233,12 @@ class DiffLattice:
     the least-splitting argument does not cover: those whose entry is not
     ↓(x∖y), and those with ↓(x∖y)∧↓(y∖x) ≠ 0, which only a table on a
     lattice that is not completely normal can have.  The triangle scan
-    reads its exceptions off ``_hot``.  The identities are checked by
-    ``check_identities``, not here.
+    reads its exceptions off ``_hot``.  A table is not changed once filled,
+    so ``_fill`` tests the identities once, for ``_bad``, the least failing
+    pair or None, which ``check_identities`` and the triangle scan read.
     """
 
-    __slots__ = ("lat", "_w", "_ones", "_packed", "_diff", "_cols", "_hot")
+    __slots__ = ("lat", "_w", "_ones", "_packed", "_diff", "_cols", "_hot", "_bad")
 
     def __init__(self, lat: DLat, diff: Mapping[tuple[int, int], int]):
         shape, least_rows, least_cols = _least_table(lat)
@@ -263,6 +264,7 @@ class DiffLattice:
               hot: set) -> None:
         self.lat, (self._w, self._ones, self._packed) = lat, shape
         self._diff, self._cols, self._hot = rows, cols, hot
+        self._bad = self._identity_failure()
 
     @classmethod
     def _trusted(cls, lat: DLat, shape: tuple[int, int, int], rows: list[int], cols: list[int],
@@ -282,7 +284,11 @@ class DiffLattice:
         return [(row >> w * k) & ((1 << w) - 1) for k in (range(self.lat.size) if at is None else at)]
 
     def check_identities(self) -> tuple[int, int] | None:
-        """Least pair violating either identity, or None.
+        """Least pair violating either identity, or None."""
+        return self._bad
+
+    def _identity_failure(self) -> tuple[int, int] | None:
+        """The scan behind ``check_identities``, run once per table by ``_fill``.
 
         Two row operations per element x test every pair (x, y) at once:
         field k of ((x·ones ∧ packed) ∨ row) is (x∧x_k)∨d(x, x_k), which
@@ -310,7 +316,7 @@ class DiffLattice:
         come in canonical order.
         """
         rows, cols, w, ones = self._diff, self._cols, self._w, self._ones
-        if self.check_identities() is None:
+        if self._bad is None:
             pos = self.lat.pos
             pairs = sorted((pos(x), pos(z)) for x, z in self._hot)
         else:

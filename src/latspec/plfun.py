@@ -53,7 +53,6 @@ to its one-cone fan (``as_fan``), so any ``PLFun`` operand gives a
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key, reduce
 from math import gcd
 from operator import index
@@ -388,7 +387,10 @@ def pl_eval(f: PLFun, x, y):
     which is divided out once at the end: the value is an int when integral,
     else a ``Fraction``.  An int point is its own scaling and is never
     converted.  The cone is found by ``pl_values``, the one cone search.
+    ``fractions`` is imported here, the one place a value is made rational,
+    so that importing latspec loads neither it nor the ``decimal`` it imports.
     """
+    from fractions import Fraction
     if not (type(x) is int and type(y) is int):
         x, y = Fraction(x), Fraction(y)
     px, py = x.numerator * y.denominator, y.numerator * x.denominator

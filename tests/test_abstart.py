@@ -1,0 +1,50 @@
+"""The A/B start-up tool in ``tools/abstart.py``, on two copies of ``src/``."""
+
+import importlib.util
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "abstart.py"
+spec = importlib.util.spec_from_file_location("abstart", TOOL)
+abstart = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(abstart)
+
+
+@pytest.fixture(autouse=True)
+def own_path(monkeypatch):
+    # the tool puts perfbench/ on sys.path to read the benchmark's constants
+    monkeypatch.setattr(sys, "path", list(sys.path))
+
+
+def copy_src(dest: Path) -> Path:
+    shutil.copytree(ROOT / "src" / "latspec", dest / "latspec",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
+def test_two_trees_are_timed(tmp_path, capsys):
+    a, b = copy_src(tmp_path / "a"), copy_src(tmp_path / "b")
+    assert abstart.main([str(a), str(b), "--pairs", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("# set-up of import latspec.cli; build_parser(): 2 interleaved pairs")
+    assert out[1].startswith("A  scaled median ") and out[1].endswith(f"({a})")
+    assert out[2].startswith("B  scaled median ") and out[2].endswith(f"({b})")
+    assert " raw median " in out[1] and " raw median " in out[2]
+    assert out[3].startswith("B faster in ") and out[3].endswith("/2 pairs")
+    assert (a / "latspec" / "__pycache__").is_dir() and (b / "latspec" / "__pycache__").is_dir()
+
+
+def test_a_package_from_elsewhere_is_refused(tmp_path, capsys):
+    # without its __init__.py the B tree's latspec is a namespace package:
+    # what an interpreter would import from it is not that tree's package
+    a, b = copy_src(tmp_path / "a"), copy_src(tmp_path / "b")
+    (b / "latspec" / "__init__.py").unlink()
+    assert abstart.main([str(a), str(b), "--pairs", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: the B tree's interpreter imports latspec from None, "
+                            f"not from {b.resolve()}\n")

@@ -18,6 +18,7 @@ from latspec.normality import DiffLattice
 from latspec.order import (LatticeError, Poset, SelfCheckError, chain_product,
                            downset_lattice)
 from latspec.plfun import pl_values
+from latspec.replication import build_cube, expand_cube_v0
 from randgen import random_01_hom, random_poset
 
 V_POSET = """poset
@@ -227,6 +228,30 @@ def test_v0_expand_self_checks_its_table(fault, flag, tmp_path, monkeypatch, cap
                                              "its identities or the triangle law$"):
         main(["v0", "expand", str(p), *flag])
     assert capsys.readouterr().out == ""
+
+
+def test_identities_are_scanned_once_per_table(tmp_path, monkeypatch):
+    # a table is not changed once filled, so its one identity scan serves the
+    # self-check and the triangle count alike: v0 expand scans one table
+    # once, and the cube replay each of its tables once
+    scans = []
+    real = DiffLattice._identity_failure
+
+    def counted(self):
+        scans.append(self)
+        return real(self)
+
+    p = tmp_path / "grid.lat"
+    p.write_text(GRID_POSET)
+    monkeypatch.setattr(DiffLattice, "_identity_failure", counted)
+    for flag in ([], ["--json"]):
+        scans.clear()
+        assert main(["v0", "expand", str(p), *flag]) == 0
+        assert len(scans) == 1, flag
+    scans.clear()
+    expanded, rep = expand_cube_v0(build_cube())
+    assert rep.identities_ok
+    assert sorted(map(id, scans)) == sorted(map(id, expanded.values()))
 
 
 @pytest.mark.parametrize("argv, need", [
@@ -760,16 +785,24 @@ def test_back_to_back_calls_match_fresh_processes(vfile, epsfile, capsys):
     argvs = [["lattice", "check", vfile, "--json"], ["hom", "check", epsfile],
              ["lattice", "check", vfile], ["pl", "eval", "(add a b)", "--at", "1,2", "--json"],
              ["v0", "expand", vfile], ["hom", "check", epsfile, "--json"],
-             ["pl", "eval", "(add a b)", "--at", "1/2,3"], ["replicate", "rho"]]
+             ["pl", "eval", "(add a b)", "--at", "1/2,3"], ["replicate", "rho"],
+             ["pl", "eval", "a", "--at", "1/0,1"]]
     fresh = [subprocess.run([sys.executable, "-m", "latspec.cli", *argv],
                             capture_output=True, text=True) for argv in argvs]
     for argv, want in zip(argvs, fresh):
         assert main(argv) == want.returncode, argv
-        assert capsys.readouterr().out == want.stdout, argv
+        got = capsys.readouterr()
+        assert (got.out, got.err) == (want.stdout, want.stderr), argv
+    # the last call imports fractions in the command: a bad point is still one line
+    assert fresh[-1].returncode == 2 and fresh[-1].stderr.count("\n") == 1
 
 
 def test_startup_loads_no_code_generation_modules():
-    # a one-shot command imports the CLI and builds its parser in a fresh interpreter
+    # a one-shot command imports the CLI and builds its parser in a fresh
+    # interpreter; it generates no code (dataclasses, inspect, ast, dis,
+    # tokenize), and it loads no rational arithmetic (fractions, decimal,
+    # numbers), which only pl eval needs, nor the json package, whose C
+    # string encoder alone the CLI uses
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules)\n"
             "import latspec.cli; latspec.cli.build_parser()\n"
@@ -778,7 +811,9 @@ def test_startup_loads_no_code_generation_modules():
                          capture_output=True, text=True, check=True)
     added = set(out.stdout.split())
     assert "latspec.cli" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, sorted(added)
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize",
+                        "fractions", "decimal", "numbers",
+                        "json", "json.decoder", "json.scanner"}, sorted(added)
 
 
 def _poset_text(p: Poset) -> str:
