@@ -16,6 +16,12 @@ batches, so the rows of a big table come from a generator and are never
 held whole.  Every check, and every error a command can report, runs
 before the first byte is written: a failed command writes nothing to
 stdout.
+
+``build_parser`` makes the top-level parser and one parser per command.
+A command's subcommands and arguments are added the first time it is
+parsed (``_Subcommands``), so a one-shot command builds the parsers it
+runs through and no others, with the help and usage errors of a parser
+built whole.
 """
 
 from __future__ import annotations
@@ -445,100 +451,157 @@ def _nonnegative_int(text: str) -> int:
     return n
 
 
+class _Subcommands(argparse._SubParsersAction):
+    """Subcommands whose arguments are added when one is chosen.
+
+    ``add_parser(name, build, **kw)`` makes the subparser at once, so its
+    name, help and prog, and the parent's help and usage errors, are what a
+    whole parser gives; ``build(subparser)`` adds its arguments, and runs
+    once, the first time ``name`` is parsed.  ``_SubParsersAction`` is
+    private argparse API; tests/test_cli.py pins the help of every parser
+    and a usage error of each.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._builders = {}
+
+    def add_parser(self, name, build, **kwargs):
+        self._builders[name] = build
+        return super().add_parser(name, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        build = self._builders.pop(values[0], None)
+        if build is not None:
+            build(self._name_parser_map[values[0]])
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _subcommands(p):
+    """The action that ``p``'s subcommands are added to."""
+    return p.add_subparsers(dest="action", required=True, action=_Subcommands)
+
+
+# The builders: each adds the arguments of one (sub)command when it is chosen.
+
+def _finish(p, fn):
+    """Add ``--json``, the last argument of every command, and ``fn``, the command."""
+    p.add_argument("--json", action="store_true", help="machine-readable report")
+    p.set_defaults(fn=fn)
+
+
+def _lattice_check(p):
+    p.add_argument("file")
+    p.add_argument("--dot", action="store_true", help="emit Hasse + spectrum DOT instead")
+    _finish(p, cmd_lattice_check)
+
+
+def _hom_check(p):
+    p.add_argument("file")
+    _finish(p, cmd_hom_check)
+
+
+def _v0_expand(p):
+    p.add_argument("file")
+    _finish(p, cmd_v0_expand)
+
+
+def _refine_witness(p):
+    p.add_argument("file")
+    p.add_argument("element", nargs="+", help="family members ({x,y} literals or declared names)")
+    _finish(p, cmd_refine_witness)
+
+
+def _cond_stage(p):
+    p.add_argument("file", help="hom file for the underlying map")
+    p.add_argument("--indices", required=True, help="comma-separated index names")
+    _finish(p, cmd_cond_stage)
+
+
+def _pl(p):
+    ps = _subcommands(p)
+    ps.add_parser("eval", _pl_eval)
+    ps.add_parser("op", _pl_term)
+    ps.add_parser("ideal-leq", _pl_ideal_leq)
+    ps.add_parser("connected", _pl_term)
+
+
+def _pl_eval(p):
+    p.add_argument("term")
+    p.add_argument("--at", required=True, help="point X,Y (rationals)")
+    _finish(p, cmd_pl)
+
+
+def _pl_term(p):
+    p.add_argument("term")
+    _finish(p, cmd_pl)
+
+
+def _pl_ideal_leq(p):
+    p.add_argument("term")
+    p.add_argument("term2")
+    p.add_argument("--samples", type=_nonnegative_int, default=0,
+                   help="confirm the bound at N sample points")
+    p.add_argument("--seed", type=int, default=0)
+    _finish(p, cmd_pl)
+
+
+def _glambda(p):
+    ps = _subcommands(p)
+    ps.add_parser("op", _glambda_op)
+    ps.add_parser("waybelow", _glambda_waybelow)
+    ps.add_parser("ortho", _glambda_ortho)
+
+
+def _glambda_op(p):
+    p.add_argument("op", choices=[*LEX_OPS, "compare"])
+    p.add_argument("term")
+    p.add_argument("term2", nargs="?")
+    _chain(p)
+
+
+def _glambda_waybelow(p):
+    p.add_argument("term")
+    p.add_argument("term2")
+    _chain(p)
+
+
+def _glambda_ortho(p):
+    p.add_argument("term")
+    p.add_argument("rest", nargs="*")
+    _chain(p)
+
+
+def _chain(p):
+    p.add_argument("--chain", type=_nonnegative_int, required=True)
+    _finish(p, cmd_glambda)
+
+
+def _replicate(p):
+    p.add_argument("kernel", choices=["all", "cube", "v0", "rho", "closed-kernel", "convex-kernel"])
+    _finish(p, cmd_replicate)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser and one parser per command, whose arguments come when it is chosen."""
     ap = _ArgumentParser(prog="latspec",
                          description="exact workbench for finite distributive "
                                      "lattices, spectra, and PL lattice groups")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="machine-readable report")
-
-    p = sub.add_parser("lattice", help="lattice-level checks")
-    ps = p.add_subparsers(dest="action", required=True)
-    pc = ps.add_parser("check", help="normality, spectrum, unit map, round trip")
-    pc.add_argument("file")
-    pc.add_argument("--dot", action="store_true", help="emit Hasse + spectrum DOT instead")
-    add_json(pc)
-    pc.set_defaults(fn=cmd_lattice_check)
-
-    p = sub.add_parser("hom", help="homomorphism census")
-    ps = p.add_subparsers(dest="action", required=True)
-    pc = ps.add_parser("check")
-    pc.add_argument("file")
-    add_json(pc)
-    pc.set_defaults(fn=cmd_hom_check)
-
-    p = sub.add_parser("v0", help="difference expansions")
-    ps = p.add_subparsers(dest="action", required=True)
-    pc = ps.add_parser("expand")
-    pc.add_argument("file")
-    add_json(pc)
-    pc.set_defaults(fn=cmd_v0_expand)
-
-    p = sub.add_parser("refine", help="refinement witnesses")
-    ps = p.add_subparsers(dest="action", required=True)
-    pc = ps.add_parser("witness")
-    pc.add_argument("file")
-    pc.add_argument("element", nargs="+", help="family members ({x,y} literals or declared names)")
-    add_json(pc)
-    pc.set_defaults(fn=cmd_refine_witness)
-
-    p = sub.add_parser("cond", help="condensate stages")
-    ps = p.add_subparsers(dest="action", required=True)
-    pc = ps.add_parser("stage")
-    pc.add_argument("file", help="hom file for the underlying map")
-    pc.add_argument("--indices", required=True, help="comma-separated index names")
-    add_json(pc)
-    pc.set_defaults(fn=cmd_cond_stage)
-
-    p = sub.add_parser("pl", help="piecewise-linear functions")
-    ps = p.add_subparsers(dest="action", required=True)
-    pe = ps.add_parser("eval")
-    pe.add_argument("term")
-    pe.add_argument("--at", required=True, help="point X,Y (rationals)")
-    add_json(pe)
-    po = ps.add_parser("op")
-    po.add_argument("term")
-    add_json(po)
-    pi = ps.add_parser("ideal-leq")
-    pi.add_argument("term")
-    pi.add_argument("term2")
-    pi.add_argument("--samples", type=_nonnegative_int, default=0,
-                    help="confirm the bound at N sample points")
-    pi.add_argument("--seed", type=int, default=0)
-    add_json(pi)
-    pn = ps.add_parser("connected")
-    pn.add_argument("term")
-    add_json(pn)
-    for q in (pe, po, pi, pn):
-        q.set_defaults(fn=cmd_pl)
-
-    p = sub.add_parser("glambda", help="lexicographic-product elements")
-    ps = p.add_subparsers(dest="action", required=True)
-    po = ps.add_parser("op")
-    po.add_argument("op", choices=[*LEX_OPS, "compare"])
-    po.add_argument("term")
-    po.add_argument("term2", nargs="?")
-    po.add_argument("--chain", type=_nonnegative_int, required=True)
-    add_json(po)
-    pw = ps.add_parser("waybelow")
-    pw.add_argument("term")
-    pw.add_argument("term2")
-    pw.add_argument("--chain", type=_nonnegative_int, required=True)
-    add_json(pw)
-    pr = ps.add_parser("ortho")
-    pr.add_argument("term")
-    pr.add_argument("rest", nargs="*")
-    pr.add_argument("--chain", type=_nonnegative_int, required=True)
-    add_json(pr)
-    for q in (po, pw, pr):
-        q.set_defaults(fn=cmd_glambda)
-
-    p = sub.add_parser("replicate", help="re-run the recorded finite computations")
-    p.add_argument("kernel", choices=["all", "cube", "v0", "rho", "closed-kernel", "convex-kernel"])
-    add_json(p)
-    p.set_defaults(fn=cmd_replicate)
+    sub = ap.add_subparsers(dest="command", required=True, action=_Subcommands)
+    sub.add_parser("lattice", lambda p: _subcommands(p).add_parser(
+        "check", _lattice_check, help="normality, spectrum, unit map, round trip"),
+        help="lattice-level checks")
+    sub.add_parser("hom", lambda p: _subcommands(p).add_parser("check", _hom_check),
+                   help="homomorphism census")
+    sub.add_parser("v0", lambda p: _subcommands(p).add_parser("expand", _v0_expand),
+                   help="difference expansions")
+    sub.add_parser("refine", lambda p: _subcommands(p).add_parser("witness", _refine_witness),
+                   help="refinement witnesses")
+    sub.add_parser("cond", lambda p: _subcommands(p).add_parser("stage", _cond_stage),
+                   help="condensate stages")
+    sub.add_parser("pl", _pl, help="piecewise-linear functions")
+    sub.add_parser("glambda", _glambda, help="lexicographic-product elements")
+    sub.add_parser("replicate", _replicate, help="re-run the recorded finite computations")
     return ap
 
 

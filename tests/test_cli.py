@@ -773,6 +773,100 @@ def test_big_report_streams_in_bounded_memory(flag, tmp_path, monkeypatch):
     assert peak < sink.size / 3, peak
 
 
+#: the first 16 hex digits of the sha256 of ``exit code NUL stdout NUL
+#: stderr`` of ``latspec ARGV`` at 80 columns, recorded when every parser was
+#: built whole: the help of every command and subcommand, one missing-argument
+#: error of each, and one bad choice of each that has choices
+PARSER_SHA256 = {
+    ("-h",): "66002e613fb81b37",
+    ("lattice", "-h"): "fa6532ca6c27938a",
+    ("hom", "-h"): "37582347320c6f9a",
+    ("v0", "-h"): "9952b7db9591428c",
+    ("refine", "-h"): "281164a8e444e74f",
+    ("cond", "-h"): "fbe417cebefda9e6",
+    ("pl", "-h"): "8ed26453965df6e3",
+    ("glambda", "-h"): "d06ad8faf3659244",
+    ("replicate", "-h"): "ed98f5859d08b786",
+    ("lattice", "check", "-h"): "193adba1a2e817eb",
+    ("hom", "check", "-h"): "3ab914a5b00bd8cc",
+    ("v0", "expand", "-h"): "a7ac44b2f93d2e41",
+    ("refine", "witness", "-h"): "5ea9b0ee1c1f4b11",
+    ("cond", "stage", "-h"): "8e28641026725438",
+    ("pl", "eval", "-h"): "05aaa57e2ad94f76",
+    ("pl", "op", "-h"): "2c0d8373307ed291",
+    ("pl", "ideal-leq", "-h"): "3eafa3aa2a755a5f",
+    ("pl", "connected", "-h"): "b5ce033ddbb00d85",
+    ("glambda", "op", "-h"): "33e364ef53c1638c",
+    ("glambda", "waybelow", "-h"): "eb045d7cc6277840",
+    ("glambda", "ortho", "-h"): "22025bd10b0b3567",
+    (): "face24135d7782d4",
+    ("lattice",): "a3cbe53b625715f8",
+    ("hom",): "04ae9fcf8f8d2dda",
+    ("v0",): "330cb32cef6eef05",
+    ("refine",): "a7df4dccd8d5759a",
+    ("cond",): "bb563b704954728b",
+    ("pl",): "92cc8218b6e3e19c",
+    ("glambda",): "ec64620f22ff14e3",
+    ("replicate",): "ade1cf0da565d93f",
+    ("lattice", "check"): "26a2bd89ada20676",
+    ("hom", "check"): "7e92232205ffd7aa",
+    ("v0", "expand"): "b18e42212b942f95",
+    ("refine", "witness"): "3e965b505f7ce095",
+    ("cond", "stage"): "0e8a4c7387ac2c96",
+    ("pl", "eval"): "2ed85e675a2ee797",
+    ("pl", "op"): "091e7be502734417",
+    ("pl", "ideal-leq"): "3150599ad945b0ad",
+    ("pl", "connected"): "98f8b9832c38b752",
+    ("glambda", "op"): "4f4e0869f04b04d9",
+    ("glambda", "waybelow"): "03a5fd1ac62b924a",
+    ("glambda", "ortho"): "a51767568fa7f111",
+    ("bogus",): "f3d2d78b741ea51c",
+    ("lattice", "bogus"): "00737d7c139cf46e",
+    ("hom", "bogus"): "d13c9ea53793d0d6",
+    ("v0", "bogus"): "acc18861cdb8dfe6",
+    ("refine", "bogus"): "45d86ced1b01d88c",
+    ("cond", "bogus"): "b36e42b73333d6e1",
+    ("pl", "bogus"): "a6647779eb5025ea",
+    ("glambda", "bogus"): "de5fe115037ca2f1",
+    ("replicate", "bogus"): "f87b21f125f9d440",
+    ("glambda", "op", "bogus", "c0", "--chain", "1"): "d3f85c1581fd1db2",
+}
+
+
+@pytest.mark.parametrize("argv", list(PARSER_SHA256), ids=lambda a: " ".join(a) or "(none)")
+def test_help_and_usage_errors_unchanged(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    rc = main(list(argv))
+    out, err = capsys.readouterr()
+    assert rc == (0 if "-h" in argv else 2)
+    digest = hashlib.sha256(f"{rc}\0{out}\0{err}".encode()).hexdigest()[:16]
+    assert digest == PARSER_SHA256[argv], (out, err)
+
+
+def test_parsers_are_built_when_their_command_is_chosen(monkeypatch):
+    # build_parser makes the top level and one parser per command; a
+    # command's subcommands, and their arguments, come with its first parse
+    made = []
+    init = cli._ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._ArgumentParser, "__init__", counted)
+    ap = cli.build_parser()
+    assert len(made) == 9
+    assert ap.parse_args(["lattice", "check", "F"]).fn is cli.cmd_lattice_check
+    assert made[9:] == ["latspec lattice check"]
+    assert ap.parse_args(["pl", "eval", "a", "--at", "1,2"]).fn is cli.cmd_pl
+    assert made[10:] == ["latspec pl eval", "latspec pl op", "latspec pl ideal-leq",
+                         "latspec pl connected"]
+    for argv in (["lattice", "check", "G", "--json"], ["pl", "eval", "b", "--at", "0,0"],
+                 ["pl", "op", "a"]):
+        ap.parse_args(argv)
+    assert len(made) == 14
+
+
 def test_console_entry_point():
     out = subprocess.run([sys.executable, "-m", "latspec.cli", "replicate", "rho"],
                          capture_output=True, text=True)
@@ -780,13 +874,18 @@ def test_console_entry_point():
     assert "overall: pass" in out.stdout
 
 
-def test_back_to_back_calls_match_fresh_processes(vfile, epsfile, capsys):
+def test_back_to_back_calls_match_fresh_processes(vfile, epsfile, monkeypatch, capsys):
     # main keeps one parser per process; no call may leak into the next
     argvs = [["lattice", "check", vfile, "--json"], ["hom", "check", epsfile],
              ["lattice", "check", vfile], ["pl", "eval", "(add a b)", "--at", "1,2", "--json"],
              ["v0", "expand", vfile], ["hom", "check", epsfile, "--json"],
              ["pl", "eval", "(add a b)", "--at", "1/2,3"], ["replicate", "rho"],
+             # a parent's help and usage errors after one of its children was built
+             ["pl", "-h"], ["pl"], ["lattice", "bogus"],
+             ["glambda", "op", "neg", "c0", "--chain", "1"], ["glambda", "-h"],
+             ["glambda", "waybelow", "c0"], ["-h"],
              ["pl", "eval", "a", "--at", "1/0,1"]]
+    monkeypatch.setenv("COLUMNS", "80")  # the same help width here and in the children
     fresh = [subprocess.run([sys.executable, "-m", "latspec.cli", *argv],
                             capture_output=True, text=True) for argv in argvs]
     for argv, want in zip(argvs, fresh):
@@ -798,16 +897,25 @@ def test_back_to_back_calls_match_fresh_processes(vfile, epsfile, capsys):
 
 
 def test_startup_loads_no_code_generation_modules():
-    # a one-shot command imports the CLI and builds its parser in a fresh
-    # interpreter; it generates no code (dataclasses, inspect, ast, dis,
-    # tokenize), and it loads no rational arithmetic (fractions, decimal,
-    # numbers), which only pl eval needs, nor the json package, whose C
-    # string encoder alone the CLI uses
+    # a one-shot command imports the CLI, builds its parser and parses its
+    # argv in a fresh interpreter; it generates no code (dataclasses,
+    # inspect, ast, dis, tokenize), and it loads no rational arithmetic
+    # (fractions, decimal, numbers), which only pl eval's command needs,
+    # nor the json package, whose C string encoder alone the CLI uses.  The
+    # parses cover every command kind, whose arguments are built on choice.
     src = Path(__file__).resolve().parent.parent / "src"
+    argvs = [["lattice", "check", "F", "--dot"], ["hom", "check", "F"], ["v0", "expand", "F"],
+             ["refine", "witness", "F", "x"], ["cond", "stage", "F", "--indices", "i"],
+             ["pl", "eval", "a", "--at", "1,2"], ["pl", "op", "a"],
+             ["pl", "ideal-leq", "a", "b", "--samples", "3"], ["pl", "connected", "a"],
+             ["glambda", "op", "add", "c0", "c0", "--chain", "1"],
+             ["glambda", "waybelow", "c0", "c0", "--chain", "1"],
+             ["glambda", "ortho", "c0", "--chain", "1"], ["replicate", "all", "--json"]]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules)\n"
-            "import latspec.cli; latspec.cli.build_parser()\n"
+            "import latspec.cli; ap = latspec.cli.build_parser()\n"
+            "for argv in eval(sys.argv[2]): ap.parse_args(argv)\n"
             "print(*sorted(set(sys.modules) - before))")
-    out = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(src), repr(argvs)],
                          capture_output=True, text=True, check=True)
     added = set(out.stdout.split())
     assert "latspec.cli" in added
