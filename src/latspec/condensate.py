@@ -50,7 +50,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .homs import LatHom, NotAHomomorphismError
 from .order import DLat, LatticeError, product_lattice
-from .report import Report, field, frozen
+from .report import Report, derived, frozen
 
 
 class MixedCondensateError(LatticeError):
@@ -319,10 +319,7 @@ class StageIsoReport(Report):
     bijective: bool
     is_lattice_iso: bool
     bounds_ok: bool
-    ok: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ok", self.bijective and self.is_lattice_iso and self.bounds_ok)
+    ok: bool = derived(lambda r: r.bijective and r.is_lattice_iso and r.bounds_ok)
 
 
 def _packed_ones(n: int, fb: int) -> int:
@@ -435,8 +432,4 @@ class SurjectionReport(Report):
     surjective: bool
     source_size: int
     target_size: int
-    ok: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ok",
-                           self.hom_ok and self.bottom_ok and self.top_ok and self.surjective)
+    ok: bool = derived(lambda r: r.hom_ok and r.bottom_ok and r.top_ok and r.surjective)

@@ -21,7 +21,7 @@ from typing import Sequence
 from .plfun import (IdealLeq, PLFun, pl_abs, pl_add, pl_geq_zero, pl_ideal_leq,
                     pl_ideal_leq_abs, pl_is_zero, pl_join, pl_meet, pl_neg, pl_scale,
                     pl_sub, pl_way_below)
-from .report import Report, field, frozen
+from .report import Report, derived, frozen
 
 
 class LexError(ValueError):
@@ -58,13 +58,19 @@ def _lex_entry(k) -> int:
 
 @frozen
 class LexPL:
-    """An element of (integer chain power) ×_lex (PL function group)."""
+    """An element of (integer chain power) ×_lex (PL function group).
+
+    The constructor normalises each lex entry to an ``int`` (``LexError``
+    if it is not an integer); ``frozen`` gives equality, hash and ``repr``
+    over ``(lex, pl)``.
+    """
 
     lex: tuple[int, ...]
     pl: PLFun
 
-    def __post_init__(self):
-        object.__setattr__(self, "lex", tuple(_lex_entry(k) for k in self.lex))
+    def __init__(self, lex: Sequence[int], pl: PLFun):
+        object.__setattr__(self, "lex", tuple(_lex_entry(k) for k in lex))
+        object.__setattr__(self, "pl", pl)
 
     @classmethod
     def _trusted(cls, lex: tuple[int, ...], pl: PLFun) -> "LexPL":
@@ -111,12 +117,6 @@ class LexPL:
 
     def scale(self, k: int) -> "LexPL":
         return LexPL._trusted(tuple(k * a for a in self.lex), pl_scale(k, self.pl))
-
-    def __eq__(self, other):
-        return isinstance(other, LexPL) and self.lex == other.lex and self.pl == other.pl
-
-    def __hash__(self):
-        return hash((self.lex, self.pl.rays, self.pl.coeffs))
 
     # -- order ----------------------------------------------------------
 
@@ -298,11 +298,7 @@ class OrthReport(Report):
     meet_violations: tuple[tuple[int, int], ...]
     lex_parts_zero: bool | None  # None when not applicable (size < 2 or not orthogonal)
     nonzero_lex_members: tuple[int, ...]
-    ok: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ok",
-                           self.pairwise_orthogonal and self.lex_parts_zero is not False)
+    ok: bool = derived(lambda r: r.pairwise_orthogonal and r.lex_parts_zero is not False)
 
 
 def orthogonal_set_check(xs: Sequence[LexPL]) -> OrthReport:

@@ -27,7 +27,7 @@ from .condensate import AlmostConstantSurjection, IndexUniverse
 from .homs import HomCensus, LatHom, dual_hom_of_poset_map, hom_census, is_closed
 from .normality import DiffLattice, expand_v0, is_completely_normal
 from .order import DLat, LatticeError, Poset, chain_lattice, chain_product
-from .report import Report, field, frozen
+from .report import Report, derived, frozen
 
 BAR = (0, 2, 2)     # 0↦0, nonzero↦2
 RMAP = (0, 1, 1)    # 0↦0, nonzero↦1
@@ -109,7 +109,7 @@ def build_cube() -> CubeDiagram:
 
 @frozen
 class CubeReport(Report):
-    ok: bool = field(init=False)
+    ok: bool = derived(lambda r: r.embeddings_ok and r.bounds_ok and r.faces_ok and r.amalgams_ok)
     embeddings_ok: bool
     bounds_ok: bool
     faces_ok: bool
@@ -118,10 +118,6 @@ class CubeReport(Report):
     n_faces: int
     n_amalgams: int
     failures: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "ok", self.embeddings_ok and self.bounds_ok
-                           and self.faces_ok and self.amalgams_ok)
 
 
 def verify_cube(cube: CubeDiagram) -> CubeReport:
@@ -183,15 +179,12 @@ def _two_level_squares() -> list[tuple[frozenset, tuple[frozenset, frozenset], f
 
 @frozen
 class CubeV0Report(Report):
-    ok: bool = field(init=False)
+    ok: bool = derived(lambda r: r.identities_ok and r.maps_preserve_diff)
     identities_ok: bool
     maps_preserve_diff: bool
     normality_checked: tuple[str, ...]
     triangle_violations: int
     failures: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "ok", self.identities_ok and self.maps_preserve_diff)
 
 
 def expand_cube_v0(cube: CubeDiagram, rep: CubeReport | None = None) -> tuple[dict, CubeV0Report]:
@@ -313,7 +306,8 @@ def generated_subalgebra(dl: DiffLattice, gens: list[int]) -> set[int]:
 
 @frozen
 class RhoReport(Report):
-    ok: bool = field(init=False)
+    ok: bool = derived(lambda r: r.forced_unique and r.pushed_expected and r.triangle_fails
+                       and r.naturality_ok and r.subalgebras_ok)
     forced_solutions: dict
     forced_unique: bool
     pushed: dict
@@ -324,11 +318,6 @@ class RhoReport(Report):
     naturality_ok: bool
     subalgebras_ok: bool
     failures: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "ok", self.forced_unique and self.pushed_expected
-                           and self.triangle_fails and self.naturality_ok
-                           and self.subalgebras_ok)
 
 
 def run_rho_contradiction(cube: CubeDiagram | None = None,
@@ -409,16 +398,13 @@ def zero_separating_map() -> LatHom:
 
 @frozen
 class ClosedKernelReport(Report):
-    ok: bool = field(init=False)
+    ok: bool = derived(lambda r: (not r.eps_closed) and r.witness_expected
+                       and all(r.identity_controls))
     eps_closed: bool
     witness: tuple
     witness_expected: bool
     identity_controls: tuple[bool, ...]
     census: HomCensus
-
-    def __post_init__(self):
-        object.__setattr__(self, "ok", (not self.eps_closed) and self.witness_expected
-                           and all(self.identity_controls))
 
 
 def kernel_not_closed() -> ClosedKernelReport:
@@ -439,17 +425,14 @@ def kernel_not_closed() -> ClosedKernelReport:
 
 @frozen
 class ConvexKernelReport(Report):
-    ok: bool = field(init=False)
+    ok: bool = derived(lambda r: r.table_expected and not r.phi_convex
+                       and all(s.ok for s in r.stage_reports))
     phi_table: tuple[int, ...]
     table_expected: bool
     phi_convex: bool
     witness: tuple
     stage_reports: tuple
     census: HomCensus
-
-    def __post_init__(self):
-        object.__setattr__(self, "ok", self.table_expected and not self.phi_convex
-                           and all(r.ok for r in self.stage_reports))
 
 
 def kernel_not_convex() -> ConvexKernelReport:
@@ -473,16 +456,13 @@ def kernel_not_convex() -> ConvexKernelReport:
 
 @frozen
 class ReplicationSummary(Report):
-    ok: bool = field(init=False)
+    ok: bool = derived(lambda r: r.cube.ok and r.v0.ok and r.rho.ok and r.closed_kernel.ok
+                       and r.convex_kernel.ok)
     cube: CubeReport
     v0: CubeV0Report
     rho: RhoReport
     closed_kernel: ClosedKernelReport
     convex_kernel: ConvexKernelReport
-
-    def __post_init__(self):
-        object.__setattr__(self, "ok", self.cube.ok and self.v0.ok and self.rho.ok
-                           and self.closed_kernel.ok and self.convex_kernel.ok)
 
 
 def replicate_all() -> ReplicationSummary:

@@ -5,9 +5,11 @@ as ``dataclasses.dataclass(frozen=True)`` would, without generating code:
 the methods it installs are closures over the field names, so importing
 a module costs no ``exec`` per class.  It records the fields in
 declaration order in ``_fields``, the defaults in ``_field_defaults`` and
-the derived fields, declared ``field(init=False)`` and set in
-``__post_init__``, in ``_derived``.  A class keeps any of the six methods
-it defines itself.
+the derived fields in ``_derived``, a dict from each name to its rule in
+declaration order.  A derived field is declared with its rule, ``ok: bool
+= derived(lambda r: r.a and r.b)``, and the constructor sets it to the
+rule's value once the other fields are set.  A class keeps any of the six
+methods it defines itself.
 
 A report's keys are its fields in declaration order, which is therefore
 the key order of ``--json`` output.  A derived verdict that the dict
@@ -18,38 +20,40 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-_DERIVED = object()
 _item = "{}={!r}".format  # one "name=repr" entry of a repr
 
 
-def field(*, init: bool) -> object:
-    """Mark a derived field: ``ok: bool = field(init=False)``."""
-    if init:
-        raise TypeError("field() marks only a derived field: use field(init=False)")
-    return _DERIVED
+class derived:
+    """Mark a derived field and its rule: ``ok: bool = derived(lambda r: ...)``."""
+
+    __slots__ = ("rule",)
+
+    def __init__(self, rule):
+        self.rule = rule
 
 
 def frozen(cls):
     """Make ``cls`` a frozen value class over its annotated fields.
 
     The constructor takes the fields that are not derived, by position or
-    keyword, applies the defaults and then calls ``__post_init__`` if the
-    class has one.  Equality holds between instances of the same class
-    whose fields are equal in order, the hash is that of the field tuple,
-    ``repr`` is ``Name(field=value, ...)`` and assigning or deleting an
-    attribute raises ``AttributeError``.
+    keyword, applies the defaults and then sets each derived field, in
+    declaration order, to its rule applied to the instance; that is its
+    only step after binding, and no other hook of the class runs.
+    Equality holds between instances of the same class whose fields are
+    equal in order, the hash is that of the field tuple, ``repr`` is
+    ``Name(field=value, ...)`` and assigning or deleting an attribute
+    raises ``AttributeError``.
     """
     own = vars(cls)
     names = tuple(own.get("__annotations__", ()))
-    derived = tuple(n for n in names if own.get(n) is _DERIVED)
-    params = tuple(n for n in names if n not in derived)
+    rules = {n: own[n].rule for n in names if isinstance(own.get(n), derived)}
+    params = tuple(n for n in names if n not in rules)
     defaults = {n: own[n] for n in params if n in own}
     if tuple(defaults) != params[len(params) - len(defaults):]:
         raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
-    for n in derived:
+    for n in rules:
         delattr(cls, n)
-    n_params, post = len(params), hasattr(cls, "__post_init__")
-    put = object.__setattr__
+    n_params, put, derive = len(params), object.__setattr__, tuple(rules.items())
     values = attrgetter(*names) if len(names) > 1 else lambda self: tuple(getattr(self, n) for n in names)
 
     def __init__(self, *args, **kw):
@@ -59,8 +63,8 @@ def frozen(cls):
         for name in params:
             put(self, name, args[i])
             i += 1
-        if post:
-            self.__post_init__()
+        for name, rule in derive:
+            put(self, name, rule(self))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -83,7 +87,7 @@ def frozen(cls):
         if own.get(method.__name__) is None:  # a class defining __eq__ alone has __hash__ None
             method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
             setattr(cls, method.__name__, method)
-    cls._fields, cls._field_defaults, cls._derived = names, defaults, derived
+    cls._fields, cls._field_defaults, cls._derived = names, defaults, rules
     return cls
 
 

@@ -1,10 +1,12 @@
-"""The ``workload_round`` fixture gives a round of the benchmark's jobs to
-the tests that check latspec on them.
+"""Shared fixtures: ``workload_round`` gives a round of the benchmark's jobs
+to the tests that check latspec on them, and ``copy_src`` copies the
+package for the tests of the A/B tools.
 """
 
 from __future__ import annotations
 
 import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -28,3 +30,15 @@ def workload_round(monkeypatch: pytest.MonkeyPatch, tmp_path: Path):
         return WORKLOADS[name](random.Random(f"{name}:{seed}"), work)
 
     return generate
+
+
+@pytest.fixture
+def copy_src():
+    """``copy_src(dest)``: a copy of ``src/latspec`` as ``dest/latspec``, without
+    its bytecode; gives ``dest``, which the A/B tools take as a tree."""
+    def copy(dest: Path) -> Path:
+        shutil.copytree(Path(__file__).resolve().parents[1] / "src" / "latspec", dest / "latspec",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return dest
+
+    return copy

@@ -1,7 +1,6 @@
 """The A/B round tool in ``tools/abround.py``, on two copies of ``src/``."""
 
 import importlib.util
-import shutil
 import sys
 from pathlib import Path
 
@@ -23,13 +22,7 @@ def own_imports(monkeypatch):
         del sys.modules[key]
 
 
-def copy_src(dest: Path) -> Path:
-    shutil.copytree(ROOT / "src" / "latspec", dest / "latspec",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    return dest
-
-
-def test_equal_trees_are_timed(tmp_path, capsys):
+def test_equal_trees_are_timed(copy_src, tmp_path, capsys):
     a, b = copy_src(tmp_path / "a"), copy_src(tmp_path / "b")
     argv = [str(a), str(b), "--workload", "hom-files", "--seed", "7", "--rounds", "2"]
     assert abround.main(argv) == 0
@@ -39,7 +32,7 @@ def test_equal_trees_are_timed(tmp_path, capsys):
     assert out[3].startswith("B faster in ") and "/2 pairs; median A/B " in out[3]
 
 
-def test_differing_output_is_refused(tmp_path, capsys):
+def test_differing_output_is_refused(copy_src, tmp_path, capsys):
     a, b = copy_src(tmp_path / "a"), copy_src(tmp_path / "b")
     with open(b / "latspec" / "cli.py", "a", encoding="utf-8") as fh:
         # B writes one more space after every report
@@ -49,4 +42,16 @@ def test_differing_output_is_refused(tmp_path, capsys):
     assert abround.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
+    # the first differing job, then its first differing line: B's one more space,
+    # on a line of its own after the last line of A's report
     assert captured.err.startswith("error: the trees differ on {'argv': ['hom', 'check', ")
+    assert captured.err.endswith("'--json']}: stdout line 17\nA: <end of output>\nB: ' '\n")
+
+
+def test_first_difference_names_the_first_differing_thing():
+    first = abround.first_difference
+    assert first((0, "a\n", ""), (1, "b\n", "x")) == "exit code\nA: 0\nB: 1"
+    assert first((1, "a\nb\nc\n", ""), (1, "a\nB\nc\n", "")) == "stdout line 2\nA: 'b\\n'\nB: 'B\\n'"
+    assert first((2, "", "usage\nerror: x\n"), (2, "", "usage\n")) == \
+        "stderr line 2\nA: 'error: x\\n'\nB: <end of output>"
+    assert first((0, "a", ""), (0, "a\n", "")) == "stdout line 1\nA: 'a'\nB: 'a\\n'"

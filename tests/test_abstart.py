@@ -1,7 +1,6 @@
 """The A/B start-up tool in ``tools/abstart.py``, on two copies of ``src/``."""
 
 import importlib.util
-import shutil
 import sys
 from pathlib import Path
 
@@ -20,13 +19,7 @@ def own_path(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
 
 
-def copy_src(dest: Path) -> Path:
-    shutil.copytree(ROOT / "src" / "latspec", dest / "latspec",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    return dest
-
-
-def test_two_trees_are_timed(tmp_path, capsys):
+def test_two_trees_are_timed(copy_src, tmp_path, capsys):
     a, b = copy_src(tmp_path / "a"), copy_src(tmp_path / "b")
     assert abstart.main([str(a), str(b), "--pairs", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -48,7 +41,7 @@ def test_two_trees_are_timed(tmp_path, capsys):
     assert (a / "latspec" / "__pycache__").is_dir() and (b / "latspec" / "__pycache__").is_dir()
 
 
-def test_a_changed_setup_code_is_refused(tmp_path, monkeypatch, capsys):
+def test_a_changed_setup_code_is_refused(copy_src, tmp_path, monkeypatch, capsys):
     # without its build line the whole-command measure would time no parse
     a = copy_src(tmp_path / "a")
     monkeypatch.setattr(abstart, "benchmark_constants", lambda: ("import latspec.cli\n", 0.001))
@@ -57,7 +50,7 @@ def test_a_changed_setup_code_is_refused(tmp_path, monkeypatch, capsys):
                                        "'latspec.cli.build_parser()\\n'\n")
 
 
-def test_a_package_from_elsewhere_is_refused(tmp_path, capsys):
+def test_a_package_from_elsewhere_is_refused(copy_src, tmp_path, capsys):
     # without its __init__.py the B tree's latspec is a namespace package:
     # what an interpreter would import from it is not that tree's package
     a, b = copy_src(tmp_path / "a"), copy_src(tmp_path / "b")

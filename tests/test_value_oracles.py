@@ -3,10 +3,11 @@
 Every class in latspec that ``frozen`` made carries its record: ``_fields``
 in declaration order, ``_field_defaults`` and ``_derived``.  Each is
 compared with a ``dataclasses.make_dataclass(..., frozen=True)`` twin built
-from that record: the same fields, defaults and derived fields, the
-class's own ``__post_init__`` (the twin subclasses it), and the class's own
-``__eq__``/``__hash__`` where it defines them.  The twin's ``to_dict`` is
-the serializer as it was over ``dataclasses.fields``.  Both sides are built
+from that record: the same fields and defaults, a ``__post_init__`` that
+sets each derived field from its rule in ``_derived``, and the class's own
+``__init__``/``__eq__``/``__hash__`` where it defines them (a dataclass
+keeps an ``__init__`` that its namespace defines).  The twin's ``to_dict``
+is the serializer as it was over ``dataclasses.fields``.  Both sides are built
 from the same seeded constructor arguments and must agree on ``repr``,
 ``==``/``!=``/``hash``, ``to_dict`` through the CLI's emitter,
 positional, keyword and default construction, and the errors of bad
@@ -64,6 +65,12 @@ def old_to_dict(self) -> dict:
     return {f.name: _plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
 
+def _derive(self) -> None:
+    """The twin's ``__post_init__``: each derived field, in order, from its rule."""
+    for name, rule in self._derived.items():
+        object.__setattr__(self, name, rule(self))
+
+
 def twin(cls) -> type:
     """The frozen dataclass that ``cls`` stands in for, built from its record."""
     spec = []
@@ -75,7 +82,8 @@ def twin(cls) -> type:
         else:
             spec.append((name, object))
     own = {name: fn for name, fn in vars(cls).items()
-           if name in ("__eq__", "__hash__") and fn.__module__ != "latspec.report"}
+           if name in ("__init__", "__eq__", "__hash__") and fn.__module__ != "latspec.report"}
+    own["__post_init__"] = _derive
     if issubclass(cls, Report):
         own["to_dict"] = old_to_dict
     return dataclasses.make_dataclass(cls.__name__, spec, bases=(cls,), namespace=own, frozen=True)
@@ -234,8 +242,8 @@ def test_src_generates_no_code():
 
 # -- planted mutants of the mechanism --------------------------------------------
 
-def _init(cls, defaults: bool, post: bool):
-    """The mechanism's constructor, with its defaults or its ``__post_init__`` left out."""
+def _init(cls, defaults: bool, rules: bool):
+    """The mechanism's constructor, with its defaults or its derived rules left out."""
     names = params(cls)
 
     def __init__(self, *args, **kw):
@@ -243,8 +251,8 @@ def _init(cls, defaults: bool, post: bool):
         for name, value in zip(names, _bind(cls, names, cls._field_defaults, args, kw)):
             if defaults or name in given:
                 object.__setattr__(self, name, value)
-        if post and hasattr(cls, "__post_init__"):
-            self.__post_init__()
+        for name, rule in cls._derived.items() if rules else ():
+            object.__setattr__(self, name, rule(self))
     return __init__
 
 
@@ -270,8 +278,11 @@ MUTANTS = {
     "hash ignores the last field": ("HomCensus", lambda c: {"__hash__": _hash_but_last(c)}),
     "assignment allowed": ("Splitting", lambda c: {"__setattr__": object.__setattr__,
                                                    "__delattr__": object.__delattr__}),
-    "default not applied": ("IdealLeq", lambda c: {"__init__": _init(c, defaults=False, post=True)}),
-    "__post_init__ skipped": ("LexPL", lambda c: {"__init__": _init(c, defaults=True, post=False)}),
+    "default not applied": ("IdealLeq", lambda c: {"__init__": _init(c, defaults=False, rules=True)}),
+    "derived rule skipped": ("CubeReport", lambda c: {"__init__": _init(c, defaults=True, rules=False)}),
+    # the mechanism's constructor in place of LexPL's own, which normalises the lex entries
+    "LexPL's own __init__ bypassed": ("LexPL",
+                                      lambda c: {"__init__": _init(c, defaults=True, rules=True)}),
 }
 
 

@@ -13,7 +13,11 @@ stdout and stderr captured, a ``lib`` job (``verify_stage``, the only
 one) by its library call.
 
 Every job must give the same exit code, stdout and stderr on both trees;
-the first that does not is printed, and the tool exits 1 before timing.
+for the first that does not, the tool prints the job and the first thing
+that differs, and exits 1 before timing.  That is the exit code, or else
+the stream, the 1-based number of its first differing line and that line
+from each tree, as a ``repr`` or as ``<end of output>`` where the tree's
+output has ended.
 Then N pairs of rounds are timed, one round of each tree per pair, the
 tree that goes first alternating from pair to pair.  The tool prints the
 min, first quartile, median and third quartile of each tree's round
@@ -34,6 +38,7 @@ import sys
 import tempfile
 import time
 import traceback
+from itertools import zip_longest
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -80,6 +85,17 @@ def runner(pkg):
     return run
 
 
+def first_difference(a: tuple[int, str, str], b: tuple[int, str, str]) -> str:
+    """The first thing in which two (exit code, stdout, stderr) outcomes differ."""
+    if a[0] != b[0]:
+        return f"exit code\nA: {a[0]}\nB: {b[0]}"
+    stream, k = ("stdout", 1) if a[1] != b[1] else ("stderr", 2)
+    lines = [x[k].splitlines(keepends=True) for x in (a, b)]
+    n = next(i for i, (x, y) in enumerate(zip_longest(*lines)) if x != y)
+    shown = [repr(ls[n]) if n < len(ls) else "<end of output>" for ls in lines]
+    return f"{stream} line {n + 1}\nA: {shown[0]}\nB: {shown[1]}"
+
+
 def round_time(run, jobs) -> float:
     t0 = time.perf_counter()
     for job in jobs:
@@ -119,7 +135,8 @@ def main(argv=None) -> int:
         for job in jobs:  # the check, which also warms both trees up
             a, b = runs["A"](job), runs["B"](job)
             if a != b:
-                print(f"error: the trees differ on {job}:\nA: {a!r}\nB: {b!r}", file=sys.stderr)
+                print(f"error: the trees differ on {job}: {first_difference(a, b)}",
+                      file=sys.stderr)
                 return 1
         times = {"A": [], "B": []}
         for k in range(args.rounds):
