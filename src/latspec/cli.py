@@ -17,6 +17,8 @@ held whole.  Every check, and every error a command can report, runs
 before the first byte is written: a failed command writes nothing to
 stdout.
 
+Every command, its subcommands and its arguments are declared once, as
+data, in the table ``_COMMANDS``, and one function, ``_build``, reads it.
 ``build_parser`` makes the top-level parser and one parser per command.
 A command's subcommands and arguments are added the first time it is
 parsed (``_Subcommands``), so a one-shot command builds the parsers it
@@ -454,132 +456,82 @@ def _nonnegative_int(text: str) -> int:
 class _Subcommands(argparse._SubParsersAction):
     """Subcommands whose arguments are added when one is chosen.
 
-    ``add_parser(name, build, **kw)`` makes the subparser at once, so its
-    name, help and prog, and the parent's help and usage errors, are what a
-    whole parser gives; ``build(subparser)`` adds its arguments, and runs
-    once, the first time ``name`` is parsed.  ``_SubParsersAction`` is
+    ``_build`` makes every subparser at once, so its name, help and prog,
+    and the parent's help and usage errors, are what a whole parser gives;
+    it leaves each subcommand's spec in ``specs``, and the first parse of a
+    subcommand pops its spec and builds it.  ``_SubParsersAction`` is
     private argparse API; tests/test_cli.py pins the help of every parser
     and a usage error of each.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._builders = {}
-
-    def add_parser(self, name, build, **kwargs):
-        self._builders[name] = build
-        return super().add_parser(name, **kwargs)
-
     def __call__(self, parser, namespace, values, option_string=None):
-        build = self._builders.pop(values[0], None)
-        if build is not None:
-            build(self._name_parser_map[values[0]])
+        spec = self.specs.pop(values[0], None)
+        if spec is not None:
+            _build(self._name_parser_map[values[0]], *spec)
         super().__call__(parser, namespace, values, option_string)
 
 
-def _subcommands(p):
-    """The action that ``p``'s subcommands are added to."""
-    return p.add_subparsers(dest="action", required=True, action=_Subcommands)
+def _build(parser, what, *arguments, dest="action"):
+    """Add to ``parser`` what a spec of ``_COMMANDS`` declares.
+
+    ``what`` is a dict of subcommands, each ``name: (add_parser keywords,
+    *spec)``, which become ``_Subcommands`` stored under ``dest``; or the
+    ``cmd_*`` function, after whose ``(name, add_argument keywords)`` pairs
+    come ``--json``, the last argument of every command, and ``fn``.
+    """
+    if isinstance(what, dict):
+        sub = parser.add_subparsers(dest=dest, required=True, action=_Subcommands)
+        sub.specs = {}
+        for name, (kwargs, *spec) in what.items():
+            sub.add_parser(name, **kwargs)
+            sub.specs[name] = spec
+        return
+    for name, kwargs in arguments:
+        parser.add_argument(name, **kwargs)
+    parser.add_argument("--json", action="store_true", help="machine-readable report")
+    parser.set_defaults(fn=what)
 
 
-# The builders: each adds the arguments of one (sub)command when it is chosen.
+_FILE = ("file", {})
+_TERM = ("term", {})
+_TERM2 = ("term2", {})
+_CHAIN = ("--chain", {"type": _nonnegative_int, "required": True})
 
-def _finish(p, fn):
-    """Add ``--json``, the last argument of every command, and ``fn``, the command."""
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.set_defaults(fn=fn)
-
-
-def _lattice_check(p):
-    p.add_argument("file")
-    p.add_argument("--dot", action="store_true", help="emit Hasse + spectrum DOT instead")
-    _finish(p, cmd_lattice_check)
-
-
-def _hom_check(p):
-    p.add_argument("file")
-    _finish(p, cmd_hom_check)
-
-
-def _v0_expand(p):
-    p.add_argument("file")
-    _finish(p, cmd_v0_expand)
-
-
-def _refine_witness(p):
-    p.add_argument("file")
-    p.add_argument("element", nargs="+", help="family members ({x,y} literals or declared names)")
-    _finish(p, cmd_refine_witness)
-
-
-def _cond_stage(p):
-    p.add_argument("file", help="hom file for the underlying map")
-    p.add_argument("--indices", required=True, help="comma-separated index names")
-    _finish(p, cmd_cond_stage)
-
-
-def _pl(p):
-    ps = _subcommands(p)
-    ps.add_parser("eval", _pl_eval)
-    ps.add_parser("op", _pl_term)
-    ps.add_parser("ideal-leq", _pl_ideal_leq)
-    ps.add_parser("connected", _pl_term)
-
-
-def _pl_eval(p):
-    p.add_argument("term")
-    p.add_argument("--at", required=True, help="point X,Y (rationals)")
-    _finish(p, cmd_pl)
-
-
-def _pl_term(p):
-    p.add_argument("term")
-    _finish(p, cmd_pl)
-
-
-def _pl_ideal_leq(p):
-    p.add_argument("term")
-    p.add_argument("term2")
-    p.add_argument("--samples", type=_nonnegative_int, default=0,
-                   help="confirm the bound at N sample points")
-    p.add_argument("--seed", type=int, default=0)
-    _finish(p, cmd_pl)
-
-
-def _glambda(p):
-    ps = _subcommands(p)
-    ps.add_parser("op", _glambda_op)
-    ps.add_parser("waybelow", _glambda_waybelow)
-    ps.add_parser("ortho", _glambda_ortho)
-
-
-def _glambda_op(p):
-    p.add_argument("op", choices=[*LEX_OPS, "compare"])
-    p.add_argument("term")
-    p.add_argument("term2", nargs="?")
-    _chain(p)
-
-
-def _glambda_waybelow(p):
-    p.add_argument("term")
-    p.add_argument("term2")
-    _chain(p)
-
-
-def _glambda_ortho(p):
-    p.add_argument("term")
-    p.add_argument("rest", nargs="*")
-    _chain(p)
-
-
-def _chain(p):
-    p.add_argument("--chain", type=_nonnegative_int, required=True)
-    _finish(p, cmd_glambda)
-
-
-def _replicate(p):
-    p.add_argument("kernel", choices=["all", "cube", "v0", "rho", "closed-kernel", "convex-kernel"])
-    _finish(p, cmd_replicate)
+#: every command: its add_parser keywords, then a dict of its subcommands or
+#: its cmd_* function and its arguments, in the order that help lists them
+_COMMANDS = {
+    "lattice": ({"help": "lattice-level checks"}, {
+        "check": ({"help": "normality, spectrum, unit map, round trip"}, cmd_lattice_check, _FILE,
+                  ("--dot", {"action": "store_true", "help": "emit Hasse + spectrum DOT instead"})),
+    }),
+    "hom": ({"help": "homomorphism census"}, {"check": ({}, cmd_hom_check, _FILE)}),
+    "v0": ({"help": "difference expansions"}, {"expand": ({}, cmd_v0_expand, _FILE)}),
+    "refine": ({"help": "refinement witnesses"}, {
+        "witness": ({}, cmd_refine_witness, _FILE, ("element", {
+            "nargs": "+", "help": "family members ({x,y} literals or declared names)"})),
+    }),
+    "cond": ({"help": "condensate stages"}, {
+        "stage": ({}, cmd_cond_stage, ("file", {"help": "hom file for the underlying map"}),
+                  ("--indices", {"required": True, "help": "comma-separated index names"})),
+    }),
+    "pl": ({"help": "piecewise-linear functions"}, {
+        "eval": ({}, cmd_pl, _TERM, ("--at", {"required": True, "help": "point X,Y (rationals)"})),
+        "op": ({}, cmd_pl, _TERM),
+        "ideal-leq": ({}, cmd_pl, _TERM, _TERM2,
+                      ("--samples", {"type": _nonnegative_int, "default": 0,
+                                     "help": "confirm the bound at N sample points"}),
+                      ("--seed", {"type": int, "default": 0})),
+        "connected": ({}, cmd_pl, _TERM),
+    }),
+    "glambda": ({"help": "lexicographic-product elements"}, {
+        "op": ({}, cmd_glambda, ("op", {"choices": [*LEX_OPS, "compare"]}), _TERM,
+               ("term2", {"nargs": "?"}), _CHAIN),
+        "waybelow": ({}, cmd_glambda, _TERM, _TERM2, _CHAIN),
+        "ortho": ({}, cmd_glambda, _TERM, ("rest", {"nargs": "*"}), _CHAIN),
+    }),
+    "replicate": ({"help": "re-run the recorded finite computations"}, cmd_replicate, ("kernel", {
+        "choices": ["all", "cube", "v0", "rho", "closed-kernel", "convex-kernel"]})),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -587,21 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(prog="latspec",
                          description="exact workbench for finite distributive "
                                      "lattices, spectra, and PL lattice groups")
-    sub = ap.add_subparsers(dest="command", required=True, action=_Subcommands)
-    sub.add_parser("lattice", lambda p: _subcommands(p).add_parser(
-        "check", _lattice_check, help="normality, spectrum, unit map, round trip"),
-        help="lattice-level checks")
-    sub.add_parser("hom", lambda p: _subcommands(p).add_parser("check", _hom_check),
-                   help="homomorphism census")
-    sub.add_parser("v0", lambda p: _subcommands(p).add_parser("expand", _v0_expand),
-                   help="difference expansions")
-    sub.add_parser("refine", lambda p: _subcommands(p).add_parser("witness", _refine_witness),
-                   help="refinement witnesses")
-    sub.add_parser("cond", lambda p: _subcommands(p).add_parser("stage", _cond_stage),
-                   help="condensate stages")
-    sub.add_parser("pl", _pl, help="piecewise-linear functions")
-    sub.add_parser("glambda", _glambda, help="lexicographic-product elements")
-    sub.add_parser("replicate", _replicate, help="re-run the recorded finite computations")
+    _build(ap, _COMMANDS, dest="command")
     return ap
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from latspec import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "abstart.py"
 spec = importlib.util.spec_from_file_location("abstart", TOOL)
@@ -30,8 +32,7 @@ def test_two_trees_are_timed(copy_src, tmp_path, capsys):
     assert out[3].startswith("B faster in ") and out[3].endswith("/2 pairs")
     # the whole command: the same set-up with the first parse of one argv per command
     # kind; a failed parse would end its interpreter with exit 2, and the tool with it
-    assert {argv[0] for argv in abstart.COMMANDS} == {"lattice", "hom", "v0", "refine", "cond",
-                                                       "pl", "glambda", "replicate"}
+    assert {argv[0] for argv in abstart.COMMANDS} == set(cli._COMMANDS)
     assert out[4] == ("# whole command, import latspec.cli; build_parser().parse_args(ARGV): "
                       "2 interleaved pairs for each of 8 command kinds")
     assert out[5].startswith("A  scaled median ") and out[5].endswith(f"({a})")

@@ -830,7 +830,19 @@ PARSER_SHA256 = {
     ("glambda", "bogus"): "de5fe115037ca2f1",
     ("replicate", "bogus"): "f87b21f125f9d440",
     ("glambda", "op", "bogus", "c0", "--chain", "1"): "d3f85c1581fd1db2",
+    # a value that is no integer, for each argument typed _nonnegative_int or int
+    ("glambda", "op", "neg", "c0", "--chain", "x"): "2b28b162f2b062d9",
+    ("pl", "ideal-leq", "a", "b", "--samples", "x"): "acbc09ace5afdad9",
+    ("pl", "ideal-leq", "a", "b", "--seed", "x"): "dd1c5ea6b854203c",
 }
+
+
+def parsers(what=cli._COMMANDS, path=()):
+    """Each parser that ``cli._COMMANDS`` declares: the argv that reaches it, and its spec."""
+    yield path, what
+    if isinstance(what, dict):
+        for name, (_, child, *_) in what.items():
+            yield from parsers(child, path + (name,))
 
 
 @pytest.mark.parametrize("argv", list(PARSER_SHA256), ids=lambda a: " ".join(a) or "(none)")
@@ -841,6 +853,16 @@ def test_help_and_usage_errors_unchanged(argv, monkeypatch, capsys):
     assert rc == (0 if "-h" in argv else 2)
     digest = hashlib.sha256(f"{rc}\0{out}\0{err}".encode()).hexdigest()[:16]
     assert digest == PARSER_SHA256[argv], (out, err)
+
+
+def test_every_declared_parser_has_its_pins():
+    # a command added to the table must come with the pins of its help and usage errors
+    declared = list(parsers())
+    assert len(declared) == 21
+    for path, what in declared:
+        assert path + ("-h",) in PARSER_SHA256 and path in PARSER_SHA256, path
+        if isinstance(what, dict):  # a bad choice of subcommand
+            assert path + ("bogus",) in PARSER_SHA256, path
 
 
 def test_parsers_are_built_when_their_command_is_chosen(monkeypatch):

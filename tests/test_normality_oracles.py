@@ -994,6 +994,30 @@ def test_verify_cube_matches_oracle():
     assert (faces, amalgams) == (48, 32)
 
 
+#: one cover of the cube replaced, by its formula on tuples, and a failure its report names;
+#: the doctored covers above are all injective 0,1-maps that keep every bottom-to-top path
+FAILING_COVERS = {
+    "not injective": ((frozenset({1}), frozenset({1, 2})), lambda t: (BAR[t[0]], BAR[t[0]]),
+                      "map [1]->[1, 2] not injective"),
+    "not a 0,1-map": ((frozenset({1}), frozenset({1, 2})), lambda t: (t[0], 0),
+                      "map [1]->[1, 2] not a 0,1-map"),
+    "path disagrees": ((frozenset(), frozenset({2})), lambda t: t,  # 0 -> 0, 1 -> (1,)
+                       "path via [2],[1, 2] disagrees"),
+}
+
+
+@pytest.mark.parametrize("case", FAILING_COVERS)
+def test_verify_cube_reports_a_failing_cover(case):
+    (p, q), formula, text = FAILING_COVERS[case]
+    cube = build_cube()
+    tt, tm = cube.to_tuple[p], cube.to_mask[q]
+    dom, cod = cube.lattices[p], cube.lattices[q]
+    bent = doctored(cube, (p, q), LatHom(dom, cod, [tm(formula(tt(m))) for m in dom.elements]))
+    got = verify_cube(bent)
+    assert got == oracle_verify_cube(bent)
+    assert not got.ok and text in got.failures, got.failures
+
+
 def test_generated_subalgebra_matches_oracle():
     cube = build_cube()
     expanded, _ = expand_cube_v0(cube)

@@ -151,7 +151,11 @@ def variants(arg_sets: list[tuple]) -> list[tuple]:
     return out
 
 
-SAMPLES = samples()
+@pytest.fixture(scope="module")
+def sample_args() -> dict[str, list[tuple]]:
+    """``samples()``, built when a test first asks for it: a fault in a value class
+    fails the tests that need the samples, not the collection of this module."""
+    return samples()
 
 
 # -- the comparison ----------------------------------------------------------------
@@ -171,13 +175,13 @@ def shown(v):
     return v if isinstance(v, type) else outcome(repr, v)
 
 
-def check(cls) -> None:
-    """Assert that ``cls`` behaves as its dataclass twin on every sample."""
+def check(cls, arg_sets: list[tuple]) -> None:
+    """Assert that ``cls`` behaves as its dataclass twin on every sample in ``arg_sets``."""
     tw, names = TWINS[cls.__name__], params(cls)
     required = len(names) - len(cls._field_defaults)
     other, other_tw = type("Other", (cls,), {}), type("Other", (tw,), {})
     built = []
-    for args in variants(SAMPLES[cls.__name__]):
+    for args in variants(arg_sets):
         new, old = outcome(cls, *args), outcome(tw, *args)
         assert shown(new) == shown(old), (cls, args)
         if isinstance(old, type):
@@ -219,14 +223,14 @@ def check(cls) -> None:
                 assert outcome(op, a_new, b_new) == outcome(op, a_old, b_old), (a_new, b_new)
 
 
-def test_every_value_class_has_samples():
+def test_every_value_class_has_samples(sample_args):
     assert len(CLASSES) == 26
-    assert set(SAMPLES) == set(CLASSES)
+    assert set(sample_args) == set(CLASSES)
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))
-def test_value_class_matches_its_dataclass_twin(name):
-    check(CLASSES[name])
+def test_value_class_matches_its_dataclass_twin(name, sample_args):
+    check(CLASSES[name], sample_args[name])
 
 
 def test_src_generates_no_code():
@@ -287,11 +291,12 @@ MUTANTS = {
 
 
 @pytest.mark.parametrize("mutant", MUTANTS)
-def test_planted_mutant_fails(mutant, monkeypatch):
+def test_planted_mutant_fails(mutant, monkeypatch, sample_args):
+    # the samples are built before the mutant is planted
     name, patch = MUTANTS[mutant]
     cls = CLASSES[name]
-    check(cls)  # the unmutated class passes
+    check(cls, sample_args[name])  # the unmutated class passes
     for attr, fn in patch(cls).items():
         monkeypatch.setattr(cls, attr, fn)
     with pytest.raises(AssertionError):
-        check(cls)
+        check(cls, sample_args[name])
