@@ -20,10 +20,10 @@ stdout.
 Every command, its subcommands and its arguments are declared once, as
 data, in the table ``_COMMANDS``, and one function, ``_build``, reads it.
 ``build_parser`` makes the top-level parser and one parser per command.
-A command's subcommands and arguments are added the first time it is
-parsed (``_Subcommands``), so a one-shot command builds the parsers it
-runs through and no others, with the help and usage errors of a parser
-built whole.
+Each parser keeps its spec until its first parse builds it
+(``_ArgumentParser.parse_known_args``), so a one-shot command builds the
+parsers it runs through and no others, with the help and usage errors of
+a parser built whole.
 """
 
 from __future__ import annotations
@@ -176,20 +176,20 @@ def _json_names(lat) -> list[str]:
     return list(map(_quote, lat.names()))
 
 
-def _need_lattice(parsed) -> ParsedLattice:
-    if not isinstance(parsed, ParsedLattice):
-        raise ParseError("this command needs a poset or lattice file")
-    return parsed
+#: how the refusal of a file of another kind names each kind that a command needs
+_NEEDS = {ParsedLattice: "a poset or lattice file", ParsedHom: "a hom file"}
 
 
-def _need_hom(parsed) -> ParsedHom:
-    if not isinstance(parsed, ParsedHom):
-        raise ParseError("this command needs a hom file")
+def _need(kind, path: str):
+    """The declaration file at ``path``, parsed, which must be a ``kind`` of ``_NEEDS``."""
+    parsed = parse_lattice_file(path)
+    if not isinstance(parsed, kind):
+        raise ParseError(f"this command needs {_NEEDS[kind]}")
     return parsed
 
 
 def cmd_lattice_check(args) -> int:
-    pl = _need_lattice(parse_lattice_file(args.file))
+    pl = _need(ParsedLattice, args.file)
     lat = pl.lat
     if args.dot:
         spec = prime_spectrum(lat)
@@ -230,7 +230,7 @@ def cmd_lattice_check(args) -> int:
 
 
 def cmd_hom_check(args) -> int:
-    ph = _need_hom(parse_lattice_file(args.file))
+    ph = _need(ParsedHom, args.file)
     census = hom_census(ph.hom)
     payload = census.to_dict()
     lines = [f"{k}: {v}" for k, v in payload.items()]
@@ -246,7 +246,7 @@ def _difference_rows(lat, dl, names: list[str]):
 
 
 def cmd_v0_expand(args) -> int:
-    pl = _need_lattice(parse_lattice_file(args.file))
+    pl = _need(ParsedLattice, args.file)
     lat = pl.lat
     dl = expand_v0(lat)
     if dl.check_identities() is not None or dl.triangle_count():
@@ -268,7 +268,7 @@ def cmd_v0_expand(args) -> int:
 
 
 def cmd_refine_witness(args) -> int:
-    pl = _need_lattice(parse_lattice_file(args.file))
+    pl = _need(ParsedLattice, args.file)
     fam = [pl.resolve(tok) for tok in args.element]
     w = refinement_witness(pl.lat, fam)
     if w is None:
@@ -286,7 +286,7 @@ def cmd_refine_witness(args) -> int:
 
 
 def cmd_cond_stage(args) -> int:
-    ph = _need_hom(parse_lattice_file(args.file))
+    ph = _need(ParsedHom, args.file)
     names = [n for n in args.indices.split(",") if n]
     cond = Condensate(ph.hom, IndexUniverse.countable())
     rep = finite_stage_iso(cond, names)
@@ -437,6 +437,24 @@ def cmd_replicate(args) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    """A parser that builds what ``_COMMANDS`` declares for it when it is first parsed.
+
+    ``_build`` makes every subparser at once, so its name, help and prog,
+    and the parent's help and usage errors, are what a whole parser gives;
+    it leaves the subparser's spec in ``spec``.  The first parse clears it
+    and builds the parser; argparse parses a chosen subcommand through
+    ``parse_known_args``, the public method overridden here.
+    """
+
+    spec = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        spec = self.spec
+        if spec is not None:
+            self.spec = None
+            _build(self, *spec)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
         """A usage error is one line on stderr and exit 2, like any other input error."""
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -453,38 +471,19 @@ def _nonnegative_int(text: str) -> int:
     return n
 
 
-class _Subcommands(argparse._SubParsersAction):
-    """Subcommands whose arguments are added when one is chosen.
-
-    ``_build`` makes every subparser at once, so its name, help and prog,
-    and the parent's help and usage errors, are what a whole parser gives;
-    it leaves each subcommand's spec in ``specs``, and the first parse of a
-    subcommand pops its spec and builds it.  ``_SubParsersAction`` is
-    private argparse API; tests/test_cli.py pins the help of every parser
-    and a usage error of each.
-    """
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        spec = self.specs.pop(values[0], None)
-        if spec is not None:
-            _build(self._name_parser_map[values[0]], *spec)
-        super().__call__(parser, namespace, values, option_string)
-
-
 def _build(parser, what, *arguments, dest="action"):
     """Add to ``parser`` what a spec of ``_COMMANDS`` declares.
 
     ``what`` is a dict of subcommands, each ``name: (add_parser keywords,
-    *spec)``, which become ``_Subcommands`` stored under ``dest``; or the
-    ``cmd_*`` function, after whose ``(name, add_argument keywords)`` pairs
-    come ``--json``, the last argument of every command, and ``fn``.
+    *spec)``, which become subparsers stored under ``dest``, each keeping
+    its ``spec`` for its first parse to build; or the ``cmd_*`` function,
+    after whose ``(name, add_argument keywords)`` pairs come ``--json``,
+    the last argument of every command, and ``fn``.
     """
     if isinstance(what, dict):
-        sub = parser.add_subparsers(dest=dest, required=True, action=_Subcommands)
-        sub.specs = {}
+        sub = parser.add_subparsers(dest=dest, required=True)
         for name, (kwargs, *spec) in what.items():
-            sub.add_parser(name, **kwargs)
-            sub.specs[name] = spec
+            sub.add_parser(name, **kwargs).spec = spec
         return
     for name, kwargs in arguments:
         parser.add_argument(name, **kwargs)

@@ -136,8 +136,15 @@ def _fields(lines: list[tuple[int, str]]) -> dict[str, tuple[int, str]]:
     return out
 
 
-def _parse_relation(no: int, text: str, names: list[str], sep: str) -> list[tuple[int, int]]:
-    """The tokens ``a<sep>b`` of a relation line, as index pairs into ``names``.
+def _declared(fields: dict, key: str) -> tuple[int, str]:
+    """The line number and text of the required declaration ``key``."""
+    if key not in fields:
+        raise ParseError(f"missing {key!r} declaration")
+    return fields[key]
+
+
+def _parse_relation(no: int, text: str, names: list[str]) -> list[tuple[int, int]]:
+    """The tokens ``a<b`` of a relation line, as index pairs into ``names``.
 
     Well-formed lines are read with ``str.split``; a line with a bad token is
     read again token by token, to report the first one with its column.
@@ -146,14 +153,14 @@ def _parse_relation(no: int, text: str, names: list[str], sep: str) -> list[tupl
     """
     index = {x: k for k, x in enumerate(names)}
     try:
-        return [(index[a], index[b]) for a, b in (tok.split(sep, 1) for tok in text.split())]
+        return [(index[a], index[b]) for a, b in (tok.split("<", 1) for tok in text.split())]
     except (KeyError, ValueError):
         pass
     for m in re.finditer(r"\S+", text):
         tok = m.group()
-        if sep not in tok:
-            raise ParseError(f"expected '<a>{sep}<b>', got {tok!r}", no)
-        a, _, b = tok.partition(sep)
+        if "<" not in tok:
+            raise ParseError(f"expected '<a><<b>', got {tok!r}", no)
+        a, _, b = tok.partition("<")
         for x in (a, b):
             if x not in index:
                 raise ParseError(f"undeclared element {x!r}", no, m.start() + 1)
@@ -161,34 +168,21 @@ def _parse_relation(no: int, text: str, names: list[str], sep: str) -> list[tupl
 
 
 def _parse_poset_lattice(kind: str, fields: dict, prefix: str = "") -> ParsedLattice:
-    def get(key, required=True):
-        full = prefix + key
-        if full not in fields:
-            if required:
-                raise ParseError(f"missing {full!r} declaration")
-            return None
-        return fields[full]
-
-    no, raw = get("elements")
+    no, raw = _declared(fields, prefix + "elements")
     names = raw.split()
     if len(set(names)) != len(names):
         raise ParseError("element names must be distinct", no)
-    if kind == "poset":
-        entry = get("covers", required=False)
-        pairs = _parse_relation(entry[0], entry[1], names, "<") if entry else []
-        try:
-            poset = Poset.from_pairs(len(names), pairs, names)
-        except LatticeError as e:
-            raise ParseError(str(e), no) from e
-        return ParsedLattice(downset_lattice(poset), {})
-    # explicit lattice: close the declared order and canonicalize it
-    entry = get("leq", required=False)
-    pairs = _parse_relation(entry[0], entry[1], names, "<") if entry else []
+    entry = fields.get(prefix + ("covers" if kind == "poset" else "leq"))
+    pairs = _parse_relation(*entry, names) if entry else []
     try:
-        _, lat, iso = lattice_of_pairs(len(names), pairs, names)  # rejects cycles
+        if kind == "lattice":  # explicit lattice: close the declared order and canonicalize it
+            _, lat, iso = lattice_of_pairs(len(names), pairs, names)  # rejects cycles
+            return ParsedLattice(lat, {names[k]: iso[k] for k in range(len(names))})
+        poset = Poset.from_pairs(len(names), pairs, names)
     except LatticeError as e:
         raise ParseError(str(e), no) from e
-    return ParsedLattice(lat, {names[k]: iso[k] for k in range(len(names))})
+    # outside the try: a refused downset enumeration is a LatticeError with no line number
+    return ParsedLattice(downset_lattice(poset), {})
 
 
 def parse_lattice_text(text: str):
@@ -203,14 +197,10 @@ def parse_lattice_text(text: str):
     if kind in ("poset", "lattice"):
         return _parse_poset_lattice(kind, fields)
     if kind == "plterm":
-        if "term" not in fields:
-            raise ParseError("missing 'term' declaration")
-        return parse_pl_term(fields["term"][1])
+        return parse_pl_term(_declared(fields, "term")[1])
     dom = _parse_poset_lattice("lattice", fields, "dom.")
     cod = _parse_poset_lattice("lattice", fields, "cod.")
-    no, raw = fields.get("map", (None, None))
-    if raw is None:
-        raise ParseError("missing 'map' declaration")
+    no, raw = _declared(fields, "map")
     table = {}
     for tok in raw.split():
         if "->" not in tok:

@@ -111,6 +111,8 @@ def test_input_error_exits_two(tmp_path, capsys):
         assert err == f"error: --at wants a point X,Y of two rationals, got {point!r}\n"
     nonutf8 = tmp_path / "latin1.lat"
     nonutf8.write_bytes("poset\nelements: \xe9\n".encode("latin-1"))
+    noterm = tmp_path / "noterm.pl"
+    noterm.write_text("plterm\n# no term: line\n")
     scalar = "9" * 5000  # past int()'s default digit limit
     for argv, msg in [
             (["pl", "op", "(² a)"], "error: unknown operation '²'"),
@@ -120,6 +122,7 @@ def test_input_error_exits_two(tmp_path, capsys):
             (["glambda", "op", "add", "c0", "", "--chain", "1"],
              "error: unexpected end of term"),
             (["lattice", "check", str(nonutf8)], f"error: {nonutf8} is not UTF-8 text: "),
+            (["lattice", "check", str(noterm)], "error: missing 'term' declaration\n"),
             (["pl", "op", f"({scalar} a)"], "error: Exceeds the limit (4300 digits)"),
             # the scalar read in one step above, and as a frame of its own
             (["pl", "op", f"({scalar} (neg a))"], "error: Exceeds the limit (4300 digits)"),
@@ -180,6 +183,16 @@ def test_self_check_failure_is_not_an_input_error(vfile, monkeypatch):
                         lambda lat: normality.NormalityReport(True))
     with pytest.raises(normality.SelfCheckError):
         main(["v0", "expand", vfile])
+
+
+def test_value_error_that_is_not_about_digits_escapes_main(epsfile, monkeypatch):
+    # only an int too long to read or print is an input error; any other ValueError is a bug
+    def boom(hom):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "hom_census", boom)
+    with pytest.raises(ValueError, match="^boom$"):
+        main(["hom", "check", epsfile])
 
 
 def test_v0_expand_chain(tmp_path, capsys):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import partial
 
 import pytest
 
@@ -422,15 +423,41 @@ def flipped(r: Report):
             yield rebuilt(r, **{name: not v})
 
 
-def corpus():
+def corpus() -> tuple[list[Report], dict[str, Exception]]:
+    """The reports of every step, then each of them flipped; and the exception
+    of each step that raised one, by the step's name.
+
+    The steps run one after another, drawing from one seeded generator, and
+    each on its own: a faulty report class fails the steps that build it,
+    and the reports of the other steps are still checked.
+    """
     rng = random.Random(2026)
-    reports = [*hom_reports(rng), *lattice_reports(rng), *ideal_reports(rng), *orth_reports(),
-               *stage_reports(rng), *replication_reports()]
-    return reports + [g for r in reports for g in flipped(r)]
+    steps = {"hom_reports": partial(hom_reports, rng),
+             "lattice_reports": partial(lattice_reports, rng),
+             "ideal_reports": partial(ideal_reports, rng),
+             "orth_reports": orth_reports,
+             "stage_reports": partial(stage_reports, rng),
+             "replication_reports": replication_reports}
+    built, flips, failed = [], [], {}
+    for name, produce in steps.items():
+        try:
+            reports = list(produce())
+            flips += [g for r in reports for g in flipped(r)]
+        except Exception as e:
+            failed[name] = e
+        else:
+            built += reports
+    return built + flips, failed
+
+
+def no_failed_step(failed: dict[str, Exception]) -> None:
+    """Fail with the exception of the first step of ``corpus()`` that raised one."""
+    for name, e in failed.items():
+        raise AssertionError(f"the corpus step {name} failed: {e!r}") from e
 
 
 @pytest.fixture(scope="module")
-def reports() -> list[Report]:
+def reports() -> tuple[list[Report], dict[str, Exception]]:
     """``corpus()``, built when a test first asks for it: a fault in a report class
     fails the tests that need the corpus, not the collection of this module."""
     return corpus()
@@ -439,16 +466,22 @@ def reports() -> list[Report]:
 # -- tests ---------------------------------------------------------------------
 
 def test_corpus_covers_every_report(reports):
-    assert {type(r).__name__ for r in reports} == set(OLD)
-    assert not any("to_dict" in vars(type(r)) for r in reports)
+    built, failed = reports
+    no_failed_step(failed)
+    assert {type(r).__name__ for r in built} == set(OLD)
+    assert not any("to_dict" in vars(type(r)) for r in built)
 
 
 def test_json_matches_old_dicts(reports):
-    for r in reports:
+    built, failed = reports
+    for r in built:
         assert_same_json(r)
+    no_failed_step(failed)
 
 
 def test_ok_matches_old_property(reports):
-    for r in reports:
+    built, failed = reports
+    for r in built:
         if hasattr(r, "ok"):
             assert r.ok == old(r).ok, r
+    no_failed_step(failed)

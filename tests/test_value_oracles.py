@@ -23,6 +23,7 @@ import operator
 import pkgutil
 import random
 from collections import defaultdict
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -100,45 +101,85 @@ EPS_HOM = ("hom\ndom.elements: 0 u 1\ndom.leq: 0<u u<1\ncod.elements: 0 1\ncod.l
 SQUARE = "lattice\nelements: 0 a b 1\nleq: 0<a 0<b a<1 b<1\n"
 
 
-def samples() -> dict[str, list[tuple]]:
-    """Constructor arguments for each class, read off values latspec builds."""
+#: each step of ``samples()``, by name, and the classes whose samples it builds
+STEPS = {
+    "0-1 homs": {"HomCensus", "CofinalReport", "ClosedReport", "ConvexReport", "SpecMapResult"},
+    "lattices": {"NormalityReport", "StoneUnitReport", "Spectrum", "RawLattice", "Splitting",
+                 "RefinementWitness"},
+    "stages": {"StageIsoReport", "SurjectionReport"},
+    "IndexUniverse": {"IndexUniverse"},
+    "PL and lex terms": {"IdealLeq", "LexPL"},
+    "orthogonal_set_check": {"OrthReport"},
+    "parse_lattice_text": {"ParsedLattice", "ParsedHom"},
+    "replicate_all()": {"ReplicationSummary", "CubeReport", "CubeV0Report", "RhoReport",
+                        "ClosedKernelReport", "ConvexKernelReport"},
+    "build_cube()": {"CubeDiagram"},
+}
+
+
+def samples() -> tuple[dict[str, list[tuple]], dict[str, set[str]], dict[str, Exception]]:
+    """Constructor arguments for each class, read off values latspec builds; the
+    classes each step of ``STEPS`` sampled; and the exception of each step
+    that raised one, by the step's name.
+
+    The steps run one after another, drawing from one seeded generator, and
+    each on its own: a faulty constructor fails the steps that build its
+    values, and the other steps still give their samples.
+    """
     rng = random.Random(2121)
-    out = defaultdict(list)
+    out, made, failed = defaultdict(list), defaultdict(set), {}
 
-    def add(*values):
-        for v in values:
-            if v is not None:
-                out[type(v).__name__].append(tuple(getattr(v, name) for name in params(type(v))))
+    @contextmanager
+    def step(name):
+        def add(*values):
+            for v in values:
+                if v is not None:
+                    made[name].add(type(v).__name__)
+                    out[type(v).__name__].append(tuple(getattr(v, n) for n in params(type(v))))
+        try:
+            yield add
+        except Exception as e:
+            failed[name] = e
 
-    for f in [random_01_hom(rng) for _ in range(10)]:
-        add(hom_census(f), is_cofinal(f), is_closed(f), is_convex(f), spec_map(f))
-    for lat in [random_dlat(rng) for _ in range(10)]:
-        els = lat.elements
-        add(is_completely_normal(lat), stone_unit_check(lat), prime_spectrum(lat),
-            RawLattice.from_dlat(lat), find_splitting(lat, rng.choice(els), rng.choice(els)),
-            refinement_witness(lat, [rng.choice(els) for _ in range(3)]))
-    for f in [random_01_hom(rng, 2) for _ in range(3)]:
-        cond = Condensate(f, IndexUniverse.countable())
-        acs = AlmostConstantSurjection(f, IndexUniverse.countable())
-        for names in ([], ["i"], ["i", "j"]):
-            add(finite_stage_iso(cond, names), acs.verify_stage(names))
-    add(IndexUniverse.finite(["i", "j"]), IndexUniverse.countable(), IndexUniverse.uncountable())
-    terms = [random_pl_term(rng, rng.randint(1, 4))[1] for _ in range(10)]
-    lexes = [LexPL(tuple(rng.choice((0, 1, -2)) for _ in range(2)), t) for t in terms]
-    for x, y in zip(terms, reversed(terms)):
-        add(pl_ideal_leq(x, y))
-    for x, y in zip(lexes, reversed(lexes)):
-        add(x, ideal_leq(x, y))
-    out["LexPL"] += [([1, True], terms[0]), ((False, 2), terms[1]), ([], terms[2])]  # not normal
-    a, b = pl_generators()
-    add(orthogonal_set_check([LexPL.from_pl(2, pl_diff(a, b)), LexPL.from_pl(2, pl_diff(b, a))]),
-        orthogonal_set_check([LexPL.basis(2, 0), LexPL.from_pl(2, a), LexPL.from_pl(2, b)]),
-        orthogonal_set_check([]))
-    for text in (V_POSET, EPS_HOM, SQUARE):
-        add(parse_lattice_text(text))
-    summary = replicate_all()
-    add(summary, *(getattr(summary, name) for name in params(type(summary))), build_cube())
-    return dict(out)
+    with step("0-1 homs") as add:
+        for f in [random_01_hom(rng) for _ in range(10)]:
+            add(hom_census(f), is_cofinal(f), is_closed(f), is_convex(f), spec_map(f))
+    with step("lattices") as add:
+        for lat in [random_dlat(rng) for _ in range(10)]:
+            els = lat.elements
+            add(is_completely_normal(lat), stone_unit_check(lat), prime_spectrum(lat),
+                RawLattice.from_dlat(lat), find_splitting(lat, rng.choice(els), rng.choice(els)),
+                refinement_witness(lat, [rng.choice(els) for _ in range(3)]))
+    with step("stages") as add:
+        for f in [random_01_hom(rng, 2) for _ in range(3)]:
+            cond = Condensate(f, IndexUniverse.countable())
+            acs = AlmostConstantSurjection(f, IndexUniverse.countable())
+            for names in ([], ["i"], ["i", "j"]):
+                add(finite_stage_iso(cond, names), acs.verify_stage(names))
+    with step("IndexUniverse") as add:
+        add(IndexUniverse.finite(["i", "j"]), IndexUniverse.countable(), IndexUniverse.uncountable())
+    with step("PL and lex terms") as add:
+        terms = [random_pl_term(rng, rng.randint(1, 4))[1] for _ in range(10)]
+        lexes = [LexPL(tuple(rng.choice((0, 1, -2)) for _ in range(2)), t) for t in terms]
+        for x, y in zip(terms, reversed(terms)):
+            add(pl_ideal_leq(x, y))
+        for x, y in zip(lexes, reversed(lexes)):
+            add(x, ideal_leq(x, y))
+        out["LexPL"] += [([1, True], terms[0]), ((False, 2), terms[1]), ([], terms[2])]  # not normal
+    with step("orthogonal_set_check") as add:
+        a, b = pl_generators()
+        add(orthogonal_set_check([LexPL.from_pl(2, pl_diff(a, b)), LexPL.from_pl(2, pl_diff(b, a))]),
+            orthogonal_set_check([LexPL.basis(2, 0), LexPL.from_pl(2, a), LexPL.from_pl(2, b)]),
+            orthogonal_set_check([]))
+    with step("parse_lattice_text") as add:
+        for text in (V_POSET, EPS_HOM, SQUARE):
+            add(parse_lattice_text(text))
+    with step("replicate_all()") as add:
+        summary = replicate_all()
+        add(summary, *(getattr(summary, name) for name in params(type(summary))))
+    with step("build_cube()") as add:
+        add(build_cube())
+    return dict(out), dict(made), failed
 
 
 def variants(arg_sets: list[tuple]) -> list[tuple]:
@@ -152,10 +193,20 @@ def variants(arg_sets: list[tuple]) -> list[tuple]:
 
 
 @pytest.fixture(scope="module")
-def sample_args() -> dict[str, list[tuple]]:
+def sample_args():
     """``samples()``, built when a test first asks for it: a fault in a value class
-    fails the tests that need the samples, not the collection of this module."""
+    fails the tests that need its samples, not the collection of this module."""
     return samples()
+
+
+def samples_of(name: str, sample_args) -> list[tuple]:
+    """The samples of the class ``name``; a failed step that builds them fails the
+    test that asks, with that step's exception."""
+    out, _, failed = sample_args
+    for step, e in failed.items():
+        if name in STEPS[step]:
+            raise AssertionError(f"the sampling step {step} failed: {e!r}") from e
+    return out[name]
 
 
 # -- the comparison ----------------------------------------------------------------
@@ -225,12 +276,16 @@ def check(cls, arg_sets: list[tuple]) -> None:
 
 def test_every_value_class_has_samples(sample_args):
     assert len(CLASSES) == 26
-    assert set(sample_args) == set(CLASSES)
+    for name in sorted(CLASSES):
+        samples_of(name, sample_args)
+    out, made, _ = sample_args
+    assert made == STEPS  # each step samples the classes it declares
+    assert set(out) == set(CLASSES)
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))
 def test_value_class_matches_its_dataclass_twin(name, sample_args):
-    check(CLASSES[name], sample_args[name])
+    check(CLASSES[name], samples_of(name, sample_args))
 
 
 def test_src_generates_no_code():
@@ -295,8 +350,9 @@ def test_planted_mutant_fails(mutant, monkeypatch, sample_args):
     # the samples are built before the mutant is planted
     name, patch = MUTANTS[mutant]
     cls = CLASSES[name]
-    check(cls, sample_args[name])  # the unmutated class passes
+    arg_sets = samples_of(name, sample_args)
+    check(cls, arg_sets)  # the unmutated class passes
     for attr, fn in patch(cls).items():
         monkeypatch.setattr(cls, attr, fn)
     with pytest.raises(AssertionError):
-        check(cls, sample_args[name])
+        check(cls, arg_sets)
