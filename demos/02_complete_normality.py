@@ -44,4 +44,4 @@ cube = build_cube()
 expanded, _ = expand_cube_v0(cube)
 pinned = expanded[frozenset({1, 2})].triangle_violations()
 print("triangle violations, inheritance-pinned 3x3 table:", len(pinned),
-      "e.g.", [cube.to_tuple[frozenset({1, 2})](m) for m in pinned[0]])
+      "e.g.", [cube.to_tuple(frozenset({1, 2}), m) for m in pinned[0]])

@@ -15,17 +15,18 @@ print(f"cube verified: {rep.ok} ({rep.n_maps} maps, {rep.n_faces} faces, "
       f"{rep.n_amalgams} strong amalgams)")
 
 S = frozenset
-tt = cube.to_tuple[S({1, 2, 3})]
-a = cube.homs[S({1, 2}), S({1, 2, 3})]
-tm = cube.to_mask[S({1, 2})]
-print("a(2,1) =", tt(a(tm((2, 1)))), "  a(2,0) =", tt(a(tm((2, 0)))))
+top, pair = S({1, 2, 3}), S({1, 2})
+a = cube.homs[pair, top]
+tm = cube.to_mask
+print("a(2,1) =", cube.to_tuple(top, a(tm(pair, (2, 1)))),
+      "  a(2,0) =", cube.to_tuple(top, a(tm(pair, (2, 0)))))
 
 expanded, v0rep = expand_cube_v0(cube)
 print("difference expansion ok:", v0rep.ok,
       "| triangle violations observed:", v0rep.triangle_violations)
-d12 = expanded[S({1, 2})]
-print("(2,1) ∖ (1,2) in the grid:", cube.to_tuple[S({1, 2})](
-    d12.diff(tm((2, 1)), tm((1, 2)))))
+d12 = expanded[pair]
+print("(2,1) ∖ (1,2) in the grid:",
+      cube.to_tuple(pair, d12.diff(tm(pair, (2, 1)), tm(pair, (1, 2)))))
 
 rho = run_rho_contradiction(cube)
 print("forced pair solutions:", rho.forced_solutions[1, 2])

@@ -4,7 +4,8 @@ Each function here re-runs, exhaustively and in exact arithmetic, one of
 the finitely checkable computations underlying the headline counterexample
 constructions:
 
-- the cube of eight product lattices with its twelve 0,1-embeddings, the
+- the cube of eight product lattices with its twelve 0,1-embeddings,
+  declared once in ``COVERS`` by their formulas on level tuples, the
   commuting faces and the strong-amalgam property of every two-level
   square;
 - the inductive expansion of the cube by a difference operation, with
@@ -21,6 +22,7 @@ a mismatch pinpoints the failing value.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from .condensate import AlmostConstantSurjection, IndexUniverse
@@ -32,23 +34,57 @@ from .report import Report, derived, frozen
 BAR = (0, 2, 2)     # 0↦0, nonzero↦2
 RMAP = (0, 1, 1)    # 0↦0, nonzero↦1
 
-NODES = [frozenset(s) for s in
-         [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]]
+_S = frozenset
+NODES = [_S(s) for s in [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]]
+
+_e = lambda t: ((0, 2)[t[0]],)
+_f = lambda t: (BAR[t[0]], t[0])
+_g = lambda t: (t[0], BAR[t[0]])
+
+#: the twelve covers p -> q of the cube, in ``NODES`` order, each with its formula on
+#: level tuples.  With x̄ = BAR[x] and r = RMAP: e(x) sends 0↦0, 1↦2; f(x) = (x̄, x);
+#: g(x) = (x, x̄); a(x,y) = (x̄, x, y, r(y)); b(x,y) = (x, x̄, y, r(x)); c(x,y) = (x, y, ȳ, r(y))
+COVERS = {
+    (_S(()), _S({1})): _e, (_S(()), _S({2})): _e, (_S(()), _S({3})): _e,
+    (_S({1}), _S({1, 2})): _f, (_S({1}), _S({1, 3})): _f,
+    (_S({2}), _S({1, 2})): _g, (_S({2}), _S({2, 3})): _f,
+    (_S({3}), _S({1, 3})): _g, (_S({3}), _S({2, 3})): _g,
+    (_S({1, 2}), _S({1, 2, 3})): lambda t: (BAR[t[0]], t[0], t[1], RMAP[t[1]]),  # a
+    (_S({1, 3}), _S({1, 2, 3})): lambda t: (t[0], BAR[t[0]], t[1], RMAP[t[0]]),  # b
+    (_S({2, 3}), _S({1, 2, 3})): lambda t: (t[0], t[1], BAR[t[1]], RMAP[t[1]]),  # c
+}
+
+
+@cache
+def _chain(p: frozenset) -> tuple:
+    """The chain product at node p with its converters: the 2-chain at the bottom,
+    a 3-chain per index at the singletons and pairs, 3x3x3x2 at the top."""
+    if not p:
+        return chain_product([2])
+    return chain_product([3] * len(p) if len(p) < 3 else [3, 3, 3, 2])
 
 
 @frozen
 class CubeDiagram:
-    """Eight chain-product lattices indexed by subsets of {1,2,3}, with the
-    twelve cover maps and tuple<->mask converters per node."""
+    """Eight chain-product lattices indexed by subsets of {1,2,3}, and the
+    twelve cover maps: a value of these two fields.  ``to_mask`` and
+    ``to_tuple`` convert between level tuples and masks at a node, through
+    its chain product, which is built once per process when first asked for."""
 
-    lattices: dict
-    to_mask: dict
-    to_tuple: dict
+    lattices: dict  # node -> DLat
     homs: dict  # (p, q) cover pairs -> LatHom
+
+    def to_mask(self, p: frozenset, levels: tuple[int, ...]) -> int:
+        return _chain(p)[1](levels)
+
+    def to_tuple(self, p: frozenset, mask: int) -> tuple[int, ...]:
+        return _chain(p)[2](mask)
 
     def hom(self, p: frozenset, q: frozenset) -> LatHom:
         """Composite map along covers for any p ⊆ q (path independence is
         part of verify_cube)."""
+        if not (p <= q and q in self.lattices):
+            raise LatticeError(f"the cube has no map {sorted(p)}->{sorted(q)}")
         if p == q:
             return LatHom.identity(self.lattices[p])
         if (p, q) in self.homs:
@@ -57,54 +93,13 @@ class CubeDiagram:
         return self.hom(step, q).compose(self.homs[p, step])
 
 
-def _sizes(p: frozenset) -> list[int]:
-    if not p:
-        return [2]
-    if len(p) <= 2:
-        return [3] * len(p)
-    return [3, 3, 3, 2]
-
-
 def build_cube() -> CubeDiagram:
-    """The cube with its explicit map formulas.
-
-    With x̄ = BAR[x] and r = RMAP: e(x) sends 0↦0, 1↦2; f(x) = (x̄, x);
-    g(x) = (x, x̄); a(x,y) = (x̄, x, y, r(y)); b(x,y) = (x, x̄, y, r(x));
-    c(x,y) = (x, y, ȳ, r(y)).
-    """
-    lats, to_mask, to_tuple = {}, {}, {}
-    for p in NODES:
-        lat, tm, tt = chain_product(_sizes(p))
-        lats[p], to_mask[p], to_tuple[p] = lat, tm, tt
-
-    def mk(p, q, formula):
-        dom, cod = lats[p], lats[q]
-        table = [to_mask[q](formula(to_tuple[p](m))) for m in dom.elements]
-        return LatHom(dom, cod, table)
-
-    e = lambda t: ((0, 2)[t[0]],)
-    f = lambda t: (BAR[t[0]], t[0])
-    g = lambda t: (t[0], BAR[t[0]])
-    amap = lambda t: (BAR[t[0]], t[0], t[1], RMAP[t[1]])
-    bmap = lambda t: (t[0], BAR[t[0]], t[1], RMAP[t[0]])
-    cmap = lambda t: (t[0], t[1], BAR[t[1]], RMAP[t[1]])
-
-    s = frozenset
-    homs = {
-        (s(()), s({1})): mk(s(()), s({1}), e),
-        (s(()), s({2})): mk(s(()), s({2}), e),
-        (s(()), s({3})): mk(s(()), s({3}), e),
-        (s({1}), s({1, 2})): mk(s({1}), s({1, 2}), f),
-        (s({1}), s({1, 3})): mk(s({1}), s({1, 3}), f),
-        (s({2}), s({1, 2})): mk(s({2}), s({1, 2}), g),
-        (s({2}), s({2, 3})): mk(s({2}), s({2, 3}), f),
-        (s({3}), s({1, 3})): mk(s({3}), s({1, 3}), g),
-        (s({3}), s({2, 3})): mk(s({3}), s({2, 3}), g),
-        (s({1, 2}), s({1, 2, 3})): mk(s({1, 2}), s({1, 2, 3}), amap),
-        (s({1, 3}), s({1, 2, 3})): mk(s({1, 3}), s({1, 2, 3}), bmap),
-        (s({2, 3}), s({1, 2, 3})): mk(s({2, 3}), s({2, 3, 1}), cmap),
-    }
-    return CubeDiagram(lats, to_mask, to_tuple, homs)
+    """The cube: each node's chain product, each cover's map by its formula in ``COVERS``."""
+    homs = {}
+    for (p, q), formula in COVERS.items():
+        (dom, _, to_levels), (cod, to_mask, _) = _chain(p), _chain(q)
+        homs[p, q] = LatHom(dom, cod, [to_mask(formula(to_levels(m))) for m in dom.elements])
+    return CubeDiagram({p: _chain(p)[0] for p in NODES}, homs)
 
 
 @frozen
@@ -256,15 +251,15 @@ def rho_generator_images(cube: CubeDiagram) -> dict:
     """Generator assignments per node: at a pair node {i<j} the generators
     go to (2,1) and (1,2); at the top node to (2,2,1,1), (2,1,2,1),
     (1,2,2,1); at a singleton node to 1."""
-    s = frozenset
-    out = {s(()): {}}
+    tm = cube.to_mask
+    out = {_S(()): {}}
     for i in (1, 2, 3):
-        out[s({i})] = {i: cube.to_mask[s({i})]((1,))}
+        out[_S({i})] = {i: tm(_S({i}), (1,))}
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        tm = cube.to_mask[s({i, j})]
-        out[s({i, j})] = {i: tm((2, 1)), j: tm((1, 2))}
-    tm = cube.to_mask[s({1, 2, 3})]
-    out[s({1, 2, 3})] = {1: tm((2, 2, 1, 1)), 2: tm((2, 1, 2, 1)), 3: tm((1, 2, 2, 1))}
+        node = _S({i, j})
+        out[node] = {i: tm(node, (2, 1)), j: tm(node, (1, 2))}
+    top = NODES[-1]
+    out[top] = {1: tm(top, (2, 2, 1, 1)), 2: tm(top, (2, 1, 2, 1)), 3: tm(top, (1, 2, 2, 1))}
     return out
 
 
@@ -337,36 +332,33 @@ def run_rho_contradiction(cube: CubeDiagram | None = None,
     if cube is None:
         cube = build_cube()
     fails = []
-    s = frozenset
+    tm, tt = cube.to_mask, cube.to_tuple
     forced = {}
     unique = True
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        node = s({i, j})
-        lat, tm, tt = cube.lattices[node], cube.to_mask[node], cube.to_tuple[node]
-        one_one, two_one, one_two = tm((1, 1)), tm((2, 1)), tm((1, 2))
-        sols = [(tt(u), tt(v)) for u in lat.elements for v in lat.elements
+        node = _S({i, j})
+        lat = cube.lattices[node]
+        one_one, two_one, one_two = tm(node, (1, 1)), tm(node, (2, 1)), tm(node, (1, 2))
+        sols = [(tt(node, u), tt(node, v)) for u in lat.elements for v in lat.elements
                 if one_one | u == two_one and one_one | v == one_two and u & v == 0]
         forced[i, j] = sols
         if sols != [((2, 0), (0, 2))]:
             unique = False
             fails.append(f"forced solution set at {{{i},{j}}} is {sols}")
-    top = s({1, 2, 3})
-    tt_top = cube.to_tuple[top]
+    top = NODES[-1]
     pushed = {}
     pushed_ok = True
     for (i, j), expect in (((1, 2), (2, 2, 0, 0)), ((1, 3), (2, 2, 0, 1)),
                            ((2, 3), (2, 0, 0, 0))):
-        node = s({i, j})
-        h = cube.hom(node, top)
-        val = tt_top(h(cube.to_mask[node]((2, 0))))
+        node = _S({i, j})
+        val = tt(top, cube.hom(node, top)(tm(node, (2, 0))))
         pushed[i, j] = val
         if val != expect:
             pushed_ok = False
             fails.append(f"pushed value for d_{i},{j} is {val}, expected {expect}")
-    tm_top = cube.to_mask[top]
-    join_mask = tm_top(pushed[1, 2]) | tm_top(pushed[2, 3])
-    join_val = tt_top(join_mask)
-    d13 = tm_top(pushed[1, 3])
+    join_mask = tm(top, pushed[1, 2]) | tm(top, pushed[2, 3])
+    join_val = tt(top, join_mask)
+    d13 = tm(top, pushed[1, 3])
     triangle_fails = not DLat.leq(d13, join_mask)
     last = (pushed[1, 3][3], join_val[3])
     if not triangle_fails or not (last[0] > last[1]):

@@ -14,6 +14,7 @@ from latspec.homs import LatHom, dual_hom_of_poset_map
 from latspec.lexgroup import LexError, LexPL
 from latspec.order import LatticeError, Poset, chain_lattice, downset_lattice
 from latspec.plfun import PLError, PLFun
+from latspec.replication import build_cube
 from latspec.report import frozen
 from latspec.spectra import prime_spectrum_bruteforce
 
@@ -80,6 +81,12 @@ CASES = {
     "prime_spectrum_bruteforce on the 17-point antichain": (
         lambda: prime_spectrum_bruteforce(downset_lattice(Poset.antichain(17))),
         LatticeError, "brute-force spectrum refused for size 131072 > 65536"),
+    "CubeDiagram.hom between incomparable nodes": (
+        lambda: build_cube().hom(frozenset({1}), frozenset({2})),
+        LatticeError, "the cube has no map [1]->[2]"),
+    "CubeDiagram.hom down the cube": (
+        lambda: build_cube().hom(frozenset({1, 2}), frozenset({1})),
+        LatticeError, "the cube has no map [1, 2]->[1]"),
     "frozen field without a default after one with a default": (
         default_then_required, TypeError,
         "Fields: a field without a default follows one with a default"),

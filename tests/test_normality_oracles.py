@@ -29,7 +29,7 @@ from typing import Sequence
 
 import pytest
 
-from latspec import cli, normality
+from latspec import cli, normality, replication
 from latspec.fileformat import parse_lattice_file
 from latspec.normality import (DiffLattice, NormalityReport, NotCompletelyNormalError,
                                PinConflictError, RefinementWitness, Splitting,
@@ -41,7 +41,8 @@ from latspec.order import (DLat, LatticeError, Poset, RawLattice, SelfCheckError
 from latspec.homs import LatHom
 from latspec.replication import (BAR, NODES, RMAP, CubeDiagram, CubeReport, CubeV0Report,
                                  _two_level_squares, build_cube, expand_cube_v0,
-                                 generated_subalgebra, rho_generator_images, verify_cube)
+                                 generated_subalgebra, rho_generator_images,
+                                 run_rho_contradiction, verify_cube)
 from oracles import is_downset, outcome
 from randgen import random_poset
 
@@ -916,7 +917,14 @@ def embeddings(dom: DLat, cod: DLat) -> list[LatHom]:
 
 
 def doctored(cube: CubeDiagram, pq: tuple[frozenset, frozenset], h: LatHom) -> CubeDiagram:
-    return CubeDiagram(cube.lattices, cube.to_mask, cube.to_tuple, {**cube.homs, pq: h})
+    return CubeDiagram(cube.lattices, {**cube.homs, pq: h})
+
+
+def formula_map(cube: CubeDiagram, p: frozenset, q: frozenset, formula) -> LatHom:
+    """The map p -> q given by ``formula`` on level tuples."""
+    dom = cube.lattices[p]
+    table = [cube.to_mask(q, formula(cube.to_tuple(p, m))) for m in dom.elements]
+    return LatHom(dom, cube.lattices[q], table)
 
 
 def doctored_cubes(cube: CubeDiagram):
@@ -927,9 +935,7 @@ def doctored_cubes(cube: CubeDiagram):
         if q != top:
             news = embeddings(h.dom, h.cod)
         else:
-            tt, tm = cube.to_tuple[p], cube.to_mask[q]
-            news = [LatHom(h.dom, h.cod, [tm(f(tt(m))) for m in h.dom.elements])
-                    for f in TOP_FORMULAS]
+            news = [formula_map(cube, p, q, f) for f in TOP_FORMULAS]
         for new in news:
             yield (p, q), new, doctored(cube, (p, q), new)
 
@@ -1010,12 +1016,105 @@ FAILING_COVERS = {
 def test_verify_cube_reports_a_failing_cover(case):
     (p, q), formula, text = FAILING_COVERS[case]
     cube = build_cube()
-    tt, tm = cube.to_tuple[p], cube.to_mask[q]
-    dom, cod = cube.lattices[p], cube.lattices[q]
-    bent = doctored(cube, (p, q), LatHom(dom, cod, [tm(formula(tt(m))) for m in dom.elements]))
+    bent = doctored(cube, (p, q), formula_map(cube, p, q, formula))
     got = verify_cube(bent)
     assert got == oracle_verify_cube(bent)
     assert not got.ok and text in got.failures, got.failures
+
+
+def test_rho_contradiction_reports_a_swapped_top_cover():
+    # the top cover a with its arguments swapped, given the original cube's
+    # v0: u = (2, 0) is pushed to (0, 0, 2, 1), and both generators of the
+    # pair node miss their images at the top
+    cube = build_cube()
+    v0 = expand_cube_v0(cube)
+    pq = (frozenset({1, 2}), NODES[-1])
+    bent = doctored(cube, pq, formula_map(cube, *pq, TOP_FORMULAS[3]))
+    got = run_rho_contradiction(bent, v0)
+    assert not got.ok and not got.pushed_expected and not got.naturality_ok
+    assert got.failures == (
+        "pushed value for d_1,2 is (0, 0, 2, 1), expected (2, 2, 0, 0)",
+        "triangle inequality did not fail on the last coordinate",
+        "naturality fails for generator 1 along [1, 2]->[1, 2, 3]",
+        "naturality fails for generator 2 along [1, 2]->[1, 2, 3]")
+
+
+def test_rho_contradiction_reports_a_widened_pair_node():
+    # the pair node {1, 2} given every subset of the grid's four base points:
+    # the grid's elements are still there, and the forced equations gain
+    # solutions that are not level tuples
+    cube = build_cube()
+    v0 = expand_cube_v0(cube)
+    node = frozenset({1, 2})
+    wide = CubeDiagram({**cube.lattices, node: downset_lattice(Poset.antichain(4))}, cube.homs)
+    got = run_rho_contradiction(wide, v0)
+    assert not got.ok and not got.forced_unique
+    assert got.failures == (
+        "forced solution set at {1,2} is [((1, 0), (0, 1)), ((1, 0), (1, 1)), ((1, 0), (0, 2)), "
+        "((1, 0), (1, 2)), ((2, 0), (0, 1)), ((2, 0), (0, 2)), ((1, 1), (0, 1)), "
+        "((1, 1), (1, 1)), ((2, 1), (0, 1))]",)
+
+
+def test_rho_contradiction_reports_an_unpreserved_subalgebra():
+    # given a v0 whose top table is all zeros, the top node's generated
+    # subalgebra is the join-meet closure of its generators, whose nonzero
+    # elements all sit at level 1 on the last coordinate; each pair node's
+    # subalgebra is its whole grid, and each top cover sends a nonzero
+    # element of it to level 0 there (a(2, 0), b(0, 2), c(2, 0))
+    cube = build_cube()
+    expanded, rep = expand_cube_v0(cube)
+    top = cube.lattices[NODES[-1]]
+    zeros = DiffLattice(top, {(x, y): 0 for x in top.elements for y in top.elements})
+    got = run_rho_contradiction(cube, ({**expanded, NODES[-1]: zeros}, rep))
+    assert not got.ok and not got.subalgebras_ok
+    assert got.failures == tuple(f"generated subalgebra not preserved along {pair}->[1, 2, 3]"
+                                 for pair in ("[1, 2]", "[1, 3]", "[2, 3]"))
+
+
+def test_expand_cube_v0_refuses_a_lattice_not_completely_normal():
+    # the V lattice (a point under two incomparable ones) at the bottom node,
+    # with the original cube's report, which is not computed again
+    cube = build_cube()
+    v = downset_lattice(Poset.from_pairs(3, [(0, 1), (0, 2)]))
+    bent = CubeDiagram({**cube.lattices, NODES[0]: v}, cube.homs)
+    with pytest.raises(LatticeError, match=r"^cube lattice \[\] is not completely normal$"):
+        expand_cube_v0(bent, verify_cube(cube))
+
+
+#: a fault planted in the top table of the cube replay, and the failures its report names;
+#: d(1, 0) is pinned to 1 by every top cover, so the identity fault also breaks the pins
+TOP_TABLE_FAULTS = {
+    "identity": ("identity failure in [1, 2, 3] at (127, 0)",
+                 *(f"map {pair}->[1, 2, 3] does not preserve the difference at (15, 0)"
+                   for pair in ("[1, 2]", "[1, 3]", "[2, 3]"))),
+    "unpinned": ("map [1, 2]->[1, 2, 3] does not preserve the difference at (3, 1)",
+                 "map [1, 3]->[1, 2, 3] does not preserve the difference at (3, 1)",
+                 "map [2, 3]->[1, 2, 3] does not preserve the difference at (12, 4)"),
+}
+
+
+@pytest.mark.parametrize("fault", TOP_TABLE_FAULTS)
+def test_expand_cube_v0_self_checks_its_tables(fault, monkeypatch):
+    # the cube's tables are expanded by expand_v0, which keeps the pins and
+    # the identities; a top table that breaks the identities, or that drops
+    # the pins pushed along the top covers, is named in the report
+    real = replication.expand_v0
+
+    def doctored_expand(lat, pins):
+        if lat.size < 54:
+            return real(lat, pins)
+        if fault == "unpinned":
+            return real(lat)
+        least = real(lat, pins)
+        table = {(x, y): least.diff(x, y) for x in lat.elements for y in lat.elements}
+        table[lat.top, lat.bottom] = lat.bottom  # (1∧0)∨d(1, 0) = 1 fails
+        return DiffLattice(lat, table)
+
+    monkeypatch.setattr(replication, "expand_v0", doctored_expand)
+    _, got = expand_cube_v0(build_cube())
+    assert not got.ok and not got.maps_preserve_diff
+    assert got.identities_ok is (fault != "identity")
+    assert got.failures == TOP_TABLE_FAULTS[fault]
 
 
 def test_generated_subalgebra_matches_oracle():

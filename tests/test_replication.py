@@ -1,5 +1,9 @@
+import subprocess
+import sys
+from pathlib import Path
+
 from latspec.normality import is_completely_normal
-from latspec.replication import (build_cube, expand_cube_v0, kernel_not_closed,
+from latspec.replication import (NODES, build_cube, expand_cube_v0, kernel_not_closed,
                                  kernel_not_convex, replicate_all,
                                  rho_generator_images, rho_naturality,
                                  run_rho_contradiction, verify_cube,
@@ -15,25 +19,36 @@ def test_cube_shapes():
     assert CUBE.lattices[S({1, 2})].size == 9
     assert CUBE.lattices[S({1, 2, 3})].size == 54
     assert len(CUBE.homs) == 12
+    # the covers in NODES order, which orders every failure message and pin
+    assert list(CUBE.homs) == [(p, q) for p in NODES for q in NODES
+                               if p < q and len(q) == len(p) + 1]
 
 
 def test_map_formula_values():
     f = CUBE.homs[S({1}), S({1, 2})]
-    tm1, tt12 = CUBE.to_mask[S({1})], CUBE.to_tuple[S({1, 2})]
-    assert [tt12(f(tm1((x,)))) for x in range(3)] == [(0, 0), (2, 1), (2, 2)]
+    tm, tt = CUBE.to_mask, CUBE.to_tuple
+    assert [tt(S({1, 2}), f(tm(S({1}), (x,)))) for x in range(3)] == [(0, 0), (2, 1), (2, 2)]
     g = CUBE.homs[S({2}), S({1, 2})]
-    tm2 = CUBE.to_mask[S({2})]
-    assert [tt12(g(tm2((x,)))) for x in range(3)] == [(0, 0), (1, 2), (2, 2)]
+    assert [tt(S({1, 2}), g(tm(S({2}), (x,)))) for x in range(3)] == [(0, 0), (1, 2), (2, 2)]
     a = CUBE.homs[S({1, 2}), S({1, 2, 3})]
-    tm12, tt = CUBE.to_mask[S({1, 2})], CUBE.to_tuple[S({1, 2, 3})]
-    assert tt(a(tm12((2, 1)))) == (2, 2, 1, 1)
-    assert tt(a(tm12((1, 2)))) == (2, 1, 2, 1)
+    assert tt(S({1, 2, 3}), a(tm(S({1, 2}), (2, 1)))) == (2, 2, 1, 1)
+    assert tt(S({1, 2, 3}), a(tm(S({1, 2}), (1, 2)))) == (2, 1, 2, 1)
     c = CUBE.homs[S({2, 3}), S({1, 2, 3})]
-    tm23 = CUBE.to_mask[S({2, 3})]
-    assert tt(c(tm23((2, 0)))) == (2, 0, 0, 0)
+    assert tt(S({1, 2, 3}), c(tm(S({2, 3}), (2, 0)))) == (2, 0, 0, 0)
     e = CUBE.homs[S(()), S({3})]
-    tm0, tt3 = CUBE.to_mask[S(())], CUBE.to_tuple[S({3})]
-    assert [tt3(e(tm0((x,)))) for x in range(2)] == [(0,), (2,)]
+    assert [tt(S({3}), e(tm(S(()), (x,)))) for x in range(2)] == [(0,), (2,)]
+
+
+def test_chain_products_are_built_once_and_not_at_import():
+    # a fresh interpreter: importing the module builds no lattice, and two
+    # cubes build each node's chain product once and share it
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from latspec import replication as r; "
+            "n = r._chain.cache_info().currsize; a, b = r.build_cube(), r.build_cube(); "
+            "print(n, r._chain.cache_info().misses, a == b, repr(a) == repr(b))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "0 8 True True\n"
 
 
 def test_verify_cube():
@@ -48,8 +63,13 @@ def test_strong_amalgam_bottom_square():
     g = CUBE.homs[S({2}), S({1, 2})]
     e1 = CUBE.hom(S(()), S({1, 2}))
     assert set(f.table) & set(g.table) == set(e1.table)
-    tt = CUBE.to_tuple[S({1, 2})]
-    assert sorted(tt(m) for m in set(e1.table)) == [(0, 0), (2, 2)]
+    assert sorted(CUBE.to_tuple(S({1, 2}), m) for m in set(e1.table)) == [(0, 0), (2, 2)]
+
+
+def test_hom_of_a_node_to_itself_is_the_identity():
+    for p, lat in CUBE.lattices.items():
+        h = CUBE.hom(p, p)
+        assert (h.dom, h.cod) == (lat, lat) and h.table == tuple(lat.elements)
 
 
 def test_cube_middle_lattices_completely_normal():
@@ -65,13 +85,13 @@ def test_expand_cube_v0():
     assert d0.diff(1, 0) == 1 and d0.diff(0, 1) == 0
     # the fresh splitting in the 3x3 grid
     d12 = expanded[S({1, 2})]
-    tm, tt = CUBE.to_mask[S({1, 2})], CUBE.to_tuple[S({1, 2})]
-    assert tt(d12.diff(tm((2, 1)), tm((1, 2)))) == (2, 0)
-    assert tt(d12.diff(tm((1, 2)), tm((2, 1)))) == (0, 2)
+    tm = lambda v: CUBE.to_mask(S({1, 2}), v)
+    assert CUBE.to_tuple(S({1, 2}), d12.diff(tm((2, 1)), tm((1, 2)))) == (2, 0)
+    assert CUBE.to_tuple(S({1, 2}), d12.diff(tm((1, 2)), tm((2, 1)))) == (0, 2)
     # inherited entries pass through the embeddings
     f = CUBE.homs[S({1}), S({1, 2})]
     d1 = expanded[S({1})]
-    tm1 = CUBE.to_mask[S({1})]
+    tm1 = lambda v: CUBE.to_mask(S({1}), v)
     for x in (0, 1, 2):
         for y in (0, 1, 2):
             assert f(d1.diff(tm1((x,)), tm1((y,)))) == d12.diff(f(tm1((x,))), f(tm1((y,))))
@@ -90,8 +110,7 @@ def test_rho_naturality_and_contradiction():
 
 def test_rho_generator_images_match_tables():
     rho = rho_generator_images(CUBE)
-    tt = CUBE.to_tuple[S({1, 2, 3})]
-    assert [tt(rho[S({1, 2, 3})][i]) for i in (1, 2, 3)] == [
+    assert [CUBE.to_tuple(S({1, 2, 3}), rho[S({1, 2, 3})][i]) for i in (1, 2, 3)] == [
         (2, 2, 1, 1), (2, 1, 2, 1), (1, 2, 2, 1)]
 
 

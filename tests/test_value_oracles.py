@@ -283,6 +283,16 @@ def test_every_value_class_has_samples(sample_args):
     assert set(out) == set(CLASSES)
 
 
+def test_samples_built_twice_are_equal(sample_args):
+    # a value class holds values: its samples, built again from the same seed,
+    # are equal by == and by repr (a closure in a field is equal only to itself)
+    again = samples()[0]
+    differ = [name for name in sorted(CLASSES)
+              if samples_of(name, sample_args) != again[name]
+              or repr(samples_of(name, sample_args)) != repr(again[name])]
+    assert differ == []
+
+
 @pytest.mark.parametrize("name", sorted(CLASSES))
 def test_value_class_matches_its_dataclass_twin(name, sample_args):
     check(CLASSES[name], samples_of(name, sample_args))
