@@ -7,10 +7,12 @@ base posets through the dual point map φ, which every 0,1-homomorphism of
 finite distributive lattices has (f(x) = φ⁻¹[x]); ``LatHom`` finds φ while
 it certifies its table, and a 0-homomorphism has it on the points of
 f(1).  ``LatHom`` certifies first and scans its pairs in canonical order
-only where the certificate fails.  Neither ``is_closed`` nor ``is_convex``
-enumerates the codomain lattice: each condition is monotone in its last
-argument, so the least counterexample has a closed form on the base
-posets, and failure messages are reproducible across runs.  Cofinality
+only where the certificate fails; ``condensate.finite_stage_iso`` runs
+the same certificate on the packed forms of a stage.  Neither
+``is_closed`` nor ``is_convex`` enumerates the codomain lattice: each
+condition is monotone in its last argument, so the least counterexample
+has a closed form on the base posets, and failure messages are
+reproducible across runs.  Cofinality
 is f(1) = 1, read once by ``LatHom``; ``is_cofinal`` is its definitional
 test.
 """
@@ -32,31 +34,42 @@ class NotAHomomorphismError(LatticeError):
         super().__init__(f"map does not preserve {kind} at {witness}")
 
 
-def _dual_points(dom: DLat, cod: DLat, table: tuple[int, ...]) -> tuple[int | None, ...] | None:
-    """The dual point map of a table with f(0) = 0, or None if it is no hom.
+def _dual_points(dom: DLat, images: Sequence[int], n: int) -> tuple[int | None, ...] | None:
+    """The dual point map of G: dom → subsets of n bits, or None if G is no hom.
 
-    With fd[q] = f(↓q), such a table preserves join and meet iff (a)
-    f(x) = ⋃_{q∈x} fd[q] for every x, and (b) for each codomain point p the
-    q with p ∈ fd[q] are none or exactly ↑m for one m.  Then p ∈ f(x) iff
-    m ∈ x, so m = φ(p); entry p is None when p lies in no f(x).  A
-    homomorphism meets both: x is the join of the ↓q inside it, and
-    {x : p ∈ f(x)} is a prime filter, generated by one ↓m (finite
-    Birkhoff duality).  O(|L|·n).
+    G is given by its images in dom's canonical order.  Let z = G(0) and
+    fd[q] = G(↓q).  G preserves ``|`` and ``&`` on every pair iff (a)
+    G(x) = z ∪ ⋃_{q∈x} fd[q] for every x, and (b) for each bit p ∉ z the
+    q with p ∈ fd[q] are none or exactly ↑m for one m.  Entry p of the map
+    is that m, and None for p ∈ z or in no G(x).  O(|L|·n).
+
+    Proof.  G preserves both iff for every bit p the set F_p = {x : p ∈ G(x)}
+    holds x∪y iff it holds x or y, and x∩y iff it holds both.  If (a) and
+    (b) hold, F_p is all of dom for p ∈ z; for p ∉ z it is empty, or
+    {x : ∃q∈x, q ≥ m} = {x : m ∈ x} as x is a downset; each of these has
+    both properties.  Conversely, if G preserves ``|``, G is monotone, so
+    z ⊆ fd[q] and G(x) = z ∪ ⋃_{q∈x} G(↓q) as x = 0 ∪ ⋃_{q∈x} ↓q: that is
+    (a).  For p ∉ z, a nonempty F_p is a prime filter without 0; its least
+    element is join-irreducible, so it is ↓m for one point m, and then
+    F_p = {x : m ∈ x} and {q : p ∈ fd[q]} = ↑m: that is (b) (finite
+    Birkhoff duality).  ``LatHom`` hands over its table, with z = 0 and
+    n = |base(cod)|, so p ∈ f(x) iff m ∈ x and m = φ(p).
     """
     base = dom.base
-    fd = [table[dom.pos(d)] for d in base.down]
+    z = images[dom.pos(dom.bottom)]
+    fd = [images[dom.pos(d)] for d in base.down]
     fd_of_bit = {1 << q: v for q, v in enumerate(fd)}
-    for x, fx in zip(dom.elements, table):
-        acc = 0
+    for x, fx in zip(dom.elements, images):
+        acc = z
         while x:
             low = x & -x
             acc |= fd_of_bit[low]
             x ^= low
         if acc != fx:
             return None
-    holders = [0] * cod.base.n
+    holders = [0] * n
     for q, v in enumerate(fd):
-        for p in bits(v):
+        for p in bits(v & ~z):
             holders[p] |= 1 << q
     phi = []
     for s in holders:
@@ -93,7 +106,7 @@ class LatHom:
         self.table = table
         if table[dom.pos(dom.bottom)] != cod.bottom:
             raise NotAHomomorphismError("0", dom.bottom)
-        self._phi = _dual_points(dom, cod, table)
+        self._phi = _dual_points(dom, table, cod.base.n)
         if self._phi is None:
             self._scan_pairs()
             raise SelfCheckError("LatHom: a table that fails the certificate passed the pair scan")

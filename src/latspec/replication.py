@@ -325,7 +325,8 @@ def run_rho_contradiction(cube: CubeDiagram | None = None,
        (2,2,0,0), (2,2,0,1), (2,0,0,0).
     3. The first of these joined with the third stays at (2,2,0,0), so the
        second is not below the join: the triangle inequality fails on the
-       last coordinate.
+       last coordinate.  ``triangle_fails`` holds iff both do: the second
+       is not below the join and exceeds it on the last coordinate.
 
     ``v0`` is the cube's ``expand_cube_v0`` result, computed here if not given.
     """
@@ -359,9 +360,9 @@ def run_rho_contradiction(cube: CubeDiagram | None = None,
     join_mask = tm(top, pushed[1, 2]) | tm(top, pushed[2, 3])
     join_val = tt(top, join_mask)
     d13 = tm(top, pushed[1, 3])
-    triangle_fails = not DLat.leq(d13, join_mask)
     last = (pushed[1, 3][3], join_val[3])
-    if not triangle_fails or not (last[0] > last[1]):
+    triangle_fails = not DLat.leq(d13, join_mask) and last[0] > last[1]
+    if not triangle_fails:
         fails.append("triangle inequality did not fail on the last coordinate")
     nat = rho_naturality(cube)
     fails.extend(nat)

@@ -1,15 +1,16 @@
 import random
+from functools import reduce
 from itertools import product
-from operator import and_, or_
+from operator import or_
 
 import pytest
 
 from latspec.condensate import (AlmostConstantSurjection, Condensate,
                                 IndexUniverse, MixedCondensateError,
-                                SurjectionReport, _packed_ones, finite_stage_iso,
+                                SurjectionReport, finite_stage_iso,
                                 stage_inclusion)
 from latspec.homs import LatHom, dual_hom_of_poset_map
-from latspec.order import LatticeError, Poset, chain_lattice
+from latspec.order import LatticeError, Poset, bits, chain_lattice
 
 
 def eps_cond(universe=None):
@@ -35,6 +36,25 @@ def test_universe_kinds():
     assert IndexUniverse.uncountable().admits("xi0")
     with pytest.raises(LatticeError):
         IndexUniverse.finite(["i", "i"])
+    # one check for element and stage_lattice; only a finite universe refuses
+    assert fin.check("j") == "j" and IndexUniverse.uncountable().check("z") == "z"
+    for build in (lambda c: c.element(0, {"i": 0, "z": 0}), lambda c: c.stage_lattice(["i", "z"])):
+        with pytest.raises(LatticeError, match=r"^index 'z' not in finite\(i, j\)$"):
+            build(eps_cond(fin))
+
+
+def test_elements_format_with_their_deviations_in_name_order():
+    # the element strings demo 04 prints, in process
+    cond = eps_cond(IndexUniverse.uncountable())
+    u, top = cond.phi.dom.elements[1], cond.phi.dom.top
+    assert cond.element(u, {"xi0": 0}).fmt() == "({0}, {xi0↦{}})"
+    assert cond.element(top).fmt() == "({0,1}, {})"
+    assert cond.bottom.fmt() == "({}, {})"
+    # names given out of order; an entry equal to φ(base) is dropped
+    cond = phi_cond()
+    a, b = cond.phi.dom, cond.phi.cod
+    e = cond.element(a.elements[1], {"j": b.top, "i": 0, "k": cond.phi(a.elements[1])})
+    assert e.fmt() == "({0}, {i↦{}, j↦{0,1}})"
 
 
 def test_normalization_drops_phi_values():
@@ -234,73 +254,101 @@ def test_verify_stage_matches_pairwise_oracle(kernel):
                 assert not rep.hom_ok and not rep.top_ok
 
 
-def one_wrong_pair_cond(op, where):
-    """A condensate whose packed row of ``op`` is wrong at exactly one
-    ordered pair (s, t) of the stage {i, j}; the reversed pair gets the
-    right answer.  The wrong field is planted in ``op_row``, the primitive
-    of ``finite_stage_iso``; the pair is picked with the pair ops, which
-    do not run ``op_row``.  ``where`` places the pair: s after t in stage
-    order, s before t, or t first or last in the stage, so at the start or
-    the end of the row ``finite_stage_iso`` reads for s."""
-    fn = {"join": or_, "meet": and_}[op]
+class FlippedImage(Condensate):
+    """A handle whose ``pack`` flips one bit of one image: ``flip`` is
+    (position in the stage, bit), or None for the true images.  ``pack``
+    is the images primitive of ``finite_stage_iso``."""
 
-    class OneWrongPair(Condensate):
-        wrong = None  # the packed forms of s, t and the wrong result
+    flip = None
 
-        def op_row(self, f, p, row, ones):
-            out = super().op_row(f, p, row, ones)
-            if f is not fn or self.wrong is None:
-                return out
-            ws, wt, bad = self.wrong
-            if p != int.from_bytes(ws, "big"):
-                return out
-            fb = len(ws)
-            size = -(-ones.bit_length() // (8 * fb)) * fb  # a 1 ends each field
-            got, ts = out.to_bytes(size, "big"), row.to_bytes(size, "big")
-            return int.from_bytes(b"".join(bad if ts[k:k + fb] == wt else got[k:k + fb]
-                                           for k in range(0, size, fb)), "big")
+    def pack(self, elems):
+        images = super().pack(elems)
+        if self.flip is not None:
+            k, bit = self.flip
+            images[k] ^= 1 << bit
+        return images
 
-    cond = OneWrongPair(eps_cond().phi, IndexUniverse.countable())
-    pair = getattr(cond, op)
-    stage = cond.stage(["i", "j"])
-    if where in ("later-first", "earlier-first"):
-        # the first pair, in stage order, whose result is neither operand
-        early, late = next((a, b) for k, a in enumerate(stage) for b in stage[k + 1:]
-                           if pair(a, b) not in (a, b))
-        s, t = (late, early) if where == "later-first" else (early, late)
+
+def flipped_images(cond: FlippedImage, names):
+    """The stage lattice and the images ``finite_stage_iso`` reads."""
+    lat, _, decode = cond.stage_lattice(names)
+    return lat, cond.pack([decode(m) for m in lat.elements])
+
+
+def pairs_preserved(lat, images) -> bool:
+    """The definition: | and & of images agree with the product's on every ordered pair."""
+    g = dict(zip(lat.elements, images))
+    return all(g[x | y] == g[x] | g[y] and g[x & y] == g[x] & g[y]
+               for x in lat.elements for y in lat.elements)
+
+
+def union_of_points(lat, images) -> bool:
+    """Clause (a) of the certificate: G(x) = G(0) ∪ ⋃_{q∈x} G(↓q) for every x."""
+    g = dict(zip(lat.elements, images))
+    fd = [g[d] for d in lat.base.down]
+    return all(g[x] == g[0] | reduce(or_, (fd[q] for q in bits(x)), 0) for x in lat.elements)
+
+
+@pytest.mark.parametrize("k", range(3))
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_stage_iso_matches_pairs_on_every_flipped_bit(kernel, k):
+    # every bit of every image, and one bit above them all, flipped in turn:
+    # the certificate's verdict is the definition's on the same images
+    cond = FlippedImage(KERNELS[kernel], IndexUniverse.countable())
+    names = ["i", "j"][:k]
+    lat, images = flipped_images(cond, names)
+    width = max(images).bit_length()
+    failed = 0
+    for pos in range(lat.size):
+        for bit in range(width + 1):
+            cond.flip = pos, bit
+            _, bad = flipped_images(cond, names)
+            rep = finite_stage_iso(cond, names)
+            assert rep.is_lattice_iso == pairs_preserved(lat, bad), (pos, bit)
+            assert rep.bijective == (len(set(bad)) == lat.size) and rep.bounds_ok, (pos, bit)
+            failed += not rep.is_lattice_iso
+    # a flip that keeps a hom exists only on the chain of C_∅
+    flips = lat.size * (width + 1)
+    assert (failed == flips) if k else (0 < failed < flips)
+
+
+def positions(lat, position):
+    """The stage positions of one named kind."""
+    principal = set(lat.base.down)
+    kind = {"bottom": lambda x: x == lat.bottom, "top": lambda x: x == lat.top,
+            "join-irreducible": principal.__contains__,
+            "not-principal": lambda x: x not in principal and x not in (lat.bottom, lat.top)}
+    return [k for k, x in enumerate(lat.elements) if kind[position](x)]
+
+
+@pytest.mark.parametrize("position", ["bottom", "join-irreducible", "not-principal", "top"])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_stage_iso_catches_a_flip_at(kernel, position):
+    # on the one-index stage every flip breaks the iso; which clause sees it
+    # depends on where it lands
+    cond = FlippedImage(KERNELS[kernel], IndexUniverse.countable())
+    lat, images = flipped_images(cond, ["i"])
+    keep_a = 0
+    for pos in positions(lat, position):
+        for bit in range(max(images).bit_length()):
+            cond.flip = pos, bit
+            _, bad = flipped_images(cond, ["i"])
+            assert not finite_stage_iso(cond, ["i"]).is_lattice_iso and not pairs_preserved(lat, bad)
+            keep_a += union_of_points(lat, bad)
+    if position == "join-irreducible":
+        # some flips keep clause (a), so clause (b) alone refuses them:
+        # the points holding that bit are no longer one ↑m
+        assert keep_a > 0
     else:
-        s, t = stage[1], stage[0] if where == "first-in-row" else stage[-1]
-    assert finite_stage_iso(cond, ["i", "j"]).ok
-    ts = stage if where in ("first-in-row", "last-in-row") else [t]
-    k = ts.index(t)
-    bad = s if pair(s, t) != s else t
-
-    def fields(x, ys):
-        """op_row of x with the row of ys, planted and true, field by field."""
-        packed, fb = cond.pack([x, *ys])
-        row = (fn, int.from_bytes(packed[0], "big"), int.from_bytes(b"".join(packed[1:]), "big"),
-               _packed_ones(len(ys), fb))
-        cut = [v.to_bytes(len(ys) * fb, "big") for v in (cond.op_row(*row),
-                                                           Condensate.op_row(cond, *row))]
-        return [[v[i:i + fb] for i in range(0, len(v), fb)] for v in cut]
-
-    right = cond.pack([pair(s, u) for u in ts])[0]
-    assert fields(s, ts) == [right, right]
-    cond.wrong = tuple(cond.pack([s, t, bad])[0])
-    got, want = fields(s, ts)
-    assert want == right and got[k] == cond.wrong[2] != right[k]
-    assert got[:k] + got[k + 1:] == right[:k] + right[k + 1:]
-    assert fields(t, [s]) == [[cond.pack([pair(t, s)])[0][0]]] * 2
-    return cond
-
-
-@pytest.mark.parametrize("where", ["later-first", "earlier-first", "first-in-row", "last-in-row"])
-@pytest.mark.parametrize("op", ["join", "meet"])
-def test_stage_iso_checks_every_ordered_pair(op, where):
-    # one wrong ordered pair is enough to fail the check, whichever of the
-    # two orders is wrong and wherever it sits in its row: skipping half the
-    # pairs by commutativity, or an end of a row, fails here
-    cond = one_wrong_pair_cond(op, where)
-    rep = finite_stage_iso(cond, ["i", "j"])
-    assert rep.bijective and rep.bounds_ok
-    assert not rep.is_lattice_iso and not rep.ok
+        # every G(↓q) is untouched, so the flipped image, or at the bottom
+        # the flipped z in every union, differs somewhere from the union of
+        # the points: clause (a) refuses every flip
+        assert keep_a == 0
+    if position == "bottom":
+        # on C_∅, a chain, bit 0 lies in every image but the bottom's; set
+        # there it lies in z = G(0) and in every image, so G stays a hom
+        # and (a), which starts from z, must hold
+        cond.flip = 0, 0
+        lat, bad = flipped_images(cond, [])
+        assert all(g & 1 for g in bad) and pairs_preserved(lat, bad)
+        assert finite_stage_iso(cond, []).is_lattice_iso

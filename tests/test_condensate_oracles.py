@@ -327,20 +327,22 @@ def test_mixed_rows_rejected_at_every_position():
             op(foreign, foreign)
 
 
-def corrupted(cond: Condensate) -> Condensate:
-    """The handle with φ's table wrong at its top: one entry moved off φ(1)."""
-    top = cond.phi.dom.top
+def corrupted(cond: Condensate, at: str = "top") -> Condensate:
+    """The handle with φ's table wrong at its top or its bottom: one entry
+    moved off φ(1) or φ(0)."""
+    x = getattr(cond.phi.dom, at)
     cod = cond.phi.cod.elements
-    cond._phi_at[top] = cod[(cod.index(cond._phi_at[top]) + 1) % len(cod)]
+    cond._phi_at[x] = cod[(cod.index(cond._phi_at[x]) + 1) % len(cod)]
     return cond
 
 
-def pairwise_handle(phi: LatHom, held: Sequence[str], corrupt: bool = False) -> Condensate:
-    """A fresh ``PairwiseCondensate``, its table corrupted if asked, that
-    already holds slots for the names ``held``."""
+def pairwise_handle(phi: LatHom, held: Sequence[str], corrupt: str | None = None) -> Condensate:
+    """A fresh ``PairwiseCondensate``, its table corrupted at ``corrupt``
+    (``"top"`` or ``"bottom"``) if given, that already holds slots for the
+    names ``held``."""
     cond = PairwiseCondensate(phi, IndexUniverse.countable())
     if corrupt:
-        corrupted(cond)
+        corrupted(cond, corrupt)
     cond.stage_lattice(held)
     return cond
 
@@ -349,27 +351,35 @@ def test_stage_reports_match_pair_loop():
     maps = [eps_map(), level_map()] + random_maps()[:12]
     broken = 0
     for k, phi in enumerate(maps):
-        # the kernel maps also at |J| = 3
+        # the kernel maps also at |J| = 3, and at |J| = 4 without held names
         stages = [[], ["j"], ["j", "i"]] + [["j", "i", "k"]] * (k < 2)
         # names outside the stage that the handle slotted first
-        for names, held in product(stages, [[], ["ξ", "i10"]]):
+        cases = [*product(stages, [[], ["ξ", "i10"]]), *[(["j", "i", "k", "l"], [])] * (k < 2)]
+        for names, held in cases:
             cond = pairwise_handle(phi, held)
             rep = finite_stage_iso(cond, names)
             assert rep == pair_loop_stage_iso(cond, names) and rep.ok, (k, names, held)
-            bad = pairwise_handle(phi, held, corrupt=True)
-            rep = finite_stage_iso(bad, names)
-            if names:
-                assert rep == pair_loop_stage_iso(bad, names), (k, names, held)
-            else:
-                # slot 0 holds φ(base) at the indices without a slot, so the
-                # rows see the table even where the merge sees no deviation:
-                # C_∅ fails exactly when the pair loop fails on a one-index stage
-                loop = pair_loop_stage_iso(pairwise_handle(phi, held, corrupt=True), ["j"])
-                assert rep.is_lattice_iso == loop.is_lattice_iso, (k, held)
-            broken += not rep.is_lattice_iso
-            if k < 2:  # the kernel maps
-                assert not rep.is_lattice_iso and not rep.ok, (k, names, held)
-    assert broken >= 40, broken
+            for at in ("top", "bottom"):
+                bad = pairwise_handle(phi, held, corrupt=at)
+                rep = finite_stage_iso(bad, names)
+                if names:
+                    assert rep == pair_loop_stage_iso(bad, names), (k, names, held, at)
+                else:
+                    # slot 0 holds φ(base) at the indices without a slot, so the
+                    # images see the table even where the merge sees no deviation:
+                    # C_∅ fails exactly when the pair loop fails on a one-index stage
+                    loop = pair_loop_stage_iso(pairwise_handle(phi, held, corrupt=at), ["j"])
+                    assert rep.is_lattice_iso == loop.is_lattice_iso, (k, held, at)
+                broken += not rep.is_lattice_iso
+                if k < 2 and at == "top":  # the kernel maps
+                    assert not rep.is_lattice_iso and not rep.ok, (k, names, held)
+                elif k < 2:
+                    # moved off φ(0) = 0 the kernel's table stays monotone on a
+                    # chain, so the images still form a lattice, with z ≠ 0 on
+                    # a base that has no least point once J is not empty; the
+                    # stage's bottom is not the condensate's
+                    assert rep.is_lattice_iso and rep.bounds_ok == (not names), (k, names, held)
+    assert broken >= 100, broken
 
 
 @pytest.mark.parametrize("phi", [eps_map(), level_map()], ids=["eps", "level"])

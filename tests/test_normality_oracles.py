@@ -1032,6 +1032,7 @@ def test_rho_contradiction_reports_a_swapped_top_cover():
     bent = doctored(cube, pq, formula_map(cube, *pq, TOP_FORMULAS[3]))
     got = run_rho_contradiction(bent, v0)
     assert not got.ok and not got.pushed_expected and not got.naturality_ok
+    assert not got.triangle_fails
     assert got.failures == (
         "pushed value for d_1,2 is (0, 0, 2, 1), expected (2, 2, 0, 0)",
         "triangle inequality did not fail on the last coordinate",
