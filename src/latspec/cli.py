@@ -7,13 +7,18 @@ mismatch against the recorded values; 2 means an input or usage error.
 
 ``--json`` switches any checking subcommand to a machine-readable report
 with fixed key order; all output is deterministic, and commands that
-sample echo their seed.  One serializer, ``_dumps``, lays out every
-report; a ``_Rows`` value in it is an array of arrays whose cells are JSON
-text already, such as element names quoted once per command, and each of
-its rows is written with one join.  ``_emit`` writes a report one
-top-level key at a time and a ``_Rows`` value or a text report in
-batches, so the rows of a big table come from a generator and are never
-held whole.  Every check, and every error a command can report, runs
+sample echo their seed.  Each subcommand has one handler, the function
+that ``_COMMANDS`` names for it, and a handler writes nothing: it returns
+its report as ``(payload, lines)``, the JSON payload and the text lines,
+either of which may be ``None`` when the flags ask for the other (only
+``replicate`` adds its exit code).  ``main`` then writes it, once, with
+``_emit``.  One serializer, ``_dumps``, lays out every report; a
+``_Rows`` value in it is an array of arrays whose cells are JSON text
+already, such as element names quoted once per command, and each of its
+rows is written with one join.  ``_emit`` writes a report one top-level
+key at a time and a ``_Rows`` value or a text report in batches, so the
+rows of a big table come from a generator and are never held whole.
+Every check, and every error a command can report, runs in the handler,
 before the first byte is written: a failed command writes nothing to
 stdout.
 
@@ -65,7 +70,11 @@ class _Rows:
     ``rows`` is an iterable, read once, of iterables of ``str`` cells, such
     as names quoted by ``_json_names``.  A cell is written as it is, so it
     must be valid JSON text; a cell that is not a ``str`` raises
-    ``TypeError``.  Each row is written with one ``join``.
+    ``TypeError``.  Each row is written with one ``join``.  The rows are
+    read while the report is written, after its first bytes may have gone
+    out, so reading a row must not be able to raise: a cell that could
+    fail to print, such as an int past ``sys.get_int_max_str_digits``, is
+    printed by the handler, not by the generator of rows.
     """
 
     __slots__ = ("rows",)
@@ -150,17 +159,17 @@ def _json_pieces(report: dict):
     yield "".join(text)
 
 
-def _emit(args, payload: dict | None, text_lines) -> None:
-    """Write the report: ``payload`` as ``indent=2`` JSON under ``--json``, else the text lines.
+def _emit(payload: dict | None, text_lines) -> None:
+    """Write a report: ``payload`` as ``indent=2`` JSON, or ``text_lines`` if it is ``None``.
 
-    A command that writes only one form may pass ``None`` for the other.
+    ``main`` calls it once per command, after the handler has returned,
+    and inside the ``try`` that turns an input error into exit 2: an int
+    too long to print fails there, too, as one line on stderr.
     The report goes to stdout in writes of at least ``_BATCH`` characters,
     the last excepted: a small report takes one write, and a big one,
     whose rows and lines may come from generators, is never held whole.
-    Every check has run before ``_emit`` is called, so a failed command
-    writes nothing.
     """
-    pieces = _json_pieces(payload) if args.json else map("{}\n".format, text_lines)
+    pieces = map("{}\n".format, text_lines) if payload is None else _json_pieces(payload)
     write, batch, size = sys.stdout.write, [], 0
     for piece in pieces:
         batch.append(piece)
@@ -176,6 +185,11 @@ def _json_names(lat) -> list[str]:
     return list(map(_quote, lat.names()))
 
 
+def _verdict(ok: bool) -> str:
+    """A check's outcome as a text report gives it."""
+    return "pass" if ok else "FAIL"
+
+
 #: how the refusal of a file of another kind names each kind that a command needs
 _NEEDS = {ParsedLattice: "a poset or lattice file", ParsedHom: "a hom file"}
 
@@ -188,15 +202,12 @@ def _need(kind, path: str):
     return parsed
 
 
-def cmd_lattice_check(args) -> int:
-    pl = _need(ParsedLattice, args.file)
-    lat = pl.lat
+def cmd_lattice_check(args):
+    lat = _need(ParsedLattice, args.file).lat
     if args.dot:
         spec = prime_spectrum(lat)
         names = lat.names()
-        sys.stdout.write(dotmod.lattice_hasse_dot(lat, names))
-        sys.stdout.write(dotmod.spectrum_dot(spec, names))
-        return 0
+        return None, [dotmod.lattice_hasse_dot(lat, names), dotmod.spectrum_dot(spec, names)]
     cn = is_completely_normal(lat)
     spec = prime_spectrum(lat)
     unit = stone_unit_check(lat, spec)
@@ -210,10 +221,9 @@ def cmd_lattice_check(args) -> int:
         lines.append(f"spectrum: {spec.n_points} point(s), order pairs {spec.order_pairs()}")
         lines.append(f"stone_unit: {'pass' if unit.ok else 'FAIL ' + '; '.join(unit.failures)}")
         lines.append("birkhoff_roundtrip: pass")
-        _emit(args, None, lines)
-        return 0
+        return None, lines
     labels, qnames = list(map(_quote, lat.base.labels)), _json_names(lat)
-    _emit(args, {
+    return {
         "size": lat.size,
         # re-parseable serialization: rebuilding the base poset from these
         # fields reproduces the identical canonical element encoding
@@ -225,17 +235,13 @@ def cmd_lattice_check(args) -> int:
         "spectrum_order": _Rows(map(str, pair) for pair in spec.order_pairs()),
         "stone_unit": unit.to_dict(),
         "birkhoff_roundtrip": True,
-    }, None)
-    return 0
+    }, None
 
 
-def cmd_hom_check(args) -> int:
+def cmd_hom_check(args):
     ph = _need(ParsedHom, args.file)
-    census = hom_census(ph.hom)
-    payload = census.to_dict()
-    lines = [f"{k}: {v}" for k, v in payload.items()]
-    _emit(args, payload, lines)
-    return 0
+    payload = hom_census(ph.hom).to_dict()
+    return payload, [f"{k}: {v}" for k, v in payload.items()]
 
 
 def _difference_rows(lat, dl, names: list[str]):
@@ -245,35 +251,31 @@ def _difference_rows(lat, dl, names: list[str]):
             for ny, d in zip(names, dl.row(x)))
 
 
-def cmd_v0_expand(args) -> int:
-    pl = _need(ParsedLattice, args.file)
-    lat = pl.lat
+def cmd_v0_expand(args):
+    lat = _need(ParsedLattice, args.file).lat
     dl = expand_v0(lat)
     if dl.check_identities() is not None or dl.triangle_count():
         raise SelfCheckError("v0 expand: the least-splitting table fails its identities "
                              "or the triangle law")
     if args.json:
-        _emit(args, {
+        return {
             "size": lat.size,
             "table": _Rows(_difference_rows(lat, dl, _json_names(lat))),
             "identities": "pass",
             "triangle_violations": [],
-        }, None)
-        return 0
+        }, None
     table = _difference_rows(lat, dl, lat.names())
-    _emit(args, None, chain([f"difference table over {lat.size} elements:"],
-                            starmap("  {} \\ {} = {}".format, table),
-                            ["identities: pass", "triangle property: no violations"]))
-    return 0
+    return None, chain([f"difference table over {lat.size} elements:"],
+                       starmap("  {} \\ {} = {}".format, table),
+                       ["identities: pass", "triangle property: no violations"])
 
 
-def cmd_refine_witness(args) -> int:
+def cmd_refine_witness(args):
     pl = _need(ParsedLattice, args.file)
     fam = [pl.resolve(tok) for tok in args.element]
     w = refinement_witness(pl.lat, fam)
     if w is None:
-        _emit(args, {"witness": None}, ["no refinement witness exists"])
-        return 0
+        return {"witness": None}, ["no refinement witness exists"]
     matrix = [[pl.lat.fmt(c) for c in row] for row in w.matrix]
     payload = {"witness": _Rows([list(map(_quote, row)) for row in matrix])}
     lines = ["refinement witness:"]
@@ -281,64 +283,58 @@ def cmd_refine_witness(args) -> int:
         for j, c in enumerate(row):
             if i != j:
                 lines.append(f"  c[{i}][{j}] = {c}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_cond_stage(args) -> int:
+def cmd_cond_stage(args):
     ph = _need(ParsedHom, args.file)
     names = [n for n in args.indices.split(",") if n]
     cond = Condensate(ph.hom, IndexUniverse.countable())
     rep = finite_stage_iso(cond, names)
     payload = rep.to_dict()
-    lines = [f"stage J = {{{', '.join(names)}}}: {payload['stage_size']} elements",
-             f"product A x B^J: {payload['product_size']} elements",
-             f"lattice isomorphism: {'pass' if rep.ok else 'FAIL'}"]
-    _emit(args, payload, lines)
-    return 0
+    return payload, [f"stage J = {{{', '.join(names)}}}: {payload['stage_size']} elements",
+                     f"product A x B^J: {payload['product_size']} elements",
+                     f"lattice isomorphism: {_verdict(rep.ok)}"]
 
 
-def cmd_pl(args) -> int:
+def cmd_pl_eval(args):
     f = parse_pl_term(args.term)
-    if args.action == "eval":
-        from fractions import Fraction  # only pl eval builds a rational: start-up skips decimal
-        try:
-            x, y = map(Fraction, args.at.split(","))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"--at wants a point X,Y of two rationals, got {args.at!r}") from None
-        v = pl_eval(f, x, y)
-        _emit(args, {"value": str(v)}, [str(v)])
-        return 0
-    if args.action == "op":
-        if args.json:
-            _emit(args, {"rays": _Rows(map(str, r) for r in f.rays),
-                         "coeffs": _Rows(map(str, c) for c in f.coeffs)}, None)
-        else:
-            _emit(args, None, [f"rays:   {list(f.rays)}", f"coeffs: {list(f.coeffs)}"])
-        return 0
-    if args.action == "ideal-leq":
-        g = parse_pl_term(args.term2)
-        fa, ga = pl_abs(f), pl_abs(g)
-        res = pl_ideal_leq_abs(fa, ga)
-        payload = res.to_dict()
-        lines = [f"holds: {res.holds}"]
-        if res.holds:
-            lines.append(f"bound: |x| <= {res.bound} * |y|")
-        else:
-            lines.append(f"witness direction with |y| = 0 < |x|: {res.witness}")
-        if args.samples and res.holds:
-            # |f| > bound·|g| at a point iff h = |f| - bound·|g| is positive there
-            h = pl_sum((fa, pl_scale(-res.bound, ga)))
-            bad = sum(v > 0 for v in pl_values(h, _sample_points(args.seed, args.samples)))
-            payload["samples"] = args.samples
-            payload["seed"] = args.seed
-            payload["sample_failures"] = bad
-            lines.append(f"sampled {args.samples} points (seed {args.seed}): {bad} failure(s)")
-        _emit(args, payload, lines)
-        return 0
-    conn = support_connected(f)  # connected
-    _emit(args, {"connected": conn}, [f"support connected: {conn}"])
-    return 0
+    from fractions import Fraction  # only pl eval builds a rational: start-up skips decimal
+    try:
+        x, y = map(Fraction, args.at.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"--at wants a point X,Y of two rationals, got {args.at!r}") from None
+    v = str(pl_eval(f, x, y))
+    return {"value": v}, [v]
+
+
+def cmd_pl_op(args):
+    f = parse_pl_term(args.term)
+    if args.json:  # each number is printed here, so one too long to print fails before any output
+        return {"rays": _Rows([list(map(str, r)) for r in f.rays]),
+                "coeffs": _Rows([list(map(str, c)) for c in f.coeffs])}, None
+    return None, [f"rays:   {list(f.rays)}", f"coeffs: {list(f.coeffs)}"]
+
+
+def cmd_pl_ideal_leq(args):
+    f, g = parse_pl_term(args.term), parse_pl_term(args.term2)
+    fa, ga = pl_abs(f), pl_abs(g)
+    res = pl_ideal_leq_abs(fa, ga)
+    payload = res.to_dict()
+    lines = [f"holds: {res.holds}"]
+    if res.holds:
+        lines.append(f"bound: |x| <= {res.bound} * |y|")
+    else:
+        lines.append(f"witness direction with |y| = 0 < |x|: {res.witness}")
+    if args.samples and res.holds:
+        # |f| > bound·|g| at a point iff h = |f| - bound·|g| is positive there
+        h = pl_sum((fa, pl_scale(-res.bound, ga)))
+        bad = sum(v > 0 for v in pl_values(h, _sample_points(args.seed, args.samples)))
+        payload["samples"] = args.samples
+        payload["seed"] = args.seed
+        payload["sample_failures"] = bad
+        lines.append(f"sampled {args.samples} points (seed {args.seed}): {bad} failure(s)")
+    return payload, lines
 
 
 def _sample_points(seed: int, samples: int):
@@ -369,71 +365,69 @@ def _sample_points(seed: int, samples: int):
         yield a * (d + 1), c * (b + 1)
 
 
-def cmd_glambda(args) -> int:
-    n = args.chain
-    s = parse_glambda_term(args.term, n)
-    if args.action == "op":
-        t = parse_glambda_term(args.term2, n) if args.term2 is not None else None
-        out = glambda_op(args.op, s, t)
-        text = out if isinstance(out, str) else out.fmt()
-        _emit(args, {"result": text}, [text])
-        return 0
-    if args.action == "waybelow":
-        t = parse_glambda_term(args.term2, n)
-        res = way_below(s, t)
-        _emit(args, {"way_below": res}, [f"way_below: {res}"])
-        return 0
-    xs = [s] + [parse_glambda_term(t, n) for t in args.rest]
-    rep = orthogonal_set_check(xs)
-    payload = rep.to_dict()
+def cmd_pl_connected(args):
+    conn = support_connected(parse_pl_term(args.term))
+    return {"connected": conn}, [f"support connected: {conn}"]
+
+
+def cmd_glambda_op(args):
+    s = parse_glambda_term(args.term, args.chain)
+    t = parse_glambda_term(args.term2, args.chain) if args.term2 is not None else None
+    out = glambda_op(args.op, s, t)
+    text = out if isinstance(out, str) else out.fmt()
+    return {"result": text}, [text]
+
+
+def cmd_glambda_waybelow(args):
+    res = way_below(parse_glambda_term(args.term, args.chain),
+                    parse_glambda_term(args.term2, args.chain))
+    return {"way_below": res}, [f"way_below: {res}"]
+
+
+def cmd_glambda_ortho(args):
+    rep = orthogonal_set_check([parse_glambda_term(t, args.chain) for t in [args.term, *args.rest]])
     lines = [f"pairwise orthogonal: {rep.pairwise_orthogonal}"]
     if rep.meet_violations:
         lines.append(f"violating pairs: {list(rep.meet_violations)}")
     if rep.lex_parts_zero is not None:
         lines.append(f"all lex parts zero: {rep.lex_parts_zero}")
-    _emit(args, payload, lines)
-    return 0
+    return rep.to_dict(), lines
 
 
-def cmd_replicate(args) -> int:
-    which = args.kernel
-    if which == "all":
-        rep = replicate_all()
-        payload = rep.to_dict()
-        lines = []
-        for name in ("cube", "v0", "rho", "closed_kernel", "convex_kernel"):
-            lines.append(f"{name}: {'pass' if payload[name]['ok'] else 'FAIL'}")
-        lines.append(f"overall: {'pass' if rep.ok else 'FAIL'}")
-        _emit(args, payload, lines)
-        return 0 if rep.ok else 1
-    if which == "cube":
-        rep = verify_cube(build_cube())
-        lines = [f"embeddings: {'pass' if rep.embeddings_ok and rep.bounds_ok else 'FAIL'} ({rep.n_maps} maps)",
-                 f"faces: {'pass' if rep.faces_ok else 'FAIL'} ({rep.n_faces} faces)",
-                 f"strong amalgams: {'pass' if rep.amalgams_ok else 'FAIL'} ({rep.n_amalgams} squares)"]
-    elif which == "rho":
-        rep = run_rho_contradiction()
-        lines = [f"forced solutions unique: {rep.forced_unique}",
-                 f"pushed values: {rep.pushed}",
-                 f"triangle fails on last coordinate: {rep.triangle_fails} {rep.last_coordinate}"]
-    elif which == "closed-kernel":
-        rep = kernel_not_closed()
-        lines = [f"zero-separating map closed: {rep.eps_closed}",
-                 f"witness: {rep.witness} (expected: {rep.witness_expected})",
-                 f"identity controls closed: {list(rep.identity_controls)}"]
-    elif which == "convex-kernel":
-        rep = kernel_not_convex()
-        lines = [f"map table: {list(rep.phi_table)} (expected: {rep.table_expected})",
-                 f"convex: {rep.phi_convex}",
-                 f"stage surjections ok: {[r.ok for r in rep.stage_reports]}"]
-    else:  # v0
-        _, rep = expand_cube_v0(build_cube())
-        lines = [f"identities: {'pass' if rep.identities_ok else 'FAIL'}",
-                 f"maps preserve difference: {'pass' if rep.maps_preserve_diff else 'FAIL'}",
-                 f"triangle violations observed: {rep.triangle_violations}"]
-    lines.append(f"overall: {'pass' if rep.ok else 'FAIL'}")
-    _emit(args, rep.to_dict(), lines)
-    return 0 if rep.ok else 1
+#: each kernel of ``replicate``: the call that runs it, and the text lines of
+#: its report before the overall verdict.  A call reads the functions it runs
+#: from this module's globals when it runs, so what rebinds them there, as
+#: perfbench's traced mode does, is what runs.
+_KERNELS = {
+    "all": (lambda: replicate_all(), lambda rep: [
+        f"{name}: {_verdict(getattr(rep, name).ok)}" for name in rep._fields if name != "ok"]),
+    "cube": (lambda: verify_cube(build_cube()), lambda rep: [
+        f"embeddings: {_verdict(rep.embeddings_ok and rep.bounds_ok)} ({rep.n_maps} maps)",
+        f"faces: {_verdict(rep.faces_ok)} ({rep.n_faces} faces)",
+        f"strong amalgams: {_verdict(rep.amalgams_ok)} ({rep.n_amalgams} squares)"]),
+    "v0": (lambda: expand_cube_v0(build_cube())[1], lambda rep: [
+        f"identities: {_verdict(rep.identities_ok)}",
+        f"maps preserve difference: {_verdict(rep.maps_preserve_diff)}",
+        f"triangle violations observed: {rep.triangle_violations}"]),
+    "rho": (lambda: run_rho_contradiction(), lambda rep: [
+        f"forced solutions unique: {rep.forced_unique}",
+        f"pushed values: {rep.pushed}",
+        f"triangle fails on last coordinate: {rep.triangle_fails} {rep.last_coordinate}"]),
+    "closed-kernel": (lambda: kernel_not_closed(), lambda rep: [
+        f"zero-separating map closed: {rep.eps_closed}",
+        f"witness: {rep.witness} (expected: {rep.witness_expected})",
+        f"identity controls closed: {list(rep.identity_controls)}"]),
+    "convex-kernel": (lambda: kernel_not_convex(), lambda rep: [
+        f"map table: {list(rep.phi_table)} (expected: {rep.table_expected})",
+        f"convex: {rep.phi_convex}",
+        f"stage surjections ok: {[r.ok for r in rep.stage_reports]}"]),
+}
+
+
+def cmd_replicate(args):
+    run, text = _KERNELS[args.kernel]
+    rep = run()
+    return rep.to_dict(), [*text(rep), f"overall: {_verdict(rep.ok)}"], 0 if rep.ok else 1
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -514,22 +508,22 @@ _COMMANDS = {
                   ("--indices", {"required": True, "help": "comma-separated index names"})),
     }),
     "pl": ({"help": "piecewise-linear functions"}, {
-        "eval": ({}, cmd_pl, _TERM, ("--at", {"required": True, "help": "point X,Y (rationals)"})),
-        "op": ({}, cmd_pl, _TERM),
-        "ideal-leq": ({}, cmd_pl, _TERM, _TERM2,
+        "eval": ({}, cmd_pl_eval, _TERM, ("--at", {"required": True, "help": "point X,Y (rationals)"})),
+        "op": ({}, cmd_pl_op, _TERM),
+        "ideal-leq": ({}, cmd_pl_ideal_leq, _TERM, _TERM2,
                       ("--samples", {"type": _nonnegative_int, "default": 0,
                                      "help": "confirm the bound at N sample points"}),
                       ("--seed", {"type": int, "default": 0})),
-        "connected": ({}, cmd_pl, _TERM),
+        "connected": ({}, cmd_pl_connected, _TERM),
     }),
     "glambda": ({"help": "lexicographic-product elements"}, {
-        "op": ({}, cmd_glambda, ("op", {"choices": [*LEX_OPS, "compare"]}), _TERM,
+        "op": ({}, cmd_glambda_op, ("op", {"choices": [*LEX_OPS, "compare"]}), _TERM,
                ("term2", {"nargs": "?"}), _CHAIN),
-        "waybelow": ({}, cmd_glambda, _TERM, _TERM2, _CHAIN),
-        "ortho": ({}, cmd_glambda, _TERM, ("rest", {"nargs": "*"}), _CHAIN),
+        "waybelow": ({}, cmd_glambda_waybelow, _TERM, _TERM2, _CHAIN),
+        "ortho": ({}, cmd_glambda_ortho, _TERM, ("rest", {"nargs": "*"}), _CHAIN),
     }),
-    "replicate": ({"help": "re-run the recorded finite computations"}, cmd_replicate, ("kernel", {
-        "choices": ["all", "cube", "v0", "rho", "closed-kernel", "convex-kernel"]})),
+    "replicate": ({"help": "re-run the recorded finite computations"}, cmd_replicate,
+                  ("kernel", {"choices": list(_KERNELS)})),
 }
 
 
@@ -554,7 +548,9 @@ def main(argv=None) -> int:
     except SystemExit as e:  # a usage error or -h: argparse has printed its output
         return e.code
     try:
-        return args.fn(args)
+        payload, lines, *code = args.fn(args)
+        _emit(payload if args.json else None, lines)
+        return code[0] if code else 0
     except (ParseError, LatticeError, PLError, LexError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

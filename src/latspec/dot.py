@@ -2,7 +2,8 @@
 
 Output is deterministic: nodes follow the canonical element order and
 edges are emitted sorted.  Only cover edges appear, so the graphs are
-Hasse diagrams (drawn bottom-up).
+Hasse diagrams (drawn bottom-up).  Each graph is one text whose lines end
+with a line break, the last excepted: a writer adds it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ def _digraph(name: str, nodes: list[tuple[str, str]], edges: list[tuple[str, str
     for a, b in edges:
         lines.append(f"  {a} -> {b};")
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 def lattice_hasse_dot(lat: DLat, names: Sequence[str]) -> str:

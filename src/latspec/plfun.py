@@ -306,7 +306,13 @@ def pl_scale(k: int, f: Value) -> Value:
 
 
 def _crossing_ray(df: Vec, left: Vec, right: Vec) -> Vec:
-    """Primitive ray strictly inside cone(left, right) where df vanishes."""
+    """Primitive ray strictly inside cone(left, right) where df vanishes.
+
+    The caller passes consecutive rays, both in the closed quadrant, at
+    which df·v has strictly opposite signs, so the line df·v = 0 meets the
+    open cone, along one of the two perpendiculars to df: the raise below
+    is never reached.
+    """
     for cand in ((df[1], -df[0]), (-df[1], df[0])):
         if _cross(left, cand) > 0 and _cross(cand, right) > 0:
             return _primitive(cand[0], cand[1])

@@ -134,6 +134,17 @@ def test_input_error_exits_two(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith(msg) and err.count("\n") == 1, err
+    # pl op's numbers grow too long to print only in the report's last rows,
+    # past the first 64 KB that a streamed report writes: each is printed
+    # before the first byte, so the command writes nothing, as in text mode
+    p, q, s = 10 ** 2000 + 1, 10 ** 1999 + 3, "7" * 2500
+    term = f"({s} (join " + " ".join(f"(sub ({i * p} a) ({i * i * q} b))"
+                                     for i in range(1, 20)) + "))"
+    for flags in ([], ["--json"]):
+        assert main(["pl", "op", term, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "", len(out)
+        assert err.startswith("error: Exceeds the limit (4300 digits)") and err.count("\n") == 1
     # argparse rejects a negative chain length, also in one line, and main
     # returns its exit code instead of raising SystemExit
     for action, terms in [("op", ["add", "c0", "c0"]), ("waybelow", ["c0", "c0"]),
@@ -878,6 +889,16 @@ def test_every_declared_parser_has_its_pins():
             assert path + ("bogus",) in PARSER_SHA256, path
 
 
+def test_each_subcommand_has_its_own_handler():
+    # _COMMANDS is the only dispatch: no handler branches on its subcommand
+    handlers = [what for _, what in parsers() if not isinstance(what, dict)]
+    assert len(handlers) == len(set(handlers)) == 13
+    assert all(fn.__name__.startswith("cmd_") for fn in handlers)
+    # and replicate's kernels are named once, as the keys of one table
+    kernel = cli._COMMANDS["replicate"][2]
+    assert kernel == ("kernel", {"choices": list(cli._KERNELS)})
+
+
 def test_parsers_are_built_when_their_command_is_chosen(monkeypatch):
     # build_parser makes the top level and one parser per command; a
     # command's subcommands, and their arguments, come with its first parse
@@ -893,7 +914,7 @@ def test_parsers_are_built_when_their_command_is_chosen(monkeypatch):
     assert len(made) == 9
     assert ap.parse_args(["lattice", "check", "F"]).fn is cli.cmd_lattice_check
     assert made[9:] == ["latspec lattice check"]
-    assert ap.parse_args(["pl", "eval", "a", "--at", "1,2"]).fn is cli.cmd_pl
+    assert ap.parse_args(["pl", "eval", "a", "--at", "1,2"]).fn is cli.cmd_pl_eval
     assert made[10:] == ["latspec pl eval", "latspec pl op", "latspec pl ideal-leq",
                          "latspec pl connected"]
     for argv in (["lattice", "check", "G", "--json"], ["pl", "eval", "b", "--at", "0,0"],

@@ -19,10 +19,11 @@ import pytest
 
 import test_cli as T
 from latspec import cli
+from latspec.cli import main
 
 
 def digest_jobs(tmp_path):
-    """Every ``--json`` command line of the digest tables in ``test_cli.py``."""
+    """Every command line of the digest tables in ``test_cli.py``, with and without ``--json``."""
     def write(name, text):
         path = tmp_path / name
         path.write_text(text, encoding="utf-8")
@@ -33,20 +34,16 @@ def digest_jobs(tmp_path):
              "CHAIN9": write("chain9.lat", T.CHAIN9_POSET),
              "ESC": write("esc.lat", T.ESCAPED_LATTICE), **T.TERMS}
     jobs = [[files.get(a, a) for a in argv] + ["--json"] for argv in T.JSON_STDOUT_SHA256]
-    jobs += [[files.get(a, a) for a in argv] for argv in T.PINNED_STDOUT_SHA256
-             if "--json" in argv]
+    jobs += [[files.get(a, a) for a in argv] for argv in T.PINNED_STDOUT_SHA256]
     for k, (text, flag) in enumerate(T.POINT_ORDER_SHA256):
-        if flag == "--json":
-            jobs.append(["lattice", "check", write(f"point{k}.lat", text), flag])
+        jobs.append(["lattice", "check", write(f"point{k}.lat", text), flag])
     hom_texts = {"projection": T._projection_hom(), "not-closed": T.NOT_CLOSED_HOM,
                  "no-top": T.NO_TOP_HOM}
     for case, flag in T.HOM_CHECK_SHA256:
-        if flag == "--json":
-            jobs.append(["hom", "check", write(f"{case}.hom", hom_texts[case]), flag])
+        jobs.append(["hom", "check", write(f"{case}.hom", hom_texts[case]), *filter(None, [flag])])
     for case, flag in T.SHUFFLED_SHA256:
-        if flag == "--json":
-            jobs.append(["hom" if case == "hom" else "lattice", "check",
-                         write(f"shuffled-{case}.lat", T._shuffled_text(case)), flag])
+        jobs.append(["hom" if case == "hom" else "lattice", "check",
+                     write(f"shuffled-{case}.lat", T._shuffled_text(case)), *filter(None, [flag])])
     return jobs
 
 
@@ -76,12 +73,12 @@ def test_digest_payloads_match_json_dumps(tmp_path, monkeypatch, capsys):
     payloads = []
     emit = cli._emit
 
-    def keep(args, payload, lines):
+    def keep(payload, lines):
         payloads.append(kept(payload))
-        emit(args, payloads[-1], lines)
+        emit(payloads[-1], lines)
 
     monkeypatch.setattr(cli, "_emit", keep)
-    jobs = digest_jobs(tmp_path)
+    jobs = [argv for argv in digest_jobs(tmp_path) if "--json" in argv]
     for argv in jobs:
         assert cli.main(argv) == 0, argv
         out = capsys.readouterr().out
@@ -90,6 +87,22 @@ def test_digest_payloads_match_json_dumps(tmp_path, monkeypatch, capsys):
     assert sum(isinstance(x, cli._Rows) for p in payloads for x in p.values()) >= 10
     for p in payloads:
         assert cli._dumps(p) == json.dumps(decoded(p), indent=2)
+
+
+def test_handlers_return_and_main_writes(tmp_path, monkeypatch, capsys):
+    # a handler writes nothing; what main writes is the report it returned
+    jobs = digest_jobs(tmp_path)
+    assert len(jobs) == 45
+    parser = cli.build_parser()
+    for argv in jobs:
+        args = parser.parse_args(argv)
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        payload, lines, *code = args.fn(args)
+        assert sys.stdout.getvalue() == "" and code in ([], [0]), argv
+        monkeypatch.undo()
+        cli._emit(payload if args.json else None, lines)
+        out = capsys.readouterr().out
+        assert main(argv) == 0 and capsys.readouterr().out == out, argv
 
 
 class Label(str):
@@ -141,10 +154,6 @@ def shape(rng, depth):
     return {rng.choice(STRINGS) + str(k): shape(rng, depth - 1) for k in range(width)}
 
 
-class Args:
-    json = True
-
-
 def test_fuzzed_shapes_match_json_dumps(monkeypatch):
     rng = random.Random(1801)
     seen = set()
@@ -155,7 +164,7 @@ def test_fuzzed_shapes_match_json_dumps(monkeypatch):
         if isinstance(value, dict):  # a report: the streamed writer lays it out alike
             out = io.StringIO()
             monkeypatch.setattr(sys, "stdout", out)
-            cli._emit(Args, value, None)
+            cli._emit(value, None)
             assert out.getvalue() == cli._dumps(value) + "\n", value
     for v in ([], {}, (), [[]], [{}], {"a": []}, {"": {}}, [[], [[]], {}], [True, 1, False, 0],
               [1, True], (0, False), {"t": True, "1": 1}, [2 ** 64, -2 ** 64], [None, "null"],
@@ -173,7 +182,7 @@ def test_streamed_rows_are_written_in_batches(monkeypatch):
     monkeypatch.setattr(sys, "stdout", type("Sink", (), {"write": writes.append})())
     cell = cli._quote("x" * 28)
     report = {"size": 3, "rows": cli._Rows((cell, repr(k)) for k in range(10 ** 4)), "end": []}
-    cli._emit(Args, report, None)
+    cli._emit(report, None)
     assert all(len(w) >= 1 << 16 for w in writes[:-1]) and len(writes) > 5
     assert max(map(len, writes)) < 1 << 17
     report["rows"] = cli._Rows([(cell, repr(k)) for k in range(10 ** 4)])
@@ -182,7 +191,7 @@ def test_streamed_rows_are_written_in_batches(monkeypatch):
     writes.clear()
     report["end"] = [0.5]
     with pytest.raises(TypeError):
-        cli._emit(Args, report, None)
+        cli._emit(report, None)
     assert writes == []
 
 

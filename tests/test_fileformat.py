@@ -41,6 +41,8 @@ def test_parse_poset_file():
         pl.resolve("{t,w}")
     with pytest.raises(ParseError):
         pl.resolve("nonsense")
+    # a poset file declares no element names, so an element is shown as its subset
+    assert pl.display(0b011) == "{t,u}" == pl.lat.fmt(0b011)
 
 
 def test_parse_explicit_lattice():

@@ -12,15 +12,17 @@ from latspec.condensate import (AlmostConstantSurjection, Condensate, IndexUnive
                                 MixedCondensateError)
 from latspec.homs import LatHom, dual_hom_of_poset_map
 from latspec.lexgroup import LexError, LexPL
-from latspec.order import LatticeError, Poset, chain_lattice, downset_lattice
+from latspec.order import (LatticeError, NotALatticeError, Poset, RawLattice, chain_lattice,
+                           downset_lattice)
 from latspec.plfun import PLError, PLFun
 from latspec.replication import build_cube
 from latspec.report import frozen
 from latspec.spectra import prime_spectrum_bruteforce
 
 
-def level_map() -> LatHom:
-    """The 0,1-map of the 3-chain onto the 2-chain that sends its middle to the top."""
+def eps_map() -> LatHom:
+    """The 0,1-map of the 3-chain onto the 2-chain that sends its middle to the top:
+    the eps map of ``replication.zero_separating_map``."""
     return LatHom(chain_lattice(3), chain_lattice(2), [0, 1, 1])
 
 
@@ -30,7 +32,7 @@ def mismatched_composition():
 
 
 def target_element_applied():
-    acs = AlmostConstantSurjection(level_map(), IndexUniverse.countable())
+    acs = AlmostConstantSurjection(eps_map(), IndexUniverse.countable())
     return acs.apply(acs.target.bottom)
 
 
@@ -73,7 +75,7 @@ CASES = {
     "LexPL.basis out of range": (
         lambda: LexPL.basis(2, 5), LexError, "basis position 5 out of range for chain of length 2"),
     "stage_lattice index a finite universe does not admit": (
-        lambda: Condensate(level_map(), IndexUniverse.finite(["i", "j"])).stage_lattice(["k"]),
+        lambda: Condensate(eps_map(), IndexUniverse.finite(["i", "j"])).stage_lattice(["k"]),
         LatticeError, "index 'k' not in finite(i, j)"),
     "AlmostConstantSurjection.apply on a target element": (
         target_element_applied, MixedCondensateError,
@@ -87,6 +89,11 @@ CASES = {
     "CubeDiagram.hom down the cube": (
         lambda: build_cube().hom(frozenset({1, 2}), frozenset({1})),
         LatticeError, "the cube has no map [1, 2]->[1]"),
+    "RawLattice.bottom of a table with no bottom": (
+        # two minimal elements 0 and 1 below a top 2
+        lambda: RawLattice(3, ((0, 2, 2), (2, 1, 2), (2, 2, 2)),
+                           ((0, 0, 0), (1, 1, 1), (0, 1, 2))).bottom,
+        NotALatticeError, "no bottom element"),
     "frozen field without a default after one with a default": (
         default_then_required, TypeError,
         "Fields: a field without a default follows one with a default"),

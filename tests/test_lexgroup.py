@@ -188,6 +188,7 @@ def test_principal_ideal_lattice():
     assert not ia.leq(ib).holds
     c0, c1 = LexPL.basis(2, 0), LexPL.basis(2, 1)
     assert PrincipalIdeal(c0).leq(PrincipalIdeal(c1)).holds
+    assert repr(PrincipalIdeal(-c1)) == f"PrincipalIdeal({c1!r})"
     with pytest.raises(TypeError):
         hash(ia)
 

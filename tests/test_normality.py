@@ -117,6 +117,12 @@ def test_self_checks_raise(monkeypatch):
         Splitting(0b01, 0b10, 0b01, 0b01).check()  # a∨y != a∨b
     with pytest.raises(SelfCheckError):
         RefinementWitness((0b01, 0b10), ((0, 0b01), (0b01, 0))).check()  # c01∧c10 != 0
+    # a clashing pair that splits contradicts the criterion is_completely_normal
+    # reads its verdict from, reached by a find_splitting that finds one
+    with monkeypatch.context() as m:
+        m.setattr(normality, "find_splitting", lambda lat, a, b: Splitting(a, b, 0, 0))
+        with pytest.raises(SelfCheckError, match=r"^clashing pair \({t,u}, {t,v}\) splits$"):
+            is_completely_normal(v_lattice())
     # expand_v0's post-condition, reached by a false "completely normal" verdict
     monkeypatch.setattr(normality, "is_completely_normal", lambda lat: NormalityReport(True))
     with pytest.raises(SelfCheckError):

@@ -18,6 +18,7 @@ def test_poset_validation():
     p = Poset.chain(3)
     assert p.leq(0, 2) and not p.leq(2, 0)
     assert p.covers() == [(0, 1), (1, 2)]
+    assert repr(p) == "Poset(n=3, covers=[(0, 1), (1, 2)])"
     with pytest.raises(CycleError):
         Poset.from_pairs(2, [(0, 1), (1, 0)])
     with pytest.raises(LatticeError):

@@ -1,10 +1,11 @@
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
 from latspec.homs import LatHom
-from latspec.order import Poset, chain_lattice, downset_lattice
+from latspec.order import Poset, SelfCheckError, chain_lattice, downset_lattice
 from latspec.spectra import (CofinalityError, prime_spectrum,
                              prime_spectrum_bruteforce, spec_map,
                              spectrum_matches_base, stone_unit_check)
@@ -71,6 +72,16 @@ def test_bruteforce_agreement_random():
     for _ in range(30):
         lat = downset_lattice(random_poset(rng, rng.randint(0, 5)))
         assert prime_spectrum(lat).points == prime_spectrum_bruteforce(lat).points
+
+
+def test_bruteforce_self_checks_its_points():
+    # each prime ideal found must be I_p for a point p of the base: the
+    # elements of the 3-chain over the up-sets of a 2-antichain fail that
+    lat = chain_lattice(3)
+    doctored = SimpleNamespace(size=lat.size, elements=lat.elements, top=lat.top, pos=lat.pos,
+                               base=Poset.antichain(2))
+    with pytest.raises(SelfCheckError, match="^a prime ideal is not I_p for any base point p$"):
+        prime_spectrum_bruteforce(doctored)
 
 
 def test_stone_unit_pass_cases():
