@@ -14,9 +14,10 @@ either of which may be ``None`` when the flags ask for the other (only
 ``replicate`` adds its exit code).  ``main`` then writes it, once, with
 ``_emit``.  One serializer, ``_dumps``, lays out every report; a
 ``_Rows`` value in it is an array of arrays whose cells are JSON text
-already, such as element names quoted once per command, and each of its
-rows is written with one join.  ``_emit`` writes a report one top-level
-key at a time and a ``_Rows`` value or a text report in batches, so the
+already, such as element names quoted once per command: each of its
+rows is one join of its cells, and a batch of rows of about ``_BATCH``
+characters one more join.  ``_emit`` writes a report one top-level key
+at a time and a ``_Rows`` value or a text report in batches, so the
 rows of a big table come from a generator and are never held whole.
 Every check, and every error a command can report, runs in the handler,
 before the first byte is written: a failed command writes nothing to
@@ -70,9 +71,12 @@ class _Rows:
     ``rows`` is an iterable, read once, of iterables of ``str`` cells, such
     as names quoted by ``_json_names``.  A cell is written as it is, so it
     must be valid JSON text; a cell that is not a ``str`` raises
-    ``TypeError``.  Each row is written with one ``join``.  The rows are
-    read while the report is written, after its first bytes may have gone
-    out, so reading a row must not be able to raise: a cell that could
+    ``TypeError``.  Each row's text is one ``join`` of its cells, and the
+    texts of a batch of rows, bounded by characters, are laid out by one
+    more (``_row_pieces``), so a row costs no Python step of its own
+    beyond being read and counted.  The rows are read while the report
+    is written, after its first bytes may have gone out, so reading a
+    row must not be able to raise: a cell that could
     fail to print, such as an int past ``sys.get_int_max_str_digits``, is
     printed by the handler, not by the generator of rows.
     """
@@ -123,16 +127,39 @@ def _dumps(value, nl: str = "\n") -> str:
 
 
 def _row_pieces(rows, nl: str):
-    """The text of a ``_Rows`` value at depth ``nl``, one piece per row and a closing one."""
+    """The text of a ``_Rows`` value at depth ``nl``, a batch of rows per piece.
+
+    Each row's text is one ``join`` of its cells.  The texts are gathered
+    until the piece they make, brackets and commas included, reaches
+    ``_BATCH`` characters; the batch then goes out as that piece, laid
+    out by one ``join`` over its row texts.  The last piece also closes
+    the array.  A batch is bounded by characters, not by a count of rows:
+    every piece but the last is at least ``_BATCH`` characters long and
+    less than that before its last row, however long the rows are.
+    """
     inner = nl + "  "
     cell = inner + "  "
-    sep, start, end = "," + cell, "[" + cell, inner + "]"
-    lead = "[" + inner
-    for text in map(sep.join, rows):
+    sep, start, end, comma = "," + cell, "[" + cell, inner + "]", "," + inner
+    glue = end + comma + start
+
+    def laid_out(batch):
         # a cell is never empty, so a row whose text is empty is an empty row
-        yield lead + (start + text + end if text else "[]")
-        lead = "," + inner
-    yield "[]" if lead[0] == "[" else nl + "]"
+        if "" in batch:
+            return comma.join([start + text + end if text else "[]" for text in batch])
+        return start + glue.join(batch) + end
+
+    # a piece's length, counted row by row: a row and the brackets and comma before it
+    lead, batch, size, wrap, empty = "[" + inner, [], 0, len(glue), len(comma) + 2
+    for text in map(sep.join, rows):
+        batch.append(text)
+        size += len(text) + wrap if text else empty
+        if size >= _BATCH:
+            yield lead + laid_out(batch)
+            lead, batch, size = comma, [], 0
+    if batch:
+        yield lead + laid_out(batch) + nl + "]"
+    else:
+        yield "[]" if lead[0] == "[" else nl + "]"
 
 
 def _json_pieces(report: dict):
@@ -168,6 +195,9 @@ def _emit(payload: dict | None, text_lines) -> None:
     The report goes to stdout in writes of at least ``_BATCH`` characters,
     the last excepted: a small report takes one write, and a big one,
     whose rows and lines may come from generators, is never held whole.
+    A ``_Rows`` value comes from ``_row_pieces`` a batch of at least
+    ``_BATCH`` characters at a time, so each batch goes out as it comes,
+    with the shorter text before it.
     """
     pieces = map("{}\n".format, text_lines) if payload is None else _json_pieces(payload)
     write, batch, size = sys.stdout.write, [], 0
@@ -223,6 +253,7 @@ def cmd_lattice_check(args):
         lines.append("birkhoff_roundtrip: pass")
         return None, lines
     labels, qnames = list(map(_quote, lat.base.labels)), _json_names(lat)
+    index = list(map(str, range(spec.n_points)))
     return {
         "size": lat.size,
         # re-parseable serialization: rebuilding the base poset from these
@@ -232,7 +263,7 @@ def cmd_lattice_check(args):
         "completely_normal": cn.completely_normal,
         "witness": witness,
         "spectrum_points": _Rows(spec.members(k, qnames) for k in range(spec.n_points)),
-        "spectrum_order": _Rows(map(str, pair) for pair in spec.order_pairs()),
+        "spectrum_order": _Rows([(index[i], index[j]) for i, j in spec.order_pairs()]),
         "stone_unit": unit.to_dict(),
         "birkhoff_roundtrip": True,
     }, None

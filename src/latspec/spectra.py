@@ -14,8 +14,8 @@ conditions from scratch; it is the oracle for the fast path.
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import not_
+from itertools import compress, repeat
+from operator import not_, rshift
 from typing import Iterable, Iterator
 
 from .order import DLat, LatticeError, SelfCheckError, canon_key
@@ -70,11 +70,24 @@ def prime_spectrum(lat: DLat) -> Spectrum:
     I_p's largest member top∖↑p.  Distinct primes have distinct largest
     members, so among primes of one size that bit decides, and positions
     follow ``canon_key``.  The key is (|I_p|, canon_key(top∖↑p)).
+
+    A downset x meets ↑p iff it holds p (it holds p if it holds a point
+    above p), so |I_p| = |L| − #{x : p ∈ x}.  Those counts are read off
+    packed words, SWAR-style as in ``normality``: byte j of every element,
+    one byte field per element, is one word (``int.from_bytes``), and p's
+    count is one shift, one AND with the word of field-bottom bits and
+    one ``bit_count`` on the word of byte p // 8.  The ⌈n/8⌉ words are
+    built by C calls over the elements, with no Python step and no object
+    kept per element.
     """
     els, up, top = lat.elements, lat.base.up, lat.top
+    size = len(els)
+    planes = [int.from_bytes(bytes(map((255).__and__, map(rshift, els, repeat(s)))), "little")
+              for s in range(0, lat.base.n, 8)]
+    ones = int.from_bytes(b"\1" * size, "little")
 
     def key(p: int) -> tuple[int, tuple[int, int]]:
-        return sum(not x & up[p] for x in els), canon_key(top & ~up[p])
+        return size - (planes[p >> 3] >> (p & 7) & ones).bit_count(), canon_key(top & ~up[p])
 
     return Spectrum(lat, tuple(sorted(range(lat.base.n), key=key)))
 

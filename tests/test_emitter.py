@@ -195,6 +195,37 @@ def test_streamed_rows_are_written_in_batches(monkeypatch):
     assert writes == []
 
 
+def test_row_batches_are_bounded_by_characters(monkeypatch):
+    # rows of 1 to 3 cells of 3 to 3002 characters, runs of empty rows and one
+    # row longer than _BATCH: the report is json.dumps's, every write but the
+    # last is at least 64 KB, and each batch of rows but the last is at least
+    # _BATCH characters and less than that before its last row, whatever the
+    # rows' lengths; some batch ends and the next begins with an empty row
+    rng = random.Random(4302)
+    cells = [cli._quote("x" * k) for k in (1, 30, 300, 3000)]
+    rows = []
+    for _ in range(1000):
+        rows += [()] * rng.choice((0, 0, 1, 2, 1000))
+        rows.append(tuple(rng.choices(cells, k=rng.randint(1, 3))))
+    rows.insert(len(rows) // 2, (cli._quote("y" * cli._BATCH),))
+    writes = []
+    monkeypatch.setattr(sys, "stdout", type("Sink", (), {"write": writes.append})())
+    cli._emit({"size": 3, "rows": cli._Rows(iter(rows)), "end": []}, None)
+    want = {"size": 3, "rows": [[json.loads(c) for c in row] for row in rows], "end": []}
+    assert "".join(writes) == json.dumps(want, indent=2) + "\n"
+    assert all(len(w) >= 1 << 16 for w in writes[:-1]) and len(writes) > 10
+    pieces = list(cli._row_pieces(iter(rows), "\n  "))
+    assert "".join(pieces) == json.dumps(want["rows"], indent=2).replace("\n", "\n  ")
+    row_start = "\n    ["  # cells sit deeper, so this begins each row and nothing else
+    first, both_empty = 0, 0
+    for piece in pieces[:-1]:
+        # the last row's share begins with the comma or bracket before it
+        assert piece.rindex(row_start) - 1 < cli._BATCH <= len(piece)
+        first += piece.count(row_start)
+        both_empty += rows[first - 1] == rows[first] == ()
+    assert first + pieces[-1].count(row_start) == len(rows) and both_empty > 3
+
+
 @pytest.mark.parametrize("cells", [[1], ["1", 2], [None], [b"x"]], ids=repr)
 def test_rows_cells_must_be_str(cells):
     with pytest.raises(TypeError):

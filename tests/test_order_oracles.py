@@ -270,6 +270,34 @@ def test_bits_matches_shift_loop():
     assert sum(m.bit_length() > 200 for m in masks) > 500
 
 
+def covers_by_definition(p: Poset) -> list[tuple[int, int]]:
+    """``Poset.covers`` by its definition: j covers i iff i < j and no k lies strictly between."""
+    n = p.n
+    return [(i, j) for i in range(n) for j in range(n)
+            if i != j and p.leq(i, j)
+            and not any(k not in (i, j) and p.leq(i, k) and p.leq(k, j) for k in range(n))]
+
+
+def test_covers_match_definition():
+    # chains and antichains in and against index order, n = 0 among them, and
+    # seeded posets whose index order is not a linear extension
+    posets = [Poset.chain(n) for n in range(6)] + [Poset.antichain(n) for n in range(6)]
+    posets += [Poset.from_pairs(n, [(i + 1, i) for i in range(n - 1)]) for n in range(2, 9)]
+    rng = random.Random(4301)
+    for _ in range(400):
+        n = rng.randint(0, 14)
+        perm = rng.sample(range(n), n)
+        prob = rng.choice((0.1, 0.25, 0.4, 0.7))
+        posets.append(Poset.from_pairs(n, [(perm[i], perm[j]) for i in range(n)
+                                           for j in range(i + 1, n) if rng.random() < prob]))
+    against = 0
+    for p in posets:
+        got = p.covers()
+        assert got == covers_by_definition(p), (p.n, p.up)
+        against += any(i > j for i, j in got)
+    assert against > 250 and Poset(0, []).covers() == []
+
+
 def poset_outcome(fn, *args):
     try:
         p = fn(*args)

@@ -7,9 +7,9 @@ beside it, ``prime_spectrum`` building those masks, ``stone_unit_check``
 scanning every pair of elements, and ``spectrum_dot`` finding Hasse edges
 by an O(n³) search for a point strictly between.  They are kept verbatim
 (the class without its ``base_point`` helper) and compared on a seeded
-corpus of bases of 0-9 points whose labels are not a linear extension:
-point masks, order pairs, DOT text, and the unit check on the spectrum
-and on corrupted point lists.  The same corpus checks the lattice's own
+corpus of bases of 0-9, 16 and 17 points whose labels are not a linear
+extension: point masks, order pairs, DOT text, and the unit check on the
+spectrum and on corrupted point lists.  The same corpus checks the lattice's own
 DOT text, whose covers are now found by removing one point of each
 element, against the scan of every ordered pair in ``oracles``.
 """
@@ -174,19 +174,30 @@ def corruptions(points: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def shuffled_poset(rng: random.Random, n: int) -> Poset:
+def shuffled_poset(rng: random.Random, n: int, prob: float | None = None) -> Poset:
     """A random poset whose labels are not a linear extension of its order."""
-    p = random_poset(rng, n, rng.choice((0.2, 0.4, 0.6)))
+    p = random_poset(rng, n, prob or rng.choice((0.2, 0.4, 0.6)))
     perm = rng.sample(range(n), n)
     return Poset.from_pairs(n, [(perm[i], perm[j]) for i in range(n) for j in range(n)
                                 if i != j and p.leq(i, j)])
 
 
+#: base sizes on both sides of a change in the number of words of byte fields
+#: that ``prime_spectrum`` packs the elements into: one word per byte of an
+#: element, so 1 up to 8 points, 2 up to 16 and 3 at 17
+FIELD_WIDTHS = (7, 8, 9, 16, 17)
+
+
 @pytest.fixture(scope="module")
 def lattices() -> list[DLat]:
-    """400 seeded downset lattices of bases with 0-9 points."""
+    """400 seeded downset lattices of bases with 0-9 points, then 8 of each of ``FIELD_WIDTHS``.
+
+    The wider bases are denser orders, so that their lattices stay small.
+    """
     rng = random.Random(10_2026)
-    return [downset_lattice(shuffled_poset(rng, rng.randint(0, 9))) for _ in range(400)]
+    out = [downset_lattice(shuffled_poset(rng, rng.randint(0, 9))) for _ in range(400)]
+    return out + [downset_lattice(shuffled_poset(rng, n, (0.4, 0.6)[k % 2]))
+                  for n in FIELD_WIDTHS for k in range(8)]
 
 
 def ideal_size(lat: DLat, p: int) -> int:
@@ -194,14 +205,18 @@ def ideal_size(lat: DLat, p: int) -> int:
 
 
 def test_corpus_has_ties_out_of_label_order(lattices):
-    """Points of equal |I_p| whose order is not the order of their labels."""
+    """Points of equal |I_p| whose order is not the order of their labels,
+    every base size of the corpus, and wide bases with many ideal sizes."""
     tied = 0
     for lat in lattices:
         pts = prime_spectrum(lat).points
         tied += any(ideal_size(lat, p) == ideal_size(lat, q) and p > q
                     for p, q in zip(pts, pts[1:]))
     assert tied >= 100, tied
-    assert max(lat.base.n for lat in lattices) == 9
+    assert {lat.base.n for lat in lattices} == {*range(10), *FIELD_WIDTHS}
+    # on the wide bases the ideal sizes, read off the packed elements, decide the order
+    wide = [lat for lat in lattices if lat.base.n > 9]
+    assert all(len({ideal_size(lat, p) for p in range(lat.base.n)}) > 4 for lat in wide)
 
 
 def test_points_match_oracle_masks(lattices):

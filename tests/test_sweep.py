@@ -1,4 +1,4 @@
-"""The size-sweep tool in ``tools/sweep.py``, at its smallest rung."""
+"""The size-sweep tool in ``tools/sweep.py``, each ladder at its smallest rung."""
 
 import importlib.util
 import json
@@ -35,16 +35,23 @@ def keys(d):
 def test_smallest_rung_writes_the_checked_in_keys(sweep, copy_src, tmp_path, capsys):
     parent = copy_src(tmp_path / "parent")
     out = tmp_path / "bench.json"
-    argv = [str(parent), str(out), "--parent-max", "1", "--max", "1", "--repeats", "1"]
+    argv = [str(parent), str(out), "--parent-max", "1", "--max", "1", "--repeats", "1",
+            "--chains", "8", "--antichains", "10"]
     assert sweep.main(argv) == 0
     got = json.loads(out.read_text(encoding="utf-8"))
-    assert keys(got) == keys(json.loads((ROOT / "BENCH_41.json").read_text(encoding="utf-8")))
-    for ladder in got["ladders"].values():
-        (rung,) = ladder["rungs"]
-        assert rung["j"] == 1 and rung["elements"] == 12 and len(rung["median_ms"]) == 2
-        # one rung has no slope
-        assert ladder["slope"] == [None, None] and ladder["slope_spread"] is None
+    assert keys(got) == keys(json.loads((ROOT / "BENCH_43.json").read_text(encoding="utf-8")))
+    smallest = {"stage": ("j", 1, 12), "chains": ("points", 8, 9), "antichains": ("points", 10, 1024)}
+    for layer, (size, n, elements) in smallest.items():
+        for ladder in got["layers"][layer]["ladders"].values():
+            (rung,) = ladder["rungs"]
+            assert rung[size] == n and rung["elements"] == elements and len(rung["median_ms"]) == 2
+            # one rung has no slope
+            assert ladder["slope"] == [None, None] and ladder["slope_spread"] is None
+    for layer in ("chains", "antichains"):
+        ladders = got["layers"][layer]["ladders"]
+        assert ladders["parent"]["rungs"][0]["sha256"] == ladders["change"]["rungs"][0]["sha256"]
     assert got["parent"] == str(parent)
-    assert got["ladders"]["change"]["codelines_total"] == got["ladders"]["parent"]["codelines_total"]
+    assert got["codelines_total"]["change"] == got["codelines_total"]["parent"]
     out = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in out] == ["parent", "change"]
+    assert [line.split(":")[0] for line in out] == [
+        f"{layer} {tree}" for layer in smallest for tree in ("parent", "change")]

@@ -1,32 +1,47 @@
-"""Size sweeps: one layer timed over a ladder of input sizes on two trees.
+"""Size sweeps: layers timed over ladders of input sizes on two trees.
 
     python3 tools/sweep.py PARENT OUT [--parent-max J] [--max J] [--repeats N]
+                           [--chains N,..] [--antichains N,..]
 
-The ladder is ``finite_stage_iso`` on the level map (0, 1, 1, 2) from the
-4-chain onto the 3-chain, whose stage C_J has 4·3^|J| elements.  It runs
-at |J| = 1..--parent-max (default 5) on PARENT and at |J| = 1..--max
-(default 9) on the tree this script belongs to.  PARENT is a directory
-holding a ``latspec`` package, or else a git revision, whose ``src`` is
-exported with ``git archive`` into a temporary directory.  Each tree's
-package is imported under a name of its own, as ``tools/abround.py``
-does, so both live in one process.
+The ladders:
 
-Each rung is timed N times (default 5), each call on a fresh condensate
-handle and next to one run of the calibration loop of
-``perfbench/calib.py``; a time is scaled to the reference speed as the
-benchmark scales it, time * REFERENCE_S / loop, and the rung records the
-median.  The whole ladder is run twice.  For each run the log-log slope
-of the median against |C_J| is fitted by least squares over the largest
-three rungs, where the fixed costs of a call no longer dominate
-(Goldsmith, Aiken & Wilkerson, *Measuring empirical computational
-complexity*, ESEC/FSE 2007); the spread is the difference of the two
-runs' slopes.  OUT gets both ladders and the ``tools/codelines.py``
-total of each tree's package, as JSON.
+- ``finite_stage_iso`` on the level map (0, 1, 1, 2) from the 4-chain onto
+  the 3-chain, whose stage C_J has 4·3^|J| elements, at |J| =
+  1..--parent-max (default 5) on PARENT and at |J| = 1..--max (default 9)
+  on the tree this script belongs to;
+- ``latspec lattice check FILE --json``, run in process through
+  ``cli.main``, on poset files of chains of --chains points (default 8,
+  12, 16, 24) and of antichains of --antichains points (default 10, 12,
+  14, 16), on both trees.  Its stdout goes to a sink that keeps nothing;
+  one untimed run per rung and tree hashes it, and the two trees must
+  write the same bytes.
+
+PARENT is a directory holding a ``latspec`` package, or else a git
+revision, whose ``src`` is exported with ``git archive`` into a temporary
+directory.  Each tree's package is imported under a name of its own, as
+``tools/abround.py`` does, so both live in one process.
+
+Each rung is timed N times (default 5) after a first call that is not
+timed, each call next to one run of the calibration loop of
+``perfbench/calib.py`` (a stage call on a fresh condensate handle); a
+time is scaled to the
+reference speed as the benchmark scales it, time * REFERENCE_S / loop,
+and the rung records the median.  Every ladder is run twice, the trees
+taking turns to go first.  For each run the log-log slope of the median
+against the rung's lattice elements (|C_J|, or |L|) is fitted by least
+squares over the largest three rungs, where the fixed costs of a call
+no longer dominate (Goldsmith, Aiken & Wilkerson, *Measuring empirical
+computational complexity*, ESEC/FSE 2007); the spread is the difference
+of the two runs' slopes.  OUT gets every ladder and the
+``tools/codelines.py`` total of each tree's package, as JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
+import hashlib
 import io
 import json
 import math
@@ -59,7 +74,7 @@ def export(rev: str, dest: Path) -> tuple[Path, str]:
 
 
 def slope(rungs: list[dict], run: int) -> float | None:
-    """The least-squares slope of log(median) on log(|C_J|) over the top rungs."""
+    """The least-squares slope of log(median) on log(elements) over the top rungs."""
     top = rungs[-FIT_RUNGS:]
     if len(top) < 2:
         return None
@@ -70,8 +85,8 @@ def slope(rungs: list[dict], run: int) -> float | None:
             / sum((x - mx) ** 2 for x in xs))
 
 
-def ladder(pkg, calib, top_j: int, repeats: int) -> list[dict]:
-    """One run of the ladder: per rung |J|, |C_J| and the scaled median in ms."""
+def stage_ladder(pkg, calib, top_j: int, repeats: int) -> list[dict]:
+    """One run of the stage ladder: per rung |J|, |C_J| and the scaled median in ms."""
     cond = pkg.condensate
     phi = pkg.homs.dual_hom_of_poset_map([0, 2], pkg.order.Poset.chain(2),
                                          pkg.order.Poset.chain(3))
@@ -79,7 +94,7 @@ def ladder(pkg, calib, top_j: int, repeats: int) -> list[dict]:
     for j in range(1, top_j + 1):
         names = [f"i{t}" for t in range(j)]
         times = []
-        for _ in range(repeats):
+        for _ in range(repeats + 1):
             handle = cond.Condensate(phi, cond.IndexUniverse.countable())
             t0 = time.perf_counter()
             rep = cond.finite_stage_iso(handle, names)
@@ -87,35 +102,108 @@ def ladder(pkg, calib, top_j: int, repeats: int) -> list[dict]:
             times.append(t * calib.REFERENCE_S / calib.calibrate())
             if not rep.ok:
                 raise SystemExit(f"error: the stage |J| = {j} is not a product")
+        del times[0]  # the first call warms the rung up
         rungs.append({"j": j, "elements": rep.stage_size,
                       "median_ms": round(statistics.median(times) * 1e3, 4)})
     return rungs
 
 
-def sweep(trees: dict[str, tuple[Path, int]], repeats: int) -> dict:
-    """Both runs of each tree's ladder, merged per rung, with the slopes."""
+def poset_text(n: int, chain: bool) -> str:
+    """A poset file of the points p0 .. p{n-1}, a chain in that order or an antichain."""
+    labels = [f"p{i}" for i in range(n)]
+    covers = " ".join(f"{a}<{b}" for a, b in zip(labels, labels[1:])) if chain else ""
+    return "poset\nelements: " + " ".join(labels) + "\ncovers: " + covers + "\n"
+
+
+class _Sink:
+    """A stdout that keeps nothing, or only the sha256 of what is written."""
+
+    def __init__(self, digest=None):
+        self.digest = digest
+
+    def write(self, text: str) -> int:
+        if self.digest is not None:
+            self.digest.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def check_ladder(pkg, calib, files: list[tuple[int, Path]], repeats: int) -> list[dict]:
+    """One run of a ``lattice check --json`` ladder: per rung the points, |L|,
+    the sha256 prefix of the report and the scaled median in ms."""
+    main = pkg.cli.main
+    rungs = []
+    for n, path in files:
+        argv = ["lattice", "check", str(path), "--json"]
+        digest = hashlib.sha256()
+        with contextlib.redirect_stdout(_Sink(digest)):
+            if main(argv) != 0:
+                raise SystemExit(f"error: lattice check failed on {path}")
+        times = []
+        with contextlib.redirect_stdout(_Sink()):
+            for _ in range(repeats + 1):
+                t0 = time.perf_counter()
+                main(argv)
+                t = time.perf_counter() - t0
+                times.append(t * calib.REFERENCE_S / calib.calibrate())
+        del times[0]
+        size = pkg.fileformat.parse_lattice_file(str(path)).lat.size
+        rungs.append({"points": n, "elements": size, "sha256": digest.hexdigest()[:16],
+                      "median_ms": round(statistics.median(times) * 1e3, 4)})
+    return rungs
+
+
+def merged(first: list[dict], second: list[dict]) -> dict:
+    """Two runs of a ladder as one: per rung both medians, and each run's slope."""
+    rungs = [{**a, "median_ms": [a["median_ms"], b["median_ms"]]}
+             for a, b in zip(first, second)]
+    slopes = [slope(rungs, k) for k in range(2)]
+    spread = None if None in slopes else round(abs(slopes[0] - slopes[1]), 3)
+    return {"rungs": rungs, "slope": [None if s is None else round(s, 3) for s in slopes],
+            "slope_spread": spread}
+
+
+def sweep(trees: dict[str, tuple[Path, int]], repeats: int,
+          shapes: dict[str, list[int]], work: Path) -> tuple[dict, dict]:
+    """Both runs of each ladder on each tree, merged per rung, with the slopes,
+    and each tree's ``tools/codelines.py`` total."""
     sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "perfbench")]
     import calib
     from abround import load
     from codelines import code_lines
     pkgs = {name: load(src, f"latspec_{name}") for name, (src, _) in trees.items()}
-    runs = {name: [] for name in trees}
-    for _ in range(2):
-        for name, (_, top_j) in trees.items():
-            runs[name].append(ladder(pkgs[name], calib, top_j, repeats))
-    out = {}
-    for name, (src, _) in trees.items():
-        first, second = runs[name]
-        rungs = [{**a, "median_ms": [a["median_ms"], b["median_ms"]]}
-                 for a, b in zip(first, second)]
-        slopes = [slope(rungs, k) for k in range(2)]
-        spread = None if None in slopes else round(abs(slopes[0] - slopes[1]), 3)
-        out[name] = {"rungs": rungs,
-                     "slope": [None if s is None else round(s, 3) for s in slopes],
-                     "slope_spread": spread,
-                     "codelines_total": sum(code_lines(p.read_text(encoding="utf-8"))
-                                            for p in sorted((src / "latspec").glob("*.py")))}
-    return out
+    files = {}
+    for shape, sizes in shapes.items():
+        files[shape] = []
+        for n in sizes:
+            path = work / f"{shape}{n}.lat"
+            path.write_text(poset_text(n, shape == "chains"), encoding="utf-8")
+            files[shape].append((n, path))
+    runs = {(layer, name): [] for layer in ["stage", *shapes] for name in trees}
+    order = list(trees.items())
+    for first in (order, order[::-1]):  # the trees take turns to go first
+        for name, (_, top_j) in first:
+            for shape in shapes:
+                gc.collect()  # so no ladder pays for the garbage of the one before
+                runs[shape, name].append(check_ladder(pkgs[name], calib, files[shape], repeats))
+            gc.collect()
+            runs["stage", name].append(stage_ladder(pkgs[name], calib, top_j, repeats))
+    layers = {layer: {name: merged(*runs[layer, name]) for name in trees}
+              for layer in ["stage", *shapes]}
+    for shape in shapes:
+        digests = {name: [r["sha256"] for r in lad["rungs"]] for name, lad in layers[shape].items()}
+        if len(set(map(tuple, digests.values()))) > 1:
+            raise SystemExit(f"error: the trees write different reports on the {shape}: {digests}")
+    lines = {name: sum(code_lines(p.read_text(encoding="utf-8"))
+                       for p in sorted((src / "latspec").glob("*.py")))
+             for name, (src, _) in trees.items()}
+    return layers, lines
+
+
+def sizes(text: str) -> list[int]:
+    return [int(n) for n in text.split(",") if n]
 
 
 def main(argv=None) -> int:
@@ -125,7 +213,12 @@ def main(argv=None) -> int:
     ap.add_argument("--parent-max", type=int, default=5, help="largest |J| on the parent")
     ap.add_argument("--max", type=int, default=9, help="largest |J| on this tree")
     ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--chains", type=sizes, default=[8, 12, 16, 24],
+                    help="points of the chains that lattice check runs on")
+    ap.add_argument("--antichains", type=sizes, default=[10, 12, 14, 16],
+                    help="points of the antichains that lattice check runs on")
     args = ap.parse_args(argv)
+    shapes = {"chains": args.chains, "antichains": args.antichains}
     with tempfile.TemporaryDirectory() as work:
         parent, label = Path(args.parent), args.parent
         if not parent.is_dir():
@@ -133,23 +226,34 @@ def main(argv=None) -> int:
         if not (parent / "latspec" / "condensate.py").is_file():
             print(f"error: no latspec package under {parent}", file=sys.stderr)
             return 2
-        ladders = sweep({"parent": (parent.resolve(), args.parent_max),
-                         "change": (ROOT / "src", args.max)}, args.repeats)
+        layers, lines = sweep({"parent": (parent.resolve(), args.parent_max),
+                               "change": (ROOT / "src", args.max)},
+                              args.repeats, shapes, Path(work))
+    check = "latspec lattice check FILE --json through cli.main, stdout to a sink"
+    inputs = {
+        "stage": ("condensate.finite_stage_iso",
+                  "level map (0, 1, 1, 2), 4-chain onto 3-chain; |C_J| = 4·3^|J|"),
+        "chains": (check, "poset file of a chain of n points; |L| = n + 1"),
+        "antichains": (check, "poset file of an antichain of n points; |L| = 2^n"),
+    }
     result = {
-        "layer": "condensate.finite_stage_iso",
-        "input": "level map (0, 1, 1, 2), 4-chain onto 3-chain; |C_J| = 4·3^|J|",
         "parent": label,
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count()},
         "repeats": args.repeats,
         "scaled_by": "perfbench/calib.py: time * REFERENCE_S / calibrate()",
         "slope_fit": f"least squares of log median_ms on log elements, top {FIT_RUNGS} rungs",
-        "ladders": ladders,
+        "codelines_total": lines,
+        "layers": {name: {"layer": inputs[name][0], "input": inputs[name][1], "ladders": ladders}
+                   for name, ladders in layers.items()},
     }
     args.out.write_text(json.dumps(result, indent=1, ensure_ascii=False) + "\n",
                         encoding="utf-8")
-    for name, lad in ladders.items():
-        print(f"{name}: " + "  ".join(f"{r['j']}:{r['median_ms'][0]:g}" for r in lad["rungs"])
-              + f" ms; slope {lad['slope']}, spread {lad['slope_spread']}")
+    for layer, ladders in layers.items():
+        for name, lad in ladders.items():
+            rung = "j" if layer == "stage" else "points"
+            print(f"{layer} {name}: "
+                  + "  ".join(f"{r[rung]}:{r['median_ms'][0]:g}" for r in lad["rungs"])
+                  + f" ms; slope {lad['slope']}, spread {lad['slope_spread']}")
     return 0
 
 
