@@ -360,7 +360,7 @@ def cmd_pl_ideal_leq(args):
     if args.samples and res.holds:
         # |f| > bound·|g| at a point iff h = |f| - bound·|g| is positive there
         h = pl_sum((fa, pl_scale(-res.bound, ga)))
-        bad = sum(v > 0 for v in pl_values(h, _sample_points(args.seed, args.samples)))
+        bad = sum(map((0).__lt__, pl_values(h, _sample_points(args.seed, args.samples))))
         payload["samples"] = args.samples
         payload["seed"] = args.seed
         payload["sample_failures"] = bad

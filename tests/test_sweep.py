@@ -1,4 +1,4 @@
-"""The size-sweep tool in ``tools/sweep.py``, each ladder at its smallest rung."""
+"""The size-sweep tool in ``tools/sweep.py``, each size-option ladder at its smallest rung."""
 
 import importlib.util
 import json
@@ -39,7 +39,7 @@ def test_smallest_rung_writes_the_checked_in_keys(sweep, copy_src, tmp_path, cap
             "--chains", "8", "--antichains", "10"]
     assert sweep.main(argv) == 0
     got = json.loads(out.read_text(encoding="utf-8"))
-    assert keys(got) == keys(json.loads((ROOT / "BENCH_43.json").read_text(encoding="utf-8")))
+    assert keys(got) == keys(json.loads((ROOT / "BENCH_44.json").read_text(encoding="utf-8")))
     smallest = {"stage": ("j", 1, 12), "chains": ("points", 8, 9), "antichains": ("points", 10, 1024)}
     for layer, (size, n, elements) in smallest.items():
         for ladder in got["layers"][layer]["ladders"].values():
@@ -47,11 +47,18 @@ def test_smallest_rung_writes_the_checked_in_keys(sweep, copy_src, tmp_path, cap
             assert rung[size] == n and rung["elements"] == elements and len(rung["median_ms"]) == 2
             # one rung has no slope
             assert ladder["slope"] == [None, None] and ladder["slope_spread"] is None
-    for layer in ("chains", "antichains"):
+    for layer in ("pl_abs", "pl_ideal_leq"):  # the PL ladders always run in full
+        for ladder in got["layers"][layer]["ladders"].values():
+            assert [(r["hinges"], r["elements"]) for r in ladder["rungs"]] == [
+                (6, 8), (12, 14), (24, 26), (48, 50)]
+            assert None not in ladder["slope"] and ladder["slope_spread"] is not None
+    for layer in ("chains", "antichains", "pl_abs", "pl_ideal_leq"):
         ladders = got["layers"][layer]["ladders"]
-        assert ladders["parent"]["rungs"][0]["sha256"] == ladders["change"]["rungs"][0]["sha256"]
+        assert ([r["sha256"] for r in ladders["parent"]["rungs"]]
+                == [r["sha256"] for r in ladders["change"]["rungs"]])
     assert got["parent"] == str(parent)
     assert got["codelines_total"]["change"] == got["codelines_total"]["parent"]
     out = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in out] == [
-        f"{layer} {tree}" for layer in smallest for tree in ("parent", "change")]
+        f"{layer} {tree}" for layer in [*smallest, "pl_abs", "pl_ideal_leq"]
+        for tree in ("parent", "change")]

@@ -1,6 +1,6 @@
 """A/B rounds: one benchmark round run in-process on two source trees.
 
-    python3 tools/abround.py A_SRC B_SRC [--workload NAME] [--seed N] [--rounds N]
+    python3 tools/abround.py A_SRC B_SRC [--workload NAME] [--seed N] [--rounds N] [--jobs]
 
 A_SRC and B_SRC are directories that hold a ``latspec`` package, such as
 the ``src`` of two checkouts.  Each tree's package is imported under a
@@ -22,6 +22,14 @@ Then N pairs of rounds are timed, one round of each tree per pair, the
 tree that goes first alternating from pair to pair.  The tool prints the
 min, first quartile, median and third quartile of each tree's round
 times, the ratio of the medians, and in how many pairs B was faster.
+
+With ``--jobs`` each job is timed on its own instead: N pairs of runs,
+one run of each tree per pair, the tree that goes first alternating,
+and each tree's median per job.  The tool prints the nearest-rank p50
+and p90 of each tree's job medians (as ``perfbench/run.py`` ranks its
+job times), in how many jobs B was faster, and per job kind the median
+of its jobs' medians on each tree, so that a percentile claim can be
+sized in process and traced to the jobs that hold it.
 """
 
 from __future__ import annotations
@@ -103,6 +111,40 @@ def round_time(run, jobs) -> float:
     return time.perf_counter() - t0
 
 
+def job_medians(runs, jobs, pairs: int) -> dict[str, list[float]]:
+    """Each tree's median time of each job over ``pairs`` interleaved pairs of runs."""
+    out = {"A": [], "B": []}
+    for job in jobs:
+        times = {"A": [], "B": []}
+        for k in range(pairs):
+            for name in ("A", "B") if k % 2 == 0 else ("B", "A"):
+                t0 = time.perf_counter()
+                runs[name](job.spec)
+                times[name].append(time.perf_counter() - t0)
+        for name, ts in times.items():
+            out[name].append(statistics.median(ts))
+    return out
+
+
+def job_report(medians: dict[str, list[float]], jobs, srcs) -> list[str]:
+    """The lines of ``--jobs``: each tree's p50 and p90, the wins, the job kinds."""
+    from run import nearest_rank  # perfbench/run.py's percentile, on sys.path from main
+    lines = [f"{name}  p50 {nearest_rank(ms, 0.5) * 1e3:.3f}  p90 {nearest_rank(ms, 0.9) * 1e3:.3f} ms"
+             f"  ({src})" for (name, ms), src in zip(medians.items(), srcs)]
+    a, b = medians["A"], medians["B"]
+    wins = sum(y < x for x, y in zip(a, b))
+    lines.append(f"B faster in {wins}/{len(jobs)} jobs; p90 A/B "
+                 f"{nearest_rank(a, 0.9) / nearest_rank(b, 0.9):.3f}")
+    kinds: dict[str, list[int]] = {}
+    for k, job in enumerate(jobs):
+        kinds.setdefault(job.kind, []).append(k)
+    for kind, ks in kinds.items():
+        ma, mb = (statistics.median(ms[k] for k in ks) for ms in (a, b))
+        lines.append(f"{kind} ({len(ks)} jobs): A {ma * 1e3:.3f}  B {mb * 1e3:.3f} ms"
+                     f"  A/B {ma / mb:.3f}")
+    return lines
+
+
 def summary(times: list[float]) -> str:
     q1, med, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
     return (f"min {min(times) * 1e3:.2f}  q1 {q1 * 1e3:.2f}  median {med * 1e3:.2f}  "
@@ -115,7 +157,10 @@ def main(argv=None) -> int:
     ap.add_argument("b", type=Path, help="directory holding the B tree's latspec package")
     ap.add_argument("--workload", default="pl-terms")
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--rounds", type=int, default=20)
+    ap.add_argument("--rounds", type=int, default=20,
+                    help="pairs of rounds, or with --jobs pairs of runs of each job")
+    ap.add_argument("--jobs", action="store_true",
+                    help="time each job on its own and report percentiles of the job medians")
     args = ap.parse_args(argv)
     for src in (args.a, args.b):
         if not (src / "latspec" / "cli.py").is_file():
@@ -131,17 +176,24 @@ def main(argv=None) -> int:
             "B": runner(load(args.b.resolve(), "latspec_b"))}
     with tempfile.TemporaryDirectory() as work:
         rng = random.Random(f"{args.workload}:{args.seed}")
-        jobs = [job.spec for job in WORKLOADS[args.workload](rng, Path(work))]
+        jobs = WORKLOADS[args.workload](rng, Path(work))
         for job in jobs:  # the check, which also warms both trees up
-            a, b = runs["A"](job), runs["B"](job)
+            a, b = runs["A"](job.spec), runs["B"](job.spec)
             if a != b:
-                print(f"error: the trees differ on {job}: {first_difference(a, b)}",
+                print(f"error: the trees differ on {job.spec}: {first_difference(a, b)}",
                       file=sys.stderr)
                 return 1
+        if args.jobs:
+            medians = job_medians(runs, jobs, args.rounds)
+            print(f"# {args.workload} seed {args.seed}: {len(jobs)} jobs, outputs equal; "
+                  f"per-job medians of {args.rounds} interleaved run pairs")
+            print("\n".join(job_report(medians, jobs, (args.a, args.b))))
+            return 0
+        specs = [job.spec for job in jobs]
         times = {"A": [], "B": []}
         for k in range(args.rounds):
             for name in ("A", "B") if k % 2 == 0 else ("B", "A"):
-                times[name].append(round_time(runs[name], jobs))
+                times[name].append(round_time(runs[name], specs))
     print(f"# {args.workload} seed {args.seed}: {len(jobs)} jobs, outputs equal; "
           f"{args.rounds} interleaved round pairs")
     for name, src in (("A", args.a), ("B", args.b)):

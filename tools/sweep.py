@@ -14,7 +14,14 @@ The ladders:
   12, 16, 24) and of antichains of --antichains points (default 10, 12,
   14, 16), on both trees.  Its stdout goes to a sink that keeps nothing;
   one untimed run per rung and tree hashes it, and the two trees must
-  write the same bytes.
+  write the same bytes;
+- ``plfun.pl_abs``, 100 calls per timed sample, on the fan of
+  ``perfbench/plterms.py``'s ``fan_term`` of 6, 12, 24 and 48 hinges
+  (fans of hinges + 2 rays), and ``latspec pl ideal-leq X Y --samples 360
+  --seed 7 --json`` through ``cli.main`` on terms shaped as the pl-terms
+  workload's sampled ideal jobs: X a ``fan_term`` of that many hinges, Y
+  (add (abs Z) (add a b)) for another.  The terms come from one seeded
+  generator; both trees must give the same fan and write the same bytes.
 
 PARENT is a directory holding a ``latspec`` package, or else a git
 revision, whose ``src`` is exported with ``git archive`` into a temporary
@@ -28,10 +35,11 @@ time is scaled to the
 reference speed as the benchmark scales it, time * REFERENCE_S / loop,
 and the rung records the median.  Every ladder is run twice, the trees
 taking turns to go first.  For each run the log-log slope of the median
-against the rung's lattice elements (|C_J|, or |L|) is fitted by least
-squares over the largest three rungs, where the fixed costs of a call
-no longer dominate (Goldsmith, Aiken & Wilkerson, *Measuring empirical
-computational complexity*, ESEC/FSE 2007); the spread is the difference
+against the rung's elements (|C_J|, |L|, or the rays of the fan of
+``fan_term``) is fitted by least squares over the largest three rungs,
+where the fixed costs of a call no longer dominate (Goldsmith, Aiken &
+Wilkerson, *Measuring empirical computational complexity*, ESEC/FSE
+2007); the spread is the difference
 of the two runs' slopes.  OUT gets every ladder and the
 ``tools/codelines.py`` total of each tree's package, as JSON.
 """
@@ -47,6 +55,7 @@ import json
 import math
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -59,6 +68,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: the rungs the slope is fitted over, counted from the top of a ladder
 FIT_RUNGS = 3
+#: hinges of the PL ladders' fans, and ``pl_abs`` calls per timed sample
+HINGES = [6, 12, 24, 48]
+ABS_CALLS = 100
 
 
 def git(*args: str) -> bytes:
@@ -130,17 +142,16 @@ class _Sink:
         pass
 
 
-def check_ladder(pkg, calib, files: list[tuple[int, Path]], repeats: int) -> list[dict]:
-    """One run of a ``lattice check --json`` ladder: per rung the points, |L|,
-    the sha256 prefix of the report and the scaled median in ms."""
+def cli_ladder(pkg, calib, rungs: list[tuple[dict, list[str]]], repeats: int) -> list[dict]:
+    """One run of a ladder of command lines through ``cli.main``: per rung its
+    fields, the sha256 prefix of what it writes and the scaled median in ms."""
     main = pkg.cli.main
-    rungs = []
-    for n, path in files:
-        argv = ["lattice", "check", str(path), "--json"]
+    out = []
+    for fields, argv in rungs:
         digest = hashlib.sha256()
         with contextlib.redirect_stdout(_Sink(digest)):
             if main(argv) != 0:
-                raise SystemExit(f"error: lattice check failed on {path}")
+                raise SystemExit(f"error: {' '.join(argv[:2])} failed on rung {fields}")
         times = []
         with contextlib.redirect_stdout(_Sink()):
             for _ in range(repeats + 1):
@@ -149,10 +160,46 @@ def check_ladder(pkg, calib, files: list[tuple[int, Path]], repeats: int) -> lis
                 t = time.perf_counter() - t0
                 times.append(t * calib.REFERENCE_S / calib.calibrate())
         del times[0]
-        size = pkg.fileformat.parse_lattice_file(str(path)).lat.size
-        rungs.append({"points": n, "elements": size, "sha256": digest.hexdigest()[:16],
-                      "median_ms": round(statistics.median(times) * 1e3, 4)})
-    return rungs
+        out.append({**fields, "sha256": digest.hexdigest()[:16],
+                    "median_ms": round(statistics.median(times) * 1e3, 4)})
+    return out
+
+
+def abs_ladder(pkg, calib, terms: list[tuple[int, str]], repeats: int) -> list[dict]:
+    """One run of the ``pl_abs`` ladder: per rung the hinges, the rays of the
+    fan, the sha256 prefix of |f| and the scaled median of one call in ms."""
+    pl_abs = pkg.plfun.pl_abs
+    out = []
+    for hinges, text in terms:
+        f = pkg.fileformat.parse_pl_term(text)
+        g = pl_abs(f)
+        times = []
+        for _ in range(repeats + 1):
+            t0 = time.perf_counter()
+            for _ in range(ABS_CALLS):
+                pl_abs(f)
+            t = (time.perf_counter() - t0) / ABS_CALLS
+            times.append(t * calib.REFERENCE_S / calib.calibrate())
+        del times[0]
+        out.append({"hinges": hinges, "elements": len(f.rays),
+                    "sha256": hashlib.sha256(repr((g.rays, g.coeffs)).encode()).hexdigest()[:16],
+                    "median_ms": round(statistics.median(times) * 1e3, 5)})
+    return out
+
+
+def pl_terms(hinges: list[int]) -> tuple[list[tuple[int, str]], list[tuple[dict, list[str]]]]:
+    """The ``fan_term`` of each rung, and each rung's sampled ``pl ideal-leq``."""
+    import plterms as P
+    rng = random.Random(7)
+    terms, ideals = [], []
+    full = ("add", ("a",), ("b",))
+    for h in hinges:
+        tx, tz = P.fan_term(rng, h), P.fan_term(rng, h, "abs")
+        terms.append((h, P.show(tx)))
+        argv = ["pl", "ideal-leq", P.show(tx), P.show(("add", ("abs", tz), full)),
+                "--samples", "360", "--seed", "7", "--json"]
+        ideals.append(({"hinges": h, "elements": h + 2}, argv))
+    return terms, ideals
 
 
 def merged(first: list[dict], second: list[dict]) -> dict:
@@ -174,32 +221,39 @@ def sweep(trees: dict[str, tuple[Path, int]], repeats: int,
     from abround import load
     from codelines import code_lines
     pkgs = {name: load(src, f"latspec_{name}") for name, (src, _) in trees.items()}
-    files = {}
+    checks = {}
     for shape, sizes in shapes.items():
-        files[shape] = []
+        checks[shape] = []
         for n in sizes:
             path = work / f"{shape}{n}.lat"
             path.write_text(poset_text(n, shape == "chains"), encoding="utf-8")
-            files[shape].append((n, path))
-    runs = {(layer, name): [] for layer in ["stage", *shapes] for name in trees}
+            fields = {"points": n, "elements": n + 1 if shape == "chains" else 2 ** n}
+            checks[shape].append((fields, ["lattice", "check", str(path), "--json"]))
+    terms, checks["pl_ideal_leq"] = pl_terms(HINGES)
+    layers = ["stage", *shapes, "pl_abs", "pl_ideal_leq"]
+    runs = {(layer, name): [] for layer in layers for name in trees}
     order = list(trees.items())
     for first in (order, order[::-1]):  # the trees take turns to go first
         for name, (_, top_j) in first:
-            for shape in shapes:
+            pkg = pkgs[name]
+            for layer, rungs in checks.items():
                 gc.collect()  # so no ladder pays for the garbage of the one before
-                runs[shape, name].append(check_ladder(pkgs[name], calib, files[shape], repeats))
+                runs[layer, name].append(cli_ladder(pkg, calib, rungs, repeats))
             gc.collect()
-            runs["stage", name].append(stage_ladder(pkgs[name], calib, top_j, repeats))
-    layers = {layer: {name: merged(*runs[layer, name]) for name in trees}
-              for layer in ["stage", *shapes]}
-    for shape in shapes:
-        digests = {name: [r["sha256"] for r in lad["rungs"]] for name, lad in layers[shape].items()}
+            runs["pl_abs", name].append(abs_ladder(pkg, calib, terms, repeats))
+            gc.collect()
+            runs["stage", name].append(stage_ladder(pkg, calib, top_j, repeats))
+    merged_layers = {layer: {name: merged(*runs[layer, name]) for name in trees}
+                     for layer in layers}
+    for layer in layers[1:]:
+        digests = {name: [r["sha256"] for r in lad["rungs"]]
+                   for name, lad in merged_layers[layer].items()}
         if len(set(map(tuple, digests.values()))) > 1:
-            raise SystemExit(f"error: the trees write different reports on the {shape}: {digests}")
+            raise SystemExit(f"error: the trees give different results on {layer}: {digests}")
     lines = {name: sum(code_lines(p.read_text(encoding="utf-8"))
                        for p in sorted((src / "latspec").glob("*.py")))
              for name, (src, _) in trees.items()}
-    return layers, lines
+    return merged_layers, lines
 
 
 def sizes(text: str) -> list[int]:
@@ -235,6 +289,12 @@ def main(argv=None) -> int:
                   "level map (0, 1, 1, 2), 4-chain onto 3-chain; |C_J| = 4·3^|J|"),
         "chains": (check, "poset file of a chain of n points; |L| = n + 1"),
         "antichains": (check, "poset file of an antichain of n points; |L| = 2^n"),
+        "pl_abs": (f"plfun.pl_abs, {ABS_CALLS} calls per sample, median of one call",
+                   "fan of plterms.fan_term(rng, hinges), random.Random(7); hinges + 2 rays"),
+        "pl_ideal_leq": ("latspec pl ideal-leq X Y --samples 360 --seed 7 --json through "
+                         "cli.main, stdout to a sink",
+                         "X = fan_term(rng, hinges), Y = (add (abs fan_term(rng, hinges, "
+                         "'abs')) (add a b)), random.Random(7); elements are X's hinges + 2 rays"),
     }
     result = {
         "parent": label,
@@ -250,7 +310,7 @@ def main(argv=None) -> int:
                         encoding="utf-8")
     for layer, ladders in layers.items():
         for name, lad in ladders.items():
-            rung = "j" if layer == "stage" else "points"
+            rung = next(iter(lad["rungs"][0]))  # the size each rung is keyed by
             print(f"{layer} {name}: "
                   + "  ".join(f"{r[rung]}:{r['median_ms'][0]:g}" for r in lad["rungs"])
                   + f" ms; slope {lad['slope']}, spread {lad['slope_spread']}")
